@@ -24,6 +24,7 @@ from .coherence import (
     CoherenceReport,
     Tetrahedron,
     coherence_report,
+    coherence_reports,
     dist,
     embed_tetrahedron,
     qjsd,
@@ -67,6 +68,7 @@ __all__ = [
     "SweepResult",
     "Tetrahedron",
     "coherence_report",
+    "coherence_reports",
     "dist",
     "eig_hermitian",
     "embed_tetrahedron",

@@ -32,7 +32,7 @@ import numpy as np
 from . import models
 from .qmat import eig_hermitian, expm_hermitian, normalize_phase, root_fidelity
 from .states import density, make_state
-from .coherence import coherence_report
+from .coherence import coherence_reports
 
 # fine-grid resolution used to tabulate the adaptive step density
 DENSITY_GRID = 2000
@@ -61,8 +61,10 @@ class Schedule:
         object.__setattr__(self, "values", values)
         if values.ndim != 1 or len(values) < 1:
             raise ValueError("schedule needs at least one value")
-        if self.tau <= 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not math.isfinite(self.tau) or self.tau <= 0.0:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("schedule values must be finite")
         if np.any(np.diff(values) < -1e-12):
             raise ValueError("schedule values must be monotone nondecreasing")
         lo, hi = models.J_RANGE[self.model_tag]
@@ -200,7 +202,6 @@ def ground_sweep(model_tag, schedule, params=None, reports=True, log_base=2.0):
     e0 = np.empty(n)
     e1 = np.empty(n)
     grounds = []
-    report_list = [] if reports else None
     degenerate = []
     prev = None
     for m, j in enumerate(schedule.values):
@@ -215,8 +216,7 @@ def ground_sweep(model_tag, schedule, params=None, reports=True, log_base=2.0):
             g = -g
         grounds.append(g)
         prev = g
-        if reports:
-            report_list.append(coherence_report(density(g), base=log_base))
+    report_list = coherence_reports([density(g) for g in grounds], base=log_base) if reports else None
     target = make_state(models.TARGET_LABEL[model_tag])
     return SweepResult(
         model_tag=model_tag,

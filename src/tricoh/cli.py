@@ -175,11 +175,11 @@ def cmd_geometry(args):
     else:
         j_list = list(DEFAULT_GEOMETRY_J[args.model])
     params = models.ModelParams()
+    hams = [models.hamiltonian(args.model, models.with_coupling(args.model, params, j)) for j in j_list]
+    rhos = [states.density(qmat.ground_state(h).state) for h in hams]
+    reports = coherence.coherence_reports(rhos, base=base)
     records = []
-    for j in j_list:
-        h = models.hamiltonian(args.model, models.with_coupling(args.model, params, j))
-        ground = qmat.ground_state(h)
-        rep = coherence.coherence_report(states.density(ground.state), base=base)
+    for j, rep in zip(j_list, reports):
         tet = coherence.embed_tetrahedron(rep)
         records.append(
             {
@@ -221,13 +221,14 @@ def cmd_tomo(args):
         trace_dev = float(abs(np.trace(rho_raw) - 1.0))
         min_eig = float(np.linalg.eigvalsh((rho_raw + rho_raw.conj().T) / 2)[0])
         rho = qmat.validate_density(rho_raw, tol=args.tol, repair=args.repair)
+        repaired = bool(np.abs(rho - rho_raw).max() > args.tol)
         fid = qmat.root_fidelity(rho, ground_density)
         rep = coherence.coherence_report(rho, base=base)
         rows.append(
-            [os.path.basename(path), j, fid, herm_dev, trace_dev, min_eig, "yes" if args.repair else "no"]
+            [os.path.basename(path), j, fid, herm_dev, trace_dev, min_eig, "yes" if repaired else "no"]
             + coherence.report_values(rep)
         )
-        print(f"{os.path.basename(path)}: fidelity {_fmt(fid)} (J={_fmt(j)}, repaired={args.repair})")
+        print(f"{os.path.basename(path)}: fidelity {_fmt(fid)} (J={_fmt(j)}, repaired={repaired})")
     out = _outpath(args, "tomo_report.csv")
     _write_csv(out, header, rows)
     print(f"wrote {out}")

@@ -3,14 +3,24 @@
 The divergence J(rho, sigma) = [S_r(rho||m) + S_r(sigma||m)]/2 with
 m = (rho + sigma)/2 is computed in base-2 logarithms by default, which bounds
 J by 1 and its square root (the distance D) by 1 for any pair of states.
-Every call cross-checks the defining form against the entropic form
-S(m) - S(rho)/2 - S(sigma)/2 and fails loudly if the two routes disagree.
+Both the defining form and the entropic form S(m) - S(rho)/2 - S(sigma)/2
+are always evaluated, and any disagreement beyond ``CROSS_CHECK_TOL`` raises
+``ArithmeticError``.
 
-``coherence_report`` evaluates the full decomposition for a three-qubit
-state: total, global, local and absolute coherence, the 1:23 and 2:3
-partition terms, the pairwise terms entering the monogamy difference, and
-the four trade-off slacks (each slack is the inequality's right-hand sum
-minus its left-hand term, so validity means slack >= 0 up to rounding).
+``coherence_reports`` evaluates the full decomposition for a stack of
+three-qubit states: total, global, local and absolute coherence, the 1:23
+and 2:3 partition terms, the pairwise terms entering the monogamy
+difference, and the four trade-off slacks (each slack is the inequality's
+right-hand sum minus its left-hand term, so validity means slack >= 0 up to
+rounding). It builds the derived matrices of ``REPORT_CHUNK`` states at a
+time, symmetrizes each distinct matrix and mixture once, and runs one
+stacked ``eigh`` for the defining form and one stacked ``eigvalsh`` for the
+entropic form per matrix size, so the cross-check runs per stacked batch.
+Stacked kernels see the same input bytes as per-matrix calls and the
+masked entropy sums follow numpy's 1-D summation order, so every report is
+bitwise equal to the report of its state alone. ``coherence_report``,
+``qjsd``, ``relative_entropy`` and ``von_neumann_entropy`` are single-state
+calls into the same stacked helpers.
 
 ``embed_tetrahedron`` places the four states rho, pi(rho), dephased pi(rho)
 and rho_1 x rho_23 in Euclidean 3-space so that pairwise point distances
@@ -25,8 +35,7 @@ import math
 
 import numpy as np
 
-from .qmat import partial_trace, dephase, kron, _as_square
-from .states import marginals, pi_product, split_1_23
+from .qmat import _as_square, _dephase_stack, _kron_stack, _partial_trace_stack
 
 # eigenvalues below this floor are treated as exact zeros inside logarithms
 EIG_FLOOR = 1e-12
@@ -36,6 +45,9 @@ SUPPORT_WEIGHT_TOL = 1e-10
 CROSS_CHECK_TOL = 1e-9
 # denominators below this collapse a tetrahedron vertex instead of dividing
 EMBED_EPS = 1e-9
+# states per batch in ``coherence_reports``; bounds the working set, since
+# each state adds 20 derived matrices and their eigenvectors
+REPORT_CHUNK = 16
 
 
 def _log_scale(base):
@@ -44,12 +56,97 @@ def _log_scale(base):
     return math.log(base)
 
 
+def _sym(mats):
+    return (mats + mats.conj().swapaxes(-1, -2)) / 2
+
+
+def _masked_sum(terms, mask):
+    """Row sums of ``terms`` over ``mask``, bitwise equal to ``terms[i][mask[i]].sum()``.
+
+    numpy adds fewer than 8 elements left to right and 8 or more pairwise.
+    Rows keeping fewer than 8 entries therefore take a running sum in which
+    dropped entries are exact zeros, full rows a plain sum, and any other
+    row (possible only beyond 8x8) its compacted sum.
+    """
+    shape = terms.shape[:-1]
+    terms = terms.reshape(-1, terms.shape[-1])
+    mask = mask.reshape(terms.shape)
+    kept = mask.sum(-1)
+    # numpy's sum starts from +0.0, so a row of -0.0 terms sums to +0.0
+    sums = np.add.accumulate(np.where(mask, terms, 0.0), axis=-1)[:, -1] + 0.0
+    full = kept == terms.shape[-1]
+    sums[full] = terms[full].sum(-1)
+    for i in np.flatnonzero(~full & (kept >= 8)):
+        sums[i] = terms[i][mask[i]].sum()
+    return sums.reshape(shape)
+
+
+def _entropies(w, scale):
+    """Von Neumann entropies of the ascending spectra along the last axis."""
+    keep = w > EIG_FLOOR
+    w = np.where(keep, w, 1.0)
+    return -_masked_sum(w * np.log(w), keep) / scale
+
+
+def _relative_entropies(p, u, q, v, scale):
+    """S_r(rho||sigma) per row from the clipped eigenpairs (p, u) of rho and (q, v) of sigma.
+
+    Rows where rho puts more than ``SUPPORT_WEIGHT_TOL`` weight outside the
+    support of sigma read +inf.
+    """
+    # weight_j = sum_i p_i |<u_i|v_j>|^2, the weight of rho on sigma's j-th eigenvector
+    overlap = np.abs(u.conj().swapaxes(-1, -2) @ v) ** 2
+    weight = (p[..., None, :] @ overlap)[..., 0, :]
+    support = q > EIG_FLOOR
+    mismatch = np.any(~support & (weight > SUPPORT_WEIGHT_TOL), axis=-1)
+    keep = p > EIG_FLOOR
+    plogp = _masked_sum(p * np.log(np.where(keep, p, 1.0)), keep)
+    wlogq = _masked_sum(weight * np.log(np.where(support, q, 1.0)), support)
+    s = (plogp - wlogq) / scale
+    return np.where(mismatch, math.inf, np.where(s < 0.0, 0.0, s))
+
+
+def _qjsd_pairs(mats, pairs, scale):
+    """QJSD of the index pairs ``pairs`` into a (S, n, d, d) stack, as a (P, n) array.
+
+    Every distinct matrix and every mixture is symmetrized once, then
+    diagonalized by one stacked ``eigh`` (defining form) and one stacked
+    ``eigvalsh`` (entropic form). The two forms must agree within
+    ``CROSS_CHECK_TOL`` for every pair, else ``ArithmeticError``.
+    """
+    left, right = np.array(pairs).T
+    mid = np.arange(len(pairs)) + len(mats)
+    sym = _sym(np.concatenate([mats, (mats[left] + mats[right]) / 2]))
+    w, vecs = np.linalg.eigh(sym)
+    w = np.clip(w, 0.0, None)
+    arg = np.concatenate([left, right])
+    both = np.concatenate([mid, mid])
+    rel = _relative_entropies(w[arg], vecs[arg], w[both], vecs[both], scale)
+    j_def = 0.5 * (rel[: len(pairs)] + rel[len(pairs):])
+    ent = _entropies(np.linalg.eigvalsh(sym), scale)
+    j_ent = ent[mid] - 0.5 * ent[left] - 0.5 * ent[right]
+    bad = ~np.isfinite(j_def) | (np.abs(j_def - j_ent) > CROSS_CHECK_TOL)
+    if bad.any():
+        state, pair = np.argwhere(bad.T)[0]
+        raise ArithmeticError(
+            f"qjsd cross-check failed: defining form {float(j_def[pair, state])!r} "
+            f"vs entropic form {float(j_ent[pair, state])!r}"
+        )
+    return np.where(j_def < 0.0, 0.0, j_def)
+
+
+def _pair_stack(rho, sigma):
+    rho = _as_square(rho, "rho")
+    sigma = _as_square(sigma, "sigma")
+    if rho.shape != sigma.shape:
+        raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
+    return np.stack([rho, sigma])
+
+
 def von_neumann_entropy(rho, base=2.0):
     """S(rho) = -sum_k lambda_k log lambda_k, with 0 log 0 = 0."""
     rho = _as_square(rho, "rho")
-    w = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-    w = w[w > EIG_FLOOR]
-    return float(-(w * np.log(w)).sum() / _log_scale(base))
+    return float(_entropies(np.linalg.eigvalsh(_sym(rho)), _log_scale(base)))
 
 
 def relative_entropy(rho, sigma, base=2.0):
@@ -59,23 +156,9 @@ def relative_entropy(rho, sigma, base=2.0):
     if rho places more than ``SUPPORT_WEIGHT_TOL`` weight on eigenvectors of
     sigma whose eigenvalues fall below the floor, ``math.inf`` is returned.
     """
-    rho = _as_square(rho, "rho")
-    sigma = _as_square(sigma, "sigma")
-    if rho.shape != sigma.shape:
-        raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    p, u = np.linalg.eigh((rho + rho.conj().T) / 2)
-    q, v = np.linalg.eigh((sigma + sigma.conj().T) / 2)
-    p = np.clip(p, 0.0, None)
-    q = np.clip(q, 0.0, None)
-    # weight_j = sum_i p_i |<u_i|v_j>|^2, the weight of rho on sigma's j-th eigenvector
-    overlap = np.abs(u.conj().T @ v) ** 2
-    weight = p @ overlap
-    if np.any((q <= EIG_FLOOR) & (weight > SUPPORT_WEIGHT_TOL)):
-        return math.inf
-    plogp = float((p[p > EIG_FLOOR] * np.log(p[p > EIG_FLOOR])).sum())
-    mask = q > EIG_FLOOR
-    wlogq = float((weight[mask] * np.log(q[mask])).sum())
-    return max((plogp - wlogq) / _log_scale(base), 0.0)
+    w, v = np.linalg.eigh(_sym(_pair_stack(rho, sigma)))
+    w = np.clip(w, 0.0, None)
+    return float(_relative_entropies(w[0], v[0], w[1], v[1], _log_scale(base)))
 
 
 def qjsd(rho, sigma, base=2.0):
@@ -85,18 +168,8 @@ def qjsd(rho, sigma, base=2.0):
     verifying it against S(m) - S(rho)/2 - S(sigma)/2 within
     ``CROSS_CHECK_TOL``. Always finite and bounded by log_base(2).
     """
-    rho = _as_square(rho, "rho")
-    sigma = _as_square(sigma, "sigma")
-    if rho.shape != sigma.shape:
-        raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    mid = (rho + sigma) / 2
-    j_def = 0.5 * (relative_entropy(rho, mid, base) + relative_entropy(sigma, mid, base))
-    j_ent = von_neumann_entropy(mid, base) - 0.5 * von_neumann_entropy(rho, base) - 0.5 * von_neumann_entropy(sigma, base)
-    if not math.isfinite(j_def) or abs(j_def - j_ent) > CROSS_CHECK_TOL:
-        raise ArithmeticError(
-            f"qjsd cross-check failed: defining form {j_def!r} vs entropic form {j_ent!r}"
-        )
-    return max(j_def, 0.0)
+    mats = _pair_stack(rho, sigma)[:, None]
+    return float(_qjsd_pairs(mats, [(0, 1)], _log_scale(base))[0, 0])
 
 
 def dist(rho, sigma, base=2.0):
@@ -147,30 +220,34 @@ def report_values(report):
     return [getattr(report, f.name) for f in fields(CoherenceReport)]
 
 
-def coherence_report(rho, base=2.0):
-    """Full coherence decomposition of a three-qubit density matrix."""
-    rho = _as_square(rho, "rho")
-    if rho.shape != (8, 8):
-        raise ValueError(f"expected an 8x8 three-qubit density matrix, got {rho.shape}")
-    rho_d = dephase(rho)
-    margs = marginals(rho, 3)
-    pi = pi_product(rho, 3)
-    pi_d = dephase(pi)
-    rho_23 = partial_trace(rho, 3, {2, 3})
-    rho_12 = partial_trace(rho, 3, {1, 2})
-    rho_13 = partial_trace(rho, 3, {1, 3})
-    prod_1_23 = split_1_23(rho)
+# distances of a report, by index into the stacks built in ``_chunk_distances``:
+# 8x8 stack (rho, dephased rho, pi(rho), dephased pi(rho), rho_1 x rho_23)
+_PAIRS_8 = ((0, 1), (0, 2), (2, 3), (0, 3), (0, 4), (4, 3))
+# 4x4 stack (rho_23, rho_2 x rho_3, rho_12, rho_1 x rho_2, rho_13, rho_1 x rho_3)
+_PAIRS_4 = ((0, 1), (2, 3), (4, 5))
 
-    c_total = dist(rho, rho_d, base)
-    c_global = dist(rho, pi, base)
-    c_local = dist(pi, pi_d, base)
-    c_absolute = dist(rho, pi_d, base)
-    c_1_23 = dist(rho, prod_1_23, base)
-    c_2_3 = dist(rho_23, kron(margs[1], margs[2]), base)
-    c_abs_1_23 = dist(prod_1_23, pi_d, base)
-    c_1_2 = dist(rho_12, kron(margs[0], margs[1]), base)
-    c_1_3 = dist(rho_13, kron(margs[0], margs[2]), base)
 
+def _chunk_distances(rho, scale):
+    """The nine report distances of a (n, 8, 8) stack, as a (n, 9) array.
+
+    Columns follow ``CoherenceReport``: C_T, C_G, C_L, C_A, C_1_23, C_2_3,
+    C_A_1_23, C_1_2, C_1_3.
+    """
+    m1, m2, m3 = (_partial_trace_stack(rho, 3, [q]) for q in (1, 2, 3))
+    rho_23 = _partial_trace_stack(rho, 3, [2, 3])
+    pi = _kron_stack(_kron_stack(m1, m2), m3)
+    big = np.stack([rho, _dephase_stack(rho), pi, _dephase_stack(pi), _kron_stack(m1, rho_23)])
+    small = np.stack([
+        rho_23, _kron_stack(m2, m3),
+        _partial_trace_stack(rho, 3, [1, 2]), _kron_stack(m1, m2),
+        _partial_trace_stack(rho, 3, [1, 3]), _kron_stack(m1, m3),
+    ])
+    d8 = np.sqrt(_qjsd_pairs(big, _PAIRS_8, scale))
+    d4 = np.sqrt(_qjsd_pairs(small, _PAIRS_4, scale))
+    return np.concatenate([d8[:5], d4[:1], d8[5:], d4[1:]]).T
+
+
+def _report(c_total, c_global, c_local, c_absolute, c_1_23, c_2_3, c_abs_1_23, c_1_2, c_1_3):
     return CoherenceReport(
         c_total=c_total,
         c_global=c_global,
@@ -187,6 +264,34 @@ def coherence_report(rho, base=2.0):
         slack_eq10b=c_2_3 + c_local - c_abs_1_23,
         slack_eq11=c_1_23 + c_2_3 - c_global,
     )
+
+
+def coherence_reports(rhos, base=2.0):
+    """Full coherence decompositions of a (N, 8, 8) stack of density matrices.
+
+    Returns N ``CoherenceReport`` values, each equal bit for bit to the
+    report of its state alone. States are processed ``REPORT_CHUNK`` at a
+    time.
+    """
+    rhos = np.asarray(rhos, dtype=complex)
+    if rhos.ndim != 3 or rhos.shape[1:] != (8, 8):
+        raise ValueError(f"expected an (N, 8, 8) stack of three-qubit density matrices, got {rhos.shape}")
+    if not np.all(np.isfinite(rhos)):
+        raise ValueError("rhos contains non-finite entries")
+    scale = _log_scale(base)
+    reports = []
+    for start in range(0, len(rhos), REPORT_CHUNK):
+        for row in _chunk_distances(rhos[start:start + REPORT_CHUNK], scale).tolist():
+            reports.append(_report(*row))
+    return reports
+
+
+def coherence_report(rho, base=2.0):
+    """Full coherence decomposition of a three-qubit density matrix."""
+    rho = _as_square(rho, "rho")
+    if rho.shape != (8, 8):
+        raise ValueError(f"expected an 8x8 three-qubit density matrix, got {rho.shape}")
+    return coherence_reports(rho[None], base)[0]
 
 
 @dataclass(frozen=True)

@@ -89,20 +89,44 @@ def partial_trace(rho, n_qubits, keep):
         raise ValueError("keep set must be nonempty")
     if keep[0] < 1 or keep[-1] > n_qubits:
         raise ValueError(f"keep indices must lie in 1..{n_qubits}, got {keep}")
-    tensor = rho.reshape([2] * (2 * n_qubits))
+    return _partial_trace_stack(rho, n_qubits, keep)
+
+
+def _partial_trace_stack(rhos, n_qubits, keep):
+    """``partial_trace`` over the last two axes of an unchecked (..., 2^n, 2^n) stack.
+
+    ``keep`` is sorted and valid. Qubits are traced out one at a time, last
+    first, so every matrix of a stack sees the same sums as a lone matrix.
+    """
+    lead = rhos.shape[:-2]
+    tensor = rhos.reshape(lead + (2,) * (2 * n_qubits))
     drop = [q - 1 for q in range(1, n_qubits + 1) if q not in keep]
     live = n_qubits
     for axis in reversed(drop):
-        tensor = np.trace(tensor, axis1=axis, axis2=axis + live)
+        tensor = np.trace(tensor, axis1=len(lead) + axis, axis2=len(lead) + axis + live)
         live -= 1
     d = 2 ** len(keep)
-    return tensor.reshape(d, d)
+    return tensor.reshape(lead + (d, d))
 
 
 def dephase(rho):
     """Zero all off-diagonal entries in the computational (S^z) basis."""
-    rho = _as_square(rho, "rho")
-    return np.diag(np.diag(rho)).astype(complex)
+    return _dephase_stack(_as_square(rho, "rho"))
+
+
+def _dephase_stack(rhos):
+    """``dephase`` over the last two axes of an unchecked stack."""
+    out = np.zeros_like(rhos)
+    idx = np.arange(rhos.shape[-1])
+    out[..., idx, idx] = rhos[..., idx, idx]
+    return out
+
+
+def _kron_stack(a, b):
+    """``kron`` of matching (..., m, m) and (..., n, n) stacks, matrix by matrix."""
+    m, n = a.shape[-1], b.shape[-1]
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(a.shape[:-2] + (m * n, m * n))
 
 
 def normalize_phase(vec):

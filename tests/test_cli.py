@@ -142,6 +142,14 @@ def test_tomo_noisy_repair(tmp_path):
     assert rows[0]["repaired"] == "yes"
 
 
+def test_tomo_repair_of_valid_matrix_reports_unchanged(tmp_path, capsys):
+    path = tmp_path / "w001.json"
+    qmat.save_density(path, states.density(states.make_state("W001")))
+    assert run_cli(["tomo", "--model", "zz", "--j", "2", "--repair", str(path), "--out", str(tmp_path)]) == 0
+    assert read_csv(tmp_path / "tomo_report.csv")[0]["repaired"] == "no"
+    assert "repaired=False" in capsys.readouterr().out
+
+
 def test_tomo_missing_file(tmp_path):
     assert run_cli(["tomo", "--model", "zz", str(tmp_path / "absent.json"), "--out", str(tmp_path)]) == 2
 
@@ -221,3 +229,20 @@ def test_validation_errors_exit_two(tmp_path):
     assert run_cli(["sweep", "--model", "zz", "--schedule", "file:/nonexistent.json", "--out", str(tmp_path)]) == 2
     assert run_cli(["sweep", "--model", "zz", "--schedule", "spline", "--out", str(tmp_path)]) == 2
     assert run_cli(["geometry", "--model", "zz", "--j-values", "", "--out", str(tmp_path)]) == 2
+
+
+def test_sweep_rejects_infinite_tau(tmp_path, capsys):
+    assert run_cli(["sweep", "--model", "zz", "--steps", "4", "--tau", "inf", "--out", str(tmp_path)]) == 2
+    assert "tau must be positive and finite" in capsys.readouterr().err
+
+
+def test_sweep_rejects_nan_tau(tmp_path, capsys):
+    assert run_cli(["sweep", "--model", "zz", "--steps", "4", "--tau", "nan", "--out", str(tmp_path)]) == 2
+    assert "tau must be positive and finite" in capsys.readouterr().err
+
+
+def test_sweep_rejects_nan_in_schedule_file(tmp_path, capsys):
+    path = tmp_path / "schedule.json"
+    path.write_text("[0.0, NaN, 2.0]\n")
+    assert run_cli(["sweep", "--model", "zz", "--schedule", f"file:{path}", "--out", str(tmp_path)]) == 2
+    assert "schedule values must be finite" in capsys.readouterr().err

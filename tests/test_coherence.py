@@ -170,6 +170,73 @@ def test_report_slacks_nonnegative_random():
         assert rep.slack_eq11 >= -1e-8
 
 
+def seeded_states(rng, count):
+    # pure, rank 2, rank 3 and full-rank mixed states in turn
+    rhos = []
+    for k in range(count):
+        rank = (1, 2, 3, 8)[k % 4]
+        a = rng.standard_normal((8, rank)) + 1j * rng.standard_normal((8, rank))
+        rho = a @ a.conj().T
+        rhos.append(rho / np.trace(rho).real)
+    return rhos
+
+
+def report_bits(report):
+    return np.array(coherence.report_values(report)).view(np.int64)
+
+
+def test_reports_match_single_reports_bitwise():
+    rhos = seeded_states(np.random.default_rng(63), 37)
+    assert len(rhos) > 2 * coherence.REPORT_CHUNK
+    batch = coherence.coherence_reports(np.array(rhos))
+    assert len(batch) == len(rhos)
+    for rho, rep in zip(rhos, batch):
+        np.testing.assert_array_equal(report_bits(rep), report_bits(coherence.coherence_report(rho)))
+
+
+def test_reports_pinned_rounding_noise(zz_sweep, zzz_sweep):
+    # J = 0 rows: the distances are square roots of ~1e-16 rounding noise, so
+    # they change with any change to the float operations on each matrix
+    zzz = dict(zip(coherence.REPORT_COLUMNS, coherence.report_values(zzz_sweep.reports[0])))
+    assert f"{zzz['C_G']:.9g}" == "2.53117621e-08"
+    assert f"{zzz['C_1_3']:.9g}" == f"{zzz['C_2_3']:.9g}" == "1.55002254e-08"
+    assert f"{zzz['slack11']:.9g}" == "-9.81153669e-09"
+    assert f"{zz_sweep.reports[0].slack_eq7:.9g}" == "-1.38777878e-17"
+
+
+def test_reports_properties_random_ranks():
+    rhos = np.array(seeded_states(np.random.default_rng(64), 24))
+    # swap qubits 2 and 3: basis index bits (b1 b2 b3) -> (b1 b3 b2)
+    perm = [(k & 4) | ((k & 1) << 1) | ((k & 2) >> 1) for k in range(8)]
+    swapped = rhos[:, perm][:, :, perm]
+    for rep, twin in zip(coherence.coherence_reports(rhos), coherence.coherence_reports(swapped)):
+        for slack in (rep.slack_eq7, rep.slack_eq10a, rep.slack_eq10b, rep.slack_eq11):
+            assert slack >= -1e-8
+        for value in coherence.report_values(rep)[:9]:
+            assert 0.0 <= value <= 1.0
+        mirrored = dict(vars(twin), c_1_2=twin.c_1_3, c_1_3=twin.c_1_2)
+        for name, value in vars(rep).items():
+            assert abs(value - mirrored[name]) < 1e-9, name
+
+
+def test_cross_check_failure_raises(monkeypatch):
+    monkeypatch.setattr(coherence, "CROSS_CHECK_TOL", -1.0)
+    rho = seeded_states(np.random.default_rng(65), 1)[0]
+    with pytest.raises(ArithmeticError):
+        coherence.coherence_reports([rho])
+    with pytest.raises(ArithmeticError):
+        coherence.qjsd(rho, np.eye(8) / 8)
+
+
+def test_reports_reject_bad_stacks():
+    with pytest.raises(ValueError):
+        coherence.coherence_reports(np.full((2, 8, 8), np.nan))
+    with pytest.raises(ValueError):
+        coherence.coherence_reports(np.zeros((2, 4, 4)))
+    with pytest.raises(ValueError):
+        coherence.coherence_reports(np.eye(8) / 8)
+
+
 def test_report_values_column_order():
     rep = coherence.coherence_report(states.density(states.make_state("G")))
     vals = coherence.report_values(rep)
