@@ -56,7 +56,7 @@ class Schedule:
     model_tag: str
 
     def __post_init__(self):
-        models.check_model_tag(self.model_tag)
+        lo, hi = models.model(self.model_tag).j_range
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
         if values.ndim != 1 or len(values) < 1:
@@ -67,8 +67,7 @@ class Schedule:
             raise ValueError("schedule values must be finite")
         if np.any(np.diff(values) < -1e-12):
             raise ValueError("schedule values must be monotone nondecreasing")
-        lo, hi = models.J_RANGE[self.model_tag]
-        if values[0] < lo - 1e-9 or values[-1] > hi + 1e-9:
+        if values.min() < lo or values.max() > hi:
             raise ValueError(f"schedule values must lie in [{lo}, {hi}]")
         if len(values) > 1:
             if abs(values[0] - lo) > 1e-9 or abs(values[-1] - hi) > 1e-9:
@@ -109,10 +108,9 @@ class SweepResult:
 
 def linear_schedule(model_tag, m_steps, tau):
     """Uniformly spaced schedule over the model's coupling range."""
-    models.check_model_tag(model_tag)
+    lo, hi = models.model(model_tag).j_range
     if m_steps < 1:
         raise ValueError(f"m_steps must be at least 1, got {m_steps}")
-    lo, hi = models.J_RANGE[model_tag]
     return Schedule(values=np.linspace(lo, hi, m_steps + 1), tau=tau, model_tag=model_tag)
 
 
@@ -123,13 +121,13 @@ def symmetric_sector_basis():
 
 def _sector_density(model_tag, params):
     """Tabulated diabatic-rate density on a fine coupling grid."""
-    lo, hi = models.J_RANGE[model_tag]
-    grid = np.linspace(lo, hi, DENSITY_GRID + 1)
+    m = models.model(model_tag)
+    grid = np.linspace(*m.j_range, DENSITY_GRID + 1)
     basis = symmetric_sector_basis()
-    d_small = basis.conj().T @ models.coupling_derivative(model_tag) @ basis
+    d_small = basis.conj().T @ np.diag(m.dh_dj) @ basis
     dens = np.empty_like(grid)
     for i, j in enumerate(grid):
-        h_small = basis.conj().T @ models.hamiltonian(model_tag, models.with_coupling(model_tag, params, j)) @ basis
+        h_small = basis.conj().T @ models.hamiltonian(model_tag, j, params) @ basis
         w, v = np.linalg.eigh(h_small)
         rate = 0.0
         for n in range(1, len(w)):
@@ -146,7 +144,6 @@ def schedule_from_density(model_tag, m_steps, tau, grid, density_values):
     the density means half the local step spacing. A constant density
     reproduces the linear schedule.
     """
-    models.check_model_tag(model_tag)
     if m_steps < 1:
         raise ValueError(f"m_steps must be at least 1, got {m_steps}")
     grid = np.asarray(grid, dtype=float)
@@ -170,7 +167,6 @@ def gap_adaptive_schedule(model_tag, m_steps, tau, params=None):
     two-body model, the early crossover of the three-body model) and relaxes
     where excitations are symmetry-forbidden or energetically suppressed.
     """
-    params = params or models.ModelParams()
     grid, dens = _sector_density(model_tag, params)
     return schedule_from_density(model_tag, m_steps, tau, grid, dens)
 
@@ -194,10 +190,8 @@ def ground_sweep(model_tag, schedule, params=None, reports=True, log_base=2.0):
     them are continuous. Steps whose lowest gap falls below 1e-10 are listed
     in ``degenerate_steps``.
     """
-    models.check_model_tag(model_tag)
     if schedule.model_tag != model_tag:
         raise ValueError(f"schedule is for model {schedule.model_tag!r}, not {model_tag!r}")
-    params = params or models.ModelParams()
     n = len(schedule.values)
     e0 = np.empty(n)
     e1 = np.empty(n)
@@ -205,7 +199,7 @@ def ground_sweep(model_tag, schedule, params=None, reports=True, log_base=2.0):
     degenerate = []
     prev = None
     for m, j in enumerate(schedule.values):
-        h = models.hamiltonian(model_tag, models.with_coupling(model_tag, params, j))
+        h = models.hamiltonian(model_tag, j, params)
         spec = eig_hermitian(h)
         e0[m] = spec.eigenvalues[0]
         e1[m] = spec.eigenvalues[1]
@@ -217,7 +211,7 @@ def ground_sweep(model_tag, schedule, params=None, reports=True, log_base=2.0):
         grounds.append(g)
         prev = g
     report_list = coherence_reports([density(g) for g in grounds], base=log_base) if reports else None
-    target = make_state(models.TARGET_LABEL[model_tag])
+    target = make_state(models.model(model_tag).target)
     return SweepResult(
         model_tag=model_tag,
         j_values=schedule.values.copy(),
@@ -241,9 +235,7 @@ def trotter_pair(model_tag, j_value, tau, params=None):
     """
     if tau <= 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
-    params = params or models.ModelParams()
-    hx, hz = models.hamiltonian_parts(model_tag, models.with_coupling(model_tag, params, j_value))
-    return strang_pair(hx, hz, tau)
+    return strang_pair(*models.parts(model_tag, j_value, params), tau)
 
 
 def strang_pair(hx, hz, tau):
@@ -266,7 +258,6 @@ def evolve(schedule, initial=None, params=None, mu=1.0, log_base=2.0, reports=Fa
     """
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"mu must lie in [0, 1], got {mu}")
-    params = params or models.ModelParams()
     model_tag = schedule.model_tag
     exact = ground_sweep(model_tag, schedule, params=params, reports=reports, log_base=log_base)
     psi = exact.ground_states[0].copy() if initial is None else normalize_phase(initial)
@@ -277,15 +268,15 @@ def evolve(schedule, initial=None, params=None, mu=1.0, log_base=2.0, reports=Fa
         # unitary evolution, so the fidelity maps through exactly
         return math.sqrt((1.0 - mu) / dim + mu * pure_amp**2)
 
-    hx, _ = models.hamiltonian_parts(model_tag, params)
+    hx, _ = models.parts(model_tag, schedule.values[0], params)
     u_half = expm_hermitian(hx, schedule.tau / 2)
     fids = np.empty(len(schedule.values))
     fids[0] = reported(abs(np.vdot(exact.ground_states[0], psi)))
     for m, j in enumerate(schedule.values[1:], start=1):
-        _, hz = models.hamiltonian_parts(model_tag, models.with_coupling(model_tag, params, j))
+        _, hz = models.parts(model_tag, j, params)
         psi = u_half @ (expm_hermitian(hz, schedule.tau) @ (u_half @ psi))
         fids[m] = reported(abs(np.vdot(exact.ground_states[m], psi)))
-    target = make_state(models.TARGET_LABEL[model_tag])
+    target = make_state(models.model(model_tag).target)
     exact.fid_instant = fids
     exact.min_fidelity = float(fids.min())
     exact.final_state = psi
@@ -323,11 +314,9 @@ def min_steps_search(model_tag, target_min_fidelity, tau, params=None, step_cap=
     ``step_cap`` (default: ten times the model's canonical step count),
     reporting the best value achieved.
     """
-    models.check_model_tag(model_tag)
     if not 0.0 <= target_min_fidelity < 1.0:
         raise ValueError(f"target must lie in [0, 1), got {target_min_fidelity}")
-    params = params or models.ModelParams()
-    cap = step_cap or 10 * models.DEFAULT_STEPS[model_tag]
+    cap = step_cap or 10 * models.model(model_tag).steps
     grid, dens = _sector_density(model_tag, params)
 
     def achieved(m_steps):
@@ -364,24 +353,18 @@ def min_steps_search(model_tag, target_min_fidelity, tau, params=None, step_cap=
 class RefocusParams:
     """Per-step spectrometer parameters realizing a schedule.
 
-    For the two-body model each emitted step carries three evolution delays
-    (seconds) and three radio-frequency offsets (Hz); for the three-body
-    model a single delay per step. ``pulse_angle`` is the transverse-kick
-    rotation angle omega_x tau / 2 in radians. Steps with J = 0 are skipped
-    and noted in ``notices``.
+    ``columns`` maps each model-specific CSV column to its per-step values,
+    in column order: for the two-body model three evolution delays
+    ``tau1..tau3`` (seconds) and three radio-frequency offsets ``FQ1..FQ3``
+    (Hz), for the three-body model a single delay ``d_m``.
+    ``pulse_angle`` is the transverse-kick rotation angle omega_x tau / 2 in
+    radians. Steps with J = 0 are skipped and noted in ``notices``.
     """
 
-    model_tag: str
     pulse_angle: float
     m_indices: list
     j_values: np.ndarray
-    tau1: np.ndarray | None
-    tau2: np.ndarray | None
-    tau3: np.ndarray | None
-    fq1: np.ndarray | None
-    fq2: np.ndarray | None
-    fq3: np.ndarray | None
-    d_m: np.ndarray | None
+    columns: dict
     notices: list
 
 
@@ -411,36 +394,24 @@ def refocus_params(nmr, schedule, omega_z, omega_x=0.1):
         else:
             notices.append(f"skipped step m={m} with J={j:g}")
     j_kept = np.asarray(j_kept)
-    pulse_angle = omega_x * schedule.tau / 2
-
+    scale = j_kept * schedule.tau / math.pi
     if tag == "zz":
         d12, d13, d23 = d[(1, 2)], d[(1, 3)], d[(2, 3)]
-        return RefocusParams(
-            model_tag=tag,
-            pulse_angle=pulse_angle,
-            m_indices=m_indices,
-            j_values=j_kept,
-            tau1=j_kept * schedule.tau / math.pi * (d12 + d23),
-            tau2=j_kept * schedule.tau / math.pi * (d12 + d13),
-            tau3=j_kept * schedule.tau / math.pi * (d13 + d23),
-            fq1=omega_z / (4.0 * j_kept * d12),
-            fq2=omega_z / (4.0 * j_kept * (d12 + d13 + d23)),
-            fq3=omega_z / (4.0 * j_kept * d23),
-            d_m=None,
-            notices=notices,
-        )
+        columns = {
+            "tau1": scale * (d12 + d23),
+            "tau2": scale * (d12 + d13),
+            "tau3": scale * (d13 + d23),
+            "FQ1": omega_z / (4.0 * j_kept * d12),
+            "FQ2": omega_z / (4.0 * j_kept * (d12 + d13 + d23)),
+            "FQ3": omega_z / (4.0 * j_kept * d23),
+        }
+    else:
+        columns = {"d_m": scale * d[(1, 2)]}
     return RefocusParams(
-        model_tag=tag,
-        pulse_angle=pulse_angle,
+        pulse_angle=omega_x * schedule.tau / 2,
         m_indices=m_indices,
         j_values=j_kept,
-        tau1=None,
-        tau2=None,
-        tau3=None,
-        fq1=None,
-        fq2=None,
-        fq3=None,
-        d_m=j_kept * schedule.tau / math.pi * d[(1, 2)],
+        columns=columns,
         notices=notices,
     )
 

@@ -89,8 +89,9 @@ def build_parser():
 
 
 def _resolve(args):
-    steps = args.steps if args.steps is not None else models.DEFAULT_STEPS[args.model]
-    tau = args.tau if args.tau is not None else models.DEFAULT_TAU[args.model]
+    model = models.model(args.model)
+    steps = args.steps if args.steps is not None else model.steps
+    tau = args.tau if args.tau is not None else model.tau
     base = 2.0 if args.log_base == "2" else math.e
     if steps < 1:
         raise ValueError(f"--steps must be at least 1, got {steps}")
@@ -174,9 +175,7 @@ def cmd_geometry(args):
             raise ValueError("--j-values must contain at least one coupling")
     else:
         j_list = list(DEFAULT_GEOMETRY_J[args.model])
-    params = models.ModelParams()
-    hams = [models.hamiltonian(args.model, models.with_coupling(args.model, params, j)) for j in j_list]
-    rhos = [states.density(qmat.ground_state(h).state) for h in hams]
+    rhos = [states.density(qmat.ground_state(models.hamiltonian(args.model, j)).state) for j in j_list]
     reports = coherence.coherence_reports(rhos, base=base)
     records = []
     for j, rep in zip(j_list, reports):
@@ -207,25 +206,19 @@ def cmd_geometry(args):
 
 def cmd_tomo(args):
     _, _, base = _resolve(args)
-    lo, hi = models.J_RANGE[args.model]
-    j = args.j if args.j is not None else hi
-    params = models.ModelParams()
-    h = models.hamiltonian(args.model, models.with_coupling(args.model, params, j))
-    ground = qmat.ground_state(h)
-    ground_density = states.density(ground.state)
+    j = args.j if args.j is not None else models.model(args.model).j_range[1]
+    ground_density = states.density(qmat.ground_state(models.hamiltonian(args.model, j)).state)
     header = ("file", "J", "fidelity", "herm_dev", "trace_dev", "min_eig", "repaired") + coherence.REPORT_COLUMNS
     rows = []
     for path in args.files:
         rho_raw = qmat.load_density(path)
-        herm_dev = float(np.abs(rho_raw - rho_raw.conj().T).max())
-        trace_dev = float(abs(np.trace(rho_raw) - 1.0))
-        min_eig = float(np.linalg.eigvalsh((rho_raw + rho_raw.conj().T) / 2)[0])
-        rho = qmat.validate_density(rho_raw, tol=args.tol, repair=args.repair)
+        rho, checks = qmat.validate_density(rho_raw, tol=args.tol, repair=args.repair)
         repaired = bool(np.abs(rho - rho_raw).max() > args.tol)
         fid = qmat.root_fidelity(rho, ground_density)
         rep = coherence.coherence_report(rho, base=base)
         rows.append(
-            [os.path.basename(path), j, fid, herm_dev, trace_dev, min_eig, "yes" if repaired else "no"]
+            [os.path.basename(path), j, fid, checks["herm_dev"], checks["trace_dev"], checks["min_eig"],
+             "yes" if repaired else "no"]
             + coherence.report_values(rep)
         )
         print(f"{os.path.basename(path)}: fidelity {_fmt(fid)} (J={_fmt(j)}, repaired={repaired})")
@@ -250,7 +243,7 @@ def cmd_trotter_audit(args):
     _write_csv(path, ("m", "J", "unitary_fidelity"), rows)
     print(f"wrote {path}")
 
-    lo, hi = models.J_RANGE[args.model]
+    lo, hi = models.model(args.model).j_range
     print(f"error-scaling ratios at tau={_fmt(RATIO_TABLE_TAU)} (expected near 8):")
     for j in np.linspace(lo, hi, 5):
         ratio = adiabatic.trotter_error_scaling(args.model, j, RATIO_TABLE_TAU)
@@ -279,18 +272,11 @@ def cmd_schedule(args):
         for notice in ref.notices:
             print(notice)
         csv_path = _outpath(args, f"refocus_{args.model}.csv")
-        if args.model == "zz":
-            header = ("m", "J", "tau1", "tau2", "tau3", "FQ1", "FQ2", "FQ3", "pulse_angle")
-            rows = [
-                [m, j, ref.tau1[i], ref.tau2[i], ref.tau3[i], ref.fq1[i], ref.fq2[i], ref.fq3[i], ref.pulse_angle]
-                for i, (m, j) in enumerate(zip(ref.m_indices, ref.j_values))
-            ]
-        else:
-            header = ("m", "J", "d_m", "pulse_angle")
-            rows = [
-                [m, j, ref.d_m[i], ref.pulse_angle]
-                for i, (m, j) in enumerate(zip(ref.m_indices, ref.j_values))
-            ]
+        header = ("m", "J", *ref.columns, "pulse_angle")
+        rows = [
+            [m, j, *(col[i] for col in ref.columns.values()), ref.pulse_angle]
+            for i, (m, j) in enumerate(zip(ref.m_indices, ref.j_values))
+        ]
         _write_csv(csv_path, header, rows)
         print(f"wrote {csv_path}")
     return 0

@@ -1,4 +1,4 @@
-"""Spin operators and model Hamiltonians.
+"""Spin operators and the table of sweep models.
 
 Spin operators use the spin-1/2 convention S = sigma/2 (eigenvalues +/-1/2).
 Two sweep models are provided, identified by the tags ``"zz"`` and ``"zzz"``:
@@ -8,8 +8,14 @@ Two sweep models are provided, identified by the tags ``"zz"`` and ``"zzz"``:
 - zzz: H = omega_x sum_i S_i^x + 4 J3 S_1^z S_2^z S_3^z,
        swept over J3 in [0, 5] with omega_x = 0.1.
 
-An NMR reference Hamiltonian (chemical shifts plus scalar couplings) is also
-constructed here; its parameter values are configuration inputs.
+Both are affine in their coupling J with a diagonal longitudinal part, so
+each is one ``Model`` record in ``MODELS``:
+
+    H(J) = hx + diag(hz0 + J dH/dJ),  hx = omega_x sum_i S_i^x,
+    hz0 = omega_z dH/domega_z.
+
+An NMR parameter container (chemical shifts and scalar couplings) is also
+defined here; its values are configuration inputs.
 """
 
 from dataclasses import dataclass
@@ -28,17 +34,65 @@ _PAULI = {
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-MODEL_TAGS = ("zz", "zzz")
-J_RANGE = {"zz": (0.0, 2.0), "zzz": (0.0, 5.0)}
-DEFAULT_STEPS = {"zz": 300, "zzz": 200}
-DEFAULT_TAU = {"zz": 0.7, "zzz": 0.4}
-TARGET_LABEL = {"zz": "W001", "zzz": "G"}
-START_LABEL = {"zz": "000", "zzz": "---"}
+
+def spin_op(n_qubits, site, axis):
+    """Spin operator sigma_axis/2 acting on the 1-based ``site`` of ``n_qubits``."""
+    if axis not in _PAULI:
+        raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
+    if not 1 <= site <= n_qubits:
+        raise ValueError(f"site must lie in 1..{n_qubits}, got {site}")
+    mats = [np.eye(2, dtype=complex)] * n_qubits
+    mats[site - 1] = _PAULI[axis] / 2
+    return kron_all(mats)
 
 
-def check_model_tag(model_tag):
-    if model_tag not in MODEL_TAGS:
-        raise ValueError(f"unknown model tag {model_tag!r}, expected one of {MODEL_TAGS}")
+_SX_TOTAL = sum(spin_op(N_QUBITS, i, "x") for i in range(1, N_QUBITS + 1))
+_Z1, _Z2, _Z3 = (np.diag(spin_op(N_QUBITS, i, "z")).real for i in range(1, N_QUBITS + 1))
+
+
+@dataclass(frozen=True)
+class Model:
+    """One sweep model: its coupling, sweep defaults and longitudinal diagonals.
+
+    ``coupling`` names the ``ModelParams`` field holding J, ``j_range`` the
+    inclusive sweep range, ``steps`` and ``tau`` the default schedule, and
+    ``target`` the ``states.make_state`` label of the state the sweep
+    prepares. ``dh_domega_z`` and ``dh_dj`` are the diagonals of dH/domega_z
+    and dH/dJ.
+    """
+
+    coupling: str
+    j_range: tuple
+    steps: int
+    tau: float
+    target: str
+    dh_domega_z: np.ndarray
+    dh_dj: np.ndarray
+
+
+MODELS = {
+    "zz": Model("j2", (0.0, 2.0), 300, 0.7, "W001",
+                _Z1 + _Z2 + _Z3, 2.0 * (_Z1 * _Z2 + _Z1 * _Z3 + _Z2 * _Z3)),
+    "zzz": Model("j3", (0.0, 5.0), 200, 0.4, "G", np.zeros(8), 4.0 * _Z1 * _Z2 * _Z3),
+}
+MODEL_TAGS = tuple(MODELS)
+for _m in MODELS.values():
+    # every caller shares these records
+    _m.dh_domega_z.flags.writeable = _m.dh_dj.flags.writeable = False
+
+
+def model(tag):
+    """Table record of the tagged model; ``ValueError`` for an unknown tag."""
+    try:
+        return MODELS[tag]
+    except KeyError:
+        raise ValueError(f"unknown model tag {tag!r}, expected one of {MODEL_TAGS}") from None
+
+
+def _check_coupling(m, j):
+    lo, hi = m.j_range
+    if not lo <= j <= hi:
+        raise ValueError(f"{m.coupling} must lie in [{lo:g}, {hi:g}], got {j}")
 
 
 @dataclass(frozen=True)
@@ -54,10 +108,39 @@ class ModelParams:
         for name in ("omega_z", "omega_x", "j2", "j3"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if not 0.0 <= self.j2 <= 2.0:
-            raise ValueError(f"j2 must lie in [0, 2], got {self.j2}")
-        if not 0.0 <= self.j3 <= 5.0:
-            raise ValueError(f"j3 must lie in [0, 5], got {self.j3}")
+        for m in MODELS.values():
+            _check_coupling(m, getattr(self, m.coupling))
+
+
+_DEFAULT_PARAMS = ModelParams()
+
+
+def parts(tag, j, params=None):
+    """(transverse, longitudinal) split (hx, hz) of the tagged model at coupling ``j``.
+
+    ``hz = diag(hz0 + j dH/dJ)`` is real; the coupling field of ``params``
+    is ignored in favour of ``j``, which must lie in the model's range.
+    """
+    m = model(tag)
+    _check_coupling(m, j)
+    p = params or _DEFAULT_PARAMS
+    return p.omega_x * _SX_TOTAL, np.diag(p.omega_z * m.dh_domega_z + j * m.dh_dj)
+
+
+def hamiltonian(tag, j, params=None):
+    """Full Hamiltonian hx + hz of the tagged model at coupling ``j``."""
+    hx, hz = parts(tag, j, params)
+    return hx + hz
+
+
+def h_zz(p):
+    """Two-body Ising Hamiltonian with transverse field, at coupling ``p.j2``."""
+    return hamiltonian("zz", p.j2, p)
+
+
+def h_zzz(p):
+    """Three-body interaction Hamiltonian with transverse field, at coupling ``p.j3``."""
+    return hamiltonian("zzz", p.j3, p)
 
 
 @dataclass(frozen=True)
@@ -83,106 +166,6 @@ class NmrParams:
     def coupling(self, i, k):
         """J coupling between 1-based spins i and k, in Hz."""
         return self.j_couplings[i - 1][k - 1]
-
-
-def spin_op(n_qubits, site, axis):
-    """Spin operator sigma_axis/2 acting on the 1-based ``site`` of ``n_qubits``."""
-    if axis not in _PAULI:
-        raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
-    if not 1 <= site <= n_qubits:
-        raise ValueError(f"site must lie in 1..{n_qubits}, got {site}")
-    mats = [np.eye(2, dtype=complex)] * n_qubits
-    mats[site - 1] = _PAULI[axis] / 2
-    return kron_all(mats)
-
-
-def _sum_axis(axis):
-    return sum(spin_op(N_QUBITS, i, axis) for i in range(1, N_QUBITS + 1))
-
-
-def _pair_zz():
-    total = np.zeros((8, 8), dtype=complex)
-    for i in range(1, N_QUBITS + 1):
-        for k in range(i + 1, N_QUBITS + 1):
-            total += spin_op(N_QUBITS, i, "z") @ spin_op(N_QUBITS, k, "z")
-    return total
-
-
-_SX_TOTAL = _sum_axis("x")
-_SZ_TOTAL = _sum_axis("z")
-_SZSZ_PAIRS = _pair_zz()
-_SZSZSZ = spin_op(N_QUBITS, 1, "z") @ spin_op(N_QUBITS, 2, "z") @ spin_op(N_QUBITS, 3, "z")
-
-
-def h_zz_parts(p):
-    """Transverse and longitudinal parts of the two-body model."""
-    hx = p.omega_x * _SX_TOTAL
-    hz = p.omega_z * _SZ_TOTAL + 2.0 * p.j2 * _SZSZ_PAIRS
-    return hx, hz
-
-
-def h_zzz_parts(p):
-    """Transverse and longitudinal parts of the three-body model."""
-    hx = p.omega_x * _SX_TOTAL
-    hz = 4.0 * p.j3 * _SZSZSZ
-    return hx, hz
-
-
-def h_zz(p):
-    """Two-body Ising Hamiltonian with transverse field."""
-    hx, hz = h_zz_parts(p)
-    return hx + hz
-
-
-def h_zzz(p):
-    """Three-body interaction Hamiltonian with transverse field."""
-    hx, hz = h_zzz_parts(p)
-    return hx + hz
-
-
-def hamiltonian(model_tag, p):
-    """Full Hamiltonian of the tagged model."""
-    check_model_tag(model_tag)
-    return h_zz(p) if model_tag == "zz" else h_zzz(p)
-
-
-def hamiltonian_parts(model_tag, p):
-    """(transverse, longitudinal) split of the tagged model."""
-    check_model_tag(model_tag)
-    return h_zz_parts(p) if model_tag == "zz" else h_zzz_parts(p)
-
-
-def with_coupling(model_tag, p, j_value):
-    """Copy of ``p`` with the tagged model's coupling set to ``j_value``."""
-    check_model_tag(model_tag)
-    if model_tag == "zz":
-        return ModelParams(omega_z=p.omega_z, omega_x=p.omega_x, j2=j_value, j3=p.j3)
-    return ModelParams(omega_z=p.omega_z, omega_x=p.omega_x, j2=p.j2, j3=j_value)
-
-
-def coupling_derivative(model_tag):
-    """dH/dJ of the tagged model (independent of the parameter values)."""
-    check_model_tag(model_tag)
-    return 2.0 * _SZSZ_PAIRS if model_tag == "zz" else 4.0 * _SZSZSZ
-
-
-def h_nmr(nmr):
-    """NMR reference Hamiltonian: sum_i 2 pi delta_i S_i^z + sum_{i<j} 2 pi J_ij S_i^z S_j^z."""
-    total = np.zeros((8, 8), dtype=complex)
-    for i in range(1, N_QUBITS + 1):
-        total += 2 * np.pi * nmr.deltas[i - 1] * spin_op(N_QUBITS, i, "z")
-    for i in range(1, N_QUBITS + 1):
-        for k in range(i + 1, N_QUBITS + 1):
-            total += 2 * np.pi * nmr.coupling(i, k) * spin_op(N_QUBITS, i, "z") @ spin_op(N_QUBITS, k, "z")
-    return total
-
-
-def load_model_params(path):
-    """Read omega_z/omega_x (and optional j2/j3) from a JSON config file."""
-    with open(path, encoding="ascii") as fh:
-        raw = json.load(fh)
-    kwargs = {k: float(raw[k]) for k in ("omega_z", "omega_x", "j2", "j3") if k in raw}
-    return ModelParams(**kwargs)
 
 
 def load_nmr_params(path):

@@ -51,13 +51,13 @@ class SecularResult:
 
 def zz_split(p):
     """Perturbation split of the two-body model: transverse field as V."""
-    hx, hz = models.h_zz_parts(p)
+    hx, hz = models.parts("zz", p.j2, p)
     return PerturbationSplit(h0=hz, v=hx)
 
 
 def zzz_split(p):
     """Perturbation split of the three-body model with its degenerate ground pair."""
-    hx, hz = models.h_zzz_parts(p)
+    hx, hz = models.parts("zzz", p.j3, p)
     return PerturbationSplit(h0=hz, v=hx, degenerate_subspace=[make_state("W001"), basis_state("111")])
 
 

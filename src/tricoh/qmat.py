@@ -19,6 +19,7 @@ fidelities in this package.
 from dataclasses import dataclass
 from functools import reduce
 import json
+import math
 
 import numpy as np
 
@@ -260,24 +261,30 @@ def validate_density(m, tol=HERMITICITY_TOL, repair=False):
     """Check (or repair) the density-matrix invariants of ``m``.
 
     Checks Hermiticity, unit trace, and positive semidefiniteness within
-    ``tol``. With ``repair`` the matrix is symmetrized, negative eigenvalues
-    are clipped to zero, and the trace is renormalized to 1; otherwise any
-    violation raises a ``ValueError`` naming the failed invariant and the
-    amount by which it failed.
+    ``tol``, which must be finite and nonnegative. With ``repair`` the matrix
+    is symmetrized, negative eigenvalues are clipped to zero, and the trace
+    is renormalized to 1; otherwise any violation raises a ``ValueError``
+    naming the failed invariant and the amount by which it failed.
+
+    Returns ``(rho, checks)``: the (repaired) matrix and the diagnostics of
+    the input, ``checks = {"herm_dev", "trace_dev", "min_eig"}``.
     """
+    if not math.isfinite(tol) or tol < 0.0:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
     m = _as_square(m, "density matrix")
     herm_dev = float(np.abs(m - m.conj().T).max())
     trace_dev = float(abs(np.trace(m) - 1.0))
     sym = (m + m.conj().T) / 2
     eigs = np.linalg.eigvalsh(sym)
     min_eig = float(eigs[0])
+    checks = {"herm_dev": herm_dev, "trace_dev": trace_dev, "min_eig": min_eig}
     if repair:
         w, v = np.linalg.eigh(sym)
         w = np.clip(w, 0.0, None)
         total = w.sum()
         if total < 1e-300:
             raise ValueError("density matrix repair failed: all eigenvalues nonpositive")
-        return (v * (w / total)) @ v.conj().T
+        return (v * (w / total)) @ v.conj().T, checks
     if herm_dev > tol:
         raise ValueError(f"not Hermitian: max deviation {herm_dev:.3e} exceeds tolerance {tol:.1e}")
     if trace_dev > max(tol, TRACE_TOL):
@@ -286,7 +293,7 @@ def validate_density(m, tol=HERMITICITY_TOL, repair=False):
         raise ValueError(
             f"negative eigenvalue {min_eig:.3e} below tolerance -{max(tol, PSD_TOL):.1e}"
         )
-    return m
+    return m, checks
 
 
 def save_density(path, rho):

@@ -16,10 +16,6 @@ import numpy as np
 
 from .qmat import kron, kron_all, normalize_phase, partial_trace
 
-# mixing parameter of the emulated pseudopure preparation; coherence analysis
-# is run on the mu = 1 ideal states
-PPS_MU_DEFAULT = 1e-5
-
 _KET0 = np.array([1.0, 0.0], dtype=complex)
 _KET1 = np.array([0.0, 1.0], dtype=complex)
 
@@ -88,27 +84,6 @@ def pi_product(rho, n_qubits=3):
     return kron_all(marginals(rho, n_qubits))
 
 
-def _reorder_qubits(rho, src_order):
-    """Rewrite a matrix whose tensor factors follow ``src_order`` into 1..n order."""
-    n = len(src_order)
-    perm = [src_order.index(q) for q in range(1, n + 1)]
-    tensor = rho.reshape([2] * (2 * n))
-    tensor = tensor.transpose(perm + [p + n for p in perm])
-    return tensor.reshape(2**n, 2**n)
-
-
 def split_1_23(rho):
     """Product of the qubit-1 marginal with the (2,3) block marginal."""
     return kron(partial_trace(rho, 3, {1}), partial_trace(rho, 3, {2, 3}))
-
-
-def split_2_13(rho):
-    """Product of the qubit-2 marginal with the (1,3) block marginal, in 1,2,3 order."""
-    raw = kron(partial_trace(rho, 3, {2}), partial_trace(rho, 3, {1, 3}))
-    return _reorder_qubits(raw, (2, 1, 3))
-
-
-def split_3_12(rho):
-    """Product of the qubit-3 marginal with the (1,2) block marginal, in 1,2,3 order."""
-    raw = kron(partial_trace(rho, 3, {3}), partial_trace(rho, 3, {1, 2}))
-    return _reorder_qubits(raw, (3, 1, 2))

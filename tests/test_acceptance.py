@@ -80,7 +80,7 @@ def test_06_ratio_constancy(zz_sweep):
 
 def test_07_trotter_fidelity_threshold():
     for tag in models.MODEL_TAGS:
-        sch = adiabatic.linear_schedule(tag, models.DEFAULT_STEPS[tag], models.DEFAULT_TAU[tag])
+        sch = adiabatic.linear_schedule(tag, models.model(tag).steps, models.model(tag).tau)
         worst = 1.0
         for j in sch.values:
             u_ide, u_exp = adiabatic.trotter_pair(tag, j, sch.tau)

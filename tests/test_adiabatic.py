@@ -24,7 +24,8 @@ def test_linear_schedule_three_points():
 
 
 def test_linear_schedule_endpoints_and_spacing():
-    for tag, (lo, hi) in models.J_RANGE.items():
+    for tag in models.MODEL_TAGS:
+        lo, hi = models.model(tag).j_range
         sch = adiabatic.linear_schedule(tag, 57, 0.3)
         assert sch.values[0] == lo and abs(sch.values[-1] - hi) < 1e-12
         steps = np.diff(sch.values)
@@ -77,7 +78,7 @@ def test_schedule_file_round_trip(tmp_path):
 
 def test_ground_sweep_consistency(zz_sweep):
     n = len(zz_sweep.j_values)
-    assert n == models.DEFAULT_STEPS["zz"] + 1
+    assert n == models.model("zz").steps + 1
     assert len(zz_sweep.reports) == n and len(zz_sweep.ground_states) == n
     assert zz_sweep.degenerate_steps == []
     gaps = np.asarray(zz_sweep.gaps)
@@ -134,19 +135,17 @@ def test_evolve_single_point_schedule():
 
 def test_evolve_matches_independent_propagator(zz_linear_run):
     # re-simulation with a separately coded propagator and eigensolver
-    sch = adiabatic.linear_schedule("zz", models.DEFAULT_STEPS["zz"], models.DEFAULT_TAU["zz"])
+    sch = adiabatic.linear_schedule("zz", models.model("zz").steps, models.model("zz").tau)
     tau = sch.tau
-    params = models.ModelParams()
-    hx, _ = models.h_zz_parts(params)
-    w0, v0 = np.linalg.eigh(models.h_zz(models.with_coupling("zz", params, sch.values[0])))
+    hx, _ = models.parts("zz", sch.values[0])
+    w0, v0 = np.linalg.eigh(models.hamiltonian("zz", sch.values[0]))
     psi = v0[:, 0]
     fids = [1.0]
     half = scipy.linalg.expm(-0.5j * tau * hx)
     for j in sch.values[1:]:
-        p = models.with_coupling("zz", params, j)
-        _, hz = models.h_zz_parts(p)
+        _, hz = models.parts("zz", j)
         psi = half @ scipy.linalg.expm(-1j * tau * hz) @ half @ psi
-        _, v = np.linalg.eigh(models.h_zz(p))
+        _, v = np.linalg.eigh(models.hamiltonian("zz", j))
         fids.append(abs(np.vdot(v[:, 0], psi)))
     assert abs(min(fids) - zz_linear_run.min_fidelity) < 1e-3
     assert abs(fids[-1] - zz_linear_run.fid_instant[-1]) < 1e-3
@@ -154,8 +153,8 @@ def test_evolve_matches_independent_propagator(zz_linear_run):
 
 def test_tau_halving_improves_min_fidelity(zz_adaptive_run, zzz_adaptive_run):
     for tag, run in (("zz", zz_adaptive_run), ("zzz", zzz_adaptive_run)):
-        m = models.DEFAULT_STEPS[tag]
-        tau = models.DEFAULT_TAU[tag]
+        m = models.model(tag).steps
+        tau = models.model(tag).tau
         finer = adiabatic.evolve(adiabatic.gap_adaptive_schedule(tag, 2 * m, tau / 2))
         assert finer.min_fidelity > run.min_fidelity
 
@@ -182,7 +181,7 @@ def test_evolve_pseudopure_affine_map():
         want = math.sqrt((1 - mu) / 8 + mu * f1 * f1)
         assert abs(fm - want) < 1e-12
     # spot check against a directly constructed pseudopure density matrix
-    g = qmat.ground_state(models.h_zz(models.with_coupling("zz", models.ModelParams(), sch.values[-1])))
+    g = qmat.ground_state(models.hamiltonian("zz", sch.values[-1]))
     rho = states.make_pps(pure.final_state, mu)
     direct = qmat.root_fidelity(rho, states.density(g.state))
     assert abs(direct - pps.fid_instant[-1]) < 1e-7
@@ -233,13 +232,13 @@ def test_refocus_matches_independent_formulas():
     for i, m in enumerate(ref.m_indices):
         j = sch.values[m]
         assert abs(ref.j_values[i] - j) < 1e-15
-        assert abs(ref.tau1[i] - j * 0.7 / math.pi * (d12 + d23)) < 1e-12
-        assert abs(ref.tau2[i] - j * 0.7 / math.pi * (d12 + d13)) < 1e-12
-        assert abs(ref.tau3[i] - j * 0.7 / math.pi * (d13 + d23)) < 1e-12
-        assert abs(ref.fq1[i] - (-2.0) / (4 * j * d12)) < 1e-9
-        assert abs(ref.fq2[i] - (-2.0) / (4 * j * (d12 + d13 + d23))) < 1e-9
-        assert abs(ref.fq3[i] - (-2.0) / (4 * j * d23)) < 1e-9
-        assert ref.tau1[i] >= 0 and ref.tau2[i] >= 0 and ref.tau3[i] >= 0
+        assert abs(ref.columns["tau1"][i] - j * 0.7 / math.pi * (d12 + d23)) < 1e-12
+        assert abs(ref.columns["tau2"][i] - j * 0.7 / math.pi * (d12 + d13)) < 1e-12
+        assert abs(ref.columns["tau3"][i] - j * 0.7 / math.pi * (d13 + d23)) < 1e-12
+        assert abs(ref.columns["FQ1"][i] - (-2.0) / (4 * j * d12)) < 1e-9
+        assert abs(ref.columns["FQ2"][i] - (-2.0) / (4 * j * (d12 + d13 + d23))) < 1e-9
+        assert abs(ref.columns["FQ3"][i] - (-2.0) / (4 * j * d23)) < 1e-9
+        assert ref.columns["tau1"][i] >= 0 and ref.columns["tau2"][i] >= 0 and ref.columns["tau3"][i] >= 0
 
 
 def test_refocus_offsets_inverse_in_coupling():
@@ -248,7 +247,7 @@ def test_refocus_offsets_inverse_in_coupling():
     sch = adiabatic.linear_schedule("zz", 2, 0.7)
     ref = adiabatic.refocus_params(nmr, sch, -2.0, omega_x=0.1)
     # J doubles from step 1 to step 2, so every offset halves
-    for fq in (ref.fq1, ref.fq2, ref.fq3):
+    for fq in (ref.columns["FQ1"], ref.columns["FQ2"], ref.columns["FQ3"]):
         assert abs(fq[1] - fq[0] / 2) < 1e-9
 
 
@@ -259,7 +258,7 @@ def test_refocus_zzz_delay():
     ref = adiabatic.refocus_params(nmr, sch, -2.0, omega_x=0.1)
     d12 = 1 / (2 * 47.6)
     for i, m in enumerate(ref.m_indices):
-        assert abs(ref.d_m[i] - sch.values[m] * 0.4 / math.pi * d12) < 1e-12
+        assert abs(ref.columns["d_m"][i] - sch.values[m] * 0.4 / math.pi * d12) < 1e-12
 
 
 def test_refocus_zero_coupling_error():

@@ -231,6 +231,33 @@ def test_validation_errors_exit_two(tmp_path):
     assert run_cli(["geometry", "--model", "zz", "--j-values", "", "--out", str(tmp_path)]) == 2
 
 
+def test_couplings_outside_model_range_exit_two(tmp_path, capsys):
+    for values in ("3", "nan", "-0.5"):
+        assert run_cli(["geometry", "--model", "zz", "--j-values", values, "--out", str(tmp_path)]) == 2
+        assert "j2 must lie in [0, 2]" in capsys.readouterr().err
+    path = tmp_path / "w001.json"
+    qmat.save_density(path, states.density(states.make_state("W001")))
+    assert run_cli(["tomo", "--model", "zzz", "--j", "7", str(path), "--out", str(tmp_path)]) == 2
+    assert "j3 must lie in [0, 5]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("values", [[0.0, 1.0, 2.0000000005], [-5e-10, 1.0, 2.0]], ids=["past_end", "before_start"])
+def test_schedule_file_outside_range_rejected_by_every_verb(tmp_path, capsys, values):
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps(values))
+    for verb in ("schedule", "sweep"):
+        assert run_cli([verb, "--model", "zz", "--schedule", f"file:{path}", "--out", str(tmp_path)]) == 2
+        assert "schedule values must lie in [0.0, 2.0]" in capsys.readouterr().err
+
+
+def test_tomo_rejects_bad_tolerance(tmp_path, capsys):
+    path = tmp_path / "negative.json"
+    qmat.save_density(path, np.diag([1.2, -0.2, 0, 0, 0, 0, 0, 0]))
+    for tol in ("nan", "inf", "-1"):
+        assert run_cli(["tomo", "--model", "zz", "--tol", tol, str(path), "--out", str(tmp_path)]) == 2
+        assert "tolerance must be finite and nonnegative" in capsys.readouterr().err
+
+
 def test_sweep_rejects_infinite_tau(tmp_path, capsys):
     assert run_cli(["sweep", "--model", "zz", "--steps", "4", "--tau", "inf", "--out", str(tmp_path)]) == 2
     assert "tau must be positive and finite" in capsys.readouterr().err

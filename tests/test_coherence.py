@@ -209,7 +209,13 @@ def test_reports_properties_random_ranks():
     # swap qubits 2 and 3: basis index bits (b1 b2 b3) -> (b1 b3 b2)
     perm = [(k & 4) | ((k & 1) << 1) | ((k & 2) >> 1) for k in range(8)]
     swapped = rhos[:, perm][:, :, perm]
-    for rep, twin in zip(coherence.coherence_reports(rhos), coherence.coherence_reports(swapped)):
+    # local diagonal unitary: a product of seeded single-qubit phase gates
+    phases = np.exp(1j * np.random.default_rng(66).uniform(0.0, 2.0 * np.pi, size=3))
+    u = np.diag(qmat.kron_all([np.diag([1.0, phase]) for phase in phases]))
+    rotated = u[:, None] * rhos * u.conj()[None, :]
+    for rep, twin, turned in zip(
+        coherence.coherence_reports(rhos), coherence.coherence_reports(swapped), coherence.coherence_reports(rotated)
+    ):
         for slack in (rep.slack_eq7, rep.slack_eq10a, rep.slack_eq10b, rep.slack_eq11):
             assert slack >= -1e-8
         for value in coherence.report_values(rep)[:9]:
@@ -217,6 +223,7 @@ def test_reports_properties_random_ranks():
         mirrored = dict(vars(twin), c_1_2=twin.c_1_3, c_1_3=twin.c_1_2)
         for name, value in vars(rep).items():
             assert abs(value - mirrored[name]) < 1e-9, name
+            assert abs(value - getattr(turned, name)) < 1e-10, name
 
 
 def test_cross_check_failure_raises(monkeypatch):

@@ -1,6 +1,5 @@
 import itertools
 import json
-import math
 
 import numpy as np
 import pytest
@@ -117,15 +116,15 @@ def test_hamiltonians_hermitian_random_params():
 def test_hamiltonian_parts_sum():
     p = models.ModelParams(j2=1.1, j3=2.2)
     for tag in models.MODEL_TAGS:
-        hx, hz = models.hamiltonian_parts(tag, p)
-        np.testing.assert_allclose(hx + hz, models.hamiltonian(tag, p), atol=1e-14)
+        j = getattr(p, models.model(tag).coupling)
+        hx, hz = models.parts(tag, j, p)
+        np.testing.assert_allclose(hx + hz, models.hamiltonian(tag, j, p), atol=1e-14)
 
 
 def test_gap_positive_over_both_sweeps():
-    for tag, (lo, hi) in models.J_RANGE.items():
-        for j in np.linspace(lo, hi, 101):
-            p = models.with_coupling(tag, models.ModelParams(), j)
-            w = np.linalg.eigvalsh(models.hamiltonian(tag, p))
+    for tag in models.MODEL_TAGS:
+        for j in np.linspace(*models.model(tag).j_range, 101):
+            w = np.linalg.eigvalsh(models.hamiltonian(tag, j))
             assert w[1] - w[0] > 0
 
 
@@ -133,10 +132,10 @@ def test_coupling_derivative_matches_finite_difference():
     eps = 1e-6
     for tag in models.MODEL_TAGS:
         p = models.ModelParams(j2=1.0, j3=1.0)
-        hp = models.hamiltonian(tag, models.with_coupling(tag, p, 1.0 + eps))
-        hm = models.hamiltonian(tag, models.with_coupling(tag, p, 1.0 - eps))
+        hp = models.hamiltonian(tag, 1.0 + eps, p)
+        hm = models.hamiltonian(tag, 1.0 - eps, p)
         fd = (hp - hm) / (2 * eps)
-        np.testing.assert_allclose(models.coupling_derivative(tag), fd, atol=1e-8)
+        np.testing.assert_allclose(np.diag(models.model(tag).dh_dj), fd, atol=1e-8)
 
 
 def test_model_params_validation():
@@ -146,21 +145,16 @@ def test_model_params_validation():
         models.ModelParams(j3=-0.1)
     with pytest.raises(ValueError):
         models.ModelParams(omega_x=float("nan"))
-
-
-def test_h_nmr_zero_params():
-    nmr = models.NmrParams(deltas=(0.0, 0.0, 0.0), j_couplings=((0.0,) * 3,) * 3)
-    assert np.abs(models.h_nmr(nmr)).max() < 1e-15
-
-
-def test_h_nmr_diagonal_and_000_eigenvalue():
-    deltas = (7792.0, 15480.0, 3845.0)
-    jc = ((0.0, 47.6, 160.7), (47.6, 0.0, 25.7), (160.7, 25.7, 0.0))
-    nmr = models.NmrParams(deltas=deltas, j_couplings=jc)
-    h = models.h_nmr(nmr)
-    assert np.abs(h - np.diag(np.diag(h))).max() < 1e-10
-    want = math.pi * sum(deltas) + (math.pi / 2) * (47.6 + 160.7 + 25.7)
-    assert abs(h[0, 0].real - want) < 1e-8
+    # the table path enforces the same inclusive coupling bounds
+    for tag, j in (("zz", 2.5), ("zz", -1e-12), ("zzz", 5.000001), ("zzz", float("nan")), ("zz", float("inf"))):
+        with pytest.raises(ValueError, match="must lie in"):
+            models.hamiltonian(tag, j)
+        with pytest.raises(ValueError, match="must lie in"):
+            models.parts(tag, j)
+    for tag in models.MODEL_TAGS:
+        lo, hi = models.model(tag).j_range
+        models.hamiltonian(tag, lo)
+        models.hamiltonian(tag, hi)
 
 
 def test_nmr_params_validation():
@@ -182,10 +176,6 @@ def test_nmr_coupling_accessor():
 
 
 def test_config_loaders(tmp_path):
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps({"omega_z": -2.0, "omega_x": 0.05, "j2": 1.0, "j3": 0.5}))
-    p = models.load_model_params(path)
-    assert p.omega_x == 0.05 and p.j2 == 1.0
     npath = tmp_path / "nmr.json"
     npath.write_text(json.dumps({
         "deltas": [1.0, 2.0, 3.0],
@@ -197,7 +187,7 @@ def test_config_loaders(tmp_path):
 
 def test_with_coupling_and_tag_check():
     p = models.ModelParams()
-    assert models.with_coupling("zz", p, 1.5).j2 == 1.5
-    assert models.with_coupling("zzz", p, 4.0).j3 == 4.0
+    assert np.array_equal(models.hamiltonian("zz", 1.5, p), models.h_zz(models.ModelParams(j2=1.5)))
+    assert np.array_equal(models.hamiltonian("zzz", 4.0, p), models.h_zzz(models.ModelParams(j3=4.0)))
     with pytest.raises(ValueError):
-        models.check_model_tag("xyz")
+        models.model("xyz")

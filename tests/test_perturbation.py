@@ -7,7 +7,7 @@ from tricoh import models, perturbation, qmat, states
 
 
 def exact_ground_fidelity(tag, params, target):
-    h = models.hamiltonian(tag, params)
+    h = models.hamiltonian(tag, getattr(params, models.model(tag).coupling), params)
     g = qmat.ground_state(h)
     return qmat.state_fidelity(states.density(g.state), states.density(target))
 

@@ -264,7 +264,7 @@ def test_unitary_fidelity_rejects_non_unitary():
 
 
 def test_validate_density_accepts_valid():
-    out = qmat.validate_density(np.eye(4) / 4, tol=1e-10)
+    out, _ = qmat.validate_density(np.eye(4) / 4, tol=1e-10)
     np.testing.assert_allclose(out, np.eye(4) / 4, atol=1e-15)
 
 
@@ -287,7 +287,7 @@ def test_validate_density_repair_matches_clipping_oracle():
     w, v = np.linalg.eigh(rho)
     w = w + rng.uniform(-1e-4, 1e-4, size=8)
     dirty = (v * w) @ v.conj().T
-    repaired = qmat.validate_density(dirty, tol=1e-3, repair=True)
+    repaired, _ = qmat.validate_density(dirty, tol=1e-3, repair=True)
     clipped = np.clip(w, 0.0, None)
     oracle = (v * (clipped / clipped.sum())) @ v.conj().T
     np.testing.assert_allclose(repaired, oracle, atol=1e-12)

@@ -1,0 +1,86 @@
+"""The README's library tour and command-line examples run as documented."""
+
+import json
+from pathlib import Path
+import re
+import shlex
+import shutil
+
+from tricoh import cli, qmat, states
+
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text()
+
+
+def section(title):
+    start = README.index(title)
+    end = re.compile(r"\n#{2,3} ").search(README, start + len(title))
+    return README[start:end.start() if end else None]
+
+
+def fenced(text, lang):
+    return re.findall(rf"```{lang}\n(.*?)```", text, re.S)
+
+
+def cli_examples():
+    script = fenced(section("## Command line"), "sh")[0].replace("\\\n", " ")
+    return [shlex.split(line) for line in script.splitlines() if line.strip() and not line.startswith("#")]
+
+
+def documented_outputs():
+    """File-name pattern -> the other code spans of its bullet in "Output files"."""
+    bullets = re.split(r"\n- ", section("### Output files"))[1:]
+    spans = [re.findall(r"`([^`]+)`", bullet) for bullet in bullets]
+    return {s[0]: s[1:] for s in spans}
+
+
+def nested_keys(obj):
+    if isinstance(obj, dict):
+        return set(obj).union(*(nested_keys(v) for v in obj.values()))
+    return set()
+
+
+def test_library_tour_runs():
+    namespace = {}
+    exec(compile(fenced(section("## Library tour"), "python")[0], "README.md", "exec"), namespace)
+    assert namespace["reps"][0] == namespace["rep"]
+    target = states.density(states.make_state("W001"))
+    assert abs(qmat.root_fidelity(namespace["rho"], target) - 0.9978) < 5e-4
+    assert namespace["hz"].shape == (8, 8)
+
+
+def test_cli_examples_write_documented_files(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    shutil.copytree(ROOT / "configs", tmp_path / "configs")
+    inputs = {"rho_a.json": "W001", "rho_b.json": "G"}
+    for name, label in inputs.items():
+        qmat.save_density(name, states.density(states.make_state(label)))
+    examples = cli_examples()
+    assert len(examples) >= 6 and all(argv[0] == "tricoh" for argv in examples)
+    for argv in examples:
+        assert cli.main(argv[1:]) == 0, argv
+
+    written = {
+        p.name: p for p in tmp_path.rglob("*")
+        if p.is_file() and p.parent.name != "configs" and p.name not in inputs
+    }
+    documented = set()
+    for pattern, spans in documented_outputs().items():
+        name_re = re.compile(re.escape(pattern).replace(re.escape("<model>"), "(zz|zzz)") + "$")
+        hits = [p for name, p in written.items() if name_re.match(name)]
+        assert hits, f"no README example writes {pattern}"
+        headers = {s for s in spans if "," in s}
+        seen = set()
+        for path in hits:
+            documented.add(path.name)
+            if path.suffix == ".csv":
+                header = path.read_text().splitlines()[0]
+                assert header in headers, (path.name, header)
+                seen.add(header)
+            else:
+                data = json.loads(path.read_text())
+                assert isinstance(data, list) and data
+                for record in data:
+                    assert set(spans) <= nested_keys(record), (path.name, record)
+        assert seen == headers, pattern
+    assert documented == set(written)

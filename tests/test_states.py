@@ -142,16 +142,3 @@ def test_split_1_23_w_marginal():
 def test_split_agrees_with_pi_product_on_full_products():
     rho = qmat.kron_all([np.diag([0.2, 0.8]), np.diag([0.9, 0.1]), np.diag([0.6, 0.4])]).astype(complex)
     np.testing.assert_allclose(states.split_1_23(rho), states.pi_product(rho), atol=1e-12)
-
-
-def test_other_splits_keep_their_marginals():
-    rng = np.random.default_rng(32)
-    a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    rho = a @ a.conj().T
-    rho = rho / np.trace(rho).real
-    s2 = states.split_2_13(rho)
-    np.testing.assert_allclose(qmat.partial_trace(s2, 3, [2]), qmat.partial_trace(rho, 3, [2]), atol=1e-12)
-    np.testing.assert_allclose(qmat.partial_trace(s2, 3, [1, 3]), qmat.partial_trace(rho, 3, [1, 3]), atol=1e-12)
-    s3 = states.split_3_12(rho)
-    np.testing.assert_allclose(qmat.partial_trace(s3, 3, [3]), qmat.partial_trace(rho, 3, [3]), atol=1e-12)
-    np.testing.assert_allclose(qmat.partial_trace(s3, 3, [1, 2]), qmat.partial_trace(rho, 3, [1, 2]), atol=1e-12)
