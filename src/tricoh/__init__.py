@@ -31,7 +31,7 @@ from .coherence import (
     relative_entropy,
     von_neumann_entropy,
 )
-from .models import ModelParams, NmrParams, h_zz, h_zzz, hamiltonian, spin_op
+from .models import ModelParams, NmrParams, hamiltonian, spin_op
 from .perturbation import (
     PerturbationSplit,
     SecularResult,
@@ -77,8 +77,6 @@ __all__ = [
     "gap_adaptive_schedule",
     "ground_state",
     "ground_sweep",
-    "h_zz",
-    "h_zzz",
     "hamiltonian",
     "linear_schedule",
     "load_density",

@@ -1,11 +1,13 @@
 """Discrete adiabatic sweeps for the two spin models.
 
 A sweep is a monotone sequence of coupling values J(t_0) .. J(t_M) with a
-fixed step interval tau. ``ground_sweep`` tracks the exact instantaneous
-spectrum and coherence reports along a schedule; ``evolve`` propagates a
-state with the symmetric Trotter step of each coupling value and audits the
-instantaneous fidelity to the exact ground state. All reported fidelities
-use the amplitude (root-fidelity) convention of ``qmat.root_fidelity``.
+fixed step interval tau. ``ground_sweep`` diagonalizes the schedule's
+(M+1, 8, 8) stack of H(J) at once to track the exact instantaneous spectrum
+and coherence reports; ``evolve`` propagates a state with the symmetric
+Trotter step of each coupling value, whose diagonal longitudinal part is a
+phase vector, and audits the instantaneous fidelity to the exact ground
+state. All reported fidelities use the amplitude (root-fidelity)
+convention of ``qmat.root_fidelity``.
 
 The gap-adaptive schedule allocates steps according to the local diabatic
 transition rate out of the ground state,
@@ -13,7 +15,8 @@ transition rate out of the ground state,
     density(J) = sum_n |<n| dH/dJ |g>| / (E_n - E_g)^2,
 
 evaluated in the permutation-symmetric four-state subspace that contains the
-entire dynamics (spanned by |000>, |W001>, |W110>, |111>). Summing over all
+entire dynamics (spanned by |000>, |W001>, |W110>, |111>), on the whole
+fine grid with one stacked 4x4 eigendecomposition. Summing over all
 excited levels matters: level crossings with symmetry-forbidden coupling
 carry no diabatic risk and must not attract steps. Near an avoided crossing
 dominated by a single level this density reduces to the familiar inverse
@@ -30,7 +33,7 @@ import math
 import numpy as np
 
 from . import models
-from .qmat import eig_hermitian, expm_hermitian, normalize_phase, root_fidelity
+from .qmat import expm_hermitian, ground_states, normalize_phase
 from .states import density, make_state
 from .coherence import coherence_reports
 
@@ -39,7 +42,6 @@ DENSITY_GRID = 2000
 # floor applied to the density as a fraction of its maximum, so that flat
 # zero-coupling stretches still receive a nonzero measure
 DENSITY_FLOOR_FRACTION = 1e-6
-GAP_DEGENERACY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -125,16 +127,11 @@ def _sector_density(model_tag, params):
     grid = np.linspace(*m.j_range, DENSITY_GRID + 1)
     basis = symmetric_sector_basis()
     d_small = basis.conj().T @ np.diag(m.dh_dj) @ basis
-    dens = np.empty_like(grid)
-    for i, j in enumerate(grid):
-        h_small = basis.conj().T @ models.hamiltonian(model_tag, j, params) @ basis
-        w, v = np.linalg.eigh(h_small)
-        rate = 0.0
-        for n in range(1, len(w)):
-            gap = w[n] - w[0]
-            rate += abs(np.vdot(v[:, n], d_small @ v[:, 0])) / gap**2
-        dens[i] = rate
-    return grid, dens
+    h_small = basis.conj().T @ models.hamiltonian(model_tag, grid, params) @ basis
+    w, v = np.linalg.eigh(h_small)
+    # <n| dH/dJ |g> for every level n of every grid point, as one matmul
+    overlaps = np.abs(v.conj().swapaxes(-1, -2) @ (d_small @ v[:, :, :1]))[:, 1:, 0]
+    return grid, (overlaps / (w[:, 1:] - w[:, :1]) ** 2).sum(axis=1)
 
 
 def schedule_from_density(model_tag, m_steps, tau, grid, density_values):
@@ -187,41 +184,27 @@ def ground_sweep(model_tag, schedule, params=None, reports=True, log_base=2.0):
 
     Ground states are phase-aligned step to step (sign-flipped when the
     overlap with the previous step's state is negative) so curves built from
-    them are continuous. Steps whose lowest gap falls below 1e-10 are listed
-    in ``degenerate_steps``.
+    them are continuous. Steps ``qmat.ground_states`` flags degenerate are
+    listed in ``degenerate_steps``.
     """
     if schedule.model_tag != model_tag:
         raise ValueError(f"schedule is for model {schedule.model_tag!r}, not {model_tag!r}")
-    n = len(schedule.values)
-    e0 = np.empty(n)
-    e1 = np.empty(n)
-    grounds = []
-    degenerate = []
-    prev = None
-    for m, j in enumerate(schedule.values):
-        h = models.hamiltonian(model_tag, j, params)
-        spec = eig_hermitian(h)
-        e0[m] = spec.eigenvalues[0]
-        e1[m] = spec.eigenvalues[1]
-        if e1[m] - e0[m] < GAP_DEGENERACY_TOL:
-            degenerate.append(m)
-        g = spec.eigenvectors[:, 0].copy()
-        if prev is not None and np.real(np.vdot(prev, g)) < 0.0:
-            g = -g
-        grounds.append(g)
-        prev = g
+    w, grounds, degenerate = ground_states(models.hamiltonian(model_tag, schedule.values, params))
+    for m in range(1, len(grounds)):
+        if np.real(np.vdot(grounds[m - 1], grounds[m])) < 0.0:
+            grounds[m] = -grounds[m]
     report_list = coherence_reports([density(g) for g in grounds], base=log_base) if reports else None
     target = make_state(models.model(model_tag).target)
     return SweepResult(
         model_tag=model_tag,
         j_values=schedule.values.copy(),
         tau=schedule.tau,
-        ground_energies=e0,
-        excited_energies=e1,
-        gaps=e1 - e0,
-        ground_states=grounds,
+        ground_energies=w[:, 0],
+        excited_energies=w[:, 1],
+        gaps=w[:, 1] - w[:, 0],
+        ground_states=list(grounds),
         reports=report_list,
-        degenerate_steps=degenerate,
+        degenerate_steps=np.flatnonzero(degenerate).tolist(),
         ground_target_fidelity=float(abs(np.vdot(target, grounds[-1]))),
     )
 
@@ -230,20 +213,15 @@ def trotter_pair(model_tag, j_value, tau, params=None):
     """Ideal one-step propagator and its symmetric Trotter approximation.
 
     u_ide = exp(-i (H_x + H_z) tau); u_exp applies a half step of the
-    transverse part, a full step of the longitudinal part, and another half
-    step of the transverse part.
+    transverse part, a full step of the diagonal longitudinal part (the
+    phase vector exp(-i tau hz)), and another half step of the transverse part.
     """
     if tau <= 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
-    return strang_pair(*models.parts(model_tag, j_value, params), tau)
-
-
-def strang_pair(hx, hz, tau):
-    """(u_ide, u_exp) for an arbitrary Hermitian split H = hx + hz."""
-    u_ide = expm_hermitian(hx + hz, tau)
+    hx, hz = models.parts(model_tag, j_value, params)
+    u_ide = expm_hermitian(hx + np.diag(hz), tau)
     half = expm_hermitian(hx, tau / 2)
-    u_exp = half @ expm_hermitian(hz, tau) @ half
-    return u_ide, u_exp
+    return u_ide, (half * np.exp(-1j * tau * hz)) @ half
 
 
 def evolve(schedule, initial=None, params=None, mu=1.0, log_base=2.0, reports=False):
@@ -268,13 +246,13 @@ def evolve(schedule, initial=None, params=None, mu=1.0, log_base=2.0, reports=Fa
         # unitary evolution, so the fidelity maps through exactly
         return math.sqrt((1.0 - mu) / dim + mu * pure_amp**2)
 
-    hx, _ = models.parts(model_tag, schedule.values[0], params)
+    hx, hz = models.parts(model_tag, schedule.values, params)
     u_half = expm_hermitian(hx, schedule.tau / 2)
+    kicks = np.exp(-1j * schedule.tau * hz)
     fids = np.empty(len(schedule.values))
     fids[0] = reported(abs(np.vdot(exact.ground_states[0], psi)))
-    for m, j in enumerate(schedule.values[1:], start=1):
-        _, hz = models.parts(model_tag, j, params)
-        psi = u_half @ (expm_hermitian(hz, schedule.tau) @ (u_half @ psi))
+    for m in range(1, len(schedule.values)):
+        psi = u_half @ (kicks[m] * (u_half @ psi))
         fids[m] = reported(abs(np.vdot(exact.ground_states[m], psi)))
     target = make_state(models.model(model_tag).target)
     exact.fid_instant = fids
@@ -373,15 +351,15 @@ def refocus_params(nmr, schedule, omega_z, omega_x=0.1):
 
     Uses d_ij = 1/(2 J_ij) built from the scalar couplings. The two-body
     model needs all three couplings; the three-body model needs J12 only. A
-    zero required coupling is an error naming the pair.
+    required coupling that is not positive is an error naming the pair.
     """
     tag = schedule.model_tag
     needed = [(1, 2), (1, 3), (2, 3)] if tag == "zz" else [(1, 2)]
     d = {}
     for i, k in needed:
         j_ik = nmr.coupling(i, k)
-        if j_ik == 0.0:
-            raise ValueError(f"zero coupling J{i}{k}: cannot build refocusing delays")
+        if not j_ik > 0.0:
+            raise ValueError(f"coupling J{i}{k} = {j_ik:g} Hz must be positive to build refocusing delays")
         d[(i, k)] = 1.0 / (2.0 * j_ik)
 
     notices = []

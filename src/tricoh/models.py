@@ -14,6 +14,10 @@ each is one ``Model`` record in ``MODELS``:
     H(J) = hx + diag(hz0 + J dH/dJ),  hx = omega_x sum_i S_i^x,
     hz0 = omega_z dH/domega_z.
 
+``parts`` returns hx and the real diagonal hz0 + J dH/dJ. It and
+``hamiltonian`` also take an array of n couplings, giving (n, 8) diagonals
+and the (n, 8, 8) stack of H(J).
+
 An NMR parameter container (chemical shifts and scalar couplings) is also
 defined here; its values are configuration inputs.
 """
@@ -91,8 +95,9 @@ def model(tag):
 
 def _check_coupling(m, j):
     lo, hi = m.j_range
-    if not lo <= j <= hi:
-        raise ValueError(f"{m.coupling} must lie in [{lo:g}, {hi:g}], got {j}")
+    outside = ~np.logical_and(lo <= j, j <= hi)
+    if outside.any():
+        raise ValueError(f"{m.coupling} must lie in [{lo:g}, {hi:g}], got {np.extract(outside, j)[0]}")
 
 
 @dataclass(frozen=True)
@@ -118,29 +123,25 @@ _DEFAULT_PARAMS = ModelParams()
 def parts(tag, j, params=None):
     """(transverse, longitudinal) split (hx, hz) of the tagged model at coupling ``j``.
 
-    ``hz = diag(hz0 + j dH/dJ)`` is real; the coupling field of ``params``
-    is ignored in favour of ``j``, which must lie in the model's range.
+    ``hz = hz0 + j dH/dJ`` is the real diagonal of the longitudinal part:
+    shape (8,) for one coupling, (n, 8) for an array of n. The coupling
+    field of ``params`` is ignored in favour of ``j``, every element of
+    which must lie in the model's range.
     """
     m = model(tag)
+    j = np.asarray(j, dtype=float)
     _check_coupling(m, j)
     p = params or _DEFAULT_PARAMS
-    return p.omega_x * _SX_TOTAL, np.diag(p.omega_z * m.dh_domega_z + j * m.dh_dj)
+    return p.omega_x * _SX_TOTAL, p.omega_z * m.dh_domega_z + np.multiply.outer(j, m.dh_dj)
 
 
 def hamiltonian(tag, j, params=None):
-    """Full Hamiltonian hx + hz of the tagged model at coupling ``j``."""
+    """Full Hamiltonian hx + diag(hz) of the tagged model at coupling ``j``.
+
+    An array of n couplings gives the (n, 8, 8) stack of H(J).
+    """
     hx, hz = parts(tag, j, params)
-    return hx + hz
-
-
-def h_zz(p):
-    """Two-body Ising Hamiltonian with transverse field, at coupling ``p.j2``."""
-    return hamiltonian("zz", p.j2, p)
-
-
-def h_zzz(p):
-    """Three-body interaction Hamiltonian with transverse field, at coupling ``p.j3``."""
-    return hamiltonian("zzz", p.j3, p)
+    return hx + hz[..., None] * np.eye(len(hx))
 
 
 @dataclass(frozen=True)
@@ -156,6 +157,11 @@ class NmrParams:
         j = self.j_couplings
         if len(j) != N_QUBITS or any(len(row) != N_QUBITS for row in j):
             raise ValueError("j_couplings must be a 3x3 table")
+        entries = [(f"chemical shift delta{i+1}", d) for i, d in enumerate(self.deltas)]
+        entries += [(f"coupling J{i+1}{k+1}", j[i][k]) for i in range(N_QUBITS) for k in range(N_QUBITS)]
+        for name, value in entries:
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         for i in range(N_QUBITS):
             if j[i][i] != 0.0:
                 raise ValueError("j_couplings must have a zero diagonal")

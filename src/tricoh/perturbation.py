@@ -52,13 +52,13 @@ class SecularResult:
 def zz_split(p):
     """Perturbation split of the two-body model: transverse field as V."""
     hx, hz = models.parts("zz", p.j2, p)
-    return PerturbationSplit(h0=hz, v=hx)
+    return PerturbationSplit(h0=np.diag(hz), v=hx)
 
 
 def zzz_split(p):
     """Perturbation split of the three-body model with its degenerate ground pair."""
     hx, hz = models.parts("zzz", p.j3, p)
-    return PerturbationSplit(h0=hz, v=hx, degenerate_subspace=[make_state("W001"), basis_state("111")])
+    return PerturbationSplit(h0=np.diag(hz), v=hx, degenerate_subspace=[make_state("W001"), basis_state("111")])
 
 
 def zz_first_order_ground(omega_x, omega_z, j2):

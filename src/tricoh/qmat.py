@@ -193,12 +193,27 @@ def _canonical_cluster_basis(block):
     return np.column_stack(basis)
 
 
+def ground_states(hs):
+    """Ascending eigenvalues (n, d), ground vectors (n, d) and degenerate flags (n,).
+
+    Of an unchecked (n, d, d) Hermitian stack, with one stacked ``eigh``.
+    Each ground vector equals ``eig_hermitian(hs[i]).eigenvectors[:, 0]``;
+    only matrices flagged degenerate (see ``GroundState``) take its cluster
+    rebuild.
+    """
+    w, v = np.linalg.eigh(hs)
+    degenerate = (w[:, 1:2] - w[:, :1] < DEGENERACY_TOL).any(axis=1)
+    states = [eig_hermitian(h).eigenvectors[:, 0] if deg else normalize_phase(g)
+              for h, g, deg in zip(hs, v[:, :, 0], degenerate)]
+    return w, np.array(states), degenerate
+
+
 def ground_state(h):
     """Lowest eigenpair of a Hermitian matrix (see ``GroundState``)."""
-    spec = eig_hermitian(h)
-    w = spec.eigenvalues
-    degenerate = len(w) > 1 and (w[1] - w[0]) < DEGENERACY_TOL
-    return GroundState(energy=float(w[0]), state=spec.eigenvectors[:, 0].copy(), degenerate=degenerate)
+    h = _as_square(h, "h")
+    _check_hermitian(h, name="h")
+    w, states, degenerate = ground_states(h[None])
+    return GroundState(energy=float(w[0, 0]), state=states[0], degenerate=bool(degenerate[0]))
 
 
 def expm_hermitian(h, t):

@@ -21,7 +21,7 @@ def random_mixed(rng, n_qubits):
 
 def test_01_zz_ground_state_fidelity():
     start = time.perf_counter()
-    h = models.h_zz(models.ModelParams(j2=2.0))
+    h = models.hamiltonian("zz", 2.0)
     g = qmat.ground_state(h)
     f = qmat.root_fidelity(states.density(g.state), states.density(states.make_state("W001")))
     elapsed = time.perf_counter() - start
@@ -31,7 +31,7 @@ def test_01_zz_ground_state_fidelity():
 
 def test_02_zzz_ground_state_fidelity():
     start = time.perf_counter()
-    h = models.h_zzz(models.ModelParams(j3=5.0))
+    h = models.hamiltonian("zzz", 5.0)
     g = qmat.ground_state(h)
     f = qmat.root_fidelity(states.density(g.state), states.density(states.make_state("G")))
     elapsed = time.perf_counter() - start

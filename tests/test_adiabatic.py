@@ -112,11 +112,11 @@ def test_trotter_pair_unitarity_and_threshold():
 
 
 def test_commuting_split_is_exact():
-    rng = np.random.default_rng(71)
-    hx = np.diag(rng.standard_normal(8)).astype(complex)
-    hz = np.diag(rng.standard_normal(8)).astype(complex)
-    u_ide, u_exp = adiabatic.strang_pair(hx, hz, 0.7)
-    np.testing.assert_allclose(u_ide, u_exp, atol=1e-12)
+    # without the transverse field hx = 0 commutes with the diagonal hz
+    no_field = models.ModelParams(omega_x=0.0)
+    for tag, j, tau in (("zz", 1.3, 0.7), ("zzz", 3.1, 0.4)):
+        u_ide, u_exp = adiabatic.trotter_pair(tag, j, tau, no_field)
+        np.testing.assert_allclose(u_ide, u_exp, atol=1e-12)
 
 
 def test_full_product_stays_unitary(zz_sweep):
@@ -144,7 +144,7 @@ def test_evolve_matches_independent_propagator(zz_linear_run):
     half = scipy.linalg.expm(-0.5j * tau * hx)
     for j in sch.values[1:]:
         _, hz = models.parts("zz", j)
-        psi = half @ scipy.linalg.expm(-1j * tau * hz) @ half @ psi
+        psi = half @ scipy.linalg.expm(-1j * tau * np.diag(hz)) @ half @ psi
         _, v = np.linalg.eigh(models.hamiltonian("zz", j))
         fids.append(abs(np.vdot(v[:, 0], psi)))
     assert abs(min(fids) - zz_linear_run.min_fidelity) < 1e-3
@@ -284,3 +284,83 @@ def test_evolve_with_reports():
     res = adiabatic.evolve(sch, reports=True)
     assert len(res.reports) == 11
     assert res.reports[0].c_local > 0.5
+
+
+def per_step_ground_sweep(tag, values, params=None):
+    # the per-step reference: one validated eig_hermitian per coupling value
+    e0, e1, grounds, degenerate = [], [], [], []
+    for m, j in enumerate(values):
+        spec = qmat.eig_hermitian(models.hamiltonian(tag, j, params))
+        e0.append(spec.eigenvalues[0])
+        e1.append(spec.eigenvalues[1])
+        if spec.eigenvalues[1] - spec.eigenvalues[0] < qmat.DEGENERACY_TOL:
+            degenerate.append(m)
+        g = spec.eigenvectors[:, 0].copy()
+        if grounds and np.real(np.vdot(grounds[-1], g)) < 0.0:
+            g = -g
+        grounds.append(g)
+    return np.array(e0), np.array(e1), np.array(grounds), degenerate
+
+
+@pytest.mark.parametrize("tag", models.MODEL_TAGS)
+def test_ground_sweep_matches_per_step_reference_bitwise(tag):
+    m = models.model(tag)
+    for sch in (adiabatic.linear_schedule(tag, m.steps, m.tau), adiabatic.gap_adaptive_schedule(tag, m.steps, m.tau)):
+        sweep = adiabatic.ground_sweep(tag, sch, reports=False)
+        e0, e1, grounds, degenerate = per_step_ground_sweep(tag, sch.values)
+        assert np.array_equal(sweep.ground_energies, e0)
+        assert np.array_equal(sweep.excited_energies, e1)
+        assert np.array_equal(sweep.gaps, e1 - e0)
+        assert np.array_equal(np.array(sweep.ground_states), grounds)
+        assert sweep.degenerate_steps == degenerate
+
+
+def test_ground_sweep_degenerate_fallback():
+    # without the transverse field every zzz level is at least fourfold degenerate
+    params = models.ModelParams(omega_x=0.0)
+    sch = adiabatic.linear_schedule("zzz", 20, 0.4)
+    sweep = adiabatic.ground_sweep("zzz", sch, params=params, reports=False)
+    assert sweep.degenerate_steps == list(range(len(sch.values)))
+    for j, g in zip(sch.values, sweep.ground_states):
+        assert np.array_equal(g, qmat.eig_hermitian(models.hamiltonian("zzz", j, params)).eigenvectors[:, 0])
+
+
+@pytest.mark.parametrize("tag", models.MODEL_TAGS)
+def test_evolve_matches_per_step_propagator(tag):
+    m = models.model(tag)
+    sch = adiabatic.gap_adaptive_schedule(tag, 60, m.tau)
+    run = adiabatic.evolve(sch)
+    hx, _ = models.parts(tag, sch.values[0])
+    half = qmat.expm_hermitian(hx, sch.tau / 2)
+    psi = run.ground_states[0].copy()
+    fids = [abs(np.vdot(run.ground_states[0], psi))]
+    for k, j in enumerate(sch.values[1:], start=1):
+        _, hz = models.parts(tag, j)
+        psi = half @ (qmat.expm_hermitian(np.diag(hz), sch.tau) @ (half @ psi))
+        fids.append(abs(np.vdot(run.ground_states[k], psi)))
+    np.testing.assert_allclose(run.fid_instant, fids, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(run.final_state, psi, rtol=0, atol=1e-12)
+
+
+def per_point_density(tag, grid):
+    # the per-point reference for the stacked sector density
+    basis = adiabatic.symmetric_sector_basis()
+    d_small = basis.conj().T @ np.diag(models.model(tag).dh_dj) @ basis
+    dens = np.empty_like(grid)
+    for i, j in enumerate(grid):
+        w, v = np.linalg.eigh(basis.conj().T @ models.hamiltonian(tag, j) @ basis)
+        rate = 0.0
+        for n in range(1, len(w)):
+            rate += abs(np.vdot(v[:, n], d_small @ v[:, 0])) / (w[n] - w[0]) ** 2
+        dens[i] = rate
+    return dens
+
+
+@pytest.mark.parametrize("tag", models.MODEL_TAGS)
+def test_gap_adaptive_schedule_matches_per_point_density_bitwise(tag):
+    m = models.model(tag)
+    grid = np.linspace(*m.j_range, adiabatic.DENSITY_GRID + 1)
+    dens = per_point_density(tag, grid)
+    for steps in (300, 200, 40):
+        want = adiabatic.schedule_from_density(tag, steps, m.tau, grid, dens)
+        assert np.array_equal(adiabatic.gap_adaptive_schedule(tag, steps, m.tau).values, want.values)

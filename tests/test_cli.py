@@ -129,7 +129,7 @@ def test_tomo_maximally_mixed(tmp_path):
 
 def test_tomo_noisy_repair(tmp_path):
     rng = np.random.default_rng(81)
-    g = qmat.ground_state(models.h_zz(models.ModelParams(j2=2.0))).state
+    g = qmat.ground_state(models.hamiltonian("zz", 2.0)).state
     rho = states.density(g)
     w, v = np.linalg.eigh(rho)
     w = w + rng.uniform(-1e-4, 1e-4, size=8)
@@ -248,6 +248,27 @@ def test_schedule_file_outside_range_rejected_by_every_verb(tmp_path, capsys, va
     for verb in ("schedule", "sweep"):
         assert run_cli([verb, "--model", "zz", "--schedule", f"file:{path}", "--out", str(tmp_path)]) == 2
         assert "schedule values must lie in [0.0, 2.0]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "deltas, couplings, message",
+    [
+        ([7792.0, math.nan, 3845.0], [[0.0, 47.6, 160.7], [47.6, 0.0, 25.7], [160.7, 25.7, 0.0]],
+         "chemical shift delta2 must be finite"),
+        ([7792.0, 15480.0, 3845.0], [[0.0, 47.6, math.nan], [47.6, 0.0, 25.7], [math.nan, 25.7, 0.0]],
+         "coupling J13 must be finite"),
+        ([7792.0, 15480.0, 3845.0], [[0.0, -47.6, 160.7], [-47.6, 0.0, 25.7], [160.7, 25.7, 0.0]],
+         "coupling J12 = -47.6 Hz must be positive"),
+    ],
+    ids=["nan_shift", "nan_coupling", "negative_coupling"],
+)
+def test_schedule_rejects_unphysical_nmr_config(tmp_path, capsys, deltas, couplings, message):
+    path = tmp_path / "nmr.json"
+    path.write_text(json.dumps({"deltas": deltas, "j_couplings": couplings}))
+    for model in ("zz", "zzz"):
+        assert run_cli(["schedule", "--model", model, "--nmr-config", str(path), "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / f"refocus_{model}.csv").exists()
 
 
 def test_tomo_rejects_bad_tolerance(tmp_path, capsys):

@@ -56,37 +56,37 @@ def test_spin_op_rejects_bad_input():
 
 def test_h_zz_diagonal_closed_form():
     p = models.ModelParams(omega_x=0.0, j2=1.3)
-    h = models.h_zz(p)
+    h = models.hamiltonian("zz", p.j2, p)
     assert np.abs(h - np.diag(np.diag(h))).max() < 1e-14
     for idx in range(8):
         s = bit_spins(idx)
         want = p.omega_z * sum(s) + 2 * p.j2 * (s[0] * s[1] + s[0] * s[2] + s[1] * s[2])
         assert abs(h[idx, idx].real - want) < 1e-12
-    assert abs(models.h_zz(models.ModelParams(omega_x=0.0, j2=0.0))[0, 0] - (-3.0)) < 1e-12
+    assert abs(models.hamiltonian("zz", 0.0, models.ModelParams(omega_x=0.0))[0, 0] - (-3.0)) < 1e-12
 
 
 def test_h_zz_permutation_symmetric():
-    h = models.h_zz(models.ModelParams(j2=1.7))
+    h = models.hamiltonian("zz", 1.7)
     for perm in itertools.permutations((1, 2, 3)):
         p = permutation_matrix(perm)
         assert np.abs(p @ h @ p.T - h).max() < 1e-12
 
 
 def test_h_zz_ground_close_to_w():
-    h = models.h_zz(models.ModelParams(j2=2.0))
+    h = models.hamiltonian("zz", 2.0)
     g = qmat.ground_state(h)
     f = qmat.root_fidelity(states.density(g.state), states.density(states.make_state("W001")))
     assert abs(f - 0.9978) < 5e-4
 
 
 def test_h_zzz_start_ground():
-    g = qmat.ground_state(models.h_zzz(models.ModelParams(j3=0.0)))
+    g = qmat.ground_state(models.hamiltonian("zzz", 0.0))
     target = states.sign_product_state("---")
     assert abs(abs(np.vdot(target, g.state)) - 1.0) < 1e-12
 
 
 def test_h_zzz_end_ground_close_to_g():
-    h = models.h_zzz(models.ModelParams(j3=5.0))
+    h = models.hamiltonian("zzz", 5.0)
     g = qmat.ground_state(h)
     f = qmat.root_fidelity(states.density(g.state), states.density(states.make_state("G")))
     assert abs(f - 0.9996) < 5e-4
@@ -109,7 +109,7 @@ def test_hamiltonians_hermitian_random_params():
             j2=float(rng.uniform(0, 2)),
             j3=float(rng.uniform(0, 5)),
         )
-        for h in (models.h_zz(p), models.h_zzz(p)):
+        for h in (models.hamiltonian("zz", p.j2, p), models.hamiltonian("zzz", p.j3, p)):
             assert np.abs(h - h.conj().T).max() < 1e-12
 
 
@@ -118,7 +118,7 @@ def test_hamiltonian_parts_sum():
     for tag in models.MODEL_TAGS:
         j = getattr(p, models.model(tag).coupling)
         hx, hz = models.parts(tag, j, p)
-        np.testing.assert_allclose(hx + hz, models.hamiltonian(tag, j, p), atol=1e-14)
+        np.testing.assert_allclose(hx + np.diag(hz), models.hamiltonian(tag, j, p), atol=1e-14)
 
 
 def test_gap_positive_over_both_sweeps():
@@ -186,8 +186,34 @@ def test_config_loaders(tmp_path):
 
 
 def test_with_coupling_and_tag_check():
-    p = models.ModelParams()
-    assert np.array_equal(models.hamiltonian("zz", 1.5, p), models.h_zz(models.ModelParams(j2=1.5)))
-    assert np.array_equal(models.hamiltonian("zzz", 4.0, p), models.h_zzz(models.ModelParams(j3=4.0)))
     with pytest.raises(ValueError):
         models.model("xyz")
+
+
+def test_hamiltonian_of_coupling_array_matches_per_coupling():
+    p = models.ModelParams(omega_z=-1.3, omega_x=0.4)
+    for tag in models.MODEL_TAGS:
+        js = np.linspace(*models.model(tag).j_range, 37)
+        for params in (None, p):
+            stack = models.hamiltonian(tag, js, params)
+            hx, hz = models.parts(tag, js, params)
+            assert stack.shape == (37, 8, 8) and hz.shape == (37, 8)
+            for j, h, d in zip(js, stack, hz):
+                assert np.array_equal(h, models.hamiltonian(tag, j, params))
+                assert np.array_equal(d, models.parts(tag, j, params)[1])
+            assert np.array_equal(models.hamiltonian(tag, list(js[:3]), params), stack[:3])
+    for tag, js, bad in (("zz", [0.0, 2.5, 3.0], "2.5"), ("zzz", [1.0, float("nan")], "nan")):
+        with pytest.raises(ValueError) as stacked:
+            models.hamiltonian(tag, np.array(js))
+        with pytest.raises(ValueError) as scalar:
+            models.hamiltonian(tag, float(bad))
+        assert str(stacked.value) == str(scalar.value)
+
+
+def test_nmr_params_reject_non_finite_entries():
+    jc = ((0.0, 47.6, 160.7), (47.6, 0.0, 25.7), (160.7, 25.7, 0.0))
+    with pytest.raises(ValueError, match="chemical shift delta3 must be finite"):
+        models.NmrParams(deltas=(1.0, 2.0, float("inf")), j_couplings=jc)
+    nan_j = ((0.0, 47.6, float("nan")), (47.6, 0.0, 25.7), (float("nan"), 25.7, 0.0))
+    with pytest.raises(ValueError, match="coupling J13 must be finite"):
+        models.NmrParams(deltas=(1.0, 2.0, 3.0), j_couplings=nan_j)

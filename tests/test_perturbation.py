@@ -15,8 +15,8 @@ def exact_ground_fidelity(tag, params, target):
 def test_split_sums_to_full_hamiltonian():
     p = models.ModelParams(j2=1.4, j3=3.1)
     for split, h in (
-        (perturbation.zz_split(p), models.h_zz(p)),
-        (perturbation.zzz_split(p), models.h_zzz(p)),
+        (perturbation.zz_split(p), models.hamiltonian("zz", p.j2, p)),
+        (perturbation.zzz_split(p), models.hamiltonian("zzz", p.j3, p)),
     ):
         assert np.abs(split.h0 + split.v - h).max() < 1e-12
 

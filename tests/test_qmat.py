@@ -124,7 +124,7 @@ def test_eig_pauli_x():
 
 
 def test_eig_diagonal_ising_ground_energy():
-    h = models.h_zz(models.ModelParams(omega_x=0.0, j2=0.0))
+    h = models.hamiltonian("zz", 0.0, models.ModelParams(omega_x=0.0))
     spec = qmat.eig_hermitian(h)
     assert abs(spec.eigenvalues[0] - (-3.0)) < 1e-12
 
@@ -160,7 +160,7 @@ def test_eig_rejects_non_hermitian():
 
 
 def test_ground_state_diagonal_ising():
-    h = models.h_zz(models.ModelParams(omega_x=0.0, j2=0.0))
+    h = models.hamiltonian("zz", 0.0, models.ModelParams(omega_x=0.0))
     g = qmat.ground_state(h)
     assert abs(g.energy - (-3.0)) < 1e-12
     np.testing.assert_allclose(g.state, states.basis_state("000"), atol=1e-12)
@@ -168,7 +168,7 @@ def test_ground_state_diagonal_ising():
 
 
 def test_ground_state_transverse_start():
-    h = models.h_zzz(models.ModelParams(j3=0.0))
+    h = models.hamiltonian("zzz", 0.0)
     g = qmat.ground_state(h)
     target = states.sign_product_state("---")
     assert abs(abs(np.vdot(target, g.state)) - 1.0) < 1e-12

@@ -46,7 +46,9 @@ def test_library_tour_runs():
     assert namespace["reps"][0] == namespace["rep"]
     target = states.density(states.make_state("W001"))
     assert abs(qmat.root_fidelity(namespace["rho"], target) - 0.9978) < 5e-4
-    assert namespace["hz"].shape == (8, 8)
+    assert namespace["hz"].shape == (8,)
+    assert namespace["hs"].shape == (5, 8, 8)
+    assert namespace["grounds"].shape == (5, 8)
 
 
 def test_cli_examples_write_documented_files(tmp_path, monkeypatch):
