@@ -33,7 +33,7 @@ import math
 import numpy as np
 
 from . import models
-from .qmat import expm_hermitian, ground_states, normalize_phase
+from .qmat import expm_hermitian, ground_states
 from .states import density, make_state
 from .coherence import coherence_reports
 
@@ -209,36 +209,37 @@ def ground_sweep(model_tag, schedule, params=None, reports=True, log_base=2.0):
     )
 
 
-def trotter_pair(model_tag, j_value, tau, params=None):
+def trotter_pair(model_tag, j, tau, params=None):
     """Ideal one-step propagator and its symmetric Trotter approximation.
 
     u_ide = exp(-i (H_x + H_z) tau); u_exp applies a half step of the
     transverse part, a full step of the diagonal longitudinal part (the
     phase vector exp(-i tau hz)), and another half step of the transverse part.
+    An array of n couplings gives two (n, 8, 8) stacks, sharing one half step.
     """
-    if tau <= 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    hx, hz = models.parts(model_tag, j_value, params)
-    u_ide = expm_hermitian(hx + np.diag(hz), tau)
+    if not math.isfinite(tau) or tau <= 0.0:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
+    hx, hz = models.parts(model_tag, j, params)
+    u_ide = expm_hermitian(models.hamiltonian(model_tag, j, params), tau)
     half = expm_hermitian(hx, tau / 2)
-    return u_ide, (half * np.exp(-1j * tau * hz)) @ half
+    return u_ide, (half * np.exp(-1j * tau * hz)[..., None, :]) @ half
 
 
-def evolve(schedule, initial=None, params=None, mu=1.0, log_base=2.0, reports=False):
+def evolve(schedule, params=None, mu=1.0, log_base=2.0, reports=False):
     """Propagate through a schedule with per-step Trotter unitaries.
 
-    Starts from ``initial`` (default: the exact ground state at the first
-    coupling value) and applies the symmetric Trotter step of each
-    subsequent value. ``fid_instant[m]`` is the amplitude fidelity of the
-    propagated state to the exact ground state at step m. With ``mu`` below
-    1 the reported fidelities are those of the pseudopure mixture
-    (1 - mu) I/d + mu |psi><psi|, which evolves as the pure component does.
+    Starts from the exact ground state at the first coupling value and
+    applies the symmetric Trotter step of each subsequent value.
+    ``fid_instant[m]`` is the amplitude fidelity of the propagated state to
+    the exact ground state at step m. With ``mu`` below 1 the reported
+    fidelities are those of the pseudopure mixture (1 - mu) I/d + mu
+    |psi><psi|, which evolves as the pure component does.
     """
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"mu must lie in [0, 1], got {mu}")
     model_tag = schedule.model_tag
     exact = ground_sweep(model_tag, schedule, params=params, reports=reports, log_base=log_base)
-    psi = exact.ground_states[0].copy() if initial is None else normalize_phase(initial)
+    psi = exact.ground_states[0].copy()
     dim = len(psi)
 
     def reported(pure_amp):
@@ -289,12 +290,14 @@ def min_steps_search(model_tag, target_min_fidelity, tau, params=None, step_cap=
 
     Searches by doubling until the evolved minimum fidelity meets the
     target, then bisects. Raises if the target is not reached within
-    ``step_cap`` (default: ten times the model's canonical step count),
-    reporting the best value achieved.
+    ``step_cap`` (default: ten times the model's canonical step count; at
+    least 1), reporting the best value achieved.
     """
     if not 0.0 <= target_min_fidelity < 1.0:
         raise ValueError(f"target must lie in [0, 1), got {target_min_fidelity}")
-    cap = step_cap or 10 * models.model(model_tag).steps
+    cap = 10 * models.model(model_tag).steps if step_cap is None else step_cap
+    if cap < 1:
+        raise ValueError(f"step_cap must be at least 1, got {cap}")
     grid, dens = _sector_density(model_tag, params)
 
     def achieved(m_steps):

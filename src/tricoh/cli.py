@@ -233,8 +233,8 @@ def cmd_trotter_audit(args):
     schedule = _make_schedule(args, steps, tau)
     rows = []
     worst = (1.0, 0, 0.0)
-    for m, j in enumerate(schedule.values):
-        u_ide, u_exp = adiabatic.trotter_pair(args.model, j, tau)
+    pairs = zip(*adiabatic.trotter_pair(args.model, schedule.values, tau))
+    for m, (j, (u_ide, u_exp)) in enumerate(zip(schedule.values, pairs)):
         f = qmat.unitary_fidelity(u_ide, u_exp)
         rows.append([m, j, f])
         if f < worst[0]:

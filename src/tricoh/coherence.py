@@ -16,11 +16,11 @@ rounding). It builds the derived matrices of ``REPORT_CHUNK`` states at a
 time, symmetrizes each distinct matrix and mixture once, and runs one
 stacked ``eigh`` for the defining form and one stacked ``eigvalsh`` for the
 entropic form per matrix size, so the cross-check runs per stacked batch.
-Stacked kernels see the same input bytes as per-matrix calls and the
-masked entropy sums follow numpy's 1-D summation order, so every report is
-bitwise equal to the report of its state alone. ``coherence_report``,
-``qjsd``, ``relative_entropy`` and ``von_neumann_entropy`` are single-state
-calls into the same stacked helpers.
+Stacked kernels see the same input bytes as per-matrix calls, so every
+report is bitwise equal to the report of its state alone.
+``coherence_report``, ``qjsd``, ``relative_entropy`` and
+``von_neumann_entropy`` are single-state calls into the same stacked
+helpers.
 
 ``embed_tetrahedron`` places the four states rho, pi(rho), dephased pi(rho)
 and rho_1 x rho_23 in Euclidean 3-space so that pairwise point distances
@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from .qmat import _as_square, _dephase_stack, _kron_stack, _partial_trace_stack
+from .qmat import _as_square, _as_stack, dephase, kron, partial_trace
 
 # eigenvalues below this floor are treated as exact zeros inside logarithms
 EIG_FLOOR = 1e-12
@@ -60,32 +60,10 @@ def _sym(mats):
     return (mats + mats.conj().swapaxes(-1, -2)) / 2
 
 
-def _masked_sum(terms, mask):
-    """Row sums of ``terms`` over ``mask``, bitwise equal to ``terms[i][mask[i]].sum()``.
-
-    numpy adds fewer than 8 elements left to right and 8 or more pairwise.
-    Rows keeping fewer than 8 entries therefore take a running sum in which
-    dropped entries are exact zeros, full rows a plain sum, and any other
-    row (possible only beyond 8x8) its compacted sum.
-    """
-    shape = terms.shape[:-1]
-    terms = terms.reshape(-1, terms.shape[-1])
-    mask = mask.reshape(terms.shape)
-    kept = mask.sum(-1)
-    # numpy's sum starts from +0.0, so a row of -0.0 terms sums to +0.0
-    sums = np.add.accumulate(np.where(mask, terms, 0.0), axis=-1)[:, -1] + 0.0
-    full = kept == terms.shape[-1]
-    sums[full] = terms[full].sum(-1)
-    for i in np.flatnonzero(~full & (kept >= 8)):
-        sums[i] = terms[i][mask[i]].sum()
-    return sums.reshape(shape)
-
-
 def _entropies(w, scale):
     """Von Neumann entropies of the ascending spectra along the last axis."""
-    keep = w > EIG_FLOOR
-    w = np.where(keep, w, 1.0)
-    return -_masked_sum(w * np.log(w), keep) / scale
+    w = np.where(w > EIG_FLOOR, w, 1.0)
+    return -(w * np.log(w)).sum(-1) / scale
 
 
 def _relative_entropies(p, u, q, v, scale):
@@ -99,9 +77,9 @@ def _relative_entropies(p, u, q, v, scale):
     weight = (p[..., None, :] @ overlap)[..., 0, :]
     support = q > EIG_FLOOR
     mismatch = np.any(~support & (weight > SUPPORT_WEIGHT_TOL), axis=-1)
-    keep = p > EIG_FLOOR
-    plogp = _masked_sum(p * np.log(np.where(keep, p, 1.0)), keep)
-    wlogq = _masked_sum(weight * np.log(np.where(support, q, 1.0)), support)
+    # below-floor eigenvalues enter the logarithms as 1.0, so their terms are exact zeros
+    plogp = (p * np.log(np.where(p > EIG_FLOOR, p, 1.0))).sum(-1)
+    wlogq = (weight * np.log(np.where(support, q, 1.0))).sum(-1)
     s = (plogp - wlogq) / scale
     return np.where(mismatch, math.inf, np.where(s < 0.0, 0.0, s))
 
@@ -233,14 +211,14 @@ def _chunk_distances(rho, scale):
     Columns follow ``CoherenceReport``: C_T, C_G, C_L, C_A, C_1_23, C_2_3,
     C_A_1_23, C_1_2, C_1_3.
     """
-    m1, m2, m3 = (_partial_trace_stack(rho, 3, [q]) for q in (1, 2, 3))
-    rho_23 = _partial_trace_stack(rho, 3, [2, 3])
-    pi = _kron_stack(_kron_stack(m1, m2), m3)
-    big = np.stack([rho, _dephase_stack(rho), pi, _dephase_stack(pi), _kron_stack(m1, rho_23)])
+    m1, m2, m3 = (partial_trace(rho, 3, [q]) for q in (1, 2, 3))
+    rho_23 = partial_trace(rho, 3, [2, 3])
+    pi = kron(kron(m1, m2), m3)
+    big = np.stack([rho, dephase(rho), pi, dephase(pi), kron(m1, rho_23)])
     small = np.stack([
-        rho_23, _kron_stack(m2, m3),
-        _partial_trace_stack(rho, 3, [1, 2]), _kron_stack(m1, m2),
-        _partial_trace_stack(rho, 3, [1, 3]), _kron_stack(m1, m3),
+        rho_23, kron(m2, m3),
+        partial_trace(rho, 3, [1, 2]), kron(m1, m2),
+        partial_trace(rho, 3, [1, 3]), kron(m1, m3),
     ])
     d8 = np.sqrt(_qjsd_pairs(big, _PAIRS_8, scale))
     d4 = np.sqrt(_qjsd_pairs(small, _PAIRS_4, scale))
@@ -273,11 +251,9 @@ def coherence_reports(rhos, base=2.0):
     report of its state alone. States are processed ``REPORT_CHUNK`` at a
     time.
     """
-    rhos = np.asarray(rhos, dtype=complex)
+    rhos = _as_stack(rhos, "rhos")
     if rhos.ndim != 3 or rhos.shape[1:] != (8, 8):
         raise ValueError(f"expected an (N, 8, 8) stack of three-qubit density matrices, got {rhos.shape}")
-    if not np.all(np.isfinite(rhos)):
-        raise ValueError("rhos contains non-finite entries")
     scale = _log_scale(base)
     reports = []
     for start in range(0, len(rhos), REPORT_CHUNK):

@@ -51,24 +51,41 @@ class GroundState:
     degenerate: bool
 
 
-def _as_square(m, name="matrix"):
+def _as_stack(m, name="matrix"):
+    """``m`` as a complex array with square trailing axes and finite entries."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
 
+def _as_square(m, name="matrix"):
+    m = _as_stack(m, name)
+    if m.ndim != 2:
+        raise ValueError(f"{name} must be square, got shape {m.shape}")
+    return m
+
+
 def _check_hermitian(m, tol=HERMITICITY_TOL, name="matrix"):
-    dev = np.abs(m - m.conj().T).max()
+    dev = np.abs(m - m.conj().swapaxes(-1, -2)).max()
     if dev > tol:
         raise ValueError(f"{name} is not Hermitian: max deviation {dev:.3e} exceeds {tol:.1e}")
 
 
 def kron(a, b):
-    """Kronecker product; the left factor is the most significant subsystem."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product; the left factor is the most significant subsystem.
+
+    Matrices multiply over their last two axes, so stacks of matrices pair
+    up matrix by matrix (leading axes broadcast); vectors give ``np.kron``.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.ndim < 2 or b.ndim < 2:
+        return np.kron(a, b)
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(prod.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
 def kron_all(mats):
@@ -80,27 +97,21 @@ def partial_trace(rho, n_qubits, keep):
     """Reduced density matrix over the 1-based qubit indices in ``keep``.
 
     The kept qubits retain their relative order. The trace is preserved.
+    A (..., 2^n, 2^n) stack is reduced matrix by matrix: qubits are traced
+    out one at a time, last first, so each matrix sees the same sums as it
+    would alone.
     """
-    rho = _as_square(rho, "rho")
+    rho = _as_stack(rho, "rho")
     dim = 2**n_qubits
-    if rho.shape != (dim, dim):
+    if rho.shape[-2:] != (dim, dim):
         raise ValueError(f"dimension mismatch: expected {dim}x{dim} for {n_qubits} qubits, got {rho.shape}")
     keep = sorted(set(int(q) for q in keep))
     if not keep:
         raise ValueError("keep set must be nonempty")
     if keep[0] < 1 or keep[-1] > n_qubits:
         raise ValueError(f"keep indices must lie in 1..{n_qubits}, got {keep}")
-    return _partial_trace_stack(rho, n_qubits, keep)
-
-
-def _partial_trace_stack(rhos, n_qubits, keep):
-    """``partial_trace`` over the last two axes of an unchecked (..., 2^n, 2^n) stack.
-
-    ``keep`` is sorted and valid. Qubits are traced out one at a time, last
-    first, so every matrix of a stack sees the same sums as a lone matrix.
-    """
-    lead = rhos.shape[:-2]
-    tensor = rhos.reshape(lead + (2,) * (2 * n_qubits))
+    lead = rho.shape[:-2]
+    tensor = rho.reshape(lead + (2,) * (2 * n_qubits))
     drop = [q - 1 for q in range(1, n_qubits + 1) if q not in keep]
     live = n_qubits
     for axis in reversed(drop):
@@ -111,23 +122,15 @@ def _partial_trace_stack(rhos, n_qubits, keep):
 
 
 def dephase(rho):
-    """Zero all off-diagonal entries in the computational (S^z) basis."""
-    return _dephase_stack(_as_square(rho, "rho"))
+    """Zero all off-diagonal entries in the computational (S^z) basis.
 
-
-def _dephase_stack(rhos):
-    """``dephase`` over the last two axes of an unchecked stack."""
-    out = np.zeros_like(rhos)
-    idx = np.arange(rhos.shape[-1])
-    out[..., idx, idx] = rhos[..., idx, idx]
+    Applies matrix by matrix to a stack.
+    """
+    rho = _as_stack(rho, "rho")
+    out = np.zeros_like(rho)
+    idx = np.arange(rho.shape[-1])
+    out[..., idx, idx] = rho[..., idx, idx]
     return out
-
-
-def _kron_stack(a, b):
-    """``kron`` of matching (..., m, m) and (..., n, n) stacks, matrix by matrix."""
-    m, n = a.shape[-1], b.shape[-1]
-    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return prod.reshape(a.shape[:-2] + (m * n, m * n))
 
 
 def normalize_phase(vec):
@@ -160,6 +163,11 @@ def eig_hermitian(h):
     h = _as_square(h, "h")
     _check_hermitian(h, name="h")
     w, v = np.linalg.eigh(h)
+    return Spectrum(eigenvalues=w, eigenvectors=_fix_gauge(w, v))
+
+
+def _fix_gauge(w, v):
+    """Put the eigenvector columns ``v`` of ascending ``w`` in the ``eig_hermitian`` gauge, in place."""
     n = len(w)
     start = 0
     for stop in range(1, n + 1):
@@ -170,7 +178,7 @@ def eig_hermitian(h):
         for k in range(start, stop):
             v[:, k] = normalize_phase(v[:, k])
         start = stop
-    return Spectrum(eigenvalues=w, eigenvectors=v)
+    return v
 
 
 def _canonical_cluster_basis(block):
@@ -199,12 +207,12 @@ def ground_states(hs):
     Of an unchecked (n, d, d) Hermitian stack, with one stacked ``eigh``.
     Each ground vector equals ``eig_hermitian(hs[i]).eigenvectors[:, 0]``;
     only matrices flagged degenerate (see ``GroundState``) take its cluster
-    rebuild.
+    rebuild, on their eigenvectors from the same stacked call.
     """
     w, v = np.linalg.eigh(hs)
     degenerate = (w[:, 1:2] - w[:, :1] < DEGENERACY_TOL).any(axis=1)
-    states = [eig_hermitian(h).eigenvectors[:, 0] if deg else normalize_phase(g)
-              for h, g, deg in zip(hs, v[:, :, 0], degenerate)]
+    states = [_fix_gauge(wi, vi)[:, 0] if deg else normalize_phase(vi[:, 0])
+              for wi, vi, deg in zip(w, v, degenerate)]
     return w, np.array(states), degenerate
 
 
@@ -217,11 +225,11 @@ def ground_state(h):
 
 
 def expm_hermitian(h, t):
-    """Unitary exp(-i h t) of a Hermitian matrix, via eigendecomposition."""
-    h = _as_square(h, "h")
+    """Unitary exp(-i h t) of a Hermitian matrix, or of each matrix of a stack, via eigendecomposition."""
+    h = _as_stack(h, "h")
     _check_hermitian(h, name="h")
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
+    return (v * np.exp(-1j * w * t)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def _sqrtm_psd(rho):

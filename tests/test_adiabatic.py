@@ -200,6 +200,14 @@ def test_error_scaling_degenerate_and_precondition():
         adiabatic.trotter_error_scaling("zz", 1.0, 3.0)
 
 
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+def test_trotter_rejects_bad_tau(tau):
+    with pytest.raises(ValueError, match="tau must be positive and finite"):
+        adiabatic.trotter_pair("zz", 1.0, tau)
+    with pytest.raises(ValueError, match="tau must be positive and finite"):
+        adiabatic.trotter_error_scaling("zz", 1.0, tau)
+
+
 def test_min_steps_search_basics():
     assert adiabatic.min_steps_search("zz", 0.0, 0.7) == 1
     low = adiabatic.min_steps_search("zz", 0.8, 0.7)
@@ -207,6 +215,10 @@ def test_min_steps_search_basics():
     assert low <= high
     with pytest.raises(ValueError, match="best achieved"):
         adiabatic.min_steps_search("zz", 0.9999, 0.7, step_cap=20)
+    assert adiabatic.min_steps_search("zz", 0.0, 0.7, step_cap=1) == 1
+    for cap in (0, -3):
+        with pytest.raises(ValueError, match="step_cap must be at least 1"):
+            adiabatic.min_steps_search("zz", 0.5, 0.7, step_cap=cap)
 
 
 def test_min_steps_search_paper_defaults(zz_adaptive_run, zzz_adaptive_run):
@@ -364,3 +376,15 @@ def test_gap_adaptive_schedule_matches_per_point_density_bitwise(tag):
     for steps in (300, 200, 40):
         want = adiabatic.schedule_from_density(tag, steps, m.tau, grid, dens)
         assert np.array_equal(adiabatic.gap_adaptive_schedule(tag, steps, m.tau).values, want.values)
+
+
+@pytest.mark.parametrize("tag", models.MODEL_TAGS)
+def test_trotter_pair_stack_matches_per_coupling_bitwise(tag):
+    m = models.model(tag)
+    for sch in (adiabatic.linear_schedule(tag, m.steps, m.tau), adiabatic.gap_adaptive_schedule(tag, m.steps, m.tau)):
+        u_ide, u_exp = adiabatic.trotter_pair(tag, sch.values, sch.tau)
+        assert u_ide.shape == u_exp.shape == (len(sch.values), 8, 8)
+        for j, a, b in zip(sch.values, u_ide, u_exp):
+            want_ide, want_exp = adiabatic.trotter_pair(tag, j, sch.tau)
+            assert np.array_equal(a, want_ide)
+            assert np.array_equal(b, want_exp)

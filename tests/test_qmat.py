@@ -313,3 +313,52 @@ def test_normalize_phase_convention():
     # largest-magnitude amplitude becomes real and nonnegative
     assert out[1].imag == pytest.approx(0.0, abs=1e-15)
     assert out[1].real > 0
+
+
+def test_stacked_primitives_match_per_matrix_bitwise():
+    rng = np.random.default_rng(7)
+    rhos = np.array([random_density(rng, 8, rank) for rank in (1, 2, 3, 5, 8)])
+    hs = np.array([random_hermitian(rng, 8) for _ in range(5)])
+    others = np.array([random_density(rng, 2) for _ in range(5)])
+    for keep in ({1}, {2}, {3}, {1, 2}, {1, 3}, {2, 3}, {1, 2, 3}):
+        stacked = qmat.partial_trace(rhos, 3, keep)
+        assert np.array_equal(stacked, [qmat.partial_trace(r, 3, keep) for r in rhos])
+    assert np.array_equal(qmat.dephase(rhos), [qmat.dephase(r) for r in rhos])
+    assert np.array_equal(qmat.kron(rhos, others), [qmat.kron(r, o) for r, o in zip(rhos, others)])
+    assert np.array_equal(qmat.kron(others, rhos), [qmat.kron(o, r) for r, o in zip(rhos, others)])
+    assert np.array_equal(qmat.expm_hermitian(hs, 0.7), [qmat.expm_hermitian(h, 0.7) for h in hs])
+
+
+def test_stacked_states_factories_match_per_matrix():
+    rng = np.random.default_rng(8)
+    rhos = np.array([random_density(rng, 8) for _ in range(4)])
+    assert np.array_equal(states.marginals(rhos), np.array([states.marginals(r) for r in rhos]).swapaxes(0, 1))
+    assert np.array_equal(states.pi_product(rhos), [states.pi_product(r) for r in rhos])
+    assert np.array_equal(states.split_1_23(rhos), [states.split_1_23(r) for r in rhos])
+
+
+def test_kron_matches_numpy_kron():
+    rng = np.random.default_rng(9)
+    for shape_a, shape_b in (((2, 2), (4, 4)), ((2, 3), (3, 1)), ((1, 4), (2, 2)), ((3,), (2,)), ((4,), (1,))):
+        a = rng.standard_normal(shape_a) + 1j * rng.standard_normal(shape_a)
+        b = rng.standard_normal(shape_b) + 1j * rng.standard_normal(shape_b)
+        assert np.array_equal(qmat.kron(a, b), np.kron(a, b))
+
+
+def test_stacked_inputs_rejected():
+    rng = np.random.default_rng(10)
+    rhos = np.array([random_density(rng, 8) for _ in range(3)])
+    with pytest.raises(ValueError, match="square"):
+        qmat.partial_trace(rhos[:, :, :4], 3, {1})
+    with pytest.raises(ValueError, match="square"):
+        qmat.dephase(rhos[:, :4, :])
+    bad = rhos.copy()
+    bad[1, 2, 3] = np.nan
+    for call in (lambda: qmat.partial_trace(bad, 3, {1}), lambda: qmat.dephase(bad),
+                 lambda: qmat.expm_hermitian(bad, 1.0)):
+        with pytest.raises(ValueError, match="non-finite"):
+            call()
+    hs = np.array([random_hermitian(rng, 8) for _ in range(3)])
+    hs[2, 0, 1] += 1e-3
+    with pytest.raises(ValueError, match="not Hermitian"):
+        qmat.expm_hermitian(hs, 1.0)
