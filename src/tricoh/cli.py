@@ -233,9 +233,8 @@ def cmd_trotter_audit(args):
     schedule = _make_schedule(args, steps, tau)
     rows = []
     worst = (1.0, 0, 0.0)
-    pairs = zip(*adiabatic.trotter_pair(args.model, schedule.values, tau))
-    for m, (j, (u_ide, u_exp)) in enumerate(zip(schedule.values, pairs)):
-        f = qmat.unitary_fidelity(u_ide, u_exp)
+    fids = qmat.unitary_fidelity(*adiabatic.trotter_pair(args.model, schedule.values, tau))
+    for m, (j, f) in enumerate(zip(schedule.values, fids)):
         rows.append([m, j, f])
         if f < worst[0]:
             worst = (f, m, j)
@@ -245,8 +244,8 @@ def cmd_trotter_audit(args):
 
     lo, hi = models.model(args.model).j_range
     print(f"error-scaling ratios at tau={_fmt(RATIO_TABLE_TAU)} (expected near 8):")
-    for j in np.linspace(lo, hi, 5):
-        ratio = adiabatic.trotter_error_scaling(args.model, j, RATIO_TABLE_TAU)
+    couplings = np.linspace(lo, hi, 5)
+    for j, ratio in zip(couplings, adiabatic.trotter_error_scaling(args.model, couplings, RATIO_TABLE_TAU)):
         print(f"  J={_fmt(j)}: ratio={_fmt(ratio)}")
 
     print(f"min unitary fidelity {_fmt(worst[0])} at step {worst[1]} (J={_fmt(worst[2])}), tau={_fmt(tau)}")

@@ -8,6 +8,9 @@ Conventions used throughout the package:
 - |0> is the S^z = +1/2 state of a spin-1/2.
 - Pure states follow a fixed phase convention: the largest-magnitude
   amplitude is real and nonnegative (first index on ties).
+- The primitives take one matrix (or vector) or a stack of them over the
+  leading axes, through one code path, and each item of a stack comes out
+  bitwise equal to the call on that item alone.
 
 Two fidelity conventions are provided. ``state_fidelity`` is the squared
 Uhlmann fidelity (Tr sqrt(sqrt(a) b sqrt(a)))^2, which reduces to <psi|b|psi>
@@ -137,17 +140,23 @@ def normalize_phase(vec):
     """Normalize a state vector and fix its global phase.
 
     The largest-magnitude amplitude (first index on ties within 1e-12) is
-    made real and nonnegative.
+    made real and nonnegative. A (..., d) stack is normalized row by row,
+    each row bitwise equal to a call on that row alone: the squared norm is
+    the stacked matmul re @ re + im @ im of the real and imaginary views,
+    the sum ``np.linalg.norm`` forms, and the pivot modulus is ``np.hypot``,
+    which matches the scalar ``abs`` where ``np.abs`` of a complex array
+    does not.
     """
     v = np.asarray(vec, dtype=complex)
-    norm = np.linalg.norm(v)
-    if norm < 1e-300:
+    re, im = v.real[..., None, :], v.imag[..., None, :]
+    norm = np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0]
+    if (norm < 1e-300).any():
         raise ValueError("cannot normalize the zero vector")
     v = v / norm
     mags = np.abs(v)
-    idx = int(np.argmax(mags > mags.max() - 1e-12))
-    pivot = v[idx]
-    return v * (pivot.conjugate() / abs(pivot))
+    idx = np.argmax(mags > mags.max(axis=-1, keepdims=True) - 1e-12, axis=-1)
+    pivot = np.take_along_axis(v, idx[..., None], axis=-1)
+    return v * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
 
 
 def eig_hermitian(h):
@@ -166,18 +175,22 @@ def eig_hermitian(h):
     return Spectrum(eigenvalues=w, eigenvectors=_fix_gauge(w, v))
 
 
+def _clusters(w):
+    """(start, stop) of each run of ascending ``w`` whose consecutive gaps lie below ``DEGENERACY_TOL``."""
+    start = 0
+    for stop in range(1, len(w) + 1):
+        if stop < len(w) and w[stop] - w[stop - 1] < DEGENERACY_TOL:
+            continue
+        yield start, stop
+        start = stop
+
+
 def _fix_gauge(w, v):
     """Put the eigenvector columns ``v`` of ascending ``w`` in the ``eig_hermitian`` gauge, in place."""
-    n = len(w)
-    start = 0
-    for stop in range(1, n + 1):
-        if stop < n and w[stop] - w[stop - 1] < DEGENERACY_TOL:
-            continue
+    for start, stop in _clusters(w):
         if stop - start > 1:
             v[:, start:stop] = _canonical_cluster_basis(v[:, start:stop])
-        for k in range(start, stop):
-            v[:, k] = normalize_phase(v[:, k])
-        start = stop
+    v[:] = normalize_phase(v.T).T
     return v
 
 
@@ -205,15 +218,18 @@ def ground_states(hs):
     """Ascending eigenvalues (n, d), ground vectors (n, d) and degenerate flags (n,).
 
     Of an unchecked (n, d, d) Hermitian stack, with one stacked ``eigh``.
-    Each ground vector equals ``eig_hermitian(hs[i]).eigenvectors[:, 0]``;
-    only matrices flagged degenerate (see ``GroundState``) take its cluster
-    rebuild, on their eigenvectors from the same stacked call.
+    Each ground vector equals ``eig_hermitian(hs[i]).eigenvectors[:, 0]``:
+    only matrices flagged degenerate (see ``GroundState``) take the cluster
+    rebuild, of their ground cluster alone, and one stacked
+    ``normalize_phase`` fixes the phase of every ground vector.
     """
     w, v = np.linalg.eigh(hs)
-    degenerate = (w[:, 1:2] - w[:, :1] < DEGENERACY_TOL).any(axis=1)
-    states = [_fix_gauge(wi, vi)[:, 0] if deg else normalize_phase(vi[:, 0])
-              for wi, vi, deg in zip(w, v, degenerate)]
-    return w, np.array(states), degenerate
+    degenerate = w[:, 1] - w[:, 0] < DEGENERACY_TOL
+    grounds = v[:, :, 0].copy()
+    for i in np.flatnonzero(degenerate):
+        _, stop = next(_clusters(w[i]))
+        grounds[i] = _canonical_cluster_basis(v[i, :, :stop])[:, 0]
+    return w, normalize_phase(grounds), degenerate
 
 
 def ground_state(h):
@@ -264,20 +280,26 @@ def state_fidelity(a, b):
 def unitary_fidelity(u1, u2):
     """Entanglement fidelity |Tr(U1 U2^dag)|^2 / d^2 between two unitaries.
 
-    Invariant under a global phase of either argument.
+    Invariant under a global phase of either argument. Two equal-shape
+    (..., d, d) stacks give the array of pairwise fidelities, each bitwise
+    equal to the call on that pair alone; one pair gives a float.
     """
-    u1 = _as_square(u1, "u1")
-    u2 = _as_square(u2, "u2")
+    u1 = _as_stack(u1, "u1")
+    u2 = _as_stack(u2, "u2")
     if u1.shape != u2.shape:
         raise ValueError(f"dimension mismatch: {u1.shape} vs {u2.shape}")
-    d = u1.shape[0]
+    d = u1.shape[-1]
     eye = np.eye(d)
     for name, u in (("u1", u1), ("u2", u2)):
-        dev = np.abs(u.conj().T @ u - eye).max()
+        dev = np.abs(u.conj().swapaxes(-1, -2) @ u - eye).max()
         if dev > 1e-8:
             raise ValueError(f"{name} is not unitary: max deviation {dev:.3e} exceeds 1e-08")
-    f = abs(np.trace(u1 @ u2.conj().T)) ** 2 / d**2
-    return min(max(float(f), 0.0), 1.0)
+    tr = np.trace(u1 @ u2.conj().swapaxes(-1, -2), axis1=-2, axis2=-1)
+    # the square goes through scalar C pow, as for one pair: an array square
+    # is one multiply, which differs in the last bit
+    mods = np.ravel(np.hypot(tr.real, tr.imag))
+    f = np.clip(np.array([m**2 for m in mods]).reshape(tr.shape) / d**2, 0.0, 1.0)
+    return float(f) if f.ndim == 0 else f
 
 
 def validate_density(m, tol=HERMITICITY_TOL, repair=False):

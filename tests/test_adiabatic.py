@@ -200,6 +200,26 @@ def test_error_scaling_degenerate_and_precondition():
         adiabatic.trotter_error_scaling("zz", 1.0, 3.0)
 
 
+def test_error_scaling_of_coupling_array():
+    for tag in models.MODEL_TAGS:
+        js = np.linspace(*models.model(tag).j_range, 5)
+        ratios = adiabatic.trotter_error_scaling(tag, js, 0.1)
+        singles = [adiabatic.trotter_error_scaling(tag, j, 0.1) for j in js]
+        assert all(type(r) is float for r in singles)
+        assert ratios.shape == (5,)
+        assert same_bits(ratios, singles)
+    # zzz at J = 0 is a commuting split, so only that row is NaN
+    assert np.isnan(ratios).tolist() == [True, False, False, False, False]
+    commuting = adiabatic.trotter_error_scaling("zzz", js, 0.1, params=models.ModelParams(omega_x=0.0))
+    assert np.isnan(commuting).all()
+    # at tau = 2 only J = 2.5 of the zzz table leaves the scaling regime
+    with pytest.raises(ValueError, match="at J=2.5: error"):
+        adiabatic.trotter_error_scaling("zzz", js, 2.0)
+    with pytest.raises(ValueError, match="at J=2.5: error"):
+        adiabatic.trotter_error_scaling("zzz", 2.5, 2.0)
+    assert math.isfinite(adiabatic.trotter_error_scaling("zzz", 3.75, 2.0))
+
+
 @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, 0.0, -0.1])
 def test_trotter_rejects_bad_tau(tau):
     with pytest.raises(ValueError, match="tau must be positive and finite"):
@@ -314,17 +334,41 @@ def per_step_ground_sweep(tag, values, params=None):
     return np.array(e0), np.array(e1), np.array(grounds), degenerate
 
 
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("tag", models.MODEL_TAGS)
 def test_ground_sweep_matches_per_step_reference_bitwise(tag):
     m = models.model(tag)
-    for sch in (adiabatic.linear_schedule(tag, m.steps, m.tau), adiabatic.gap_adaptive_schedule(tag, m.steps, m.tau)):
-        sweep = adiabatic.ground_sweep(tag, sch, reports=False)
-        e0, e1, grounds, degenerate = per_step_ground_sweep(tag, sch.values)
-        assert np.array_equal(sweep.ground_energies, e0)
-        assert np.array_equal(sweep.excited_energies, e1)
-        assert np.array_equal(sweep.gaps, e1 - e0)
-        assert np.array_equal(np.array(sweep.ground_states), grounds)
-        assert sweep.degenerate_steps == degenerate
+    # without the transverse field every step is degenerate for zzz (and
+    # every other one for zz), and the ground cluster changes with a zero overlap
+    for params in (None, models.ModelParams(omega_x=0.0), models.ModelParams(omega_z=-1.1, omega_x=0.3)):
+        for sch in (adiabatic.linear_schedule(tag, m.steps, m.tau), adiabatic.gap_adaptive_schedule(tag, m.steps, m.tau)):
+            sweep = adiabatic.ground_sweep(tag, sch, params=params, reports=False)
+            e0, e1, grounds, degenerate = per_step_ground_sweep(tag, sch.values, params)
+            assert same_bits(sweep.ground_energies, e0)
+            assert same_bits(sweep.excited_energies, e1)
+            assert same_bits(sweep.gaps, e1 - e0)
+            assert same_bits(np.array(sweep.ground_states), grounds)
+            assert sweep.degenerate_steps == degenerate
+
+
+def test_ground_sweep_sign_alignment_resets_on_zero_overlap(monkeypatch):
+    # overlaps +, -, 0, -, -, 0, +, - with the aligned previous vector
+    e0, e1 = np.eye(8, dtype=complex)[:2]
+    raw = np.array([e0, e0, -e0, e1, -e1, e1, e0, e0, -e0])
+    flags = np.zeros(len(raw), dtype=bool)
+    monkeypatch.setattr(adiabatic, "ground_states", lambda hs: (np.zeros((len(hs), 8)), raw.copy(), flags))
+    sch = adiabatic.linear_schedule("zz", len(raw) - 1, 0.7)
+    want = []
+    for g in raw:
+        # the per-step rule: negate when the overlap with the aligned previous vector is negative
+        want.append(-g if want and np.real(np.vdot(want[-1], g)) < 0.0 else g)
+    got = np.array(adiabatic.ground_sweep("zz", sch, reports=False).ground_states)
+    assert same_bits(got, np.array(want))
+    assert same_bits(got, [e0, e0, e0, e1, e1, e1, e0, e0, e0])
 
 
 def test_ground_sweep_degenerate_fallback():
@@ -352,6 +396,40 @@ def test_evolve_matches_per_step_propagator(tag):
         fids.append(abs(np.vdot(run.ground_states[k], psi)))
     np.testing.assert_allclose(run.fid_instant, fids, rtol=0, atol=1e-12)
     np.testing.assert_allclose(run.final_state, psi, rtol=0, atol=1e-12)
+
+
+def per_step_vdot_evolve(sch, mu):
+    # the per-step reference: a vdot, abs and math.sqrt after every propagation step
+    tag = sch.model_tag
+    grounds = adiabatic.ground_sweep(tag, sch, reports=False).ground_states
+    hx, hz = models.parts(tag, sch.values)
+    u_half = qmat.expm_hermitian(hx, sch.tau / 2)
+    kicks = np.exp(-1j * sch.tau * hz)
+    psi = grounds[0].copy()
+
+    def reported(pure_amp):
+        return math.sqrt((1.0 - mu) / 8 + mu * pure_amp**2)
+
+    fids = np.empty(len(sch.values))
+    fids[0] = reported(abs(np.vdot(grounds[0], psi)))
+    for m in range(1, len(sch.values)):
+        psi = u_half @ (kicks[m] * (u_half @ psi))
+        fids[m] = reported(abs(np.vdot(grounds[m], psi)))
+    target = states.make_state(models.model(tag).target)
+    return fids, psi, reported(abs(np.vdot(target, psi)))
+
+
+@pytest.mark.parametrize("mu", [1.0, 0.3])
+@pytest.mark.parametrize("tag", models.MODEL_TAGS)
+def test_evolve_matches_per_step_vdot_loop_bitwise(tag, mu):
+    m = models.model(tag)
+    for sch in (adiabatic.linear_schedule(tag, m.steps, m.tau), adiabatic.gap_adaptive_schedule(tag, 60, m.tau)):
+        run = adiabatic.evolve(sch, mu=mu)
+        fids, psi, final = per_step_vdot_evolve(sch, mu)
+        assert same_bits(run.fid_instant, fids)
+        assert same_bits(run.final_state, psi)
+        assert run.min_fidelity == float(fids.min())
+        assert run.final_fidelity == final
 
 
 def per_point_density(tag, grid):

@@ -263,6 +263,26 @@ def test_unitary_fidelity_rejects_non_unitary():
         qmat.unitary_fidelity(np.eye(2) * 2.0, np.eye(2))
 
 
+def test_unitary_fidelity_stack_matches_pairs_bitwise():
+    rng = np.random.default_rng(24)
+    for dim in (2, 4, 8):
+        u1 = np.array([random_unitary(rng, dim) for _ in range(200)])
+        # near pairs, as the Trotter audit compares, and unrelated ones
+        u2 = np.concatenate([u1[:100] @ qmat.expm_hermitian(1e-3 * random_hermitian(rng, dim), 1.0),
+                             [random_unitary(rng, dim) for _ in range(100)]])
+        stacked = qmat.unitary_fidelity(u1, u2)
+        assert stacked.shape == (200,)
+        pairs = [qmat.unitary_fidelity(a, b) for a, b in zip(u1, u2)]
+        assert all(type(f) is float for f in pairs)
+        assert stacked.tolist() == pairs
+    bad = u1.copy()
+    bad[3] *= 1.01
+    with pytest.raises(ValueError, match="u2 is not unitary"):
+        qmat.unitary_fidelity(u1, bad)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        qmat.unitary_fidelity(u1, u2[:10])
+
+
 def test_validate_density_accepts_valid():
     out, _ = qmat.validate_density(np.eye(4) / 4, tol=1e-10)
     np.testing.assert_allclose(out, np.eye(4) / 4, atol=1e-15)
@@ -313,6 +333,56 @@ def test_normalize_phase_convention():
     # largest-magnitude amplitude becomes real and nonnegative
     assert out[1].imag == pytest.approx(0.0, abs=1e-15)
     assert out[1].real > 0
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def normalize_phase_norm_and_scalar_abs(vec):
+    # the one-vector form: np.linalg.norm and the scalar abs of the pivot
+    v = np.asarray(vec, dtype=complex)
+    v = v / np.linalg.norm(v)
+    mags = np.abs(v)
+    pivot = v[int(np.argmax(mags > mags.max() - 1e-12))]
+    return v * (pivot.conjugate() / abs(pivot))
+
+
+def random_complex_rows(rng, n, dim, scale):
+    return scale * (rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim)))
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8, 64])
+def test_normalize_phase_stack_matches_rows_bitwise(dim):
+    rng = np.random.default_rng(31 + dim)
+    for scale in (1.0, 1e-3, 1e5):
+        vecs = random_complex_rows(rng, 500, dim, scale)
+        stacked = qmat.normalize_phase(vecs)
+        assert all(same_bits(row, qmat.normalize_phase(v)) for row, v in zip(stacked, vecs))
+        # strided rows (the columns of a C-ordered matrix) and a 3-D stack
+        assert same_bits(qmat.normalize_phase(np.ascontiguousarray(vecs.T).T), stacked)
+        assert same_bits(qmat.normalize_phase(vecs.reshape(5, 100, dim)), stacked.reshape(5, 100, dim))
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8, 64])
+def test_normalize_phase_matches_norm_and_scalar_abs_form_bitwise(dim):
+    rng = np.random.default_rng(41 + dim)
+    for scale in (1.0, 1e-3, 1e5):
+        for v in random_complex_rows(rng, 300, dim, scale):
+            assert same_bits(qmat.normalize_phase(v), normalize_phase_norm_and_scalar_abs(v))
+    # real vectors with tied magnitudes, as the ground vectors of real H have
+    for v in (np.array([0.5, -0.5, 0.5, -0.5]), np.array([0.0, -1.0, 1.0, 0.0]) / math.sqrt(2)):
+        assert same_bits(qmat.normalize_phase(v), normalize_phase_norm_and_scalar_abs(v))
+
+
+def test_normalize_phase_rejects_zero_row():
+    vecs = np.ones((3, 4), dtype=complex)
+    vecs[1] = 0.0
+    with pytest.raises(ValueError, match="zero vector"):
+        qmat.normalize_phase(vecs)
+    with pytest.raises(ValueError, match="zero vector"):
+        qmat.normalize_phase(np.zeros(4))
 
 
 def test_stacked_primitives_match_per_matrix_bitwise():

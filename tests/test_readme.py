@@ -6,6 +6,8 @@ import re
 import shlex
 import shutil
 
+import numpy as np
+
 from tricoh import cli, qmat, states
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -49,6 +51,9 @@ def test_library_tour_runs():
     assert namespace["hz"].shape == (8,)
     assert namespace["hs"].shape == (5, 8, 8)
     assert namespace["grounds"].shape == (5, 8)
+    assert np.abs(namespace["phased"] - namespace["grounds"]).max() < 1e-15
+    assert namespace["fids"].shape == namespace["ratios"].shape == (5,)
+    assert (namespace["fids"] > 0.999).all() and (abs(namespace["ratios"] - 8.0) < 0.1).all()
 
 
 def test_cli_examples_write_documented_files(tmp_path, monkeypatch):
