@@ -3,7 +3,7 @@
 A sweep is a monotone sequence of coupling values J(t_0) .. J(t_M) with a
 fixed step interval tau. ``ground_sweep`` diagonalizes the schedule's
 (M+1, 8, 8) stack of H(J) at once to track the exact instantaneous spectrum
-and coherence reports; ``evolve`` propagates a state with the symmetric
+and ground states; ``evolve`` propagates a state with the symmetric
 Trotter step of each coupling value, whose diagonal longitudinal part is a
 phase vector, and audits the instantaneous fidelity to the exact ground
 state, from one stacked overlap of all steps once the propagation is done.
@@ -37,8 +37,7 @@ import numpy as np
 
 from . import models
 from .qmat import expm_hermitian, ground_states
-from .states import density, make_state
-from .coherence import coherence_reports
+from .states import make_state
 
 # fine-grid resolution used to tabulate the adaptive step density
 DENSITY_GRID = 2000
@@ -78,31 +77,24 @@ class Schedule:
             if abs(values[0] - lo) > 1e-9 or abs(values[-1] - hi) > 1e-9:
                 raise ValueError(f"schedule must run from {lo} to {hi}, got {values[0]}..{values[-1]}")
 
-    @property
-    def m_steps(self):
-        return len(self.values) - 1
-
 
 @dataclass
 class SweepResult:
     """Exact tracking and (optionally) evolved-state audit along a schedule.
 
-    Exact part: per-step ground/first-excited energies, gap, phase-aligned
-    ground states, coherence reports (optional), indices of near-degenerate
-    steps, and the fidelity of the final exact ground state to the model's
-    target state. Evolved part (None until ``evolve`` fills it): per-step
+    Exact part: per-step ground/first-excited energies, gap, the (M+1, 8)
+    array of phase-aligned ground states, indices of near-degenerate steps,
+    and the fidelity of the final exact ground state to the model's target
+    state. Evolved part (None until ``evolve`` fills it): per-step
     instantaneous fidelity of the propagated state to the exact ground
     state, its minimum, the final state, and its fidelity to the target.
     """
 
-    model_tag: str
     j_values: np.ndarray
-    tau: float
     ground_energies: np.ndarray
     excited_energies: np.ndarray
     gaps: np.ndarray
-    ground_states: list
-    reports: list | None
+    ground_states: np.ndarray
     degenerate_steps: list
     ground_target_fidelity: float
     fid_instant: np.ndarray | None = None
@@ -182,17 +174,15 @@ def load_schedule(path, model_tag, tau):
     return Schedule(values=np.asarray(raw, dtype=float), tau=tau, model_tag=model_tag)
 
 
-def ground_sweep(model_tag, schedule, params=None, reports=True, log_base=2.0):
-    """Exact instantaneous spectrum and coherence reports along a schedule.
+def ground_sweep(schedule, params=None):
+    """Exact instantaneous spectrum and ground states along a schedule.
 
     Ground states are phase-aligned step to step (sign-flipped when the
     overlap with the previous step's state is negative) so curves built from
     them are continuous. Steps ``qmat.ground_states`` flags degenerate are
     listed in ``degenerate_steps``.
     """
-    if schedule.model_tag != model_tag:
-        raise ValueError(f"schedule is for model {schedule.model_tag!r}, not {model_tag!r}")
-    w, grounds, degenerate = ground_states(models.hamiltonian(model_tag, schedule.values, params))
+    w, grounds, degenerate = ground_states(models.hamiltonian(schedule.model_tag, schedule.values, params))
     # grounds[m] is negated when its overlap with the aligned grounds[m - 1]
     # is negative; negation is exact, so that overlap is the raw one times
     # the sign of grounds[m - 1], and a zero overlap resets the sign to +1
@@ -200,17 +190,13 @@ def ground_sweep(model_tag, schedule, params=None, reports=True, log_base=2.0):
     negative = np.cumsum(overlaps < 0.0)
     flips = (negative - np.maximum.accumulate(np.where(overlaps == 0.0, negative, 0))) % 2 == 1
     np.negative(grounds[1:], out=grounds[1:], where=flips[:, None])
-    report_list = coherence_reports([density(g) for g in grounds], base=log_base) if reports else None
-    target = make_state(models.model(model_tag).target)
+    target = make_state(models.model(schedule.model_tag).target)
     return SweepResult(
-        model_tag=model_tag,
         j_values=schedule.values.copy(),
-        tau=schedule.tau,
         ground_energies=w[:, 0],
         excited_energies=w[:, 1],
         gaps=w[:, 1] - w[:, 0],
-        ground_states=list(grounds),
-        reports=report_list,
+        ground_states=grounds,
         degenerate_steps=np.flatnonzero(degenerate).tolist(),
         ground_target_fidelity=float(abs(np.vdot(target, grounds[-1]))),
     )
@@ -221,6 +207,19 @@ def _row_vdot(a, b):
     return (a.conj()[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+def _split_step(hx, hz, tau):
+    """Half step exp(-i hx tau/2) and phase vector exp(-i tau hz) of the symmetric Trotter step.
+
+    Rejects a tau whose phases, here and in exp(-i H tau), could overflow: their bound
+    tau (max row sum |hx| + max |hz|) is a Python float, so no numpy warning comes first.
+    """
+    if not math.isfinite(tau) or tau <= 0.0:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
+    if not math.isfinite(tau * float(np.abs(hx).sum(axis=-1).max() + np.abs(hz).max())):
+        raise ValueError(f"tau {tau} is too large: the Trotter step phases overflow")
+    return expm_hermitian(hx, tau / 2), np.exp(-1j * tau * hz)
+
+
 def trotter_pair(model_tag, j, tau, params=None):
     """Ideal one-step propagator and its symmetric Trotter approximation.
 
@@ -229,28 +228,26 @@ def trotter_pair(model_tag, j, tau, params=None):
     phase vector exp(-i tau hz)), and another half step of the transverse part.
     An array of n couplings gives two (n, 8, 8) stacks, sharing one half step.
     """
-    if not math.isfinite(tau) or tau <= 0.0:
-        raise ValueError(f"tau must be positive and finite, got {tau}")
-    hx, hz = models.parts(model_tag, j, params)
+    half, kicks = _split_step(*models.parts(model_tag, j, params), tau)
     u_ide = expm_hermitian(models.hamiltonian(model_tag, j, params), tau)
-    half = expm_hermitian(hx, tau / 2)
-    return u_ide, (half * np.exp(-1j * tau * hz)[..., None, :]) @ half
+    return u_ide, (half * kicks[..., None, :]) @ half
 
 
-def evolve(schedule, params=None, mu=1.0, log_base=2.0, reports=False):
+def evolve(schedule, params=None, mu=1.0):
     """Propagate through a schedule with per-step Trotter unitaries.
 
-    Starts from the exact ground state at the first coupling value and
-    applies the symmetric Trotter step of each subsequent value.
-    ``fid_instant[m]`` is the amplitude fidelity of the propagated state to
-    the exact ground state at step m. With ``mu`` below 1 the reported
-    fidelities are those of the pseudopure mixture (1 - mu) I/d + mu
-    |psi><psi|, which evolves as the pure component does.
+    Starts from the exact ground state of ``ground_sweep`` at the first
+    coupling value and applies the symmetric Trotter step of each subsequent
+    value. ``fid_instant[m]`` is the amplitude fidelity of the propagated
+    state to the exact ground state at step m. With ``mu`` below 1 the
+    reported fidelities are those of the pseudopure mixture (1 - mu) I/d +
+    mu |psi><psi|, which evolves as the pure component does.
     """
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"mu must lie in [0, 1], got {mu}")
     model_tag = schedule.model_tag
-    exact = ground_sweep(model_tag, schedule, params=params, reports=reports, log_base=log_base)
+    u_half, kicks = _split_step(*models.parts(model_tag, schedule.values, params), schedule.tau)
+    exact = ground_sweep(schedule, params=params)
     psi = exact.ground_states[0].copy()
     dim = len(psi)
 
@@ -259,15 +256,12 @@ def evolve(schedule, params=None, mu=1.0, log_base=2.0, reports=False):
         # unitary evolution, so the fidelity maps through exactly
         return math.sqrt((1.0 - mu) / dim + mu * pure_amp**2)
 
-    hx, hz = models.parts(model_tag, schedule.values, params)
-    u_half = expm_hermitian(hx, schedule.tau / 2)
-    kicks = np.exp(-1j * schedule.tau * hz)
     psis = np.empty((len(schedule.values), dim), dtype=complex)
     psis[0] = psi
     for m in range(1, len(schedule.values)):
         psi = u_half @ (kicks[m] * (u_half @ psi))
         psis[m] = psi
-    overlaps = _row_vdot(np.array(exact.ground_states), psis)
+    overlaps = _row_vdot(exact.ground_states, psis)
     fids = np.array([reported(amp) for amp in np.hypot(overlaps.real, overlaps.imag)])
     target = make_state(models.model(model_tag).target)
     exact.fid_instant = fids

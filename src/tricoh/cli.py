@@ -10,6 +10,7 @@ failure (trotter-audit below threshold).
 """
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -115,22 +116,22 @@ def _outpath(args, name):
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) if not isinstance(x, str) else x for x in row) + "\n")
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(x) if not isinstance(x, str) else x for x in row] for row in rows)
 
 
 def cmd_sweep(args):
     steps, tau, base = _resolve(args)
     schedule = _make_schedule(args, steps, tau)
-    result = adiabatic.evolve(schedule, mu=args.mu, log_base=base, reports=True)
-    rows = []
-    for m, j in enumerate(result.j_values):
-        rows.append(
-            [m, j, result.ground_energies[m], result.excited_energies[m], result.gaps[m], result.fid_instant[m]]
-            + coherence.report_values(result.reports[m])
-        )
+    result = adiabatic.evolve(schedule, mu=args.mu)
+    reports = coherence.coherence_reports(states.density(result.ground_states), base=base)
+    rows = [
+        [m, j, result.ground_energies[m], result.excited_energies[m], result.gaps[m], result.fid_instant[m]]
+        + coherence.report_values(rep)
+        for m, (j, rep) in enumerate(zip(result.j_values, reports))
+    ]
     path = _outpath(args, f"sweep_{args.model}.csv")
     _write_csv(path, SWEEP_HEADER, rows)
     print(f"wrote {path}")
@@ -144,13 +145,14 @@ def cmd_sweep(args):
 def cmd_ratios(args):
     steps, tau, base = _resolve(args)
     schedule = _make_schedule(args, steps, tau)
-    sweep = adiabatic.ground_sweep(args.model, schedule, log_base=base)
+    sweep = adiabatic.ground_sweep(schedule)
+    reports = coherence.coherence_reports(states.density(sweep.ground_states), base=base)
 
     def ratio(num, den):
         return num / den if den >= 1e-9 else None
 
     rows = []
-    for j, rep in zip(sweep.j_values, sweep.reports):
+    for j, rep in zip(sweep.j_values, reports):
         rows.append(
             [
                 j,
@@ -175,8 +177,8 @@ def cmd_geometry(args):
             raise ValueError("--j-values must contain at least one coupling")
     else:
         j_list = list(DEFAULT_GEOMETRY_J[args.model])
-    rhos = [states.density(qmat.ground_state(models.hamiltonian(args.model, j)).state) for j in j_list]
-    reports = coherence.coherence_reports(rhos, base=base)
+    _, grounds, _ = qmat.ground_states(models.hamiltonian(args.model, j_list))
+    reports = coherence.coherence_reports(states.density(grounds), base=base)
     records = []
     for j, rep in zip(j_list, reports):
         tet = coherence.embed_tetrahedron(rep)

@@ -363,11 +363,13 @@ def load_density(path):
     with open(path, encoding="ascii") as fh:
         payload = json.load(fh)
     try:
-        dim = int(payload["dim"])
+        dim = payload["dim"]
         re = np.asarray(payload["re"], dtype=float)
         im = np.asarray(payload["im"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed density-matrix file ({exc})") from exc
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise ValueError(f"{path}: dim must be a JSON integer, got {json.dumps(dim)}")
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ValueError(f"{path}: arrays do not match dim={dim}")
     return re + 1j * im

@@ -60,9 +60,9 @@ def make_state(label):
 
 
 def density(psi):
-    """Projector |psi><psi| of a state vector."""
+    """Projector |psi><psi| of a state vector, or of each row of a (..., d) stack, bitwise as ``np.outer``."""
     psi = np.asarray(psi, dtype=complex)
-    return np.outer(psi, psi.conj())
+    return psi[..., :, None] * psi.conj()[..., None, :]
 
 
 def make_pps(psi, mu):

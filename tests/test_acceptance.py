@@ -39,11 +39,11 @@ def test_02_zzz_ground_state_fidelity():
     assert elapsed < 1.0
 
 
-def test_03_local_global_crossovers(zz_sweep, zzz_sweep):
-    for sweep, target in ((zz_sweep, 1.0), (zzz_sweep, 0.25)):
+def test_03_local_global_crossovers(zz_sweep, zzz_sweep, zz_reports, zzz_reports):
+    for sweep, reports, target in ((zz_sweep, zz_reports, 1.0), (zzz_sweep, zzz_reports, 0.25)):
         j = np.asarray(sweep.j_values)
-        cl = np.array([r.c_local for r in sweep.reports])
-        cg = np.array([r.c_global for r in sweep.reports])
+        cl = np.array([r.c_local for r in reports])
+        cg = np.array([r.c_global for r in reports])
         crossing = adiabatic.find_crossing(j, cl, cg)
         assert crossing is not None
         lo, hi, _ = crossing
@@ -51,28 +51,28 @@ def test_03_local_global_crossovers(zz_sweep, zzz_sweep):
         assert min(abs(lo - target), abs(hi - target)) <= step + 1e-9
 
 
-def test_04_trade_off_slacks(zz_sweep, zzz_sweep):
-    for sweep in (zz_sweep, zzz_sweep):
-        for rep in sweep.reports:
+def test_04_trade_off_slacks(zz_reports, zzz_reports):
+    for reports in (zz_reports, zzz_reports):
+        for rep in reports:
             assert rep.slack_eq7 >= -1e-8
             assert rep.slack_eq10a >= -1e-8
             assert rep.slack_eq10b >= -1e-8
             assert rep.slack_eq11 >= -1e-8
 
 
-def test_05_monogamy_positive_beyond_start(zz_sweep, zzz_sweep):
-    for sweep in (zz_sweep, zzz_sweep):
-        for j, rep in zip(sweep.j_values, sweep.reports):
+def test_05_monogamy_positive_beyond_start(zz_sweep, zzz_sweep, zz_reports, zzz_reports):
+    for sweep, reports in ((zz_sweep, zz_reports), (zzz_sweep, zzz_reports)):
+        for j, rep in zip(sweep.j_values, reports):
             if j == 0.0:
                 assert rep.monogamy_m <= 1e-6
             else:
                 assert rep.monogamy_m > 0.0
 
 
-def test_06_ratio_constancy(zz_sweep):
+def test_06_ratio_constancy(zz_sweep, zz_reports):
     band = [
         rep.c_2_3 / rep.c_1_23
-        for j, rep in zip(zz_sweep.j_values, zz_sweep.reports)
+        for j, rep in zip(zz_sweep.j_values, zz_reports)
         if j >= 0.2
     ]
     assert max(band) - min(band) < 0.05
@@ -135,11 +135,11 @@ def test_11_perturbation_consistency():
     assert abs(coeffs[1] - 0.5) <= 1e-9
 
 
-def test_12_curve_shape_properties(zz_sweep, zzz_sweep):
+def test_12_curve_shape_properties(zz_reports, zzz_reports):
     # absolute amplitudes of the published curves are not reproducible
     # (normalization and log base unstated); shapes are
-    assert any(rep.c_global > rep.c_total for rep in zz_sweep.reports)
-    ca = [rep.c_absolute for rep in zzz_sweep.reports]
+    assert any(rep.c_global > rep.c_total for rep in zz_reports)
+    ca = [rep.c_absolute for rep in zzz_reports]
     assert max(ca) - min(ca) < 0.01
-    assert zzz_sweep.reports[-1].c_local < 0.05 < zzz_sweep.reports[0].c_local
-    assert zzz_sweep.reports[-1].c_global > 0.5
+    assert zzz_reports[-1].c_local < 0.05 < zzz_reports[0].c_local
+    assert zzz_reports[-1].c_global > 0.5

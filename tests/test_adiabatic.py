@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from tricoh import adiabatic, models, qmat, states
+from tricoh import adiabatic, coherence, models, qmat, states
 
 
-def max_report_jump(sweep):
+def sweep_reports(sweep):
+    return coherence.coherence_reports(states.density(sweep.ground_states))
+
+
+def max_report_jump(reports):
     worst = 0.0
-    for prev, cur in zip(sweep.reports, sweep.reports[1:]):
-        from tricoh import coherence
+    for prev, cur in zip(reports, reports[1:]):
         a = np.asarray(coherence.report_values(prev))
         b = np.asarray(coherence.report_values(cur))
         worst = max(worst, float(np.abs(b - a).max()))
@@ -76,10 +79,10 @@ def test_schedule_file_round_trip(tmp_path):
         adiabatic.load_schedule(bad, "zzz", 0.4)
 
 
-def test_ground_sweep_consistency(zz_sweep):
+def test_ground_sweep_consistency(zz_sweep, zz_reports):
     n = len(zz_sweep.j_values)
     assert n == models.model("zz").steps + 1
-    assert len(zz_sweep.reports) == n and len(zz_sweep.ground_states) == n
+    assert len(zz_reports) == n and len(zz_sweep.ground_states) == n
     assert zz_sweep.degenerate_steps == []
     gaps = np.asarray(zz_sweep.gaps)
     assert np.all(gaps > 0)
@@ -93,13 +96,13 @@ def test_ground_sweep_endpoint_fidelities(zz_sweep, zzz_sweep):
     assert abs(zzz_sweep.ground_target_fidelity - 0.9996) < 5e-4
 
 
-def test_coherence_curves_continuous(zz_sweep, zzz_sweep):
-    assert max_report_jump(zz_sweep) < 0.1
-    assert max_report_jump(zzz_sweep) < 0.1
-    small = adiabatic.ground_sweep("zz", adiabatic.linear_schedule("zz", 100, 0.7))
-    assert max_report_jump(small) < 0.1
-    adaptive_small = adiabatic.ground_sweep("zzz", adiabatic.gap_adaptive_schedule("zzz", 100, 0.4))
-    assert max_report_jump(adaptive_small) < 0.1
+def test_coherence_curves_continuous(zz_reports, zzz_reports):
+    assert max_report_jump(zz_reports) < 0.1
+    assert max_report_jump(zzz_reports) < 0.1
+    small = adiabatic.ground_sweep(adiabatic.linear_schedule("zz", 100, 0.7))
+    assert max_report_jump(sweep_reports(small)) < 0.1
+    adaptive_small = adiabatic.ground_sweep(adiabatic.gap_adaptive_schedule("zzz", 100, 0.4))
+    assert max_report_jump(sweep_reports(adaptive_small)) < 0.1
 
 
 def test_trotter_pair_unitarity_and_threshold():
@@ -313,9 +316,9 @@ def test_find_crossing():
 
 def test_evolve_with_reports():
     sch = adiabatic.linear_schedule("zzz", 10, 0.4)
-    res = adiabatic.evolve(sch, reports=True)
-    assert len(res.reports) == 11
-    assert res.reports[0].c_local > 0.5
+    reports = sweep_reports(adiabatic.evolve(sch))
+    assert len(reports) == 11
+    assert reports[0].c_local > 0.5
 
 
 def per_step_ground_sweep(tag, values, params=None):
@@ -346,12 +349,12 @@ def test_ground_sweep_matches_per_step_reference_bitwise(tag):
     # every other one for zz), and the ground cluster changes with a zero overlap
     for params in (None, models.ModelParams(omega_x=0.0), models.ModelParams(omega_z=-1.1, omega_x=0.3)):
         for sch in (adiabatic.linear_schedule(tag, m.steps, m.tau), adiabatic.gap_adaptive_schedule(tag, m.steps, m.tau)):
-            sweep = adiabatic.ground_sweep(tag, sch, params=params, reports=False)
+            sweep = adiabatic.ground_sweep(sch, params=params)
             e0, e1, grounds, degenerate = per_step_ground_sweep(tag, sch.values, params)
             assert same_bits(sweep.ground_energies, e0)
             assert same_bits(sweep.excited_energies, e1)
             assert same_bits(sweep.gaps, e1 - e0)
-            assert same_bits(np.array(sweep.ground_states), grounds)
+            assert same_bits(sweep.ground_states, grounds)
             assert sweep.degenerate_steps == degenerate
 
 
@@ -366,7 +369,7 @@ def test_ground_sweep_sign_alignment_resets_on_zero_overlap(monkeypatch):
     for g in raw:
         # the per-step rule: negate when the overlap with the aligned previous vector is negative
         want.append(-g if want and np.real(np.vdot(want[-1], g)) < 0.0 else g)
-    got = np.array(adiabatic.ground_sweep("zz", sch, reports=False).ground_states)
+    got = adiabatic.ground_sweep(sch).ground_states
     assert same_bits(got, np.array(want))
     assert same_bits(got, [e0, e0, e0, e1, e1, e1, e0, e0, e0])
 
@@ -375,7 +378,7 @@ def test_ground_sweep_degenerate_fallback():
     # without the transverse field every zzz level is at least fourfold degenerate
     params = models.ModelParams(omega_x=0.0)
     sch = adiabatic.linear_schedule("zzz", 20, 0.4)
-    sweep = adiabatic.ground_sweep("zzz", sch, params=params, reports=False)
+    sweep = adiabatic.ground_sweep(sch, params=params)
     assert sweep.degenerate_steps == list(range(len(sch.values)))
     for j, g in zip(sch.values, sweep.ground_states):
         assert np.array_equal(g, qmat.eig_hermitian(models.hamiltonian("zzz", j, params)).eigenvectors[:, 0])
@@ -401,7 +404,7 @@ def test_evolve_matches_per_step_propagator(tag):
 def per_step_vdot_evolve(sch, mu):
     # the per-step reference: a vdot, abs and math.sqrt after every propagation step
     tag = sch.model_tag
-    grounds = adiabatic.ground_sweep(tag, sch, reports=False).ground_states
+    grounds = adiabatic.ground_sweep(sch).ground_states
     hx, hz = models.parts(tag, sch.values)
     u_half = qmat.expm_hermitian(hx, sch.tau / 2)
     kicks = np.exp(-1j * sch.tau * hz)
@@ -466,3 +469,18 @@ def test_trotter_pair_stack_matches_per_coupling_bitwise(tag):
             want_ide, want_exp = adiabatic.trotter_pair(tag, j, sch.tau)
             assert np.array_equal(a, want_ide)
             assert np.array_equal(b, want_exp)
+
+
+def test_trotter_phase_overflow_raises():
+    # tau * hz overflows for zz, whose diagonal reaches past 1
+    sch = adiabatic.linear_schedule("zz", 3, 1e308)
+    with pytest.raises(ValueError, match=r"tau 1e\+308 is too large"):
+        adiabatic.evolve(sch)
+    with pytest.raises(ValueError, match=r"tau 1e\+308 is too large"):
+        adiabatic.trotter_pair("zz", 1.0, 1e308)
+    with pytest.raises(ValueError, match=r"tau 1e\+308 is too large"):
+        adiabatic.trotter_pair("zz", sch.values, 1e308)
+    # a huge tau whose phases stay finite still propagates, without a warning
+    u_ide, u_exp = adiabatic.trotter_pair("zz", sch.values, 1e300)
+    assert np.isfinite(u_ide).all() and np.isfinite(u_exp).all()
+    assert np.isfinite(adiabatic.evolve(adiabatic.linear_schedule("zz", 3, 1e300)).fid_instant).all()

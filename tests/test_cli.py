@@ -109,6 +109,15 @@ def test_geometry_custom_j_values(tmp_path):
     assert [r["j"] for r in records] == [0.5, 1.5]
 
 
+@pytest.mark.parametrize("model", models.MODEL_TAGS)
+def test_geometry_stacked_grounds_match_per_coupling_bitwise(model):
+    # cmd_geometry takes its grounds from one stacked ground_states call
+    j_list = list(cli.DEFAULT_GEOMETRY_J[model]) + [0.123, 1.7]
+    _, grounds, _ = qmat.ground_states(models.hamiltonian(model, j_list))
+    for j, g in zip(j_list, grounds):
+        assert g.tobytes() == qmat.ground_state(models.hamiltonian(model, j)).state.tobytes()
+
+
 def test_tomo_exact_target_state(tmp_path):
     path = tmp_path / "w001.json"
     qmat.save_density(path, states.density(states.make_state("W001")))
@@ -294,3 +303,33 @@ def test_sweep_rejects_nan_in_schedule_file(tmp_path, capsys):
     path.write_text("[0.0, NaN, 2.0]\n")
     assert run_cli(["sweep", "--model", "zz", "--schedule", f"file:{path}", "--out", str(tmp_path)]) == 2
     assert "schedule values must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["sweep", "trotter-audit"])
+def test_tau_overflowing_the_trotter_phases_exits_two(tmp_path, capsys, verb):
+    assert run_cli([verb, "--model", "zz", "--tau", "1e308", "--steps", "3", "--out", str(tmp_path)]) == 2
+    assert "tau 1e+308 is too large: the Trotter step phases overflow" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("dim, size", [(8.7, 8), (True, 1), ("8", 8)])
+def test_tomo_rejects_non_integer_dim(tmp_path, capsys, dim, size):
+    path = tmp_path / "bad_dim.json"
+    path.write_text(json.dumps({"dim": dim, "re": np.eye(size).tolist(), "im": np.zeros((size, size)).tolist()}))
+    assert run_cli(["tomo", "--model", "zz", str(path), "--out", str(tmp_path)]) == 2
+    assert f"{path}: dim must be a JSON integer, got {json.dumps(dim)}" in capsys.readouterr().err
+
+
+def test_tomo_quotes_file_names_in_csv(tmp_path):
+    names = ['a,b.json', 'say "hi".json', "plain.json"]
+    for name in names:
+        qmat.save_density(tmp_path / name, np.eye(8) / 8)
+    assert run_cli(["tomo", "--model", "zz", *(str(tmp_path / n) for n in names), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "tomo_report.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert len(header) == 21
+    assert [len(row) for row in rows] == [21] * len(names)
+    assert [row[0] for row in rows] == names
+    lines = (tmp_path / "tomo_report.csv").read_text().splitlines()
+    assert lines[1].startswith('"a,b.json",') and lines[2].startswith('"say ""hi"".json",')
+    assert lines[3].startswith("plain.json,")

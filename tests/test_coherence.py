@@ -194,14 +194,14 @@ def test_reports_match_single_reports_bitwise():
         np.testing.assert_array_equal(report_bits(rep), report_bits(coherence.coherence_report(rho)))
 
 
-def test_reports_pinned_rounding_noise(zz_sweep, zzz_sweep):
+def test_reports_pinned_rounding_noise(zz_reports, zzz_reports):
     # J = 0 rows: the distances are square roots of ~1e-16 rounding noise, so
     # they change with any change to the float operations on each matrix
-    zzz = dict(zip(coherence.REPORT_COLUMNS, coherence.report_values(zzz_sweep.reports[0])))
+    zzz = dict(zip(coherence.REPORT_COLUMNS, coherence.report_values(zzz_reports[0])))
     assert f"{zzz['C_G']:.9g}" == "2.53117621e-08"
     assert f"{zzz['C_1_3']:.9g}" == f"{zzz['C_2_3']:.9g}" == "1.55002254e-08"
     assert f"{zzz['slack11']:.9g}" == "-9.81153669e-09"
-    assert f"{zz_sweep.reports[0].slack_eq7:.9g}" == "-1.38777878e-17"
+    assert f"{zz_reports[0].slack_eq7:.9g}" == "-1.38777878e-17"
 
 
 def test_reports_properties_random_ranks():
@@ -270,8 +270,8 @@ def test_report_log_base_scaling():
     assert abs(re.c_global - r2.c_global * scale) < 1e-9
 
 
-def test_cg_exceeds_ct_at_large_coupling(zz_sweep):
-    diffs = [r.c_global - r.c_total for r in zz_sweep.reports]
+def test_cg_exceeds_ct_at_large_coupling(zz_reports):
+    diffs = [r.c_global - r.c_total for r in zz_reports]
     assert max(diffs) > 0.01
 
 

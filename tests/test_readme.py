@@ -46,6 +46,8 @@ def test_library_tour_runs():
     namespace = {}
     exec(compile(fenced(section("## Library tour"), "python")[0], "README.md", "exec"), namespace)
     assert namespace["reps"][0] == namespace["rep"]
+    assert len(namespace["curves"]) == namespace["zz"].steps + 1
+    assert namespace["curves"][-1] == namespace["rep"]
     target = states.density(states.make_state("W001"))
     assert abs(qmat.root_fidelity(namespace["rho"], target) - 0.9978) < 5e-4
     assert namespace["hz"].shape == (8,)

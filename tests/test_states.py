@@ -142,3 +142,14 @@ def test_split_1_23_w_marginal():
 def test_split_agrees_with_pi_product_on_full_products():
     rho = qmat.kron_all([np.diag([0.2, 0.8]), np.diag([0.9, 0.1]), np.diag([0.6, 0.4])]).astype(complex)
     np.testing.assert_allclose(states.split_1_23(rho), states.pi_product(rho), atol=1e-12)
+
+
+def test_density_of_stack_matches_outer_bitwise():
+    rng = np.random.default_rng(32)
+    psis = rng.standard_normal((40, 8)) + 1j * rng.standard_normal((40, 8))
+    rhos = states.density(psis)
+    assert rhos.shape == (40, 8, 8)
+    for psi, rho in zip(psis, rhos):
+        assert rho.tobytes() == np.outer(psi, psi.conj()).tobytes()
+        assert rho.tobytes() == states.density(psi).tobytes()
+    assert states.density(psis.reshape(5, 8, 8)).shape == (5, 8, 8, 8)
