@@ -362,13 +362,16 @@ class RefocusParams:
     notices: list
 
 
-def refocus_params(nmr, schedule, omega_z, omega_x=0.1):
+def refocus_params(nmr, schedule, params=None):
     """Delays and RF offsets implementing each step of a schedule.
 
-    Uses d_ij = 1/(2 J_ij) built from the scalar couplings. The two-body
-    model needs all three couplings; the three-body model needs J12 only. A
-    required coupling that is not positive is an error naming the pair.
+    Uses d_ij = 1/(2 J_ij) built from the scalar couplings, and the fields
+    ``omega_z`` and ``omega_x`` of ``params`` (default ``ModelParams()``).
+    The two-body model needs all three couplings; the three-body model needs
+    J12 only. A required coupling that is not positive is an error naming
+    the pair.
     """
+    params = params or models.ModelParams()
     tag = schedule.model_tag
     needed = [(1, 2), (1, 3), (2, 3)] if tag == "zz" else [(1, 2)]
     d = {}
@@ -395,14 +398,14 @@ def refocus_params(nmr, schedule, omega_z, omega_x=0.1):
             "tau1": scale * (d12 + d23),
             "tau2": scale * (d12 + d13),
             "tau3": scale * (d13 + d23),
-            "FQ1": omega_z / (4.0 * j_kept * d12),
-            "FQ2": omega_z / (4.0 * j_kept * (d12 + d13 + d23)),
-            "FQ3": omega_z / (4.0 * j_kept * d23),
+            "FQ1": params.omega_z / (4.0 * j_kept * d12),
+            "FQ2": params.omega_z / (4.0 * j_kept * (d12 + d13 + d23)),
+            "FQ3": params.omega_z / (4.0 * j_kept * d23),
         }
     else:
         columns = {"d_m": scale * d[(1, 2)]}
     return RefocusParams(
-        pulse_angle=omega_x * schedule.tau / 2,
+        pulse_angle=params.omega_x * schedule.tau / 2,
         m_indices=m_indices,
         j_values=j_kept,
         columns=columns,

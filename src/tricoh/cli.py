@@ -5,12 +5,14 @@ deterministic CSV/JSON files (floats printed with 9 significant digits) laid
 out for external plotting; identical configuration and inputs produce
 byte-identical files.
 
-Exit codes: 0 success, 1 usage error, 2 validation failure, 3 assertion
-failure (trotter-audit below threshold).
+Each verb takes only the options it reads; any other option is a usage
+error. Exit codes: 0 success, 1 usage error, 2 validation failure, 3
+assertion failure (trotter-audit below threshold).
 """
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -52,54 +54,54 @@ class _Parser(argparse.ArgumentParser):
 def build_parser():
     common = _Parser(add_help=False)
     common.add_argument("--model", choices=models.MODEL_TAGS, default="zz")
-    common.add_argument("--steps", "--m-steps", dest="steps", type=int, default=None,
-                        help="number of schedule steps M (default: 300 for zz, 200 for zzz)")
-    common.add_argument("--tau", type=float, default=None,
-                        help="step interval (default: 0.7 for zz, 0.4 for zzz)")
-    common.add_argument("--schedule", default="linear",
-                        help="schedule kind: linear, adaptive, or file:PATH (default linear)")
     common.add_argument("--out", default=".", help="output directory (default current)")
-    common.add_argument("--log-base", choices=("2", "e"), default="2")
+
+    grid = _Parser(add_help=False)
+    grid.add_argument("--steps", "--m-steps", dest="steps", type=int, default=None,
+                      help="number of schedule steps M (default: 300 for zz, 200 for zzz)")
+    grid.add_argument("--tau", type=float, default=None,
+                      help="step interval (default: 0.7 for zz, 0.4 for zzz)")
+    grid.add_argument("--schedule", default="linear",
+                      help="schedule kind: linear, adaptive, or file:PATH (default linear)")
+
+    log = _Parser(add_help=False)
+    log.add_argument("--log-base", choices=("2", "e"), default="2")
 
     parser = _Parser(prog="tricoh", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sweep", parents=[common], help="exact sweep + evolved fidelities to CSV")
+    p = sub.add_parser("sweep", parents=[common, grid, log], help="exact sweep + evolved fidelities to CSV")
     p.add_argument("--mu", type=float, default=1.0,
                    help="pseudopure mixing parameter for reported fidelities (default 1)")
 
-    sub.add_parser("ratios", parents=[common], help="coherence ratio columns and monogamy to CSV")
+    sub.add_parser("ratios", parents=[common, grid, log], help="coherence ratio columns and monogamy to CSV")
 
-    p = sub.add_parser("geometry", parents=[common], help="tetrahedron embeddings at sample couplings")
+    p = sub.add_parser("geometry", parents=[common, log], help="tetrahedron embeddings at sample couplings")
     p.add_argument("--j-values", default=None,
                    help="comma-separated coupling values (default: model-specific sample list)")
 
-    p = sub.add_parser("tomo", parents=[common], help="validate density-matrix files and report coherences")
+    p = sub.add_parser("tomo", parents=[common, log], help="validate density-matrix files and report coherences")
     p.add_argument("files", nargs="+", help="density-matrix JSON files")
     p.add_argument("--j", type=float, default=None,
                    help="coupling at which to compare against the exact ground state (default: sweep end)")
     p.add_argument("--repair", action="store_true", help="project invalid matrices to the nearest valid state")
     p.add_argument("--tol", type=float, default=1e-6, help="validation tolerance (default 1e-6)")
 
-    sub.add_parser("trotter-audit", parents=[common], help="audit the per-step Trotter fidelity")
+    sub.add_parser("trotter-audit", parents=[common, grid], help="audit the per-step Trotter fidelity")
 
-    p = sub.add_parser("schedule", parents=[common], help="emit a schedule (and optional refocusing table)")
+    p = sub.add_parser("schedule", parents=[common, grid], help="emit a schedule (and optional refocusing table)")
     p.add_argument("--nmr-config", default=None,
                    help="JSON config with deltas/j_couplings; adds a refocusing CSV")
     return parser
 
 
-def _resolve(args):
+def _schedule(args):
+    """The --schedule kind on the model's grid; --steps and --tau default to the model's."""
     model = models.model(args.model)
     steps = args.steps if args.steps is not None else model.steps
     tau = args.tau if args.tau is not None else model.tau
-    base = 2.0 if args.log_base == "2" else math.e
     if steps < 1:
         raise ValueError(f"--steps must be at least 1, got {steps}")
-    return steps, tau, base
-
-
-def _make_schedule(args, steps, tau):
     kind = args.schedule
     if kind == "linear":
         return adiabatic.linear_schedule(args.model, steps, tau)
@@ -110,31 +112,36 @@ def _make_schedule(args, steps, tau):
     raise ValueError(f"unknown schedule kind {kind!r}: expected linear, adaptive, or file:PATH")
 
 
-def _outpath(args, name):
+def _base(args):
+    return 2.0 if args.log_base == "2" else math.e
+
+
+def _csv(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(x) if not isinstance(x, str) else x for x in row] for row in rows)
+    return buf.getvalue()
+
+
+def _write(args, name, text):
+    """Write a fully built text as ``--out``/``name`` (UTF-8) and report the path."""
     os.makedirs(args.out, exist_ok=True)
-    return os.path.join(args.out, name)
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([_fmt(x) if not isinstance(x, str) else x for x in row] for row in rows)
+    path = os.path.join(args.out, name)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    print(f"wrote {path}")
 
 
 def cmd_sweep(args):
-    steps, tau, base = _resolve(args)
-    schedule = _make_schedule(args, steps, tau)
-    result = adiabatic.evolve(schedule, mu=args.mu)
-    reports = coherence.coherence_reports(states.density(result.ground_states), base=base)
+    result = adiabatic.evolve(_schedule(args), mu=args.mu)
+    reports = coherence.coherence_reports(states.density(result.ground_states), base=_base(args))
     rows = [
         [m, j, result.ground_energies[m], result.excited_energies[m], result.gaps[m], result.fid_instant[m]]
         + coherence.report_values(rep)
         for m, (j, rep) in enumerate(zip(result.j_values, reports))
     ]
-    path = _outpath(args, f"sweep_{args.model}.csv")
-    _write_csv(path, SWEEP_HEADER, rows)
-    print(f"wrote {path}")
+    _write(args, f"sweep_{args.model}.csv", _csv(SWEEP_HEADER, rows))
     print(
         f"min_fidelity={_fmt(result.min_fidelity)} final_fidelity={_fmt(result.final_fidelity)} "
         f"ground_target_fidelity={_fmt(result.ground_target_fidelity)}"
@@ -143,10 +150,8 @@ def cmd_sweep(args):
 
 
 def cmd_ratios(args):
-    steps, tau, base = _resolve(args)
-    schedule = _make_schedule(args, steps, tau)
-    sweep = adiabatic.ground_sweep(schedule)
-    reports = coherence.coherence_reports(states.density(sweep.ground_states), base=base)
+    sweep = adiabatic.ground_sweep(_schedule(args))
+    reports = coherence.coherence_reports(states.density(sweep.ground_states), base=_base(args))
 
     def ratio(num, den):
         return num / den if den >= 1e-9 else None
@@ -163,14 +168,11 @@ def cmd_ratios(args):
                 rep.monogamy_m,
             ]
         )
-    path = _outpath(args, f"ratios_{args.model}.csv")
-    _write_csv(path, RATIOS_HEADER, rows)
-    print(f"wrote {path}")
+    _write(args, f"ratios_{args.model}.csv", _csv(RATIOS_HEADER, rows))
     return 0
 
 
 def cmd_geometry(args):
-    _, _, base = _resolve(args)
     if args.j_values is not None:
         j_list = [float(x) for x in args.j_values.split(",") if x.strip() != ""]
         if not j_list:
@@ -178,7 +180,7 @@ def cmd_geometry(args):
     else:
         j_list = list(DEFAULT_GEOMETRY_J[args.model])
     _, grounds, _ = qmat.ground_states(models.hamiltonian(args.model, j_list))
-    reports = coherence.coherence_reports(states.density(grounds), base=base)
+    reports = coherence.coherence_reports(states.density(grounds), base=_base(args))
     records = []
     for j, rep in zip(j_list, reports):
         tet = coherence.embed_tetrahedron(rep)
@@ -198,51 +200,46 @@ def cmd_geometry(args):
                 "residual": _round9(tet.residual),
             }
         )
-    path = _outpath(args, f"geometry_{args.model}.json")
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(records, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    print(f"wrote {path}")
+    _write(args, f"geometry_{args.model}.json", json.dumps(records, sort_keys=True, indent=1) + "\n")
     return 0
 
 
 def cmd_tomo(args):
-    _, _, base = _resolve(args)
     j = args.j if args.j is not None else models.model(args.model).j_range[1]
     ground_density = states.density(qmat.ground_state(models.hamiltonian(args.model, j)).state)
     header = ("file", "J", "fidelity", "herm_dev", "trace_dev", "min_eig", "repaired") + coherence.REPORT_COLUMNS
+    rhos = []
     rows = []
     for path in args.files:
         rho_raw = qmat.load_density(path)
-        rho, checks = qmat.validate_density(rho_raw, tol=args.tol, repair=args.repair)
+        try:
+            rho, checks = qmat.validate_density(rho_raw, tol=args.tol, repair=args.repair)
+            fid = qmat.root_fidelity(rho, ground_density)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
         repaired = bool(np.abs(rho - rho_raw).max() > args.tol)
-        fid = qmat.root_fidelity(rho, ground_density)
-        rep = coherence.coherence_report(rho, base=base)
+        rhos.append(rho)
         rows.append(
             [os.path.basename(path), j, fid, checks["herm_dev"], checks["trace_dev"], checks["min_eig"],
              "yes" if repaired else "no"]
-            + coherence.report_values(rep)
         )
         print(f"{os.path.basename(path)}: fidelity {_fmt(fid)} (J={_fmt(j)}, repaired={repaired})")
-    out = _outpath(args, "tomo_report.csv")
-    _write_csv(out, header, rows)
-    print(f"wrote {out}")
+    for row, rep in zip(rows, coherence.coherence_reports(np.array(rhos), base=_base(args))):
+        row += coherence.report_values(rep)
+    _write(args, "tomo_report.csv", _csv(header, rows))
     return 0
 
 
 def cmd_trotter_audit(args):
-    steps, tau, _ = _resolve(args)
-    schedule = _make_schedule(args, steps, tau)
+    schedule = _schedule(args)
     rows = []
     worst = (1.0, 0, 0.0)
-    fids = qmat.unitary_fidelity(*adiabatic.trotter_pair(args.model, schedule.values, tau))
+    fids = qmat.unitary_fidelity(*adiabatic.trotter_pair(args.model, schedule.values, schedule.tau))
     for m, (j, f) in enumerate(zip(schedule.values, fids)):
         rows.append([m, j, f])
         if f < worst[0]:
             worst = (f, m, j)
-    path = _outpath(args, f"trotter_audit_{args.model}.csv")
-    _write_csv(path, ("m", "J", "unitary_fidelity"), rows)
-    print(f"wrote {path}")
+    _write(args, f"trotter_audit_{args.model}.csv", _csv(("m", "J", "unitary_fidelity"), rows))
 
     lo, hi = models.model(args.model).j_range
     print(f"error-scaling ratios at tau={_fmt(RATIO_TABLE_TAU)} (expected near 8):")
@@ -250,7 +247,7 @@ def cmd_trotter_audit(args):
     for j, ratio in zip(couplings, adiabatic.trotter_error_scaling(args.model, couplings, RATIO_TABLE_TAU)):
         print(f"  J={_fmt(j)}: ratio={_fmt(ratio)}")
 
-    print(f"min unitary fidelity {_fmt(worst[0])} at step {worst[1]} (J={_fmt(worst[2])}), tau={_fmt(tau)}")
+    print(f"min unitary fidelity {_fmt(worst[0])} at step {worst[1]} (J={_fmt(worst[2])}), tau={_fmt(schedule.tau)}")
     if worst[0] <= TROTTER_FIDELITY_THRESHOLD:
         print(f"FAIL: below threshold {TROTTER_FIDELITY_THRESHOLD}")
         return 3
@@ -259,27 +256,19 @@ def cmd_trotter_audit(args):
 
 
 def cmd_schedule(args):
-    steps, tau, _ = _resolve(args)
-    schedule = _make_schedule(args, steps, tau)
-    path = _outpath(args, f"schedule_{args.model}.json")
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump([_round9(v) for v in schedule.values], fh)
-        fh.write("\n")
-    print(f"wrote {path}")
+    schedule = _schedule(args)
+    _write(args, f"schedule_{args.model}.json", json.dumps([_round9(v) for v in schedule.values]) + "\n")
     if args.nmr_config:
         nmr = models.load_nmr_params(args.nmr_config)
-        model_params = models.ModelParams()
-        ref = adiabatic.refocus_params(nmr, schedule, model_params.omega_z, omega_x=model_params.omega_x)
+        ref = adiabatic.refocus_params(nmr, schedule)
         for notice in ref.notices:
             print(notice)
-        csv_path = _outpath(args, f"refocus_{args.model}.csv")
         header = ("m", "J", *ref.columns, "pulse_angle")
         rows = [
             [m, j, *(col[i] for col in ref.columns.values()), ref.pulse_angle]
             for i, (m, j) in enumerate(zip(ref.m_indices, ref.j_values))
         ]
-        _write_csv(csv_path, header, rows)
-        print(f"wrote {csv_path}")
+        _write(args, f"refocus_{args.model}.csv", _csv(header, rows))
     return 0
 
 

@@ -259,7 +259,7 @@ def test_refocus_matches_independent_formulas():
     jc = ((0.0, 47.6, 160.7), (47.6, 0.0, 25.7), (160.7, 25.7, 0.0))
     nmr = models.NmrParams(deltas=deltas, j_couplings=jc)
     sch = adiabatic.linear_schedule("zz", 4, 0.7)
-    ref = adiabatic.refocus_params(nmr, sch, -2.0, omega_x=0.1)
+    ref = adiabatic.refocus_params(nmr, sch)
     d12, d13, d23 = 1 / (2 * 47.6), 1 / (2 * 160.7), 1 / (2 * 25.7)
     assert ref.m_indices == [1, 2, 3, 4]
     assert any("m=0" in note for note in ref.notices)
@@ -280,7 +280,7 @@ def test_refocus_offsets_inverse_in_coupling():
     jc = ((0.0, 47.6, 160.7), (47.6, 0.0, 25.7), (160.7, 25.7, 0.0))
     nmr = models.NmrParams(deltas=(1.0, 2.0, 3.0), j_couplings=jc)
     sch = adiabatic.linear_schedule("zz", 2, 0.7)
-    ref = adiabatic.refocus_params(nmr, sch, -2.0, omega_x=0.1)
+    ref = adiabatic.refocus_params(nmr, sch)
     # J doubles from step 1 to step 2, so every offset halves
     for fq in (ref.columns["FQ1"], ref.columns["FQ2"], ref.columns["FQ3"]):
         assert abs(fq[1] - fq[0] / 2) < 1e-9
@@ -290,7 +290,7 @@ def test_refocus_zzz_delay():
     jc = ((0.0, 47.6, 160.7), (47.6, 0.0, 25.7), (160.7, 25.7, 0.0))
     nmr = models.NmrParams(deltas=(1.0, 2.0, 3.0), j_couplings=jc)
     sch = adiabatic.linear_schedule("zzz", 4, 0.4)
-    ref = adiabatic.refocus_params(nmr, sch, -2.0, omega_x=0.1)
+    ref = adiabatic.refocus_params(nmr, sch)
     d12 = 1 / (2 * 47.6)
     for i, m in enumerate(ref.m_indices):
         assert abs(ref.columns["d_m"][i] - sch.values[m] * 0.4 / math.pi * d12) < 1e-12
@@ -301,7 +301,7 @@ def test_refocus_zero_coupling_error():
     nmr = models.NmrParams(deltas=(1.0, 2.0, 3.0), j_couplings=jc)
     sch = adiabatic.linear_schedule("zz", 2, 0.7)
     with pytest.raises(ValueError, match="J12"):
-        adiabatic.refocus_params(nmr, sch, -2.0, omega_x=0.1)
+        adiabatic.refocus_params(nmr, sch)
 
 
 def test_find_crossing():

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import filecmp
 import json
@@ -233,6 +234,48 @@ def test_usage_errors_exit_one():
     assert run_cli([]) == 1
 
 
+GRID = {"--steps", "--m-steps", "--tau", "--schedule"}
+
+
+@pytest.mark.parametrize(
+    "verb, options",
+    [
+        ("sweep", GRID | {"--log-base", "--mu"}),
+        ("ratios", GRID | {"--log-base"}),
+        ("geometry", {"--log-base", "--j-values"}),
+        ("tomo", {"--log-base", "--j", "--repair", "--tol"}),
+        ("trotter-audit", GRID),
+        ("schedule", GRID | {"--nmr-config"}),
+    ],
+)
+def test_each_verb_takes_only_the_options_it_reads(verb, options):
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    accepted = {s for a in sub.choices[verb]._actions for s in a.option_strings} - {"-h", "--help"}
+    assert accepted == {"--model", "--out"} | options
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["geometry", "--tau", "nan"],
+        ["geometry", "--steps", "0"],
+        ["tomo", "f.json", "--schedule", "bogus"],
+        ["trotter-audit", "--log-base", "e"],
+    ],
+)
+def test_option_a_verb_does_not_read_is_a_usage_error(tmp_path, capsys, argv):
+    assert run_cli(argv + ["--out", str(tmp_path)]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("verb, name", [("ratios", "ratios_zz.csv"), ("trotter-audit", "trotter_audit_zz.csv")])
+def test_m_steps_alias(tmp_path, verb, name):
+    assert run_cli([verb, "--model", "zz", "--m-steps", "3", "--out", str(tmp_path)]) == 0
+    assert len(read_csv(tmp_path / name)) == 4
+
+
 def test_validation_errors_exit_two(tmp_path):
     assert run_cli(["sweep", "--model", "zz", "--steps", "0", "--out", str(tmp_path)]) == 2
     assert run_cli(["sweep", "--model", "zz", "--schedule", "file:/nonexistent.json", "--out", str(tmp_path)]) == 2
@@ -333,3 +376,31 @@ def test_tomo_quotes_file_names_in_csv(tmp_path):
     lines = (tmp_path / "tomo_report.csv").read_text().splitlines()
     assert lines[1].startswith('"a,b.json",') and lines[2].startswith('"say ""hi"".json",')
     assert lines[3].startswith("plain.json,")
+
+
+def test_tomo_errors_name_the_file(tmp_path, capsys):
+    ok = tmp_path / "ok.json"
+    qmat.save_density(ok, np.eye(8) / 8)
+    bad = tmp_path / "bad.json"
+    rho = np.eye(8) / 8
+    rho[0, 1] = 0.3
+    qmat.save_density(bad, rho)
+    small = tmp_path / "small.json"
+    qmat.save_density(small, np.eye(4) / 4)
+    assert run_cli(["tomo", "--model", "zz", str(ok), str(bad), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: not Hermitian: max deviation 3.000e-01 exceeds tolerance 1.0e-06\n"
+    assert run_cli(["tomo", "--model", "zz", str(ok), str(small), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {small}: dimension mismatch: (4, 4) vs (8, 8)\n"
+    assert not (tmp_path / "tomo_report.csv").exists()
+
+
+def test_tomo_non_ascii_file_name(tmp_path, capsys):
+    names = ["ok.json", "\u00e9.json"]
+    for name in names:
+        qmat.save_density(tmp_path / name, np.eye(8) / 8)
+    assert run_cli(["tomo", "--model", "zz", *(str(tmp_path / n) for n in names), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.endswith(f"wrote {tmp_path / 'tomo_report.csv'}\n")
+    with open(tmp_path / "tomo_report.csv", encoding="utf-8", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert [row[0] for row in rows] == names
+    assert [len(row) for row in rows] == [len(header)] * 2
