@@ -332,8 +332,6 @@ def min_steps_search(model_tag, target_min_fidelity, tau, params=None, step_cap=
         last_fail = m
         m = min(2 * m, cap)
     lo, hi = last_fail, m
-    if lo == 0 or lo == hi:
-        return hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if achieved(mid) >= target_min_fidelity:
@@ -381,16 +379,8 @@ def refocus_params(nmr, schedule, params=None):
             raise ValueError(f"coupling J{i}{k} = {j_ik:g} Hz must be positive to build refocusing delays")
         d[(i, k)] = 1.0 / (2.0 * j_ik)
 
-    notices = []
-    m_indices = []
-    j_kept = []
-    for m, j in enumerate(schedule.values):
-        if j > 0.0:
-            m_indices.append(m)
-            j_kept.append(j)
-        else:
-            notices.append(f"skipped step m={m} with J={j:g}")
-    j_kept = np.asarray(j_kept)
+    kept = schedule.values > 0.0
+    j_kept = schedule.values[kept]
     scale = j_kept * schedule.tau / math.pi
     if tag == "zz":
         d12, d13, d23 = d[(1, 2)], d[(1, 3)], d[(2, 3)]
@@ -406,10 +396,10 @@ def refocus_params(nmr, schedule, params=None):
         columns = {"d_m": scale * d[(1, 2)]}
     return RefocusParams(
         pulse_angle=params.omega_x * schedule.tau / 2,
-        m_indices=m_indices,
+        m_indices=np.flatnonzero(kept).tolist(),
         j_values=j_kept,
         columns=columns,
-        notices=notices,
+        notices=[f"skipped step m={m} with J={j:g}" for m, j in enumerate(schedule.values) if not kept[m]],
     )
 
 

@@ -92,6 +92,9 @@ def build_parser():
     p = sub.add_parser("schedule", parents=[common, grid], help="emit a schedule (and optional refocusing table)")
     p.add_argument("--nmr-config", default=None,
                    help="JSON config with deltas/j_couplings; adds a refocusing CSV")
+    # an option the verb does not read is reported with the verb's own usage
+    for verb in sub.choices.values():
+        verb.set_defaults(verb_parser=verb)
     return parser
 
 
@@ -138,7 +141,7 @@ def cmd_sweep(args):
     reports = coherence.coherence_reports(states.density(result.ground_states), base=_base(args))
     rows = [
         [m, j, result.ground_energies[m], result.excited_energies[m], result.gaps[m], result.fid_instant[m]]
-        + coherence.report_values(rep)
+        + list(rep)
         for m, (j, rep) in enumerate(zip(result.j_values, reports))
     ]
     _write(args, f"sweep_{args.model}.csv", _csv(SWEEP_HEADER, rows))
@@ -187,10 +190,7 @@ def cmd_geometry(args):
         records.append(
             {
                 "j": _round9(j),
-                "coherences": {
-                    name: _round9(value)
-                    for name, value in zip(coherence.REPORT_COLUMNS, coherence.report_values(rep))
-                },
+                "coherences": {name: _round9(value) for name, value in zip(coherence.REPORT_COLUMNS, rep)},
                 "points": {
                     "rho": [_round9(x) for x in tet.rho],
                     "pi_product": [_round9(x) for x in tet.pi_product],
@@ -205,6 +205,7 @@ def cmd_geometry(args):
 
 
 def cmd_tomo(args):
+    qmat.check_tolerance(args.tol)
     j = args.j if args.j is not None else models.model(args.model).j_range[1]
     ground_density = states.density(qmat.ground_state(models.hamiltonian(args.model, j)).state)
     header = ("file", "J", "fidelity", "herm_dev", "trace_dev", "min_eig", "repaired") + coherence.REPORT_COLUMNS
@@ -225,20 +226,15 @@ def cmd_tomo(args):
         )
         print(f"{os.path.basename(path)}: fidelity {_fmt(fid)} (J={_fmt(j)}, repaired={repaired})")
     for row, rep in zip(rows, coherence.coherence_reports(np.array(rhos), base=_base(args))):
-        row += coherence.report_values(rep)
+        row += rep
     _write(args, "tomo_report.csv", _csv(header, rows))
     return 0
 
 
 def cmd_trotter_audit(args):
     schedule = _schedule(args)
-    rows = []
-    worst = (1.0, 0, 0.0)
     fids = qmat.unitary_fidelity(*adiabatic.trotter_pair(args.model, schedule.values, schedule.tau))
-    for m, (j, f) in enumerate(zip(schedule.values, fids)):
-        rows.append([m, j, f])
-        if f < worst[0]:
-            worst = (f, m, j)
+    rows = [[m, j, f] for m, (j, f) in enumerate(zip(schedule.values, fids))]
     _write(args, f"trotter_audit_{args.model}.csv", _csv(("m", "J", "unitary_fidelity"), rows))
 
     lo, hi = models.model(args.model).j_range
@@ -247,8 +243,10 @@ def cmd_trotter_audit(args):
     for j, ratio in zip(couplings, adiabatic.trotter_error_scaling(args.model, couplings, RATIO_TABLE_TAU)):
         print(f"  J={_fmt(j)}: ratio={_fmt(ratio)}")
 
-    print(f"min unitary fidelity {_fmt(worst[0])} at step {worst[1]} (J={_fmt(worst[2])}), tau={_fmt(schedule.tau)}")
-    if worst[0] <= TROTTER_FIDELITY_THRESHOLD:
+    worst = int(np.argmin(fids))
+    print(f"min unitary fidelity {_fmt(fids[worst])} at step {worst} (J={_fmt(schedule.values[worst])}), "
+          f"tau={_fmt(schedule.tau)}")
+    if fids[worst] <= TROTTER_FIDELITY_THRESHOLD:
         print(f"FAIL: below threshold {TROTTER_FIDELITY_THRESHOLD}")
         return 3
     print(f"PASS: above threshold {TROTTER_FIDELITY_THRESHOLD}")
@@ -283,8 +281,9 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        args.verb_parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:

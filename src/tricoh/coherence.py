@@ -12,10 +12,12 @@ three-qubit states: total, global, local and absolute coherence, the 1:23
 and 2:3 partition terms, the pairwise terms entering the monogamy
 difference, and the four trade-off slacks (each slack is the inequality's
 right-hand sum minus its left-hand term, so validity means slack >= 0 up to
-rounding). It builds the derived matrices of ``REPORT_CHUNK`` states at a
-time, symmetrizes each distinct matrix and mixture once, and runs one
-stacked ``eigh`` for the defining form and one stacked ``eigvalsh`` for the
-entropic form per matrix size, so the cross-check runs per stacked batch.
+rounding). A ``CoherenceReport`` is a named tuple whose fields are its
+output row, in ``REPORT_COLUMNS`` order. ``coherence_reports`` builds the
+derived matrices of ``REPORT_CHUNK`` states at a time, symmetrizes each
+distinct matrix and mixture once, and runs one stacked ``eigh`` for the
+defining form and one stacked ``eigvalsh`` for the entropic form per matrix
+size, so the cross-check runs per stacked batch.
 Stacked kernels see the same input bytes as per-matrix calls, so every
 report is bitwise equal to the report of its state alone.
 ``coherence_report``, ``qjsd``, ``relative_entropy`` and
@@ -30,8 +32,9 @@ points with pairwise metric distances need not embed exactly; cosines are
 clamped and the worst mismatch is reported as the residual.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -155,9 +158,11 @@ def dist(rho, sigma, base=2.0):
     return math.sqrt(qjsd(rho, sigma, base))
 
 
-@dataclass(frozen=True)
-class CoherenceReport:
-    """All coherence quantities of one three-qubit state (log-base units)."""
+class CoherenceReport(NamedTuple):
+    """All coherence quantities of one three-qubit state (log-base units).
+
+    Fields are in ``REPORT_COLUMNS`` order, so a report is its output row.
+    """
 
     c_total: float
     c_global: float
@@ -193,23 +198,18 @@ REPORT_COLUMNS = (
 )
 
 
-def report_values(report):
-    """Report fields in ``REPORT_COLUMNS`` order."""
-    return [getattr(report, f.name) for f in fields(CoherenceReport)]
-
-
-# distances of a report, by index into the stacks built in ``_chunk_distances``:
+# distances of a report, by index into the stacks built in ``_chunk_rows``:
 # 8x8 stack (rho, dephased rho, pi(rho), dephased pi(rho), rho_1 x rho_23)
 _PAIRS_8 = ((0, 1), (0, 2), (2, 3), (0, 3), (0, 4), (4, 3))
 # 4x4 stack (rho_23, rho_2 x rho_3, rho_12, rho_1 x rho_2, rho_13, rho_1 x rho_3)
 _PAIRS_4 = ((0, 1), (2, 3), (4, 5))
 
 
-def _chunk_distances(rho, scale):
-    """The nine report distances of a (n, 8, 8) stack, as a (n, 9) array.
+def _chunk_rows(rho, scale):
+    """The report rows of a (n, 8, 8) stack, as a (n, 14) array in ``REPORT_COLUMNS`` order.
 
-    Columns follow ``CoherenceReport``: C_T, C_G, C_L, C_A, C_1_23, C_2_3,
-    C_A_1_23, C_1_2, C_1_3.
+    The nine distances come first; the monogamy difference and the four
+    slacks are sums of them.
     """
     m1, m2, m3 = (partial_trace(rho, 3, [q]) for q in (1, 2, 3))
     rho_23 = partial_trace(rho, 3, [2, 3])
@@ -222,26 +222,16 @@ def _chunk_distances(rho, scale):
     ])
     d8 = np.sqrt(_qjsd_pairs(big, _PAIRS_8, scale))
     d4 = np.sqrt(_qjsd_pairs(small, _PAIRS_4, scale))
-    return np.concatenate([d8[:5], d4[:1], d8[5:], d4[1:]]).T
-
-
-def _report(c_total, c_global, c_local, c_absolute, c_1_23, c_2_3, c_abs_1_23, c_1_2, c_1_3):
-    return CoherenceReport(
-        c_total=c_total,
-        c_global=c_global,
-        c_local=c_local,
-        c_absolute=c_absolute,
-        c_1_23=c_1_23,
-        c_2_3=c_2_3,
-        c_abs_1_23=c_abs_1_23,
-        c_1_2=c_1_2,
-        c_1_3=c_1_3,
-        monogamy_m=c_1_2 + c_1_3 - c_1_23,
-        slack_eq7=c_local + c_global - c_absolute,
-        slack_eq10a=c_1_23 + c_abs_1_23 - c_absolute,
-        slack_eq10b=c_2_3 + c_local - c_abs_1_23,
-        slack_eq11=c_1_23 + c_2_3 - c_global,
-    )
+    dists = np.concatenate([d8[:5], d4[:1], d8[5:], d4[1:]])
+    _, c_g, c_l, c_a, c_1_23, c_2_3, c_a_1_23, c_1_2, c_1_3 = dists
+    sums = [
+        c_1_2 + c_1_3 - c_1_23,
+        c_l + c_g - c_a,
+        c_1_23 + c_a_1_23 - c_a,
+        c_2_3 + c_l - c_a_1_23,
+        c_1_23 + c_2_3 - c_g,
+    ]
+    return np.concatenate([dists, sums]).T
 
 
 def coherence_reports(rhos, base=2.0):
@@ -257,8 +247,7 @@ def coherence_reports(rhos, base=2.0):
     scale = _log_scale(base)
     reports = []
     for start in range(0, len(rhos), REPORT_CHUNK):
-        for row in _chunk_distances(rhos[start:start + REPORT_CHUNK], scale).tolist():
-            reports.append(_report(*row))
+        reports += map(CoherenceReport._make, _chunk_rows(rhos[start:start + REPORT_CHUNK], scale).tolist())
     return reports
 
 

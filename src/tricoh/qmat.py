@@ -302,6 +302,12 @@ def unitary_fidelity(u1, u2):
     return float(f) if f.ndim == 0 else f
 
 
+def check_tolerance(tol):
+    """Raise ``ValueError`` unless a validation tolerance is finite and nonnegative."""
+    if not math.isfinite(tol) or tol < 0.0:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
+
+
 def validate_density(m, tol=HERMITICITY_TOL, repair=False):
     """Check (or repair) the density-matrix invariants of ``m``.
 
@@ -314,8 +320,7 @@ def validate_density(m, tol=HERMITICITY_TOL, repair=False):
     Returns ``(rho, checks)``: the (repaired) matrix and the diagnostics of
     the input, ``checks = {"herm_dev", "trace_dev", "min_eig"}``.
     """
-    if not math.isfinite(tol) or tol < 0.0:
-        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
+    check_tolerance(tol)
     m = _as_square(m, "density matrix")
     herm_dev = float(np.abs(m - m.conj().T).max())
     trace_dev = float(abs(np.trace(m) - 1.0))

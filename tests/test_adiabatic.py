@@ -14,8 +14,8 @@ def sweep_reports(sweep):
 def max_report_jump(reports):
     worst = 0.0
     for prev, cur in zip(reports, reports[1:]):
-        a = np.asarray(coherence.report_values(prev))
-        b = np.asarray(coherence.report_values(cur))
+        a = np.asarray(list(prev))
+        b = np.asarray(list(cur))
         worst = max(worst, float(np.abs(b - a).max()))
     return worst
 

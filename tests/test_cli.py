@@ -178,6 +178,16 @@ def test_trotter_audit_large_tau_fails(tmp_path, capsys):
     assert "FAIL" in out and "min unitary fidelity" in out
 
 
+def test_trotter_audit_summary_names_the_worst_row_at_fidelity_one(tmp_path, capsys):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps([1.5]))
+    argv = ["trotter-audit", "--model", "zzz", "--schedule", f"file:{path}", "--tau", "1e-6", "--out", str(tmp_path)]
+    assert run_cli(argv) == 0
+    (row,) = read_csv(tmp_path / "trotter_audit_zzz.csv")
+    assert row["unitary_fidelity"] == "1"
+    assert "min unitary fidelity 1 at step 0 (J=1.5), tau=1e-06\n" in capsys.readouterr().out
+
+
 def test_schedule_verb_and_refocus(tmp_path, capsys):
     code = run_cli([
         "schedule", "--model", "zz", "--steps", "40", "--schedule", "adaptive",
@@ -266,7 +276,9 @@ def test_each_verb_takes_only_the_options_it_reads(verb, options):
 )
 def test_option_a_verb_does_not_read_is_a_usage_error(tmp_path, capsys, argv):
     assert run_cli(argv + ["--out", str(tmp_path)]) == 1
-    assert "unrecognized arguments" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: tricoh {argv[0]} ")
+    assert "unrecognized arguments" in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -328,7 +340,10 @@ def test_tomo_rejects_bad_tolerance(tmp_path, capsys):
     qmat.save_density(path, np.diag([1.2, -0.2, 0, 0, 0, 0, 0, 0]))
     for tol in ("nan", "inf", "-1"):
         assert run_cli(["tomo", "--model", "zz", "--tol", tol, str(path), "--out", str(tmp_path)]) == 2
-        assert "tolerance must be finite and nonnegative" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "tolerance must be finite and nonnegative" in err
+        assert path.name not in err
+        assert err == f"error: tolerance must be finite and nonnegative, got {float(tol)}\n"
 
 
 def test_sweep_rejects_infinite_tau(tmp_path, capsys):

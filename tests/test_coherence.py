@@ -133,7 +133,7 @@ def test_dist_triangle_small_batch():
 
 def test_report_incoherent_product_state():
     rep = coherence.coherence_report(states.density(states.basis_state("000")))
-    for value in coherence.report_values(rep):
+    for value in list(rep):
         assert abs(value) < 1e-7
 
 
@@ -182,7 +182,7 @@ def seeded_states(rng, count):
 
 
 def report_bits(report):
-    return np.array(coherence.report_values(report)).view(np.int64)
+    return np.array(list(report)).view(np.int64)
 
 
 def test_reports_match_single_reports_bitwise():
@@ -197,7 +197,7 @@ def test_reports_match_single_reports_bitwise():
 def test_reports_pinned_rounding_noise(zz_reports, zzz_reports):
     # J = 0 rows: the distances are square roots of ~1e-16 rounding noise, so
     # they change with any change to the float operations on each matrix
-    zzz = dict(zip(coherence.REPORT_COLUMNS, coherence.report_values(zzz_reports[0])))
+    zzz = dict(zip(coherence.REPORT_COLUMNS, list(zzz_reports[0])))
     assert f"{zzz['C_G']:.9g}" == "2.53117621e-08"
     assert f"{zzz['C_1_3']:.9g}" == f"{zzz['C_2_3']:.9g}" == "1.55002254e-08"
     assert f"{zzz['slack11']:.9g}" == "-9.81153669e-09"
@@ -218,10 +218,10 @@ def test_reports_properties_random_ranks():
     ):
         for slack in (rep.slack_eq7, rep.slack_eq10a, rep.slack_eq10b, rep.slack_eq11):
             assert slack >= -1e-8
-        for value in coherence.report_values(rep)[:9]:
+        for value in list(rep)[:9]:
             assert 0.0 <= value <= 1.0
-        mirrored = dict(vars(twin), c_1_2=twin.c_1_3, c_1_3=twin.c_1_2)
-        for name, value in vars(rep).items():
+        mirrored = dict(twin._asdict(), c_1_2=twin.c_1_3, c_1_3=twin.c_1_2)
+        for name, value in rep._asdict().items():
             assert abs(value - mirrored[name]) < 1e-9, name
             assert abs(value - getattr(turned, name)) < 1e-10, name
 
@@ -244,9 +244,10 @@ def test_reports_reject_bad_stacks():
         coherence.coherence_reports(np.eye(8) / 8)
 
 
-def test_report_values_column_order():
+def test_report_row_column_order():
     rep = coherence.coherence_report(states.density(states.make_state("G")))
-    vals = coherence.report_values(rep)
+    vals = list(rep)
+    assert len(coherence.CoherenceReport._fields) == len(coherence.REPORT_COLUMNS)
     assert len(vals) == len(coherence.REPORT_COLUMNS)
     by_name = dict(zip(coherence.REPORT_COLUMNS, vals))
     assert by_name["C_T"] == rep.c_total
