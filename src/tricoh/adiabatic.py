@@ -25,9 +25,10 @@ carry no diabatic risk and must not attract steps. Near an avoided crossing
 dominated by a single level this density reduces to the familiar inverse
 squared gap rule, and a constant density reproduces the linear schedule.
 
-``refocus_params`` translates a schedule into per-step spectrometer delays
-and radio-frequency offsets for an NMR implementation with given chemical
-shifts and scalar couplings.
+``refocus_params`` translates a schedule into the per-step table of
+spectrometer delays and radio-frequency offsets for an NMR implementation
+with given scalar couplings; the model record names the table's columns and
+the spin pairs each one sums.
 """
 
 from dataclasses import dataclass
@@ -36,7 +37,7 @@ import math
 import numpy as np
 
 from . import models
-from .qmat import expm_hermitian, ground_states
+from .qmat import _read_json, expm_hermitian, ground_states
 from .states import make_state
 
 # fine-grid resolution used to tabulate the adaptive step density
@@ -63,7 +64,9 @@ class Schedule:
         lo, hi = models.model(self.model_tag).j_range
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
-        if values.ndim != 1 or len(values) < 1:
+        if values.ndim != 1:
+            raise ValueError(f"schedule values must be a 1-D array, got shape {values.shape}")
+        if len(values) < 1:
             raise ValueError("schedule needs at least one value")
         if not math.isfinite(self.tau) or self.tau <= 0.0:
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
@@ -165,10 +168,7 @@ def gap_adaptive_schedule(model_tag, m_steps, tau, params=None):
 
 def load_schedule(path, model_tag, tau):
     """Schedule from a JSON array of coupling values."""
-    import json
-
-    with open(path, encoding="ascii") as fh:
-        raw = json.load(fh)
+    raw = _read_json(path)
     if not isinstance(raw, list):
         raise ValueError(f"{path}: expected a JSON array of coupling values")
     return Schedule(values=np.asarray(raw, dtype=float), tau=tau, model_tag=model_tag)
@@ -341,66 +341,39 @@ def min_steps_search(model_tag, target_min_fidelity, tau, params=None, step_cap=
     return hi
 
 
-@dataclass(frozen=True)
-class RefocusParams:
-    """Per-step spectrometer parameters realizing a schedule.
-
-    ``columns`` maps each model-specific CSV column to its per-step values,
-    in column order: for the two-body model three evolution delays
-    ``tau1..tau3`` (seconds) and three radio-frequency offsets ``FQ1..FQ3``
-    (Hz), for the three-body model a single delay ``d_m``.
-    ``pulse_angle`` is the transverse-kick rotation angle omega_x tau / 2 in
-    radians. Steps with J = 0 are skipped and noted in ``notices``.
-    """
-
-    pulse_angle: float
-    m_indices: list
-    j_values: np.ndarray
-    columns: dict
-    notices: list
-
-
 def refocus_params(nmr, schedule, params=None):
-    """Delays and RF offsets implementing each step of a schedule.
+    """Per-step delays and RF offsets implementing a schedule, as ``(table, notices)``.
 
-    Uses d_ij = 1/(2 J_ij) built from the scalar couplings, and the fields
-    ``omega_z`` and ``omega_x`` of ``params`` (default ``ModelParams()``).
-    The two-body model needs all three couplings; the three-body model needs
-    J12 only. A required coupling that is not positive is an error naming
-    the pair.
+    ``table`` maps each column of the refocusing CSV to its per-step array,
+    in column order: the step index ``m``, the coupling ``J``, the model's
+    delay columns (seconds) and RF-offset columns (Hz) from its
+    ``models.Model`` record, and ``pulse_angle``, the transverse-kick
+    rotation angle omega_x tau / 2 in radians. A delay is J tau / pi times
+    the sum of d_ik = 1/(2 J_ik) over the column's spin pairs, an offset
+    omega_z / (4 J times that sum), with ``omega_z`` and ``omega_x`` from
+    ``params`` (default ``ModelParams()``). Steps with J = 0 are skipped
+    and noted in ``notices``. A coupling some column needs that is not
+    positive is an error naming the pair.
     """
     params = params or models.ModelParams()
-    tag = schedule.model_tag
-    needed = [(1, 2), (1, 3), (2, 3)] if tag == "zz" else [(1, 2)]
+    m = models.model(schedule.model_tag)
     d = {}
-    for i, k in needed:
+    for i, k in sorted(set().union(*m.delays.values(), *m.offsets.values())):
         j_ik = nmr.coupling(i, k)
         if not j_ik > 0.0:
             raise ValueError(f"coupling J{i}{k} = {j_ik:g} Hz must be positive to build refocusing delays")
         d[(i, k)] = 1.0 / (2.0 * j_ik)
 
     kept = schedule.values > 0.0
-    j_kept = schedule.values[kept]
-    scale = j_kept * schedule.tau / math.pi
-    if tag == "zz":
-        d12, d13, d23 = d[(1, 2)], d[(1, 3)], d[(2, 3)]
-        columns = {
-            "tau1": scale * (d12 + d23),
-            "tau2": scale * (d12 + d13),
-            "tau3": scale * (d13 + d23),
-            "FQ1": params.omega_z / (4.0 * j_kept * d12),
-            "FQ2": params.omega_z / (4.0 * j_kept * (d12 + d13 + d23)),
-            "FQ3": params.omega_z / (4.0 * j_kept * d23),
-        }
-    else:
-        columns = {"d_m": scale * d[(1, 2)]}
-    return RefocusParams(
-        pulse_angle=params.omega_x * schedule.tau / 2,
-        m_indices=np.flatnonzero(kept).tolist(),
-        j_values=j_kept,
-        columns=columns,
-        notices=[f"skipped step m={m} with J={j:g}" for m, j in enumerate(schedule.values) if not kept[m]],
-    )
+    j = schedule.values[kept]
+    table = {"m": np.flatnonzero(kept), "J": j}
+    for name, pairs in m.delays.items():
+        table[name] = j * schedule.tau / math.pi * sum(d[p] for p in pairs)
+    for name, pairs in m.offsets.items():
+        table[name] = params.omega_z / (4.0 * j * sum(d[p] for p in pairs))
+    table["pulse_angle"] = np.full(len(j), params.omega_x * schedule.tau / 2)
+    return table, [f"skipped step m={step} with J={value:g}" for step, value in enumerate(schedule.values)
+                   if not kept[step]]
 
 
 def find_crossing(j_values, component_a, component_b):

@@ -27,8 +27,6 @@ TROTTER_FIDELITY_THRESHOLD = 0.999
 # that both models sit in the asymptotic third-order regime
 RATIO_TABLE_TAU = 0.1
 
-DEFAULT_GEOMETRY_J = {"zz": (0.0, 0.5, 1.0, 1.5, 2.0), "zzz": (0.0, 0.25, 1.0, 2.5, 5.0)}
-
 SWEEP_HEADER = ("m", "J", "E0", "E1", "gap", "fid_instant") + coherence.REPORT_COLUMNS
 RATIOS_HEADER = ("J", "CG_over_CL", "C23_over_CL", "C123_over_CA123", "C23_over_C123", "M")
 
@@ -181,7 +179,7 @@ def cmd_geometry(args):
         if not j_list:
             raise ValueError("--j-values must contain at least one coupling")
     else:
-        j_list = list(DEFAULT_GEOMETRY_J[args.model])
+        j_list = list(models.model(args.model).geometry_j)
     _, grounds, _ = qmat.ground_states(models.hamiltonian(args.model, j_list))
     reports = coherence.coherence_reports(states.density(grounds), base=_base(args))
     records = []
@@ -255,18 +253,14 @@ def cmd_trotter_audit(args):
 
 def cmd_schedule(args):
     schedule = _schedule(args)
+    # the refocusing table is built before any file is written, so a bad config leaves none
+    refocus = args.nmr_config and adiabatic.refocus_params(models.load_nmr_params(args.nmr_config), schedule)
     _write(args, f"schedule_{args.model}.json", json.dumps([_round9(v) for v in schedule.values]) + "\n")
-    if args.nmr_config:
-        nmr = models.load_nmr_params(args.nmr_config)
-        ref = adiabatic.refocus_params(nmr, schedule)
-        for notice in ref.notices:
+    if refocus:
+        table, notices = refocus
+        for notice in notices:
             print(notice)
-        header = ("m", "J", *ref.columns, "pulse_angle")
-        rows = [
-            [m, j, *(col[i] for col in ref.columns.values()), ref.pulse_angle]
-            for i, (m, j) in enumerate(zip(ref.m_indices, ref.j_values))
-        ]
-        _write(args, f"refocus_{args.model}.csv", _csv(header, rows))
+        _write(args, f"refocus_{args.model}.csv", _csv(table, zip(*table.values())))
     return 0
 
 
@@ -286,7 +280,7 @@ def main(argv=None):
         args.verb_parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

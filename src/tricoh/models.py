@@ -18,17 +18,20 @@ each is one ``Model`` record in ``MODELS``:
 ``hamiltonian`` also take an array of n couplings, giving (n, 8) diagonals
 and the (n, 8, 8) stack of H(J).
 
+Each record also holds the model's other per-model data: the default sample
+couplings of ``tricoh geometry`` and the columns of its NMR refocusing table,
+each named with the spin pairs whose delays d_ik = 1/(2 J_ik) it sums.
+
 An NMR parameter container (chemical shifts and scalar couplings) is also
 defined here; its values are configuration inputs.
 """
 
 from dataclasses import dataclass
-import json
 import math
 
 import numpy as np
 
-from .qmat import kron_all
+from .qmat import _read_json, kron_all
 
 N_QUBITS = 3
 
@@ -62,7 +65,10 @@ class Model:
     inclusive sweep range, ``steps`` and ``tau`` the default schedule, and
     ``target`` the ``states.make_state`` label of the state the sweep
     prepares. ``dh_domega_z`` and ``dh_dj`` are the diagonals of dH/domega_z
-    and dH/dJ.
+    and dH/dJ. ``geometry_j`` holds the default sample couplings of
+    ``tricoh geometry``. ``delays`` and ``offsets`` map each refocusing-table
+    column, in column order, to the 1-based spin pairs (i, k) whose
+    d_ik = 1/(2 J_ik) it sums (``adiabatic.refocus_params`` has the formulas).
     """
 
     coupling: str
@@ -72,12 +78,24 @@ class Model:
     target: str
     dh_domega_z: np.ndarray
     dh_dj: np.ndarray
+    geometry_j: tuple
+    delays: dict
+    offsets: dict
 
 
 MODELS = {
-    "zz": Model("j2", (0.0, 2.0), 300, 0.7, "W001",
-                _Z1 + _Z2 + _Z3, 2.0 * (_Z1 * _Z2 + _Z1 * _Z3 + _Z2 * _Z3)),
-    "zzz": Model("j3", (0.0, 5.0), 200, 0.4, "G", np.zeros(8), 4.0 * _Z1 * _Z2 * _Z3),
+    "zz": Model(
+        coupling="j2", j_range=(0.0, 2.0), steps=300, tau=0.7, target="W001",
+        dh_domega_z=_Z1 + _Z2 + _Z3, dh_dj=2.0 * (_Z1 * _Z2 + _Z1 * _Z3 + _Z2 * _Z3),
+        geometry_j=(0.0, 0.5, 1.0, 1.5, 2.0),
+        delays={"tau1": ((1, 2), (2, 3)), "tau2": ((1, 2), (1, 3)), "tau3": ((1, 3), (2, 3))},
+        offsets={"FQ1": ((1, 2),), "FQ2": ((1, 2), (1, 3), (2, 3)), "FQ3": ((2, 3),)},
+    ),
+    "zzz": Model(
+        coupling="j3", j_range=(0.0, 5.0), steps=200, tau=0.4, target="G",
+        dh_domega_z=np.zeros(8), dh_dj=4.0 * _Z1 * _Z2 * _Z3,
+        geometry_j=(0.0, 0.25, 1.0, 2.5, 5.0), delays={"d_m": ((1, 2),)}, offsets={},
+    ),
 }
 MODEL_TAGS = tuple(MODELS)
 for _m in MODELS.values():
@@ -176,8 +194,7 @@ class NmrParams:
 
 def load_nmr_params(path):
     """Read deltas and j_couplings from a JSON config file."""
-    with open(path, encoding="ascii") as fh:
-        raw = json.load(fh)
+    raw = _read_json(path)
     try:
         deltas = tuple(float(x) for x in raw["deltas"])
         couplings = tuple(tuple(float(x) for x in row) for row in raw["j_couplings"])

@@ -359,14 +359,22 @@ def save_density(path, rho):
         fh.write("\n")
 
 
+def _read_json(path):
+    """Parsed content of an ASCII JSON file; a decoding error names the file."""
+    with open(path, encoding="ascii") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+
+
 def load_density(path):
     """Read a density matrix written by ``save_density``.
 
     Only the shape is validated here; run ``validate_density`` on the result
     to enforce the physical invariants.
     """
-    with open(path, encoding="ascii") as fh:
-        payload = json.load(fh)
+    payload = _read_json(path)
     try:
         dim = payload["dim"]
         re = np.asarray(payload["re"], dtype=float)

@@ -79,6 +79,16 @@ def test_schedule_file_round_trip(tmp_path):
         adiabatic.load_schedule(bad, "zzz", 0.4)
 
 
+def test_nested_schedule_names_its_shape(tmp_path):
+    import json
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps([[0.0, 2.0]]))
+    with pytest.raises(ValueError, match=r"^schedule values must be a 1-D array, got shape \(1, 2\)$"):
+        adiabatic.load_schedule(path, "zz", 0.7)
+    with pytest.raises(ValueError, match="^schedule needs at least one value$"):
+        adiabatic.Schedule(values=[], tau=0.7, model_tag="zz")
+
+
 def test_ground_sweep_consistency(zz_sweep, zz_reports):
     n = len(zz_sweep.j_values)
     assert n == models.model("zz").steps + 1
@@ -259,30 +269,30 @@ def test_refocus_matches_independent_formulas():
     jc = ((0.0, 47.6, 160.7), (47.6, 0.0, 25.7), (160.7, 25.7, 0.0))
     nmr = models.NmrParams(deltas=deltas, j_couplings=jc)
     sch = adiabatic.linear_schedule("zz", 4, 0.7)
-    ref = adiabatic.refocus_params(nmr, sch)
+    table, notices = adiabatic.refocus_params(nmr, sch)
     d12, d13, d23 = 1 / (2 * 47.6), 1 / (2 * 160.7), 1 / (2 * 25.7)
-    assert ref.m_indices == [1, 2, 3, 4]
-    assert any("m=0" in note for note in ref.notices)
-    assert abs(ref.pulse_angle - 0.1 * 0.7 / 2) < 1e-15
-    for i, m in enumerate(ref.m_indices):
+    assert table["m"].tolist() == [1, 2, 3, 4]
+    assert any("m=0" in note for note in notices)
+    assert np.all(abs(table["pulse_angle"] - 0.1 * 0.7 / 2) < 1e-15)
+    for i, m in enumerate(table["m"]):
         j = sch.values[m]
-        assert abs(ref.j_values[i] - j) < 1e-15
-        assert abs(ref.columns["tau1"][i] - j * 0.7 / math.pi * (d12 + d23)) < 1e-12
-        assert abs(ref.columns["tau2"][i] - j * 0.7 / math.pi * (d12 + d13)) < 1e-12
-        assert abs(ref.columns["tau3"][i] - j * 0.7 / math.pi * (d13 + d23)) < 1e-12
-        assert abs(ref.columns["FQ1"][i] - (-2.0) / (4 * j * d12)) < 1e-9
-        assert abs(ref.columns["FQ2"][i] - (-2.0) / (4 * j * (d12 + d13 + d23))) < 1e-9
-        assert abs(ref.columns["FQ3"][i] - (-2.0) / (4 * j * d23)) < 1e-9
-        assert ref.columns["tau1"][i] >= 0 and ref.columns["tau2"][i] >= 0 and ref.columns["tau3"][i] >= 0
+        assert abs(table["J"][i] - j) < 1e-15
+        assert abs(table["tau1"][i] - j * 0.7 / math.pi * (d12 + d23)) < 1e-12
+        assert abs(table["tau2"][i] - j * 0.7 / math.pi * (d12 + d13)) < 1e-12
+        assert abs(table["tau3"][i] - j * 0.7 / math.pi * (d13 + d23)) < 1e-12
+        assert abs(table["FQ1"][i] - (-2.0) / (4 * j * d12)) < 1e-9
+        assert abs(table["FQ2"][i] - (-2.0) / (4 * j * (d12 + d13 + d23))) < 1e-9
+        assert abs(table["FQ3"][i] - (-2.0) / (4 * j * d23)) < 1e-9
+        assert table["tau1"][i] >= 0 and table["tau2"][i] >= 0 and table["tau3"][i] >= 0
 
 
 def test_refocus_offsets_inverse_in_coupling():
     jc = ((0.0, 47.6, 160.7), (47.6, 0.0, 25.7), (160.7, 25.7, 0.0))
     nmr = models.NmrParams(deltas=(1.0, 2.0, 3.0), j_couplings=jc)
     sch = adiabatic.linear_schedule("zz", 2, 0.7)
-    ref = adiabatic.refocus_params(nmr, sch)
+    table, _ = adiabatic.refocus_params(nmr, sch)
     # J doubles from step 1 to step 2, so every offset halves
-    for fq in (ref.columns["FQ1"], ref.columns["FQ2"], ref.columns["FQ3"]):
+    for fq in (table["FQ1"], table["FQ2"], table["FQ3"]):
         assert abs(fq[1] - fq[0] / 2) < 1e-9
 
 
@@ -290,10 +300,10 @@ def test_refocus_zzz_delay():
     jc = ((0.0, 47.6, 160.7), (47.6, 0.0, 25.7), (160.7, 25.7, 0.0))
     nmr = models.NmrParams(deltas=(1.0, 2.0, 3.0), j_couplings=jc)
     sch = adiabatic.linear_schedule("zzz", 4, 0.4)
-    ref = adiabatic.refocus_params(nmr, sch)
+    table, _ = adiabatic.refocus_params(nmr, sch)
     d12 = 1 / (2 * 47.6)
-    for i, m in enumerate(ref.m_indices):
-        assert abs(ref.columns["d_m"][i] - sch.values[m] * 0.4 / math.pi * d12) < 1e-12
+    for i, m in enumerate(table["m"]):
+        assert abs(table["d_m"][i] - sch.values[m] * 0.4 / math.pi * d12) < 1e-12
 
 
 def test_refocus_zero_coupling_error():
@@ -302,6 +312,33 @@ def test_refocus_zero_coupling_error():
     sch = adiabatic.linear_schedule("zz", 2, 0.7)
     with pytest.raises(ValueError, match="J12"):
         adiabatic.refocus_params(nmr, sch)
+
+
+REFOCUS_COLUMNS = {
+    "zz": ["m", "J", "tau1", "tau2", "tau3", "FQ1", "FQ2", "FQ3", "pulse_angle"],
+    "zzz": ["m", "J", "d_m", "pulse_angle"],
+}
+
+
+@pytest.mark.parametrize("tag", models.MODEL_TAGS)
+def test_refocus_table_column_order(tag):
+    jc = ((0.0, 47.6, 160.7), (47.6, 0.0, 25.7), (160.7, 25.7, 0.0))
+    nmr = models.NmrParams(deltas=(1.0, 2.0, 3.0), j_couplings=jc)
+    table, notices = adiabatic.refocus_params(nmr, adiabatic.linear_schedule(tag, 5, 0.4))
+    assert list(table) == REFOCUS_COLUMNS[tag]
+    assert all(len(col) == 5 for col in table.values())
+    assert notices == ["skipped step m=0 with J=0"]
+
+
+@pytest.mark.parametrize("tag", models.MODEL_TAGS)
+def test_refocus_all_zero_couplings_give_an_empty_table(tag):
+    jc = ((0.0, 47.6, 160.7), (47.6, 0.0, 25.7), (160.7, 25.7, 0.0))
+    nmr = models.NmrParams(deltas=(1.0, 2.0, 3.0), j_couplings=jc)
+    sch = adiabatic.Schedule(values=np.zeros(1), tau=0.4, model_tag=tag)
+    table, notices = adiabatic.refocus_params(nmr, sch)
+    assert list(table) == REFOCUS_COLUMNS[tag]
+    assert all(len(col) == 0 for col in table.values())
+    assert notices == ["skipped step m=0 with J=0"]
 
 
 def test_find_crossing():

@@ -113,7 +113,7 @@ def test_geometry_custom_j_values(tmp_path):
 @pytest.mark.parametrize("model", models.MODEL_TAGS)
 def test_geometry_stacked_grounds_match_per_coupling_bitwise(model):
     # cmd_geometry takes its grounds from one stacked ground_states call
-    j_list = list(cli.DEFAULT_GEOMETRY_J[model]) + [0.123, 1.7]
+    j_list = list(models.model(model).geometry_j) + [0.123, 1.7]
     _, grounds, _ = qmat.ground_states(models.hamiltonian(model, j_list))
     for j, g in zip(j_list, grounds):
         assert g.tobytes() == qmat.ground_state(models.hamiltonian(model, j)).state.tobytes()
@@ -333,6 +333,29 @@ def test_schedule_rejects_unphysical_nmr_config(tmp_path, capsys, deltas, coupli
         assert run_cli(["schedule", "--model", model, "--nmr-config", str(path), "--out", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / f"refocus_{model}.csv").exists()
+        assert not (tmp_path / f"schedule_{model}.json").exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    (b'{"dim": 8, "re": }', "Expecting value: line 1 column 18 (char 17)"),
+    (b'{"note": "\xc3\xa9"}', "'ascii' codec can't decode byte 0xc3"),
+], ids=["bad_json", "non_ascii"])
+@pytest.mark.parametrize("loader", ["tomo", "schedule_file", "nmr_config"])
+def test_unreadable_json_input_names_the_file(tmp_path, capsys, loader, content, message):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    ok = tmp_path / "ok.json"
+    qmat.save_density(ok, np.eye(8) / 8)
+    out = tmp_path / "out"
+    argv = {
+        "tomo": ["tomo", str(ok), str(bad)],
+        "schedule_file": ["schedule", "--schedule", f"file:{bad}"],
+        "nmr_config": ["schedule", "--nmr-config", str(bad)],
+    }[loader]
+    assert run_cli([*argv, "--model", "zz", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and message in err
+    assert not out.exists()
 
 
 def test_tomo_rejects_bad_tolerance(tmp_path, capsys):
