@@ -37,7 +37,7 @@ import math
 import numpy as np
 
 from . import models
-from .qmat import _read_json, expm_hermitian, ground_states
+from .qmat import _json_numbers, _read_json, expm_hermitian, ground_states
 from .states import make_state
 
 # fine-grid resolution used to tabulate the adaptive step density
@@ -171,7 +171,7 @@ def load_schedule(path, model_tag, tau):
     raw = _read_json(path)
     if not isinstance(raw, list):
         raise ValueError(f"{path}: expected a JSON array of coupling values")
-    return Schedule(values=np.asarray(raw, dtype=float), tau=tau, model_tag=model_tag)
+    return Schedule(values=_json_numbers(path, "schedule values", raw), tau=tau, model_tag=model_tag)
 
 
 def ground_sweep(schedule, params=None):

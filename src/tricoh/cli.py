@@ -5,6 +5,10 @@ deterministic CSV/JSON files (floats printed with 9 significant digits) laid
 out for external plotting; identical configuration and inputs produce
 byte-identical files.
 
+Library records name the geometry points (``coherence.Tetrahedron``) and
+tomo's check columns (``qmat.validate_density``), ``models.MODELS`` holds
+the defaults, and the schedule builders check --steps (``file:`` ignores it).
+
 Each verb takes only the options it reads; any other option is a usage
 error. Exit codes: 0 success, 1 usage error, 2 validation failure, 3
 assertion failure (trotter-audit below threshold).
@@ -49,6 +53,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _per_model(field):
+    """Help text listing each model's default ``field`` as "<value> for <tag>"."""
+    return ", ".join(f"{getattr(m, field)} for {tag}" for tag, m in models.MODELS.items())
+
+
 def build_parser():
     common = _Parser(add_help=False)
     common.add_argument("--model", choices=models.MODEL_TAGS, default="zz")
@@ -56,9 +65,8 @@ def build_parser():
 
     grid = _Parser(add_help=False)
     grid.add_argument("--steps", "--m-steps", dest="steps", type=int, default=None,
-                      help="number of schedule steps M (default: 300 for zz, 200 for zzz)")
-    grid.add_argument("--tau", type=float, default=None,
-                      help="step interval (default: 0.7 for zz, 0.4 for zzz)")
+                      help=f"number of schedule steps M (default: {_per_model('steps')})")
+    grid.add_argument("--tau", type=float, default=None, help=f"step interval (default: {_per_model('tau')})")
     grid.add_argument("--schedule", default="linear",
                       help="schedule kind: linear, adaptive, or file:PATH (default linear)")
 
@@ -101,8 +109,6 @@ def _schedule(args):
     model = models.model(args.model)
     steps = args.steps if args.steps is not None else model.steps
     tau = args.tau if args.tau is not None else model.tau
-    if steps < 1:
-        raise ValueError(f"--steps must be at least 1, got {steps}")
     kind = args.schedule
     if kind == "linear":
         return adiabatic.linear_schedule(args.model, steps, tau)
@@ -175,7 +181,10 @@ def cmd_ratios(args):
 
 def cmd_geometry(args):
     if args.j_values is not None:
-        j_list = [float(x) for x in args.j_values.split(",") if x.strip() != ""]
+        try:
+            j_list = [float(x) for x in args.j_values.split(",") if x.strip() != ""]
+        except ValueError as exc:
+            raise ValueError(f"--j-values: {exc}") from None
         if not j_list:
             raise ValueError("--j-values must contain at least one coupling")
     else:
@@ -189,12 +198,7 @@ def cmd_geometry(args):
             {
                 "j": _round9(j),
                 "coherences": {name: _round9(value) for name, value in zip(coherence.REPORT_COLUMNS, rep)},
-                "points": {
-                    "rho": [_round9(x) for x in tet.rho],
-                    "pi_product": [_round9(x) for x in tet.pi_product],
-                    "pi_product_dephased": [_round9(x) for x in tet.pi_product_dephased],
-                    "split_1_23": [_round9(x) for x in tet.split_1_23],
-                },
+                "points": {name: [_round9(x) for x in p] for name, p in zip(tet._fields, tet[:4])},
                 "residual": _round9(tet.residual),
             }
         )
@@ -206,7 +210,6 @@ def cmd_tomo(args):
     qmat.check_tolerance(args.tol)
     j = args.j if args.j is not None else models.model(args.model).j_range[1]
     ground_density = states.density(qmat.ground_state(models.hamiltonian(args.model, j)).state)
-    header = ("file", "J", "fidelity", "herm_dev", "trace_dev", "min_eig", "repaired") + coherence.REPORT_COLUMNS
     rhos = []
     rows = []
     for path in args.files:
@@ -218,13 +221,11 @@ def cmd_tomo(args):
             raise ValueError(f"{path}: {exc}") from exc
         repaired = bool(np.abs(rho - rho_raw).max() > args.tol)
         rhos.append(rho)
-        rows.append(
-            [os.path.basename(path), j, fid, checks["herm_dev"], checks["trace_dev"], checks["min_eig"],
-             "yes" if repaired else "no"]
-        )
+        rows.append([os.path.basename(path), j, fid, *checks.values(), "yes" if repaired else "no"])
         print(f"{os.path.basename(path)}: fidelity {_fmt(fid)} (J={_fmt(j)}, repaired={repaired})")
     for row, rep in zip(rows, coherence.coherence_reports(np.array(rhos), base=_base(args))):
         row += rep
+    header = ("file", "J", "fidelity", *checks, "repaired") + coherence.REPORT_COLUMNS
     _write(args, "tomo_report.csv", _csv(header, rows))
     return 0
 

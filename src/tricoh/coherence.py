@@ -29,10 +29,11 @@ and rho_1 x rho_23 in Euclidean 3-space so that pairwise point distances
 reproduce the six inter-state distances, using the gauge: rho at the origin,
 dephased pi(rho) on the +x axis, pi(rho) in the upper xy half-plane. Four
 points with pairwise metric distances need not embed exactly; cosines are
-clamped and the worst mismatch is reported as the residual.
+clamped and the worst mismatch is reported as the residual. A
+``Tetrahedron`` is a named tuple of the points rho, dephased pi(rho), pi(rho)
+and rho_1 x rho_23, then the residual.
 """
 
-from dataclasses import dataclass
 import math
 from typing import NamedTuple
 
@@ -259,12 +260,12 @@ def coherence_report(rho, base=2.0):
     return coherence_reports(rho[None], base)[0]
 
 
-@dataclass(frozen=True)
-class Tetrahedron:
+class Tetrahedron(NamedTuple):
     """Euclidean embedding of the four coherence-related states.
 
-    Coordinates are 3-vectors; ``residual`` is the worst absolute mismatch
-    between a pairwise point distance and its target coherence value.
+    Four 3-vector points, named as the ``points`` keys of ``tricoh geometry``,
+    then ``residual``: the worst absolute mismatch between a pairwise point
+    distance and its target coherence value.
     """
 
     rho: np.ndarray
@@ -326,10 +327,4 @@ def embed_tetrahedron(report):
         (p_split, p_pi, c23),
     ]
     residual = max(abs(float(np.linalg.norm(a - b)) - t) for a, b, t in targets)
-    return Tetrahedron(
-        rho=p_rho,
-        pi_product_dephased=p_pid,
-        pi_product=p_pi,
-        split_1_23=p_split,
-        residual=residual,
-    )
+    return Tetrahedron(p_rho, p_pid, p_pi, p_split, residual)

@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from .qmat import _read_json, kron_all
+from .qmat import _json_numbers, _read_json, kron_all
 
 N_QUBITS = 3
 
@@ -196,8 +196,8 @@ def load_nmr_params(path):
     """Read deltas and j_couplings from a JSON config file."""
     raw = _read_json(path)
     try:
-        deltas = tuple(float(x) for x in raw["deltas"])
-        couplings = tuple(tuple(float(x) for x in row) for row in raw["j_couplings"])
-    except (KeyError, TypeError, ValueError) as exc:
+        deltas, couplings = (_json_numbers(path, field, raw[field]).tolist() for field in ("deltas", "j_couplings"))
+        # a table of the wrong depth fails here or in NmrParams with a TypeError
+        return NmrParams(deltas=tuple(deltas), j_couplings=tuple(map(tuple, couplings)))
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed NMR config ({exc})") from exc
-    return NmrParams(deltas=deltas, j_couplings=couplings)

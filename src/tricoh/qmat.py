@@ -368,6 +368,18 @@ def _read_json(path):
             raise ValueError(f"{path}: {exc}") from exc
 
 
+def _json_numbers(path, field, value):
+    """Parsed JSON ``value`` as a float array, if it is a rectangular nest of JSON numbers."""
+    try:
+        nest = np.array(value, dtype=object)
+        # bool is not a JSON number, and a ragged nest leaves lists as elements
+        if set(map(type, nest.flat)) <= {int, float}:
+            return nest.astype(float)
+    except OverflowError:  # an integer too large for a float
+        pass
+    raise ValueError(f"{path}: {field} must be a rectangular array of JSON numbers")
+
+
 def load_density(path):
     """Read a density matrix written by ``save_density``.
 
@@ -377,9 +389,8 @@ def load_density(path):
     payload = _read_json(path)
     try:
         dim = payload["dim"]
-        re = np.asarray(payload["re"], dtype=float)
-        im = np.asarray(payload["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+        re, im = (_json_numbers(path, field, payload[field]) for field in ("re", "im"))
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed density-matrix file ({exc})") from exc
     if isinstance(dim, bool) or not isinstance(dim, int):
         raise ValueError(f"{path}: dim must be a JSON integer, got {json.dumps(dim)}")

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from tricoh import cli, models, qmat, states
+from tricoh import cli, coherence, models, qmat, states
 
 
 def run_cli(argv):
@@ -90,6 +90,7 @@ def test_geometry_records(tmp_path):
         ("split_1_23", "pi_product", "C_2_3"),
     )
     for rec in records:
+        assert sorted(rec["points"]) == sorted(coherence.Tetrahedron._fields[:4])
         pts = {k: np.array(v) for k, v in rec["points"].items()}
         for a, b, name in pairs:
             got = np.linalg.norm(pts[a] - pts[b])
@@ -288,11 +289,33 @@ def test_m_steps_alias(tmp_path, verb, name):
     assert len(read_csv(tmp_path / name)) == 4
 
 
-def test_validation_errors_exit_two(tmp_path):
-    assert run_cli(["sweep", "--model", "zz", "--steps", "0", "--out", str(tmp_path)]) == 2
+def test_validation_errors_exit_two(tmp_path, capsys):
+    for schedule in ("linear", "adaptive"):
+        assert run_cli(["sweep", "--model", "zz", "--steps", "0", "--schedule", schedule, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: m_steps must be at least 1, got 0\n"
     assert run_cli(["sweep", "--model", "zz", "--schedule", "file:/nonexistent.json", "--out", str(tmp_path)]) == 2
     assert run_cli(["sweep", "--model", "zz", "--schedule", "spline", "--out", str(tmp_path)]) == 2
     assert run_cli(["geometry", "--model", "zz", "--j-values", "", "--out", str(tmp_path)]) == 2
+    capsys.readouterr()
+    assert run_cli(["geometry", "--model", "zz", "--j-values", "a,1", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: --j-values: could not convert string to float: 'a'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_file_schedule_does_not_read_steps(tmp_path):
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps([0.0, 0.5, 2.0]))
+    out = tmp_path / "out"
+    assert run_cli(["sweep", "--model", "zz", "--schedule", f"file:{path}", "--steps", "0", "--out", str(out)]) == 0
+    assert len(read_csv(out / "sweep_zz.csv")) == 3
+
+
+@pytest.mark.parametrize("verb", ["sweep", "ratios", "trotter-audit", "schedule"])
+def test_grid_help_shows_each_model_default(capsys, verb):
+    assert run_cli([verb, "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for tag, m in models.MODELS.items():
+        assert f"{m.steps} for {tag}" in text and f"{m.tau} for {tag}" in text
 
 
 def test_couplings_outside_model_range_exit_two(tmp_path, capsys):
@@ -355,6 +378,39 @@ def test_unreadable_json_input_names_the_file(tmp_path, capsys, loader, content,
     assert run_cli([*argv, "--model", "zz", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ") and message in err
+    assert not out.exists()
+
+
+NOT_NUMBERS = {"object": {"a": 1}, "string": "0.125", "bool": False, "null": None, "oversized_int": 10**400}
+
+
+@pytest.mark.parametrize("case", [*NOT_NUMBERS, "ragged"])
+@pytest.mark.parametrize("loader", ["tomo", "schedule_file", "nmr_config"])
+def test_json_inputs_take_only_rectangular_arrays_of_numbers(tmp_path, capsys, loader, case):
+    def spoil(rows):
+        """A valid table with its first entry replaced by the case's value, or its last row cut short."""
+        rows = [list(row) for row in rows]
+        if case == "ragged":
+            rows[-1].pop()
+        else:
+            rows[0][0] = NOT_NUMBERS[case]
+        return rows
+
+    path = tmp_path / "bad.json"
+    if loader == "tomo":
+        field, argv = "re", ["tomo", str(path)]
+        content = {"dim": 8, "re": spoil(np.eye(8) / 8), "im": np.zeros((8, 8)).tolist()}
+    elif loader == "schedule_file":
+        field, argv = "schedule values", ["sweep", "--schedule", f"file:{path}"]
+        content = [[0.0], [1.0, 2.0]] if case == "ragged" else [0.0, NOT_NUMBERS[case], 2.0]
+    else:
+        field, argv = "j_couplings", ["schedule", "--nmr-config", str(path)]
+        couplings = [[0.0, 47.6, 160.7], [47.6, 0.0, 25.7], [160.7, 25.7, 0.0]]
+        content = {"deltas": [7792.0, 15480.0, 3845.0], "j_couplings": spoil(couplings)}
+    path.write_text(json.dumps(content))
+    out = tmp_path / "out"
+    assert run_cli([*argv, "--model", "zz", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {field} must be a rectangular array of JSON numbers\n"
     assert not out.exists()
 
 

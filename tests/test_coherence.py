@@ -278,10 +278,11 @@ def test_cg_exceeds_ct_at_large_coupling(zz_reports):
 
 def test_embed_all_zero_report():
     rep = coherence.coherence_report(states.density(states.basis_state("000")))
-    tet = coherence.embed_tetrahedron(rep)
-    for point in (tet.rho, tet.pi_product_dephased, tet.pi_product, tet.split_1_23):
+    *points, residual = coherence.embed_tetrahedron(rep)
+    assert [np.shape(point) for point in points] == [(3,)] * 4
+    for point in points:
         assert np.abs(np.asarray(point)).max() < 1e-6
-    assert tet.residual < 1e-6
+    assert residual < 1e-6
 
 
 def test_embed_collinear_boundary():
