@@ -171,7 +171,11 @@ def load_schedule(path, model_tag, tau):
     raw = _read_json(path)
     if not isinstance(raw, list):
         raise ValueError(f"{path}: expected a JSON array of coupling values")
-    return Schedule(values=_json_numbers(path, "schedule values", raw), tau=tau, model_tag=model_tag)
+    values = _json_numbers(path, "schedule values", raw)
+    try:
+        return Schedule(values=values, tau=tau, model_tag=model_tag)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def ground_sweep(schedule, params=None):

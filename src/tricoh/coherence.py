@@ -5,7 +5,10 @@ m = (rho + sigma)/2 is computed in base-2 logarithms by default, which bounds
 J by 1 and its square root (the distance D) by 1 for any pair of states.
 Both the defining form and the entropic form S(m) - S(rho)/2 - S(sigma)/2
 are always evaluated, and any disagreement beyond ``CROSS_CHECK_TOL`` raises
-``ArithmeticError``.
+``ArithmeticError``. Each matrix is diagonalized once: the defining form
+reads the clipped ``eigh`` eigenpairs, and the entropic form reads either
+the same ``eigh`` spectrum or a closed form its caller supplies for a
+structured matrix.
 
 ``coherence_reports`` evaluates the full decomposition for a stack of
 three-qubit states: total, global, local and absolute coherence, the 1:23
@@ -15,9 +18,14 @@ right-hand sum minus its left-hand term, so validity means slack >= 0 up to
 rounding). A ``CoherenceReport`` is a named tuple whose fields are its
 output row, in ``REPORT_COLUMNS`` order. ``coherence_reports`` builds the
 derived matrices of ``REPORT_CHUNK`` states at a time, symmetrizes each
-distinct matrix and mixture once, and runs one stacked ``eigh`` for the
-defining form and one stacked ``eigvalsh`` for the entropic form per matrix
-size, so the cross-check runs per stacked batch.
+distinct matrix and mixture once, and runs one stacked ``eigh`` per matrix
+size, 4x4 before 8x8. The entropic form takes the entropies of rho, the
+two-qubit marginals and the mixtures from those spectra. The structured
+matrices get closed forms: a dephased matrix the Shannon entropy of its
+diagonal, and a product of marginals the entropy of the outer product of
+its factors' spectra, with qubit spectra from the 2x2 formula and rho_23's
+from the 4x4 ``eigh``. So the cross-check runs per stacked batch, and no
+structured matrix's entropy comes from a diagonalization of that matrix.
 Stacked kernels see the same input bytes as per-matrix calls, so every
 report is bitwise equal to the report of its state alone.
 ``coherence_report``, ``qjsd``, ``relative_entropy`` and
@@ -88,13 +96,34 @@ def _relative_entropies(p, u, q, v, scale):
     return np.where(mismatch, math.inf, np.where(s < 0.0, 0.0, s))
 
 
-def _qjsd_pairs(mats, pairs, scale):
-    """QJSD of the index pairs ``pairs`` into a (S, n, d, d) stack, as a (P, n) array.
+def _qubit_spectra(m):
+    """Ascending eigenvalues of a stack of Hermitian 2x2 matrices, (t -+ hypot(a - d, 2|b|))/2."""
+    a, d = m[..., 0, 0].real, m[..., 1, 1].real
+    r = np.hypot(a - d, 2.0 * np.abs(m[..., 0, 1]))
+    return np.stack([(a + d - r) / 2, (a + d + r) / 2], axis=-1)
 
-    Every distinct matrix and every mixture is symmetrized once, then
-    diagonalized by one stacked ``eigh`` (defining form) and one stacked
-    ``eigvalsh`` (entropic form). The two forms must agree within
-    ``CROSS_CHECK_TOL`` for every pair, else ``ArithmeticError``.
+
+def _product_spectrum(p, q):
+    """Spectrum of A (x) B from the spectra p of A and q of B along the last axis (unsorted)."""
+    return (p[..., :, None] * q[..., None, :]).reshape(*p.shape[:-1], -1)
+
+
+def _diagonal_entropies(mats, scale):
+    """Entropies of the dephased matrices: the Shannon entropy of each real diagonal."""
+    return _entropies(np.diagonal(mats, axis1=-2, axis2=-1).real, scale)
+
+
+def _qjsd_pairs(mats, pairs, closed, scale):
+    """QJSD of the index pairs ``pairs`` into a (S, n, d, d) stack.
+
+    Returns the (P, n) divergences and the clipped ``eigh`` spectra of the S
+    input matrices, (S, n, d). Every distinct matrix and every mixture is
+    symmetrized once and diagonalized by one stacked ``eigh``, which serves
+    the defining form. The entropic form takes the entropy of input ``k``
+    from ``closed[k]``, an (n,) closed form, where the caller gives one, and
+    from the ``eigh`` spectrum otherwise; mixtures always read the spectrum.
+    The two forms must agree within ``CROSS_CHECK_TOL`` for every pair,
+    else ``ArithmeticError``.
     """
     left, right = np.array(pairs).T
     mid = np.arange(len(pairs)) + len(mats)
@@ -105,7 +134,11 @@ def _qjsd_pairs(mats, pairs, scale):
     both = np.concatenate([mid, mid])
     rel = _relative_entropies(w[arg], vecs[arg], w[both], vecs[both], scale)
     j_def = 0.5 * (rel[: len(pairs)] + rel[len(pairs):])
-    ent = _entropies(np.linalg.eigvalsh(sym), scale)
+    spectral = [k for k in range(len(w)) if k not in closed]
+    ent = np.empty(w.shape[:-1])
+    ent[spectral] = _entropies(w[spectral], scale)
+    for k, s in closed.items():
+        ent[k] = s
     j_ent = ent[mid] - 0.5 * ent[left] - 0.5 * ent[right]
     bad = ~np.isfinite(j_def) | (np.abs(j_def - j_ent) > CROSS_CHECK_TOL)
     if bad.any():
@@ -114,7 +147,7 @@ def _qjsd_pairs(mats, pairs, scale):
             f"qjsd cross-check failed: defining form {float(j_def[pair, state])!r} "
             f"vs entropic form {float(j_ent[pair, state])!r}"
         )
-    return np.where(j_def < 0.0, 0.0, j_def)
+    return np.where(j_def < 0.0, 0.0, j_def), w[: len(mats)]
 
 
 def _pair_stack(rho, sigma):
@@ -151,7 +184,7 @@ def qjsd(rho, sigma, base=2.0):
     ``CROSS_CHECK_TOL``. Always finite and bounded by log_base(2).
     """
     mats = _pair_stack(rho, sigma)[:, None]
-    return float(_qjsd_pairs(mats, [(0, 1)], _log_scale(base))[0, 0])
+    return float(_qjsd_pairs(mats, [(0, 1)], {}, _log_scale(base))[0][0, 0])
 
 
 def dist(rho, sigma, base=2.0):
@@ -210,19 +243,31 @@ def _chunk_rows(rho, scale):
     """The report rows of a (n, 8, 8) stack, as a (n, 14) array in ``REPORT_COLUMNS`` order.
 
     The nine distances come first; the monogamy difference and the four
-    slacks are sums of them.
+    slacks are sums of them. The 4x4 stack runs first, because the closed
+    form for rho_1 x rho_23 reads rho_23's spectrum.
     """
     m1, m2, m3 = (partial_trace(rho, 3, [q]) for q in (1, 2, 3))
+    q1, q2, q3 = (_qubit_spectra(m) for m in (m1, m2, m3))
     rho_23 = partial_trace(rho, 3, [2, 3])
     pi = kron(kron(m1, m2), m3)
-    big = np.stack([rho, dephase(rho), pi, dephase(pi), kron(m1, rho_23)])
     small = np.stack([
         rho_23, kron(m2, m3),
         partial_trace(rho, 3, [1, 2]), kron(m1, m2),
         partial_trace(rho, 3, [1, 3]), kron(m1, m3),
     ])
-    d8 = np.sqrt(_qjsd_pairs(big, _PAIRS_8, scale))
-    d4 = np.sqrt(_qjsd_pairs(small, _PAIRS_4, scale))
+    j4, w4 = _qjsd_pairs(small, _PAIRS_4, {
+        1: _entropies(_product_spectrum(q2, q3), scale),
+        3: _entropies(_product_spectrum(q1, q2), scale),
+        5: _entropies(_product_spectrum(q1, q3), scale),
+    }, scale)
+    big = np.stack([rho, dephase(rho), pi, dephase(pi), kron(m1, rho_23)])
+    j8, _ = _qjsd_pairs(big, _PAIRS_8, {
+        1: _diagonal_entropies(big[1], scale),
+        2: _entropies(_product_spectrum(_product_spectrum(q1, q2), q3), scale),
+        3: _diagonal_entropies(big[3], scale),
+        4: _entropies(_product_spectrum(q1, w4[0]), scale),
+    }, scale)
+    d8, d4 = np.sqrt(j8), np.sqrt(j4)
     dists = np.concatenate([d8[:5], d4[:1], d8[5:], d4[1:]])
     _, c_g, c_l, c_a, c_1_23, c_2_3, c_a_1_23, c_1_2, c_1_3 = dists
     sums = [

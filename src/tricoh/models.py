@@ -28,6 +28,7 @@ defined here; its values are configuration inputs.
 
 from dataclasses import dataclass
 import math
+import numbers
 
 import numpy as np
 
@@ -178,6 +179,8 @@ class NmrParams:
         entries = [(f"chemical shift delta{i+1}", d) for i, d in enumerate(self.deltas)]
         entries += [(f"coupling J{i+1}{k+1}", j[i][k]) for i in range(N_QUBITS) for k in range(N_QUBITS)]
         for name, value in entries:
+            if not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         for i in range(N_QUBITS):
@@ -197,7 +200,12 @@ def load_nmr_params(path):
     raw = _read_json(path)
     try:
         deltas, couplings = (_json_numbers(path, field, raw[field]).tolist() for field in ("deltas", "j_couplings"))
-        # a table of the wrong depth fails here or in NmrParams with a TypeError
-        return NmrParams(deltas=tuple(deltas), j_couplings=tuple(map(tuple, couplings)))
+        # a config that is not an object, or a field too shallow to be a
+        # vector or a table of rows, fails here with a TypeError
+        deltas, couplings = tuple(deltas), tuple(map(tuple, couplings))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed NMR config ({exc})") from exc
+    try:
+        return NmrParams(deltas=deltas, j_couplings=couplings)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -83,7 +84,7 @@ def test_nested_schedule_names_its_shape(tmp_path):
     import json
     path = tmp_path / "nested.json"
     path.write_text(json.dumps([[0.0, 2.0]]))
-    with pytest.raises(ValueError, match=r"^schedule values must be a 1-D array, got shape \(1, 2\)$"):
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: schedule values must be a 1-D array, got shape \(1, 2\)$"):
         adiabatic.load_schedule(path, "zz", 0.7)
     with pytest.raises(ValueError, match="^schedule needs at least one value$"):
         adiabatic.Schedule(values=[], tau=0.7, model_tag="zz")

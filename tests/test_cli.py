@@ -414,6 +414,14 @@ def test_json_inputs_take_only_rectangular_arrays_of_numbers(tmp_path, capsys, l
     assert not out.exists()
 
 
+def test_empty_schedule_file_names_the_file(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text("[]")
+    assert run_cli(["sweep", "--model", "zz", "--schedule", f"file:{path}", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {path}: schedule needs at least one value\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_tomo_rejects_bad_tolerance(tmp_path, capsys):
     path = tmp_path / "negative.json"
     qmat.save_density(path, np.diag([1.2, -0.2, 0, 0, 0, 0, 0, 0]))

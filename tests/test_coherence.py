@@ -235,6 +235,56 @@ def test_cross_check_failure_raises(monkeypatch):
         coherence.qjsd(rho, np.eye(8) / 8)
 
 
+@pytest.mark.parametrize("helper", ["_qubit_spectra", "_diagonal_entropies"])
+def test_cross_check_catches_a_wrong_closed_form(monkeypatch, helper):
+    rho = seeded_states(np.random.default_rng(65), 1)[0]
+    coherence.coherence_reports([rho])
+    exact = getattr(coherence, helper)
+    monkeypatch.setattr(coherence, helper, lambda *args: exact(*args) + 1e-6)
+    with pytest.raises(ArithmeticError):
+        coherence.coherence_reports([rho])
+
+
+def test_qjsd_runs_without_eigvalsh(monkeypatch):
+    rhos = np.array(seeded_states(np.random.default_rng(67), 2 * coherence.REPORT_CHUNK + 3))
+    reports = coherence.coherence_reports(rhos)
+    divergence = coherence.qjsd(rhos[0], rhos[1])
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the QJSD routes diagonalize each matrix once, with eigh")
+
+    monkeypatch.setattr(coherence.np.linalg, "eigvalsh", forbidden)
+    assert coherence.coherence_reports(rhos) == reports
+    assert coherence.qjsd(rhos[0], rhos[1]) == divergence
+
+
+def test_closed_form_entropies_match_eigvalsh(monkeypatch, zz_sweep):
+    seen = {}
+    qjsd_pairs = coherence._qjsd_pairs
+
+    def spy(mats, pairs, closed, scale):
+        for k, entropies in closed.items():
+            want = coherence._entropies(np.linalg.eigvalsh(coherence._sym(mats[k])), scale)
+            seen[mats.shape[-1], k] = max(seen.get((mats.shape[-1], k), 0.0), np.abs(entropies - want).max())
+        return qjsd_pairs(mats, pairs, closed, scale)
+
+    monkeypatch.setattr(coherence, "_qjsd_pairs", spy)
+    rng = np.random.default_rng(68)
+    mixed = []
+    for rank in range(1, 9):
+        a = rng.standard_normal((8, rank)) + 1j * rng.standard_normal((8, rank))
+        mixed.append(a @ a.conj().T / np.trace(a @ a.conj().T).real)
+    assert abs(zz_sweep.j_values[1] - 0.00667) < 1e-5
+    for base in (2.0, math.e):
+        coherence.coherence_reports(mixed, base)
+        coherence.coherence_reports(states.density(zz_sweep.ground_states[1:2]), base)
+    # 4x4: rho_2 x rho_3, rho_1 x rho_2, rho_1 x rho_3; 8x8: dephased rho,
+    # pi(rho), dephased pi(rho), rho_1 x rho_23
+    assert sorted(seen) == [(4, 1), (4, 3), (4, 5), (8, 1), (8, 2), (8, 3), (8, 4)]
+    for key, gap in seen.items():
+        assert gap < 1e-12, key
+
+
 def test_reports_reject_bad_stacks():
     with pytest.raises(ValueError):
         coherence.coherence_reports(np.full((2, 8, 8), np.nan))

@@ -217,3 +217,20 @@ def test_nmr_params_reject_non_finite_entries():
     nan_j = ((0.0, 47.6, float("nan")), (47.6, 0.0, 25.7), (float("nan"), 25.7, 0.0))
     with pytest.raises(ValueError, match="coupling J13 must be finite"):
         models.NmrParams(deltas=(1.0, 2.0, 3.0), j_couplings=nan_j)
+
+
+def test_nmr_params_reject_non_real_entries():
+    with pytest.raises(ValueError, match=r"^coupling J11 must be a real number, got \[0\.0\]$"):
+        models.NmrParams(deltas=(1.0, 2.0, 3.0), j_couplings=(([0.0], [1.0], [2.0]),) * 3)
+    jc = ((0.0, 47.6, 160.7), (47.6, 0.0, 25.7), (160.7, 25.7, 0.0))
+    for bad in ("2.0", None):
+        with pytest.raises(ValueError, match="^chemical shift delta2 must be a real number"):
+            models.NmrParams(deltas=(1.0, bad, 3.0), j_couplings=jc)
+
+
+def test_nmr_config_too_deep_names_the_file(tmp_path):
+    path = tmp_path / "nmr.json"
+    path.write_text(json.dumps({"deltas": [1.0, 2.0, 3.0], "j_couplings": [[[0.0], [4.0], [5.0]]] * 3}))
+    with pytest.raises(ValueError) as exc:
+        models.load_nmr_params(path)
+    assert str(exc.value) == f"{path}: coupling J11 must be a real number, got [0.0]"
