@@ -47,6 +47,11 @@ DENSITY_GRID = 2000
 DENSITY_FLOOR_FRACTION = 1e-6
 
 
+def _check_tau(tau):
+    if not math.isfinite(tau) or tau <= 0.0:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Coupling values J(t_0)..J(t_M) with step interval tau for one model.
@@ -68,8 +73,7 @@ class Schedule:
             raise ValueError(f"schedule values must be a 1-D array, got shape {values.shape}")
         if len(values) < 1:
             raise ValueError("schedule needs at least one value")
-        if not math.isfinite(self.tau) or self.tau <= 0.0:
-            raise ValueError(f"tau must be positive and finite, got {self.tau}")
+        _check_tau(self.tau)
         if not np.all(np.isfinite(values)):
             raise ValueError("schedule values must be finite")
         if np.any(np.diff(values) < -1e-12):
@@ -167,7 +171,12 @@ def gap_adaptive_schedule(model_tag, m_steps, tau, params=None):
 
 
 def load_schedule(path, model_tag, tau):
-    """Schedule from a JSON array of coupling values."""
+    """Schedule from a JSON array of coupling values.
+
+    Errors in the file's values name the file; a bad ``tau`` does not come
+    from the file and is checked first, without the prefix.
+    """
+    _check_tau(tau)
     raw = _read_json(path)
     if not isinstance(raw, list):
         raise ValueError(f"{path}: expected a JSON array of coupling values")
@@ -217,8 +226,7 @@ def _split_step(hx, hz, tau):
     Rejects a tau whose phases, here and in exp(-i H tau), could overflow: their bound
     tau (max row sum |hx| + max |hz|) is a Python float, so no numpy warning comes first.
     """
-    if not math.isfinite(tau) or tau <= 0.0:
-        raise ValueError(f"tau must be positive and finite, got {tau}")
+    _check_tau(tau)
     if not math.isfinite(tau * float(np.abs(hx).sum(axis=-1).max() + np.abs(hz).max())):
         raise ValueError(f"tau {tau} is too large: the Trotter step phases overflow")
     return expm_hermitian(hx, tau / 2), np.exp(-1j * tau * hz)

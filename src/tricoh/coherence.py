@@ -24,8 +24,9 @@ two-qubit marginals and the mixtures from those spectra. The structured
 matrices get closed forms: a dephased matrix the Shannon entropy of its
 diagonal, and a product of marginals the entropy of the outer product of
 its factors' spectra, with qubit spectra from the 2x2 formula and rho_23's
-from the 4x4 ``eigh``. So the cross-check runs per stacked batch, and no
-structured matrix's entropy comes from a diagonalization of that matrix.
+from the 4x4 ``eigh``, each of the factor's Hermitian part and unclipped.
+So the cross-check runs per stacked batch, and no structured matrix's
+entropy comes from a diagonalization of that matrix.
 Stacked kernels see the same input bytes as per-matrix calls, so every
 report is bitwise equal to the report of its state alone.
 ``coherence_report``, ``qjsd``, ``relative_entropy`` and
@@ -97,9 +98,13 @@ def _relative_entropies(p, u, q, v, scale):
 
 
 def _qubit_spectra(m):
-    """Ascending eigenvalues of a stack of Hermitian 2x2 matrices, (t -+ hypot(a - d, 2|b|))/2."""
+    """Ascending eigenvalues of the Hermitian parts of a stack of 2x2 matrices, (t -+ hypot(a - d, 2|b|))/2.
+
+    a, d and b are the entries of ``_sym(m)``, the matrix ``eigh`` sees.
+    """
     a, d = m[..., 0, 0].real, m[..., 1, 1].real
-    r = np.hypot(a - d, 2.0 * np.abs(m[..., 0, 1]))
+    b = (m[..., 0, 1] + m[..., 1, 0].conj()) / 2
+    r = np.hypot(a - d, 2.0 * np.abs(b))
     return np.stack([(a + d - r) / 2, (a + d + r) / 2], axis=-1)
 
 
@@ -116,8 +121,8 @@ def _diagonal_entropies(mats, scale):
 def _qjsd_pairs(mats, pairs, closed, scale):
     """QJSD of the index pairs ``pairs`` into a (S, n, d, d) stack.
 
-    Returns the (P, n) divergences and the clipped ``eigh`` spectra of the S
-    input matrices, (S, n, d). Every distinct matrix and every mixture is
+    Returns the (P, n) divergences and the unclipped ``eigh`` spectra of the
+    S input matrices, (S, n, d). Every distinct matrix and every mixture is
     symmetrized once and diagonalized by one stacked ``eigh``, which serves
     the defining form. The entropic form takes the entropy of input ``k``
     from ``closed[k]``, an (n,) closed form, where the caller gives one, and
@@ -129,14 +134,12 @@ def _qjsd_pairs(mats, pairs, closed, scale):
     mid = np.arange(len(pairs)) + len(mats)
     sym = _sym(np.concatenate([mats, (mats[left] + mats[right]) / 2]))
     w, vecs = np.linalg.eigh(sym)
-    w = np.clip(w, 0.0, None)
+    p = np.clip(w, 0.0, None)
     arg = np.concatenate([left, right])
     both = np.concatenate([mid, mid])
-    rel = _relative_entropies(w[arg], vecs[arg], w[both], vecs[both], scale)
+    rel = _relative_entropies(p[arg], vecs[arg], p[both], vecs[both], scale)
     j_def = 0.5 * (rel[: len(pairs)] + rel[len(pairs):])
-    spectral = [k for k in range(len(w)) if k not in closed]
-    ent = np.empty(w.shape[:-1])
-    ent[spectral] = _entropies(w[spectral], scale)
+    ent = _entropies(w, scale)
     for k, s in closed.items():
         ent[k] = s
     j_ent = ent[mid] - 0.5 * ent[left] - 0.5 * ent[right]
@@ -244,7 +247,10 @@ def _chunk_rows(rho, scale):
 
     The nine distances come first; the monogamy difference and the four
     slacks are sums of them. The 4x4 stack runs first, because the closed
-    form for rho_1 x rho_23 reads rho_23's spectrum.
+    form for rho_1 x rho_23 reads rho_23's spectrum. The factor spectra are
+    those of the Hermitian parts and stay unclipped, as the spectrum of a
+    product is the product of its factors' spectra before the defining
+    route clips it; ``_entropies`` drops the sub-floor products either way.
     """
     m1, m2, m3 = (partial_trace(rho, 3, [q]) for q in (1, 2, 3))
     q1, q2, q3 = (_qubit_spectra(m) for m in (m1, m2, m3))

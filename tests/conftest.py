@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from tricoh import adiabatic, coherence, models, states
@@ -47,3 +50,18 @@ def zz_adaptive_run():
 def zzz_adaptive_run():
     sch = adiabatic.gap_adaptive_schedule("zzz", models.model("zzz").steps, models.model("zzz").tau)
     return adiabatic.evolve(sch)
+
+
+@pytest.fixture
+def states_within_tomo_tolerance():
+    # states that ``tomo`` accepts at its default tolerance without repair: a
+    # full-rank state whose rho[0, 4] is off by 1e-7 from conj(rho[4, 0]), and
+    # a near-product state whose rho, rho_1 and rho_23 each have an eigenvalue
+    # near -1e-11
+    a = np.random.default_rng(70).standard_normal((8, 8, 2)) @ [1, 1j]
+    skewed = a @ a.conj().T / np.trace(a @ a.conj().T).real
+    skewed[0, 4] += 1e-7
+    plus, minus, zero, one = np.array([[1, 1], [1, -1], [math.sqrt(2), 0], [0, math.sqrt(2)]]) / math.sqrt(2)
+    kets = [np.kron(np.kron(q1, zero), q3) for q1, q3 in ((plus, zero), (minus, zero), (plus, one))]
+    negative = sum(w * states.density(k) for w, k in zip((1 + 2e-11, -1e-11, -1e-11), kets))
+    return [skewed, negative]

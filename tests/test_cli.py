@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from tricoh import cli, coherence, models, qmat, states
+from tricoh import adiabatic, cli, coherence, models, qmat, states
 
 
 def run_cli(argv):
@@ -159,6 +159,18 @@ def test_tomo_repair_of_valid_matrix_reports_unchanged(tmp_path, capsys):
     assert run_cli(["tomo", "--model", "zz", "--j", "2", "--repair", str(path), "--out", str(tmp_path)]) == 0
     assert read_csv(tmp_path / "tomo_report.csv")[0]["repaired"] == "no"
     assert "repaired=False" in capsys.readouterr().out
+
+
+def test_tomo_without_repair_reports_states_within_tolerance(tmp_path, states_within_tomo_tolerance):
+    paths = [tmp_path / "skewed.json", tmp_path / "negative.json"]
+    for path, rho in zip(paths, states_within_tomo_tolerance):
+        qmat.save_density(path, rho)
+    assert run_cli(["tomo", "--model", "zz", *map(str, paths), "--out", str(tmp_path)]) == 0
+    rows = read_csv(tmp_path / "tomo_report.csv")
+    assert [row["repaired"] for row in rows] == ["no", "no"]
+    reports = coherence.coherence_reports(np.array([qmat.load_density(p) for p in paths]))
+    for row, rep in zip(rows, reports):
+        assert [row[c] for c in coherence.REPORT_COLUMNS] == [f"{x:.9g}" for x in rep]
 
 
 def test_tomo_missing_file(tmp_path):
@@ -419,6 +431,15 @@ def test_empty_schedule_file_names_the_file(tmp_path, capsys):
     path.write_text("[]")
     assert run_cli(["sweep", "--model", "zz", "--schedule", f"file:{path}", "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error: {path}: schedule needs at least one value\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_bad_tau_does_not_blame_the_schedule_file(tmp_path, capsys):
+    path = tmp_path / "good.json"
+    path.write_text(json.dumps(adiabatic.linear_schedule("zz", 4, 0.7).values.tolist()))
+    argv = ["sweep", "--model", "zz", "--schedule", f"file:{path}", "--tau", "-1", "--out", str(tmp_path / "out")]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == "error: tau must be positive and finite, got -1.0\n"
     assert not (tmp_path / "out").exists()
 
 

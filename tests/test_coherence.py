@@ -258,7 +258,28 @@ def test_qjsd_runs_without_eigvalsh(monkeypatch):
     assert coherence.qjsd(rhos[0], rhos[1]) == divergence
 
 
-def test_closed_form_entropies_match_eigvalsh(monkeypatch, zz_sweep):
+def test_reports_of_states_within_tomo_tolerance_match_qjsd(states_within_tomo_tolerance):
+    rhos = states_within_tomo_tolerance
+    for rho in rhos:
+        _, checks = qmat.validate_density(rho, tol=1e-6)
+        assert checks["herm_dev"] > 5e-8 or checks["min_eig"] < -5e-12
+    for kept in ({1}, {2, 3}):
+        assert np.linalg.eigvalsh(qmat.partial_trace(rhos[1], 3, kept))[0] < 0
+    for rho, rep in zip(rhos, coherence.coherence_reports(rhos)):
+        m1, m2, m3 = states.marginals(rho)
+        rho_23 = qmat.partial_trace(rho, 3, {2, 3})
+        pi, split = qmat.kron(qmat.kron(m1, m2), m3), qmat.kron(m1, rho_23)
+        pairs = [
+            (rho, qmat.dephase(rho)), (rho, pi), (pi, qmat.dephase(pi)), (rho, qmat.dephase(pi)),
+            (rho, split), (rho_23, qmat.kron(m2, m3)), (split, qmat.dephase(pi)),
+            (qmat.partial_trace(rho, 3, {1, 2}), qmat.kron(m1, m2)),
+            (qmat.partial_trace(rho, 3, {1, 3}), qmat.kron(m1, m3)),
+        ]
+        for value, (a, b) in zip(rep[:9], pairs):
+            assert abs(value - coherence.dist(a, b)) < 1e-12
+
+
+def test_closed_form_entropies_match_eigvalsh(monkeypatch, zz_sweep, states_within_tomo_tolerance):
     seen = {}
     qjsd_pairs = coherence._qjsd_pairs
 
@@ -276,7 +297,7 @@ def test_closed_form_entropies_match_eigvalsh(monkeypatch, zz_sweep):
         mixed.append(a @ a.conj().T / np.trace(a @ a.conj().T).real)
     assert abs(zz_sweep.j_values[1] - 0.00667) < 1e-5
     for base in (2.0, math.e):
-        coherence.coherence_reports(mixed, base)
+        coherence.coherence_reports(mixed + states_within_tomo_tolerance, base)
         coherence.coherence_reports(states.density(zz_sweep.ground_states[1:2]), base)
     # 4x4: rho_2 x rho_3, rho_1 x rho_2, rho_1 x rho_3; 8x8: dephased rho,
     # pi(rho), dephased pi(rho), rho_1 x rho_23
