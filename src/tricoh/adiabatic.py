@@ -19,7 +19,10 @@ transition rate out of the ground state,
 
 evaluated in the permutation-symmetric four-state subspace that contains the
 entire dynamics (spanned by |000>, |W001>, |W110>, |111>), on the whole
-fine grid with one stacked 4x4 eigendecomposition. Summing over all
+fine grid with one stacked 4x4 eigendecomposition. The table depends only
+on the model and the fields (omega_z, omega_x), so it is computed once per
+model and field and shared, read-only, by every later schedule and step
+search; at most ``DENSITY_CACHE_SIZE`` tables are kept. Summing over all
 excited levels matters: level crossings with symmetry-forbidden coupling
 carry no diabatic risk and must not attract steps. Near an avoided crossing
 dominated by a single level this density reduces to the familiar inverse
@@ -32,6 +35,7 @@ the spin pairs each one sums.
 """
 
 from dataclasses import dataclass
+import functools
 import math
 
 import numpy as np
@@ -45,6 +49,9 @@ DENSITY_GRID = 2000
 # floor applied to the density as a fraction of its maximum, so that flat
 # zero-coupling stretches still receive a nonzero measure
 DENSITY_FLOOR_FRACTION = 1e-6
+# density tables kept, one per (model, omega_z, omega_x); each holds two
+# arrays of DENSITY_GRID + 1 floats
+DENSITY_CACHE_SIZE = 16
 
 
 def _check_tau(tau):
@@ -124,8 +131,17 @@ def symmetric_sector_basis():
 
 
 def _sector_density(model_tag, params):
-    """Tabulated diabatic-rate density on a fine coupling grid."""
+    """Tabulated diabatic-rate density on a fine coupling grid, as read-only ``(grid, density)``."""
+    p = params or models.ModelParams()
+    return _density_table(model_tag, p.omega_z, p.omega_x)
+
+
+@functools.lru_cache(maxsize=DENSITY_CACHE_SIZE)
+def _density_table(model_tag, omega_z, omega_x):
+    # keyed on the fields the table reads, so params differing only in the
+    # coupling fields share one entry; every caller gets the same arrays
     m = models.model(model_tag)
+    params = models.ModelParams(omega_z=omega_z, omega_x=omega_x)
     grid = np.linspace(*m.j_range, DENSITY_GRID + 1)
     basis = symmetric_sector_basis()
     d_small = basis.conj().T @ np.diag(m.dh_dj) @ basis
@@ -133,7 +149,9 @@ def _sector_density(model_tag, params):
     w, v = np.linalg.eigh(h_small)
     # <n| dH/dJ |g> for every level n of every grid point, as one matmul
     overlaps = np.abs(v.conj().swapaxes(-1, -2) @ (d_small @ v[:, :, :1]))[:, 1:, 0]
-    return grid, (overlaps / (w[:, 1:] - w[:, :1]) ** 2).sum(axis=1)
+    density = (overlaps / (w[:, 1:] - w[:, :1]) ** 2).sum(axis=1)
+    grid.flags.writeable = density.flags.writeable = False
+    return grid, density
 
 
 def schedule_from_density(model_tag, m_steps, tau, grid, density_values):
@@ -323,11 +341,9 @@ def min_steps_search(model_tag, target_min_fidelity, tau, params=None, step_cap=
     cap = 10 * models.model(model_tag).steps if step_cap is None else step_cap
     if cap < 1:
         raise ValueError(f"step_cap must be at least 1, got {cap}")
-    grid, dens = _sector_density(model_tag, params)
 
     def achieved(m_steps):
-        sched = schedule_from_density(model_tag, m_steps, tau, grid, dens)
-        return evolve(sched, params=params).min_fidelity
+        return evolve(gap_adaptive_schedule(model_tag, m_steps, tau, params), params=params).min_fidelity
 
     best = -1.0
     last_fail = 0

@@ -223,7 +223,12 @@ def cmd_tomo(args):
         rhos.append(rho)
         rows.append([os.path.basename(path), j, fid, *checks.values(), "yes" if repaired else "no"])
         print(f"{os.path.basename(path)}: fidelity {_fmt(fid)} (J={_fmt(j)}, repaired={repaired})")
-    for row, rep in zip(rows, coherence.coherence_reports(np.array(rhos), base=_base(args))):
+    try:
+        reports = coherence.coherence_reports(np.array(rhos), base=_base(args))
+    except coherence.CrossCheckError as exc:
+        # an input state the two QJSD routes disagree on is reported under its file
+        raise ValueError(f"{args.files[exc.index]}: {exc}") from exc
+    for row, rep in zip(rows, reports):
         row += rep
     header = ("file", "J", "fidelity", *checks, "repaired") + coherence.REPORT_COLUMNS
     _write(args, "tomo_report.csv", _csv(header, rows))

@@ -5,7 +5,8 @@ m = (rho + sigma)/2 is computed in base-2 logarithms by default, which bounds
 J by 1 and its square root (the distance D) by 1 for any pair of states.
 Both the defining form and the entropic form S(m) - S(rho)/2 - S(sigma)/2
 are always evaluated, and any disagreement beyond ``CROSS_CHECK_TOL`` raises
-``ArithmeticError``. Each matrix is diagonalized once: the defining form
+``CrossCheckError``, an ``ArithmeticError`` that names the failing state's
+index in its stack. Each matrix is diagonalized once: the defining form
 reads the clipped ``eigh`` eigenpairs, and the entropic form reads either
 the same ``eigh`` spectrum or a closed form its caller supplies for a
 structured matrix.
@@ -61,6 +62,14 @@ EMBED_EPS = 1e-9
 # states per batch in ``coherence_reports``; bounds the working set, since
 # each state adds 20 derived matrices and their eigenvectors
 REPORT_CHUNK = 16
+
+
+class CrossCheckError(ArithmeticError):
+    """The two QJSD routes disagree beyond ``CROSS_CHECK_TOL``; ``index`` is the state's position in its stack."""
+
+    def __init__(self, message, index):
+        super().__init__(message)
+        self.index = index
 
 
 def _log_scale(base):
@@ -128,7 +137,7 @@ def _qjsd_pairs(mats, pairs, closed, scale):
     from ``closed[k]``, an (n,) closed form, where the caller gives one, and
     from the ``eigh`` spectrum otherwise; mixtures always read the spectrum.
     The two forms must agree within ``CROSS_CHECK_TOL`` for every pair,
-    else ``ArithmeticError``.
+    else ``CrossCheckError`` with the index of the first failing state.
     """
     left, right = np.array(pairs).T
     mid = np.arange(len(pairs)) + len(mats)
@@ -146,9 +155,10 @@ def _qjsd_pairs(mats, pairs, closed, scale):
     bad = ~np.isfinite(j_def) | (np.abs(j_def - j_ent) > CROSS_CHECK_TOL)
     if bad.any():
         state, pair = np.argwhere(bad.T)[0]
-        raise ArithmeticError(
+        raise CrossCheckError(
             f"qjsd cross-check failed: defining form {float(j_def[pair, state])!r} "
-            f"vs entropic form {float(j_ent[pair, state])!r}"
+            f"vs entropic form {float(j_ent[pair, state])!r}",
+            int(state),
         )
     return np.where(j_def < 0.0, 0.0, j_def), w[: len(mats)]
 
@@ -291,7 +301,8 @@ def coherence_reports(rhos, base=2.0):
 
     Returns N ``CoherenceReport`` values, each equal bit for bit to the
     report of its state alone. States are processed ``REPORT_CHUNK`` at a
-    time.
+    time. A failed cross-check raises ``CrossCheckError`` whose ``index`` is
+    the failing state's position in ``rhos``.
     """
     rhos = _as_stack(rhos, "rhos")
     if rhos.ndim != 3 or rhos.shape[1:] != (8, 8):
@@ -299,7 +310,12 @@ def coherence_reports(rhos, base=2.0):
     scale = _log_scale(base)
     reports = []
     for start in range(0, len(rhos), REPORT_CHUNK):
-        reports += map(CoherenceReport._make, _chunk_rows(rhos[start:start + REPORT_CHUNK], scale).tolist())
+        try:
+            rows = _chunk_rows(rhos[start:start + REPORT_CHUNK], scale)
+        except CrossCheckError as exc:
+            exc.index += start
+            raise
+        reports += map(CoherenceReport._make, rows.tolist())
     return reports
 
 

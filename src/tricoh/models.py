@@ -163,19 +163,34 @@ def hamiltonian(tag, j, params=None):
     return hx + hz[..., None] * np.eye(len(hx))
 
 
+def _has_length(value, n):
+    """Whether ``value`` is sized with exactly ``n`` items; a scalar is not."""
+    try:
+        return len(value) == n
+    except TypeError:
+        return False
+
+
 @dataclass(frozen=True)
 class NmrParams:
-    """Chemical shifts (Hz) and symmetric scalar couplings (Hz) of three spins."""
+    """Chemical shifts (Hz) and symmetric scalar couplings (Hz) of three spins.
+
+    Sequences are stored as tuples: ``deltas`` of three shifts, ``j_couplings``
+    a 3x3 table of rows.
+    """
 
     deltas: tuple
     j_couplings: tuple
 
     def __post_init__(self):
-        if len(self.deltas) != N_QUBITS:
-            raise ValueError(f"expected {N_QUBITS} chemical shifts, got {len(self.deltas)}")
+        if not _has_length(self.deltas, N_QUBITS):
+            raise ValueError(f"deltas must hold {N_QUBITS} chemical shifts, got {self.deltas!r}")
         j = self.j_couplings
-        if len(j) != N_QUBITS or any(len(row) != N_QUBITS for row in j):
-            raise ValueError("j_couplings must be a 3x3 table")
+        if not (_has_length(j, N_QUBITS) and all(_has_length(row, N_QUBITS) for row in j)):
+            raise ValueError(f"j_couplings must be a 3x3 table, got {j!r}")
+        j = tuple(map(tuple, j))
+        object.__setattr__(self, "deltas", tuple(self.deltas))
+        object.__setattr__(self, "j_couplings", j)
         entries = [(f"chemical shift delta{i+1}", d) for i, d in enumerate(self.deltas)]
         entries += [(f"coupling J{i+1}{k+1}", j[i][k]) for i in range(N_QUBITS) for k in range(N_QUBITS)]
         for name, value in entries:
@@ -198,13 +213,10 @@ class NmrParams:
 def load_nmr_params(path):
     """Read deltas and j_couplings from a JSON config file."""
     raw = _read_json(path)
-    try:
-        deltas, couplings = (_json_numbers(path, field, raw[field]).tolist() for field in ("deltas", "j_couplings"))
-        # a config that is not an object, or a field too shallow to be a
-        # vector or a table of rows, fails here with a TypeError
-        deltas, couplings = tuple(deltas), tuple(map(tuple, couplings))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: malformed NMR config ({exc})") from exc
+    fields = ("deltas", "j_couplings")
+    if not isinstance(raw, dict) or not raw.keys() >= set(fields):
+        raise ValueError(f"{path}: malformed NMR config: expected a JSON object with the fields {', '.join(fields)}")
+    deltas, couplings = (_json_numbers(path, field, raw[field]).tolist() for field in fields)
     try:
         return NmrParams(deltas=deltas, j_couplings=couplings)
     except ValueError as exc:

@@ -65,3 +65,16 @@ def states_within_tomo_tolerance():
     kets = [np.kron(np.kron(q1, zero), q3) for q1, q3 in ((plus, zero), (minus, zero), (plus, one))]
     negative = sum(w * states.density(k) for w, k in zip((1 + 2e-11, -1e-11, -1e-11), kets))
     return [skewed, negative]
+
+
+@pytest.fixture
+def state_failing_cross_check():
+    # a full-rank state whose lowest eigenvalue is -5e-7 at unit trace: ``tomo``
+    # accepts it at its default tolerance without repair, but the defining
+    # QJSD form clips that eigenvalue and the entropic form floors it, so the
+    # two differ by about 1e-6, beyond the cross-check tolerance
+    a = np.random.default_rng(1).standard_normal((8, 8, 2)) @ [1, 1j]
+    w, v = np.linalg.eigh(a @ a.conj().T)
+    w[0] = -5e-7
+    w[1:] *= (1 - w[0]) / w[1:].sum()
+    return (v * w) @ v.conj().T

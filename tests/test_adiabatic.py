@@ -473,13 +473,13 @@ def test_evolve_matches_per_step_vdot_loop_bitwise(tag, mu):
         assert run.final_fidelity == final
 
 
-def per_point_density(tag, grid):
+def per_point_density(tag, grid, params=None):
     # the per-point reference for the stacked sector density
     basis = adiabatic.symmetric_sector_basis()
     d_small = basis.conj().T @ np.diag(models.model(tag).dh_dj) @ basis
     dens = np.empty_like(grid)
     for i, j in enumerate(grid):
-        w, v = np.linalg.eigh(basis.conj().T @ models.hamiltonian(tag, j) @ basis)
+        w, v = np.linalg.eigh(basis.conj().T @ models.hamiltonian(tag, j, params) @ basis)
         rate = 0.0
         for n in range(1, len(w)):
             rate += abs(np.vdot(v[:, n], d_small @ v[:, 0])) / (w[n] - w[0]) ** 2
@@ -495,6 +495,65 @@ def test_gap_adaptive_schedule_matches_per_point_density_bitwise(tag):
     for steps in (300, 200, 40):
         want = adiabatic.schedule_from_density(tag, steps, m.tau, grid, dens)
         assert np.array_equal(adiabatic.gap_adaptive_schedule(tag, steps, m.tau).values, want.values)
+
+
+DENSITY_PARAMS = [None, models.ModelParams(omega_z=-1.1, omega_x=0.3), models.ModelParams(omega_x=0.0)]
+
+
+@pytest.mark.parametrize("params", DENSITY_PARAMS, ids=["default", "fields", "no_transverse"])
+@pytest.mark.parametrize("tag", models.MODEL_TAGS)
+def test_cached_density_table_matches_uncached_and_per_point(tag, params):
+    m = models.model(tag)
+    p = params or models.ModelParams()
+    # omega_x = 0 leaves degenerate zzz levels, whose 0/0 rate is NaN on every route
+    with np.errstate(invalid="ignore"):
+        grid, dens = adiabatic._sector_density(tag, params)
+        fresh_grid, fresh = adiabatic._density_table.__wrapped__(tag, p.omega_z, p.omega_x)
+        want = per_point_density(tag, grid, params)
+    assert np.array_equal(grid, np.linspace(*m.j_range, adiabatic.DENSITY_GRID + 1))
+    assert np.array_equal(grid, fresh_grid)
+    assert dens.tobytes() == fresh.tobytes()
+    # the stacked and per-point routes may round apart in the last bit (at
+    # most one eps relative on these grids), which the schedule's
+    # interpolation absorbs
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isfinite(dens), finite)
+    np.testing.assert_allclose(dens[finite], want[finite], rtol=2 * np.finfo(float).eps, atol=0.0)
+    if finite.all() and want.any():
+        for steps in (1, 40, m.steps):
+            expected = adiabatic.schedule_from_density(tag, steps, m.tau, grid, want).values
+            assert np.array_equal(adiabatic.gap_adaptive_schedule(tag, steps, m.tau, params).values, expected)
+    for table in (grid, dens):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1.0
+
+
+def test_density_table_is_shared_by_the_fields_it_reads():
+    tables = [adiabatic._sector_density("zz", p) for p in (None, models.ModelParams(), models.ModelParams(j2=1.0))]
+    assert all(t[0] is tables[0][0] and t[1] is tables[0][1] for t in tables)
+    other = adiabatic._sector_density("zz", models.ModelParams(omega_x=0.3))
+    assert other[1] is not tables[0][1] and not np.array_equal(other[1], tables[0][1])
+    assert adiabatic._sector_density("zzz", None)[0] is not tables[0][0]
+    assert adiabatic._density_table.cache_info().maxsize == adiabatic.DENSITY_CACHE_SIZE
+
+
+def test_repeated_schedules_and_searches_build_no_new_density_table(monkeypatch):
+    params = models.ModelParams(omega_z=-1.7, omega_x=0.2)
+    tables = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        if np.shape(a) == (adiabatic.DENSITY_GRID + 1, 4, 4):
+            tables.append(a)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    first = adiabatic.gap_adaptive_schedule("zz", 40, 0.7, params)
+    assert len(tables) == 1
+    again = adiabatic.gap_adaptive_schedule("zz", 40, 0.7, params)
+    assert adiabatic.min_steps_search("zz", 0.5, 0.7, params) >= 1
+    assert len(tables) == 1
+    assert np.array_equal(first.values, again.values)
 
 
 @pytest.mark.parametrize("tag", models.MODEL_TAGS)

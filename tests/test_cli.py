@@ -173,6 +173,18 @@ def test_tomo_without_repair_reports_states_within_tolerance(tmp_path, states_wi
         assert [row[c] for c in coherence.REPORT_COLUMNS] == [f"{x:.9g}" for x in rep]
 
 
+def test_tomo_reports_a_failed_cross_check_under_its_file(tmp_path, capsys, state_failing_cross_check):
+    ok, bad = tmp_path / "ok.json", tmp_path / "negative.json"
+    qmat.save_density(ok, np.eye(8) / 8)
+    qmat.save_density(bad, state_failing_cross_check)
+    assert qmat.validate_density(qmat.load_density(bad), tol=1e-6)[1]["min_eig"] < -4e-7
+    argv = ["tomo", "--model", "zz", str(ok), str(bad), "--out", str(tmp_path)]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: qjsd cross-check failed: defining form ")
+    assert not (tmp_path / "tomo_report.csv").exists()
+    assert run_cli([*argv, "--repair"]) == 0
+
+
 def test_tomo_missing_file(tmp_path):
     assert run_cli(["tomo", "--model", "zz", str(tmp_path / "absent.json"), "--out", str(tmp_path)]) == 2
 

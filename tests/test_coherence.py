@@ -235,6 +235,15 @@ def test_cross_check_failure_raises(monkeypatch):
         coherence.qjsd(rho, np.eye(8) / 8)
 
 
+def test_cross_check_error_names_the_state_index(state_failing_cross_check):
+    rhos = seeded_states(np.random.default_rng(66), coherence.REPORT_CHUNK + 3)
+    rhos[coherence.REPORT_CHUNK + 1] = state_failing_cross_check
+    with pytest.raises(coherence.CrossCheckError, match="^qjsd cross-check failed: defining form ") as exc:
+        coherence.coherence_reports(rhos)
+    assert isinstance(exc.value, ArithmeticError)
+    assert exc.value.index == coherence.REPORT_CHUNK + 1
+
+
 @pytest.mark.parametrize("helper", ["_qubit_spectra", "_diagonal_entropies"])
 def test_cross_check_catches_a_wrong_closed_form(monkeypatch, helper):
     rho = seeded_states(np.random.default_rng(65), 1)[0]

@@ -168,6 +168,38 @@ def test_nmr_params_validation():
         models.NmrParams(deltas=(1.0, 2.0, 3.0), j_couplings=diag)
 
 
+def test_nmr_params_reject_shallow_tables_and_scalar_shifts():
+    with pytest.raises(ValueError, match=r"^j_couplings must be a 3x3 table, got \(0\.0, 1\.0, 2\.0\)$"):
+        models.NmrParams(deltas=(1.0, 2.0, 3.0), j_couplings=(0.0, 1.0, 2.0))
+    with pytest.raises(ValueError, match=r"^deltas must hold 3 chemical shifts, got 1\.0$"):
+        models.NmrParams(deltas=1.0, j_couplings=((0.0, 1.0, 2.0),) * 3)
+
+
+def test_nmr_params_store_tuples(tmp_path):
+    jc = [[0.0, 4.0, 5.0], [4.0, 0.0, 6.0], [5.0, 6.0, 0.0]]
+    nmr = models.NmrParams(deltas=[1.0, 2.0, 3.0], j_couplings=jc)
+    assert nmr == models.NmrParams(deltas=(1.0, 2.0, 3.0), j_couplings=tuple(map(tuple, jc)))
+    assert hash(nmr) == hash(models.NmrParams(deltas=(1.0, 2.0, 3.0), j_couplings=tuple(map(tuple, jc))))
+    path = tmp_path / "nmr.json"
+    path.write_text(json.dumps({"deltas": [1.0, 2.0, 3.0], "j_couplings": jc}))
+    assert models.load_nmr_params(path) == nmr
+
+
+@pytest.mark.parametrize("content, message", [
+    ({"deltas": 1.0, "j_couplings": [[0.0, 4.0, 5.0]] * 3}, "deltas must hold 3 chemical shifts, got 1.0"),
+    ({"deltas": [1.0, 2.0, 3.0], "j_couplings": [0.0, 4.0, 5.0]},
+     "j_couplings must be a 3x3 table, got [0.0, 4.0, 5.0]"),
+    ([1.0, 2.0, 3.0], "malformed NMR config: expected a JSON object with the fields deltas, j_couplings"),
+    ({"deltas": [1.0, 2.0, 3.0]}, "malformed NMR config: expected a JSON object with the fields deltas, j_couplings"),
+], ids=["scalar_deltas", "shallow_table", "not_an_object", "missing_field"])
+def test_malformed_nmr_config_names_the_file(tmp_path, content, message):
+    path = tmp_path / "nmr.json"
+    path.write_text(json.dumps(content))
+    with pytest.raises(ValueError) as exc:
+        models.load_nmr_params(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
 def test_nmr_coupling_accessor():
     jc = ((0.0, 47.6, 160.7), (47.6, 0.0, 25.7), (160.7, 25.7, 0.0))
     nmr = models.NmrParams(deltas=(1.0, 2.0, 3.0), j_couplings=jc)
