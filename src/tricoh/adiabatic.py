@@ -149,7 +149,9 @@ def _density_table(model_tag, omega_z, omega_x):
     w, v = np.linalg.eigh(h_small)
     # <n| dH/dJ |g> for every level n of every grid point, as one matmul
     overlaps = np.abs(v.conj().swapaxes(-1, -2) @ (d_small @ v[:, :, :1]))[:, 1:, 0]
-    density = (overlaps / (w[:, 1:] - w[:, :1]) ** 2).sum(axis=1)
+    # a degenerate level at zero coupling gives 0/0 here; schedule_from_density rejects the NaN
+    with np.errstate(divide="ignore", invalid="ignore"):
+        density = (overlaps / (w[:, 1:] - w[:, :1]) ** 2).sum(axis=1)
     grid.flags.writeable = density.flags.writeable = False
     return grid, density
 
@@ -159,7 +161,8 @@ def schedule_from_density(model_tag, m_steps, tau, grid, density_values):
 
     The cumulative density is normalized and inverted on the grid, so twice
     the density means half the local step spacing. A constant density
-    reproduces the linear schedule.
+    reproduces the linear schedule. A density with a non-finite entry or
+    with no positive entry is rejected.
     """
     if m_steps < 1:
         raise ValueError(f"m_steps must be at least 1, got {m_steps}")
@@ -167,6 +170,11 @@ def schedule_from_density(model_tag, m_steps, tau, grid, density_values):
     dens = np.asarray(density_values, dtype=float)
     if grid.shape != dens.shape or grid.ndim != 1 or len(grid) < 2:
         raise ValueError("grid and density must be equal-length 1-D arrays")
+    bad = np.flatnonzero(~np.isfinite(dens))
+    if bad.size:
+        raise ValueError(f"density must be finite, got {dens[bad[0]]} at grid point {bad[0]}")
+    if not (dens > 0.0).any():
+        raise ValueError("density must have a positive entry, got none")
     dens = np.maximum(dens, DENSITY_FLOOR_FRACTION * dens.max())
     steps = np.diff(grid)
     cum = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2 * steps)])
@@ -408,8 +416,11 @@ def find_crossing(j_values, component_a, component_b):
     """First sign change of (a - b) along a sweep, with a linear-interpolation root.
 
     Returns (j_lo, j_hi, j_root) bracketing the crossing, or None when the
-    difference never changes sign.
+    difference never changes sign. The three arrays must have equal lengths.
     """
+    lengths = tuple(len(x) for x in (j_values, component_a, component_b))
+    if len(set(lengths)) != 1:
+        raise ValueError(f"j_values, component_a and component_b must have equal lengths, got {lengths}")
     diff = np.asarray(component_a, dtype=float) - np.asarray(component_b, dtype=float)
     j_values = np.asarray(j_values, dtype=float)
     for m in range(1, len(diff)):

@@ -3,7 +3,8 @@
 Verbs: sweep, ratios, geometry, tomo, trotter-audit, schedule. Outputs are
 deterministic CSV/JSON files (floats printed with 9 significant digits) laid
 out for external plotting; identical configuration and inputs produce
-byte-identical files.
+byte-identical files. Each CSV is built as one table, an ordered dict from
+column name to values, whose keys are the header.
 
 Library records name the geometry points (``coherence.Tetrahedron``) and
 tomo's check columns (``qmat.validate_density``), ``models.MODELS`` holds
@@ -31,8 +32,13 @@ TROTTER_FIDELITY_THRESHOLD = 0.999
 # that both models sit in the asymptotic third-order regime
 RATIO_TABLE_TAU = 0.1
 
-SWEEP_HEADER = ("m", "J", "E0", "E1", "gap", "fid_instant") + coherence.REPORT_COLUMNS
-RATIOS_HEADER = ("J", "CG_over_CL", "C23_over_CL", "C123_over_CA123", "C23_over_C123", "M")
+# ratio columns of ``ratios``: (column, numerator field, denominator field)
+RATIO_COLUMNS = (
+    ("CG_over_CL", "c_global", "c_local"),
+    ("C23_over_CL", "c_2_3", "c_local"),
+    ("C123_over_CA123", "c_1_23", "c_abs_1_23"),
+    ("C23_over_C123", "c_2_3", "c_1_23"),
+)
 
 
 def _fmt(x):
@@ -123,11 +129,12 @@ def _base(args):
     return 2.0 if args.log_base == "2" else math.e
 
 
-def _csv(header, rows):
+def _csv(table):
+    """CSV text of a table, an ordered dict from column name to the column's values."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([_fmt(x) if not isinstance(x, str) else x for x in row] for row in rows)
+    writer.writerow(table)
+    writer.writerows([x if isinstance(x, str) else _fmt(x) for x in row] for row in zip(*table.values(), strict=True))
     return buf.getvalue()
 
 
@@ -143,12 +150,10 @@ def _write(args, name, text):
 def cmd_sweep(args):
     result = adiabatic.evolve(_schedule(args), mu=args.mu)
     reports = coherence.coherence_reports(states.density(result.ground_states), base=_base(args))
-    rows = [
-        [m, j, result.ground_energies[m], result.excited_energies[m], result.gaps[m], result.fid_instant[m]]
-        + list(rep)
-        for m, (j, rep) in enumerate(zip(result.j_values, reports))
-    ]
-    _write(args, f"sweep_{args.model}.csv", _csv(SWEEP_HEADER, rows))
+    table = {"m": range(len(reports)), "J": result.j_values, "E0": result.ground_energies,
+             "E1": result.excited_energies, "gap": result.gaps, "fid_instant": result.fid_instant}
+    table.update(zip(coherence.REPORT_COLUMNS, zip(*reports)))
+    _write(args, f"sweep_{args.model}.csv", _csv(table))
     print(
         f"min_fidelity={_fmt(result.min_fidelity)} final_fidelity={_fmt(result.final_fidelity)} "
         f"ground_target_fidelity={_fmt(result.ground_target_fidelity)}"
@@ -163,19 +168,11 @@ def cmd_ratios(args):
     def ratio(num, den):
         return num / den if den >= 1e-9 else None
 
-    rows = []
-    for j, rep in zip(sweep.j_values, reports):
-        rows.append(
-            [
-                j,
-                ratio(rep.c_global, rep.c_local),
-                ratio(rep.c_2_3, rep.c_local),
-                ratio(rep.c_1_23, rep.c_abs_1_23),
-                ratio(rep.c_2_3, rep.c_1_23),
-                rep.monogamy_m,
-            ]
-        )
-    _write(args, f"ratios_{args.model}.csv", _csv(RATIOS_HEADER, rows))
+    table = {"J": sweep.j_values}
+    for col, num, den in RATIO_COLUMNS:
+        table[col] = [ratio(getattr(rep, num), getattr(rep, den)) for rep in reports]
+    table["M"] = [rep.monogamy_m for rep in reports]
+    _write(args, f"ratios_{args.model}.csv", _csv(table))
     return 0
 
 
@@ -221,25 +218,25 @@ def cmd_tomo(args):
             raise ValueError(f"{path}: {exc}") from exc
         repaired = bool(np.abs(rho - rho_raw).max() > args.tol)
         rhos.append(rho)
-        rows.append([os.path.basename(path), j, fid, *checks.values(), "yes" if repaired else "no"])
+        rows.append({"file": os.path.basename(path), "J": j, "fidelity": fid, **checks,
+                     "repaired": "yes" if repaired else "no"})
         print(f"{os.path.basename(path)}: fidelity {_fmt(fid)} (J={_fmt(j)}, repaired={repaired})")
     try:
         reports = coherence.coherence_reports(np.array(rhos), base=_base(args))
     except coherence.CrossCheckError as exc:
         # an input state the two QJSD routes disagree on is reported under its file
         raise ValueError(f"{args.files[exc.index]}: {exc}") from exc
-    for row, rep in zip(rows, reports):
-        row += rep
-    header = ("file", "J", "fidelity", *checks, "repaired") + coherence.REPORT_COLUMNS
-    _write(args, "tomo_report.csv", _csv(header, rows))
+    table = {key: [row[key] for row in rows] for key in rows[0]}
+    table.update(zip(coherence.REPORT_COLUMNS, zip(*reports)))
+    _write(args, "tomo_report.csv", _csv(table))
     return 0
 
 
 def cmd_trotter_audit(args):
     schedule = _schedule(args)
     fids = qmat.unitary_fidelity(*adiabatic.trotter_pair(args.model, schedule.values, schedule.tau))
-    rows = [[m, j, f] for m, (j, f) in enumerate(zip(schedule.values, fids))]
-    _write(args, f"trotter_audit_{args.model}.csv", _csv(("m", "J", "unitary_fidelity"), rows))
+    table = {"m": range(len(fids)), "J": schedule.values, "unitary_fidelity": fids}
+    _write(args, f"trotter_audit_{args.model}.csv", _csv(table))
 
     lo, hi = models.model(args.model).j_range
     print(f"error-scaling ratios at tau={_fmt(RATIO_TABLE_TAU)} (expected near 8):")
@@ -266,7 +263,7 @@ def cmd_schedule(args):
         table, notices = refocus
         for notice in notices:
             print(notice)
-        _write(args, f"refocus_{args.model}.csv", _csv(table, zip(*table.values())))
+        _write(args, f"refocus_{args.model}.csv", _csv(table))
     return 0
 
 

@@ -49,7 +49,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qmat import _as_square, _as_stack, dephase, kron, partial_trace
+from .qmat import _as_square, _as_stack, _sym, dephase, kron, partial_trace
+from .states import marginals
 
 # eigenvalues below this floor are treated as exact zeros inside logarithms
 EIG_FLOOR = 1e-12
@@ -76,10 +77,6 @@ def _log_scale(base):
     if base <= 1.0:
         raise ValueError(f"log base must exceed 1, got {base}")
     return math.log(base)
-
-
-def _sym(mats):
-    return (mats + mats.conj().swapaxes(-1, -2)) / 2
 
 
 def _entropies(w, scale):
@@ -262,7 +259,7 @@ def _chunk_rows(rho, scale):
     product is the product of its factors' spectra before the defining
     route clips it; ``_entropies`` drops the sub-floor products either way.
     """
-    m1, m2, m3 = (partial_trace(rho, 3, [q]) for q in (1, 2, 3))
+    m1, m2, m3 = marginals(rho)
     q1, q2, q3 = (_qubit_spectra(m) for m in (m1, m2, m3))
     rho_23 = partial_trace(rho, 3, [2, 3])
     pi = kron(kron(m1, m2), m3)

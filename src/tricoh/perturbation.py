@@ -7,6 +7,9 @@ three-body model the unperturbed ground level is degenerate and the correct
 zeroth-order state follows from the secular equation of the second-order
 effective Hamiltonian, whose lowest eigenvector reproduces |G>.
 
+``secular_solve`` accepts only an orthonormal basis of degenerate h0
+eigenstates (Bravyi, DiVincenzo, Loss, Ann. Phys. 326, 2793 (2011)).
+
 All returned states are normalized with the package phase convention; the
 closed-form fidelity expressions already account for the normalization of
 the unnormalized perturbative expansions.
@@ -23,6 +26,9 @@ from . import models
 
 # eigenvalues of h0 within this distance of the subspace energy count as degenerate
 SECULAR_ENERGY_TOL = 1e-8
+# largest deviation of the subspace Gram matrix from the identity, and largest
+# coupling V may make from the subspace to the rest of its energy shell
+SUBSPACE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -114,12 +120,13 @@ def zzz_fidelity_formula(omega_x, j3):
 def secular_solve(split):
     """Solve the secular equation on the degenerate ground subspace.
 
-    Builds A_mn = sum_k <m|V|k><k|V|n> / (E_g - E_k) over the eigenstates
-    ``k`` of ``h0`` outside the subspace energy shell E_g, diagonalizes it,
-    and returns the lowest eigenpair. Raises if the subspace is missing, if
-    its basis states are not degenerate eigenstates of ``h0``, or if V
-    couples the subspace to other states inside the same energy shell (a
-    vanishing denominator).
+    With the subspace basis as the columns of S and the eigenpairs
+    (U_out, E_out) of ``h0`` outside its energy shell E_g, diagonalizes
+    A = B^dag diag(1 / (E_g - E_out)) B with B = U_out^dag V S and returns
+    the lowest eigenpair. Raises if the subspace is missing, if its Gram
+    matrix differs from the identity by more than ``SUBSPACE_TOL``, if its
+    states are not h0 eigenstates at E_g, or if V couples it to other
+    states inside the shell (a vanishing denominator).
     """
     if not split.degenerate_subspace:
         raise ValueError("secular_solve requires a nonempty degenerate subspace")
@@ -127,35 +134,31 @@ def secular_solve(split):
     v = _as_square(split.v, "v")
     _check_hermitian(h0, name="h0")
     _check_hermitian(v, name="v")
-    subspace = [np.asarray(s, dtype=complex) for s in split.degenerate_subspace]
-    size = len(subspace)
+    sub = np.column_stack([np.asarray(s, dtype=complex) for s in split.degenerate_subspace])
+    size = sub.shape[1]
 
-    energies = [float(np.real(np.vdot(s, h0 @ s))) for s in subspace]
-    e_g = energies[0]
-    for s, e in zip(subspace, energies):
-        residual = np.linalg.norm(h0 @ s - e_g * s)
-        if residual > SECULAR_ENERGY_TOL * max(1.0, float(np.abs(h0).max())):
-            raise ValueError(f"subspace state is not an h0 eigenstate at energy {e_g:.6g} (residual {residual:.3e})")
+    gram_dev = np.abs(sub.conj().T @ sub - np.eye(size)).max()
+    if gram_dev > SUBSPACE_TOL:
+        raise ValueError(f"subspace basis is not orthonormal (max Gram deviation {gram_dev:.3e})")
+    e_g = float(np.real(np.vdot(sub[:, 0], h0 @ sub[:, 0])))
+    residual = np.linalg.norm(h0 @ sub - e_g * sub, axis=0).max()
+    if residual > SECULAR_ENERGY_TOL * max(1.0, float(np.abs(h0).max())):
+        raise ValueError(f"subspace state is not an h0 eigenstate at energy {e_g:.6g} (residual {residual:.3e})")
 
     spec = eig_hermitian(h0)
     shell = np.abs(spec.eigenvalues - e_g) <= SECULAR_ENERGY_TOL
-    sub_block = np.column_stack(subspace)
-    outside = ~shell
     # degenerate states in the shell but outside the subspace must not couple via V
     shell_vecs = spec.eigenvectors[:, shell]
-    shell_residual = shell_vecs - sub_block @ (sub_block.conj().T @ shell_vecs)
-    coupling = np.abs(shell_residual.conj().T @ v @ sub_block)
-    if coupling.size and coupling.max() > 1e-8:
+    shell_residual = shell_vecs - sub @ (sub.conj().T @ shell_vecs)
+    coupling = np.abs(shell_residual.conj().T @ v @ sub)
+    if coupling.size and coupling.max() > SUBSPACE_TOL:
         raise ValueError(
             "vanishing denominator: V couples the subspace to degenerate states outside it "
             f"(max coupling {coupling.max():.3e})"
         )
 
-    a = np.zeros((size, size), dtype=complex)
-    for k in np.nonzero(outside)[0]:
-        vk = spec.eigenvectors[:, k]
-        amps = np.array([np.vdot(vk, v @ s) for s in subspace])
-        a += np.outer(amps.conj(), amps) / (e_g - spec.eigenvalues[k])
+    amps = spec.eigenvectors[:, ~shell].conj().T @ (v @ sub)
+    a = amps.conj().T @ (amps / (e_g - spec.eigenvalues[~shell])[:, None])
     a_spec = eig_hermitian(a)
     w = a_spec.eigenvalues
     scale = max(float(np.abs(w).max()), 1.0)

@@ -71,10 +71,15 @@ def _as_square(m, name="matrix"):
     return m
 
 
-def _check_hermitian(m, tol=HERMITICITY_TOL, name="matrix"):
+def _check_hermitian(m, name="matrix"):
     dev = np.abs(m - m.conj().swapaxes(-1, -2)).max()
-    if dev > tol:
-        raise ValueError(f"{name} is not Hermitian: max deviation {dev:.3e} exceeds {tol:.1e}")
+    if dev > HERMITICITY_TOL:
+        raise ValueError(f"{name} is not Hermitian: max deviation {dev:.3e} exceeds {HERMITICITY_TOL:.1e}")
+
+
+def _sym(m):
+    """Hermitian part (m + m^dag)/2 of a matrix or of each matrix of a stack."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
 def kron(a, b):
@@ -324,7 +329,7 @@ def validate_density(m, tol=HERMITICITY_TOL, repair=False):
     m = _as_square(m, "density matrix")
     herm_dev = float(np.abs(m - m.conj().T).max())
     trace_dev = float(abs(np.trace(m) - 1.0))
-    sym = (m + m.conj().T) / 2
+    sym = _sym(m)
     eigs = np.linalg.eigvalsh(sym)
     min_eig = float(eigs[0])
     checks = {"herm_dev": herm_dev, "trace_dev": trace_dev, "min_eig": min_eig}

@@ -33,11 +33,7 @@ def sign_product_state(pattern):
     """Product of (|0> +/- |1>)/sqrt(2) factors for a pattern like "+-+"."""
     if not pattern or any(c not in "+-" for c in pattern):
         raise ValueError(f"invalid sign pattern {pattern!r}")
-    factors = [(_KET0 + _KET1) / np.sqrt(2) if c == "+" else (_KET0 - _KET1) / np.sqrt(2) for c in pattern]
-    vec = factors[0]
-    for f in factors[1:]:
-        vec = np.kron(vec, f)
-    return vec
+    return kron_all([(_KET0 + _KET1) / np.sqrt(2) if c == "+" else (_KET0 - _KET1) / np.sqrt(2) for c in pattern])
 
 
 def make_state(label):
@@ -74,14 +70,14 @@ def make_pps(psi, mu):
     return (1.0 - mu) * np.eye(d, dtype=complex) / d + mu * density(psi)
 
 
-def marginals(rho, n_qubits=3):
-    """Single-qubit reduced density matrices, in qubit order."""
-    return [partial_trace(rho, n_qubits, {q}) for q in range(1, n_qubits + 1)]
+def marginals(rho):
+    """Single-qubit reduced density matrices of a three-qubit ``rho``, in qubit order."""
+    return [partial_trace(rho, 3, {q}) for q in (1, 2, 3)]
 
 
-def pi_product(rho, n_qubits=3):
-    """Tensor product of the single-qubit marginals of ``rho``."""
-    return kron_all(marginals(rho, n_qubits))
+def pi_product(rho):
+    """Tensor product of the single-qubit marginals of a three-qubit ``rho``."""
+    return kron_all(marginals(rho))
 
 
 def split_1_23(rho):

@@ -352,6 +352,14 @@ def test_find_crossing():
     assert adiabatic.find_crossing(j, a + 2.0, b) is None
 
 
+def test_find_crossing_rejects_unequal_lengths():
+    with pytest.raises(ValueError, match=r"equal lengths, got \(2, 3, 1\)"):
+        adiabatic.find_crossing([0, 1], [1, 1, -1], [0])
+    # misaligned arrays must not yield a crossing
+    with pytest.raises(ValueError, match=r"equal lengths, got \(3, 2, 2\)"):
+        adiabatic.find_crossing([0, 1, 2], [1, -1], [0, 0])
+
+
 def test_evolve_with_reports():
     sch = adiabatic.linear_schedule("zzz", 10, 0.4)
     reports = sweep_reports(adiabatic.evolve(sch))
@@ -526,6 +534,28 @@ def test_cached_density_table_matches_uncached_and_per_point(tag, params):
     for table in (grid, dens):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 1.0
+
+
+@pytest.mark.parametrize("steps", [1, 40])
+@pytest.mark.parametrize("tag, message", [
+    ("zz", "density must have a positive entry"),  # every rate is 0
+    ("zzz", r"density must be finite, got nan"),  # a degenerate level gives 0/0
+], ids=["zz", "zzz"])
+def test_adaptive_schedule_without_transverse_field_is_rejected(tag, message, steps):
+    with pytest.raises(ValueError, match=message):
+        adiabatic.gap_adaptive_schedule(tag, steps, models.model(tag).tau, models.ModelParams(omega_x=0.0))
+
+
+def test_schedule_from_density_rejects_non_finite_and_nonpositive_density():
+    grid = np.linspace(0.0, 2.0, 11)
+    for bad in (np.nan, np.inf):
+        dens = np.ones_like(grid)
+        dens[4] = bad
+        with pytest.raises(ValueError, match=f"density must be finite, got {bad} at grid point 4"):
+            adiabatic.schedule_from_density("zz", 40, 0.7, grid, dens)
+    for dens in (np.zeros_like(grid), -np.ones_like(grid)):
+        with pytest.raises(ValueError, match="density must have a positive entry"):
+            adiabatic.schedule_from_density("zz", 40, 0.7, grid, dens)
 
 
 def test_density_table_is_shared_by_the_fields_it_reads():

@@ -159,3 +159,54 @@ def test_secular_rejects_bad_subspace():
         perturbation.secular_solve(perturbation.PerturbationSplit(h0=h0, v=v, degenerate_subspace=not_eigen))
     with pytest.raises(ValueError):
         perturbation.secular_solve(perturbation.PerturbationSplit(h0=h0, v=v, degenerate_subspace=[]))
+
+
+def loop_secular(split):
+    """Lowest eigenpair of A_mn = sum_k <m|V|k><k|V|n> / (E_g - E_k), summed state by state."""
+    spec = qmat.eig_hermitian(split.h0)
+    sub = split.degenerate_subspace
+    e_g = float(np.real(np.vdot(sub[0], split.h0 @ sub[0])))
+    a = np.zeros((len(sub), len(sub)), dtype=complex)
+    for k in np.flatnonzero(np.abs(spec.eigenvalues - e_g) > perturbation.SECULAR_ENERGY_TOL):
+        vk = spec.eigenvectors[:, k]
+        amps = np.array([np.vdot(vk, split.v @ s) for s in sub])
+        a += np.outer(amps.conj(), amps) / (e_g - spec.eigenvalues[k])
+    return qmat.eig_hermitian(a)
+
+
+@pytest.mark.parametrize("omega_x", [0.05, 0.1, 0.3])
+def test_secular_matches_state_by_state_sum(omega_x):
+    # the matrix form sums in another order, so it may move the last bits
+    tol = 4 * np.finfo(float).eps
+    for j3 in np.linspace(0.5, 5.0, 10):
+        split = perturbation.zzz_split(models.ModelParams(omega_x=omega_x, j3=j3))
+        got, want = perturbation.secular_solve(split), loop_secular(split)
+        assert abs(got.energy_shift - want.eigenvalues[0]) <= tol * max(1.0, abs(want.eigenvalues[0]))
+        np.testing.assert_allclose(got.coefficients, want.eigenvectors[:, 0], rtol=0.0, atol=tol)
+        assert np.all(got.coefficients.imag == 0.0)
+
+
+W001, KET111 = states.make_state("W001"), states.basis_state("111")
+NOT_ORTHONORMAL = {
+    "scaled": [W001, 2 * KET111],
+    "non_orthogonal": [W001, (W001 + KET111) / math.sqrt(2)],
+    "repeated": [W001, W001],
+}
+
+
+@pytest.mark.parametrize("name", NOT_ORTHONORMAL)
+def test_secular_rejects_non_orthonormal_basis(name):
+    # without the Gram check these gave shifts -0.00843, -0.00758 and -0.0070 where the true one is -0.0045
+    split = perturbation.zzz_split(models.ModelParams(j3=5.0))
+    bad = perturbation.PerturbationSplit(h0=split.h0, v=split.v, degenerate_subspace=NOT_ORTHONORMAL[name])
+    with pytest.raises(ValueError, match="not orthonormal"):
+        perturbation.secular_solve(bad)
+
+
+def test_secular_accepts_a_rotated_orthonormal_basis():
+    split = perturbation.zzz_split(models.ModelParams(j3=5.0))
+    rotated = [(W001 + KET111) / math.sqrt(2), (W001 - KET111) / math.sqrt(2)]
+    result = perturbation.secular_solve(
+        perturbation.PerturbationSplit(h0=split.h0, v=split.v, degenerate_subspace=rotated)
+    )
+    assert abs(result.energy_shift - (-2.25 * 0.1 ** 2 / 5.0)) < 1e-12
