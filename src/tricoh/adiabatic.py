@@ -27,6 +27,8 @@ excited levels matters: level crossings with symmetry-forbidden coupling
 carry no diabatic risk and must not attract steps. Near an avoided crossing
 dominated by a single level this density reduces to the familiar inverse
 squared gap rule, and a constant density reproduces the linear schedule.
+``min_steps_search`` finds the fewest steps of such a schedule that reach a
+fidelity target, searching up to ten times the model's canonical step count.
 
 ``refocus_params`` translates a schedule into the per-step table of
 spectrometer delays and radio-frequency offsets for an NMR implementation
@@ -130,14 +132,9 @@ def symmetric_sector_basis():
     return np.column_stack([make_state("000"), make_state("W001"), make_state("W110"), make_state("111")])
 
 
-def _sector_density(model_tag, params):
-    """Tabulated diabatic-rate density on a fine coupling grid, as read-only ``(grid, density)``."""
-    p = params or models.ModelParams()
-    return _density_table(model_tag, p.omega_z, p.omega_x)
-
-
 @functools.lru_cache(maxsize=DENSITY_CACHE_SIZE)
 def _density_table(model_tag, omega_z, omega_x):
+    """Tabulated diabatic-rate density on a fine coupling grid, as read-only ``(grid, density)``."""
     # keyed on the fields the table reads, so params differing only in the
     # coupling fields share one entry; every caller gets the same arrays
     m = models.model(model_tag)
@@ -161,8 +158,8 @@ def schedule_from_density(model_tag, m_steps, tau, grid, density_values):
 
     The cumulative density is normalized and inverted on the grid, so twice
     the density means half the local step spacing. A constant density
-    reproduces the linear schedule. A density with a non-finite entry or
-    with no positive entry is rejected.
+    reproduces the linear schedule. A density with a non-finite entry, with
+    no positive entry or with a negative entry is rejected.
     """
     if m_steps < 1:
         raise ValueError(f"m_steps must be at least 1, got {m_steps}")
@@ -175,6 +172,9 @@ def schedule_from_density(model_tag, m_steps, tau, grid, density_values):
         raise ValueError(f"density must be finite, got {dens[bad[0]]} at grid point {bad[0]}")
     if not (dens > 0.0).any():
         raise ValueError("density must have a positive entry, got none")
+    bad = np.flatnonzero(dens < 0.0)
+    if bad.size:
+        raise ValueError(f"density must be nonnegative, got {dens[bad[0]]} at grid point {bad[0]}")
     dens = np.maximum(dens, DENSITY_FLOOR_FRACTION * dens.max())
     steps = np.diff(grid)
     cum = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2 * steps)])
@@ -192,7 +192,8 @@ def gap_adaptive_schedule(model_tag, m_steps, tau, params=None):
     two-body model, the early crossover of the three-body model) and relaxes
     where excitations are symmetry-forbidden or energetically suppressed.
     """
-    grid, dens = _sector_density(model_tag, params)
+    p = params or models.ModelParams()
+    grid, dens = _density_table(model_tag, p.omega_z, p.omega_x)
     return schedule_from_density(model_tag, m_steps, tau, grid, dens)
 
 
@@ -336,19 +337,16 @@ def trotter_error_scaling(model_tag, j, tau, params=None):
     return float(ratio) if ratio.ndim == 0 else ratio
 
 
-def min_steps_search(model_tag, target_min_fidelity, tau, params=None, step_cap=None):
+def min_steps_search(model_tag, target_min_fidelity, tau, params=None):
     """Smallest step count whose gap-adaptive schedule reaches a fidelity target.
 
     Searches by doubling until the evolved minimum fidelity meets the
-    target, then bisects. Raises if the target is not reached within
-    ``step_cap`` (default: ten times the model's canonical step count; at
-    least 1), reporting the best value achieved.
+    target, then bisects. Raises if the target is not reached within ten
+    times the model's canonical step count, reporting the best value achieved.
     """
     if not 0.0 <= target_min_fidelity < 1.0:
         raise ValueError(f"target must lie in [0, 1), got {target_min_fidelity}")
-    cap = 10 * models.model(model_tag).steps if step_cap is None else step_cap
-    if cap < 1:
-        raise ValueError(f"step_cap must be at least 1, got {cap}")
+    cap = 10 * models.model(model_tag).steps
 
     def achieved(m_steps):
         return evolve(gap_adaptive_schedule(model_tag, m_steps, tau, params), params=params).min_fidelity
@@ -416,13 +414,20 @@ def find_crossing(j_values, component_a, component_b):
     """First sign change of (a - b) along a sweep, with a linear-interpolation root.
 
     Returns (j_lo, j_hi, j_root) bracketing the crossing, or None when the
-    difference never changes sign. The three arrays must have equal lengths.
+    difference never changes sign. The three arrays must have equal lengths
+    and finite entries.
     """
-    lengths = tuple(len(x) for x in (j_values, component_a, component_b))
+    arrays = {"j_values": j_values, "component_a": component_a, "component_b": component_b}
+    arrays = {name: np.asarray(x, dtype=float) for name, x in arrays.items()}
+    lengths = tuple(len(x) for x in arrays.values())
     if len(set(lengths)) != 1:
         raise ValueError(f"j_values, component_a and component_b must have equal lengths, got {lengths}")
-    diff = np.asarray(component_a, dtype=float) - np.asarray(component_b, dtype=float)
-    j_values = np.asarray(j_values, dtype=float)
+    for name, x in arrays.items():
+        bad = np.flatnonzero(~np.isfinite(x))
+        if bad.size:
+            raise ValueError(f"{name} must be finite, got {x[bad[0]]} at index {bad[0]}")
+    j_values, component_a, component_b = arrays.values()
+    diff = component_a - component_b
     for m in range(1, len(diff)):
         if diff[m - 1] == 0.0:
             return j_values[m - 1], j_values[m - 1], j_values[m - 1]

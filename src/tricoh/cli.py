@@ -83,25 +83,31 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sweep", parents=[common, grid, log], help="exact sweep + evolved fidelities to CSV")
+    p.set_defaults(run=cmd_sweep)
     p.add_argument("--mu", type=float, default=1.0,
                    help="pseudopure mixing parameter for reported fidelities (default 1)")
 
-    sub.add_parser("ratios", parents=[common, grid, log], help="coherence ratio columns and monogamy to CSV")
+    p = sub.add_parser("ratios", parents=[common, grid, log], help="coherence ratio columns and monogamy to CSV")
+    p.set_defaults(run=cmd_ratios)
 
     p = sub.add_parser("geometry", parents=[common, log], help="tetrahedron embeddings at sample couplings")
+    p.set_defaults(run=cmd_geometry)
     p.add_argument("--j-values", default=None,
                    help="comma-separated coupling values (default: model-specific sample list)")
 
     p = sub.add_parser("tomo", parents=[common, log], help="validate density-matrix files and report coherences")
+    p.set_defaults(run=cmd_tomo)
     p.add_argument("files", nargs="+", help="density-matrix JSON files")
     p.add_argument("--j", type=float, default=None,
                    help="coupling at which to compare against the exact ground state (default: sweep end)")
     p.add_argument("--repair", action="store_true", help="project invalid matrices to the nearest valid state")
     p.add_argument("--tol", type=float, default=1e-6, help="validation tolerance (default 1e-6)")
 
-    sub.add_parser("trotter-audit", parents=[common, grid], help="audit the per-step Trotter fidelity")
+    p = sub.add_parser("trotter-audit", parents=[common, grid], help="audit the per-step Trotter fidelity")
+    p.set_defaults(run=cmd_trotter_audit)
 
     p = sub.add_parser("schedule", parents=[common, grid], help="emit a schedule (and optional refocusing table)")
+    p.set_defaults(run=cmd_schedule)
     p.add_argument("--nmr-config", default=None,
                    help="JSON config with deltas/j_couplings; adds a refocusing CSV")
     # an option the verb does not read is reported with the verb's own usage
@@ -267,22 +273,12 @@ def cmd_schedule(args):
     return 0
 
 
-_COMMANDS = {
-    "sweep": cmd_sweep,
-    "ratios": cmd_ratios,
-    "geometry": cmd_geometry,
-    "tomo": cmd_tomo,
-    "trotter-audit": cmd_trotter_audit,
-    "schedule": cmd_schedule,
-}
-
-
 def main(argv=None):
     args, extra = build_parser().parse_known_args(argv)
     if extra:
         args.verb_parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

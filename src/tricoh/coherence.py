@@ -339,8 +339,10 @@ class Tetrahedron(NamedTuple):
     residual: float
 
 
-def _clamp(x):
-    return min(max(x, -1.0), 1.0)
+def _cos_sin(x):
+    """Cosine ``x`` clamped to [-1, 1] and the nonnegative sine that goes with it."""
+    cos = min(max(x, -1.0), 1.0)
+    return cos, math.sqrt(max(1.0 - cos**2, 0.0))
 
 
 def embed_tetrahedron(report):
@@ -363,23 +365,17 @@ def embed_tetrahedron(report):
         cos_t, sin_t = 1.0, 0.0
         p_pi = np.array([cg, 0.0, 0.0])
     else:
-        cos_t = _clamp((ca**2 + cg**2 - cl**2) / (2 * ca * cg))
-        sin_t = math.sqrt(max(1.0 - cos_t**2, 0.0))
+        cos_t, sin_t = _cos_sin((ca**2 + cg**2 - cl**2) / (2 * ca * cg))
         p_pi = np.array([cg * cos_t, cg * sin_t, 0.0])
 
     if c123 < EMBED_EPS:
         p_split = p_rho.copy()
     else:
-        if ca < EMBED_EPS:
-            cos_p = 1.0
-        else:
-            cos_p = _clamp((ca**2 + c123**2 - ca123**2) / (2 * ca * c123))
-        sin_p = math.sqrt(max(1.0 - cos_p**2, 0.0))
+        cos_p, sin_p = _cos_sin(1.0 if ca < EMBED_EPS else (ca**2 + c123**2 - ca123**2) / (2 * ca * c123))
         if sin_p * sin_t < EMBED_EPS or cg < EMBED_EPS:
             cos_x, sin_x = 1.0, 0.0
         else:
-            cos_x = _clamp(((c123**2 + cg**2 - c23**2) / (2 * c123 * cg) - cos_p * cos_t) / (sin_p * sin_t))
-            sin_x = math.sqrt(max(1.0 - cos_x**2, 0.0))
+            cos_x, sin_x = _cos_sin(((c123**2 + cg**2 - c23**2) / (2 * c123 * cg) - cos_p * cos_t) / (sin_p * sin_t))
         p_split = np.array([c123 * cos_p, c123 * sin_p * cos_x, c123 * sin_p * sin_x])
 
     targets = [

@@ -177,7 +177,11 @@ def eig_hermitian(h):
     h = _as_square(h, "h")
     _check_hermitian(h, name="h")
     w, v = np.linalg.eigh(h)
-    return Spectrum(eigenvalues=w, eigenvectors=_fix_gauge(w, v))
+    for start, stop in _clusters(w):
+        if stop - start > 1:
+            v[:, start:stop] = _canonical_cluster_basis(v[:, start:stop])
+    v[:] = normalize_phase(v.T).T
+    return Spectrum(eigenvalues=w, eigenvectors=v)
 
 
 def _clusters(w):
@@ -190,17 +194,13 @@ def _clusters(w):
         start = stop
 
 
-def _fix_gauge(w, v):
-    """Put the eigenvector columns ``v`` of ascending ``w`` in the ``eig_hermitian`` gauge, in place."""
-    for start, stop in _clusters(w):
-        if stop - start > 1:
-            v[:, start:stop] = _canonical_cluster_basis(v[:, start:stop])
-    v[:] = normalize_phase(v.T).T
-    return v
-
-
 def _canonical_cluster_basis(block):
-    """Deterministic orthonormal basis of the column span of ``block``."""
+    """Deterministic orthonormal basis of the column span of ``block``.
+
+    For orthonormal columns the pivoting always finds ``size`` vectors: while
+    fewer are accepted, some later column of the projector keeps a residual
+    of about 1/sqrt(dim) or more, far above the 1e-8 cut.
+    """
     dim, size = block.shape
     projector = block @ block.conj().T
     basis = []
@@ -213,9 +213,6 @@ def _canonical_cluster_basis(block):
             basis.append(u / norm)
             if len(basis) == size:
                 break
-    if len(basis) < size:
-        # fall back to the backend basis if the pivoting rule ran out of columns
-        return block
     return np.column_stack(basis)
 
 

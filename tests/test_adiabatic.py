@@ -248,11 +248,7 @@ def test_min_steps_search_basics():
     high = adiabatic.min_steps_search("zz", 0.95, 0.7)
     assert low <= high
     with pytest.raises(ValueError, match="best achieved"):
-        adiabatic.min_steps_search("zz", 0.9999, 0.7, step_cap=20)
-    assert adiabatic.min_steps_search("zz", 0.0, 0.7, step_cap=1) == 1
-    for cap in (0, -3):
-        with pytest.raises(ValueError, match="step_cap must be at least 1"):
-            adiabatic.min_steps_search("zz", 0.5, 0.7, step_cap=cap)
+        adiabatic.min_steps_search("zz", 0.99999, 0.7)
 
 
 def test_min_steps_search_paper_defaults(zz_adaptive_run, zzz_adaptive_run):
@@ -358,6 +354,16 @@ def test_find_crossing_rejects_unequal_lengths():
     # misaligned arrays must not yield a crossing
     with pytest.raises(ValueError, match=r"equal lengths, got \(3, 2, 2\)"):
         adiabatic.find_crossing([0, 1, 2], [1, -1], [0, 0])
+
+
+@pytest.mark.parametrize("args, message", [
+    (([0, 1, 2], [1, math.nan, -1], [0, 0, 0]), "component_a must be finite, got nan at index 1"),
+    (([0, 1, 2], [1, 0, -1], [0, math.inf, 0]), "component_b must be finite, got inf at index 1"),
+    (([0, math.nan, 2], [1, 0, -1], [0, 0, 0]), "j_values must be finite, got nan at index 1"),
+], ids=["a_nan", "b_inf", "j_nan"])
+def test_find_crossing_rejects_non_finite_input(args, message):
+    with pytest.raises(ValueError, match=message):
+        adiabatic.find_crossing(*args)
 
 
 def test_evolve_with_reports():
@@ -515,7 +521,7 @@ def test_cached_density_table_matches_uncached_and_per_point(tag, params):
     p = params or models.ModelParams()
     # omega_x = 0 leaves degenerate zzz levels, whose 0/0 rate is NaN on every route
     with np.errstate(invalid="ignore"):
-        grid, dens = adiabatic._sector_density(tag, params)
+        grid, dens = adiabatic._density_table(tag, p.omega_z, p.omega_x)
         fresh_grid, fresh = adiabatic._density_table.__wrapped__(tag, p.omega_z, p.omega_x)
         want = per_point_density(tag, grid, params)
     assert np.array_equal(grid, np.linspace(*m.j_range, adiabatic.DENSITY_GRID + 1))
@@ -558,12 +564,30 @@ def test_schedule_from_density_rejects_non_finite_and_nonpositive_density():
             adiabatic.schedule_from_density("zz", 40, 0.7, grid, dens)
 
 
+def test_schedule_from_density_rejects_negative_density():
+    grid = np.linspace(0.0, 2.0, 11)
+    dens = np.ones_like(grid)
+    dens[3:6] = -5.0
+    with pytest.raises(ValueError, match="density must be nonnegative, got -5.0 at grid point 3"):
+        adiabatic.schedule_from_density("zz", 10, 0.7, grid, dens)
+    # a zero entry is allowed and lifted to the floor
+    dens[3:6] = 0.0
+    assert adiabatic.schedule_from_density("zz", 10, 0.7, grid, dens).values[-1] == 2.0
+
+
 def test_density_table_is_shared_by_the_fields_it_reads():
-    tables = [adiabatic._sector_density("zz", p) for p in (None, models.ModelParams(), models.ModelParams(j2=1.0))]
-    assert all(t[0] is tables[0][0] and t[1] is tables[0][1] for t in tables)
-    other = adiabatic._sector_density("zz", models.ModelParams(omega_x=0.3))
-    assert other[1] is not tables[0][1] and not np.array_equal(other[1], tables[0][1])
-    assert adiabatic._sector_density("zzz", None)[0] is not tables[0][0]
+    adiabatic._density_table.cache_clear()
+    schedules = [adiabatic.gap_adaptive_schedule("zz", 40, 0.7, p)
+                 for p in (None, models.ModelParams(), models.ModelParams(j2=1.0))]
+    assert adiabatic._density_table.cache_info().misses == 1
+    assert all(np.array_equal(s.values, schedules[0].values) for s in schedules)
+    p = models.ModelParams()
+    table = adiabatic._density_table("zz", p.omega_z, p.omega_x)
+    assert adiabatic._density_table.cache_info().misses == 1
+    other = adiabatic._density_table("zz", p.omega_z, 0.3)
+    assert other[1] is not table[1] and not np.array_equal(other[1], table[1])
+    assert adiabatic._density_table("zzz", p.omega_z, p.omega_x)[0] is not table[0]
+    assert adiabatic._density_table.cache_info().misses == 3
     assert adiabatic._density_table.cache_info().maxsize == adiabatic.DENSITY_CACHE_SIZE
 
 

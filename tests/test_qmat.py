@@ -154,6 +154,38 @@ def test_eig_deterministic_and_degenerate_basis():
     np.testing.assert_allclose(spec.eigenvectors, np.eye(4), atol=1e-12)
 
 
+def eig_clusters(h):
+    """The degenerate eigenvector blocks ``eig_hermitian`` rebuilds for ``h``."""
+    w, v = np.linalg.eigh(h)
+    return [v[:, start:stop] for start, stop in qmat._clusters(w) if stop - start > 1]
+
+
+def cluster_blocks():
+    rng = np.random.default_rng(29)
+    for dim in (2, 4, 8):
+        for k in range(1, dim + 1):
+            yield pytest.param(random_unitary(rng, dim)[:, :k], id=f"random-{dim}-{k}")
+            # a span whose pivots all sit at the end of the index order
+            yield pytest.param(np.eye(dim, dtype=complex)[:, dim - k:], id=f"tail-{dim}-{k}")
+    for i, block in enumerate(eig_clusters(np.eye(4, dtype=complex))):
+        yield pytest.param(block, id=f"identity4-{i}")
+    zzz = models.hamiltonian("zzz", np.linspace(0.0, 5.0, 6), models.ModelParams(omega_x=0.0))
+    for j, h in enumerate(zzz):
+        for i, block in enumerate(eig_clusters(h)):
+            yield pytest.param(block, id=f"zzz-no-transverse-{j}-{i}")
+
+
+@pytest.mark.parametrize("block", list(cluster_blocks()))
+def test_canonical_cluster_basis_spans_the_block(block):
+    # the pivoting finds as many orthonormal columns as the block has, with
+    # the block's projector, so eig_hermitian never needs the backend basis
+    basis = qmat._canonical_cluster_basis(block)
+    k = block.shape[1]
+    assert basis.shape == block.shape
+    np.testing.assert_allclose(basis.conj().T @ basis, np.eye(k), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(basis @ basis.conj().T, block @ block.conj().T, rtol=0, atol=1e-12)
+
+
 def test_eig_rejects_non_hermitian():
     with pytest.raises(ValueError):
         qmat.eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
