@@ -27,8 +27,12 @@ excited levels matters: level crossings with symmetry-forbidden coupling
 carry no diabatic risk and must not attract steps. Near an avoided crossing
 dominated by a single level this density reduces to the familiar inverse
 squared gap rule, and a constant density reproduces the linear schedule.
-``min_steps_search`` finds the fewest steps of such a schedule that reach a
-fidelity target, searching up to ten times the model's canonical step count.
+``min_steps_search`` finds, by doubling and then bisection, a step count m
+of such a schedule that reaches a fidelity target where m - 1 does not,
+searching up to ten times the model's canonical step count. The fidelity
+does not always rise with the step count, so m is the smallest passing
+count only where it does below m. Its probes propagate in the symmetric
+four-state subspace.
 
 ``refocus_params`` translates a schedule into the per-step table of
 spectrometer delays and radio-frequency offsets for an NMR implementation
@@ -247,15 +251,19 @@ def _row_vdot(a, b):
     return (a.conj()[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _split_step(hx, hz, tau):
-    """Half step exp(-i hx tau/2) and phase vector exp(-i tau hz) of the symmetric Trotter step.
+def _check_phases(hx, hz, tau):
+    """Reject a bad tau, or one whose phases in the Trotter step and in exp(-i H tau) could overflow.
 
-    Rejects a tau whose phases, here and in exp(-i H tau), could overflow: their bound
-    tau (max row sum |hx| + max |hz|) is a Python float, so no numpy warning comes first.
+    Their bound tau (max row sum |hx| + max |hz|) is a Python float, so no numpy warning comes first.
     """
     _check_tau(tau)
     if not math.isfinite(tau * float(np.abs(hx).sum(axis=-1).max() + np.abs(hz).max())):
         raise ValueError(f"tau {tau} is too large: the Trotter step phases overflow")
+
+
+def _split_step(hx, hz, tau):
+    """Half step exp(-i hx tau/2) and phase vector exp(-i tau hz) of the symmetric Trotter step."""
+    _check_phases(hx, hz, tau)
     return expm_hermitian(hx, tau / 2), np.exp(-1j * tau * hz)
 
 
@@ -337,19 +345,57 @@ def trotter_error_scaling(model_tag, j, tau, params=None):
     return float(ratio) if ratio.ndim == 0 else ratio
 
 
-def min_steps_search(model_tag, target_min_fidelity, tau, params=None):
-    """Smallest step count whose gap-adaptive schedule reaches a fidelity target.
+def _sector_min_fidelity(schedule, params=None):
+    """``evolve(schedule, params).min_fidelity``, computed in the symmetric sector.
 
-    Searches by doubling until the evolved minimum fidelity meets the
-    target, then bisects. Raises if the target is not reached within ten
-    times the model's canonical step count, reporting the best value achieved.
+    For omega_x != 0 the ground state of every H(J) is unique and permutation
+    symmetric (H conjugated by Z (x) Z (x) Z is stoquastic and irreducible, so
+    Perron-Frobenius applies), and the Trotter step keeps that sector. So the
+    state propagates as a 4-vector in the basis of ``symmetric_sector_basis``:
+    one stacked real 4x4 ``eigh`` gives the ground vectors, one stacked
+    product the step matrices. tau is checked as ``evolve`` checks it, on the
+    8x8 parts. Where ``evolve`` flags a step degenerate (a ground gap below
+    ``qmat.DEGENERACY_TOL``, as for zzz at omega_x = 1e-5), its reference
+    vector is a canonical pick in the near-degenerate cluster, not the
+    symmetric ground state used here, and the two values differ.
+    """
+    hx, hz = models.parts(schedule.model_tag, schedule.values, params)
+    tau = schedule.tau
+    _check_phases(hx, hz, tau)
+    basis = symmetric_sector_basis().real
+    hx_s = basis.T @ hx.real @ basis
+    # hz is constant on each excitation number, so the sector's diagonal is hz at |000>, |001>, |011>, |111>
+    hz_s = hz[:, [0, 1, 3, 7]]
+    grounds = np.linalg.eigh(hx_s + hz_s[:, :, None] * np.eye(4))[1][:, :, 0]
+    half = expm_hermitian(hx_s, tau / 2)
+    steps = (half * np.exp(-1j * tau * hz_s)[:, None, :]) @ half
+    psis = np.empty(grounds.shape, dtype=complex)
+    psis[0] = grounds[0]
+    for m in range(1, len(psis)):
+        psis[m] = steps[m] @ psis[m - 1]
+    return float(np.abs((grounds * psis).sum(axis=1)).min())
+
+
+def min_steps_search(model_tag, target_min_fidelity, tau, params=None):
+    """Step count of a gap-adaptive schedule that reaches a fidelity target, by doubling then bisection.
+
+    With f(m) the minimum instantaneous fidelity of ``evolve`` on the
+    m-step gap-adaptive schedule, the result hi has f(hi) >= target and,
+    unless hi = 1, f(hi - 1) < target. Doubling 1, 2, 4, ... stops at the
+    first passing count; bisection then narrows the bracket from the last
+    failing one. f does not always rise with m, so hi is the smallest
+    passing count only where f rises with m below hi. Each probe is scored
+    in the 4-dim symmetric sector, which gives ``evolve``'s value up to
+    rounding wherever ``evolve`` flags no step degenerate. Raises if the
+    target is not reached within ten times the model's canonical step
+    count, reporting the best value achieved.
     """
     if not 0.0 <= target_min_fidelity < 1.0:
         raise ValueError(f"target must lie in [0, 1), got {target_min_fidelity}")
     cap = 10 * models.model(model_tag).steps
 
     def achieved(m_steps):
-        return evolve(gap_adaptive_schedule(model_tag, m_steps, tau, params), params=params).min_fidelity
+        return _sector_min_fidelity(gap_adaptive_schedule(model_tag, m_steps, tau, params), params)
 
     best = -1.0
     last_fail = 0

@@ -100,7 +100,9 @@ def build_parser():
     p.add_argument("files", nargs="+", help="density-matrix JSON files")
     p.add_argument("--j", type=float, default=None,
                    help="coupling at which to compare against the exact ground state (default: sweep end)")
-    p.add_argument("--repair", action="store_true", help="project invalid matrices to the nearest valid state")
+    p.add_argument("--repair", action="store_true",
+                   help="replace each matrix by its Hermitian part with negative eigenvalues clipped to 0 and the "
+                   "trace rescaled to 1 (a valid state, not in general the nearest one)")
     p.add_argument("--tol", type=float, default=1e-6, help="validation tolerance (default 1e-6)")
 
     p = sub.add_parser("trotter-audit", parents=[common, grid], help="audit the per-step Trotter fidelity")

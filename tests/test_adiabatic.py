@@ -240,6 +240,8 @@ def test_trotter_rejects_bad_tau(tau):
         adiabatic.trotter_pair("zz", 1.0, tau)
     with pytest.raises(ValueError, match="tau must be positive and finite"):
         adiabatic.trotter_error_scaling("zz", 1.0, tau)
+    with pytest.raises(ValueError, match="tau must be positive and finite"):
+        adiabatic.min_steps_search("zz", 0.9, tau)
 
 
 def test_min_steps_search_basics():
@@ -259,6 +261,70 @@ def test_min_steps_search_paper_defaults(zz_adaptive_run, zzz_adaptive_run):
     assert m_zz <= 300
     m_zzz = adiabatic.min_steps_search("zzz", zzz_adaptive_run.min_fidelity - margin, 0.4)
     assert m_zzz <= 200
+
+
+def evolve_min_fidelity(tag, m_steps, tau, params=None):
+    return adiabatic.evolve(adiabatic.gap_adaptive_schedule(tag, m_steps, tau, params), params=params).min_fidelity
+
+
+def probed_search(monkeypatch, tag, target, tau, probe=None):
+    """``min_steps_search``'s result and probed step counts, with ``probe`` in place of the sector probe."""
+    probed = []
+    schedule = adiabatic.gap_adaptive_schedule
+
+    def spy(model_tag, m_steps, *args):
+        probed.append(m_steps)
+        return schedule(model_tag, m_steps, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(adiabatic, "gap_adaptive_schedule", spy)
+        if probe is not None:
+            patch.setattr(adiabatic, "_sector_min_fidelity", probe)
+        return adiabatic.min_steps_search(tag, target, tau), probed
+
+
+@pytest.mark.parametrize(("tag", "target", "want"), [
+    ("zz", 0.9, 36), ("zz", 0.99, 126), ("zz", 0.999, 412),
+    ("zzz", 0.9, 19), ("zzz", 0.99, 60), ("zzz", 0.999, 266),
+])
+def test_min_steps_search_matches_evolve_reference(monkeypatch, tag, target, want):
+    # the reference scores every probe with a full 8-dim evolve
+    tau = models.model(tag).tau
+    ref, ref_probed = probed_search(monkeypatch, tag, target, tau,
+                                    lambda sch, params: adiabatic.evolve(sch, params=params).min_fidelity)
+    got, probed = probed_search(monkeypatch, tag, target, tau)
+    assert got == ref == want
+    assert probed == ref_probed
+    assert evolve_min_fidelity(tag, got, tau) >= target > evolve_min_fidelity(tag, got - 1, tau)
+
+
+def test_min_steps_search_is_not_the_smallest_passing_count():
+    # f(m) is not monotone in m: 202 steps already reach 0.999, but the
+    # bisection bracket the search lands in ends at 266
+    assert evolve_min_fidelity("zzz", 202, 0.4) == pytest.approx(0.9990053, abs=1e-7)
+    assert adiabatic.min_steps_search("zzz", 0.999, 0.4) == 266
+
+
+@pytest.mark.parametrize("params", [None, models.ModelParams(omega_z=-1.7, omega_x=0.2),
+                                    models.ModelParams(omega_x=-0.1)])
+@pytest.mark.parametrize("tag", models.MODEL_TAGS)
+def test_sector_probe_matches_evolve(tag, params):
+    m = models.model(tag)
+    for m_steps in (1, 2, 60, 412, 10 * m.steps):
+        sch = adiabatic.gap_adaptive_schedule(tag, m_steps, m.tau, params)
+        want = adiabatic.evolve(sch, params=params).min_fidelity
+        assert abs(adiabatic._sector_min_fidelity(sch, params) - want) < 1e-10
+
+
+def test_min_steps_search_runs_no_8_dim_propagation(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the step search must not run an 8-dim propagation")
+
+    for namespace in (adiabatic, qmat):
+        monkeypatch.setattr(namespace, "ground_states", forbidden)
+    monkeypatch.setattr(adiabatic, "evolve", forbidden)
+    assert adiabatic.min_steps_search("zz", 0.99, 0.7) == 126
+    assert adiabatic.min_steps_search("zzz", 0.99, 0.4) == 60
 
 
 def test_refocus_matches_independent_formulas():
@@ -628,6 +694,10 @@ def test_trotter_phase_overflow_raises():
     with pytest.raises(ValueError, match=r"tau 1e\+308 is too large"):
         adiabatic.evolve(sch)
     with pytest.raises(ValueError, match=r"tau 1e\+308 is too large"):
+        adiabatic._sector_min_fidelity(sch)
+    with pytest.raises(ValueError, match=r"tau 1e\+308 is too large"):
+        adiabatic.min_steps_search("zz", 0.9, 1e308)
+    with pytest.raises(ValueError, match=r"tau 1e\+308 is too large"):
         adiabatic.trotter_pair("zz", 1.0, 1e308)
     with pytest.raises(ValueError, match=r"tau 1e\+308 is too large"):
         adiabatic.trotter_pair("zz", sch.values, 1e308)
@@ -635,3 +705,4 @@ def test_trotter_phase_overflow_raises():
     u_ide, u_exp = adiabatic.trotter_pair("zz", sch.values, 1e300)
     assert np.isfinite(u_ide).all() and np.isfinite(u_exp).all()
     assert np.isfinite(adiabatic.evolve(adiabatic.linear_schedule("zz", 3, 1e300)).fid_instant).all()
+    assert math.isfinite(adiabatic._sector_min_fidelity(adiabatic.linear_schedule("zz", 3, 1e300)))

@@ -342,6 +342,14 @@ def test_grid_help_shows_each_model_default(capsys, verb):
         assert f"{m.steps} for {tag}" in text and f"{m.tau} for {tag}" in text
 
 
+def test_tomo_help_says_what_repair_does(capsys):
+    # the repair clips and renormalizes, which is not the nearest valid state
+    assert run_cli(["tomo", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "Hermitian part with negative eigenvalues clipped to 0 and the trace rescaled to 1" in text
+    assert "not in general the nearest" in text
+
+
 def test_couplings_outside_model_range_exit_two(tmp_path, capsys):
     for values in ("3", "nan", "-0.5"):
         assert run_cli(["geometry", "--model", "zz", "--j-values", values, "--out", str(tmp_path)]) == 2
