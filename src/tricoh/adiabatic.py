@@ -7,7 +7,10 @@ and ground states; ``evolve`` propagates a state with the symmetric
 Trotter step of each coupling value, whose diagonal longitudinal part is a
 phase vector, and audits the instantaneous fidelity to the exact ground
 state, from one stacked overlap of all steps once the propagation is done.
-Sign alignment and overlaps reproduce per-step ``np.vdot`` bit for bit.
+Ground vectors and overlaps equal per-step ``qmat.eig_hermitian`` and
+``np.vdot`` bit for bit. At a step listed in ``degenerate_steps`` the ground
+vector is a canonical pick in the near-degenerate cluster, not the unique
+symmetric ground state, so check that list before reading fidelities.
 All reported fidelities use the amplitude (root-fidelity) convention of
 ``qmat.root_fidelity``. ``trotter_pair`` and ``trotter_error_scaling``
 take one coupling or a J array.
@@ -103,11 +106,12 @@ class SweepResult:
     """Exact tracking and (optionally) evolved-state audit along a schedule.
 
     Exact part: per-step ground/first-excited energies, gap, the (M+1, 8)
-    array of phase-aligned ground states, indices of near-degenerate steps,
-    and the fidelity of the final exact ground state to the model's target
-    state. Evolved part (None until ``evolve`` fills it): per-step
-    instantaneous fidelity of the propagated state to the exact ground
-    state, its minimum, the final state, and its fidelity to the target.
+    array of ground states in the ``qmat.normalize_phase`` convention,
+    indices of near-degenerate steps, and the fidelity of the final exact
+    ground state to the model's target state. Evolved part (None until
+    ``evolve`` fills it): per-step instantaneous fidelity of the propagated
+    state to the exact ground state, its minimum, the final state, and its
+    fidelity to the target.
     """
 
     j_values: np.ndarray
@@ -221,19 +225,11 @@ def load_schedule(path, model_tag, tau):
 def ground_sweep(schedule, params=None):
     """Exact instantaneous spectrum and ground states along a schedule.
 
-    Ground states are phase-aligned step to step (sign-flipped when the
-    overlap with the previous step's state is negative) so curves built from
-    them are continuous. Steps ``qmat.ground_states`` flags degenerate are
-    listed in ``degenerate_steps``.
+    Ground state m is ``qmat.eig_hermitian(H(J_m)).eigenvectors[:, 0]`` bit
+    for bit, in the phase convention of ``qmat.normalize_phase``. Steps
+    ``qmat.ground_states`` flags degenerate are listed in ``degenerate_steps``.
     """
     w, grounds, degenerate = ground_states(models.hamiltonian(schedule.model_tag, schedule.values, params))
-    # grounds[m] is negated when its overlap with the aligned grounds[m - 1]
-    # is negative; negation is exact, so that overlap is the raw one times
-    # the sign of grounds[m - 1], and a zero overlap resets the sign to +1
-    overlaps = _row_vdot(grounds[:-1], grounds[1:]).real
-    negative = np.cumsum(overlaps < 0.0)
-    flips = (negative - np.maximum.accumulate(np.where(overlaps == 0.0, negative, 0))) % 2 == 1
-    np.negative(grounds[1:], out=grounds[1:], where=flips[:, None])
     target = make_state(models.model(schedule.model_tag).target)
     return SweepResult(
         j_values=schedule.values.copy(),
@@ -251,19 +247,15 @@ def _row_vdot(a, b):
     return (a.conj()[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _check_phases(hx, hz, tau):
-    """Reject a bad tau, or one whose phases in the Trotter step and in exp(-i H tau) could overflow.
+def _split_step(hx, hz, tau):
+    """Half step exp(-i hx tau/2) and phase vector exp(-i tau hz) of the symmetric Trotter step.
 
-    Their bound tau (max row sum |hx| + max |hz|) is a Python float, so no numpy warning comes first.
+    Rejects a bad tau, or one whose phases here and in exp(-i H tau) could overflow. Their bound
+    tau (max row sum |hx| + max |hz|) is a Python float, so no numpy warning comes first.
     """
     _check_tau(tau)
     if not math.isfinite(tau * float(np.abs(hx).sum(axis=-1).max() + np.abs(hz).max())):
         raise ValueError(f"tau {tau} is too large: the Trotter step phases overflow")
-
-
-def _split_step(hx, hz, tau):
-    """Half step exp(-i hx tau/2) and phase vector exp(-i tau hz) of the symmetric Trotter step."""
-    _check_phases(hx, hz, tau)
     return expm_hermitian(hx, tau / 2), np.exp(-1j * tau * hz)
 
 
@@ -289,6 +281,11 @@ def evolve(schedule, params=None, mu=1.0):
     state to the exact ground state at step m. With ``mu`` below 1 the
     reported fidelities are those of the pseudopure mixture (1 - mu) I/d +
     mu |psi><psi|, which evolves as the pure component does.
+
+    At a step in ``degenerate_steps`` (zzz at omega_x = 1e-6 has them, the
+    default fields none) the reference is a canonical pick in the
+    near-degenerate cluster, not the symmetric ground state, so check that
+    list before trusting ``fid_instant`` and ``min_fidelity``.
     """
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"mu must lie in [0, 1], got {mu}")
@@ -353,22 +350,22 @@ def _sector_min_fidelity(schedule, params=None):
     Perron-Frobenius applies), and the Trotter step keeps that sector. So the
     state propagates as a 4-vector in the basis of ``symmetric_sector_basis``:
     one stacked real 4x4 ``eigh`` gives the ground vectors, one stacked
-    product the step matrices. tau is checked as ``evolve`` checks it, on the
-    8x8 parts. Where ``evolve`` flags a step degenerate (a ground gap below
-    ``qmat.DEGENERACY_TOL``, as for zzz at omega_x = 1e-5), its reference
-    vector is a canonical pick in the near-degenerate cluster, not the
-    symmetric ground state used here, and the two values differ.
+    product the step matrices. tau is checked on the 4x4 sector parts it
+    exponentiates, whose overflow bound is never below that of the 8x8
+    parts, so the probe raises wherever ``evolve`` does. Where ``evolve``
+    flags a step degenerate (a ground gap below ``qmat.DEGENERACY_TOL``, as
+    for zzz at omega_x = 1e-5), its reference vector is a canonical pick in
+    the near-degenerate cluster, not the symmetric ground state used here,
+    and the two values differ.
     """
     hx, hz = models.parts(schedule.model_tag, schedule.values, params)
-    tau = schedule.tau
-    _check_phases(hx, hz, tau)
     basis = symmetric_sector_basis().real
     hx_s = basis.T @ hx.real @ basis
     # hz is constant on each excitation number, so the sector's diagonal is hz at |000>, |001>, |011>, |111>
     hz_s = hz[:, [0, 1, 3, 7]]
+    half, kicks = _split_step(hx_s, hz_s, schedule.tau)
     grounds = np.linalg.eigh(hx_s + hz_s[:, :, None] * np.eye(4))[1][:, :, 0]
-    half = expm_hermitian(hx_s, tau / 2)
-    steps = (half * np.exp(-1j * tau * hz_s)[:, None, :]) @ half
+    steps = (half * kicks[:, None, :]) @ half
     psis = np.empty(grounds.shape, dtype=complex)
     psis[0] = grounds[0]
     for m in range(1, len(psis)):
@@ -460,8 +457,10 @@ def find_crossing(j_values, component_a, component_b):
     """First sign change of (a - b) along a sweep, with a linear-interpolation root.
 
     Returns (j_lo, j_hi, j_root) bracketing the crossing, or None when the
-    difference never changes sign. The three arrays must have equal lengths
-    and finite entries.
+    difference neither changes sign nor vanishes. A sample where a - b is
+    exactly zero is a crossing (j, j, j) wherever it lies, the last sample and
+    a lone sample included. The three arrays must have equal lengths and
+    finite entries.
     """
     arrays = {"j_values": j_values, "component_a": component_a, "component_b": component_b}
     arrays = {name: np.asarray(x, dtype=float) for name, x in arrays.items()}
@@ -474,11 +473,11 @@ def find_crossing(j_values, component_a, component_b):
             raise ValueError(f"{name} must be finite, got {x[bad[0]]} at index {bad[0]}")
     j_values, component_a, component_b = arrays.values()
     diff = component_a - component_b
-    for m in range(1, len(diff)):
-        if diff[m - 1] == 0.0:
-            return j_values[m - 1], j_values[m - 1], j_values[m - 1]
-        if diff[m - 1] * diff[m] < 0.0:
-            frac = diff[m - 1] / (diff[m - 1] - diff[m])
-            root = j_values[m - 1] + frac * (j_values[m] - j_values[m - 1])
-            return j_values[m - 1], j_values[m], root
+    for m in range(len(diff)):
+        if diff[m] == 0.0:
+            return j_values[m], j_values[m], j_values[m]
+        if m + 1 < len(diff) and diff[m] * diff[m + 1] < 0.0:
+            frac = diff[m] / (diff[m] - diff[m + 1])
+            root = j_values[m] + frac * (j_values[m + 1] - j_values[m])
+            return j_values[m], j_values[m + 1], root
     return None

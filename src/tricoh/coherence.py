@@ -157,7 +157,7 @@ def _qjsd_pairs(mats, pairs, closed, scale):
             f"vs entropic form {float(j_ent[pair, state])!r}",
             int(state),
         )
-    return np.where(j_def < 0.0, 0.0, j_def), w[: len(mats)]
+    return j_def, w[: len(mats)]
 
 
 def _pair_stack(rho, sigma):

@@ -101,6 +101,20 @@ def test_zzz_formula_values():
     assert perturbation.zzz_fidelity_formula(0.0, 5.0) == 1.0
 
 
+@pytest.mark.parametrize("omega_x", [0.05, 0.3, -0.2])
+def test_fidelity_formulas_are_overlaps_of_the_first_order_grounds(omega_x):
+    # the closed forms already divide by the norm of the unnormalized expansion
+    w001, g = states.make_state("W001"), states.make_state("G")
+    for omega_z in (-1.0, -1.7, 0.8):
+        for j in (0.1, 1.0, 2.5):
+            psi = perturbation.zz_first_order_ground(omega_x, omega_z, j)
+            want = abs(np.vdot(w001, psi)) ** 2
+            assert abs(perturbation.zz_fidelity_formula(omega_x, omega_z, j) - want) < 1e-14
+    for j in (0.2, 1.0, 3.0):
+        psi = perturbation.zzz_first_order_ground(omega_x, j)
+        assert abs(perturbation.zzz_fidelity_formula(omega_x, j) - abs(np.vdot(g, psi)) ** 2) < 1e-14
+
+
 def test_zzz_formula_monotone_in_coupling():
     values = [perturbation.zzz_fidelity_formula(0.1, j3) for j3 in np.linspace(1.0, 5.0, 9)]
     assert all(b > a for a, b in zip(values, values[1:]))
