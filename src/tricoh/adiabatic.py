@@ -25,7 +25,9 @@ entire dynamics (spanned by |000>, |W001>, |W110>, |111>), on the whole
 fine grid with one stacked 4x4 eigendecomposition. The table depends only
 on the model and the fields (omega_z, omega_x), so it is computed once per
 model and field and shared, read-only, by every later schedule and step
-search; at most ``DENSITY_CACHE_SIZE`` tables are kept. Summing over all
+search, together with its validated, normalized cumulative sum, so that a
+schedule costs one interpolation; at most ``DENSITY_CACHE_SIZE`` tables are
+kept. The sector basis is built once at import. Summing over all
 excited levels matters: level crossings with symmetry-forbidden coupling
 carry no diabatic risk and must not attract steps. Near an avoided crossing
 dominated by a single level this density reduces to the familiar inverse
@@ -35,7 +37,7 @@ of such a schedule that reaches a fidelity target where m - 1 does not,
 searching up to ten times the model's canonical step count. The fidelity
 does not always rise with the step count, so m is the smallest passing
 count only where it does below m. Its probes propagate in the symmetric
-four-state subspace.
+four-state subspace, in blocks of about sqrt(m) steps.
 
 ``refocus_params`` translates a schedule into the per-step table of
 spectrometer delays and radio-frequency offsets for an NMR implementation
@@ -46,6 +48,7 @@ the spin pairs each one sums.
 from dataclasses import dataclass
 import functools
 import math
+import numbers
 
 import numpy as np
 
@@ -58,14 +61,22 @@ DENSITY_GRID = 2000
 # floor applied to the density as a fraction of its maximum, so that flat
 # zero-coupling stretches still receive a nonzero measure
 DENSITY_FLOOR_FRACTION = 1e-6
-# density tables kept, one per (model, omega_z, omega_x); each holds two
-# arrays of DENSITY_GRID + 1 floats
+# density tables kept, one per (model, omega_z, omega_x); each holds up to
+# three arrays of DENSITY_GRID + 1 floats (grid, density, cumulative)
 DENSITY_CACHE_SIZE = 16
 
 
 def _check_tau(tau):
     if not math.isfinite(tau) or tau <= 0.0:
         raise ValueError(f"tau must be positive and finite, got {tau}")
+
+
+def _check_steps(m_steps):
+    # bool is an Integral, but True is not a step count
+    if isinstance(m_steps, bool) or not isinstance(m_steps, numbers.Integral):
+        raise ValueError(f"m_steps must be an integer, got {m_steps!r}")
+    if m_steps < 1:
+        raise ValueError(f"m_steps must be at least 1, got {m_steps}")
 
 
 @dataclass(frozen=True)
@@ -130,35 +141,78 @@ class SweepResult:
 def linear_schedule(model_tag, m_steps, tau):
     """Uniformly spaced schedule over the model's coupling range."""
     lo, hi = models.model(model_tag).j_range
-    if m_steps < 1:
-        raise ValueError(f"m_steps must be at least 1, got {m_steps}")
+    _check_steps(m_steps)
     return Schedule(values=np.linspace(lo, hi, m_steps + 1), tau=tau, model_tag=model_tag)
+
+
+# the permutation-symmetric sector, built once and shared read-only
+_SECTOR_BASIS = np.column_stack([make_state(label) for label in ("000", "W001", "W110", "111")])
+_SECTOR_BASIS.flags.writeable = False
 
 
 def symmetric_sector_basis():
     """Columns |000>, |W001>, |W110>, |111>: the permutation-symmetric subspace."""
-    return np.column_stack([make_state("000"), make_state("W001"), make_state("W110"), make_state("111")])
+    return _SECTOR_BASIS.copy()
+
+
+def _cumulative(grid, density):
+    """Normalized cumulative of a validated density on its grid, from 0 to 1.
+
+    A density with a non-finite entry, with no positive entry or with a
+    negative entry is rejected. Entries are floored at
+    ``DENSITY_FLOOR_FRACTION`` of the maximum before the trapezoid sum.
+    """
+    if grid.shape != density.shape or grid.ndim != 1 or len(grid) < 2:
+        raise ValueError("grid and density must be equal-length 1-D arrays")
+    bad = np.flatnonzero(~np.isfinite(density))
+    if bad.size:
+        raise ValueError(f"density must be finite, got {density[bad[0]]} at grid point {bad[0]}")
+    if not (density > 0.0).any():
+        raise ValueError("density must have a positive entry, got none")
+    bad = np.flatnonzero(density < 0.0)
+    if bad.size:
+        raise ValueError(f"density must be nonnegative, got {density[bad[0]]} at grid point {bad[0]}")
+    dens = np.maximum(density, DENSITY_FLOOR_FRACTION * density.max())
+    cum = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2 * np.diff(grid))])
+    cum /= cum[-1]
+    return cum
+
+
+def _schedule_from_cumulative(model_tag, m_steps, tau, grid, cum):
+    values = np.interp(np.linspace(0.0, 1.0, m_steps + 1), cum, grid)
+    values[0], values[-1] = grid[0], grid[-1]
+    return Schedule(values=values, tau=tau, model_tag=model_tag)
 
 
 @functools.lru_cache(maxsize=DENSITY_CACHE_SIZE)
 def _density_table(model_tag, omega_z, omega_x):
-    """Tabulated diabatic-rate density on a fine coupling grid, as read-only ``(grid, density)``."""
+    """Diabatic-rate density on a fine coupling grid, as read-only ``(grid, density, cumulative)``.
+
+    ``cumulative`` is ``_cumulative(grid, density)``, or None where that
+    rejects the density (omega_x = 0).
+    """
     # keyed on the fields the table reads, so params differing only in the
     # coupling fields share one entry; every caller gets the same arrays
     m = models.model(model_tag)
     params = models.ModelParams(omega_z=omega_z, omega_x=omega_x)
     grid = np.linspace(*m.j_range, DENSITY_GRID + 1)
-    basis = symmetric_sector_basis()
+    basis = _SECTOR_BASIS
     d_small = basis.conj().T @ np.diag(m.dh_dj) @ basis
     h_small = basis.conj().T @ models.hamiltonian(model_tag, grid, params) @ basis
     w, v = np.linalg.eigh(h_small)
     # <n| dH/dJ |g> for every level n of every grid point, as one matmul
     overlaps = np.abs(v.conj().swapaxes(-1, -2) @ (d_small @ v[:, :, :1]))[:, 1:, 0]
-    # a degenerate level at zero coupling gives 0/0 here; schedule_from_density rejects the NaN
+    # a degenerate level at zero coupling gives 0/0 here; _cumulative rejects the NaN
     with np.errstate(divide="ignore", invalid="ignore"):
         density = (overlaps / (w[:, 1:] - w[:, :1]) ** 2).sum(axis=1)
+    try:
+        cum = _cumulative(grid, density)
+        cum.flags.writeable = False
+    except ValueError:
+        # gap_adaptive_schedule validates the density again to raise the message
+        cum = None
     grid.flags.writeable = density.flags.writeable = False
-    return grid, density
+    return grid, density, cum
 
 
 def schedule_from_density(model_tag, m_steps, tau, grid, density_values):
@@ -169,27 +223,10 @@ def schedule_from_density(model_tag, m_steps, tau, grid, density_values):
     reproduces the linear schedule. A density with a non-finite entry, with
     no positive entry or with a negative entry is rejected.
     """
-    if m_steps < 1:
-        raise ValueError(f"m_steps must be at least 1, got {m_steps}")
+    _check_steps(m_steps)
     grid = np.asarray(grid, dtype=float)
-    dens = np.asarray(density_values, dtype=float)
-    if grid.shape != dens.shape or grid.ndim != 1 or len(grid) < 2:
-        raise ValueError("grid and density must be equal-length 1-D arrays")
-    bad = np.flatnonzero(~np.isfinite(dens))
-    if bad.size:
-        raise ValueError(f"density must be finite, got {dens[bad[0]]} at grid point {bad[0]}")
-    if not (dens > 0.0).any():
-        raise ValueError("density must have a positive entry, got none")
-    bad = np.flatnonzero(dens < 0.0)
-    if bad.size:
-        raise ValueError(f"density must be nonnegative, got {dens[bad[0]]} at grid point {bad[0]}")
-    dens = np.maximum(dens, DENSITY_FLOOR_FRACTION * dens.max())
-    steps = np.diff(grid)
-    cum = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2 * steps)])
-    cum /= cum[-1]
-    values = np.interp(np.linspace(0.0, 1.0, m_steps + 1), cum, grid)
-    values[0], values[-1] = grid[0], grid[-1]
-    return Schedule(values=values, tau=tau, model_tag=model_tag)
+    cum = _cumulative(grid, np.asarray(density_values, dtype=float))
+    return _schedule_from_cumulative(model_tag, m_steps, tau, grid, cum)
 
 
 def gap_adaptive_schedule(model_tag, m_steps, tau, params=None):
@@ -199,10 +236,17 @@ def gap_adaptive_schedule(model_tag, m_steps, tau, params=None):
     where the ground state changes fastest (the avoided crossing of the
     two-body model, the early crossover of the three-body model) and relaxes
     where excitations are symmetry-forbidden or energetically suppressed.
+    The validated, normalized cumulative density is cached with the table,
+    once per model and (omega_z, omega_x), so a schedule costs one
+    interpolation; it equals ``schedule_from_density`` on the cached
+    ``(grid, density)`` bit for bit.
     """
-    p = params or models.ModelParams()
-    grid, dens = _density_table(model_tag, p.omega_z, p.omega_x)
-    return schedule_from_density(model_tag, m_steps, tau, grid, dens)
+    _check_steps(m_steps)
+    p = params or models._DEFAULT_PARAMS
+    grid, dens, cum = _density_table(model_tag, p.omega_z, p.omega_x)
+    if cum is None:
+        _cumulative(grid, dens)  # raises the density's error
+    return _schedule_from_cumulative(model_tag, m_steps, tau, grid, cum)
 
 
 def load_schedule(path, model_tag, tau):
@@ -357,19 +401,37 @@ def _sector_min_fidelity(schedule, params=None):
     for zzz at omega_x = 1e-5), its reference vector is a canonical pick in
     the near-degenerate cluster, not the symmetric ground state used here,
     and the two values differ.
+
+    The M steps propagate in blocks of k = isqrt(M + 1): k stacked products
+    build every in-block prefix product, then one matvec per block carries
+    the state to the next block, about 2 sqrt(M) Python iterations in all.
+    The values differ from a step-by-step loop by rounding only (below
+    3e-15 on the step counts the ``perfbench`` searches probe).
     """
     hx, hz = models.parts(schedule.model_tag, schedule.values, params)
-    basis = symmetric_sector_basis().real
+    basis = _SECTOR_BASIS.real
     hx_s = basis.T @ hx.real @ basis
     # hz is constant on each excitation number, so the sector's diagonal is hz at |000>, |001>, |011>, |111>
     hz_s = hz[:, [0, 1, 3, 7]]
     half, kicks = _split_step(hx_s, hz_s, schedule.tau)
     grounds = np.linalg.eigh(hx_s + hz_s[:, :, None] * np.eye(4))[1][:, :, 0]
     steps = (half * kicks[:, None, :]) @ half
-    psis = np.empty(grounds.shape, dtype=complex)
-    psis[0] = grounds[0]
-    for m in range(1, len(psis)):
-        psis[m] = steps[m] @ psis[m - 1]
+    # steps 1..M in blocks of k, the last padded with identities
+    n = len(steps)
+    k = math.isqrt(n)
+    n_blocks = -(-(n - 1) // k)
+    pad = np.broadcast_to(np.eye(4), (n_blocks * k - (n - 1), 4, 4))
+    blocks = np.concatenate([steps[1:], pad]).reshape(n_blocks, k, 4, 4)
+    # prods[b, j] = blocks[b, j] @ ... @ blocks[b, 0], each j one stacked product over all blocks
+    prods = np.empty_like(blocks)
+    prods[:, 0] = blocks[:, 0]
+    for j in range(1, k):
+        prods[:, j] = blocks[:, j] @ prods[:, j - 1]
+    starts = np.empty((n_blocks + 1, 4), dtype=complex)
+    starts[0] = grounds[0]
+    for b in range(n_blocks):
+        starts[b + 1] = prods[b, -1] @ starts[b]
+    psis = np.concatenate([starts[:1], (prods @ starts[:-1, None, :, None]).reshape(-1, 4)[:n - 1]])
     return float(np.abs((grounds * psis).sum(axis=1)).min())
 
 
@@ -432,7 +494,7 @@ def refocus_params(nmr, schedule, params=None):
     and noted in ``notices``. A coupling some column needs that is not
     positive is an error naming the pair.
     """
-    params = params or models.ModelParams()
+    params = params or models._DEFAULT_PARAMS
     m = models.model(schedule.model_tag)
     d = {}
     for i, k in sorted(set().union(*m.delays.values(), *m.offsets.values())):

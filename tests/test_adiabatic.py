@@ -47,6 +47,33 @@ def test_schedule_validation():
     assert len(single.values) == 1
 
 
+STEP_BUILDERS = {
+    "linear": lambda m_steps: adiabatic.linear_schedule("zz", m_steps, 0.7),
+    "density": lambda m_steps: adiabatic.schedule_from_density("zz", m_steps, 0.7, [0.0, 2.0], [1.0, 1.0]),
+    "adaptive": lambda m_steps: adiabatic.gap_adaptive_schedule("zz", m_steps, 0.7),
+}
+
+
+@pytest.mark.parametrize("m_steps", [2.5, 3.0, True, np.float64(3.0), "3"])
+@pytest.mark.parametrize("kind", STEP_BUILDERS)
+def test_schedules_reject_a_step_count_that_is_not_an_integer(kind, m_steps):
+    with pytest.raises(ValueError, match=re.escape(f"m_steps must be an integer, got {m_steps!r}")):
+        STEP_BUILDERS[kind](m_steps)
+
+
+@pytest.mark.parametrize("m_steps", [0, -3, np.int64(0)])
+@pytest.mark.parametrize("kind", STEP_BUILDERS)
+def test_schedules_reject_fewer_than_one_step(kind, m_steps):
+    with pytest.raises(ValueError, match=f"m_steps must be at least 1, got {m_steps}$"):
+        STEP_BUILDERS[kind](m_steps)
+
+
+@pytest.mark.parametrize("kind", STEP_BUILDERS)
+def test_schedules_accept_numpy_integer_step_counts(kind):
+    for m_steps in (np.int64(3), np.int32(1)):
+        assert np.array_equal(STEP_BUILDERS[kind](m_steps).values, STEP_BUILDERS[kind](int(m_steps)).values)
+
+
 def test_constant_density_reduces_to_linear():
     grid = np.linspace(0.0, 2.0, 501)
     sch = adiabatic.schedule_from_density("zz", 40, 0.7, grid, np.ones_like(grid))
@@ -328,6 +355,94 @@ def test_min_steps_search_runs_no_8_dim_propagation(monkeypatch):
     assert adiabatic.min_steps_search("zzz", 0.99, 0.4) == 60
 
 
+def sequential_sector_min_fidelity(schedule, params=None):
+    # the step-by-step reference of the blocked sector propagation: one 4x4 matvec per step
+    hx, hz = models.parts(schedule.model_tag, schedule.values, params)
+    basis = adiabatic.symmetric_sector_basis().real
+    hx_s = basis.T @ hx.real @ basis
+    hz_s = hz[:, [0, 1, 3, 7]]
+    half, kicks = adiabatic._split_step(hx_s, hz_s, schedule.tau)
+    grounds = np.linalg.eigh(hx_s + hz_s[:, :, None] * np.eye(4))[1][:, :, 0]
+    steps = (half * kicks[:, None, :]) @ half
+    psis = np.empty(grounds.shape, dtype=complex)
+    psis[0] = grounds[0]
+    for m in range(1, len(psis)):
+        psis[m] = steps[m] @ psis[m - 1]
+    return float(np.abs((grounds * psis).sum(axis=1)).min())
+
+
+@pytest.mark.parametrize("params", [None, models.ModelParams(omega_z=-1.7, omega_x=0.2)])
+@pytest.mark.parametrize("tag", models.MODEL_TAGS)
+def test_blocked_sector_probe_matches_step_by_step_loop(tag, params):
+    # block edges: k = isqrt(m + 1) gives k = 3 for m = 8..14 and k = 4 for m = 15..23
+    m = models.model(tag)
+    for m_steps in (1, 2, 3, 8, 9, 10, 15, 16, 17, 412, 10 * m.steps):
+        sch = adiabatic.gap_adaptive_schedule(tag, m_steps, m.tau, params)
+        want = sequential_sector_min_fidelity(sch, params)
+        assert abs(adiabatic._sector_min_fidelity(sch, params) - want) < 1e-13
+    single = adiabatic.Schedule(values=(0.0,), tau=m.tau, model_tag=tag)
+    assert adiabatic._sector_min_fidelity(single) == sequential_sector_min_fidelity(single)
+
+
+PERFBENCH_SEARCHES = [("zz", 0.9, 36), ("zz", 0.99, 126), ("zz", 0.999, 412),
+                      ("zzz", 0.9, 19), ("zzz", 0.99, 60), ("zzz", 0.999, 266)]
+
+
+@pytest.mark.parametrize(("tag", "target", "want"), PERFBENCH_SEARCHES)
+def test_step_search_probes_build_no_states_and_read_the_cached_table(monkeypatch, tag, target, want):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a probe must not rebuild the sector basis")
+
+    tau = models.model(tag).tau
+    with monkeypatch.context() as patch:
+        for namespace in (adiabatic, states):
+            patch.setattr(namespace, "make_state", forbidden)
+        patch.setattr(adiabatic, "symmetric_sector_basis", forbidden)
+        got, probed = probed_search(monkeypatch, tag, target, tau)
+    assert got == want
+    p = models.ModelParams()
+    grid, density, _ = adiabatic._density_table(tag, p.omega_z, p.omega_x)
+    for m_steps in probed:
+        want_values = adiabatic.schedule_from_density(tag, m_steps, tau, grid, density).values
+        assert adiabatic.gap_adaptive_schedule(tag, m_steps, tau).values.tobytes() == want_values.tobytes()
+
+
+def test_cached_schedule_recomputes_no_cumulative_sum(monkeypatch):
+    params = models.ModelParams(omega_z=-1.3, omega_x=0.15)
+    sums = []
+    cumsum = np.cumsum
+
+    def spy(*args, **kwargs):
+        sums.append(args)
+        return cumsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "cumsum", spy)
+    first = adiabatic.gap_adaptive_schedule("zz", 40, 0.7, params)
+    assert len(sums) == 1
+    again = adiabatic.gap_adaptive_schedule("zz", 40, 0.7, params)
+    other = adiabatic.gap_adaptive_schedule("zz", 300, 0.4, params)
+    assert len(sums) == 1
+    assert np.array_equal(first.values, again.values) and len(other.values) == 301
+    grid, density, cum = adiabatic._density_table("zz", params.omega_z, params.omega_x)
+    assert cum.tobytes() == adiabatic._cumulative(grid, density).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        cum[0] = 1.0
+
+
+def test_rejected_density_keeps_no_cumulative():
+    for tag in models.MODEL_TAGS:
+        with np.errstate(invalid="ignore"):
+            assert adiabatic._density_table(tag, -2.0, 0.0)[2] is None
+
+
+def test_symmetric_sector_basis_is_a_fresh_copy_of_the_shared_basis():
+    want = np.column_stack([states.make_state(s) for s in ("000", "W001", "W110", "111")])
+    basis = adiabatic.symmetric_sector_basis()
+    assert basis.tobytes() == want.tobytes()
+    basis[0, 0] = 7.0
+    assert adiabatic.symmetric_sector_basis().tobytes() == want.tobytes()
+
+
 def test_refocus_matches_independent_formulas():
     deltas = (7792.0, 15480.0, 3845.0)
     jc = ((0.0, 47.6, 160.7), (47.6, 0.0, 25.7), (160.7, 25.7, 0.0))
@@ -587,8 +702,8 @@ def test_cached_density_table_matches_uncached_and_per_point(tag, params):
     p = params or models.ModelParams()
     # omega_x = 0 leaves degenerate zzz levels, whose 0/0 rate is NaN on every route
     with np.errstate(invalid="ignore"):
-        grid, dens = adiabatic._density_table(tag, p.omega_z, p.omega_x)
-        fresh_grid, fresh = adiabatic._density_table.__wrapped__(tag, p.omega_z, p.omega_x)
+        grid, dens, _ = adiabatic._density_table(tag, p.omega_z, p.omega_x)
+        fresh_grid, fresh, _ = adiabatic._density_table.__wrapped__(tag, p.omega_z, p.omega_x)
         want = per_point_density(tag, grid, params)
     assert np.array_equal(grid, np.linspace(*m.j_range, adiabatic.DENSITY_GRID + 1))
     assert np.array_equal(grid, fresh_grid)
