@@ -10,6 +10,11 @@ Library records name the geometry points (``coherence.Tetrahedron``) and
 tomo's check columns (``qmat.validate_density``), ``models.MODELS`` holds
 the defaults, and the schedule builders check --steps (``file:`` ignores it).
 
+The argument parser is built once per process and reused by every
+in-process ``main`` call, and each CSV column is formatted with one
+``%.9g`` format call (cells holding text or None one at a time); neither
+changes an output byte.
+
 Each verb takes only the options it reads; any other option is a usage
 error. Exit codes: 0 success, 1 usage error, 2 validation failure, 3
 assertion failure (trotter-audit below threshold).
@@ -17,6 +22,7 @@ assertion failure (trotter-audit below threshold).
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -118,6 +124,12 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser every ``main`` call in this process shares; parsing leaves no state in it."""
+    return build_parser()
+
+
 def _schedule(args):
     """The --schedule kind on the model's grid; --steps and --tau default to the model's."""
     model = models.model(args.model)
@@ -137,12 +149,21 @@ def _base(args):
     return 2.0 if args.log_base == "2" else math.e
 
 
+def _cells(column):
+    """A column's CSV cells: ``_fmt`` of each value, with one format call when all are numbers."""
+    values = tuple(column.tolist() if isinstance(column, np.ndarray) else column)
+    try:
+        return ("%.9g\n" * len(values) % values).split("\n")[:-1]
+    except TypeError:  # a str or None cell
+        return [x if isinstance(x, str) else _fmt(x) for x in values]
+
+
 def _csv(table):
     """CSV text of a table, an ordered dict from column name to the column's values."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(table)
-    writer.writerows([x if isinstance(x, str) else _fmt(x) for x in row] for row in zip(*table.values(), strict=True))
+    writer.writerows(zip(*map(_cells, table.values()), strict=True))
     return buf.getvalue()
 
 
@@ -265,7 +286,8 @@ def cmd_trotter_audit(args):
 def cmd_schedule(args):
     schedule = _schedule(args)
     # the refocusing table is built before any file is written, so a bad config leaves none
-    refocus = args.nmr_config and adiabatic.refocus_params(models.load_nmr_params(args.nmr_config), schedule)
+    config = args.nmr_config
+    refocus = config is not None and adiabatic.refocus_params(models.load_nmr_params(config), schedule)
     _write(args, f"schedule_{args.model}.json", json.dumps([_round9(v) for v in schedule.values]) + "\n")
     if refocus:
         table, notices = refocus
@@ -276,7 +298,7 @@ def cmd_schedule(args):
 
 
 def main(argv=None):
-    args, extra = build_parser().parse_known_args(argv)
+    args, extra = _parser().parse_known_args(argv)
     if extra:
         args.verb_parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import filecmp
+import io
 import json
 import math
 
@@ -290,6 +291,48 @@ def test_each_verb_takes_only_the_options_it_reads(verb, options):
     assert accepted == {"--model", "--out"} | options
 
 
+def test_main_builds_the_parser_once_per_process(tmp_path, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    for _ in range(3):
+        assert run_cli(["schedule", "--model", "zz", "--steps", "5", "--out", str(tmp_path)]) == 0
+    assert len(built) == 1
+
+
+SMALL_SWEEP = ["sweep", "--model", "zz", "--steps", "5"]
+
+
+@pytest.mark.parametrize(
+    "between, code",
+    [
+        (["sweep", "--mu", "0.5"], 0),
+        (["sweep", "--model", "bogus"], 1),
+        (["geometry", "--steps", "5"], 1),
+        (["sweep", "--help"], 0),
+    ],
+    ids=["mu", "bad_choice", "foreign_option", "help"],
+)
+def test_reused_parser_keeps_no_state_between_calls(tmp_path, capsys, between, code):
+    def call(argv, name):
+        """Exit code, stdout, stderr and written files of one call, with its output directory masked."""
+        out_dir = tmp_path / name
+        rc = run_cli(argv + ["--out", str(out_dir)])
+        out, err = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in out_dir.iterdir()} if out_dir.exists() else {}
+        return rc, out.replace(str(out_dir), "OUT"), err, files
+
+    cli._parser.cache_clear()
+    lone_sweep = call(SMALL_SWEEP, "lone_sweep")
+    cli._parser.cache_clear()
+    lone_between = call(between, "lone_between")
+    assert lone_between[0] == code
+    cli._parser.cache_clear()
+    calls = [call(SMALL_SWEEP, "first"), call(between, "between"), call(SMALL_SWEEP, "second")]
+    assert calls == [lone_sweep, lone_between, lone_sweep]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -389,6 +432,14 @@ def test_schedule_rejects_unphysical_nmr_config(tmp_path, capsys, deltas, coupli
         assert message in capsys.readouterr().err
         assert not (tmp_path / f"refocus_{model}.csv").exists()
         assert not (tmp_path / f"schedule_{model}.json").exists()
+
+
+def test_schedule_rejects_an_empty_nmr_config_path(tmp_path, capsys):
+    # an empty path is a path that cannot be read, not a missing option
+    assert run_cli(["schedule", "--model", "zz", "--steps", "5", "--nmr-config", "", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(": ''\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("content, message", [
@@ -519,6 +570,38 @@ def test_tomo_quotes_file_names_in_csv(tmp_path):
     lines = (tmp_path / "tomo_report.csv").read_text().splitlines()
     assert lines[1].startswith('"a,b.json",') and lines[2].startswith('"say ""hi"".json",')
     assert lines[3].startswith("plain.json,")
+
+
+def test_csv_matches_per_cell_formatting():
+    # every cell type the verbs write, against one csv.writer row per cell-formatted row
+    table = {
+        "m": range(5),
+        "m64": np.arange(5, dtype=np.int64) * 7,
+        "J": np.array([0.0, 1 / 3, -0.0, 5e-324, 1e300]),
+        "E": np.array([np.nan, np.inf, -np.inf, 2.0**53 + 1, -1e-5]),
+        "py": [0.1, float("nan"), float("inf"), -0.0, 5e-324],
+        "ints": [0, -3, 2**53 + 1, 123456789012, True],
+        "report": (np.float64(1 / 7), 0.5, np.float64(-2.5e-10), 3, np.float64(np.nan)),
+        "ratio": [0.5, None, None, 1 / 7, np.float64(2.0)],
+        "file": ["a,b.json", 'say "hi".json', "plain.json", "\u00e9.json", ""],
+        "repaired": ("yes", "no", "no", "yes", "no"),
+    }
+
+    def reference(table):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(table)
+        for row in zip(*table.values(), strict=True):
+            writer.writerow([x if isinstance(x, str) else "" if x is None else f"{x:.9g}" for x in row])
+        return buf.getvalue()
+
+    text = cli._csv(table)
+    assert text == reference(table)
+    lines = text.splitlines()
+    assert lines[1].endswith(',0.5,"a,b.json",yes') and lines[2].endswith(',,"say ""hi"".json",no')
+    assert lines[2].split(",")[:6] == ["1", "7", "0.333333333", "inf", "nan", "-3"]
+    empty = {"J": np.array([]), "file": [], "m": range(0)}
+    assert cli._csv(empty) == reference(empty) == "J,file,m\n"
 
 
 def test_tomo_errors_name_the_file(tmp_path, capsys):
