@@ -148,6 +148,8 @@ def linear_schedule(model_tag, m_steps, tau):
 # the permutation-symmetric sector, built once and shared read-only
 _SECTOR_BASIS = np.column_stack([make_state(label) for label in ("000", "W001", "W110", "111")])
 _SECTOR_BASIS.flags.writeable = False
+# hz is constant on each excitation number, so the sector's diagonal is hz at |000>, |001>, |011>, |111>
+_SECTOR_LEVELS = [0, 1, 3, 7]
 
 
 def symmetric_sector_basis():
@@ -386,7 +388,22 @@ def trotter_error_scaling(model_tag, j, tau, params=None):
     return float(ratio) if ratio.ndim == 0 else ratio
 
 
-def _sector_min_fidelity(schedule, params=None):
+def _sector_transverse(schedule, params=None):
+    """Sector transverse part hx_s = B^T hx B and its half step exp(-i hx_s tau/2), as ``(hx_s, half)``.
+
+    Neither depends on the couplings. ``_split_step``'s tau checks run here
+    on the sector parts of ``schedule``. hz is affine in J, so its largest
+    modulus on a schedule is reached at an endpoint (rounding is monotone
+    too): every schedule with the same model, params, tau and endpoints
+    shares the pair and the checks' verdict.
+    """
+    hx, hz = models.parts(schedule.model_tag, schedule.values, params)
+    basis = _SECTOR_BASIS.real
+    hx_s = basis.T @ hx.real @ basis
+    return hx_s, _split_step(hx_s, hz[:, _SECTOR_LEVELS], schedule.tau)[0]
+
+
+def _sector_min_fidelity(schedule, params=None, transverse=None):
     """``evolve(schedule, params).min_fidelity``, computed in the symmetric sector.
 
     For omega_x != 0 the ground state of every H(J) is unique and permutation
@@ -400,7 +417,9 @@ def _sector_min_fidelity(schedule, params=None):
     flags a step degenerate (a ground gap below ``qmat.DEGENERACY_TOL``, as
     for zzz at omega_x = 1e-5), its reference vector is a canonical pick in
     the near-degenerate cluster, not the symmetric ground state used here,
-    and the two values differ.
+    and the two values differ. ``transverse`` is ``_sector_transverse`` of a
+    schedule with the same model, params, tau and endpoints, built here if
+    not given.
 
     The M steps propagate in blocks of k = isqrt(M + 1): k stacked products
     build every in-block prefix product, then one matvec per block carries
@@ -408,12 +427,9 @@ def _sector_min_fidelity(schedule, params=None):
     The values differ from a step-by-step loop by rounding only (below
     3e-15 on the step counts the ``perfbench`` searches probe).
     """
-    hx, hz = models.parts(schedule.model_tag, schedule.values, params)
-    basis = _SECTOR_BASIS.real
-    hx_s = basis.T @ hx.real @ basis
-    # hz is constant on each excitation number, so the sector's diagonal is hz at |000>, |001>, |011>, |111>
-    hz_s = hz[:, [0, 1, 3, 7]]
-    half, kicks = _split_step(hx_s, hz_s, schedule.tau)
+    hx_s, half = transverse or _sector_transverse(schedule, params)
+    hz_s = models.parts(schedule.model_tag, schedule.values, params)[1][:, _SECTOR_LEVELS]
+    kicks = np.exp(-1j * schedule.tau * hz_s)
     grounds = np.linalg.eigh(hx_s + hz_s[:, :, None] * np.eye(4))[1][:, :, 0]
     steps = (half * kicks[:, None, :]) @ half
     # steps 1..M in blocks of k, the last padded with identities
@@ -453,8 +469,14 @@ def min_steps_search(model_tag, target_min_fidelity, tau, params=None):
         raise ValueError(f"target must lie in [0, 1), got {target_min_fidelity}")
     cap = 10 * models.model(model_tag).steps
 
+    transverse = None
+
     def achieved(m_steps):
-        return _sector_min_fidelity(gap_adaptive_schedule(model_tag, m_steps, tau, params), params)
+        nonlocal transverse
+        schedule = gap_adaptive_schedule(model_tag, m_steps, tau, params)
+        # every probe schedule has the grid's endpoints, so the first probe's transverse part serves all
+        transverse = transverse or _sector_transverse(schedule, params)
+        return _sector_min_fidelity(schedule, params, transverse)
 
     best = -1.0
     last_fail = 0

@@ -13,7 +13,10 @@ the defaults, and the schedule builders check --steps (``file:`` ignores it).
 The argument parser is built once per process and reused by every
 in-process ``main`` call, and each CSV column is formatted with one
 ``%.9g`` format call (cells holding text or None one at a time); neither
-changes an output byte.
+changes an output byte. ``tomo`` validates, repairs and scores its files as
+one stack and builds its columns from the stacked checks; a failing file is
+blamed, after the lines of the files before it, as if each were checked in
+turn.
 
 Each verb takes only the options it reads; any other option is a usage
 error. Exit codes: 0 success, 1 usage error, 2 validation failure, 3
@@ -236,26 +239,48 @@ def cmd_tomo(args):
     qmat.check_tolerance(args.tol)
     j = args.j if args.j is not None else models.model(args.model).j_range[1]
     ground_density = states.density(qmat.ground_state(models.hamiltonian(args.model, j)).state)
-    rhos = []
-    rows = []
+
+    def score(raws):
+        rhos, checks = qmat.validate_density(raws, tol=args.tol, repair=args.repair)
+        return rhos, checks, qmat.root_fidelity(rhos, ground_density)
+
+    # The files are scored as one stack, yet the first failing file is blamed, after the lines of
+    # the files before it, as if each were loaded, validated and scored in turn. So loading stops
+    # at the first file that fails to load or has another shape, and its error waits for the rest.
+    raws, failure = [], None
     for path in args.files:
-        rho_raw = qmat.load_density(path)
         try:
-            rho, checks = qmat.validate_density(rho_raw, tol=args.tol, repair=args.repair)
-            fid = qmat.root_fidelity(rho, ground_density)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-        repaired = bool(np.abs(rho - rho_raw).max() > args.tol)
-        rhos.append(rho)
-        rows.append({"file": os.path.basename(path), "J": j, "fidelity": fid, **checks,
-                     "repaired": "yes" if repaired else "no"})
-        print(f"{os.path.basename(path)}: fidelity {_fmt(fid)} (J={_fmt(j)}, repaired={repaired})")
+            raw = qmat.load_density(path)
+        except Exception as exc:  # raised below, unless an earlier file fails first
+            failure = exc
+            break
+        if raw.shape != ground_density.shape:
+            try:
+                score(raw)  # raises: the file's own check error, else the dimension mismatch
+            except ValueError as exc:
+                failure = ValueError(f"{path}: {exc}")
+            break
+        raws.append(raw)
+    stack = np.array(raws).reshape((len(raws),) + ground_density.shape)
     try:
-        reports = coherence.coherence_reports(np.array(rhos), base=_base(args))
+        rhos, checks, fids = score(stack)
+    except qmat.DensityError as exc:
+        failure = ValueError(f"{args.files[exc.index]}: {exc}")
+        stack = stack[:exc.index]
+        rhos, checks, fids = score(stack)
+    names = [os.path.basename(path) for path in args.files[:len(stack)]]
+    repaired = np.abs(rhos - stack).max(axis=(-2, -1)) > args.tol
+    for name, fid, rep in zip(names, fids, repaired):
+        print(f"{name}: fidelity {_fmt(fid)} (J={_fmt(j)}, repaired={rep})")
+    if failure is not None:
+        raise failure
+    try:
+        reports = coherence.coherence_reports(rhos, base=_base(args))
     except coherence.CrossCheckError as exc:
         # an input state the two QJSD routes disagree on is reported under its file
         raise ValueError(f"{args.files[exc.index]}: {exc}") from exc
-    table = {key: [row[key] for row in rows] for key in rows[0]}
+    table = {"file": names, "J": [j] * len(names), "fidelity": fids, **checks,
+             "repaired": ["yes" if rep else "no" for rep in repaired]}
     table.update(zip(coherence.REPORT_COLUMNS, zip(*reports)))
     _write(args, "tomo_report.csv", _csv(table))
     return 0

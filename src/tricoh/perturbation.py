@@ -67,16 +67,40 @@ def zzz_split(p):
     return PerturbationSplit(h0=np.diag(hz), v=hx, degenerate_subspace=[make_state("W001"), basis_state("111")])
 
 
+def _check_finite(**args):
+    """Raise ``ValueError`` naming the first argument that is not a finite number."""
+    for name, value in args.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _zz_denominator(omega_x, omega_z, j2):
+    """2 j2 + omega_z, after checking the two-body formulas' arguments."""
+    _check_finite(omega_x=omega_x, omega_z=omega_z, j2=j2)
+    if omega_z == 0.0:
+        raise ValueError("omega_z must be nonzero: the |W110> admixture omega_x/omega_z diverges")
+    denom = 2.0 * j2 + omega_z
+    if abs(denom) < 1e-12:
+        raise ValueError(f"formula invalid at the avoided crossing 2*j2 + omega_z = 0 (j2 = {j2})")
+    return denom
+
+
+def _check_j3(omega_x, j3):
+    """Raise ``ValueError`` unless the three-body formulas' arguments are finite and ``j3`` is positive."""
+    _check_finite(omega_x=omega_x, j3=j3)
+    if j3 <= 0.0:
+        raise ValueError(f"j3 must be positive, got {j3}")
+
+
 def zz_first_order_ground(omega_x, omega_z, j2):
     """First-order ground state of the two-body model at coupling ``j2``.
 
     Normalization of |W001> + (omega_x/omega_z)|W110>
-    - (sqrt(3)/2)(omega_x/(2 j2 + omega_z))|000>. Invalid at the avoided
+    - (sqrt(3)/2)(omega_x/(2 j2 + omega_z))|000>. The arguments must be
+    finite; the formula is invalid at omega_z = 0 and at the avoided
     crossing 2 j2 + omega_z = 0.
     """
-    denom = 2.0 * j2 + omega_z
-    if abs(denom) < 1e-12:
-        raise ValueError(f"formula invalid at the avoided crossing 2*j2 + omega_z = 0 (j2 = {j2})")
+    denom = _zz_denominator(omega_x, omega_z, j2)
     vec = (
         make_state("W001")
         + (omega_x / omega_z) * make_state("W110")
@@ -88,11 +112,10 @@ def zz_first_order_ground(omega_x, omega_z, j2):
 def zz_fidelity_formula(omega_x, omega_z, j2):
     """Closed-form fidelity of the two-body ground state to |W001>.
 
-    1 / (1 + (omega_x/omega_z)^2 + (3/4)(omega_x/(2 j2 + omega_z))^2).
+    1 / (1 + (omega_x/omega_z)^2 + (3/4)(omega_x/(2 j2 + omega_z))^2), with
+    the arguments checked as in ``zz_first_order_ground``.
     """
-    denom = 2.0 * j2 + omega_z
-    if abs(denom) < 1e-12:
-        raise ValueError(f"formula invalid at the avoided crossing 2*j2 + omega_z = 0 (j2 = {j2})")
+    denom = _zz_denominator(omega_x, omega_z, j2)
     return 1.0 / (1.0 + (omega_x / omega_z) ** 2 + 0.75 * (omega_x / denom) ** 2)
 
 
@@ -100,9 +123,9 @@ def zzz_first_order_ground(omega_x, j3):
     """First-order ground state of the three-body model at coupling ``j3``.
 
     Normalization of |G> - (omega_x/j3)((3/4)|000> + (3 sqrt(3)/4)|W110>).
+    The arguments must be finite and ``j3`` positive.
     """
-    if j3 <= 0.0:
-        raise ValueError(f"j3 must be positive, got {j3}")
+    _check_j3(omega_x, j3)
     vec = make_state("G") - (omega_x / j3) * (0.75 * basis_state("000") + 0.75 * math.sqrt(3) * make_state("W110"))
     return normalize_phase(vec)
 
@@ -110,10 +133,10 @@ def zzz_first_order_ground(omega_x, j3):
 def zzz_fidelity_formula(omega_x, j3):
     """Closed-form fidelity of the three-body ground state to |G>.
 
-    1 / (1 + (3 omega_x / (2 j3))^2); monotone increasing in ``j3``.
+    1 / (1 + (3 omega_x / (2 j3))^2); monotone increasing in ``j3``. The
+    arguments must be finite and ``j3`` positive.
     """
-    if j3 <= 0.0:
-        raise ValueError(f"j3 must be positive, got {j3}")
+    _check_j3(omega_x, j3)
     return 1.0 / (1.0 + (1.5 * omega_x / j3) ** 2)
 
 

@@ -10,7 +10,11 @@ Conventions used throughout the package:
   amplitude is real and nonnegative (first index on ties).
 - The primitives take one matrix (or vector) or a stack of them over the
   leading axes, through one code path, and each item of a stack comes out
-  bitwise equal to the call on that item alone.
+  bitwise equal to the call on that item alone. So do the checks and
+  fidelities used on tomography input: ``validate_density`` takes an
+  (n, d, d) stack and raises ``DensityError``, which carries the index of
+  the first failing matrix, and ``root_fidelity``, ``state_fidelity`` score
+  a stack against one matrix or a stack.
 
 Two fidelity conventions are provided. ``state_fidelity`` is the squared
 Uhlmann fidelity (Tr sqrt(sqrt(a) b sqrt(a)))^2, which reduces to <psi|b|psi>
@@ -251,32 +255,41 @@ def expm_hermitian(h, t):
 
 
 def _sqrtm_psd(rho):
+    """Square root of a PSD matrix, or of each matrix of a stack, with negative eigenvalues clipped to 0."""
     w, v = np.linalg.eigh(rho)
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def root_fidelity(a, b):
     """Uhlmann root fidelity Tr sqrt(sqrt(a) b sqrt(a)), in [0, 1].
 
     This amplitude-overlap convention (|<psi|phi>| for pure states) is the
-    one used for reported sweep fidelities.
+    one used for reported sweep fidelities. A (..., d, d) stack ``a`` is
+    scored matrix by matrix against a stack ``b`` of the same shape or
+    against one d x d matrix ``b``, with one stacked ``eigh`` and one
+    stacked ``eigvalsh``, each value bitwise equal to the call on that pair
+    alone. One pair gives a float, a stack an array.
     """
-    a = _as_square(a, "a")
-    b = _as_square(b, "b")
-    if a.shape != b.shape:
+    a = _as_stack(a, "a")
+    b = _as_stack(b, "b")
+    if b.shape not in (a.shape, a.shape[-2:]):
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     sa = _sqrtm_psd(a)
     w = np.linalg.eigvalsh(sa @ b @ sa)
-    f = float(np.sqrt(np.clip(w, 0.0, None)).sum())
-    return min(max(f, 0.0), 1.0)
+    f = np.clip(np.sqrt(np.clip(w, 0.0, None)).sum(axis=-1), 0.0, 1.0)
+    return float(f) if f.ndim == 0 else f
 
 
 def state_fidelity(a, b):
     """Squared Uhlmann fidelity (Tr sqrt(sqrt(a) b sqrt(a)))^2, in [0, 1].
 
     Reduces to <psi|b|psi> when ``a`` is pure; symmetric; equals 1 iff a = b.
+    Takes stacks as ``root_fidelity`` does.
     """
-    return root_fidelity(a, b) ** 2
+    f = root_fidelity(a, b)
+    # each square goes through scalar C pow, as for one pair (see unitary_fidelity)
+    sq = np.array([x**2 for x in np.ravel(f).tolist()]).reshape(np.shape(f))
+    return float(sq) if sq.ndim == 0 else sq
 
 
 def unitary_fidelity(u1, u2):
@@ -310,42 +323,75 @@ def check_tolerance(tol):
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
 
 
+class DensityError(ValueError):
+    """A density-matrix check failed; ``index`` is the failing matrix's position in its stack (0 for one matrix)."""
+
+    def __init__(self, message, index):
+        super().__init__(message)
+        self.index = index
+
+
 def validate_density(m, tol=HERMITICITY_TOL, repair=False):
     """Check (or repair) the density-matrix invariants of ``m``.
 
-    Checks Hermiticity, unit trace, and positive semidefiniteness within
-    ``tol``, which must be finite and nonnegative. With ``repair`` the matrix
-    is symmetrized, negative eigenvalues are clipped to zero, and the trace
-    is renormalized to 1; otherwise any violation raises a ``ValueError``
-    naming the failed invariant and the amount by which it failed.
+    Checks finite entries, Hermiticity, unit trace, and positive
+    semidefiniteness within ``tol``, which must be finite and nonnegative.
+    With ``repair`` the matrix is symmetrized, negative eigenvalues are
+    clipped to zero, and the trace is renormalized to 1; otherwise any
+    violation raises a ``DensityError`` naming the failed invariant and the
+    amount by which it failed.
 
-    Returns ``(rho, checks)``: the (repaired) matrix and the diagnostics of
-    the input, ``checks = {"herm_dev", "trace_dev", "min_eig"}``.
+    ``m`` is one d x d matrix or an (n, d, d) stack, checked through one
+    code path: one stacked ``eigvalsh`` gives every ``min_eig`` and, with
+    ``repair``, one stacked ``eigh`` every repair, each item bitwise equal
+    to the call on that matrix alone. A stack raises the error of its first
+    failing matrix, whose position is the error's ``index``; matrices after
+    one with non-finite entries are not diagonalized.
+
+    Returns ``(rho, checks)``: the (repaired) matrix or stack and the
+    diagnostics of the input, ``checks = {"herm_dev", "trace_dev",
+    "min_eig"}``, floats for one matrix and arrays of n values for a stack.
     """
     check_tolerance(tol)
-    m = _as_square(m, "density matrix")
-    herm_dev = float(np.abs(m - m.conj().T).max())
-    trace_dev = float(abs(np.trace(m) - 1.0))
-    sym = _sym(m)
-    eigs = np.linalg.eigvalsh(sym)
-    min_eig = float(eigs[0])
-    checks = {"herm_dev": herm_dev, "trace_dev": trace_dev, "min_eig": min_eig}
+    m = np.asarray(m, dtype=complex)
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"density matrix must be square, got shape {m.shape}")
+    stack = m.reshape((-1,) + m.shape[-2:])
+    nonfinite = np.flatnonzero(~np.isfinite(stack).all(axis=(-2, -1)))
+    good = stack[:nonfinite[0]] if len(nonfinite) else stack
+    herm_dev = np.abs(good - good.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    # a contiguous diagonal sums in the order np.trace uses on one matrix, and
+    # np.hypot matches the scalar abs where np.abs of a complex array does not
+    trace = np.diagonal(good, axis1=-2, axis2=-1).copy().sum(axis=-1) - 1.0
+    trace_dev = np.hypot(trace.real, trace.imag)
+    sym = _sym(good)
+    min_eig = np.linalg.eigvalsh(sym)[:, 0]
+    trace_tol, psd_tol = max(tol, TRACE_TOL), max(tol, PSD_TOL)
     if repair:
         w, v = np.linalg.eigh(sym)
         w = np.clip(w, 0.0, None)
-        total = w.sum()
-        if total < 1e-300:
-            raise ValueError("density matrix repair failed: all eigenvalues nonpositive")
-        return (v * (w / total)) @ v.conj().T, checks
-    if herm_dev > tol:
-        raise ValueError(f"not Hermitian: max deviation {herm_dev:.3e} exceeds tolerance {tol:.1e}")
-    if trace_dev > max(tol, TRACE_TOL):
-        raise ValueError(f"trace differs from 1 by {trace_dev:.3e}, exceeds tolerance {max(tol, TRACE_TOL):.1e}")
-    if min_eig < -max(tol, PSD_TOL):
-        raise ValueError(
-            f"negative eigenvalue {min_eig:.3e} below tolerance -{max(tol, PSD_TOL):.1e}"
-        )
-    return m, checks
+        total = w.sum(axis=-1)
+        failed = np.flatnonzero(total < 1e-300)
+    else:
+        failed = np.flatnonzero((herm_dev > tol) | (trace_dev > trace_tol) | (min_eig < -psd_tol))
+    if len(failed):
+        i = failed[0]
+        if repair:
+            message = "density matrix repair failed: all eigenvalues nonpositive"
+        elif herm_dev[i] > tol:
+            message = f"not Hermitian: max deviation {herm_dev[i]:.3e} exceeds tolerance {tol:.1e}"
+        elif trace_dev[i] > trace_tol:
+            message = f"trace differs from 1 by {trace_dev[i]:.3e}, exceeds tolerance {trace_tol:.1e}"
+        else:
+            message = f"negative eigenvalue {min_eig[i]:.3e} below tolerance -{psd_tol:.1e}"
+        raise DensityError(message, int(i))
+    if len(nonfinite):
+        raise DensityError("density matrix contains non-finite entries", int(nonfinite[0]))
+    checks = {"herm_dev": herm_dev, "trace_dev": trace_dev, "min_eig": min_eig}
+    rho = (v * (w / total[:, None])[:, None, :]) @ v.conj().swapaxes(-1, -2) if repair else stack
+    if m.ndim == 2:
+        return rho[0], {name: float(x[0]) for name, x in checks.items()}
+    return rho, checks
 
 
 def save_density(path, rho):

@@ -307,7 +307,7 @@ def probed_search(monkeypatch, tag, target, tau, probe=None):
     with monkeypatch.context() as patch:
         patch.setattr(adiabatic, "gap_adaptive_schedule", spy)
         if probe is not None:
-            patch.setattr(adiabatic, "_sector_min_fidelity", probe)
+            patch.setattr(adiabatic, "_sector_min_fidelity", lambda sch, params, transverse: probe(sch, params))
         return adiabatic.min_steps_search(tag, target, tau), probed
 
 
@@ -821,3 +821,28 @@ def test_trotter_phase_overflow_raises():
     assert np.isfinite(u_ide).all() and np.isfinite(u_exp).all()
     assert np.isfinite(adiabatic.evolve(adiabatic.linear_schedule("zz", 3, 1e300)).fid_instant).all()
     assert math.isfinite(adiabatic._sector_min_fidelity(adiabatic.linear_schedule("zz", 3, 1e300)))
+
+
+@pytest.mark.parametrize(("tag", "target", "want"), PERFBENCH_SEARCHES)
+def test_step_search_builds_the_transverse_half_step_once(monkeypatch, tag, target, want):
+    halves = []
+    expm = adiabatic.expm_hermitian
+
+    def spy(h, t):
+        halves.append(t)
+        return expm(h, t)
+
+    monkeypatch.setattr(adiabatic, "expm_hermitian", spy)
+    got, probed = probed_search(monkeypatch, tag, target, models.model(tag).tau)
+    assert got == want and len(probed) > 1
+    assert halves == [models.model(tag).tau / 2]
+
+
+@pytest.mark.parametrize("params", [None, models.ModelParams(omega_z=-1.7, omega_x=0.2)])
+@pytest.mark.parametrize("tag", models.MODEL_TAGS)
+def test_sector_probe_with_a_shared_transverse_part_is_bitwise_equal(tag, params):
+    tau = models.model(tag).tau
+    transverse = adiabatic._sector_transverse(adiabatic.gap_adaptive_schedule(tag, 1, tau, params), params)
+    for m_steps in (1, 2, 3, 17, 60, 412):
+        sch = adiabatic.gap_adaptive_schedule(tag, m_steps, tau, params)
+        assert adiabatic._sector_min_fidelity(sch, params, transverse) == adiabatic._sector_min_fidelity(sch, params)

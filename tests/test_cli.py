@@ -630,3 +630,60 @@ def test_tomo_non_ascii_file_name(tmp_path, capsys):
         header, *rows = list(csv.reader(fh))
     assert [row[0] for row in rows] == names
     assert [len(row) for row in rows] == [len(header)] * 2
+
+
+@pytest.fixture
+def tomo_files(tmp_path):
+    """ok: a valid state; invalid: not Hermitian; missing: no such file; small_skew: a non-Hermitian 4x4."""
+    paths = {name: tmp_path / f"{name}.json" for name in ("ok", "invalid", "missing", "small_skew")}
+    qmat.save_density(paths["ok"], np.eye(8) / 8)
+    rho = np.eye(8) / 8
+    rho[0, 1] = 0.3
+    qmat.save_density(paths["invalid"], rho)
+    small = np.eye(4) / 4
+    small[0, 1] = 0.2
+    qmat.save_density(paths["small_skew"], small)
+    return paths
+
+
+@pytest.mark.parametrize("order, blamed", [
+    (("ok", "invalid", "missing"), "invalid"),
+    (("ok", "missing", "invalid"), "missing"),
+    (("ok", "small_skew", "invalid"), "small_skew"),
+])
+def test_tomo_blames_the_first_failing_file_after_the_lines_before_it(tmp_path, capsys, tomo_files, order, blamed):
+    out = tmp_path / "out"
+    assert run_cli(["tomo", "--model", "zz", *(str(tomo_files[n]) for n in order), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "ok.json: fidelity 0.353553393 (J=2, repaired=False)\n"
+    path = tomo_files[blamed]
+    assert captured.err == {
+        "invalid": f"error: {path}: not Hermitian: max deviation 3.000e-01 exceeds tolerance 1.0e-06\n",
+        "missing": f"error: [Errno 2] No such file or directory: '{path}'\n",
+        "small_skew": f"error: {path}: not Hermitian: max deviation 2.000e-01 exceeds tolerance 1.0e-06\n",
+    }[blamed]
+    assert not out.exists()
+
+
+def test_tomo_scores_its_files_as_one_stack(tmp_path, monkeypatch):
+    rng = np.random.default_rng(90)
+    paths = []
+    for k in range(3):
+        a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        rho = a @ a.conj().T / np.trace(a @ a.conj().T).real
+        rho[0, 0] -= 0.2  # a negative eigenvalue or trace off 1 for repair to fix
+        paths.append(tmp_path / f"rho_{k}.json")
+        qmat.save_density(paths[-1], rho)
+    singles = []
+    for k, path in enumerate(paths):
+        assert run_cli(["tomo", str(path), "--repair", "--out", str(tmp_path / f"one_{k}")]) == 0
+        singles.append((tmp_path / f"one_{k}" / "tomo_report.csv").read_text().splitlines()[1])
+    calls = []
+    for name in ("validate_density", "root_fidelity"):
+        def spy(m, *args, _fn=getattr(qmat, name), _name=name, **kwargs):
+            calls.append((_name, np.shape(m)))
+            return _fn(m, *args, **kwargs)
+        monkeypatch.setattr(qmat, name, spy)
+    assert run_cli(["tomo", *map(str, paths), "--repair", "--out", str(tmp_path / "all")]) == 0
+    assert calls == [("validate_density", (3, 8, 8)), ("root_fidelity", (3, 8, 8))]
+    assert (tmp_path / "all" / "tomo_report.csv").read_text().splitlines()[1:] == singles

@@ -224,3 +224,19 @@ def test_secular_accepts_a_rotated_orthonormal_basis():
         perturbation.PerturbationSplit(h0=split.h0, v=split.v, degenerate_subspace=rotated)
     )
     assert abs(result.energy_shift - (-2.25 * 0.1 ** 2 / 5.0)) < 1e-12
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: perturbation.zz_fidelity_formula(0.1, 0.0, 1.0), "omega_z must be nonzero"),
+    (lambda: perturbation.zz_first_order_ground(0.1, 0.0, 1.0), "omega_z must be nonzero"),
+    (lambda: perturbation.zz_fidelity_formula(0.1, -2.0, math.nan), "j2 must be finite, got nan"),
+    (lambda: perturbation.zz_first_order_ground(math.inf, -2.0, 1.0), "omega_x must be finite, got inf"),
+    (lambda: perturbation.zzz_fidelity_formula(0.1, math.nan), "j3 must be finite, got nan"),
+    (lambda: perturbation.zzz_fidelity_formula(0.1, math.inf), "j3 must be finite, got inf"),
+    (lambda: perturbation.zzz_first_order_ground(math.nan, 1.0), "omega_x must be finite, got nan"),
+], ids=["zz_fidelity_omega_z_0", "zz_ground_omega_z_0", "zz_fidelity_nan_j2", "zz_ground_inf_omega_x",
+        "zzz_fidelity_nan_j3", "zzz_fidelity_inf_j3", "zzz_ground_nan_omega_x"])
+def test_closed_forms_reject_bad_arguments_by_name(recwarn, call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+    assert len(recwarn) == 0

@@ -464,3 +464,120 @@ def test_stacked_inputs_rejected():
     hs[2, 0, 1] += 1e-3
     with pytest.raises(ValueError, match="not Hermitian"):
         qmat.expm_hermitian(hs, 1.0)
+
+
+def validate_density_one_matrix_form(m, tol, repair):
+    # the one-matrix form: np.trace, the scalar abs, and separate eigvalsh and eigh calls
+    herm_dev = float(np.abs(m - m.conj().T).max())
+    trace_dev = float(abs(np.trace(m) - 1.0))
+    sym = (m + m.conj().T) / 2
+    checks = {"herm_dev": herm_dev, "trace_dev": trace_dev, "min_eig": float(np.linalg.eigvalsh(sym)[0])}
+    if not repair:
+        return m, checks
+    w, v = np.linalg.eigh(sym)
+    w = np.clip(w, 0.0, None)
+    return (v * (w / w.sum())) @ v.conj().T, checks
+
+
+def root_fidelity_one_pair_form(a, b):
+    w, v = np.linalg.eigh(a)
+    sa = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    f = float(np.sqrt(np.clip(np.linalg.eigvalsh(sa @ b @ sa), 0.0, None)).sum())
+    return min(max(f, 0.0), 1.0)
+
+
+def tomography_like_states(seed, dim=8):
+    # full-rank, low-rank and noisy states: the noisy ones are slightly
+    # non-Hermitian, off unit trace and have a negative eigenvalue
+    rng = np.random.default_rng(seed)
+    out = [random_density(rng, dim) for _ in range(3)]
+    out += [random_density(rng, dim, rank) for rank in (1, 2, 3)]
+    for _ in range(3):
+        e = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        out.append(random_density(rng, dim, 1) + 1e-3 * (e + e.conj().T) / 2 + 1e-5 * e)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("seed", [51, 52, 53])
+@pytest.mark.parametrize("repair", [False, True])
+def test_validate_density_stack_matches_single_bitwise(seed, repair):
+    rhos = tomography_like_states(seed)
+    tol = 1.0  # loose enough that no state fails without repair
+    stacked, checks = qmat.validate_density(rhos, tol=tol, repair=repair)
+    assert stacked.shape == rhos.shape and set(checks) == {"herm_dev", "trace_dev", "min_eig"}
+    assert all(isinstance(x, np.ndarray) and x.shape == (len(rhos),) for x in checks.values())
+    for i, m in enumerate(rhos):
+        single, single_checks = qmat.validate_density(m, tol=tol, repair=repair)
+        oracle, oracle_checks = validate_density_one_matrix_form(m, tol, repair)
+        assert same_bits(stacked[i], single) and same_bits(single, oracle)
+        assert single_checks == oracle_checks and all(type(x) is float for x in single_checks.values())
+        assert {name: x[i] for name, x in checks.items()} == single_checks
+        one, one_checks = qmat.validate_density(m[None], tol=tol, repair=repair)
+        assert same_bits(one[0], single)
+        assert {name: x[0] for name, x in one_checks.items()} == single_checks
+
+
+@pytest.mark.parametrize("seed", [61, 62])
+def test_root_and_state_fidelity_stack_match_single_bitwise(seed):
+    rhos = tomography_like_states(seed)
+    rhos = qmat.validate_density(rhos, tol=1.0, repair=True)[0]
+    target = states.density(qmat.ground_state(models.hamiltonian("zz", 2.0)).state)
+    others = tomography_like_states(seed + 100)
+    for b in (target, others):
+        root, sq = qmat.root_fidelity(rhos, b), qmat.state_fidelity(rhos, b)
+        assert root.shape == sq.shape == (len(rhos),)
+        for i, a in enumerate(rhos):
+            bi = b if b.ndim == 2 else b[i]
+            single = qmat.root_fidelity(a, bi)
+            assert type(single) is float and single == root[i] == root_fidelity_one_pair_form(a, bi)
+            assert qmat.state_fidelity(a, bi) == sq[i] == root_fidelity_one_pair_form(a, bi) ** 2
+            assert qmat.root_fidelity(a[None], bi)[0] == single
+    with pytest.raises(ValueError, match=r"dimension mismatch: \(9, 8, 8\) vs \(3, 8, 8\)"):
+        qmat.root_fidelity(rhos, others[:3])
+
+
+def test_validate_density_stack_blames_its_first_failing_matrix():
+    rng = np.random.default_rng(71)
+    rhos = np.array([random_density(rng, 4) for _ in range(5)])
+    skew, nan, trace = rhos.copy(), rhos.copy(), rhos.copy()
+    skew[3, 0, 1] += 1e-3
+    skew[4] *= 2  # a later failure, of another check
+    nan[1, 2, 2] = np.nan
+    nan[2, 0, 1] += 1e-3  # after the non-finite matrix: not checked
+    trace[2] *= 1.5
+    cases = [
+        (skew, False, 3, "not Hermitian: max deviation 1.000e-03 exceeds tolerance 1.0e-06"),
+        (nan, False, 1, "density matrix contains non-finite entries"),
+        (nan, True, 1, "density matrix contains non-finite entries"),
+        (trace, False, 2, "trace differs from 1 by 5.000e-01, exceeds tolerance 1.0e-06"),
+    ]
+    for stack, repair, index, message in cases:
+        with pytest.raises(qmat.DensityError) as info:
+            qmat.validate_density(stack, tol=1e-6, repair=repair)
+        assert info.value.index == index and str(info.value) == message
+        with pytest.raises(qmat.DensityError) as alone:
+            qmat.validate_density(stack[index], tol=1e-6, repair=repair)
+        assert alone.value.index == 0 and str(alone.value) == message
+    # an earlier failure wins over a later non-finite matrix
+    nan[0, 1, 1] = 0.5
+    with pytest.raises(qmat.DensityError, match="trace differs") as info:
+        qmat.validate_density(nan, tol=1e-6)
+    assert info.value.index == 0
+    negative = rhos.copy()
+    negative[1] = -rhos[1]
+    with pytest.raises(qmat.DensityError, match="all eigenvalues nonpositive") as info:
+        qmat.validate_density(negative, repair=True)
+    assert info.value.index == 1
+    assert issubclass(qmat.DensityError, ValueError)
+    with pytest.raises(ValueError, match="must be square"):
+        qmat.validate_density(rhos[None])
+
+
+def test_state_fidelity_squares_each_item_as_for_one_pair(monkeypatch):
+    # an array square is one multiply, which differs in the last bit from
+    # the scalar pow of one pair for about 1 in 1000 values
+    roots = np.random.default_rng(72).uniform(0.0, 1.0, 5000)
+    monkeypatch.setattr(qmat, "root_fidelity", lambda a, b: roots if a.ndim == 3 else float(roots[a[0, 0]]))
+    stacked = qmat.state_fidelity(np.zeros((5000, 1, 1)), None)
+    assert not same_bits(stacked, roots**2)
+    assert all(stacked[i] == qmat.state_fidelity(np.full((1, 1), i), None) for i in range(len(roots)))
