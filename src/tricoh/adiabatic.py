@@ -27,6 +27,7 @@ on the model and the fields (omega_z, omega_x), so it is computed once per
 model and field and shared, read-only, by every later schedule and step
 search, together with its validated, normalized cumulative sum, so that a
 schedule costs one interpolation; at most ``DENSITY_CACHE_SIZE`` tables are
+kept, and a density that fails validation (omega_x = 0) raises and is not
 kept. The sector basis is built once at import. Summing over all
 excited levels matters: level crossings with symmetry-forbidden coupling
 carry no diabatic risk and must not attract steps. Near an avoided crossing
@@ -37,7 +38,8 @@ of such a schedule that reaches a fidelity target where m - 1 does not,
 searching up to ten times the model's canonical step count. The fidelity
 does not always rise with the step count, so m is the smallest passing
 count only where it does below m. Its probes propagate in the symmetric
-four-state subspace, in blocks of about sqrt(m) steps.
+four-state subspace, in blocks of about sqrt(m) steps, and share one
+transverse half step, built and checked against tau before the first probe.
 
 ``refocus_params`` translates a schedule into the per-step table of
 spectrometer delays and radio-frequency offsets for an NMR implementation
@@ -152,11 +154,6 @@ _SECTOR_BASIS.flags.writeable = False
 _SECTOR_LEVELS = [0, 1, 3, 7]
 
 
-def symmetric_sector_basis():
-    """Columns |000>, |W001>, |W110>, |111>: the permutation-symmetric subspace."""
-    return _SECTOR_BASIS.copy()
-
-
 def _cumulative(grid, density):
     """Normalized cumulative of a validated density on its grid, from 0 to 1.
 
@@ -190,8 +187,9 @@ def _schedule_from_cumulative(model_tag, m_steps, tau, grid, cum):
 def _density_table(model_tag, omega_z, omega_x):
     """Diabatic-rate density on a fine coupling grid, as read-only ``(grid, density, cumulative)``.
 
-    ``cumulative`` is ``_cumulative(grid, density)``, or None where that
-    rejects the density (omega_x = 0).
+    ``cumulative`` is ``_cumulative(grid, density)``. A density that it
+    rejects (omega_x = 0) raises its ``ValueError`` here and leaves no cache
+    entry.
     """
     # keyed on the fields the table reads, so params differing only in the
     # coupling fields share one entry; every caller gets the same arrays
@@ -207,13 +205,8 @@ def _density_table(model_tag, omega_z, omega_x):
     # a degenerate level at zero coupling gives 0/0 here; _cumulative rejects the NaN
     with np.errstate(divide="ignore", invalid="ignore"):
         density = (overlaps / (w[:, 1:] - w[:, :1]) ** 2).sum(axis=1)
-    try:
-        cum = _cumulative(grid, density)
-        cum.flags.writeable = False
-    except ValueError:
-        # gap_adaptive_schedule validates the density again to raise the message
-        cum = None
-    grid.flags.writeable = density.flags.writeable = False
+    cum = _cumulative(grid, density)
+    grid.flags.writeable = density.flags.writeable = cum.flags.writeable = False
     return grid, density, cum
 
 
@@ -245,9 +238,7 @@ def gap_adaptive_schedule(model_tag, m_steps, tau, params=None):
     """
     _check_steps(m_steps)
     p = params or models._DEFAULT_PARAMS
-    grid, dens, cum = _density_table(model_tag, p.omega_z, p.omega_x)
-    if cum is None:
-        _cumulative(grid, dens)  # raises the density's error
+    grid, _, cum = _density_table(model_tag, p.omega_z, p.omega_x)
     return _schedule_from_cumulative(model_tag, m_steps, tau, grid, cum)
 
 
@@ -388,38 +379,37 @@ def trotter_error_scaling(model_tag, j, tau, params=None):
     return float(ratio) if ratio.ndim == 0 else ratio
 
 
-def _sector_transverse(schedule, params=None):
+def _sector_transverse(model_tag, tau, params=None):
     """Sector transverse part hx_s = B^T hx B and its half step exp(-i hx_s tau/2), as ``(hx_s, half)``.
 
-    Neither depends on the couplings. ``_split_step``'s tau checks run here
-    on the sector parts of ``schedule``. hz is affine in J, so its largest
-    modulus on a schedule is reached at an endpoint (rounding is monotone
-    too): every schedule with the same model, params, tau and endpoints
-    shares the pair and the checks' verdict.
+    Neither depends on the coupling. ``_split_step``'s tau checks run here on
+    the sector parts at the ends of the model's coupling range. hz is affine
+    in J, so its largest modulus on any schedule of the model is reached at
+    an endpoint (rounding is monotone too): every schedule of the model with
+    this tau and these fields shares the pair and the checks' verdict.
     """
-    hx, hz = models.parts(schedule.model_tag, schedule.values, params)
+    hx, hz = models.parts(model_tag, models.model(model_tag).j_range, params)
     basis = _SECTOR_BASIS.real
     hx_s = basis.T @ hx.real @ basis
-    return hx_s, _split_step(hx_s, hz[:, _SECTOR_LEVELS], schedule.tau)[0]
+    return hx_s, _split_step(hx_s, hz[:, _SECTOR_LEVELS], tau)[0]
 
 
-def _sector_min_fidelity(schedule, params=None, transverse=None):
+def _sector_min_fidelity(schedule, transverse, params=None):
     """``evolve(schedule, params).min_fidelity``, computed in the symmetric sector.
 
     For omega_x != 0 the ground state of every H(J) is unique and permutation
     symmetric (H conjugated by Z (x) Z (x) Z is stoquastic and irreducible, so
     Perron-Frobenius applies), and the Trotter step keeps that sector. So the
-    state propagates as a 4-vector in the basis of ``symmetric_sector_basis``:
-    one stacked real 4x4 ``eigh`` gives the ground vectors, one stacked
-    product the step matrices. tau is checked on the 4x4 sector parts it
-    exponentiates, whose overflow bound is never below that of the 8x8
-    parts, so the probe raises wherever ``evolve`` does. Where ``evolve``
-    flags a step degenerate (a ground gap below ``qmat.DEGENERACY_TOL``, as
-    for zzz at omega_x = 1e-5), its reference vector is a canonical pick in
-    the near-degenerate cluster, not the symmetric ground state used here,
-    and the two values differ. ``transverse`` is ``_sector_transverse`` of a
-    schedule with the same model, params, tau and endpoints, built here if
-    not given.
+    state propagates as a 4-vector in the basis |000>, |W001>, |W110>, |111>
+    of ``_SECTOR_BASIS``: one stacked real 4x4 ``eigh`` gives the ground
+    vectors, one stacked product the step matrices. ``transverse`` is
+    ``_sector_transverse(schedule.model_tag, schedule.tau, params)``, which
+    checks tau on the 4x4 sector parts it exponentiates; their overflow bound
+    is never below that of the 8x8 parts, so the probe raises wherever
+    ``evolve`` does. Where ``evolve`` flags a step degenerate (a ground gap
+    below ``qmat.DEGENERACY_TOL``, as for zzz at omega_x = 1e-5), its
+    reference vector is a canonical pick in the near-degenerate cluster, not
+    the symmetric ground state used here, and the two values differ.
 
     The M steps propagate in blocks of k = isqrt(M + 1): k stacked products
     build every in-block prefix product, then one matvec per block carries
@@ -427,7 +417,7 @@ def _sector_min_fidelity(schedule, params=None, transverse=None):
     The values differ from a step-by-step loop by rounding only (below
     3e-15 on the step counts the ``perfbench`` searches probe).
     """
-    hx_s, half = transverse or _sector_transverse(schedule, params)
+    hx_s, half = transverse
     hz_s = models.parts(schedule.model_tag, schedule.values, params)[1][:, _SECTOR_LEVELS]
     kicks = np.exp(-1j * schedule.tau * hz_s)
     grounds = np.linalg.eigh(hx_s + hz_s[:, :, None] * np.eye(4))[1][:, :, 0]
@@ -468,15 +458,10 @@ def min_steps_search(model_tag, target_min_fidelity, tau, params=None):
     if not 0.0 <= target_min_fidelity < 1.0:
         raise ValueError(f"target must lie in [0, 1), got {target_min_fidelity}")
     cap = 10 * models.model(model_tag).steps
-
-    transverse = None
+    transverse = _sector_transverse(model_tag, tau, params)
 
     def achieved(m_steps):
-        nonlocal transverse
-        schedule = gap_adaptive_schedule(model_tag, m_steps, tau, params)
-        # every probe schedule has the grid's endpoints, so the first probe's transverse part serves all
-        transverse = transverse or _sector_transverse(schedule, params)
-        return _sector_min_fidelity(schedule, params, transverse)
+        return _sector_min_fidelity(gap_adaptive_schedule(model_tag, m_steps, tau, params), transverse, params)
 
     best = -1.0
     last_fail = 0

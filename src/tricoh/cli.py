@@ -12,11 +12,10 @@ the defaults, and the schedule builders check --steps (``file:`` ignores it).
 
 The argument parser is built once per process and reused by every
 in-process ``main`` call, and each CSV column is formatted with one
-``%.9g`` format call (cells holding text or None one at a time); neither
-changes an output byte. ``tomo`` validates, repairs and scores its files as
-one stack and builds its columns from the stacked checks; a failing file is
-blamed, after the lines of the files before it, as if each were checked in
-turn.
+``%.9g`` format call (cells holding text or None one at a time). ``tomo``
+validates, repairs and scores its files as one stack and builds its columns
+from the stacked checks; a failing file is blamed, after the lines of the
+files before it, as if each were checked in turn.
 
 Each verb takes only the options it reads; any other option is a usage
 error. Exit codes: 0 success, 1 usage error, 2 validation failure, 3

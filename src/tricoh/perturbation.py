@@ -74,22 +74,29 @@ def _check_finite(**args):
             raise ValueError(f"{name} must be finite, got {value}")
 
 
-def _zz_denominator(omega_x, omega_z, j2):
-    """2 j2 + omega_z, after checking the two-body formulas' arguments."""
+def _zz_ratios(omega_x, omega_z, j2):
+    """Admixtures a = omega_x/omega_z and b = omega_x/(2 j2 + omega_z), after checking the two-body
+    formulas' arguments and that the state's squared norm 1 + a^2 + (3/4) b^2 is finite."""
     _check_finite(omega_x=omega_x, omega_z=omega_z, j2=j2)
     if omega_z == 0.0:
         raise ValueError("omega_z must be nonzero: the |W110> admixture omega_x/omega_z diverges")
     denom = 2.0 * j2 + omega_z
     if abs(denom) < 1e-12:
         raise ValueError(f"formula invalid at the avoided crossing 2*j2 + omega_z = 0 (j2 = {j2})")
-    return denom
+    a, b = omega_x / omega_z, omega_x / denom
+    if not math.isfinite(1.0 + a * a + 0.75 * b * b):
+        raise ValueError(f"omega_x/omega_z = {a:.3g} and omega_x/(2*j2 + omega_z) = {b:.3g} overflow the closed form")
+    return a, b
 
 
 def _check_j3(omega_x, j3):
-    """Raise ``ValueError`` unless the three-body formulas' arguments are finite and ``j3`` is positive."""
+    """Raise ``ValueError`` unless the arguments are finite, ``j3`` positive and (3 omega_x / (2 j3))^2 finite."""
     _check_finite(omega_x=omega_x, j3=j3)
     if j3 <= 0.0:
         raise ValueError(f"j3 must be positive, got {j3}")
+    ratio = 1.5 * omega_x / j3
+    if not math.isfinite(ratio * ratio):
+        raise ValueError(f"3*omega_x/(2*j3) = {ratio:.3g} overflows the closed form (j3 = {j3})")
 
 
 def zz_first_order_ground(omega_x, omega_z, j2):
@@ -97,15 +104,11 @@ def zz_first_order_ground(omega_x, omega_z, j2):
 
     Normalization of |W001> + (omega_x/omega_z)|W110>
     - (sqrt(3)/2)(omega_x/(2 j2 + omega_z))|000>. The arguments must be
-    finite; the formula is invalid at omega_z = 0 and at the avoided
-    crossing 2 j2 + omega_z = 0.
+    finite; the formula is invalid at omega_z = 0, at the avoided crossing
+    2 j2 + omega_z = 0, and where the squared norm overflows.
     """
-    denom = _zz_denominator(omega_x, omega_z, j2)
-    vec = (
-        make_state("W001")
-        + (omega_x / omega_z) * make_state("W110")
-        - (math.sqrt(3) / 2) * (omega_x / denom) * basis_state("000")
-    )
+    a, b = _zz_ratios(omega_x, omega_z, j2)
+    vec = make_state("W001") + a * make_state("W110") - (math.sqrt(3) / 2) * b * basis_state("000")
     return normalize_phase(vec)
 
 
@@ -115,15 +118,15 @@ def zz_fidelity_formula(omega_x, omega_z, j2):
     1 / (1 + (omega_x/omega_z)^2 + (3/4)(omega_x/(2 j2 + omega_z))^2), with
     the arguments checked as in ``zz_first_order_ground``.
     """
-    denom = _zz_denominator(omega_x, omega_z, j2)
-    return 1.0 / (1.0 + (omega_x / omega_z) ** 2 + 0.75 * (omega_x / denom) ** 2)
+    a, b = _zz_ratios(omega_x, omega_z, j2)
+    return 1.0 / (1.0 + a ** 2 + 0.75 * b ** 2)
 
 
 def zzz_first_order_ground(omega_x, j3):
     """First-order ground state of the three-body model at coupling ``j3``.
 
     Normalization of |G> - (omega_x/j3)((3/4)|000> + (3 sqrt(3)/4)|W110>).
-    The arguments must be finite and ``j3`` positive.
+    The arguments are checked by ``_check_j3``.
     """
     _check_j3(omega_x, j3)
     vec = make_state("G") - (omega_x / j3) * (0.75 * basis_state("000") + 0.75 * math.sqrt(3) * make_state("W110"))
@@ -134,7 +137,7 @@ def zzz_fidelity_formula(omega_x, j3):
     """Closed-form fidelity of the three-body ground state to |G>.
 
     1 / (1 + (3 omega_x / (2 j3))^2); monotone increasing in ``j3``. The
-    arguments must be finite and ``j3`` positive.
+    arguments are checked by ``_check_j3``.
     """
     _check_j3(omega_x, j3)
     return 1.0 / (1.0 + (1.5 * omega_x / j3) ** 2)

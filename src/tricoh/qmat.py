@@ -12,9 +12,10 @@ Conventions used throughout the package:
   leading axes, through one code path, and each item of a stack comes out
   bitwise equal to the call on that item alone. So do the checks and
   fidelities used on tomography input: ``validate_density`` takes an
-  (n, d, d) stack and raises ``DensityError``, which carries the index of
-  the first failing matrix, and ``root_fidelity``, ``state_fidelity`` score
-  a stack against one matrix or a stack.
+  (n, d, d) stack, decides every failure (non-finite or overflowing
+  entries included) with one mask and raises ``DensityError``, which
+  carries the index of the first failing matrix, and ``root_fidelity``,
+  ``state_fidelity`` score a stack against one matrix or a stack.
 
 Two fidelity conventions are provided. ``state_fidelity`` is the squared
 Uhlmann fidelity (Tr sqrt(sqrt(a) b sqrt(a)))^2, which reduces to <psi|b|psi>
@@ -344,9 +345,11 @@ def validate_density(m, tol=HERMITICITY_TOL, repair=False):
     ``m`` is one d x d matrix or an (n, d, d) stack, checked through one
     code path: one stacked ``eigvalsh`` gives every ``min_eig`` and, with
     ``repair``, one stacked ``eigh`` every repair, each item bitwise equal
-    to the call on that matrix alone. A stack raises the error of its first
-    failing matrix, whose position is the error's ``index``; matrices after
-    one with non-finite entries are not diagonalized.
+    to the call on that matrix alone. A matrix whose entries, trace,
+    Hermitian part or (with ``repair``) clipped spectrum are not finite is
+    diagonalized as zeros and fails with a message of its own, with no numpy
+    warning. A stack raises the error of its first failing matrix, whose
+    position is the error's ``index``.
 
     Returns ``(rho, checks)``: the (repaired) matrix or stack and the
     diagnostics of the input, ``checks = {"herm_dev", "trace_dev",
@@ -357,26 +360,34 @@ def validate_density(m, tol=HERMITICITY_TOL, repair=False):
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"density matrix must be square, got shape {m.shape}")
     stack = m.reshape((-1,) + m.shape[-2:])
-    nonfinite = np.flatnonzero(~np.isfinite(stack).all(axis=(-2, -1)))
-    good = stack[:nonfinite[0]] if len(nonfinite) else stack
-    herm_dev = np.abs(good - good.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    # a contiguous diagonal sums in the order np.trace uses on one matrix, and
-    # np.hypot matches the scalar abs where np.abs of a complex array does not
-    trace = np.diagonal(good, axis1=-2, axis2=-1).copy().sum(axis=-1) - 1.0
-    trace_dev = np.hypot(trace.real, trace.imag)
-    sym = _sym(good)
+    # huge finite entries overflow here; such a matrix is unusable and fails below
+    with np.errstate(over="ignore", invalid="ignore"):
+        herm_dev = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        # a contiguous diagonal sums in the order np.trace uses on one matrix, and
+        # np.hypot matches the scalar abs where np.abs of a complex array does not
+        trace = np.diagonal(stack, axis1=-2, axis2=-1).copy().sum(axis=-1) - 1.0
+        trace_dev = np.hypot(trace.real, trace.imag)
+        sym = _sym(stack)
+    # a non-finite entry makes the Hermitian part non-finite too
+    unusable = ~np.isfinite(sym).all(axis=(-2, -1)) | ~np.isfinite(trace)
+    sym[unusable] = 0.0
     min_eig = np.linalg.eigvalsh(sym)[:, 0]
     trace_tol, psd_tol = max(tol, TRACE_TOL), max(tol, PSD_TOL)
     if repair:
         w, v = np.linalg.eigh(sym)
         w = np.clip(w, 0.0, None)
         total = w.sum(axis=-1)
-        failed = np.flatnonzero(total < 1e-300)
+        unusable |= ~np.isfinite(total)
+        failed = unusable | (total < 1e-300)
     else:
-        failed = np.flatnonzero((herm_dev > tol) | (trace_dev > trace_tol) | (min_eig < -psd_tol))
-    if len(failed):
-        i = failed[0]
-        if repair:
+        failed = unusable | (herm_dev > tol) | (trace_dev > trace_tol) | (min_eig < -psd_tol)
+    if failed.any():
+        i = int(np.argmax(failed))
+        if not np.isfinite(stack[i]).all():
+            message = "density matrix contains non-finite entries"
+        elif unusable[i]:
+            message = "density matrix entries too large: its trace, Hermitian part or spectrum overflows"
+        elif repair:
             message = "density matrix repair failed: all eigenvalues nonpositive"
         elif herm_dev[i] > tol:
             message = f"not Hermitian: max deviation {herm_dev[i]:.3e} exceeds tolerance {tol:.1e}"
@@ -384,9 +395,7 @@ def validate_density(m, tol=HERMITICITY_TOL, repair=False):
             message = f"trace differs from 1 by {trace_dev[i]:.3e}, exceeds tolerance {trace_tol:.1e}"
         else:
             message = f"negative eigenvalue {min_eig[i]:.3e} below tolerance -{psd_tol:.1e}"
-        raise DensityError(message, int(i))
-    if len(nonfinite):
-        raise DensityError("density matrix contains non-finite entries", int(nonfinite[0]))
+        raise DensityError(message, i)
     checks = {"herm_dev": herm_dev, "trace_dev": trace_dev, "min_eig": min_eig}
     rho = (v * (w / total[:, None])[:, None, :]) @ v.conj().swapaxes(-1, -2) if repair else stack
     if m.ndim == 2:

@@ -307,7 +307,7 @@ def probed_search(monkeypatch, tag, target, tau, probe=None):
     with monkeypatch.context() as patch:
         patch.setattr(adiabatic, "gap_adaptive_schedule", spy)
         if probe is not None:
-            patch.setattr(adiabatic, "_sector_min_fidelity", lambda sch, params, transverse: probe(sch, params))
+            patch.setattr(adiabatic, "_sector_min_fidelity", lambda sch, transverse, params: probe(sch, params))
         return adiabatic.min_steps_search(tag, target, tau), probed
 
 
@@ -333,6 +333,11 @@ def test_min_steps_search_is_not_the_smallest_passing_count():
     assert adiabatic.min_steps_search("zzz", 0.999, 0.4) == 266
 
 
+def sector_probe(schedule, params=None):
+    transverse = adiabatic._sector_transverse(schedule.model_tag, schedule.tau, params)
+    return adiabatic._sector_min_fidelity(schedule, transverse, params)
+
+
 @pytest.mark.parametrize("params", [None, models.ModelParams(omega_z=-1.7, omega_x=0.2),
                                     models.ModelParams(omega_x=-0.1)])
 @pytest.mark.parametrize("tag", models.MODEL_TAGS)
@@ -341,7 +346,7 @@ def test_sector_probe_matches_evolve(tag, params):
     for m_steps in (1, 2, 60, 412, 10 * m.steps):
         sch = adiabatic.gap_adaptive_schedule(tag, m_steps, m.tau, params)
         want = adiabatic.evolve(sch, params=params).min_fidelity
-        assert abs(adiabatic._sector_min_fidelity(sch, params) - want) < 1e-10
+        assert abs(sector_probe(sch, params) - want) < 1e-10
 
 
 def test_min_steps_search_runs_no_8_dim_propagation(monkeypatch):
@@ -355,10 +360,13 @@ def test_min_steps_search_runs_no_8_dim_propagation(monkeypatch):
     assert adiabatic.min_steps_search("zzz", 0.99, 0.4) == 60
 
 
+SECTOR_BASIS = np.column_stack([states.make_state(s) for s in ("000", "W001", "W110", "111")])
+
+
 def sequential_sector_min_fidelity(schedule, params=None):
     # the step-by-step reference of the blocked sector propagation: one 4x4 matvec per step
     hx, hz = models.parts(schedule.model_tag, schedule.values, params)
-    basis = adiabatic.symmetric_sector_basis().real
+    basis = SECTOR_BASIS.real
     hx_s = basis.T @ hx.real @ basis
     hz_s = hz[:, [0, 1, 3, 7]]
     half, kicks = adiabatic._split_step(hx_s, hz_s, schedule.tau)
@@ -379,9 +387,9 @@ def test_blocked_sector_probe_matches_step_by_step_loop(tag, params):
     for m_steps in (1, 2, 3, 8, 9, 10, 15, 16, 17, 412, 10 * m.steps):
         sch = adiabatic.gap_adaptive_schedule(tag, m_steps, m.tau, params)
         want = sequential_sector_min_fidelity(sch, params)
-        assert abs(adiabatic._sector_min_fidelity(sch, params) - want) < 1e-13
+        assert abs(sector_probe(sch, params) - want) < 1e-13
     single = adiabatic.Schedule(values=(0.0,), tau=m.tau, model_tag=tag)
-    assert adiabatic._sector_min_fidelity(single) == sequential_sector_min_fidelity(single)
+    assert sector_probe(single) == sequential_sector_min_fidelity(single)
 
 
 PERFBENCH_SEARCHES = [("zz", 0.9, 36), ("zz", 0.99, 126), ("zz", 0.999, 412),
@@ -397,7 +405,6 @@ def test_step_search_probes_build_no_states_and_read_the_cached_table(monkeypatc
     with monkeypatch.context() as patch:
         for namespace in (adiabatic, states):
             patch.setattr(namespace, "make_state", forbidden)
-        patch.setattr(adiabatic, "symmetric_sector_basis", forbidden)
         got, probed = probed_search(monkeypatch, tag, target, tau)
     assert got == want
     p = models.ModelParams()
@@ -429,18 +436,22 @@ def test_cached_schedule_recomputes_no_cumulative_sum(monkeypatch):
         cum[0] = 1.0
 
 
-def test_rejected_density_keeps_no_cumulative():
-    for tag in models.MODEL_TAGS:
-        with np.errstate(invalid="ignore"):
-            assert adiabatic._density_table(tag, -2.0, 0.0)[2] is None
+def test_rejected_density_leaves_no_cache_entry():
+    adiabatic._density_table.cache_clear()
+    for tag, message in (("zz", "positive entry"), ("zzz", "density must be finite")):
+        with pytest.raises(ValueError, match=message):
+            adiabatic._density_table(tag, -2.0, 0.0)
+        assert adiabatic._density_table.cache_info().currsize == 0
+    adiabatic._density_table("zz", -2.0, 0.1)
+    assert adiabatic._density_table.cache_info().currsize == 1
 
 
-def test_symmetric_sector_basis_is_a_fresh_copy_of_the_shared_basis():
-    want = np.column_stack([states.make_state(s) for s in ("000", "W001", "W110", "111")])
-    basis = adiabatic.symmetric_sector_basis()
-    assert basis.tobytes() == want.tobytes()
-    basis[0, 0] = 7.0
-    assert adiabatic.symmetric_sector_basis().tobytes() == want.tobytes()
+def test_min_steps_search_checks_tau_before_the_density():
+    # as load_schedule checks tau before it reads the file
+    with pytest.raises(ValueError, match="tau must be positive"):
+        adiabatic.min_steps_search("zz", 0.9, -1.0, models.ModelParams(omega_x=0.0))
+    with pytest.raises(ValueError, match="density must have a positive entry"):
+        adiabatic.min_steps_search("zz", 0.9, 0.7, models.ModelParams(omega_x=0.0))
 
 
 def test_refocus_matches_independent_formulas():
@@ -670,7 +681,7 @@ def test_evolve_matches_per_step_vdot_loop_bitwise(tag, mu):
 
 def per_point_density(tag, grid, params=None):
     # the per-point reference for the stacked sector density
-    basis = adiabatic.symmetric_sector_basis()
+    basis = SECTOR_BASIS
     d_small = basis.conj().T @ np.diag(models.model(tag).dh_dj) @ basis
     dens = np.empty_like(grid)
     for i, j in enumerate(grid):
@@ -700,25 +711,31 @@ DENSITY_PARAMS = [None, models.ModelParams(omega_z=-1.1, omega_x=0.3), models.Mo
 def test_cached_density_table_matches_uncached_and_per_point(tag, params):
     m = models.model(tag)
     p = params or models.ModelParams()
+    grid = np.linspace(*m.j_range, adiabatic.DENSITY_GRID + 1)
     # omega_x = 0 leaves degenerate zzz levels, whose 0/0 rate is NaN on every route
     with np.errstate(invalid="ignore"):
-        grid, dens, _ = adiabatic._density_table(tag, p.omega_z, p.omega_x)
-        fresh_grid, fresh, _ = adiabatic._density_table.__wrapped__(tag, p.omega_z, p.omega_x)
         want = per_point_density(tag, grid, params)
-    assert np.array_equal(grid, np.linspace(*m.j_range, adiabatic.DENSITY_GRID + 1))
+    try:
+        adiabatic._cumulative(grid, want)
+    except ValueError as exc:
+        # a density the per-point route rejects, the table rejects with the same message
+        for table in (adiabatic._density_table, adiabatic._density_table.__wrapped__):
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                table(tag, p.omega_z, p.omega_x)
+        return
+    got_grid, dens, _ = adiabatic._density_table(tag, p.omega_z, p.omega_x)
+    fresh_grid, fresh, _ = adiabatic._density_table.__wrapped__(tag, p.omega_z, p.omega_x)
+    assert np.array_equal(got_grid, grid)
     assert np.array_equal(grid, fresh_grid)
     assert dens.tobytes() == fresh.tobytes()
     # the stacked and per-point routes may round apart in the last bit (at
     # most one eps relative on these grids), which the schedule's
     # interpolation absorbs
-    finite = np.isfinite(want)
-    assert np.array_equal(np.isfinite(dens), finite)
-    np.testing.assert_allclose(dens[finite], want[finite], rtol=2 * np.finfo(float).eps, atol=0.0)
-    if finite.all() and want.any():
-        for steps in (1, 40, m.steps):
-            expected = adiabatic.schedule_from_density(tag, steps, m.tau, grid, want).values
-            assert np.array_equal(adiabatic.gap_adaptive_schedule(tag, steps, m.tau, params).values, expected)
-    for table in (grid, dens):
+    np.testing.assert_allclose(dens, want, rtol=2 * np.finfo(float).eps, atol=0.0)
+    for steps in (1, 40, m.steps):
+        expected = adiabatic.schedule_from_density(tag, steps, m.tau, grid, want).values
+        assert np.array_equal(adiabatic.gap_adaptive_schedule(tag, steps, m.tau, params).values, expected)
+    for table in (got_grid, dens, adiabatic._SECTOR_BASIS):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 1.0
 
@@ -809,7 +826,7 @@ def test_trotter_phase_overflow_raises():
     with pytest.raises(ValueError, match=r"tau 1e\+308 is too large"):
         adiabatic.evolve(sch)
     with pytest.raises(ValueError, match=r"tau 1e\+308 is too large"):
-        adiabatic._sector_min_fidelity(sch)
+        adiabatic._sector_transverse("zz", 1e308)
     with pytest.raises(ValueError, match=r"tau 1e\+308 is too large"):
         adiabatic.min_steps_search("zz", 0.9, 1e308)
     with pytest.raises(ValueError, match=r"tau 1e\+308 is too large"):
@@ -820,7 +837,7 @@ def test_trotter_phase_overflow_raises():
     u_ide, u_exp = adiabatic.trotter_pair("zz", sch.values, 1e300)
     assert np.isfinite(u_ide).all() and np.isfinite(u_exp).all()
     assert np.isfinite(adiabatic.evolve(adiabatic.linear_schedule("zz", 3, 1e300)).fid_instant).all()
-    assert math.isfinite(adiabatic._sector_min_fidelity(adiabatic.linear_schedule("zz", 3, 1e300)))
+    assert math.isfinite(sector_probe(adiabatic.linear_schedule("zz", 3, 1e300)))
 
 
 @pytest.mark.parametrize(("tag", "target", "want"), PERFBENCH_SEARCHES)
@@ -841,8 +858,14 @@ def test_step_search_builds_the_transverse_half_step_once(monkeypatch, tag, targ
 @pytest.mark.parametrize("params", [None, models.ModelParams(omega_z=-1.7, omega_x=0.2)])
 @pytest.mark.parametrize("tag", models.MODEL_TAGS)
 def test_sector_probe_with_a_shared_transverse_part_is_bitwise_equal(tag, params):
+    # the shared pair, built at the ends of the coupling range, against one built from each schedule's own parts
     tau = models.model(tag).tau
-    transverse = adiabatic._sector_transverse(adiabatic.gap_adaptive_schedule(tag, 1, tau, params), params)
+    transverse = adiabatic._sector_transverse(tag, tau, params)
     for m_steps in (1, 2, 3, 17, 60, 412):
         sch = adiabatic.gap_adaptive_schedule(tag, m_steps, tau, params)
-        assert adiabatic._sector_min_fidelity(sch, params, transverse) == adiabatic._sector_min_fidelity(sch, params)
+        hx, hz = models.parts(tag, sch.values, params)
+        hx_s = SECTOR_BASIS.real.T @ hx.real @ SECTOR_BASIS.real
+        own = hx_s, adiabatic._split_step(hx_s, hz[:, [0, 1, 3, 7]], tau)[0]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(transverse, own))
+        probe = adiabatic._sector_min_fidelity
+        assert probe(sch, transverse, params) == probe(sch, own, params)

@@ -186,8 +186,49 @@ def test_tomo_reports_a_failed_cross_check_under_its_file(tmp_path, capsys, stat
     assert run_cli([*argv, "--repair"]) == 0
 
 
-def test_tomo_missing_file(tmp_path):
-    assert run_cli(["tomo", "--model", "zz", str(tmp_path / "absent.json"), "--out", str(tmp_path)]) == 2
+def test_tomo_missing_file(tmp_path, capsys):
+    # the stack validated before the error is raised is empty
+    absent = tmp_path / "absent.json"
+    assert run_cli(["tomo", "--model", "zz", str(absent), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: '{absent}'\n")
+    assert not (tmp_path / "tomo_report.csv").exists()
+
+
+HUGE_ENTRIES = {
+    "all_1e308": np.full((8, 8), 1e308),
+    "all_5e307": np.full((8, 8), 5e307),
+    "all_1e307": np.full((8, 8), 1e307),
+    "off_diagonal_5e307": 5e307 * (1.0 - np.eye(8)),  # finite trace and Hermitian part; an eigenvalue 3.5e308
+}
+
+
+@pytest.mark.parametrize("name, repair, message", [
+    ("all_1e308", False, "density matrix entries too large: its trace, Hermitian part or spectrum overflows"),
+    ("all_1e308", True, "density matrix entries too large: its trace, Hermitian part or spectrum overflows"),
+    ("all_5e307", False, "density matrix entries too large: its trace, Hermitian part or spectrum overflows"),
+    ("all_5e307", True, "density matrix entries too large: its trace, Hermitian part or spectrum overflows"),
+    ("all_1e307", False, "trace differs from 1 by 8.000e+307, exceeds tolerance 1.0e-06"),
+    ("all_1e307", True, None),  # repair gives |+++><+++|
+    ("off_diagonal_5e307", False, "trace differs from 1 by 1.000e+00, exceeds tolerance 1.0e-06"),
+    ("off_diagonal_5e307", True, "density matrix entries too large: its trace, Hermitian part or spectrum overflows"),
+], ids=["1e308", "1e308_repair", "5e307", "5e307_repair", "1e307", "1e307_repair", "off_diagonal",
+        "off_diagonal_repair"])
+def test_tomo_huge_entries_fail_by_name_or_repair(tmp_path, capsys, name, repair, message):
+    # runs with numpy warnings as errors (pyproject filterwarnings), so a warning fails the test
+    path = tmp_path / f"{name}.json"
+    qmat.save_density(path, HUGE_ENTRIES[name])
+    out = tmp_path / "out"
+    code = run_cli(["tomo", str(path), *(["--repair"] if repair else []), "--out", str(out)])
+    captured = capsys.readouterr()
+    if message is None:
+        assert code == 0 and captured.err == ""
+        (row,) = read_csv(out / "tomo_report.csv")
+        ground = states.density(qmat.ground_state(models.hamiltonian("zz", 2.0)).state)
+        want = qmat.root_fidelity(np.full((8, 8), 1 / 8), ground)
+        assert row["repaired"] == "yes" and float(row["fidelity"]) == pytest.approx(want, abs=1e-7)
+    else:
+        assert (code, captured) == (2, ("", f"error: {path}: {message}\n"))
+        assert not out.exists()
 
 
 def test_trotter_audit_defaults_pass(tmp_path):

@@ -234,8 +234,13 @@ def test_secular_accepts_a_rotated_orthonormal_basis():
     (lambda: perturbation.zzz_fidelity_formula(0.1, math.nan), "j3 must be finite, got nan"),
     (lambda: perturbation.zzz_fidelity_formula(0.1, math.inf), "j3 must be finite, got inf"),
     (lambda: perturbation.zzz_first_order_ground(math.nan, 1.0), "omega_x must be finite, got nan"),
+    (lambda: perturbation.zz_fidelity_formula(0.1, 1e-200, 1.0), r"omega_x/omega_z = 1e\+199 and .* overflow"),
+    (lambda: perturbation.zz_first_order_ground(0.1, 1e-200, 1.0), r"omega_x/omega_z = 1e\+199 and .* overflow"),
+    (lambda: perturbation.zzz_fidelity_formula(0.1, 1e-308), r"3\*omega_x/\(2\*j3\) = 1.5e\+307 overflows"),
+    (lambda: perturbation.zzz_first_order_ground(0.1, 1e-308), r"3\*omega_x/\(2\*j3\) = 1.5e\+307 overflows"),
 ], ids=["zz_fidelity_omega_z_0", "zz_ground_omega_z_0", "zz_fidelity_nan_j2", "zz_ground_inf_omega_x",
-        "zzz_fidelity_nan_j3", "zzz_fidelity_inf_j3", "zzz_ground_nan_omega_x"])
+        "zzz_fidelity_nan_j3", "zzz_fidelity_inf_j3", "zzz_ground_nan_omega_x", "zz_fidelity_ratio_overflow",
+        "zz_ground_ratio_overflow", "zzz_fidelity_ratio_overflow", "zzz_ground_ratio_overflow"])
 def test_closed_forms_reject_bad_arguments_by_name(recwarn, call, message):
     with pytest.raises(ValueError, match=message):
         call()

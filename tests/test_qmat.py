@@ -536,6 +536,9 @@ def test_root_and_state_fidelity_stack_match_single_bitwise(seed):
         qmat.root_fidelity(rhos, others[:3])
 
 
+OVERFLOW_MESSAGE = "density matrix entries too large: its trace, Hermitian part or spectrum overflows"
+
+
 def test_validate_density_stack_blames_its_first_failing_matrix():
     rng = np.random.default_rng(71)
     rhos = np.array([random_density(rng, 4) for _ in range(5)])
@@ -543,13 +546,25 @@ def test_validate_density_stack_blames_its_first_failing_matrix():
     skew[3, 0, 1] += 1e-3
     skew[4] *= 2  # a later failure, of another check
     nan[1, 2, 2] = np.nan
-    nan[2, 0, 1] += 1e-3  # after the non-finite matrix: not checked
+    nan[2, 0, 1] += 1e-3  # a later failure
     trace[2] *= 1.5
+    # huge finite entries overflow the Hermitian part, and an off-diagonal 8e307 the
+    # repaired spectrum (3 * 8e307), with no numpy warning
+    huge_nan, nan_huge, spectrum = rhos.copy(), rhos.copy(), rhos.copy()
+    huge_nan[1], huge_nan[2, 0, 0] = 1e308, np.nan
+    nan_huge[1, 0, 0], nan_huge[2] = np.nan, 1e308
+    spectrum[2] = 8e307 * (1.0 - np.eye(4))
     cases = [
         (skew, False, 3, "not Hermitian: max deviation 1.000e-03 exceeds tolerance 1.0e-06"),
         (nan, False, 1, "density matrix contains non-finite entries"),
         (nan, True, 1, "density matrix contains non-finite entries"),
         (trace, False, 2, "trace differs from 1 by 5.000e-01, exceeds tolerance 1.0e-06"),
+        (huge_nan, False, 1, OVERFLOW_MESSAGE),
+        (huge_nan, True, 1, OVERFLOW_MESSAGE),
+        (nan_huge, False, 1, "density matrix contains non-finite entries"),
+        (nan_huge, True, 1, "density matrix contains non-finite entries"),
+        (spectrum, False, 2, "trace differs from 1 by 1.000e+00, exceeds tolerance 1.0e-06"),
+        (spectrum, True, 2, OVERFLOW_MESSAGE),
     ]
     for stack, repair, index, message in cases:
         with pytest.raises(qmat.DensityError) as info:
@@ -571,6 +586,9 @@ def test_validate_density_stack_blames_its_first_failing_matrix():
     assert issubclass(qmat.DensityError, ValueError)
     with pytest.raises(ValueError, match="must be square"):
         qmat.validate_density(rhos[None])
+    for repair in (False, True):
+        empty, checks = qmat.validate_density(np.empty((0, 4, 4)), repair=repair)
+        assert empty.shape == (0, 4, 4) and all(x.shape == (0,) for x in checks.values())
 
 
 def test_state_fidelity_squares_each_item_as_for_one_pair(monkeypatch):
