@@ -28,18 +28,16 @@ model and field and shared, read-only, by every later schedule and step
 search, together with its validated, normalized cumulative sum, so that a
 schedule costs one interpolation; at most ``DENSITY_CACHE_SIZE`` tables are
 kept, and a density that fails validation (omega_x = 0) raises and is not
-kept. The sector basis is built once at import. Summing over all
-excited levels matters: level crossings with symmetry-forbidden coupling
-carry no diabatic risk and must not attract steps. Near an avoided crossing
-dominated by a single level this density reduces to the familiar inverse
-squared gap rule, and a constant density reproduces the linear schedule.
+kept. Summing over all excited levels matters: level crossings with
+symmetry-forbidden coupling carry no diabatic risk and must not attract
+steps. Near an avoided crossing dominated by a single level this density
+reduces to the familiar inverse squared gap rule, and a constant density
+reproduces the linear schedule.
 ``min_steps_search`` finds, by doubling and then bisection, a step count m
 of such a schedule that reaches a fidelity target where m - 1 does not,
 searching up to ten times the model's canonical step count. The fidelity
 does not always rise with the step count, so m is the smallest passing
-count only where it does below m. Its probes propagate in the symmetric
-four-state subspace, in blocks of about sqrt(m) steps, and share one
-transverse half step, built and checked against tau before the first probe.
+count only where it does below m.
 
 ``refocus_params`` translates a schedule into the per-step table of
 spectrometer delays and radio-frequency offsets for an NMR implementation
@@ -451,9 +449,10 @@ def min_steps_search(model_tag, target_min_fidelity, tau, params=None):
     failing one. f does not always rise with m, so hi is the smallest
     passing count only where f rises with m below hi. Each probe is scored
     in the 4-dim symmetric sector, which gives ``evolve``'s value up to
-    rounding wherever ``evolve`` flags no step degenerate. Raises if the
-    target is not reached within ten times the model's canonical step
-    count, reporting the best value achieved.
+    rounding wherever ``evolve`` flags no step degenerate. A tau the Trotter
+    step rejects raises before the first probe. Raises if the target is not
+    reached within ten times the model's canonical step count, reporting the
+    best value achieved.
     """
     if not 0.0 <= target_min_fidelity < 1.0:
         raise ValueError(f"target must lie in [0, 1), got {target_min_fidelity}")

@@ -10,12 +10,10 @@ Library records name the geometry points (``coherence.Tetrahedron``) and
 tomo's check columns (``qmat.validate_density``), ``models.MODELS`` holds
 the defaults, and the schedule builders check --steps (``file:`` ignores it).
 
-The argument parser is built once per process and reused by every
-in-process ``main`` call, and each CSV column is formatted with one
-``%.9g`` format call (cells holding text or None one at a time). ``tomo``
-validates, repairs and scores its files as one stack and builds its columns
-from the stacked checks; a failing file is blamed, after the lines of the
-files before it, as if each were checked in turn.
+``tomo`` blames a failing file after the lines of the files before it, as
+if each were checked in turn. A state it accepts without ``--repair`` that
+the coherence report cannot score fails with the file's trace deviation and
+lowest eigenvalue, which ``--repair`` corrects.
 
 Each verb takes only the options it reads; any other option is a usage
 error. Exit codes: 0 success, 1 usage error, 2 validation failure, 3
@@ -277,7 +275,12 @@ def cmd_tomo(args):
         reports = coherence.coherence_reports(rhos, base=_base(args))
     except coherence.CrossCheckError as exc:
         # an input state the two QJSD routes disagree on is reported under its file
-        raise ValueError(f"{args.files[exc.index]}: {exc}") from exc
+        message = f"{args.files[exc.index]}: {exc}"
+        if not args.repair:
+            trace_dev, min_eig = checks["trace_dev"][exc.index], checks["min_eig"][exc.index]
+            message += (f"; its trace differs from 1 by {trace_dev:.3e} and its lowest eigenvalue is "
+                        f"{min_eig:.3e}, which --repair corrects")
+        raise ValueError(message) from exc
     table = {"file": names, "J": [j] * len(names), "fidelity": fids, **checks,
              "repaired": ["yes" if rep else "no" for rep in repaired]}
     table.update(zip(coherence.REPORT_COLUMNS, zip(*reports)))

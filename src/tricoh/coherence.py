@@ -17,19 +17,14 @@ and 2:3 partition terms, the pairwise terms entering the monogamy
 difference, and the four trade-off slacks (each slack is the inequality's
 right-hand sum minus its left-hand term, so validity means slack >= 0 up to
 rounding). A ``CoherenceReport`` is a named tuple whose fields are its
-output row, in ``REPORT_COLUMNS`` order. ``coherence_reports`` builds the
-derived matrices of ``REPORT_CHUNK`` states at a time, symmetrizes each
-distinct matrix and mixture once, and runs one stacked ``eigh`` per matrix
-size, 4x4 before 8x8. The entropic form takes the entropies of rho, the
-two-qubit marginals and the mixtures from those spectra. The structured
-matrices get closed forms: a dephased matrix the Shannon entropy of its
-diagonal, and a product of marginals the entropy of the outer product of
-its factors' spectra, with qubit spectra from the 2x2 formula and rho_23's
-from the 4x4 ``eigh``, each of the factor's Hermitian part and unclipped.
-So the cross-check runs per stacked batch, and no structured matrix's
-entropy comes from a diagonalization of that matrix.
-Stacked kernels see the same input bytes as per-matrix calls, so every
-report is bitwise equal to the report of its state alone.
+output row, in ``REPORT_COLUMNS`` order; one table names both. The
+entropic form takes the entropies of rho, the two-qubit marginals and the
+mixtures from their ``eigh`` spectra. The structured matrices get closed
+forms: a dephased matrix the Shannon entropy of its diagonal, and a
+product of marginals the entropy of the outer product of its factors'
+spectra. So no structured matrix's entropy comes from a diagonalization of
+that matrix. Stacked kernels see the same input bytes as per-matrix calls,
+so every report is bitwise equal to the report of its state alone.
 ``coherence_report``, ``qjsd``, ``relative_entropy`` and
 ``von_neumann_entropy`` are single-state calls into the same stacked
 helpers.
@@ -202,50 +197,36 @@ def dist(rho, sigma, base=2.0):
     return math.sqrt(qjsd(rho, sigma, base))
 
 
-class CoherenceReport(NamedTuple):
-    """All coherence quantities of one three-qubit state (log-base units).
-
-    Fields are in ``REPORT_COLUMNS`` order, so a report is its output row.
-    """
-
-    c_total: float
-    c_global: float
-    c_local: float
-    c_absolute: float
-    c_1_23: float
-    c_2_3: float
-    c_abs_1_23: float
-    c_1_2: float
-    c_1_3: float
-    monogamy_m: float
-    slack_eq7: float
-    slack_eq10a: float
-    slack_eq10b: float
-    slack_eq11: float
-
-
-REPORT_COLUMNS = (
-    "C_T",
-    "C_G",
-    "C_L",
-    "C_A",
-    "C_1_23",
-    "C_2_3",
-    "C_A_1_23",
-    "C_1_2",
-    "C_1_3",
-    "M",
-    "slack7",
-    "slack10a",
-    "slack10b",
-    "slack11",
+# the report's quantities in row order, as (``CoherenceReport`` field, ``REPORT_COLUMNS`` name)
+_REPORT_LAYOUT = (
+    ("c_total", "C_T"),
+    ("c_global", "C_G"),
+    ("c_local", "C_L"),
+    ("c_absolute", "C_A"),
+    ("c_1_23", "C_1_23"),
+    ("c_2_3", "C_2_3"),
+    ("c_abs_1_23", "C_A_1_23"),
+    ("c_1_2", "C_1_2"),
+    ("c_1_3", "C_1_3"),
+    ("monogamy_m", "M"),
+    ("slack_eq7", "slack7"),
+    ("slack_eq10a", "slack10a"),
+    ("slack_eq10b", "slack10b"),
+    ("slack_eq11", "slack11"),
 )
+REPORT_COLUMNS = tuple(column for _, column in _REPORT_LAYOUT)
+CoherenceReport = NamedTuple("CoherenceReport", [(field, float) for field, _ in _REPORT_LAYOUT])
+CoherenceReport.__doc__ = """All coherence quantities of one three-qubit state (log-base units).
+
+Fields are in ``REPORT_COLUMNS`` order, so a report is its output row.
+"""
 
 
 # distances of a report, by index into the stacks built in ``_chunk_rows``:
 # 8x8 stack (rho, dephased rho, pi(rho), dephased pi(rho), rho_1 x rho_23)
 _PAIRS_8 = ((0, 1), (0, 2), (2, 3), (0, 3), (0, 4), (4, 3))
-# 4x4 stack (rho_23, rho_2 x rho_3, rho_12, rho_1 x rho_2, rho_13, rho_1 x rho_3)
+# 4x4 stack (rho_23, rho_2 x rho_3, rho_12, rho_1 x rho_2, rho_13, rho_1 x rho_3); the QJSD
+# drops a common tensor factor, so C_2_3 = D(rho_1 x rho_23, pi(rho)) is scored on the first pair
 _PAIRS_4 = ((0, 1), (2, 3), (4, 5))
 
 
@@ -262,10 +243,11 @@ def _chunk_rows(rho, scale):
     m1, m2, m3 = marginals(rho)
     q1, q2, q3 = (_qubit_spectra(m) for m in (m1, m2, m3))
     rho_23 = partial_trace(rho, 3, [2, 3])
-    pi = kron(kron(m1, m2), m3)
+    m12 = kron(m1, m2)
+    pi = kron(m12, m3)
     small = np.stack([
         rho_23, kron(m2, m3),
-        partial_trace(rho, 3, [1, 2]), kron(m1, m2),
+        partial_trace(rho, 3, [1, 2]), m12,
         partial_trace(rho, 3, [1, 3]), kron(m1, m3),
     ])
     j4, w4 = _qjsd_pairs(small, _PAIRS_4, {

@@ -11,11 +11,8 @@ Conventions used throughout the package:
 - The primitives take one matrix (or vector) or a stack of them over the
   leading axes, through one code path, and each item of a stack comes out
   bitwise equal to the call on that item alone. So do the checks and
-  fidelities used on tomography input: ``validate_density`` takes an
-  (n, d, d) stack, decides every failure (non-finite or overflowing
-  entries included) with one mask and raises ``DensityError``, which
-  carries the index of the first failing matrix, and ``root_fidelity``,
-  ``state_fidelity`` score a stack against one matrix or a stack.
+  fidelities used on tomography input (``validate_density``,
+  ``root_fidelity`` and ``state_fidelity``).
 
 Two fidelity conventions are provided. ``state_fidelity`` is the squared
 Uhlmann fidelity (Tr sqrt(sqrt(a) b sqrt(a)))^2, which reduces to <psi|b|psi>
@@ -59,7 +56,7 @@ class GroundState:
     degenerate: bool
 
 
-def _as_stack(m, name="matrix"):
+def _as_stack(m, name):
     """``m`` as a complex array with square trailing axes and finite entries."""
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
@@ -69,14 +66,14 @@ def _as_stack(m, name="matrix"):
     return m
 
 
-def _as_square(m, name="matrix"):
+def _as_square(m, name):
     m = _as_stack(m, name)
     if m.ndim != 2:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     return m
 
 
-def _check_hermitian(m, name="matrix"):
+def _check_hermitian(m, name):
     dev = np.abs(m - m.conj().swapaxes(-1, -2)).max()
     if dev > HERMITICITY_TOL:
         raise ValueError(f"{name} is not Hermitian: max deviation {dev:.3e} exceeds {HERMITICITY_TOL:.1e}")

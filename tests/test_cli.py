@@ -186,6 +186,24 @@ def test_tomo_reports_a_failed_cross_check_under_its_file(tmp_path, capsys, stat
     assert run_cli([*argv, "--repair"]) == 0
 
 
+def test_tomo_names_the_trace_and_spectrum_a_loose_tolerance_let_through(tmp_path, capsys):
+    # --tol 1e-2 accepts a trace 7e-3 off 1 and a lowest eigenvalue -3.6e-3, which the
+    # coherence report cannot score; the error says so and points to --repair
+    a = np.random.default_rng(2).standard_normal((8, 8, 2)) @ [1, 1j]
+    _, v = np.linalg.eigh(a @ a.conj().T)
+    w = np.array([-3.6e-3] + [1.0106 / 7] * 7)
+    path = tmp_path / "loose.json"
+    qmat.save_density(path, (v * w) @ v.conj().T)
+    argv = ["tomo", "--model", "zz", str(path), "--tol", "1e-2", "--out", str(tmp_path)]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: qjsd cross-check failed: ") and err.count("\n") == 1
+    assert "trace differs from 1 by 7.000e-03 and its lowest eigenvalue is -3.600e-03" in err
+    assert err.endswith("which --repair corrects\n")
+    assert not (tmp_path / "tomo_report.csv").exists()
+    assert run_cli([*argv, "--repair"]) == 0
+
+
 def test_tomo_missing_file(tmp_path, capsys):
     # the stack validated before the error is raised is empty
     absent = tmp_path / "absent.json"

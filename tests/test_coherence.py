@@ -1,4 +1,6 @@
+import inspect
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -324,16 +326,26 @@ def test_reports_reject_bad_stacks():
         coherence.coherence_reports(np.eye(8) / 8)
 
 
+REPORT_LAYOUT = [
+    ("c_total", "C_T"), ("c_global", "C_G"), ("c_local", "C_L"), ("c_absolute", "C_A"),
+    ("c_1_23", "C_1_23"), ("c_2_3", "C_2_3"), ("c_abs_1_23", "C_A_1_23"), ("c_1_2", "C_1_2"),
+    ("c_1_3", "C_1_3"), ("monogamy_m", "M"), ("slack_eq7", "slack7"), ("slack_eq10a", "slack10a"),
+    ("slack_eq10b", "slack10b"), ("slack_eq11", "slack11"),
+]
+
+
 def test_report_row_column_order():
+    report_type = coherence.CoherenceReport
+    fields, columns = zip(*REPORT_LAYOUT)
+    assert (report_type._fields, coherence.REPORT_COLUMNS) == (fields, columns)
     rep = coherence.coherence_report(states.density(states.make_state("G")))
-    vals = list(rep)
-    assert len(coherence.CoherenceReport._fields) == len(coherence.REPORT_COLUMNS)
-    assert len(vals) == len(coherence.REPORT_COLUMNS)
-    by_name = dict(zip(coherence.REPORT_COLUMNS, vals))
-    assert by_name["C_T"] == rep.c_total
-    assert by_name["C_A_1_23"] == rep.c_abs_1_23
-    assert by_name["M"] == rep.monogamy_m
-    assert by_name["slack10b"] == rep.slack_eq10b
+    assert list(rep) == [getattr(rep, field) for field, _ in REPORT_LAYOUT]
+    assert (report_type.__name__, report_type.__module__) == ("CoherenceReport", "tricoh.coherence")
+    assert inspect.getdoc(report_type) == (
+        "All coherence quantities of one three-qubit state (log-base units).\n\n"
+        "Fields are in ``REPORT_COLUMNS`` order, so a report is its output row.")
+    back = pickle.loads(pickle.dumps(rep))
+    assert type(back) is report_type and back == rep
 
 
 def test_report_rejects_wrong_dimension():
