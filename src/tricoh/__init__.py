@@ -38,14 +38,12 @@ from .perturbation import (
     secular_solve,
     zz_fidelity_formula,
     zz_first_order_ground,
-    zz_split,
     zzz_fidelity_formula,
     zzz_first_order_ground,
     zzz_split,
 )
 from .qmat import (
     eig_hermitian,
-    ground_state,
     load_density,
     partial_trace,
     root_fidelity,
@@ -75,7 +73,6 @@ __all__ = [
     "evolve",
     "find_crossing",
     "gap_adaptive_schedule",
-    "ground_state",
     "ground_sweep",
     "hamiltonian",
     "linear_schedule",
@@ -103,7 +100,6 @@ __all__ = [
     "von_neumann_entropy",
     "zz_fidelity_formula",
     "zz_first_order_ground",
-    "zz_split",
     "zzz_fidelity_formula",
     "zzz_first_order_ground",
     "zzz_split",

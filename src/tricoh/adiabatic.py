@@ -45,15 +45,14 @@ with given scalar couplings; the model record names the table's columns and
 the spin pairs each one sums.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import functools
 import math
-import numbers
 
 import numpy as np
 
 from . import models
-from .qmat import _json_numbers, _read_json, expm_hermitian, ground_states
+from .qmat import _check_integer, _json_numbers, _read_json, _squares, expm_hermitian, ground_states
 from .states import make_state
 
 # fine-grid resolution used to tabulate the adaptive step density
@@ -72,9 +71,7 @@ def _check_tau(tau):
 
 
 def _check_steps(m_steps):
-    # bool is an Integral, but True is not a step count
-    if isinstance(m_steps, bool) or not isinstance(m_steps, numbers.Integral):
-        raise ValueError(f"m_steps must be an integer, got {m_steps!r}")
+    _check_integer(m_steps, "m_steps")
     if m_steps < 1:
         raise ValueError(f"m_steps must be at least 1, got {m_steps}")
 
@@ -112,17 +109,18 @@ class Schedule:
                 raise ValueError(f"schedule must run from {lo} to {hi}, got {values[0]}..{values[-1]}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepResult:
     """Exact tracking and (optionally) evolved-state audit along a schedule.
 
     Exact part: per-step ground/first-excited energies, gap, the (M+1, 8)
     array of ground states in the ``qmat.normalize_phase`` convention,
     indices of near-degenerate steps, and the fidelity of the final exact
-    ground state to the model's target state. Evolved part (None until
-    ``evolve`` fills it): per-step instantaneous fidelity of the propagated
-    state to the exact ground state, its minimum, the final state, and its
-    fidelity to the target.
+    ground state to the model's target state. Evolved part (None in the
+    record of ``ground_sweep``; ``evolve`` returns a copy with it set):
+    per-step instantaneous fidelity of the propagated state to the exact
+    ground state, its minimum, the final state, and its fidelity to the
+    target.
     """
 
     j_values: np.ndarray
@@ -315,7 +313,8 @@ def evolve(schedule, params=None, mu=1.0):
     value. ``fid_instant[m]`` is the amplitude fidelity of the propagated
     state to the exact ground state at step m. With ``mu`` below 1 the
     reported fidelities are those of the pseudopure mixture (1 - mu) I/d +
-    mu |psi><psi|, which evolves as the pure component does.
+    mu |psi><psi|, which evolves as the pure component does. Returns a copy
+    of the ``ground_sweep`` record with its evolved part set.
 
     At a step in ``degenerate_steps`` (zzz at omega_x = 1e-6 has them, the
     default fields none) the reference is a canonical pick in the
@@ -328,26 +327,19 @@ def evolve(schedule, params=None, mu=1.0):
     u_half, kicks = _split_step(*models.parts(model_tag, schedule.values, params), schedule.tau)
     exact = ground_sweep(schedule, params=params)
     psi = exact.ground_states[0].copy()
-    dim = len(psi)
-
-    def reported(pure_amp):
-        # pseudopure mixtures keep their maximally mixed component under
-        # unitary evolution, so the fidelity maps through exactly
-        return math.sqrt((1.0 - mu) / dim + mu * pure_amp**2)
-
-    psis = np.empty((len(schedule.values), dim), dtype=complex)
+    psis = np.empty((len(schedule.values), len(psi)), dtype=complex)
     psis[0] = psi
     for m in range(1, len(schedule.values)):
         psi = u_half @ (kicks[m] * (u_half @ psi))
         psis[m] = psi
-    overlaps = _row_vdot(exact.ground_states, psis)
-    fids = np.array([reported(amp) for amp in np.hypot(overlaps.real, overlaps.imag)])
     target = make_state(models.model(model_tag).target)
-    exact.fid_instant = fids
-    exact.min_fidelity = float(fids.min())
-    exact.final_state = psi
-    exact.final_fidelity = float(reported(abs(np.vdot(target, psi))))
-    return exact
+    # per-step overlaps with the exact ground states, then the final state's with the target
+    overlaps = np.append(_row_vdot(exact.ground_states, psis), np.vdot(target, psi))
+    # pseudopure mixtures keep their maximally mixed component under
+    # unitary evolution, so the fidelity maps through exactly
+    fids = np.sqrt((1.0 - mu) / len(psi) + mu * _squares(np.hypot(overlaps.real, overlaps.imag)))
+    return replace(exact, fid_instant=fids[:-1], min_fidelity=float(fids[:-1].min()),
+                   final_state=psi, final_fidelity=float(fids[-1]))
 
 
 def trotter_error_scaling(model_tag, j, tau, params=None):

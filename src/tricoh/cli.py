@@ -235,7 +235,7 @@ def cmd_geometry(args):
 def cmd_tomo(args):
     qmat.check_tolerance(args.tol)
     j = args.j if args.j is not None else models.model(args.model).j_range[1]
-    ground_density = states.density(qmat.ground_state(models.hamiltonian(args.model, j)).state)
+    ground_density = states.density(qmat.ground_states(models.hamiltonian(args.model, j))[1])
 
     def score(raws):
         rhos, checks = qmat.validate_density(raws, tol=args.tol, repair=args.repair)

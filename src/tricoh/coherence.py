@@ -69,8 +69,8 @@ class CrossCheckError(ArithmeticError):
 
 
 def _log_scale(base):
-    if base <= 1.0:
-        raise ValueError(f"log base must exceed 1, got {base}")
+    if not math.isfinite(base) or base <= 1.0:
+        raise ValueError(f"log base must be finite and exceed 1, got {base}")
     return math.log(base)
 
 

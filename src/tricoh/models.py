@@ -32,7 +32,7 @@ import numbers
 
 import numpy as np
 
-from .qmat import _json_numbers, _read_json, kron_all
+from .qmat import _check_integer, _json_numbers, _read_json, kron_all
 
 N_QUBITS = 3
 
@@ -44,9 +44,11 @@ _PAULI = {
 
 
 def spin_op(n_qubits, site, axis):
-    """Spin operator sigma_axis/2 acting on the 1-based ``site`` of ``n_qubits``."""
+    """Spin operator sigma_axis/2 acting on the 1-based ``site`` of ``n_qubits`` (integers, not bools)."""
     if axis not in _PAULI:
         raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
+    _check_integer(n_qubits, "n_qubits")
+    _check_integer(site, "site")
     if not 1 <= site <= n_qubits:
         raise ValueError(f"site must lie in 1..{n_qubits}, got {site}")
     mats = [np.eye(2, dtype=complex)] * n_qubits

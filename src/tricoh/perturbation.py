@@ -7,7 +7,9 @@ three-body model the unperturbed ground level is degenerate and the correct
 zeroth-order state follows from the secular equation of the second-order
 effective Hamiltonian, whose lowest eigenvector reproduces |G>.
 
-``secular_solve`` accepts only an orthonormal basis of degenerate h0
+A ``PerturbationSplit`` always names its degenerate subspace, and
+``zzz_split`` builds the three-body model's, with its degenerate ground
+pair. ``secular_solve`` accepts only an orthonormal basis of degenerate h0
 eigenstates (Bravyi, DiVincenzo, Loss, Ann. Phys. 326, 2793 (2011)).
 
 All returned states are normalized with the package phase convention; the
@@ -33,11 +35,11 @@ SUBSPACE_TOL = 1e-8
 
 @dataclass(frozen=True)
 class PerturbationSplit:
-    """Unperturbed part, perturbation, and optional degenerate subspace."""
+    """Unperturbed part, perturbation, and the degenerate subspace ``secular_solve`` works in."""
 
     h0: np.ndarray
     v: np.ndarray
-    degenerate_subspace: list | None = None
+    degenerate_subspace: list
 
 
 @dataclass(frozen=True)
@@ -53,12 +55,6 @@ class SecularResult:
     energy_shift: float
     coefficients: np.ndarray
     degenerate: bool
-
-
-def zz_split(p):
-    """Perturbation split of the two-body model: transverse field as V."""
-    hx, hz = models.parts("zz", p.j2, p)
-    return PerturbationSplit(h0=np.diag(hz), v=hx)
 
 
 def zzz_split(p):
@@ -149,7 +145,7 @@ def secular_solve(split):
     With the subspace basis as the columns of S and the eigenpairs
     (U_out, E_out) of ``h0`` outside its energy shell E_g, diagonalizes
     A = B^dag diag(1 / (E_g - E_out)) B with B = U_out^dag V S and returns
-    the lowest eigenpair. Raises if the subspace is missing, if its Gram
+    the lowest eigenpair. Raises if the subspace is empty, if its Gram
     matrix differs from the identity by more than ``SUBSPACE_TOL``, if its
     states are not h0 eigenstates at E_g, or if V couples it to other
     states inside the shell (a vanishing denominator).

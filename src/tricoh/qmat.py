@@ -10,9 +10,9 @@ Conventions used throughout the package:
   amplitude is real and nonnegative (first index on ties).
 - The primitives take one matrix (or vector) or a stack of them over the
   leading axes, through one code path, and each item of a stack comes out
-  bitwise equal to the call on that item alone. So do the checks and
-  fidelities used on tomography input (``validate_density``,
-  ``root_fidelity`` and ``state_fidelity``).
+  bitwise equal to the call on that item alone. So do ``ground_states``
+  and the checks and fidelities used on tomography input
+  (``validate_density``, ``root_fidelity`` and ``state_fidelity``).
 
 Two fidelity conventions are provided. ``state_fidelity`` is the squared
 Uhlmann fidelity (Tr sqrt(sqrt(a) b sqrt(a)))^2, which reduces to <psi|b|psi>
@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from functools import reduce
 import json
 import math
+import numbers
 
 import numpy as np
 
@@ -42,18 +43,10 @@ class Spectrum:
     eigenvectors: np.ndarray
 
 
-@dataclass(frozen=True)
-class GroundState:
-    """Lowest eigenpair of a Hermitian matrix.
-
-    ``degenerate`` is set when the two lowest eigenvalues are closer than
-    ``DEGENERACY_TOL``, in which case the returned state is one arbitrary
-    (but deterministic) member of the ground space.
-    """
-
-    energy: float
-    state: np.ndarray
-    degenerate: bool
+def _check_integer(value, name):
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _as_stack(m, name):
@@ -106,16 +99,21 @@ def kron_all(mats):
 def partial_trace(rho, n_qubits, keep):
     """Reduced density matrix over the 1-based qubit indices in ``keep``.
 
-    The kept qubits retain their relative order. The trace is preserved.
+    ``n_qubits`` and each index must be an integer, not a bool. The kept
+    qubits retain their relative order. The trace is preserved.
     A (..., 2^n, 2^n) stack is reduced matrix by matrix: qubits are traced
     out one at a time, last first, so each matrix sees the same sums as it
     would alone.
     """
     rho = _as_stack(rho, "rho")
+    _check_integer(n_qubits, "n_qubits")
     dim = 2**n_qubits
     if rho.shape[-2:] != (dim, dim):
         raise ValueError(f"dimension mismatch: expected {dim}x{dim} for {n_qubits} qubits, got {rho.shape}")
-    keep = sorted(set(int(q) for q in keep))
+    keep = list(keep)
+    for q in keep:
+        _check_integer(q, "keep index")
+    keep = sorted(set(map(int, keep)))
     if not keep:
         raise ValueError("keep set must be nonempty")
     if keep[0] < 1 or keep[-1] > n_qubits:
@@ -152,9 +150,12 @@ def normalize_phase(vec):
     the stacked matmul re @ re + im @ im of the real and imaginary views,
     the sum ``np.linalg.norm`` forms, and the pivot modulus is ``np.hypot``,
     which matches the scalar ``abs`` where ``np.abs`` of a complex array
-    does not.
+    does not. A row with a non-finite entry or a zero norm raises
+    ``ValueError``.
     """
     v = np.asarray(vec, dtype=complex)
+    if not np.isfinite(v).all():
+        raise ValueError("cannot normalize a vector with non-finite entries")
     re, im = v.real[..., None, :], v.imag[..., None, :]
     norm = np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0]
     if (norm < 1e-300).any():
@@ -218,30 +219,32 @@ def _canonical_cluster_basis(block):
     return np.column_stack(basis)
 
 
-def ground_states(hs):
-    """Ascending eigenvalues (n, d), ground vectors (n, d) and degenerate flags (n,).
+def ground_states(h):
+    """Ascending eigenvalues, ground vectors and degenerate flags of a Hermitian matrix or stack.
 
-    Of an unchecked (n, d, d) Hermitian stack, with one stacked ``eigh``.
-    Each ground vector equals ``eig_hermitian(hs[i]).eigenvectors[:, 0]``:
-    only matrices flagged degenerate (see ``GroundState``) take the cluster
-    rebuild, of their ground cluster alone, and one stacked
-    ``normalize_phase`` fixes the phase of every ground vector.
+    ``h`` is one d x d matrix or a (..., d, d) stack, checked square, finite
+    and Hermitian, and diagonalized with one stacked ``eigh``. A stack gives
+    (..., d) eigenvalues, (..., d) ground vectors and (...) flags; one
+    matrix gives the same without the leading axis, and a bool flag. A flag
+    is set when the two lowest eigenvalues are closer than
+    ``DEGENERACY_TOL``; the ground vector is then one arbitrary (but
+    deterministic) member of the ground space.
+
+    Each ground vector equals ``eig_hermitian(h[i]).eigenvectors[:, 0]``:
+    only matrices flagged degenerate take the cluster rebuild, of their
+    ground cluster alone, and one stacked ``normalize_phase`` fixes the
+    phase of every ground vector.
     """
-    w, v = np.linalg.eigh(hs)
+    h = _as_stack(h, "h")
+    _check_hermitian(h, name="h")
+    w, v = np.linalg.eigh(h.reshape((-1,) + h.shape[-2:]))
     degenerate = w[:, 1] - w[:, 0] < DEGENERACY_TOL
     grounds = v[:, :, 0].copy()
     for i in np.flatnonzero(degenerate):
         _, stop = next(_clusters(w[i]))
         grounds[i] = _canonical_cluster_basis(v[i, :, :stop])[:, 0]
-    return w, normalize_phase(grounds), degenerate
-
-
-def ground_state(h):
-    """Lowest eigenpair of a Hermitian matrix (see ``GroundState``)."""
-    h = _as_square(h, "h")
-    _check_hermitian(h, name="h")
-    w, states, degenerate = ground_states(h[None])
-    return GroundState(energy=float(w[0, 0]), state=states[0], degenerate=bool(degenerate[0]))
+    flags = degenerate.reshape(h.shape[:-2]) if h.ndim > 2 else bool(degenerate[0])
+    return w.reshape(h.shape[:-1]), normalize_phase(grounds).reshape(h.shape[:-1]), flags
 
 
 def expm_hermitian(h, t):
@@ -256,6 +259,17 @@ def _sqrtm_psd(rho):
     """Square root of a PSD matrix, or of each matrix of a stack, with negative eigenvalues clipped to 0."""
     w, v = np.linalg.eigh(rho)
     return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def _squares(x):
+    """Square of each entry of a float array, as an array of its shape.
+
+    Each square goes through scalar C ``pow``, as the square of a single
+    value does, so a stacked fidelity equals the single-pair value bit for
+    bit: an array square is one multiply, which differs in the last bit.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.array([v**2 for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def root_fidelity(a, b):
@@ -284,9 +298,7 @@ def state_fidelity(a, b):
     Reduces to <psi|b|psi> when ``a`` is pure; symmetric; equals 1 iff a = b.
     Takes stacks as ``root_fidelity`` does.
     """
-    f = root_fidelity(a, b)
-    # each square goes through scalar C pow, as for one pair (see unitary_fidelity)
-    sq = np.array([x**2 for x in np.ravel(f).tolist()]).reshape(np.shape(f))
+    sq = _squares(root_fidelity(a, b))
     return float(sq) if sq.ndim == 0 else sq
 
 
@@ -308,10 +320,7 @@ def unitary_fidelity(u1, u2):
         if dev > 1e-8:
             raise ValueError(f"{name} is not unitary: max deviation {dev:.3e} exceeds 1e-08")
     tr = np.trace(u1 @ u2.conj().swapaxes(-1, -2), axis1=-2, axis2=-1)
-    # the square goes through scalar C pow, as for one pair: an array square
-    # is one multiply, which differs in the last bit
-    mods = np.ravel(np.hypot(tr.real, tr.imag))
-    f = np.clip(np.array([m**2 for m in mods]).reshape(tr.shape) / d**2, 0.0, 1.0)
+    f = np.clip(_squares(np.hypot(tr.real, tr.imag)) / d**2, 0.0, 1.0)
     return float(f) if f.ndim == 0 else f
 
 

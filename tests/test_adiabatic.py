@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import re
 
@@ -223,9 +225,9 @@ def test_evolve_pseudopure_affine_map():
         want = math.sqrt((1 - mu) / 8 + mu * f1 * f1)
         assert abs(fm - want) < 1e-12
     # spot check against a directly constructed pseudopure density matrix
-    g = qmat.ground_state(models.hamiltonian("zz", sch.values[-1]))
+    _, g, _ = qmat.ground_states(models.hamiltonian("zz", sch.values[-1]))
     rho = states.make_pps(pure.final_state, mu)
-    direct = qmat.root_fidelity(rho, states.density(g.state))
+    direct = qmat.root_fidelity(rho, states.density(g))
     assert abs(direct - pps.fid_instant[-1]) < 1e-7
 
 
@@ -677,6 +679,48 @@ def test_evolve_matches_per_step_vdot_loop_bitwise(tag, mu):
         assert same_bits(run.final_state, psi)
         assert run.min_fidelity == float(fids.min())
         assert run.final_fidelity == final
+
+
+def test_sweep_result_fields_cannot_be_assigned():
+    exact = adiabatic.ground_sweep(adiabatic.linear_schedule("zz", 20, 0.7))
+    for name in ("min_fidelity", "gaps"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(exact, name, 0.5)
+
+
+def test_evolve_leaves_the_ground_sweep_record_untouched(monkeypatch):
+    ground_sweep = adiabatic.ground_sweep
+    for sch in (adiabatic.linear_schedule("zz", 20, 0.7), adiabatic.Schedule(values=(0.0,), tau=0.7, model_tag="zz")):
+        exact = ground_sweep(sch)
+        grounds = exact.ground_states.copy()
+        monkeypatch.setattr(adiabatic, "ground_sweep", lambda *args, **kwargs: exact)
+        run = adiabatic.evolve(sch)
+        assert (exact.fid_instant, exact.min_fidelity, exact.final_state, exact.final_fidelity) == (None,) * 4
+        assert same_bits(exact.ground_states, grounds)
+        assert len(run.fid_instant) == len(sch.values) and run.final_fidelity is not None
+        # a one-value schedule's final state is a copy of the first ground state, not a view
+        assert not np.shares_memory(run.final_state, exact.ground_states)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: adiabatic.schedule_from_density("zz", 10, 0.7, np.linspace(0.0, 2.0, 11), np.ones(10)),
+     "^grid and density must be equal-length 1-D arrays$"),
+    (lambda: adiabatic.evolve(adiabatic.linear_schedule("zz", 4, 0.7), mu=1.5), r"^mu must lie in \[0, 1\], got 1.5$"),
+    (lambda: adiabatic.evolve(adiabatic.linear_schedule("zz", 4, 0.7), mu=-0.1), r"^mu must lie in \[0, 1\], got -0.1$"),
+    (lambda: adiabatic.min_steps_search("zz", 1.0, 0.7), r"^target must lie in \[0, 1\), got 1.0$"),
+    (lambda: adiabatic.min_steps_search("zz", -0.5, 0.7), r"^target must lie in \[0, 1\), got -0.5$"),
+], ids=["density_length", "mu_above_1", "mu_below_0", "target_1", "target_negative"])
+def test_out_of_range_arguments_are_rejected_by_name(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("content", [{"values": [0.0, 2.0]}, 1.0, "0.0, 2.0"], ids=["object", "number", "string"])
+def test_load_schedule_rejects_json_that_is_not_an_array(tmp_path, content):
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps(content))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: expected a JSON array of coupling values$"):
+        adiabatic.load_schedule(path, "zz", 0.7)
 
 
 def per_point_density(tag, grid, params=None):

@@ -118,7 +118,7 @@ def test_geometry_stacked_grounds_match_per_coupling_bitwise(model):
     j_list = list(models.model(model).geometry_j) + [0.123, 1.7]
     _, grounds, _ = qmat.ground_states(models.hamiltonian(model, j_list))
     for j, g in zip(j_list, grounds):
-        assert g.tobytes() == qmat.ground_state(models.hamiltonian(model, j)).state.tobytes()
+        assert g.tobytes() == qmat.ground_states(models.hamiltonian(model, j))[1].tobytes()
 
 
 def test_tomo_exact_target_state(tmp_path):
@@ -141,7 +141,7 @@ def test_tomo_maximally_mixed(tmp_path):
 
 def test_tomo_noisy_repair(tmp_path):
     rng = np.random.default_rng(81)
-    g = qmat.ground_state(models.hamiltonian("zz", 2.0)).state
+    g = qmat.ground_states(models.hamiltonian("zz", 2.0))[1]
     rho = states.density(g)
     w, v = np.linalg.eigh(rho)
     w = w + rng.uniform(-1e-4, 1e-4, size=8)
@@ -241,7 +241,7 @@ def test_tomo_huge_entries_fail_by_name_or_repair(tmp_path, capsys, name, repair
     if message is None:
         assert code == 0 and captured.err == ""
         (row,) = read_csv(out / "tomo_report.csv")
-        ground = states.density(qmat.ground_state(models.hamiltonian("zz", 2.0)).state)
+        ground = states.density(qmat.ground_states(models.hamiltonian("zz", 2.0))[1])
         want = qmat.root_fidelity(np.full((8, 8), 1 / 8), ground)
         assert row["repaired"] == "yes" and float(row["fidelity"]) == pytest.approx(want, abs=1e-7)
     else:

@@ -419,3 +419,13 @@ def test_embed_product_state_collapses_to_x_axis():
     for point in (tet.rho, tet.pi_product_dephased, tet.pi_product, tet.split_1_23):
         assert abs(point[1]) < 1e-6 and abs(point[2]) < 1e-6
     assert abs(tet.pi_product_dephased[0] - rep.c_absolute) < 1e-9
+
+
+@pytest.mark.parametrize("base", [math.nan, math.inf, 1.0, 0.5])
+@pytest.mark.parametrize("name", ["qjsd", "von_neumann_entropy", "relative_entropy", "coherence_reports"])
+def test_log_base_must_be_finite_and_exceed_1(name, base):
+    rho = states.density(states.make_state("W001"))
+    args = {"qjsd": (rho, np.eye(8) / 8), "von_neumann_entropy": (rho,),
+            "relative_entropy": (rho, np.eye(8) / 8), "coherence_reports": (rho[None],)}[name]
+    with pytest.raises(ValueError, match=f"^log base must be finite and exceed 1, got {base}$"):
+        getattr(coherence, name)(*args, base=base)

@@ -52,6 +52,12 @@ def test_spin_op_rejects_bad_input():
         models.spin_op(3, 4, "z")
     with pytest.raises(ValueError):
         models.spin_op(3, 1, "w")
+    for n_qubits, site, message in ((3, 1.5, "site must be an integer, got 1.5"),
+                                    (3, True, "site must be an integer, got True"),
+                                    (3.0, 1, "n_qubits must be an integer, got 3.0")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            models.spin_op(n_qubits, site, "x")
+    assert models.spin_op(np.int64(3), np.int64(2), "x").tobytes() == models.spin_op(3, 2, "x").tobytes()
 
 
 def test_h_zz_diagonal_closed_form():
@@ -74,21 +80,21 @@ def test_h_zz_permutation_symmetric():
 
 def test_h_zz_ground_close_to_w():
     h = models.hamiltonian("zz", 2.0)
-    g = qmat.ground_state(h)
-    f = qmat.root_fidelity(states.density(g.state), states.density(states.make_state("W001")))
+    _, g, _ = qmat.ground_states(h)
+    f = qmat.root_fidelity(states.density(g), states.density(states.make_state("W001")))
     assert abs(f - 0.9978) < 5e-4
 
 
 def test_h_zzz_start_ground():
-    g = qmat.ground_state(models.hamiltonian("zzz", 0.0))
+    _, g, _ = qmat.ground_states(models.hamiltonian("zzz", 0.0))
     target = states.sign_product_state("---")
-    assert abs(abs(np.vdot(target, g.state)) - 1.0) < 1e-12
+    assert abs(abs(np.vdot(target, g)) - 1.0) < 1e-12
 
 
 def test_h_zzz_end_ground_close_to_g():
     h = models.hamiltonian("zzz", 5.0)
-    g = qmat.ground_state(h)
-    f = qmat.root_fidelity(states.density(g.state), states.density(states.make_state("G")))
+    _, g, _ = qmat.ground_states(h)
+    f = qmat.root_fidelity(states.density(g), states.density(states.make_state("G")))
     assert abs(f - 0.9996) < 5e-4
 
 

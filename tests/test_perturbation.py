@@ -8,17 +8,14 @@ from tricoh import models, perturbation, qmat, states
 
 def exact_ground_fidelity(tag, params, target):
     h = models.hamiltonian(tag, getattr(params, models.model(tag).coupling), params)
-    g = qmat.ground_state(h)
-    return qmat.state_fidelity(states.density(g.state), states.density(target))
+    _, g, _ = qmat.ground_states(h)
+    return qmat.state_fidelity(states.density(g), states.density(target))
 
 
 def test_split_sums_to_full_hamiltonian():
-    p = models.ModelParams(j2=1.4, j3=3.1)
-    for split, h in (
-        (perturbation.zz_split(p), models.hamiltonian("zz", p.j2, p)),
-        (perturbation.zzz_split(p), models.hamiltonian("zzz", p.j3, p)),
-    ):
-        assert np.abs(split.h0 + split.v - h).max() < 1e-12
+    p = models.ModelParams(j3=3.1)
+    split = perturbation.zzz_split(p)
+    assert np.abs(split.h0 + split.v - models.hamiltonian("zzz", p.j3, p)).max() < 1e-12
 
 
 def test_zz_ground_zeroth_order_limit():
@@ -173,6 +170,16 @@ def test_secular_rejects_bad_subspace():
         perturbation.secular_solve(perturbation.PerturbationSplit(h0=h0, v=v, degenerate_subspace=not_eigen))
     with pytest.raises(ValueError):
         perturbation.secular_solve(perturbation.PerturbationSplit(h0=h0, v=v, degenerate_subspace=[]))
+    # |1> shares the subspace's energy, lies outside it, and V couples the two
+    h0 = np.diag([0.0, 0.0, 1.0]).astype(complex)
+    v = np.array([[0.0, 0.2, 0.0], [0.2, 0.0, 0.0], [0.0, 0.0, 0.0]], dtype=complex)
+    e0 = [np.array([1.0, 0.0, 0.0], dtype=complex)]
+    with pytest.raises(ValueError, match=r"^vanishing denominator: V couples the subspace to degenerate states "
+                                         r"outside it \(max coupling 2.000e-01\)$"):
+        perturbation.secular_solve(perturbation.PerturbationSplit(h0=h0, v=v, degenerate_subspace=e0))
+    # a split always names its subspace
+    with pytest.raises(TypeError, match="degenerate_subspace"):
+        perturbation.PerturbationSplit(h0=h0, v=v)
 
 
 def loop_secular(split):

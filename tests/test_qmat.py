@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -193,27 +194,48 @@ def test_eig_rejects_non_hermitian():
 
 def test_ground_state_diagonal_ising():
     h = models.hamiltonian("zz", 0.0, models.ModelParams(omega_x=0.0))
-    g = qmat.ground_state(h)
-    assert abs(g.energy - (-3.0)) < 1e-12
-    np.testing.assert_allclose(g.state, states.basis_state("000"), atol=1e-12)
-    assert not g.degenerate
+    w, g, degenerate = qmat.ground_states(h)
+    assert abs(w[0] - (-3.0)) < 1e-12
+    np.testing.assert_allclose(g, states.basis_state("000"), atol=1e-12)
+    assert not degenerate
 
 
 def test_ground_state_transverse_start():
     h = models.hamiltonian("zzz", 0.0)
-    g = qmat.ground_state(h)
+    _, g, _ = qmat.ground_states(h)
     target = states.sign_product_state("---")
-    assert abs(abs(np.vdot(target, g.state)) - 1.0) < 1e-12
+    assert abs(abs(np.vdot(target, g)) - 1.0) < 1e-12
 
 
 def test_ground_state_single_qubit():
-    g = qmat.ground_state(-PAULI_Z)
-    assert abs(g.energy - (-1.0)) < 1e-12
-    np.testing.assert_allclose(g.state, [1.0, 0.0], atol=1e-12)
+    w, g, _ = qmat.ground_states(-PAULI_Z)
+    assert abs(w[0] - (-1.0)) < 1e-12
+    np.testing.assert_allclose(g, [1.0, 0.0], atol=1e-12)
 
 
 def test_ground_state_degenerate_flag():
-    assert qmat.ground_state(np.eye(2, dtype=complex)).degenerate
+    assert qmat.ground_states(np.eye(2, dtype=complex))[2] is True
+
+
+def test_ground_states_of_one_matrix_is_row_0_of_its_stack():
+    rng = np.random.default_rng(23)
+    for h in (random_hermitian(rng, 8), models.hamiltonian("zzz", 1.3), np.eye(4, dtype=complex)):
+        w, g, degenerate = qmat.ground_states(h)
+        ws, gs, flags = qmat.ground_states(h[None])
+        assert (w.shape, g.shape, flags.shape) == ((len(h),), (len(h),), (1,))
+        assert w.tobytes() == ws[0].tobytes() and g.tobytes() == gs[0].tobytes()
+        assert degenerate is bool(flags[0])
+
+
+@pytest.mark.parametrize("h, message", [
+    (np.ones((2, 3)), r"h must be square, got shape \(2, 3\)"),
+    (np.ones(4), r"h must be square, got shape \(4,\)"),
+    (np.array([[0.0, math.nan], [math.nan, 0.0]]), "h contains non-finite entries"),
+    (np.array([[0.0, 1.0], [0.0, 0.0]]), "h is not Hermitian: max deviation 1.000e[+]00 exceeds 1.0e-10"),
+], ids=["non_square", "vector", "nan", "non_hermitian"])
+def test_ground_states_rejects_bad_matrix(h, message):
+    with pytest.raises(ValueError, match=message):
+        qmat.ground_states(h)
 
 
 def test_expm_zero_time():
@@ -359,6 +381,19 @@ def test_density_file_round_trip(tmp_path):
     assert np.array_equal(back, rho)
 
 
+@pytest.mark.parametrize("payload, message", [
+    ({"dim": 2, "re": [[1.0, 0.0], [0.0, 0.0]]}, r"malformed density-matrix file \('im'\)"),
+    ([[1.0, 0.0], [0.0, 0.0]], "malformed density-matrix file"),
+    ({"dim": 4, "re": np.eye(2).tolist(), "im": np.zeros((2, 2)).tolist()}, "arrays do not match dim=4"),
+    ({"dim": 2, "re": np.eye(2).tolist(), "im": np.zeros((2, 3)).tolist()}, "arrays do not match dim=2"),
+], ids=["missing_im", "not_an_object", "dim_too_large", "im_shape"])
+def test_load_density_rejects_malformed_files(tmp_path, payload, message):
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+        qmat.load_density(path)
+
+
 def test_normalize_phase_convention():
     psi = np.array([0.3, -0.9539392014169456j], dtype=complex)
     out = qmat.normalize_phase(psi)
@@ -417,6 +452,33 @@ def test_normalize_phase_rejects_zero_row():
         qmat.normalize_phase(np.zeros(4))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)], ids=["nan", "inf", "imag_inf"])
+def test_normalize_phase_rejects_non_finite_entries(bad):
+    rows = np.ones((3, 2), dtype=complex)
+    rows[1, 0] = bad
+    for vec in ([bad, 1.0], rows):
+        with pytest.raises(ValueError, match="^cannot normalize a vector with non-finite entries$"):
+            qmat.normalize_phase(vec)
+
+
+@pytest.mark.parametrize("n_qubits, keep, message", [
+    (3, [1.7], "^keep index must be an integer, got 1.7$"),
+    (3, [2, True], "^keep index must be an integer, got True$"),
+    (3, [np.float64(1.0)], r"^keep index must be an integer, got np.float64\(1.0\)$"),
+    (3.0, [1], "^n_qubits must be an integer, got 3.0$"),
+    (True, [1], "^n_qubits must be an integer, got True$"),
+], ids=["float_index", "bool_index", "numpy_float_index", "float_n_qubits", "bool_n_qubits"])
+def test_partial_trace_rejects_non_integer_qubits(n_qubits, keep, message):
+    with pytest.raises(ValueError, match=message):
+        qmat.partial_trace(np.eye(2 ** int(n_qubits)) / 2 ** int(n_qubits), n_qubits, keep)
+
+
+def test_partial_trace_accepts_numpy_integers():
+    rho = states.density(states.make_state("W001"))
+    want = qmat.partial_trace(rho, 3, [1, 3])
+    assert same_bits(qmat.partial_trace(rho, np.int64(3), np.array([1, 3])), want)
+
+
 def test_stacked_primitives_match_per_matrix_bitwise():
     rng = np.random.default_rng(7)
     rhos = np.array([random_density(rng, 8, rank) for rank in (1, 2, 3, 5, 8)])
@@ -464,6 +526,9 @@ def test_stacked_inputs_rejected():
     hs[2, 0, 1] += 1e-3
     with pytest.raises(ValueError, match="not Hermitian"):
         qmat.expm_hermitian(hs, 1.0)
+    # the single-matrix primitives take no stack
+    with pytest.raises(ValueError, match=r"^h must be square, got shape \(3, 8, 8\)$"):
+        qmat.eig_hermitian(rhos)
 
 
 def validate_density_one_matrix_form(m, tol, repair):
@@ -521,7 +586,7 @@ def test_validate_density_stack_matches_single_bitwise(seed, repair):
 def test_root_and_state_fidelity_stack_match_single_bitwise(seed):
     rhos = tomography_like_states(seed)
     rhos = qmat.validate_density(rhos, tol=1.0, repair=True)[0]
-    target = states.density(qmat.ground_state(models.hamiltonian("zz", 2.0)).state)
+    target = states.density(qmat.ground_states(models.hamiltonian("zz", 2.0))[1])
     others = tomography_like_states(seed + 100)
     for b in (target, others):
         root, sq = qmat.root_fidelity(rhos, b), qmat.state_fidelity(rhos, b)

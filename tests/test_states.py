@@ -62,6 +62,17 @@ def test_make_state_unknown_label():
         states.make_state("W010x")
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: states.basis_state("012"), "^invalid bit string '012'$"),
+    (lambda: states.basis_state(""), "^invalid bit string ''$"),
+    (lambda: states.sign_product_state("+x-"), "^invalid sign pattern '\\+x-'$"),
+    (lambda: states.sign_product_state(""), "^invalid sign pattern ''$"),
+], ids=["bad_bit", "empty_bits", "bad_sign", "empty_signs"])
+def test_basis_and_sign_states_reject_bad_labels(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_make_pps_limits():
     psi = states.make_state("W001")
     np.testing.assert_allclose(states.make_pps(psi, 1.0), states.density(psi), atol=1e-15)
