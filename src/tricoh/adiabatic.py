@@ -7,10 +7,11 @@ and ground states; ``evolve`` propagates a state with the symmetric
 Trotter step of each coupling value, whose diagonal longitudinal part is a
 phase vector, and audits the instantaneous fidelity to the exact ground
 state, from one stacked overlap of all steps once the propagation is done.
-Ground vectors and overlaps equal per-step ``qmat.eig_hermitian`` and
-``np.vdot`` bit for bit. At a step listed in ``degenerate_steps`` the ground
-vector is a canonical pick in the near-degenerate cluster, not the unique
-symmetric ground state, so check that list before reading fidelities.
+Ground vectors and overlaps equal, bit for bit, the column ``v[:, 0]`` of
+per-step ``qmat.eig_hermitian`` ``(w, v)`` and per-step ``np.vdot``. At a
+step listed in ``degenerate_steps`` the ground vector is a canonical pick
+in the near-degenerate cluster, not the unique symmetric ground state, so
+check that list before reading fidelities.
 All reported fidelities use the amplitude (root-fidelity) convention of
 ``qmat.root_fidelity``. ``trotter_pair`` and ``trotter_error_scaling``
 take one coupling or a J array.
@@ -42,7 +43,9 @@ count only where it does below m.
 ``refocus_params`` translates a schedule into the per-step table of
 spectrometer delays and radio-frequency offsets for an NMR implementation
 with given scalar couplings; the model record names the table's columns and
-the spin pairs each one sums.
+the spin pairs each one sums, and every cell of a returned table is finite.
+A schedule file is read through ``qmat``'s one JSON loader, so any error in
+it names the file.
 """
 
 from dataclasses import dataclass, replace
@@ -52,7 +55,7 @@ import math
 import numpy as np
 
 from . import models
-from .qmat import _check_integer, _json_numbers, _read_json, _squares, expm_hermitian, ground_states
+from .qmat import _check_integer, _json_numbers, _load_json, _squares, expm_hermitian, ground_states
 from .states import make_state
 
 # fine-grid resolution used to tabulate the adaptive step density
@@ -245,20 +248,19 @@ def load_schedule(path, model_tag, tau):
     from the file and is checked first, without the prefix.
     """
     _check_tau(tau)
-    raw = _read_json(path)
-    if not isinstance(raw, list):
-        raise ValueError(f"{path}: expected a JSON array of coupling values")
-    values = _json_numbers(path, "schedule values", raw)
-    try:
-        return Schedule(values=values, tau=tau, model_tag=model_tag)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+
+    def build(raw):
+        if not isinstance(raw, list):
+            raise ValueError("expected a JSON array of coupling values")
+        return Schedule(values=_json_numbers("schedule values", raw), tau=tau, model_tag=model_tag)
+
+    return _load_json(path, build)
 
 
 def ground_sweep(schedule, params=None):
     """Exact instantaneous spectrum and ground states along a schedule.
 
-    Ground state m is ``qmat.eig_hermitian(H(J_m)).eigenvectors[:, 0]`` bit
+    Ground state m is ``qmat.eig_hermitian(H(J_m))[1][:, 0]`` bit
     for bit, in the phase convention of ``qmat.normalize_phase``. Steps
     ``qmat.ground_states`` flags degenerate are listed in ``degenerate_steps``.
     """
@@ -489,8 +491,10 @@ def refocus_params(nmr, schedule, params=None):
     the sum of d_ik = 1/(2 J_ik) over the column's spin pairs, an offset
     omega_z / (4 J times that sum), with ``omega_z`` and ``omega_x`` from
     ``params`` (default ``ModelParams()``). Steps with J = 0 are skipped
-    and noted in ``notices``. A coupling some column needs that is not
-    positive is an error naming the pair.
+    and noted in ``notices``. A coupling some column needs whose delay
+    d_ik is not finite and positive is an error naming the pair, and so is
+    a cell that is not finite, naming its column, step and J: every cell
+    of a returned table is finite.
     """
     params = params or models._DEFAULT_PARAMS
     m = models.model(schedule.model_tag)
@@ -500,15 +504,25 @@ def refocus_params(nmr, schedule, params=None):
         if not j_ik > 0.0:
             raise ValueError(f"coupling J{i}{k} = {j_ik:g} Hz must be positive to build refocusing delays")
         d[(i, k)] = 1.0 / (2.0 * j_ik)
+        if not math.isfinite(d[(i, k)]):
+            raise ValueError(f"coupling J{i}{k} = {j_ik:g} Hz is too small: its delay 1/(2 J{i}{k}) overflows")
 
     kept = schedule.values > 0.0
     j = schedule.values[kept]
     table = {"m": np.flatnonzero(kept), "J": j}
-    for name, pairs in m.delays.items():
-        table[name] = j * schedule.tau / math.pi * sum(d[p] for p in pairs)
-    for name, pairs in m.offsets.items():
-        table[name] = params.omega_z / (4.0 * j * sum(d[p] for p in pairs))
+    # a cell that overflows, or an offset whose denominator underflows to zero, fails the check below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for name, pairs in m.delays.items():
+            table[name] = j * schedule.tau / math.pi * sum(d[p] for p in pairs)
+        for name, pairs in m.offsets.items():
+            table[name] = params.omega_z / (4.0 * j * sum(d[p] for p in pairs))
     table["pulse_angle"] = np.full(len(j), params.omega_x * schedule.tau / 2)
+    for name, cells in table.items():
+        bad = np.flatnonzero(~np.isfinite(cells))
+        if bad.size:
+            step = table["m"][bad[0]]
+            raise ValueError(f"refocusing column {name} must be finite, got {cells[bad[0]]} at step m={step} "
+                             f"with J={j[bad[0]]:g}")
     return table, [f"skipped step m={step} with J={value:g}" for step, value in enumerate(schedule.values)
                    if not kept[step]]
 

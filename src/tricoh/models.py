@@ -27,12 +27,10 @@ defined here; its values are configuration inputs.
 """
 
 from dataclasses import dataclass
-import math
-import numbers
 
 import numpy as np
 
-from .qmat import _check_integer, _json_numbers, _read_json, kron_all
+from .qmat import _check_integer, _check_real, _json_numbers, _load_json, kron_all
 
 N_QUBITS = 3
 
@@ -132,8 +130,7 @@ class ModelParams:
 
     def __post_init__(self):
         for name in ("omega_z", "omega_x", "j2", "j3"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+            _check_real(name, getattr(self, name))
         for m in MODELS.values():
             _check_coupling(m, getattr(self, m.coupling))
 
@@ -196,10 +193,7 @@ class NmrParams:
         entries = [(f"chemical shift delta{i+1}", d) for i, d in enumerate(self.deltas)]
         entries += [(f"coupling J{i+1}{k+1}", j[i][k]) for i in range(N_QUBITS) for k in range(N_QUBITS)]
         for name, value in entries:
-            if not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            _check_real(name, value)
         for i in range(N_QUBITS):
             if j[i][i] != 0.0:
                 raise ValueError("j_couplings must have a zero diagonal")
@@ -212,14 +206,14 @@ class NmrParams:
         return self.j_couplings[i - 1][k - 1]
 
 
-def load_nmr_params(path):
-    """Read deltas and j_couplings from a JSON config file."""
-    raw = _read_json(path)
+def _nmr_params_from_json(raw):
     fields = ("deltas", "j_couplings")
     if not isinstance(raw, dict) or not raw.keys() >= set(fields):
-        raise ValueError(f"{path}: malformed NMR config: expected a JSON object with the fields {', '.join(fields)}")
-    deltas, couplings = (_json_numbers(path, field, raw[field]).tolist() for field in fields)
-    try:
-        return NmrParams(deltas=deltas, j_couplings=couplings)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        raise ValueError(f"malformed NMR config: expected a JSON object with the fields {', '.join(fields)}")
+    deltas, couplings = (_json_numbers(field, raw[field]).tolist() for field in fields)
+    return NmrParams(deltas=deltas, j_couplings=couplings)
+
+
+def load_nmr_params(path):
+    """Read deltas and j_couplings from a JSON config file."""
+    return _load_json(path, _nmr_params_from_json)

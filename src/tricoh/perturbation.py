@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .qmat import eig_hermitian, normalize_phase, _as_square, _check_hermitian
+from .qmat import eig_hermitian, normalize_phase, _as_square, _check_hermitian, _check_real
 from .states import basis_state, make_state
 from . import models
 
@@ -63,17 +63,11 @@ def zzz_split(p):
     return PerturbationSplit(h0=np.diag(hz), v=hx, degenerate_subspace=[make_state("W001"), basis_state("111")])
 
 
-def _check_finite(**args):
-    """Raise ``ValueError`` naming the first argument that is not a finite number."""
-    for name, value in args.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-
-
 def _zz_ratios(omega_x, omega_z, j2):
     """Admixtures a = omega_x/omega_z and b = omega_x/(2 j2 + omega_z), after checking the two-body
     formulas' arguments and that the state's squared norm 1 + a^2 + (3/4) b^2 is finite."""
-    _check_finite(omega_x=omega_x, omega_z=omega_z, j2=j2)
+    for name, value in (("omega_x", omega_x), ("omega_z", omega_z), ("j2", j2)):
+        _check_real(name, value)
     if omega_z == 0.0:
         raise ValueError("omega_z must be nonzero: the |W110> admixture omega_x/omega_z diverges")
     denom = 2.0 * j2 + omega_z
@@ -86,8 +80,9 @@ def _zz_ratios(omega_x, omega_z, j2):
 
 
 def _check_j3(omega_x, j3):
-    """Raise ``ValueError`` unless the arguments are finite, ``j3`` positive and (3 omega_x / (2 j3))^2 finite."""
-    _check_finite(omega_x=omega_x, j3=j3)
+    """Raise ``ValueError`` unless the arguments are finite reals, ``j3`` positive and (3 omega_x / (2 j3))^2 finite."""
+    _check_real("omega_x", omega_x)
+    _check_real("j3", j3)
     if j3 <= 0.0:
         raise ValueError(f"j3 must be positive, got {j3}")
     ratio = 1.5 * omega_x / j3
@@ -150,7 +145,7 @@ def secular_solve(split):
     states are not h0 eigenstates at E_g, or if V couples it to other
     states inside the shell (a vanishing denominator).
     """
-    if not split.degenerate_subspace:
+    if len(split.degenerate_subspace) == 0:
         raise ValueError("secular_solve requires a nonempty degenerate subspace")
     h0 = _as_square(split.h0, "h0")
     v = _as_square(split.v, "v")
@@ -167,10 +162,10 @@ def secular_solve(split):
     if residual > SECULAR_ENERGY_TOL * max(1.0, float(np.abs(h0).max())):
         raise ValueError(f"subspace state is not an h0 eigenstate at energy {e_g:.6g} (residual {residual:.3e})")
 
-    spec = eig_hermitian(h0)
-    shell = np.abs(spec.eigenvalues - e_g) <= SECULAR_ENERGY_TOL
+    e0, u0 = eig_hermitian(h0)
+    shell = np.abs(e0 - e_g) <= SECULAR_ENERGY_TOL
     # degenerate states in the shell but outside the subspace must not couple via V
-    shell_vecs = spec.eigenvectors[:, shell]
+    shell_vecs = u0[:, shell]
     shell_residual = shell_vecs - sub @ (sub.conj().T @ shell_vecs)
     coupling = np.abs(shell_residual.conj().T @ v @ sub)
     if coupling.size and coupling.max() > SUBSPACE_TOL:
@@ -179,14 +174,8 @@ def secular_solve(split):
             f"(max coupling {coupling.max():.3e})"
         )
 
-    amps = spec.eigenvectors[:, ~shell].conj().T @ (v @ sub)
-    a = amps.conj().T @ (amps / (e_g - spec.eigenvalues[~shell])[:, None])
-    a_spec = eig_hermitian(a)
-    w = a_spec.eigenvalues
+    amps = u0[:, ~shell].conj().T @ (v @ sub)
+    w, c = eig_hermitian(amps.conj().T @ (amps / (e_g - e0[~shell])[:, None]))
     scale = max(float(np.abs(w).max()), 1.0)
     degenerate = size > 1 and (w[1] - w[0]) < 1e-12 * scale
-    return SecularResult(
-        energy_shift=float(w[0]),
-        coefficients=a_spec.eigenvectors[:, 0].copy(),
-        degenerate=degenerate,
-    )
+    return SecularResult(energy_shift=float(w[0]), coefficients=c[:, 0].copy(), degenerate=degenerate)

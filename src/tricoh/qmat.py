@@ -21,7 +21,6 @@ amplitude-overlap convention used for all reported sweep and endpoint
 fidelities in this package.
 """
 
-from dataclasses import dataclass
 from functools import reduce
 import json
 import math
@@ -35,18 +34,18 @@ PSD_TOL = 1e-9
 DEGENERACY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def _check_integer(value, name):
     """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer; a bool is not one."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_real(name, value):
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a finite real number (``numbers.Real``)."""
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _as_stack(m, name):
@@ -141,6 +140,12 @@ def dephase(rho):
     return out
 
 
+def _squared_norms(v):
+    """Squared norm of each row of ``v``, as a (..., 1) array: the stacked matmul re @ re + im @ im."""
+    re, im = v.real[..., None, :], v.imag[..., None, :]
+    return (re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0]
+
+
 def normalize_phase(vec):
     """Normalize a state vector and fix its global phase.
 
@@ -150,17 +155,25 @@ def normalize_phase(vec):
     the stacked matmul re @ re + im @ im of the real and imaginary views,
     the sum ``np.linalg.norm`` forms, and the pivot modulus is ``np.hypot``,
     which matches the scalar ``abs`` where ``np.abs`` of a complex array
-    does not. A row with a non-finite entry or a zero norm raises
-    ``ValueError``.
+    does not. A row whose squared norm overflows or falls below the smallest
+    normal float is first scaled by the exact power of two that brings its
+    largest real or imaginary part into [0.5, 1); every other row keeps its
+    bits. A row with a non-finite entry or a zero norm raises ``ValueError``.
     """
     v = np.asarray(vec, dtype=complex)
     if not np.isfinite(v).all():
         raise ValueError("cannot normalize a vector with non-finite entries")
-    re, im = v.real[..., None, :], v.imag[..., None, :]
-    norm = np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0]
-    if (norm < 1e-300).any():
+    with np.errstate(over="ignore"):
+        sq = _squared_norms(v)
+    rescale = ((sq == np.inf) | (sq < np.finfo(float).tiny))[..., 0]
+    if rescale.any():
+        v = v.copy()
+        parts = v[rescale].view(float)
+        v[rescale] = np.ldexp(parts, -np.frexp(np.abs(parts).max(axis=-1, keepdims=True))[1]).view(complex)
+        sq = _squared_norms(v)
+    if (sq == 0.0).any():
         raise ValueError("cannot normalize the zero vector")
-    v = v / norm
+    v = v / np.sqrt(sq)
     mags = np.abs(v)
     idx = np.argmax(mags > mags.max(axis=-1, keepdims=True) - 1e-12, axis=-1)
     pivot = np.take_along_axis(v, idx[..., None], axis=-1)
@@ -168,14 +181,16 @@ def normalize_phase(vec):
 
 
 def eig_hermitian(h):
-    """Eigendecomposition of a Hermitian matrix with deterministic output.
+    """Eigendecomposition ``(w, v)`` of a Hermitian matrix with deterministic output.
 
-    Eigenvalues are ascending. Within any degenerate cluster (consecutive
-    eigenvalue gaps below ``DEGENERACY_TOL``) the eigenvectors are rebuilt by
-    projecting standard basis vectors onto the cluster subspace and
-    orthonormalizing in index order, so identical inputs always yield
-    identical eigenvectors regardless of backend rotation freedom. Every
-    eigenvector carries the ``normalize_phase`` convention.
+    As from ``numpy.linalg.eigh``, the eigenvalues ``w`` are ascending and
+    column k of ``v`` is the eigenvector of ``w[k]``. Within any degenerate
+    cluster (consecutive eigenvalue gaps below ``DEGENERACY_TOL``) the
+    eigenvectors are rebuilt by projecting standard basis vectors onto the
+    cluster subspace and orthonormalizing in index order, so identical
+    inputs always yield identical eigenvectors regardless of backend
+    rotation freedom. Every eigenvector carries the ``normalize_phase``
+    convention.
     """
     h = _as_square(h, "h")
     _check_hermitian(h, name="h")
@@ -184,7 +199,7 @@ def eig_hermitian(h):
         if stop - start > 1:
             v[:, start:stop] = _canonical_cluster_basis(v[:, start:stop])
     v[:] = normalize_phase(v.T).T
-    return Spectrum(eigenvalues=w, eigenvectors=v)
+    return w, v
 
 
 def _clusters(w):
@@ -230,7 +245,7 @@ def ground_states(h):
     ``DEGENERACY_TOL``; the ground vector is then one arbitrary (but
     deterministic) member of the ground space.
 
-    Each ground vector equals ``eig_hermitian(h[i]).eigenvectors[:, 0]``:
+    Each ground vector equals ``eig_hermitian(h[i])[1][:, 0]``:
     only matrices flagged degenerate take the cluster rebuild, of their
     ground cluster alone, and one stacked ``normalize_phase`` fixes the
     phase of every ground vector.
@@ -422,25 +437,43 @@ def save_density(path, rho):
         fh.write("\n")
 
 
-def _read_json(path):
-    """Parsed content of an ASCII JSON file; a decoding error names the file."""
+def _load_json(path, build):
+    """``build`` of the parsed content of an ASCII JSON file; the one place an error gets its file's name.
+
+    A ``ValueError`` from decoding or from ``build``, or the ``RecursionError`` of a nest too deep to
+    parse, becomes a ``ValueError`` that starts "<path>: "; an ``OSError`` names the file already.
+    """
     with open(path, encoding="ascii") as fh:
         try:
-            return json.load(fh)
-        except ValueError as exc:
+            return build(json.load(fh))
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"{path}: {exc}") from exc
 
 
-def _json_numbers(path, field, value):
+def _json_numbers(field, value):
     """Parsed JSON ``value`` as a float array, if it is a rectangular nest of JSON numbers."""
     try:
         nest = np.array(value, dtype=object)
-        # bool is not a JSON number, and a ragged nest leaves lists as elements
-        if set(map(type, nest.flat)) <= {int, float}:
+        # bool is not a JSON number, and a ragged nest or one past numpy's 64 dimensions leaves lists
+        # as elements; flat, the fastest iterator, takes at most 32 dimensions, so it runs over the raveled nest
+        if set(map(type, nest.ravel().flat)) <= {int, float}:
             return nest.astype(float)
     except OverflowError:  # an integer too large for a float
         pass
-    raise ValueError(f"{path}: {field} must be a rectangular array of JSON numbers")
+    raise ValueError(f"{field} must be a rectangular array of JSON numbers")
+
+
+def _density_from_json(payload):
+    try:
+        dim = payload["dim"]
+        re, im = (_json_numbers(field, payload[field]) for field in ("re", "im"))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed density-matrix file ({exc})") from exc
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise ValueError(f"dim must be a JSON integer, got {json.dumps(dim)}")
+    if re.shape != (dim, dim) or im.shape != (dim, dim):
+        raise ValueError(f"arrays do not match dim={dim}")
+    return re + 1j * im
 
 
 def load_density(path):
@@ -449,14 +482,4 @@ def load_density(path):
     Only the shape is validated here; run ``validate_density`` on the result
     to enforce the physical invariants.
     """
-    payload = _read_json(path)
-    try:
-        dim = payload["dim"]
-        re, im = (_json_numbers(path, field, payload[field]) for field in ("re", "im"))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: malformed density-matrix file ({exc})") from exc
-    if isinstance(dim, bool) or not isinstance(dim, int):
-        raise ValueError(f"{path}: dim must be a JSON integer, got {json.dumps(dim)}")
-    if re.shape != (dim, dim) or im.shape != (dim, dim):
-        raise ValueError(f"{path}: arrays do not match dim={dim}")
-    return re + 1j * im
+    return _load_json(path, _density_from_json)

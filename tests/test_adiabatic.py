@@ -506,6 +506,27 @@ def test_refocus_zero_coupling_error():
         adiabatic.refocus_params(nmr, sch)
 
 
+@pytest.mark.parametrize("tag, couplings, message", [
+    ("zz", (1e-320, 160.7, 25.7), "coupling J12 = 9.99989e-321 Hz is too small: its delay 1/(2 J12) overflows"),
+    ("zzz", (5e-324, 160.7, 25.7), "coupling J12 = 4.94066e-324 Hz is too small: its delay 1/(2 J12) overflows"),
+    ("zz", (1e308, 1e308, 1e308), "refocusing column FQ1 must be finite, got -inf at step m=1 with J=0.4"),
+], ids=["zz_tiny_j12", "zzz_smallest_j12", "zz_huge_couplings"])
+def test_refocus_rejects_a_table_that_is_not_finite(tag, couplings, message):
+    j12, j13, j23 = couplings
+    nmr = models.NmrParams(deltas=(1.0, 2.0, 3.0), j_couplings=((0.0, j12, j13), (j12, 0.0, j23), (j13, j23, 0.0)))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        adiabatic.refocus_params(nmr, adiabatic.linear_schedule(tag, 5, 0.4))
+
+
+@pytest.mark.parametrize("j", [5e-324, 1e-310])
+def test_refocus_rejects_a_schedule_value_whose_offsets_overflow(j):
+    jc = ((0.0, 47.6, 160.7), (47.6, 0.0, 25.7), (160.7, 25.7, 0.0))
+    nmr = models.NmrParams(deltas=(1.0, 2.0, 3.0), j_couplings=jc)
+    sch = adiabatic.Schedule(values=np.array([0.0, j, 1.0, 2.0]), tau=0.7, model_tag="zz")
+    with pytest.raises(ValueError, match=f"^refocusing column FQ1 must be finite, got -inf at step m=1 with J={j:g}$"):
+        adiabatic.refocus_params(nmr, sch)
+
+
 REFOCUS_COLUMNS = {
     "zz": ["m", "J", "tau1", "tau2", "tau3", "FQ1", "FQ2", "FQ3", "pulse_angle"],
     "zzz": ["m", "J", "d_m", "pulse_angle"],
@@ -579,12 +600,12 @@ def per_step_ground_sweep(tag, values, params=None):
     # the per-step reference: one validated eig_hermitian per coupling value
     e0, e1, grounds, degenerate = [], [], [], []
     for m, j in enumerate(values):
-        spec = qmat.eig_hermitian(models.hamiltonian(tag, j, params))
-        e0.append(spec.eigenvalues[0])
-        e1.append(spec.eigenvalues[1])
-        if spec.eigenvalues[1] - spec.eigenvalues[0] < qmat.DEGENERACY_TOL:
+        w, v = qmat.eig_hermitian(models.hamiltonian(tag, j, params))
+        e0.append(w[0])
+        e1.append(w[1])
+        if w[1] - w[0] < qmat.DEGENERACY_TOL:
             degenerate.append(m)
-        grounds.append(spec.eigenvectors[:, 0])
+        grounds.append(v[:, 0])
     return np.array(e0), np.array(e1), np.array(grounds), degenerate
 
 
@@ -616,7 +637,7 @@ def test_ground_sweep_degenerate_fallback():
     sweep = adiabatic.ground_sweep(sch, params=params)
     assert sweep.degenerate_steps == list(range(len(sch.values)))
     for j, g in zip(sch.values, sweep.ground_states):
-        assert np.array_equal(g, qmat.eig_hermitian(models.hamiltonian("zzz", j, params)).eigenvectors[:, 0])
+        assert np.array_equal(g, qmat.eig_hermitian(models.hamiltonian("zzz", j, params))[1][:, 0])
 
 
 def test_evolve_flags_near_degenerate_steps_at_tiny_transverse_field():

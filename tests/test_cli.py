@@ -480,8 +480,10 @@ def test_schedule_file_outside_range_rejected_by_every_verb(tmp_path, capsys, va
          "coupling J13 must be finite"),
         ([7792.0, 15480.0, 3845.0], [[0.0, -47.6, 160.7], [-47.6, 0.0, 25.7], [160.7, 25.7, 0.0]],
          "coupling J12 = -47.6 Hz must be positive"),
+        ([7792.0, 15480.0, 3845.0], [[0.0, 1e-320, 160.7], [1e-320, 0.0, 25.7], [160.7, 25.7, 0.0]],
+         "coupling J12 = 9.99989e-321 Hz is too small: its delay 1/(2 J12) overflows"),
     ],
-    ids=["nan_shift", "nan_coupling", "negative_coupling"],
+    ids=["nan_shift", "nan_coupling", "negative_coupling", "tiny_coupling"],
 )
 def test_schedule_rejects_unphysical_nmr_config(tmp_path, capsys, deltas, couplings, message):
     path = tmp_path / "nmr.json"

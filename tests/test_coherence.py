@@ -390,6 +390,21 @@ def test_embed_collinear_boundary():
     assert tet.residual <= 1e-9
 
 
+def test_embed_zero_absolute_coherence_places_pi_on_x_axis():
+    # with c_absolute = 0 the rho-pid axis has no direction, so pi(rho) and the
+    # 1|23 split are placed along +x at their distances from rho
+    rep = coherence.CoherenceReport(
+        c_total=0.5, c_global=0.5, c_local=0.5, c_absolute=0.0,
+        c_1_23=0.2, c_2_3=0.3, c_abs_1_23=0.2, c_1_2=0.0, c_1_3=0.0,
+        monogamy_m=0.0, slack_eq7=0.0, slack_eq10a=0.0, slack_eq10b=0.0, slack_eq11=0.0,
+    )
+    tet = coherence.embed_tetrahedron(rep)
+    assert np.array_equal(tet.rho, np.zeros(3)) and np.array_equal(tet.pi_product_dephased, np.zeros(3))
+    assert np.array_equal(tet.pi_product, [0.5, 0.0, 0.0])
+    assert np.array_equal(tet.split_1_23, [0.2, 0.0, 0.0])
+    assert tet.residual <= 1e-15
+
+
 def test_embed_g_state_distances():
     rep = coherence.coherence_report(states.density(states.make_state("G")))
     tet = coherence.embed_tetrahedron(rep)

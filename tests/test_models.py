@@ -149,8 +149,10 @@ def test_model_params_validation():
         models.ModelParams(j2=2.5)
     with pytest.raises(ValueError):
         models.ModelParams(j3=-0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^omega_x must be finite, got nan$"):
         models.ModelParams(omega_x=float("nan"))
+    with pytest.raises(ValueError, match="^omega_x must be a real number, got '0.1'$"):
+        models.ModelParams(omega_x="0.1")
     # the table path enforces the same inclusive coupling bounds
     for tag, j in (("zz", 2.5), ("zz", -1e-12), ("zzz", 5.000001), ("zzz", float("nan")), ("zz", float("inf"))):
         with pytest.raises(ValueError, match="must lie in"):

@@ -184,14 +184,14 @@ def test_secular_rejects_bad_subspace():
 
 def loop_secular(split):
     """Lowest eigenpair of A_mn = sum_k <m|V|k><k|V|n> / (E_g - E_k), summed state by state."""
-    spec = qmat.eig_hermitian(split.h0)
+    w, v = qmat.eig_hermitian(split.h0)
     sub = split.degenerate_subspace
     e_g = float(np.real(np.vdot(sub[0], split.h0 @ sub[0])))
     a = np.zeros((len(sub), len(sub)), dtype=complex)
-    for k in np.flatnonzero(np.abs(spec.eigenvalues - e_g) > perturbation.SECULAR_ENERGY_TOL):
-        vk = spec.eigenvectors[:, k]
+    for k in np.flatnonzero(np.abs(w - e_g) > perturbation.SECULAR_ENERGY_TOL):
+        vk = v[:, k]
         amps = np.array([np.vdot(vk, split.v @ s) for s in sub])
-        a += np.outer(amps.conj(), amps) / (e_g - spec.eigenvalues[k])
+        a += np.outer(amps.conj(), amps) / (e_g - w[k])
     return qmat.eig_hermitian(a)
 
 
@@ -202,8 +202,9 @@ def test_secular_matches_state_by_state_sum(omega_x):
     for j3 in np.linspace(0.5, 5.0, 10):
         split = perturbation.zzz_split(models.ModelParams(omega_x=omega_x, j3=j3))
         got, want = perturbation.secular_solve(split), loop_secular(split)
-        assert abs(got.energy_shift - want.eigenvalues[0]) <= tol * max(1.0, abs(want.eigenvalues[0]))
-        np.testing.assert_allclose(got.coefficients, want.eigenvectors[:, 0], rtol=0.0, atol=tol)
+        want_w, want_v = want
+        assert abs(got.energy_shift - want_w[0]) <= tol * max(1.0, abs(want_w[0]))
+        np.testing.assert_allclose(got.coefficients, want_v[:, 0], rtol=0.0, atol=tol)
         assert np.all(got.coefficients.imag == 0.0)
 
 
@@ -213,6 +214,19 @@ NOT_ORTHONORMAL = {
     "non_orthogonal": [W001, (W001 + KET111) / math.sqrt(2)],
     "repeated": [W001, W001],
 }
+
+
+def test_secular_takes_an_array_subspace():
+    split = perturbation.zzz_split(models.ModelParams(j3=5.0))
+    want = perturbation.secular_solve(split)
+    as_array = perturbation.PerturbationSplit(h0=split.h0, v=split.v,
+                                              degenerate_subspace=np.array(split.degenerate_subspace))
+    got = perturbation.secular_solve(as_array)
+    assert got.energy_shift == want.energy_shift and got.degenerate == want.degenerate
+    assert got.coefficients.tobytes() == want.coefficients.tobytes()
+    empty = perturbation.PerturbationSplit(h0=split.h0, v=split.v, degenerate_subspace=np.empty((0, 8)))
+    with pytest.raises(ValueError, match="^secular_solve requires a nonempty degenerate subspace$"):
+        perturbation.secular_solve(empty)
 
 
 @pytest.mark.parametrize("name", NOT_ORTHONORMAL)
@@ -245,9 +259,12 @@ def test_secular_accepts_a_rotated_orthonormal_basis():
     (lambda: perturbation.zz_first_order_ground(0.1, 1e-200, 1.0), r"omega_x/omega_z = 1e\+199 and .* overflow"),
     (lambda: perturbation.zzz_fidelity_formula(0.1, 1e-308), r"3\*omega_x/\(2\*j3\) = 1.5e\+307 overflows"),
     (lambda: perturbation.zzz_first_order_ground(0.1, 1e-308), r"3\*omega_x/\(2\*j3\) = 1.5e\+307 overflows"),
+    (lambda: perturbation.zz_fidelity_formula("a", -2.0, 1.0), "^omega_x must be a real number, got 'a'$"),
+    (lambda: perturbation.zzz_fidelity_formula(0.1, None), "^j3 must be a real number, got None$"),
 ], ids=["zz_fidelity_omega_z_0", "zz_ground_omega_z_0", "zz_fidelity_nan_j2", "zz_ground_inf_omega_x",
         "zzz_fidelity_nan_j3", "zzz_fidelity_inf_j3", "zzz_ground_nan_omega_x", "zz_fidelity_ratio_overflow",
-        "zz_ground_ratio_overflow", "zzz_fidelity_ratio_overflow", "zzz_ground_ratio_overflow"])
+        "zz_ground_ratio_overflow", "zzz_fidelity_ratio_overflow", "zzz_ground_ratio_overflow",
+        "zz_fidelity_text_omega_x", "zzz_fidelity_none_j3"])
 def test_closed_forms_reject_bad_arguments_by_name(recwarn, call, message):
     with pytest.raises(ValueError, match=message):
         call()

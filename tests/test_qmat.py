@@ -110,36 +110,35 @@ def test_dephase_idempotent():
 
 
 def test_eig_identity():
-    spec = qmat.eig_hermitian(np.eye(2, dtype=complex))
-    np.testing.assert_allclose(spec.eigenvalues, [1.0, 1.0], atol=1e-12)
-    np.testing.assert_allclose(spec.eigenvectors, np.eye(2), atol=1e-12)
+    w, v = qmat.eig_hermitian(np.eye(2, dtype=complex))
+    np.testing.assert_allclose(w, [1.0, 1.0], atol=1e-12)
+    np.testing.assert_allclose(v, np.eye(2), atol=1e-12)
 
 
 def test_eig_pauli_x():
-    spec = qmat.eig_hermitian(PAULI_X)
-    np.testing.assert_allclose(spec.eigenvalues, [-1.0, 1.0], atol=1e-12)
+    w, v = qmat.eig_hermitian(PAULI_X)
+    np.testing.assert_allclose(w, [-1.0, 1.0], atol=1e-12)
     minus = np.array([1.0, -1.0]) / math.sqrt(2)
     plus = np.array([1.0, 1.0]) / math.sqrt(2)
-    np.testing.assert_allclose(spec.eigenvectors[:, 0], minus, atol=1e-12)
-    np.testing.assert_allclose(spec.eigenvectors[:, 1], plus, atol=1e-12)
+    np.testing.assert_allclose(v[:, 0], minus, atol=1e-12)
+    np.testing.assert_allclose(v[:, 1], plus, atol=1e-12)
 
 
 def test_eig_diagonal_ising_ground_energy():
     h = models.hamiltonian("zz", 0.0, models.ModelParams(omega_x=0.0))
-    spec = qmat.eig_hermitian(h)
-    assert abs(spec.eigenvalues[0] - (-3.0)) < 1e-12
+    w, _ = qmat.eig_hermitian(h)
+    assert abs(w[0] - (-3.0)) < 1e-12
 
 
 def test_eig_reconstruction_and_orthonormality():
     rng = np.random.default_rng(14)
     for dim in (2, 4, 8):
         h = random_hermitian(rng, dim)
-        spec = qmat.eig_hermitian(h)
-        v = spec.eigenvectors
-        recon = v @ np.diag(spec.eigenvalues) @ v.conj().T
+        w, v = qmat.eig_hermitian(h)
+        recon = v @ np.diag(w) @ v.conj().T
         assert np.abs(recon - h).max() <= 1e-9 * max(1.0, np.abs(h).max())
         assert np.abs(v.conj().T @ v - np.eye(dim)).max() <= 1e-10
-        assert np.all(np.diff(spec.eigenvalues) >= -1e-14)
+        assert np.all(np.diff(w) >= -1e-14)
 
 
 def test_eig_deterministic_and_degenerate_basis():
@@ -147,12 +146,12 @@ def test_eig_deterministic_and_degenerate_basis():
     # comes back in the canonical computational basis
     rng = np.random.default_rng(15)
     h = random_hermitian(rng, 8)
-    a = qmat.eig_hermitian(h)
-    b = qmat.eig_hermitian(h)
-    assert np.array_equal(a.eigenvalues, b.eigenvalues)
-    assert np.array_equal(a.eigenvectors, b.eigenvectors)
-    spec = qmat.eig_hermitian(np.eye(4, dtype=complex))
-    np.testing.assert_allclose(spec.eigenvectors, np.eye(4), atol=1e-12)
+    wa, va = qmat.eig_hermitian(h)
+    wb, vb = qmat.eig_hermitian(h)
+    assert np.array_equal(wa, wb)
+    assert np.array_equal(va, vb)
+    _, v = qmat.eig_hermitian(np.eye(4, dtype=complex))
+    np.testing.assert_allclose(v, np.eye(4), atol=1e-12)
 
 
 def eig_clusters(h):
@@ -450,6 +449,43 @@ def test_normalize_phase_rejects_zero_row():
         qmat.normalize_phase(vecs)
     with pytest.raises(ValueError, match="zero vector"):
         qmat.normalize_phase(np.zeros(4))
+
+
+@pytest.mark.parametrize("vec, want", [
+    ([1e200, 1.0], [1.0, 1e-200]),
+    ([1e-200, 0.0], [1.0, 0.0]),
+    ([3e307, -4e307j], [0.6j, 0.8]),
+    ([5e-324, 0.0], [1.0, 0.0]),
+    ([-3e-170, 4e-170], [-0.6, 0.8]),
+], ids=["squared_norm_overflows", "squared_norm_underflows", "huge_complex", "subnormal", "below_normal_range"])
+def test_normalize_phase_scales_rows_out_of_range(vec, want):
+    # the squared norm overflows or leaves the normal range, so the row is scaled by a power of two first
+    np.testing.assert_allclose(qmat.normalize_phase(vec), want, rtol=1e-15, atol=0.0)
+    rows = np.array([[1.0, 2.0], vec, [0.0, 3.0j]], dtype=complex)
+    given = rows.copy()
+    assert all(same_bits(row, qmat.normalize_phase(v)) for row, v in zip(qmat.normalize_phase(rows), rows))
+    assert same_bits(rows, given)  # the scaling works on a copy
+
+
+def normalize_phase_unscaled(vecs):
+    # the form without the power-of-two scaling, which in-range rows must match bit for bit
+    re, im = vecs.real[..., None, :], vecs.imag[..., None, :]
+    v = vecs / np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0]
+    mags = np.abs(v)
+    idx = np.argmax(mags > mags.max(axis=-1, keepdims=True) - 1e-12, axis=-1)
+    pivot = np.take_along_axis(v, idx[..., None], axis=-1)
+    return v * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
+
+
+def test_normalize_phase_keeps_the_bits_of_rows_in_range():
+    rng = np.random.default_rng(57)
+    rows = random_complex_rows(rng, 200, 8, 1.0) * 10.0 ** rng.integers(-150, 150, size=(200, 1))
+    assert same_bits(qmat.normalize_phase(rows), normalize_phase_unscaled(rows))
+    # the raw ground vectors of the default sweeps
+    for tag in models.MODEL_TAGS:
+        m = models.model(tag)
+        grounds = np.linalg.eigh(models.hamiltonian(tag, np.linspace(*m.j_range, m.steps + 1)))[1][:, :, 0]
+        assert same_bits(qmat.normalize_phase(grounds), normalize_phase_unscaled(grounds))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)], ids=["nan", "inf", "imag_inf"])
