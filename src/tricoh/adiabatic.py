@@ -55,7 +55,7 @@ import math
 import numpy as np
 
 from . import models
-from .qmat import _check_integer, _json_numbers, _load_json, _squares, expm_hermitian, ground_states
+from .qmat import _check_integer, _check_real, _json_numbers, _load_json, _squares, expm_hermitian, ground_states
 from .states import make_state
 
 # fine-grid resolution used to tabulate the adaptive step density
@@ -66,17 +66,11 @@ DENSITY_FLOOR_FRACTION = 1e-6
 # density tables kept, one per (model, omega_z, omega_x); each holds up to
 # three arrays of DENSITY_GRID + 1 floats (grid, density, cumulative)
 DENSITY_CACHE_SIZE = 16
-
-
-def _check_tau(tau):
-    if not math.isfinite(tau) or tau <= 0.0:
-        raise ValueError(f"tau must be positive and finite, got {tau}")
-
-
-def _check_steps(m_steps):
-    _check_integer(m_steps, "m_steps")
-    if m_steps < 1:
-        raise ValueError(f"m_steps must be at least 1, got {m_steps}")
+# the step counts m_steps a schedule builder accepts. The ceiling is 33 times
+# the step search's cap of 3000 steps; at that size the (M + 1, 8, 8) complex
+# stack of H(J) already takes about 100 MB, so a larger count fails by name
+# before anything is allocated
+STEP_COUNTS = "[1, 100000]"
 
 
 @dataclass(frozen=True)
@@ -93,20 +87,20 @@ class Schedule:
     model_tag: str
 
     def __post_init__(self):
-        lo, hi = models.model(self.model_tag).j_range
+        m = models.model(self.model_tag)
+        lo, hi = m.j_range
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
         if values.ndim != 1:
             raise ValueError(f"schedule values must be a 1-D array, got shape {values.shape}")
         if len(values) < 1:
             raise ValueError("schedule needs at least one value")
-        _check_tau(self.tau)
+        _check_real("tau", self.tau, "(0, inf)")
         if not np.all(np.isfinite(values)):
             raise ValueError("schedule values must be finite")
         if np.any(np.diff(values) < -1e-12):
             raise ValueError("schedule values must be monotone nondecreasing")
-        if values.min() < lo or values.max() > hi:
-            raise ValueError(f"schedule values must lie in [{lo}, {hi}]")
+        models._check_coupling(m, values)
         if len(values) > 1:
             if abs(values[0] - lo) > 1e-9 or abs(values[-1] - hi) > 1e-9:
                 raise ValueError(f"schedule must run from {lo} to {hi}, got {values[0]}..{values[-1]}")
@@ -142,7 +136,7 @@ class SweepResult:
 def linear_schedule(model_tag, m_steps, tau):
     """Uniformly spaced schedule over the model's coupling range."""
     lo, hi = models.model(model_tag).j_range
-    _check_steps(m_steps)
+    _check_integer("m_steps", m_steps, STEP_COUNTS)
     return Schedule(values=np.linspace(lo, hi, m_steps + 1), tau=tau, model_tag=model_tag)
 
 
@@ -217,7 +211,7 @@ def schedule_from_density(model_tag, m_steps, tau, grid, density_values):
     reproduces the linear schedule. A density with a non-finite entry, with
     no positive entry or with a negative entry is rejected.
     """
-    _check_steps(m_steps)
+    _check_integer("m_steps", m_steps, STEP_COUNTS)
     grid = np.asarray(grid, dtype=float)
     cum = _cumulative(grid, np.asarray(density_values, dtype=float))
     return _schedule_from_cumulative(model_tag, m_steps, tau, grid, cum)
@@ -235,7 +229,7 @@ def gap_adaptive_schedule(model_tag, m_steps, tau, params=None):
     interpolation; it equals ``schedule_from_density`` on the cached
     ``(grid, density)`` bit for bit.
     """
-    _check_steps(m_steps)
+    _check_integer("m_steps", m_steps, STEP_COUNTS)
     p = params or models._DEFAULT_PARAMS
     grid, _, cum = _density_table(model_tag, p.omega_z, p.omega_x)
     return _schedule_from_cumulative(model_tag, m_steps, tau, grid, cum)
@@ -247,7 +241,7 @@ def load_schedule(path, model_tag, tau):
     Errors in the file's values name the file; a bad ``tau`` does not come
     from the file and is checked first, without the prefix.
     """
-    _check_tau(tau)
+    _check_real("tau", tau, "(0, inf)")
 
     def build(raw):
         if not isinstance(raw, list):
@@ -288,7 +282,7 @@ def _split_step(hx, hz, tau):
     Rejects a bad tau, or one whose phases here and in exp(-i H tau) could overflow. Their bound
     tau (max row sum |hx| + max |hz|) is a Python float, so no numpy warning comes first.
     """
-    _check_tau(tau)
+    _check_real("tau", tau, "(0, inf)")
     if not math.isfinite(tau * float(np.abs(hx).sum(axis=-1).max() + np.abs(hz).max())):
         raise ValueError(f"tau {tau} is too large: the Trotter step phases overflow")
     return expm_hermitian(hx, tau / 2), np.exp(-1j * tau * hz)
@@ -323,8 +317,7 @@ def evolve(schedule, params=None, mu=1.0):
     near-degenerate cluster, not the symmetric ground state, so check that
     list before trusting ``fid_instant`` and ``min_fidelity``.
     """
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mu must lie in [0, 1], got {mu}")
+    _check_real("mu", mu, "[0, 1]")
     model_tag = schedule.model_tag
     u_half, kicks = _split_step(*models.parts(model_tag, schedule.values, params), schedule.tau)
     exact = ground_sweep(schedule, params=params)
@@ -448,8 +441,7 @@ def min_steps_search(model_tag, target_min_fidelity, tau, params=None):
     reached within ten times the model's canonical step count, reporting the
     best value achieved.
     """
-    if not 0.0 <= target_min_fidelity < 1.0:
-        raise ValueError(f"target must lie in [0, 1), got {target_min_fidelity}")
+    _check_real("target", target_min_fidelity, "[0, 1)")
     cap = 10 * models.model(model_tag).steps
     transverse = _sector_transverse(model_tag, tau, params)
 

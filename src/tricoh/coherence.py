@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qmat import _as_square, _as_stack, _sym, dephase, kron, partial_trace
+from .qmat import _as_square, _as_stack, _check_real, _sym, dephase, kron, partial_trace
 from .states import marginals
 
 # eigenvalues below this floor are treated as exact zeros inside logarithms
@@ -69,8 +69,7 @@ class CrossCheckError(ArithmeticError):
 
 
 def _log_scale(base):
-    if not math.isfinite(base) or base <= 1.0:
-        raise ValueError(f"log base must be finite and exceed 1, got {base}")
+    _check_real("log base", base, "(1, inf)")
     return math.log(base)
 
 

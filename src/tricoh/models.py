@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import _check_integer, _check_real, _json_numbers, _load_json, kron_all
+from .qmat import _check_integer, _check_interval, _check_real, _json_numbers, _load_json, kron_all
 
 N_QUBITS = 3
 
@@ -42,13 +42,11 @@ _PAULI = {
 
 
 def spin_op(n_qubits, site, axis):
-    """Spin operator sigma_axis/2 acting on the 1-based ``site`` of ``n_qubits`` (integers, not bools)."""
+    """Spin operator sigma_axis/2 on ``site`` in [1, n_qubits], ``n_qubits`` in [1, inf) (integers, not bools)."""
     if axis not in _PAULI:
         raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
-    _check_integer(n_qubits, "n_qubits")
-    _check_integer(site, "site")
-    if not 1 <= site <= n_qubits:
-        raise ValueError(f"site must lie in 1..{n_qubits}, got {site}")
+    _check_integer("n_qubits", n_qubits, "[1, inf)")
+    _check_integer("site", site, f"[1, {n_qubits}]")
     mats = [np.eye(2, dtype=complex)] * n_qubits
     mats[site - 1] = _PAULI[axis] / 2
     return kron_all(mats)
@@ -113,10 +111,7 @@ def model(tag):
 
 
 def _check_coupling(m, j):
-    lo, hi = m.j_range
-    outside = ~np.logical_and(lo <= j, j <= hi)
-    if outside.any():
-        raise ValueError(f"{m.coupling} must lie in [{lo:g}, {hi:g}], got {np.extract(outside, j)[0]}")
+    _check_interval(m.coupling, j, m.j_range)
 
 
 @dataclass(frozen=True)

@@ -80,11 +80,9 @@ def _zz_ratios(omega_x, omega_z, j2):
 
 
 def _check_j3(omega_x, j3):
-    """Raise ``ValueError`` unless the arguments are finite reals, ``j3`` positive and (3 omega_x / (2 j3))^2 finite."""
+    """Raise ``ValueError`` unless ``omega_x`` is a finite real, ``j3`` in (0, inf) and (1.5 omega_x / j3)^2 finite."""
     _check_real("omega_x", omega_x)
-    _check_real("j3", j3)
-    if j3 <= 0.0:
-        raise ValueError(f"j3 must be positive, got {j3}")
+    _check_real("j3", j3, "(0, inf)")
     ratio = 1.5 * omega_x / j3
     if not math.isfinite(ratio * ratio):
         raise ValueError(f"3*omega_x/(2*j3) = {ratio:.3g} overflows the closed form (j3 = {j3})")

@@ -34,17 +34,32 @@ PSD_TOL = 1e-9
 DEGENERACY_TOL = 1e-10
 
 
-def _check_integer(value, name):
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer; a bool is not one."""
+def _check_interval(name, value, interval):
+    """Raise ``ValueError`` "<name> must lie in <interval>, got <x>" for the first ``x`` of ``value`` (a number or an
+    array) outside ``interval``, written as printed ("(0, inf)") or as closed bounds ``(lo, hi)``; NaN lies in none."""
+    text = interval if isinstance(interval, str) else "[%g, %g]" % interval
+    lo, hi = map(float, text[1:-1].split(",")) if isinstance(interval, str) else interval
+    # the comparisons give a bool for a number and a bool array for an array
+    inside = (lo < value if text[0] == "(" else lo <= value) & (value < hi if text[-1] == ")" else value <= hi)
+    if not (inside.all() if isinstance(inside, np.ndarray) else inside):
+        raise ValueError(f"{name} must lie in {text}, got {np.extract(~np.asarray(inside), value)[0]}")
+
+
+def _check_integer(name, value, interval=None):
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer (not a bool) in ``interval``, if given."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if interval is not None:
+        _check_interval(name, value, interval)
 
 
-def _check_real(name, value):
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is a finite real number (``numbers.Real``)."""
-    if not isinstance(value, numbers.Real):
+def _check_real(name, value, interval=None):
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a real (not a bool) in ``interval``, else finite."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    if not math.isfinite(value):
+    if interval is not None:
+        _check_interval(name, value, interval)
+    elif not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
 
 
@@ -53,6 +68,8 @@ def _as_stack(m, name):
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
+    if m.shape[-1] == 0:
+        raise ValueError(f"{name} must have a nonzero dimension, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
@@ -98,25 +115,23 @@ def kron_all(mats):
 def partial_trace(rho, n_qubits, keep):
     """Reduced density matrix over the 1-based qubit indices in ``keep``.
 
-    ``n_qubits`` and each index must be an integer, not a bool. The kept
-    qubits retain their relative order. The trace is preserved.
-    A (..., 2^n, 2^n) stack is reduced matrix by matrix: qubits are traced
-    out one at a time, last first, so each matrix sees the same sums as it
-    would alone.
+    ``n_qubits`` must be an integer in [1, inf) and each index one in
+    [1, n_qubits], neither a bool. The kept qubits retain their relative
+    order, and the trace is preserved. A (..., 2^n, 2^n) stack is reduced
+    matrix by matrix: qubits are traced out one at a time, last first, so
+    each matrix sees the same sums as it would alone.
     """
     rho = _as_stack(rho, "rho")
-    _check_integer(n_qubits, "n_qubits")
+    _check_integer("n_qubits", n_qubits, "[1, inf)")
     dim = 2**n_qubits
     if rho.shape[-2:] != (dim, dim):
         raise ValueError(f"dimension mismatch: expected {dim}x{dim} for {n_qubits} qubits, got {rho.shape}")
     keep = list(keep)
     for q in keep:
-        _check_integer(q, "keep index")
+        _check_integer("keep index", q, f"[1, {n_qubits}]")
     keep = sorted(set(map(int, keep)))
     if not keep:
         raise ValueError("keep set must be nonempty")
-    if keep[0] < 1 or keep[-1] > n_qubits:
-        raise ValueError(f"keep indices must lie in 1..{n_qubits}, got {keep}")
     lead = rho.shape[:-2]
     tensor = rho.reshape(lead + (2,) * (2 * n_qubits))
     drop = [q - 1 for q in range(1, n_qubits + 1) if q not in keep]
@@ -340,9 +355,8 @@ def unitary_fidelity(u1, u2):
 
 
 def check_tolerance(tol):
-    """Raise ``ValueError`` unless a validation tolerance is finite and nonnegative."""
-    if not math.isfinite(tol) or tol < 0.0:
-        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
+    """Raise ``ValueError`` unless a validation tolerance is a real number in [0, inf)."""
+    _check_real("tolerance", tol, "[0, inf)")
 
 
 class DensityError(ValueError):
@@ -380,6 +394,8 @@ def validate_density(m, tol=HERMITICITY_TOL, repair=False):
     m = np.asarray(m, dtype=complex)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"density matrix must be square, got shape {m.shape}")
+    if m.shape[-1] == 0:
+        raise ValueError(f"density matrix must have a nonzero dimension, got shape {m.shape}")
     stack = m.reshape((-1,) + m.shape[-2:])
     # huge finite entries overflow here; such a matrix is unusable and fails below
     with np.errstate(over="ignore", invalid="ignore"):

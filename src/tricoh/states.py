@@ -14,7 +14,7 @@ Bit ordering follows ``qmat``: qubit 1 is the most significant factor.
 
 import numpy as np
 
-from .qmat import kron, kron_all, normalize_phase, partial_trace
+from .qmat import _check_real, kron, kron_all, normalize_phase, partial_trace
 
 _KET0 = np.array([1.0, 0.0], dtype=complex)
 _KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -63,8 +63,7 @@ def density(psi):
 
 def make_pps(psi, mu):
     """Pseudopure state (1 - mu) I/d + mu |psi><psi|."""
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mu must lie in [0, 1], got {mu}")
+    _check_real("mu", mu, "[0, 1]")
     psi = np.asarray(psi, dtype=complex)
     d = psi.shape[0]
     return (1.0 - mu) * np.eye(d, dtype=complex) / d + mu * density(psi)

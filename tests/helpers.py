@@ -1,0 +1,23 @@
+"""Helpers shared by several test modules."""
+
+import numpy as np
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def random_unitary(rng, dim):
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(a)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_mixed(rng, n_qubits):
+    # partial trace of a doubled-system pure state gives a full-rank mixed state
+    dim = 2 ** n_qubits
+    psi = rng.standard_normal(dim * dim) + 1j * rng.standard_normal(dim * dim)
+    psi = psi / np.linalg.norm(psi)
+    rho = psi.reshape(dim, dim)
+    return rho @ rho.conj().T

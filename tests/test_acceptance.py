@@ -8,15 +8,8 @@ import time
 
 import numpy as np
 
+from helpers import random_mixed
 from tricoh import adiabatic, coherence, models, perturbation, qmat, states
-
-
-def random_mixed(rng, n_qubits):
-    dim = 2 ** n_qubits
-    psi = rng.standard_normal(dim * dim) + 1j * rng.standard_normal(dim * dim)
-    psi = psi / np.linalg.norm(psi)
-    rho = psi.reshape(dim, dim)
-    return rho @ rho.conj().T
 
 
 def test_01_zz_ground_state_fidelity():

@@ -54,6 +54,9 @@ def test_spin_op_rejects_bad_input():
         models.spin_op(3, 1, "w")
     for n_qubits, site, message in ((3, 1.5, "site must be an integer, got 1.5"),
                                     (3, True, "site must be an integer, got True"),
+                                    (3, 0, r"site must lie in \[1, 3\], got 0"),
+                                    (3, 4, r"site must lie in \[1, 3\], got 4"),
+                                    (0, 1, r"n_qubits must lie in \[1, inf\), got 0"),
                                     (3.0, 1, "n_qubits must be an integer, got 3.0")):
         with pytest.raises(ValueError, match=f"^{message}$"):
             models.spin_op(n_qubits, site, "x")

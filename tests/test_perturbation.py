@@ -252,8 +252,8 @@ def test_secular_accepts_a_rotated_orthonormal_basis():
     (lambda: perturbation.zz_first_order_ground(0.1, 0.0, 1.0), "omega_z must be nonzero"),
     (lambda: perturbation.zz_fidelity_formula(0.1, -2.0, math.nan), "j2 must be finite, got nan"),
     (lambda: perturbation.zz_first_order_ground(math.inf, -2.0, 1.0), "omega_x must be finite, got inf"),
-    (lambda: perturbation.zzz_fidelity_formula(0.1, math.nan), "j3 must be finite, got nan"),
-    (lambda: perturbation.zzz_fidelity_formula(0.1, math.inf), "j3 must be finite, got inf"),
+    (lambda: perturbation.zzz_fidelity_formula(0.1, math.nan), r"j3 must lie in \(0, inf\), got nan"),
+    (lambda: perturbation.zzz_fidelity_formula(0.1, math.inf), r"j3 must lie in \(0, inf\), got inf"),
     (lambda: perturbation.zzz_first_order_ground(math.nan, 1.0), "omega_x must be finite, got nan"),
     (lambda: perturbation.zz_fidelity_formula(0.1, 1e-200, 1.0), r"omega_x/omega_z = 1e\+199 and .* overflow"),
     (lambda: perturbation.zz_first_order_ground(0.1, 1e-200, 1.0), r"omega_x/omega_z = 1e\+199 and .* overflow"),

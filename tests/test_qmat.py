@@ -5,7 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from tricoh import models, qmat, states
+from helpers import random_unitary, same_bits
+from tricoh import adiabatic, coherence, models, perturbation, qmat, states
 
 SZ = np.diag([0.5, -0.5]).astype(complex)
 SX = np.array([[0, 0.5], [0.5, 0]], dtype=complex)
@@ -23,12 +24,6 @@ def random_density(rng, dim, rank=None):
     a = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
-
-
-def random_unitary(rng, dim):
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(a)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def test_kron_identity():
@@ -231,7 +226,8 @@ def test_ground_states_of_one_matrix_is_row_0_of_its_stack():
     (np.ones(4), r"h must be square, got shape \(4,\)"),
     (np.array([[0.0, math.nan], [math.nan, 0.0]]), "h contains non-finite entries"),
     (np.array([[0.0, 1.0], [0.0, 0.0]]), "h is not Hermitian: max deviation 1.000e[+]00 exceeds 1.0e-10"),
-], ids=["non_square", "vector", "nan", "non_hermitian"])
+    (np.zeros((2, 0, 0)), r"^h must have a nonzero dimension, got shape \(2, 0, 0\)$"),
+], ids=["non_square", "vector", "nan", "non_hermitian", "empty"])
 def test_ground_states_rejects_bad_matrix(h, message):
     with pytest.raises(ValueError, match=message):
         qmat.ground_states(h)
@@ -401,11 +397,6 @@ def test_normalize_phase_convention():
     assert out[1].real > 0
 
 
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
 def normalize_phase_norm_and_scalar_abs(vec):
     # the one-vector form: np.linalg.norm and the scalar abs of the pivot
     v = np.asarray(vec, dtype=complex)
@@ -507,6 +498,17 @@ def test_normalize_phase_rejects_non_finite_entries(bad):
 def test_partial_trace_rejects_non_integer_qubits(n_qubits, keep, message):
     with pytest.raises(ValueError, match=message):
         qmat.partial_trace(np.eye(2 ** int(n_qubits)) / 2 ** int(n_qubits), n_qubits, keep)
+
+
+@pytest.mark.parametrize("n_qubits, keep, message", [
+    (3, [0], r"keep index must lie in \[1, 3\], got 0"),
+    (3, [1, 4], r"keep index must lie in \[1, 3\], got 4"),
+    (3, [2, -1], r"keep index must lie in \[1, 3\], got -1"),
+    (0, [1], r"n_qubits must lie in \[1, inf\), got 0"),
+], ids=["index_0", "index_past_n", "negative_index", "zero_qubits"])
+def test_partial_trace_names_a_qubit_count_or_index_out_of_range(n_qubits, keep, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        qmat.partial_trace(np.eye(2 ** n_qubits) / 2 ** n_qubits, n_qubits, keep)
 
 
 def test_partial_trace_accepts_numpy_integers():
@@ -700,3 +702,35 @@ def test_state_fidelity_squares_each_item_as_for_one_pair(monkeypatch):
     stacked = qmat.state_fidelity(np.zeros((5000, 1, 1)), None)
     assert not same_bits(stacked, roots**2)
     assert all(stacked[i] == qmat.state_fidelity(np.full((1, 1), i), None) for i in range(len(roots)))
+
+
+@pytest.mark.parametrize("call, name", [
+    (qmat.eig_hermitian, "h"),
+    (lambda e: qmat.root_fidelity(e, e), "a"),
+    (lambda e: qmat.unitary_fidelity(e, e), "u1"),
+    (lambda e: coherence.qjsd(e, e), "rho"),
+    (qmat.validate_density, "density matrix"),
+], ids=["eig_hermitian", "root_fidelity", "unitary_fidelity", "qjsd", "validate_density"])
+def test_empty_matrices_are_rejected_by_name(call, name):
+    with pytest.raises(ValueError, match=rf"^{name} must have a nonzero dimension, got shape \(0, 0\)$"):
+        call(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: adiabatic.linear_schedule("zz", 3, "0.7"), "tau must be a real number, got '0.7'"),
+    (lambda: adiabatic.linear_schedule("zz", 3, True), "tau must be a real number, got True"),
+    (lambda: adiabatic.linear_schedule("zz", 3, np.array(0.7)), r"tau must be a real number, got array\(0.7\)"),
+    (lambda: coherence.qjsd(np.eye(2) / 2, np.eye(2) / 2, base="2"), "log base must be a real number, got '2'"),
+    (lambda: qmat.check_tolerance("x"), "tolerance must be a real number, got 'x'"),
+    (lambda: qmat.validate_density(np.eye(2) / 2, tol=None), "tolerance must be a real number, got None"),
+    (lambda: adiabatic.evolve(adiabatic.linear_schedule("zz", 3, 0.7), mu="0.5"),
+     "mu must be a real number, got '0.5'"),
+    (lambda: states.make_pps(states.make_state("W001"), None), "mu must be a real number, got None"),
+    (lambda: adiabatic.min_steps_search("zz", "0.9", 0.7), "target must be a real number, got '0.9'"),
+    (lambda: models.ModelParams(omega_x=True), "omega_x must be a real number, got True"),
+    (lambda: perturbation.zzz_fidelity_formula(True, 5.0), "omega_x must be a real number, got True"),
+], ids=["tau_text", "tau_bool", "tau_0d_array", "log_base_text", "tolerance_text", "tolerance_none", "mu_text",
+        "pps_mu_none", "target_text", "omega_x_bool", "closed_form_bool"])
+def test_scalar_arguments_reject_text_none_bools_and_arrays_by_name(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
