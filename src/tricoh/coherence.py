@@ -29,6 +29,13 @@ so every report is bitwise equal to the report of its state alone.
 ``von_neumann_entropy`` are single-state calls into the same stacked
 helpers.
 
+``coherence_reports`` checks its stack on entry; the kernel behind it does
+not re-check its own intermediates. It takes rho_12, rho_13 and rho_23 from
+one (n, 2, 2, 2, 2, 2, 2) view of the stack, rho_1 and rho_2 from rho_12
+and rho_3 from rho_13, with the ``np.trace`` calls ``partial_trace`` makes.
+Each group's matrices and mixtures share one buffer, and each matrix is
+bitwise equal to the one the checked public helpers build.
+
 ``embed_tetrahedron`` places the four states rho, pi(rho), dephased pi(rho)
 and rho_1 x rho_23 in Euclidean 3-space so that pairwise point distances
 reproduce the six inter-state distances, using the gauge: rho at the origin,
@@ -44,8 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qmat import _as_square, _as_stack, _check_real, _sym, dephase, kron, partial_trace
-from .states import marginals
+from .qmat import _as_square, _as_stack, _check_real, _dephased, _kron_into, _sym
 
 # eigenvalues below this floor are treated as exact zeros inside logarithms
 EIG_FLOOR = 1e-12
@@ -82,6 +88,8 @@ def _entropies(w, scale):
 def _relative_entropies(p, u, q, v, scale):
     """S_r(rho||sigma) per row from the clipped eigenpairs (p, u) of rho and (q, v) of sigma.
 
+    The leading axes of (q, v) broadcast against those of (p, u), so one
+    sigma can be scored against several rho without copying its eigenpairs.
     Rows where rho puts more than ``SUPPORT_WEIGHT_TOL`` weight outside the
     support of sigma read +inf.
     """
@@ -119,30 +127,36 @@ def _diagonal_entropies(mats, scale):
 
 
 def _qjsd_pairs(mats, pairs, closed, scale):
-    """QJSD of the index pairs ``pairs`` into a (S, n, d, d) stack.
+    """QJSD of the index pairs ``pairs`` into a (S + P, n, d, d) stack, for P pairs.
 
-    Returns the (P, n) divergences and the unclipped ``eigh`` spectra of the
-    S input matrices, (S, n, d). Every distinct matrix and every mixture is
+    The first S matrices are the inputs. The last P slots are overwritten
+    with the mixtures, in pair order, so every matrix the ``eigh`` sees sits
+    in one buffer. Returns the (P, n) divergences and the unclipped ``eigh``
+    spectra of the S inputs, (S, n, d). Every matrix and mixture is
     symmetrized once and diagonalized by one stacked ``eigh``, which serves
-    the defining form. The entropic form takes the entropy of input ``k``
-    from ``closed[k]``, an (n,) closed form, where the caller gives one, and
-    from the ``eigh`` spectrum otherwise; mixtures always read the spectrum.
-    The two forms must agree within ``CROSS_CHECK_TOL`` for every pair,
-    else ``CrossCheckError`` with the index of the first failing state.
+    the defining form; both sides of a pair are scored against the
+    mixture's eigenpairs by broadcasting. The entropic form takes the
+    entropy of input ``k`` from ``closed[k]``, an (n,) closed form, where
+    the caller gives one, and from the ``eigh`` spectrum otherwise; mixtures
+    always read the spectrum. The inputs are not re-checked here: callers
+    pass finite complex stacks. The two forms must agree within
+    ``CROSS_CHECK_TOL`` for every pair, else ``CrossCheckError`` with the
+    index of the first failing state.
     """
-    left, right = np.array(pairs).T
-    mid = np.arange(len(pairs)) + len(mats)
-    sym = _sym(np.concatenate([mats, (mats[left] + mats[right]) / 2]))
-    w, vecs = np.linalg.eigh(sym)
+    sides = np.array(pairs).T
+    left, right = sides
+    n_in = len(mats) - len(pairs)
+    mix = mats[n_in:]
+    np.add(mats[left], mats[right], out=mix)
+    mix /= 2
+    w, vecs = np.linalg.eigh(_sym(mats))
     p = np.clip(w, 0.0, None)
-    arg = np.concatenate([left, right])
-    both = np.concatenate([mid, mid])
-    rel = _relative_entropies(p[arg], vecs[arg], p[both], vecs[both], scale)
-    j_def = 0.5 * (rel[: len(pairs)] + rel[len(pairs):])
+    rel = _relative_entropies(p[sides], vecs[sides], p[n_in:], vecs[n_in:], scale)
+    j_def = 0.5 * (rel[0] + rel[1])
     ent = _entropies(w, scale)
     for k, s in closed.items():
         ent[k] = s
-    j_ent = ent[mid] - 0.5 * ent[left] - 0.5 * ent[right]
+    j_ent = ent[n_in:] - 0.5 * ent[left] - 0.5 * ent[right]
     bad = ~np.isfinite(j_def) | (np.abs(j_def - j_ent) > CROSS_CHECK_TOL)
     if bad.any():
         state, pair = np.argwhere(bad.T)[0]
@@ -151,7 +165,7 @@ def _qjsd_pairs(mats, pairs, closed, scale):
             f"vs entropic form {float(j_ent[pair, state])!r}",
             int(state),
         )
-    return j_def, w[: len(mats)]
+    return j_def, w[:n_in]
 
 
 def _pair_stack(rho, sigma):
@@ -187,7 +201,9 @@ def qjsd(rho, sigma, base=2.0):
     verifying it against S(m) - S(rho)/2 - S(sigma)/2 within
     ``CROSS_CHECK_TOL``. Always finite and bounded by log_base(2).
     """
-    mats = _pair_stack(rho, sigma)[:, None]
+    pair = _pair_stack(rho, sigma)
+    # the third slot takes the mixture
+    mats = np.concatenate([pair, pair[:1]])[:, None]
     return float(_qjsd_pairs(mats, [(0, 1)], {}, _log_scale(base))[0][0, 0])
 
 
@@ -221,7 +237,7 @@ Fields are in ``REPORT_COLUMNS`` order, so a report is its output row.
 """
 
 
-# distances of a report, by index into the stacks built in ``_chunk_rows``:
+# distances of a report, by index into the stacks built in ``_report_stacks``:
 # 8x8 stack (rho, dephased rho, pi(rho), dephased pi(rho), rho_1 x rho_23)
 _PAIRS_8 = ((0, 1), (0, 2), (2, 3), (0, 3), (0, 4), (4, 3))
 # 4x4 stack (rho_23, rho_2 x rho_3, rho_12, rho_1 x rho_2, rho_13, rho_1 x rho_3); the QJSD
@@ -229,38 +245,65 @@ _PAIRS_8 = ((0, 1), (0, 2), (2, 3), (0, 3), (0, 4), (4, 3))
 _PAIRS_4 = ((0, 1), (2, 3), (4, 5))
 
 
+def _report_stacks(rho):
+    """The QJSD stacks of a (n, 8, 8) stack ``rho`` and its single-qubit marginals.
+
+    Returns a (9, n, 4, 4) and an (11, n, 8, 8) buffer, whose first 6 and 5
+    matrices are the inputs ``_PAIRS_4`` and ``_PAIRS_8`` name; the slots
+    after them are left for ``_qjsd_pairs`` to fill with the mixtures. Also
+    returns the (3, n, 2, 2) marginals rho_1, rho_2 and rho_3. Every matrix
+    is bitwise equal to the one ``partial_trace``, ``marginals``, ``dephase``
+    and ``kron`` build. The products and the dephased matrices come from
+    ``_kron_into`` and ``_dephased``, the bodies of ``kron`` and
+    ``dephase``. The two-qubit marginals come from one
+    (n, 2, 2, 2, 2, 2, 2) view of ``rho``, rho_1 and rho_2 from rho_12 and
+    rho_3 from rho_13, through the ``np.trace`` calls ``partial_trace`` makes
+    when it traces qubits out last first. Nothing is re-checked: ``rho`` is
+    a finite complex stack.
+    """
+    n = len(rho)
+    tensor = rho.reshape(n, 2, 2, 2, 2, 2, 2)
+    small = np.empty((6 + len(_PAIRS_4), n, 4, 4), dtype=complex)
+    # qubit k's row and column axes are k and k + 3: rho_23, rho_12 and rho_13 trace out qubits 1, 3 and 2
+    for slot, qubit in ((0, 1), (2, 3), (4, 2)):
+        np.trace(tensor, axis1=qubit, axis2=qubit + 3, out=small[slot].reshape(n, 2, 2, 2, 2))
+    marg = np.empty((3, n, 2, 2), dtype=complex)
+    # rho_1 traces qubit 2 out of rho_12; rho_2 and rho_3 trace qubit 1 out of rho_12 and rho_13
+    two_qubit = small[2:5:2].reshape(2, n, 2, 2, 2, 2)
+    np.trace(two_qubit[0], axis1=2, axis2=4, out=marg[0])
+    np.trace(two_qubit, axis1=2, axis2=4, out=marg[1:])
+    # rho_2 x rho_3, rho_1 x rho_2, rho_1 x rho_3
+    _kron_into(small[1:6:2], marg[[1, 0, 0]], marg[[2, 1, 2]])
+    big = np.empty((5 + len(_PAIRS_8), n, 8, 8), dtype=complex)
+    big[0] = rho
+    _kron_into(big[2], small[3], marg[2])
+    _kron_into(big[4], marg[0], small[0])
+    big[1:4:2] = _dephased(big[0:3:2])
+    return small, big, marg
+
+
 def _chunk_rows(rho, scale):
     """The report rows of a (n, 8, 8) stack, as a (n, 14) array in ``REPORT_COLUMNS`` order.
 
-    The nine distances come first; the monogamy difference and the four
-    slacks are sums of them. The 4x4 stack runs first, because the closed
-    form for rho_1 x rho_23 reads rho_23's spectrum. The factor spectra are
-    those of the Hermitian parts and stay unclipped, as the spectrum of a
-    product is the product of its factors' spectra before the defining
-    route clips it; ``_entropies`` drops the sub-floor products either way.
+    The stacks come from ``_report_stacks``, which takes every marginal
+    from one view of ``rho`` and re-checks no intermediate. The nine
+    distances come first; the monogamy difference and the four slacks are
+    sums of them. The 4x4 stack runs first, because the closed form for
+    rho_1 x rho_23 reads rho_23's spectrum. The factor spectra are those of
+    the Hermitian parts and stay unclipped, as the spectrum of a product is
+    the product of its factors' spectra before the defining route clips it;
+    ``_entropies`` drops the sub-floor products either way.
     """
-    m1, m2, m3 = marginals(rho)
-    q1, q2, q3 = (_qubit_spectra(m) for m in (m1, m2, m3))
-    rho_23 = partial_trace(rho, 3, [2, 3])
-    m12 = kron(m1, m2)
-    pi = kron(m12, m3)
-    small = np.stack([
-        rho_23, kron(m2, m3),
-        partial_trace(rho, 3, [1, 2]), m12,
-        partial_trace(rho, 3, [1, 3]), kron(m1, m3),
-    ])
-    j4, w4 = _qjsd_pairs(small, _PAIRS_4, {
-        1: _entropies(_product_spectrum(q2, q3), scale),
-        3: _entropies(_product_spectrum(q1, q2), scale),
-        5: _entropies(_product_spectrum(q1, q3), scale),
-    }, scale)
-    big = np.stack([rho, dephase(rho), pi, dephase(pi), kron(m1, rho_23)])
-    j8, _ = _qjsd_pairs(big, _PAIRS_8, {
-        1: _diagonal_entropies(big[1], scale),
-        2: _entropies(_product_spectrum(_product_spectrum(q1, q2), q3), scale),
-        3: _diagonal_entropies(big[3], scale),
-        4: _entropies(_product_spectrum(q1, w4[0]), scale),
-    }, scale)
+    small, big, marg = _report_stacks(rho)
+    q = _qubit_spectra(marg)
+    # spectra of rho_2 x rho_3, rho_1 x rho_2 and rho_1 x rho_3
+    q4 = _product_spectrum(q[[1, 0, 0]], q[[2, 1, 2]])
+    s4 = _entropies(q4, scale)
+    j4, w4 = _qjsd_pairs(small, _PAIRS_4, {1: s4[0], 3: s4[1], 5: s4[2]}, scale)
+    # spectra of pi(rho) and rho_1 x rho_23
+    s8 = _entropies(np.stack([_product_spectrum(q4[1], q[2]), _product_spectrum(q[0], w4[0])]), scale)
+    dephased = _diagonal_entropies(big[1:4:2], scale)
+    j8, _ = _qjsd_pairs(big, _PAIRS_8, {1: dephased[0], 2: s8[0], 3: dephased[1], 4: s8[1]}, scale)
     d8, d4 = np.sqrt(j8), np.sqrt(j4)
     dists = np.concatenate([d8[:5], d4[:1], d8[5:], d4[1:]])
     _, c_g, c_l, c_a, c_1_23, c_2_3, c_a_1_23, c_1_2, c_1_3 = dists

@@ -21,7 +21,7 @@ amplitude-overlap convention used for all reported sweep and endpoint
 fidelities in this package.
 """
 
-from functools import reduce
+from functools import lru_cache, reduce
 import json
 import math
 import numbers
@@ -34,13 +34,24 @@ PSD_TOL = 1e-9
 DEGENERACY_TOL = 1e-10
 
 
+@lru_cache(maxsize=256)
+def _parse_interval(interval):
+    """(text, lo, hi, lo_open, hi_open) of an interval written as printed ("(0, inf)") or as closed bounds ``(lo, hi)``.
+
+    Cached, so each interval is parsed once.
+    """
+    if isinstance(interval, str):
+        lo, hi = map(float, interval[1:-1].split(","))
+        return interval, lo, hi, interval[0] == "(", interval[-1] == ")"
+    return ("[%g, %g]" % interval, *interval, False, False)
+
+
 def _check_interval(name, value, interval):
     """Raise ``ValueError`` "<name> must lie in <interval>, got <x>" for the first ``x`` of ``value`` (a number or an
     array) outside ``interval``, written as printed ("(0, inf)") or as closed bounds ``(lo, hi)``; NaN lies in none."""
-    text = interval if isinstance(interval, str) else "[%g, %g]" % interval
-    lo, hi = map(float, text[1:-1].split(",")) if isinstance(interval, str) else interval
+    text, lo, hi, lo_open, hi_open = _parse_interval(interval)
     # the comparisons give a bool for a number and a bool array for an array
-    inside = (lo < value if text[0] == "(" else lo <= value) & (value < hi if text[-1] == ")" else value <= hi)
+    inside = (lo < value if lo_open else lo <= value) & (value < hi if hi_open else value <= hi)
     if not (inside.all() if isinstance(inside, np.ndarray) else inside):
         raise ValueError(f"{name} must lie in {text}, got {np.extract(~np.asarray(inside), value)[0]}")
 
@@ -89,8 +100,16 @@ def _check_hermitian(m, name):
 
 
 def _sym(m):
-    """Hermitian part (m + m^dag)/2 of a matrix or of each matrix of a stack."""
-    return (m + m.conj().swapaxes(-1, -2)) / 2
+    """Hermitian part (m + m^dag)/2 of a matrix or of each matrix of a stack, with the bits of that expression.
+
+    ``m`` is added into a fresh C-ordered conjugate transpose from ``np.conjugate``. ``ndarray.conj()``
+    would not do: on a real array it returns ``m`` itself, and the in-place sum would overwrite the caller's
+    matrix.
+    """
+    h = np.conjugate(m.swapaxes(-1, -2), order="C")
+    h += m
+    h /= 2
+    return h
 
 
 def kron(a, b):
@@ -103,8 +122,20 @@ def kron(a, b):
     b = np.asarray(b, dtype=complex)
     if a.ndim < 2 or b.ndim < 2:
         return np.kron(a, b)
-    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return prod.reshape(prod.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    return _kron_into(np.empty(lead + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]), dtype=complex), a, b)
+
+
+def _kron_into(out, a, b):
+    """Write the Kronecker products of the (..., r, c) stack ``a`` and the (..., s, t) stack ``b`` into ``out``.
+
+    ``out`` is a complex (..., r s, c t) array or view whose last two axes reshape without a copy; it is
+    returned. Each entry is one multiply, with the strides it has in a fresh output, so every product
+    has the same bits wherever it is written.
+    """
+    shape = out.shape[:-2] + (a.shape[-2], b.shape[-2], a.shape[-1], b.shape[-1])
+    np.multiply(a[..., :, None, :, None], b[..., None, :, None, :], out=out.reshape(shape))
+    return out
 
 
 def kron_all(mats):
@@ -127,8 +158,9 @@ def partial_trace(rho, n_qubits, keep):
     if rho.shape[-2:] != (dim, dim):
         raise ValueError(f"dimension mismatch: expected {dim}x{dim} for {n_qubits} qubits, got {rho.shape}")
     keep = list(keep)
+    indices = f"[1, {n_qubits}]"
     for q in keep:
-        _check_integer("keep index", q, f"[1, {n_qubits}]")
+        _check_integer("keep index", q, indices)
     keep = sorted(set(map(int, keep)))
     if not keep:
         raise ValueError("keep set must be nonempty")
@@ -148,11 +180,12 @@ def dephase(rho):
 
     Applies matrix by matrix to a stack.
     """
-    rho = _as_stack(rho, "rho")
-    out = np.zeros_like(rho)
-    idx = np.arange(rho.shape[-1])
-    out[..., idx, idx] = rho[..., idx, idx]
-    return out
+    return _dephased(_as_stack(rho, "rho"))
+
+
+def _dephased(m):
+    """A stack the caller has checked, with its off-diagonal entries set to zero by a diagonal mask."""
+    return np.where(np.eye(m.shape[-1], dtype=bool), m, 0)
 
 
 def _squared_norms(v):

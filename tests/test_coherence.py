@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import random_mixed, random_unitary
+from helpers import random_mixed, random_unitary, same_bits
 from tricoh import coherence, qmat, states
 
 
@@ -254,6 +254,54 @@ def test_qjsd_runs_without_eigvalsh(monkeypatch):
     monkeypatch.setattr(coherence.np.linalg, "eigvalsh", forbidden)
     assert coherence.coherence_reports(rhos) == reports
     assert coherence.qjsd(rhos[0], rhos[1]) == divergence
+
+
+def test_report_kernel_builds_no_intermediate_through_the_checked_api(monkeypatch):
+    rhos = np.array(seeded_states(np.random.default_rng(69), 2 * coherence.REPORT_CHUNK + 5))
+    reports = coherence.coherence_reports(rhos)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the report kernel builds its stacks without the checked public helpers")
+
+    monkeypatch.setattr(coherence.np.linalg, "eigh", counted)
+    monkeypatch.setattr(coherence.np.linalg, "eigvalsh", forbidden)
+    for module in (qmat, states):
+        for name in ("partial_trace", "marginals", "dephase"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    assert coherence.coherence_reports(rhos) == reports
+    # one 4x4 and one 8x8 eigh per chunk of 16, 16 and 5 states
+    assert calls == [(9, n, 4, 4) if k % 2 == 0 else (11, n, 8, 8) for n in (16, 16, 5) for k in range(2)]
+
+
+@pytest.mark.parametrize("source", ["zz", "zzz", "mixed"])
+def test_report_stacks_match_the_public_builders_bitwise(source, zz_sweep, zzz_sweep):
+    sweeps = {"zz": zz_sweep, "zzz": zzz_sweep}
+    if source == "mixed":
+        rhos = np.array(seeded_states(np.random.default_rng(71), 50))
+    else:
+        rhos = states.density(sweeps[source].ground_states)
+    m1, m2, m3 = states.marginals(rhos)
+    rho_23 = qmat.partial_trace(rhos, 3, {2, 3})
+    pi = qmat.kron(qmat.kron(m1, m2), m3)
+    small = [
+        rho_23, qmat.kron(m2, m3),
+        qmat.partial_trace(rhos, 3, {1, 2}), qmat.kron(m1, m2),
+        qmat.partial_trace(rhos, 3, {1, 3}), qmat.kron(m1, m3),
+    ]
+    big = [rhos, qmat.dephase(rhos), pi, qmat.dephase(pi), qmat.kron(m1, rho_23)]
+    got_small, got_big, got_marginals = coherence._report_stacks(rhos)
+    assert got_small.shape == (len(small) + len(coherence._PAIRS_4),) + rho_23.shape
+    assert got_big.shape == (len(big) + len(coherence._PAIRS_8),) + rhos.shape
+    assert same_bits(got_small[: len(small)], np.stack(small))
+    assert same_bits(got_big[: len(big)], np.stack(big))
+    assert same_bits(got_marginals, np.stack([m1, m2, m3]))
 
 
 def test_reports_of_states_within_tomo_tolerance_match_qjsd(states_within_tomo_tolerance):

@@ -104,6 +104,18 @@ def test_dephase_idempotent():
     np.testing.assert_allclose(qmat.dephase(once), once, atol=1e-15)
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_hermitian_part_has_the_bits_of_the_sum_and_leaves_its_input_alone(dtype):
+    m = np.random.default_rng(5).standard_normal((3, 4, 4, 2)) @ [1, 1j]
+    m = m.real.astype(dtype) if dtype is float else m
+    # signed zeros and an entry whose conjugate pair sums to -0.0
+    m[0, 1, 2], m[0, 2, 1] = -0.0, complex(-0.0, 0.0) if dtype is complex else -0.0
+    before = m.copy()
+    h = qmat._sym(m)
+    assert same_bits(m, before)
+    assert same_bits(h, (m + m.conj().swapaxes(-1, -2)) / 2)
+
+
 def test_eig_identity():
     w, v = qmat.eig_hermitian(np.eye(2, dtype=complex))
     np.testing.assert_allclose(w, [1.0, 1.0], atol=1e-12)
@@ -509,6 +521,19 @@ def test_partial_trace_rejects_non_integer_qubits(n_qubits, keep, message):
 def test_partial_trace_names_a_qubit_count_or_index_out_of_range(n_qubits, keep, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         qmat.partial_trace(np.eye(2 ** n_qubits) / 2 ** n_qubits, n_qubits, keep)
+
+
+def test_each_interval_is_parsed_once():
+    rho = np.eye(8) / 8
+    qmat.partial_trace(rho, 3, [1, 3])
+    before = qmat._parse_interval.cache_info()
+    for keep in ([1], [2, 3], [1, 2, 3]):
+        qmat.partial_trace(rho, 3, keep)
+    after = qmat._parse_interval.cache_info()
+    assert after.misses == before.misses
+    assert after.hits == before.hits + 3 + 6
+    with pytest.raises(ValueError, match=r"^keep index must lie in \[1, 3\], got 4$"):
+        qmat.partial_trace(rho, 3, [4])
 
 
 def test_partial_trace_accepts_numpy_integers():
