@@ -33,8 +33,8 @@ helpers.
 not re-check its own intermediates. It takes rho_12, rho_13 and rho_23 from
 one (n, 2, 2, 2, 2, 2, 2) view of the stack, rho_1 and rho_2 from rho_12
 and rho_3 from rho_13, with the ``np.trace`` calls ``partial_trace`` makes.
-Each group's matrices and mixtures share one buffer, and each matrix is
-bitwise equal to the one the checked public helpers build.
+Each group's matrices are written into one buffer, and each is bitwise
+equal to the one the checked public helpers build.
 
 ``embed_tetrahedron`` places the four states rho, pi(rho), dephased pi(rho)
 and rho_1 x rho_23 in Euclidean 3-space so that pairwise point distances
@@ -127,15 +127,13 @@ def _diagonal_entropies(mats, scale):
 
 
 def _qjsd_pairs(mats, pairs, closed, scale):
-    """QJSD of the index pairs ``pairs`` into a (S + P, n, d, d) stack, for P pairs.
+    """QJSD of the index pairs ``pairs`` into a (S, n, d, d) stack, for P pairs.
 
-    The first S matrices are the inputs. The last P slots are overwritten
-    with the mixtures, in pair order, so every matrix the ``eigh`` sees sits
-    in one buffer. Returns the (P, n) divergences and the unclipped ``eigh``
-    spectra of the S inputs, (S, n, d). Every matrix and mixture is
-    symmetrized once and diagonalized by one stacked ``eigh``, which serves
-    the defining form; both sides of a pair are scored against the
-    mixture's eigenpairs by broadcasting. The entropic form takes the
+    Returns the (P, n) divergences and the unclipped ``eigh`` spectra of the
+    S inputs, (S, n, d). The P mixtures follow the inputs in pair order, and
+    every matrix and mixture is symmetrized once and diagonalized by one
+    stacked ``eigh``, which serves the defining form; both sides of a pair
+    are scored against the mixture's eigenpairs by broadcasting. The entropic form takes the
     entropy of input ``k`` from ``closed[k]``, an (n,) closed form, where
     the caller gives one, and from the ``eigh`` spectrum otherwise; mixtures
     always read the spectrum. The inputs are not re-checked here: callers
@@ -145,11 +143,8 @@ def _qjsd_pairs(mats, pairs, closed, scale):
     """
     sides = np.array(pairs).T
     left, right = sides
-    n_in = len(mats) - len(pairs)
-    mix = mats[n_in:]
-    np.add(mats[left], mats[right], out=mix)
-    mix /= 2
-    w, vecs = np.linalg.eigh(_sym(mats))
+    n_in = len(mats)
+    w, vecs = np.linalg.eigh(_sym(np.concatenate([mats, (mats[left] + mats[right]) / 2])))
     p = np.clip(w, 0.0, None)
     rel = _relative_entropies(p[sides], vecs[sides], p[n_in:], vecs[n_in:], scale)
     j_def = 0.5 * (rel[0] + rel[1])
@@ -201,9 +196,7 @@ def qjsd(rho, sigma, base=2.0):
     verifying it against S(m) - S(rho)/2 - S(sigma)/2 within
     ``CROSS_CHECK_TOL``. Always finite and bounded by log_base(2).
     """
-    pair = _pair_stack(rho, sigma)
-    # the third slot takes the mixture
-    mats = np.concatenate([pair, pair[:1]])[:, None]
+    mats = _pair_stack(rho, sigma)[:, None]
     return float(_qjsd_pairs(mats, [(0, 1)], {}, _log_scale(base))[0][0, 0])
 
 
@@ -248,10 +241,9 @@ _PAIRS_4 = ((0, 1), (2, 3), (4, 5))
 def _report_stacks(rho):
     """The QJSD stacks of a (n, 8, 8) stack ``rho`` and its single-qubit marginals.
 
-    Returns a (9, n, 4, 4) and an (11, n, 8, 8) buffer, whose first 6 and 5
-    matrices are the inputs ``_PAIRS_4`` and ``_PAIRS_8`` name; the slots
-    after them are left for ``_qjsd_pairs`` to fill with the mixtures. Also
-    returns the (3, n, 2, 2) marginals rho_1, rho_2 and rho_3. Every matrix
+    Returns the (6, n, 4, 4) and (5, n, 8, 8) stacks whose matrices
+    ``_PAIRS_4`` and ``_PAIRS_8`` index, and the (3, n, 2, 2) marginals
+    rho_1, rho_2 and rho_3. Every matrix
     is bitwise equal to the one ``partial_trace``, ``marginals``, ``dephase``
     and ``kron`` build. The products and the dephased matrices come from
     ``_kron_into`` and ``_dephased``, the bodies of ``kron`` and
@@ -263,7 +255,7 @@ def _report_stacks(rho):
     """
     n = len(rho)
     tensor = rho.reshape(n, 2, 2, 2, 2, 2, 2)
-    small = np.empty((6 + len(_PAIRS_4), n, 4, 4), dtype=complex)
+    small = np.empty((6, n, 4, 4), dtype=complex)
     # qubit k's row and column axes are k and k + 3: rho_23, rho_12 and rho_13 trace out qubits 1, 3 and 2
     for slot, qubit in ((0, 1), (2, 3), (4, 2)):
         np.trace(tensor, axis1=qubit, axis2=qubit + 3, out=small[slot].reshape(n, 2, 2, 2, 2))
@@ -274,7 +266,7 @@ def _report_stacks(rho):
     np.trace(two_qubit, axis1=2, axis2=4, out=marg[1:])
     # rho_2 x rho_3, rho_1 x rho_2, rho_1 x rho_3
     _kron_into(small[1:6:2], marg[[1, 0, 0]], marg[[2, 1, 2]])
-    big = np.empty((5 + len(_PAIRS_8), n, 8, 8), dtype=complex)
+    big = np.empty((5, n, 8, 8), dtype=complex)
     big[0] = rho
     _kron_into(big[2], small[3], marg[2])
     _kron_into(big[4], marg[0], small[0])

@@ -129,9 +129,9 @@ def kron(a, b):
 def _kron_into(out, a, b):
     """Write the Kronecker products of the (..., r, c) stack ``a`` and the (..., s, t) stack ``b`` into ``out``.
 
-    ``out`` is a complex (..., r s, c t) array or view whose last two axes reshape without a copy; it is
-    returned. Each entry is one multiply, with the strides it has in a fresh output, so every product
-    has the same bits wherever it is written.
+    ``out`` is a writable complex (..., r s, c t) array or view, and is returned. The reshape only splits
+    each of its last two axes in two, which numpy does as a view for any strides, so the products land in
+    ``out`` itself. Each entry is one multiply, so every product has the same bits wherever it is written.
     """
     shape = out.shape[:-2] + (a.shape[-2], b.shape[-2], a.shape[-1], b.shape[-1])
     np.multiply(a[..., :, None, :, None], b[..., None, :, None, :], out=out.reshape(shape))

@@ -271,7 +271,7 @@ def test_report_kernel_builds_no_intermediate_through_the_checked_api(monkeypatc
 
     monkeypatch.setattr(coherence.np.linalg, "eigh", counted)
     monkeypatch.setattr(coherence.np.linalg, "eigvalsh", forbidden)
-    for module in (qmat, states):
+    for module in (qmat, states, coherence):
         for name in ("partial_trace", "marginals", "dephase"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
@@ -297,10 +297,8 @@ def test_report_stacks_match_the_public_builders_bitwise(source, zz_sweep, zzz_s
     ]
     big = [rhos, qmat.dephase(rhos), pi, qmat.dephase(pi), qmat.kron(m1, rho_23)]
     got_small, got_big, got_marginals = coherence._report_stacks(rhos)
-    assert got_small.shape == (len(small) + len(coherence._PAIRS_4),) + rho_23.shape
-    assert got_big.shape == (len(big) + len(coherence._PAIRS_8),) + rhos.shape
-    assert same_bits(got_small[: len(small)], np.stack(small))
-    assert same_bits(got_big[: len(big)], np.stack(big))
+    assert same_bits(got_small, np.stack(small))
+    assert same_bits(got_big, np.stack(big))
     assert same_bits(got_marginals, np.stack([m1, m2, m3]))
 
 

@@ -564,6 +564,22 @@ def test_stacked_states_factories_match_per_matrix():
     assert np.array_equal(states.split_1_23(rhos), [states.split_1_23(r) for r in rhos])
 
 
+def test_kron_into_writes_through_any_strides():
+    rng = np.random.default_rng(10)
+    a = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+    b = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    outs = [
+        np.full((3, 8, 8), np.nan, dtype=complex),
+        np.full((3, 8, 8), np.nan, dtype=complex, order="F"),
+        np.full((6, 8, 8), np.nan, dtype=complex)[::2],
+        np.full((3, 8, 8), np.nan, dtype=complex).swapaxes(-1, -2),
+        np.full((3, 8, 16), np.nan, dtype=complex)[::-1, ::-1, ::2],
+    ]
+    for out in outs:
+        assert qmat._kron_into(out, a, b) is out
+        assert same_bits(np.ascontiguousarray(out), qmat.kron(a, b))
+
+
 def test_kron_matches_numpy_kron():
     rng = np.random.default_rng(9)
     for shape_a, shape_b in (((2, 2), (4, 4)), ((2, 3), (3, 1)), ((1, 4), (2, 2)), ((3,), (2,)), ((4,), (1,))):

@@ -22,7 +22,7 @@ illegal instruction; ``Core:`` shows the set OpenBLAS took. Run from the
 root of a checkout; it needs the standard library and numpy, and takes a
 few minutes:
 
-    python tools/kernels.py [--against DIR] [--cores SkylakeX,Haswell,Sandybridge,Nehalem]
+    python tools/kernels.py [--against DIR]
 
 It is not part of tier-1.
 """
@@ -172,9 +172,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--against", type=Path, default=None,
                         help="another checkout whose CLI outputs to compare under each kernel set")
-    parser.add_argument("--cores", default=",".join(CORES), help="comma-separated OPENBLAS_CORETYPE values")
     args = parser.parse_args(argv)
-    cores = [c for c in args.cores.split(",") if c]
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
         tomo_dir = work / "tomo_inputs"
@@ -186,7 +184,7 @@ def main(argv=None):
         default = work / "default"
         default.mkdir()
         run_cli(ROOT, None, runs, default)
-        for core in [None, *cores]:
+        for core in [None, *CORES]:
             print(f"kernel set {core or 'default'} ({core_name(core)})")
             tier1(ROOT, core)
             if core is not None:
