@@ -36,6 +36,19 @@ and rho_3 from rho_13, with the ``np.trace`` calls ``partial_trace`` makes.
 Each group's matrices are written into one buffer, and each is bitwise
 equal to the one the checked public helpers build.
 
+Each chunk of ``REPORT_CHUNK`` states has an input side (its stacks, the
+mixtures and ``_sym``), two stacked ``eigh`` calls and a scoring side (the
+closed forms, the relative entropies, the entropies, the cross-check and
+the row sums). When a ``coherence_reports`` stack spans more than one chunk
+and the process may run on at least two CPUs, one helper thread, started
+and joined within the call, runs the input and scoring sides, while the
+calling thread runs every ``eigh`` in serial order. numpy's ``eigh``
+releases the GIL, so chunk i + 1's inputs and chunk i - 1's scores are
+built while chunk i is diagonalized. Every matrix goes through the same
+numpy operations either way, each task runs in a copy of the caller's
+context (so ``np.errstate`` applies), and results are read in serial order:
+values and the exception raised do not depend on whether the helper runs.
+
 ``embed_tetrahedron`` places the four states rho, pi(rho), dephased pi(rho)
 and rho_1 x rho_23 in Euclidean 3-space so that pairwise point distances
 reproduce the six inter-state distances, using the gauge: rho at the origin,
@@ -46,7 +59,9 @@ clamped and the worst mismatch is reported as the residual. A
 and rho_1 x rho_23, then the residual.
 """
 
+import contextvars
 import math
+import os
 from typing import NamedTuple
 
 import numpy as np
@@ -126,27 +141,36 @@ def _diagonal_entropies(mats, scale):
     return _entropies(np.diagonal(mats, axis1=-2, axis2=-1).real, scale)
 
 
-def _qjsd_pairs(mats, pairs, closed, scale):
-    """QJSD of the index pairs ``pairs`` into a (S, n, d, d) stack, for P pairs.
+def _qjsd_stack(mats, pairs):
+    """The input half of ``_qjsd_pairs``: the (S + P, n, d, d) stack its ``eigh`` diagonalizes.
 
-    Returns the (P, n) divergences and the unclipped ``eigh`` spectra of the
-    S inputs, (S, n, d). The P mixtures follow the inputs in pair order, and
-    every matrix and mixture is symmetrized once and diagonalized by one
-    stacked ``eigh``, which serves the defining form; both sides of a pair
-    are scored against the mixture's eigenpairs by broadcasting. The entropic form takes the
-    entropy of input ``k`` from ``closed[k]``, an (n,) closed form, where
-    the caller gives one, and from the ``eigh`` spectrum otherwise; mixtures
-    always read the spectrum. The inputs are not re-checked here: callers
-    pass finite complex stacks. The two forms must agree within
-    ``CROSS_CHECK_TOL`` for every pair, else ``CrossCheckError`` with the
-    index of the first failing state.
+    The S inputs of the (S, n, d, d) stack ``mats`` come first, then the
+    mixtures of the index pairs ``pairs`` in pair order, and every matrix is
+    symmetrized once.
+    """
+    left, right = np.array(pairs).T
+    return _sym(np.concatenate([mats, (mats[left] + mats[right]) / 2]))
+
+
+def _qjsd_pairs(w, v, pairs, closed, scale):
+    """The scoring half: QJSD of the P index pairs ``pairs`` from the ``eigh`` eigenpairs of a ``_qjsd_stack``.
+
+    Returns the (P, n) divergences. The S + P eigenpairs (w, v) serve the
+    defining form; both sides of a pair are scored against the mixture's
+    eigenpairs by broadcasting. The entropic form takes the entropy of input
+    ``k`` from ``closed[k]``, an (n,) closed form, where the caller gives
+    one, and from the ``eigh`` spectrum otherwise; mixtures always read the
+    spectrum. The inputs are not re-checked: callers pass finite complex
+    stacks. The two forms must agree within ``CROSS_CHECK_TOL`` for every
+    pair, else ``CrossCheckError`` with the index of the first failing state.
+    Only numpy runs here, never ``eigh``, so ``coherence_reports`` may call
+    it on its helper thread; every result is the same on either thread.
     """
     sides = np.array(pairs).T
     left, right = sides
-    n_in = len(mats)
-    w, vecs = np.linalg.eigh(_sym(np.concatenate([mats, (mats[left] + mats[right]) / 2])))
+    n_in = len(w) - len(pairs)
     p = np.clip(w, 0.0, None)
-    rel = _relative_entropies(p[sides], vecs[sides], p[n_in:], vecs[n_in:], scale)
+    rel = _relative_entropies(p[sides], v[sides], p[n_in:], v[n_in:], scale)
     j_def = 0.5 * (rel[0] + rel[1])
     ent = _entropies(w, scale)
     for k, s in closed.items():
@@ -160,7 +184,7 @@ def _qjsd_pairs(mats, pairs, closed, scale):
             f"vs entropic form {float(j_ent[pair, state])!r}",
             int(state),
         )
-    return j_def, w[:n_in]
+    return j_def
 
 
 def _pair_stack(rho, sigma):
@@ -196,8 +220,9 @@ def qjsd(rho, sigma, base=2.0):
     verifying it against S(m) - S(rho)/2 - S(sigma)/2 within
     ``CROSS_CHECK_TOL``. Always finite and bounded by log_base(2).
     """
-    mats = _pair_stack(rho, sigma)[:, None]
-    return float(_qjsd_pairs(mats, [(0, 1)], {}, _log_scale(base))[0][0, 0])
+    pairs = [(0, 1)]
+    w, v = np.linalg.eigh(_qjsd_stack(_pair_stack(rho, sigma)[:, None], pairs))
+    return float(_qjsd_pairs(w, v, pairs, {}, _log_scale(base))[0, 0])
 
 
 def dist(rho, sigma, base=2.0):
@@ -274,28 +299,47 @@ def _report_stacks(rho):
     return small, big, marg
 
 
-def _chunk_rows(rho, scale):
-    """The report rows of a (n, 8, 8) stack, as a (n, 14) array in ``REPORT_COLUMNS`` order.
+def _chunk_stacks(rho):
+    """The input side of a chunk's reports: the two stacks its ``eigh`` calls diagonalize, and what its scores read.
 
-    The stacks come from ``_report_stacks``, which takes every marginal
-    from one view of ``rho`` and re-checks no intermediate. The nine
-    distances come first; the monogamy difference and the four slacks are
-    sums of them. The 4x4 stack runs first, because the closed form for
-    rho_1 x rho_23 reads rho_23's spectrum. The factor spectra are those of
-    the Hermitian parts and stay unclipped, as the spectrum of a product is
-    the product of its factors' spectra before the defining route clips it;
-    ``_entropies`` drops the sub-floor products either way.
+    Returns the ``_qjsd_stack`` of the ``_PAIRS_4`` pairs and of the
+    ``_PAIRS_8`` pairs of ``_report_stacks(rho)``, the (3, n, 2, 2)
+    marginals and the (2, n, 8, 8) dephased rho and dephased pi(rho).
     """
     small, big, marg = _report_stacks(rho)
+    return _qjsd_stack(small, _PAIRS_4), _qjsd_stack(big, _PAIRS_8), marg, big[1:4:2]
+
+
+def _small_scores(w4, v4, marg, scale):
+    """The 4x4 half of a chunk's scoring side, from the eigenpairs (w4, v4) of its 4x4 stack.
+
+    Returns the (3, n) divergences of the ``_PAIRS_4`` pairs and the
+    (2, n, 8) spectra of pi(rho) and rho_1 x rho_23, which the 8x8 half
+    reads. The closed forms use the spectra of the marginals' Hermitian
+    parts and of rho_23, unclipped, as the spectrum of a product is the
+    product of its factors' spectra before the defining route clips it;
+    ``_entropies`` drops the sub-floor products either way.
+    """
     q = _qubit_spectra(marg)
     # spectra of rho_2 x rho_3, rho_1 x rho_2 and rho_1 x rho_3
     q4 = _product_spectrum(q[[1, 0, 0]], q[[2, 1, 2]])
     s4 = _entropies(q4, scale)
-    j4, w4 = _qjsd_pairs(small, _PAIRS_4, {1: s4[0], 3: s4[1], 5: s4[2]}, scale)
-    # spectra of pi(rho) and rho_1 x rho_23
-    s8 = _entropies(np.stack([_product_spectrum(q4[1], q[2]), _product_spectrum(q[0], w4[0])]), scale)
-    dephased = _diagonal_entropies(big[1:4:2], scale)
-    j8, _ = _qjsd_pairs(big, _PAIRS_8, {1: dephased[0], 2: s8[0], 3: dephased[1], 4: s8[1]}, scale)
+    j4 = _qjsd_pairs(w4, v4, _PAIRS_4, {1: s4[0], 3: s4[1], 5: s4[2]}, scale)
+    # rho_23 is the first matrix of the 4x4 stack
+    return j4, np.stack([_product_spectrum(q4[1], q[2]), _product_spectrum(q[0], w4[0])])
+
+
+def _chunk_scores(w8, v8, small, dephased, scale):
+    """The 8x8 half of a chunk's scoring side: the (n, 14) report rows in ``REPORT_COLUMNS`` order.
+
+    (w8, v8) are the eigenpairs of the 8x8 stack and ``small`` is the
+    chunk's ``_small_scores``. The nine distances come first; the monogamy
+    difference and the four slacks are sums of them.
+    """
+    j4, spectra = small
+    s8 = _entropies(spectra, scale)
+    d = _diagonal_entropies(dephased, scale)
+    j8 = _qjsd_pairs(w8, v8, _PAIRS_8, {1: d[0], 2: s8[0], 3: d[1], 4: s8[1]}, scale)
     d8, d4 = np.sqrt(j8), np.sqrt(j4)
     dists = np.concatenate([d8[:5], d4[:1], d8[5:], d4[1:]])
     _, c_g, c_l, c_a, c_1_23, c_2_3, c_a_1_23, c_1_2, c_1_3 = dists
@@ -309,6 +353,90 @@ def _chunk_rows(rho, scale):
     return np.concatenate([dists, sums]).T
 
 
+def _chunk_rows(rho, scale):
+    """The report rows of a (n, 8, 8) stack, in serial order: inputs, 4x4 ``eigh``, 4x4 scores, 8x8 ``eigh``, rows."""
+    stack4, stack8, marg, dephased = _chunk_stacks(rho)
+    small = _small_scores(*np.linalg.eigh(stack4), marg, scale)
+    return _chunk_scores(*np.linalg.eigh(stack8), small, dephased, scale)
+
+
+def _shifted(start, fn, *args):
+    """``fn(*args)`` for the chunk at ``start``: a ``CrossCheckError`` it raises names the state's index in the whole stack."""
+    try:
+        return fn(*args)
+    except CrossCheckError as exc:
+        exc.index += start
+        raise
+
+
+def _cpu_count():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _pipelined_rows(chunks, starts, scale):
+    """The rows of each chunk, with its input and scoring sides on one helper thread.
+
+    The calling thread runs every ``eigh``, in serial order, so chunk i + 1's
+    inputs and chunk i - 1's scores are built while chunk i is in ``eigh``,
+    which releases the GIL. Each matrix goes through the numpy operations of
+    ``_chunk_rows``, so the rows are bitwise the same. Results are read in
+    serial order, so the failure raised is the one ``_chunk_rows`` would
+    raise first; a later chunk's input side may already have run by then.
+    """
+    # imported here, not at module level: it pulls in logging and queue, about 10 ms that every
+    # process importing tricoh would pay, though only a multi-chunk call on two CPUs needs it
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(1)
+    # the helper's scoring futures in serial order, two per chunk: its 4x4 scores and its rows; the
+    # inputs are read as soon as they are built, and only their failures need a place in that order
+    steps = []
+    settled = 0
+
+    def run(fn, *args):
+        # each task runs in a copy of the caller's context, so the caller's np.errstate holds there
+        return pool.submit(contextvars.copy_context().run, fn, *args)
+
+    def settle(upto):
+        nonlocal settled
+        for step in steps[settled:upto]:
+            step.result()
+        settled = max(settled, upto)
+
+    def here(fn, *args):
+        # a step on the calling thread; a failure of an earlier step on the helper takes precedence
+        try:
+            return fn(*args)
+        except Exception as exc:
+            failure = exc
+        settle(len(steps))
+        raise failure
+
+    def rows(start, w8, v8, small, dephased):
+        # small.result() is read first: its CrossCheckError already names the state's index in the stack
+        return _shifted(start, _chunk_scores, w8, v8, small.result(), dephased, scale)
+
+    try:
+        inputs = run(_shifted, starts[0], _chunk_stacks, chunks[0])
+        for i, start in enumerate(starts):
+            stack4, stack8, marg, dephased = here(inputs.result)
+            # the helper ran chunk i - 2's scores before chunk i's inputs
+            settle(len(steps) - 2)
+            if i + 1 < len(chunks):
+                inputs = run(_shifted, starts[i + 1], _chunk_stacks, chunks[i + 1])
+            small = run(_shifted, start, _small_scores, *here(np.linalg.eigh, stack4), marg, scale)
+            steps.append(small)
+            steps.append(run(rows, start, *here(np.linalg.eigh, stack8), small, dephased))
+        settle(len(steps))
+        return [step.result() for step in steps[1::2]]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def coherence_reports(rhos, base=2.0):
     """Full coherence decompositions of a (N, 8, 8) stack of density matrices.
 
@@ -316,20 +444,24 @@ def coherence_reports(rhos, base=2.0):
     report of its state alone. States are processed ``REPORT_CHUNK`` at a
     time. A failed cross-check raises ``CrossCheckError`` whose ``index`` is
     the failing state's position in ``rhos``.
+
+    When the stack spans more than one chunk and the process may run on at
+    least two CPUs, one helper thread, started and joined within the call,
+    builds each chunk's input stacks and scores while the calling thread
+    runs every ``eigh``; otherwise the chunks run inline. Either way every
+    value, and every exception raised, is the same.
     """
     rhos = _as_stack(rhos, "rhos")
     if rhos.ndim != 3 or rhos.shape[1:] != (8, 8):
         raise ValueError(f"expected an (N, 8, 8) stack of three-qubit density matrices, got {rhos.shape}")
     scale = _log_scale(base)
-    reports = []
-    for start in range(0, len(rhos), REPORT_CHUNK):
-        try:
-            rows = _chunk_rows(rhos[start:start + REPORT_CHUNK], scale)
-        except CrossCheckError as exc:
-            exc.index += start
-            raise
-        reports += map(CoherenceReport._make, rows.tolist())
-    return reports
+    starts = range(0, len(rhos), REPORT_CHUNK)
+    chunks = [rhos[start:start + REPORT_CHUNK] for start in starts]
+    if len(chunks) > 1 and _cpu_count() > 1:
+        rows = _pipelined_rows(chunks, starts, scale)
+    else:
+        rows = [_shifted(start, _chunk_rows, chunk, scale) for start, chunk in zip(starts, chunks)]
+    return [CoherenceReport._make(row) for block in rows for row in block.tolist()]
 
 
 def coherence_report(rho, base=2.0):

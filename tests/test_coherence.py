@@ -2,12 +2,14 @@ import inspect
 import math
 import pickle
 import re
+import threading
+import warnings
 
 import numpy as np
 import pytest
 
 from helpers import random_mixed, random_unitary, same_bits
-from tricoh import coherence, qmat, states
+from tricoh import adiabatic, coherence, models, qmat, states
 
 
 def test_entropy_pure_state():
@@ -325,14 +327,22 @@ def test_reports_of_states_within_tomo_tolerance_match_qjsd(states_within_tomo_t
 
 def test_closed_form_entropies_match_eigvalsh(monkeypatch, zz_sweep, states_within_tomo_tolerance):
     seen = {}
-    qjsd_pairs = coherence._qjsd_pairs
+    stacks = {}
+    qjsd_stack, qjsd_pairs = coherence._qjsd_stack, coherence._qjsd_pairs
 
-    def spy(mats, pairs, closed, scale):
+    def stack_spy(mats, pairs):
+        # the symmetrized stack, whose input k is _sym(mats[k]); the calls below are one chunk each
+        stacks[mats.shape[-1]] = qjsd_stack(mats, pairs)
+        return stacks[mats.shape[-1]]
+
+    def spy(w, v, pairs, closed, scale):
+        mats = stacks[w.shape[-1]]
         for k, entropies in closed.items():
-            want = coherence._entropies(np.linalg.eigvalsh(coherence._sym(mats[k])), scale)
+            want = coherence._entropies(np.linalg.eigvalsh(mats[k]), scale)
             seen[mats.shape[-1], k] = max(seen.get((mats.shape[-1], k), 0.0), np.abs(entropies - want).max())
-        return qjsd_pairs(mats, pairs, closed, scale)
+        return qjsd_pairs(w, v, pairs, closed, scale)
 
+    monkeypatch.setattr(coherence, "_qjsd_stack", stack_spy)
     monkeypatch.setattr(coherence, "_qjsd_pairs", spy)
     rng = np.random.default_rng(68)
     mixed = []
@@ -348,6 +358,168 @@ def test_closed_form_entropies_match_eigvalsh(monkeypatch, zz_sweep, states_with
     assert sorted(seen) == [(4, 1), (4, 3), (4, 5), (8, 1), (8, 2), (8, 3), (8, 4)]
     for key, gap in seen.items():
         assert gap < 1e-12, key
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    # the pipelined path runs only when the process may use two CPUs, whatever the machine has
+    monkeypatch.setattr(coherence.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    started = []
+    start = threading.Thread.start
+
+    def counted(self):
+        started.append(self.name)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return started
+
+
+def chunk_by_chunk(rhos, base):
+    return [rep for k in range(0, len(rhos), coherence.REPORT_CHUNK)
+            for rep in coherence.coherence_reports(rhos[k:k + coherence.REPORT_CHUNK], base)]
+
+
+@pytest.mark.parametrize("base", [2.0, math.e])
+def test_pipelined_reports_match_chunk_by_chunk_bitwise(base, two_cpus, thread_starts, zz_sweep, zzz_sweep):
+    stacks = [states.density(sweep.ground_states) for sweep in (zz_sweep, zzz_sweep)]
+    for name in ("zz", "zzz"):
+        schedule = adiabatic.gap_adaptive_schedule(name, models.model(name).steps, models.model(name).tau)
+        stacks.append(states.density(adiabatic.ground_sweep(schedule).ground_states))
+    stacks.append(np.array(seeded_states(np.random.default_rng(72), 200)))
+    for rhos in stacks:
+        got = coherence.coherence_reports(rhos, base)
+        assert len(thread_starts) == 1
+        thread_starts.clear()
+        want = chunk_by_chunk(rhos, base)
+        assert not thread_starts
+        assert same_bits(np.array(got), np.array(want))
+
+
+@pytest.mark.parametrize("half", ["small", "large"])
+def test_pipelined_reports_raise_the_first_failure_in_serial_order(
+    monkeypatch, two_cpus, state_failing_cross_check, half
+):
+    # chunk 1 fails its cross-check, in the 4x4 or in the 8x8 half of its scores, and chunk 2's input side raises
+    rhos = np.array(seeded_states(np.random.default_rng(73), 6 * coherence.REPORT_CHUNK))
+    chunk_stacks, small_scores = coherence._chunk_stacks, coherence._small_scores
+    fail = {"inputs": True, "scores": True}
+    prepared, scored = [], []
+
+    def stacks(rho):
+        prepared.append(len(prepared))
+        if fail["inputs"] and len(prepared) == 3:
+            raise ValueError("chunk 2's input side")
+        return chunk_stacks(rho)
+
+    def scores(*args):
+        scored.append(len(scored))
+        if fail["scores"] and half == "small" and len(scored) == 2:
+            raise coherence.CrossCheckError("chunk 1's 4x4 pairs", 5)
+        return small_scores(*args)
+
+    if half == "large":
+        rhos[coherence.REPORT_CHUNK + 5] = state_failing_cross_check
+    monkeypatch.setattr(coherence, "_chunk_stacks", stacks)
+    monkeypatch.setattr(coherence, "_small_scores", scores)
+    with pytest.raises(coherence.CrossCheckError) as exc:
+        coherence.coherence_reports(rhos)
+    assert exc.value.index == coherence.REPORT_CHUNK + 5
+    # chunk 2's inputs were built, and failed, before chunk 1's scores were read
+    assert prepared == [0, 1, 2]
+    # without it, chunk 1's rows are built before the failure is read, and the index is still shifted once
+    fail["inputs"] = False
+    prepared.clear()
+    scored.clear()
+    with pytest.raises(coherence.CrossCheckError) as exc:
+        coherence.coherence_reports(rhos)
+    assert exc.value.index == coherence.REPORT_CHUNK + 5
+    # and the call stops once chunk 3's inputs are read, by when the helper has scored chunk 1
+    assert prepared == [0, 1, 2, 3]
+    fail.update(inputs=True, scores=False)
+    rhos[coherence.REPORT_CHUNK + 5] = rhos[4]
+    prepared.clear()
+    with pytest.raises(ValueError, match="^chunk 2's input side$"):
+        coherence.coherence_reports(rhos)
+    assert prepared == [0, 1, 2]
+
+
+def test_pipelined_reports_score_the_small_pairs_before_the_large_eigh(two_cpus):
+    # at 1e110 the 4x4 stack is finite and fails its cross-check, while pi(rho) overflows and the 8x8
+    # eigh fails to converge: serially the 4x4 pairs are scored first
+    huge = np.full((8, 8), 1e110)
+    rhos = np.array(seeded_states(np.random.default_rng(74), coherence.REPORT_CHUNK + 3))
+    rhos[coherence.REPORT_CHUNK + 1] = huge
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(coherence.CrossCheckError) as alone:
+            coherence.coherence_reports(huge[None])
+        with pytest.raises(coherence.CrossCheckError) as among:
+            coherence.coherence_reports(rhos)
+    assert among.value.index == coherence.REPORT_CHUNK + 1
+    assert str(among.value) == str(alone.value)
+
+
+def test_pipelined_reports_keep_the_callers_numpy_and_warning_settings(two_cpus, thread_starts):
+    huge = np.full((8, 8), 1e160)
+    rhos = np.array(seeded_states(np.random.default_rng(75), coherence.REPORT_CHUNK + 3))
+    rhos[coherence.REPORT_CHUNK + 1] = huge
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError) as alone:
+            coherence.coherence_reports(huge[None])
+        with pytest.raises(FloatingPointError) as among:
+            coherence.coherence_reports(rhos)
+    assert str(among.value) == str(alone.value) == "overflow encountered in multiply"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning) as alone:
+            coherence.coherence_reports(huge[None])
+        with pytest.raises(RuntimeWarning) as among:
+            coherence.coherence_reports(rhos)
+    assert str(among.value) == str(alone.value) == "overflow encountered in multiply"
+    assert len(thread_starts) == 2
+
+
+def test_pipelined_reports_leave_no_thread_and_run_every_eigh_on_the_calling_thread(
+    monkeypatch, two_cpus, thread_starts, state_failing_cross_check
+):
+    rhos = np.array(seeded_states(np.random.default_rng(76), 2 * coherence.REPORT_CHUNK + 5))
+    threads = threading.active_count()
+    reports = coherence.coherence_reports(rhos)
+    assert threading.active_count() == threads
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append((a.shape, threading.get_ident()))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(coherence.np.linalg, "eigh", counted)
+    assert coherence.coherence_reports(rhos) == reports
+    here = threading.get_ident()
+    assert calls == [((9, n, 4, 4) if k % 2 == 0 else (11, n, 8, 8), here) for n in (16, 16, 5) for k in range(2)]
+    rhos[coherence.REPORT_CHUNK + 2] = state_failing_cross_check
+    with pytest.raises(coherence.CrossCheckError):
+        coherence.coherence_reports(rhos)
+    assert threading.active_count() == threads
+    assert len(thread_starts) == 3
+
+
+@pytest.mark.parametrize("affinity", [True, False])
+def test_reports_on_one_cpu_start_no_thread(monkeypatch, thread_starts, affinity):
+    rhos = np.array(seeded_states(np.random.default_rng(77), 2 * coherence.REPORT_CHUNK + 5))
+    if affinity:
+        monkeypatch.setattr(coherence.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    else:
+        monkeypatch.delattr(coherence.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(coherence.os, "cpu_count", lambda: 1)
+    reports = coherence.coherence_reports(rhos)
+    assert not thread_starts
+    assert same_bits(np.array(reports), np.array(chunk_by_chunk(rhos, 2.0)))
 
 
 def test_reports_reject_bad_stacks():
