@@ -402,6 +402,116 @@ def test_blocked_sector_probe_matches_step_by_step_loop(tag, params):
     assert sector_probe(single) == sequential_sector_min_fidelity(single)
 
 
+def sector_problem(tag, params, n_values):
+    """``(hx_s, hz_s, start, H_s)`` of the probe's ground-pair kernel on ``n_values`` evenly spaced couplings."""
+    p = params or models.ModelParams()
+    hx_s = adiabatic._sector_transverse(tag, models.model(tag).tau, params)[0]
+    values = np.linspace(*models.model(tag).j_range, n_values)
+    hz_s = models.parts(tag, values, params)[1][:, [0, 1, 3, 7]]
+    grid, _, _, ground = adiabatic._density_table(tag, p.omega_z, p.omega_x)
+    return hx_s, hz_s, np.interp(values, grid, ground), hx_s + hz_s[:, :, None] * np.eye(4)
+
+
+def spy_on_eigh(patch):
+    """Record the stack size of every ``eigh`` and ``eigvalsh`` call made while ``patch`` is active."""
+    sizes = []
+    for name in ("eigh", "eigvalsh"):
+        def spy(a, *args, _kernel=getattr(np.linalg, name), **kwargs):
+            sizes.append(1 if np.ndim(a) == 2 else len(a))
+            return _kernel(a, *args, **kwargs)
+
+        patch.setattr(np.linalg, name, spy)
+    return sizes
+
+
+@pytest.mark.parametrize("params", [None, models.ModelParams(omega_z=-1.7, omega_x=0.2), models.ModelParams(omega_x=-0.1),
+                                    models.ModelParams(omega_x=1e-2), models.ModelParams(omega_x=1e-3)],
+                         ids=["default", "fields", "negative", "1e-2", "1e-3"])
+@pytest.mark.parametrize("tag", models.MODEL_TAGS)
+def test_sector_ground_pairs_match_eigh(monkeypatch, tag, params):
+    hx_s, hz_s, start, h = sector_problem(tag, params, 4001)
+    want_w = np.linalg.eigvalsh(h)[:, 0]
+    want_v = np.linalg.eigh(h)[1][:, :, 0]
+    with monkeypatch.context() as patch, np.errstate(all="raise"):
+        fallback = spy_on_eigh(patch)
+        energies, vectors = adiabatic._sector_ground_pairs(hx_s, hz_s, start)
+    # every pair comes from the kernel itself, none from its eigh fallback
+    assert fallback == []
+    assert np.all(np.abs(energies - want_w) <= 1e-13 * (1.0 + np.abs(want_w)))
+    assert np.all(np.abs((vectors * want_v).sum(axis=1)) >= 1.0 - 1e-13)
+    residuals = np.linalg.norm((h - energies[:, None, None] * np.eye(4)) @ vectors[:, :, None], axis=(1, 2))
+    assert residuals.max() <= 1e-13
+
+
+@pytest.mark.parametrize("tag", models.MODEL_TAGS)
+def test_sector_ground_pairs_recompute_a_failed_row_with_eigh(monkeypatch, tag):
+    hx_s, hz_s, start, h = sector_problem(tag, None, 200)
+    w, v = np.linalg.eigh(h)
+    # Newton from the first excited level stays there, and the sign test rejects its column
+    with monkeypatch.context() as patch:
+        fallback = spy_on_eigh(patch)
+        energies, vectors = adiabatic._sector_ground_pairs(hx_s, hz_s, w[:, 1])
+    assert fallback == [len(h)]
+    assert energies.tobytes() == w[:, 0].tobytes() and vectors.tobytes() == v[:, :, 0].tobytes()
+    # a Newton iteration cut after one step leaves the off-grid rows to the residual test
+    with monkeypatch.context() as patch:
+        patch.setattr(adiabatic, "_NEWTON_MAX", 1)
+        fallback = spy_on_eigh(patch)
+        energies, vectors = adiabatic._sector_ground_pairs(hx_s, hz_s, start)
+    assert len(fallback) == 1 and 0 < fallback[0] < len(h)
+    residuals = np.linalg.norm((h - energies[:, None, None] * np.eye(4)) @ vectors[:, :, None], axis=(1, 2))
+    assert residuals.max() <= 1e-13
+
+
+@pytest.mark.parametrize("tag", models.MODEL_TAGS)
+def test_density_table_keeps_the_sector_ground_energy_read_only(tag):
+    p = models.ModelParams()
+    grid, _, _, ground = adiabatic._density_table(tag, p.omega_z, p.omega_x)
+    hx_s = adiabatic._sector_transverse(tag, models.model(tag).tau)[0]
+    hz_s = models.parts(tag, grid)[1][:, [0, 1, 3, 7]]
+    np.testing.assert_allclose(ground, np.linalg.eigvalsh(hx_s + hz_s[:, :, None] * np.eye(4))[:, 0], rtol=0, atol=1e-13)
+    with pytest.raises(ValueError, match="read-only"):
+        ground[0] = 1.0
+
+
+def test_sector_ground_pairs_are_scale_free():
+    # at 2**300 the products of the unscaled minors would overflow
+    hx_s, hz_s, start, _ = sector_problem("zzz", models.ModelParams(omega_z=-1.7, omega_x=0.2), 200)
+    big = 2.0 ** 300
+    with np.errstate(all="raise"):
+        energies, vectors = adiabatic._sector_ground_pairs(hx_s, hz_s, start)
+        big_energies, big_vectors = adiabatic._sector_ground_pairs(big * hx_s, big * hz_s, big * start)
+    assert big_vectors.tobytes() == vectors.tobytes()
+    assert big_energies.tobytes() == (big * energies).tobytes()
+
+
+def test_step_search_takes_no_eigh_stack_past_the_floor(monkeypatch):
+    tau = models.model("zz").tau
+    adiabatic.gap_adaptive_schedule("zz", 1, tau)
+    with monkeypatch.context() as patch:
+        sizes = spy_on_eigh(patch)
+        got, probed = probed_search(monkeypatch, "zz", 0.999, tau)
+    assert got == 412 and max(probed) + 1 > adiabatic.SECTOR_EIGH_FLOOR
+    assert sizes and max(sizes) <= adiabatic.SECTOR_EIGH_FLOOR
+
+
+@pytest.mark.parametrize(("omega_x", "best"), [(1e-5, 0.709026), (1e-6, 0.707109)])
+def test_step_search_at_a_near_degenerate_sector(monkeypatch, omega_x, best):
+    # the zzz sector gap falls to 4e-11 at omega_x = 1e-5 and 4e-13 at 1e-6, where the adjugate pivots are smallest
+    params = models.ModelParams(omega_x=omega_x)
+    assert adiabatic.min_steps_search("zzz", 0.5, 0.4, params) == 1
+    messages = []
+    # the kernel's search, then one that scores every probe with eigh
+    for floor in (adiabatic.SECTOR_EIGH_FLOOR, math.inf):
+        monkeypatch.setattr(adiabatic, "SECTOR_EIGH_FLOOR", floor)
+        with pytest.raises(ValueError, match=r"^target 0\.9 unreachable within 2000 steps; best achieved 0\.\d{6}$") as exc:
+            adiabatic.min_steps_search("zzz", 0.9, 0.4, params)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    # the sixth digit at 1e-5 depends on the OpenBLAS kernel set: 0.709025 under Sandybridge and Nehalem
+    assert abs(float(messages[0].rsplit(" ", 1)[1]) - best) < 1.5e-6
+
+
 PERFBENCH_SEARCHES = [("zz", 0.9, 36), ("zz", 0.99, 126), ("zz", 0.999, 412),
                       ("zzz", 0.9, 19), ("zzz", 0.99, 60), ("zzz", 0.999, 266)]
 
@@ -418,7 +528,7 @@ def test_step_search_probes_build_no_states_and_read_the_cached_table(monkeypatc
         got, probed = probed_search(monkeypatch, tag, target, tau)
     assert got == want
     p = models.ModelParams()
-    grid, density, _ = adiabatic._density_table(tag, p.omega_z, p.omega_x)
+    grid, density, _, _ = adiabatic._density_table(tag, p.omega_z, p.omega_x)
     for m_steps in probed:
         want_values = adiabatic.schedule_from_density(tag, m_steps, tau, grid, density).values
         assert adiabatic.gap_adaptive_schedule(tag, m_steps, tau).values.tobytes() == want_values.tobytes()
@@ -440,7 +550,7 @@ def test_cached_schedule_recomputes_no_cumulative_sum(monkeypatch):
     other = adiabatic.gap_adaptive_schedule("zz", 300, 0.4, params)
     assert len(sums) == 1
     assert np.array_equal(first.values, again.values) and len(other.values) == 301
-    grid, density, cum = adiabatic._density_table("zz", params.omega_z, params.omega_x)
+    grid, density, cum, _ = adiabatic._density_table("zz", params.omega_z, params.omega_x)
     assert cum.tobytes() == adiabatic._cumulative(grid, density).tobytes()
     with pytest.raises(ValueError, match="read-only"):
         cum[0] = 1.0
@@ -791,8 +901,8 @@ def test_cached_density_table_matches_uncached_and_per_point(tag, params):
             with pytest.raises(ValueError, match=re.escape(str(exc))):
                 table(tag, p.omega_z, p.omega_x)
         return
-    got_grid, dens, _ = adiabatic._density_table(tag, p.omega_z, p.omega_x)
-    fresh_grid, fresh, _ = adiabatic._density_table.__wrapped__(tag, p.omega_z, p.omega_x)
+    got_grid, dens, _, _ = adiabatic._density_table(tag, p.omega_z, p.omega_x)
+    fresh_grid, fresh, _, _ = adiabatic._density_table.__wrapped__(tag, p.omega_z, p.omega_x)
     assert np.array_equal(got_grid, grid)
     assert np.array_equal(grid, fresh_grid)
     assert dens.tobytes() == fresh.tobytes()
