@@ -60,7 +60,7 @@ import math
 
 import numpy as np
 
-from . import models
+from . import models, qmat
 from .qmat import _check_integer, _check_real, _json_numbers, _load_json, _squares, expm_hermitian, ground_states
 from .states import make_state
 
@@ -213,7 +213,7 @@ def _density_table(model_tag, omega_z, omega_x):
     basis = _SECTOR_BASIS
     d_small = basis.conj().T @ np.diag(m.dh_dj) @ basis
     h_small = basis.conj().T @ models.hamiltonian(model_tag, grid, params) @ basis
-    w, v = np.linalg.eigh(h_small)
+    w, v = qmat._eigh(h_small)
     # <n| dH/dJ |g> for every level n of every grid point, as one matmul
     overlaps = np.abs(v.conj().swapaxes(-1, -2) @ (d_small @ v[:, :, :1]))[:, 1:, 0]
     # a degenerate level at zero coupling gives 0/0 here; _cumulative rejects the NaN
@@ -470,7 +470,7 @@ def _sector_ground_pairs(hx_s, hz_s, start):
     vectors = (x / np.sqrt(norm2)).T
     failed = np.flatnonzero(~passed)
     if failed.size:
-        w, v = np.linalg.eigh(hx_s + hz_s[failed, :, None] * np.eye(4))
+        w, v = qmat._eigh(hx_s + hz_s[failed, :, None] * np.eye(4))
         energies[failed], vectors[failed] = w[:, 0], v[:, :, 0]
     return energies, vectors
 
@@ -507,7 +507,7 @@ def _sector_min_fidelity(schedule, transverse, params=None):
     kicks = np.exp(-1j * schedule.tau * hz_s)
     n = len(hz_s)
     if n <= SECTOR_EIGH_FLOOR:
-        grounds = np.linalg.eigh(hx_s + hz_s[:, :, None] * np.eye(4))[1][:, :, 0]
+        grounds = qmat._eigh(hx_s + hz_s[:, :, None] * np.eye(4))[1][:, :, 0]
     else:
         p = params or models._DEFAULT_PARAMS
         grid, _, _, ground = _density_table(schedule.model_tag, p.omega_z, p.omega_x)

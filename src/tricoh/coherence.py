@@ -66,6 +66,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import qmat
 from .qmat import _as_square, _as_stack, _check_real, _dephased, _kron_into, _sym
 
 # eigenvalues below this floor are treated as exact zeros inside logarithms
@@ -198,7 +199,7 @@ def _pair_stack(rho, sigma):
 def von_neumann_entropy(rho, base=2.0):
     """S(rho) = -sum_k lambda_k log lambda_k, with 0 log 0 = 0."""
     rho = _as_square(rho, "rho")
-    return float(_entropies(np.linalg.eigvalsh(_sym(rho)), _log_scale(base)))
+    return float(_entropies(qmat._eigh(_sym(rho), vectors=False), _log_scale(base)))
 
 
 def relative_entropy(rho, sigma, base=2.0):
@@ -208,7 +209,7 @@ def relative_entropy(rho, sigma, base=2.0):
     if rho places more than ``SUPPORT_WEIGHT_TOL`` weight on eigenvectors of
     sigma whose eigenvalues fall below the floor, ``math.inf`` is returned.
     """
-    w, v = np.linalg.eigh(_sym(_pair_stack(rho, sigma)))
+    w, v = qmat._eigh(_sym(_pair_stack(rho, sigma)))
     w = np.clip(w, 0.0, None)
     return float(_relative_entropies(w[0], v[0], w[1], v[1], _log_scale(base)))
 
@@ -221,7 +222,7 @@ def qjsd(rho, sigma, base=2.0):
     ``CROSS_CHECK_TOL``. Always finite and bounded by log_base(2).
     """
     pairs = [(0, 1)]
-    w, v = np.linalg.eigh(_qjsd_stack(_pair_stack(rho, sigma)[:, None], pairs))
+    w, v = qmat._eigh(_qjsd_stack(_pair_stack(rho, sigma)[:, None], pairs))
     return float(_qjsd_pairs(w, v, pairs, {}, _log_scale(base))[0, 0])
 
 
@@ -356,8 +357,8 @@ def _chunk_scores(w8, v8, small, dephased, scale):
 def _chunk_rows(rho, scale):
     """The report rows of a (n, 8, 8) stack, in serial order: inputs, 4x4 ``eigh``, 4x4 scores, 8x8 ``eigh``, rows."""
     stack4, stack8, marg, dephased = _chunk_stacks(rho)
-    small = _small_scores(*np.linalg.eigh(stack4), marg, scale)
-    return _chunk_scores(*np.linalg.eigh(stack8), small, dephased, scale)
+    small = _small_scores(*qmat._eigh(stack4), marg, scale)
+    return _chunk_scores(*qmat._eigh(stack8), small, dephased, scale)
 
 
 def _shifted(start, fn, *args):
@@ -428,9 +429,9 @@ def _pipelined_rows(chunks, starts, scale):
             settle(len(steps) - 2)
             if i + 1 < len(chunks):
                 inputs = run(_shifted, starts[i + 1], _chunk_stacks, chunks[i + 1])
-            small = run(_shifted, start, _small_scores, *here(np.linalg.eigh, stack4), marg, scale)
+            small = run(_shifted, start, _small_scores, *here(qmat._eigh, stack4), marg, scale)
             steps.append(small)
-            steps.append(run(rows, start, *here(np.linalg.eigh, stack8), small, dephased))
+            steps.append(run(rows, start, *here(qmat._eigh, stack8), small, dephased))
         settle(len(steps))
         return [step.result() for step in steps[1::2]]
     finally:

@@ -13,6 +13,7 @@ Conventions used throughout the package:
   bitwise equal to the call on that item alone. So do ``ground_states``
   and the checks and fidelities used on tomography input
   (``validate_density``, ``root_fidelity`` and ``state_fidelity``).
+- ``_eigh`` is the one place the package's Hermitian eigensolver is chosen.
 
 Two fidelity conventions are provided. ``state_fidelity`` is the squared
 Uhlmann fidelity (Tr sqrt(sqrt(a) b sqrt(a)))^2, which reduces to <psi|b|psi>
@@ -228,6 +229,17 @@ def normalize_phase(vec):
     return v * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
 
 
+def _eigh(a, vectors=True):
+    """``numpy.linalg.eigh(a)``, or ``numpy.linalg.eigvalsh(a)`` without ``vectors``, of a stack its callers have checked.
+    numpy's function is looked up at each call, so a wrapper set on ``numpy.linalg`` sees every call."""
+    return np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a)
+
+
+def _spectral(w, v):
+    """v diag(w) v^dag of the eigenvalues ``w`` and eigenvectors ``v`` of a matrix or of each matrix of a stack."""
+    return (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
 def eig_hermitian(h):
     """Eigendecomposition ``(w, v)`` of a Hermitian matrix with deterministic output.
 
@@ -242,7 +254,7 @@ def eig_hermitian(h):
     """
     h = _as_square(h, "h")
     _check_hermitian(h, name="h")
-    w, v = np.linalg.eigh(h)
+    w, v = _eigh(h)
     for start, stop in _clusters(w):
         if stop - start > 1:
             v[:, start:stop] = _canonical_cluster_basis(v[:, start:stop])
@@ -300,7 +312,7 @@ def ground_states(h):
     """
     h = _as_stack(h, "h")
     _check_hermitian(h, name="h")
-    w, v = np.linalg.eigh(h.reshape((-1,) + h.shape[-2:]))
+    w, v = _eigh(h.reshape((-1,) + h.shape[-2:]))
     degenerate = w[:, 1] - w[:, 0] < DEGENERACY_TOL
     grounds = v[:, :, 0].copy()
     for i in np.flatnonzero(degenerate):
@@ -314,14 +326,8 @@ def expm_hermitian(h, t):
     """Unitary exp(-i h t) of a Hermitian matrix, or of each matrix of a stack, via eigendecomposition."""
     h = _as_stack(h, "h")
     _check_hermitian(h, name="h")
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * t)[..., None, :]) @ v.conj().swapaxes(-1, -2)
-
-
-def _sqrtm_psd(rho):
-    """Square root of a PSD matrix, or of each matrix of a stack, with negative eigenvalues clipped to 0."""
-    w, v = np.linalg.eigh(rho)
-    return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    w, v = _eigh(h)
+    return _spectral(np.exp(-1j * w * t), v)
 
 
 def _squares(x):
@@ -349,8 +355,10 @@ def root_fidelity(a, b):
     b = _as_stack(b, "b")
     if b.shape not in (a.shape, a.shape[-2:]):
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    sa = _sqrtm_psd(a)
-    w = np.linalg.eigvalsh(sa @ b @ sa)
+    # sqrt(a), with negative eigenvalues clipped to 0
+    w, v = _eigh(a)
+    sa = _spectral(np.sqrt(np.clip(w, 0.0, None)), v)
+    w = _eigh(sa @ b @ sa, vectors=False)
     f = np.clip(np.sqrt(np.clip(w, 0.0, None)).sum(axis=-1), 0.0, 1.0)
     return float(f) if f.ndim == 0 else f
 
@@ -441,10 +449,10 @@ def validate_density(m, tol=HERMITICITY_TOL, repair=False):
     # a non-finite entry makes the Hermitian part non-finite too
     unusable = ~np.isfinite(sym).all(axis=(-2, -1)) | ~np.isfinite(trace)
     sym[unusable] = 0.0
-    min_eig = np.linalg.eigvalsh(sym)[:, 0]
+    min_eig = _eigh(sym, vectors=False)[:, 0]
     trace_tol, psd_tol = max(tol, TRACE_TOL), max(tol, PSD_TOL)
     if repair:
-        w, v = np.linalg.eigh(sym)
+        w, v = _eigh(sym)
         w = np.clip(w, 0.0, None)
         total = w.sum(axis=-1)
         unusable |= ~np.isfinite(total)
@@ -467,7 +475,7 @@ def validate_density(m, tol=HERMITICITY_TOL, repair=False):
             message = f"negative eigenvalue {min_eig[i]:.3e} below tolerance -{psd_tol:.1e}"
         raise DensityError(message, i)
     checks = {"herm_dev": herm_dev, "trace_dev": trace_dev, "min_eig": min_eig}
-    rho = (v * (w / total[:, None])[:, None, :]) @ v.conj().swapaxes(-1, -2) if repair else stack
+    rho = _spectral(w / total[:, None], v) if repair else stack
     if m.ndim == 2:
         return rho[0], {name: float(x[0]) for name, x in checks.items()}
     return rho, checks

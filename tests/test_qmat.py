@@ -1,12 +1,14 @@
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from helpers import random_unitary, same_bits
-from tricoh import adiabatic, coherence, models, perturbation, qmat, states
+from tricoh import adiabatic, cli, coherence, models, perturbation, qmat, states
 
 SZ = np.diag([0.5, -0.5]).astype(complex)
 SX = np.array([[0, 0.5], [0.5, 0]], dtype=complex)
@@ -775,3 +777,75 @@ def test_empty_matrices_are_rejected_by_name(call, name):
 def test_scalar_arguments_reject_text_none_bools_and_arrays_by_name(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
+
+
+@pytest.fixture
+def fresh_density_tables():
+    # the cached tables are built through the eigensolver, so a test that watches or swaps it builds its own,
+    # and leaves none built by a swapped solver behind
+    adiabatic._density_table.cache_clear()
+    yield
+    adiabatic._density_table.cache_clear()
+
+
+def test_numpy_eigensolvers_are_called_only_by_the_seam(monkeypatch, tmp_path, fresh_density_tables):
+    # a sector problem whose Newton start is the first excited level, so every row takes the eigh fallback
+    hx_s = adiabatic._sector_transverse("zz", 0.7)[0]
+    hz_s = models.parts("zz", np.linspace(0.0, 2.0, 9))[1][:, [0, 1, 3, 7]]
+    excited = np.linalg.eigvalsh(hx_s + hz_s[:, :, None] * np.eye(4))[:, 1]
+    qmat.save_density(tmp_path / "rho.json", random_density(np.random.default_rng(29), 8, rank=3))
+    seam = qmat._eigh.__code__
+    calls, strays = [], []
+    for name in ("eigh", "eigvalsh"):
+        def owned(a, *args, _kernel=getattr(np.linalg, name), _name=name, **kwargs):
+            caller = sys._getframe(1).f_code
+            if caller is not seam:
+                strays.append(f"{_name} from {caller.co_filename}:{caller.co_name}")
+                raise AssertionError(strays[-1])
+            calls.append(_name)
+            return _kernel(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, owned)
+    # the reports of more than one chunk run their eigh calls through the helper-thread pipeline
+    monkeypatch.setattr(coherence.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    out = ["--out", str(tmp_path)]
+    runs = {
+        "sweep": lambda: cli.main(["sweep", "--model", "zz", "--steps", str(2 * coherence.REPORT_CHUNK)] + out),
+        "ratios": lambda: cli.main(["ratios", "--model", "zzz", "--steps", "5"] + out),
+        "geometry": lambda: cli.main(["geometry", "--model", "zz", "--j-values", "0,2"] + out),
+        "trotter-audit": lambda: cli.main(["trotter-audit", "--model", "zz", "--steps", "5"] + out),
+        "schedule": lambda: cli.main(["schedule", "--model", "zz", "--schedule", "adaptive", "--steps", "5"] + out),
+        "tomo": lambda: cli.main(["tomo", str(tmp_path / "rho.json"), "--repair"] + out),
+        "qjsd": lambda: coherence.qjsd(np.eye(4) / 4, np.diag([1.0, 0, 0, 0])),
+        "relative_entropy": lambda: coherence.relative_entropy(np.eye(4) / 4, np.eye(4) / 4),
+        "von_neumann_entropy": lambda: coherence.von_neumann_entropy(np.eye(4) / 4),
+        "eig_hermitian": lambda: qmat.eig_hermitian(np.diag([1.0, 1.0, 2.0])),
+        "secular_solve": lambda: perturbation.secular_solve(perturbation.zzz_split(models.ModelParams(j3=5.0))),
+        "min_steps_search": lambda: adiabatic.min_steps_search("zz", 0.99, 0.7),
+        "sector fallback": lambda: adiabatic._sector_ground_pairs(hx_s, hz_s, excited),
+    }
+    for name, run in runs.items():
+        before = len(calls)
+        run()
+        assert strays == [] and len(calls) > before, name
+    assert {"eigh", "eigvalsh"} <= set(calls)
+
+
+
+def test_step_searches_hold_with_another_eigensolver(monkeypatch, fresh_density_tables):
+    sizes = []
+
+    def evr(a, vectors=True):
+        # scipy's eigh takes one matrix, so a stack is diagonalized matrix by matrix
+        flat = a.reshape((-1,) + a.shape[-2:])
+        sizes.append(len(flat))
+        if not vectors:
+            return np.array([scipy.linalg.eigh(m, eigvals_only=True, driver="evr") for m in flat]).reshape(a.shape[:-1])
+        pairs = [scipy.linalg.eigh(m, driver="evr") for m in flat]
+        return np.array([w for w, _ in pairs]).reshape(a.shape[:-1]), np.array([v for _, v in pairs]).reshape(a.shape)
+
+    monkeypatch.setattr(qmat, "_eigh", evr)
+    got = [adiabatic.min_steps_search(tag, x, models.model(tag).tau) for tag in ("zz", "zzz") for x in (0.9, 0.99, 0.999)]
+    assert got == [36, 126, 412, 19, 60, 266]
+    # both density tables came from the swapped solver too
+    assert sizes.count(adiabatic.DENSITY_GRID + 1) == 2
