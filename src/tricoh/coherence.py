@@ -46,8 +46,9 @@ calling thread runs every ``eigh`` in serial order. numpy's ``eigh``
 releases the GIL, so chunk i + 1's inputs and chunk i - 1's scores are
 built while chunk i is diagonalized. Every matrix goes through the same
 numpy operations either way, each task runs in a copy of the caller's
-context (so ``np.errstate`` applies), and results are read in serial order:
-values and the exception raised do not depend on whether the helper runs.
+context (so ``np.errstate`` applies), and on any failure the helper's steps
+so far are read in serial order, their first failure winning: values and
+the exception raised do not depend on whether the helper runs.
 
 ``embed_tetrahedron`` places the four states rho, pi(rho), dephased pi(rho)
 and rho_1 x rho_23 in Euclidean 3-space so that pairwise point distances
@@ -384,38 +385,22 @@ def _pipelined_rows(chunks, starts, scale):
     The calling thread runs every ``eigh``, in serial order, so chunk i + 1's
     inputs and chunk i - 1's scores are built while chunk i is in ``eigh``,
     which releases the GIL. Each matrix goes through the numpy operations of
-    ``_chunk_rows``, so the rows are bitwise the same. Results are read in
-    serial order, so the failure raised is the one ``_chunk_rows`` would
-    raise first; a later chunk's input side may already have run by then.
+    ``_chunk_rows``, so the rows are bitwise the same. On any failure, the
+    helper's steps so far are read in serial order and the first failure
+    among them is raised, else the failure itself: the one ``_chunk_rows``
+    raises first. A later chunk's input side may already have run by then.
     """
     # imported here, not at module level: it pulls in logging and queue, about 10 ms that every
     # process importing tricoh would pay, though only a multi-chunk call on two CPUs needs it
-    from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import Future, ThreadPoolExecutor
 
     pool = ThreadPoolExecutor(1)
-    # the helper's scoring futures in serial order, two per chunk: its 4x4 scores and its rows; the
-    # inputs are read as soon as they are built, and only their failures need a place in that order
+    # the helper's scoring futures in serial order, two per chunk: its 4x4 scores and its rows
     steps = []
-    settled = 0
 
     def run(fn, *args):
         # each task runs in a copy of the caller's context, so the caller's np.errstate holds there
         return pool.submit(contextvars.copy_context().run, fn, *args)
-
-    def settle(upto):
-        nonlocal settled
-        for step in steps[settled:upto]:
-            step.result()
-        settled = max(settled, upto)
-
-    def here(fn, *args):
-        # a step on the calling thread; a failure of an earlier step on the helper takes precedence
-        try:
-            return fn(*args)
-        except Exception as exc:
-            failure = exc
-        settle(len(steps))
-        raise failure
 
     def rows(start, w8, v8, small, dephased):
         # small.result() is read first: its CrossCheckError already names the state's index in the stack
@@ -424,18 +409,22 @@ def _pipelined_rows(chunks, starts, scale):
     try:
         inputs = run(_shifted, starts[0], _chunk_stacks, chunks[0])
         for i, start in enumerate(starts):
-            stack4, stack8, marg, dephased = here(inputs.result)
+            stack4, stack8, marg, dephased = inputs.result()
             # the helper ran chunk i - 2's scores before chunk i's inputs
-            settle(len(steps) - 2)
+            for step in steps[-4:-2]:
+                step.result()
             if i + 1 < len(chunks):
                 inputs = run(_shifted, starts[i + 1], _chunk_stacks, chunks[i + 1])
-            small = run(_shifted, start, _small_scores, *here(qmat._eigh, stack4), marg, scale)
+            small = run(_shifted, start, _small_scores, *qmat._eigh(stack4), marg, scale)
             steps.append(small)
-            steps.append(run(rows, start, *here(qmat._eigh, stack8), small, dephased))
-        settle(len(steps))
+            steps.append(run(rows, start, *qmat._eigh(stack8), small, dephased))
         return [step.result() for step in steps[1::2]]
+    except Exception as exc:
+        # read before shutdown would cancel steps not yet run; raised outside the handler, so unchained
+        failure = next((e for e in map(Future.exception, steps) if e is not None), exc)
     finally:
         pool.shutdown(cancel_futures=True)
+    raise failure
 
 
 def coherence_reports(rhos, base=2.0):
@@ -444,7 +433,11 @@ def coherence_reports(rhos, base=2.0):
     Returns N ``CoherenceReport`` values, each equal bit for bit to the
     report of its state alone. States are processed ``REPORT_CHUNK`` at a
     time. A failed cross-check raises ``CrossCheckError`` whose ``index`` is
-    the failing state's position in ``rhos``.
+    the failing state's position in ``rhos``. The entry check admits any
+    finite stack: from about 1e103 up, entries overflow the products of the
+    marginals' spectra, with numpy warnings, and end in ``CrossCheckError``
+    or numpy's ``LinAlgError``. ``qmat.validate_density`` rejects or repairs
+    such matrices first, as ``tomo`` does.
 
     When the stack spans more than one chunk and the process may run on at
     least two CPUs, one helper thread, started and joined within the call,
@@ -458,6 +451,7 @@ def coherence_reports(rhos, base=2.0):
     scale = _log_scale(base)
     starts = range(0, len(rhos), REPORT_CHUNK)
     chunks = [rhos[start:start + REPORT_CHUNK] for start in starts]
+    # one chunk has nothing to overlap, and pinned to one CPU the helper path ran 5-17% slower (see ROADMAP)
     if len(chunks) > 1 and _cpu_count() > 1:
         rows = _pipelined_rows(chunks, starts, scale)
     else:

@@ -186,6 +186,39 @@ def test_tomo_reports_a_failed_cross_check_under_its_file(tmp_path, capsys, stat
     assert run_cli([*argv, "--repair"]) == 0
 
 
+def test_tomo_over_two_report_chunks_blames_the_file_and_matches_one_cpu(
+    tmp_path, capsys, monkeypatch, state_failing_cross_check
+):
+    # 20 files span two report chunks, so on two CPUs coherence_reports overlaps them on its helper thread
+    rng = np.random.default_rng(91)
+    paths = []
+    for k in range(20):
+        a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        rho = a @ a.conj().T
+        paths.append(tmp_path / f"f{k}.json")
+        qmat.save_density(paths[-1], state_failing_cross_check if k == 17 else rho / np.trace(rho).real)
+    pipelined = []
+
+    def spy(chunks, *args, _fn=coherence._pipelined_rows):
+        pipelined.append(len(chunks))
+        return _fn(chunks, *args)
+
+    monkeypatch.setattr(coherence, "_pipelined_rows", spy)
+    monkeypatch.setattr(coherence.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    files = [str(path) for path in paths]
+    assert run_cli(["tomo", *files, "--out", str(tmp_path / "two")]) == 2
+    out, err = capsys.readouterr()
+    assert [line.split(": fidelity ")[0] for line in out.splitlines()] == [f"f{k}.json" for k in range(20)]
+    assert err.startswith(f"error: {paths[17]}: qjsd cross-check failed")
+    assert not (tmp_path / "two" / "tomo_report.csv").exists()
+    assert run_cli(["tomo", *files, "--repair", "--out", str(tmp_path / "two")]) == 0
+    assert pipelined == [2, 2]
+    monkeypatch.setattr(coherence.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert run_cli(["tomo", *files, "--repair", "--out", str(tmp_path / "one")]) == 0
+    assert pipelined == [2, 2]
+    assert filecmp.cmp(*(tmp_path / cpus / "tomo_report.csv" for cpus in ("two", "one")), shallow=False)
+
+
 def test_tomo_names_the_trace_and_spectrum_a_loose_tolerance_let_through(tmp_path, capsys):
     # --tol 1e-2 accepts a trace 7e-3 off 1 and a lowest eigenvalue -3.6e-3, which the
     # coherence report cannot score; the error says so and points to --repair

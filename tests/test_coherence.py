@@ -448,6 +448,47 @@ def test_pipelined_reports_raise_the_first_failure_in_serial_order(
     assert prepared == [0, 1, 2]
 
 
+def test_pipelined_reports_raise_a_failed_eigh_after_the_helper_steps_before_it(
+    monkeypatch, two_cpus, state_failing_cross_check
+):
+    # the 6th eigh, chunk 2's 8x8 stack on the calling thread, fails
+    rhos = np.array(seeded_states(np.random.default_rng(78), 5 * coherence.REPORT_CHUNK))
+    eigh, chunk_stacks, chunk_scores = qmat._eigh, coherence._chunk_stacks, coherence._chunk_scores
+    calls, prepared, scored = [], [], []
+
+    def failing(a, vectors=True):
+        calls.append(len(calls))
+        if len(calls) == 6:
+            raise np.linalg.LinAlgError("chunk 2's 8x8 eigh")
+        return eigh(a, vectors)
+
+    def stacks(rho):
+        prepared.append(len(prepared))
+        return chunk_stacks(rho)
+
+    def scores(*args):
+        scored.append(len(scored))
+        return chunk_scores(*args)
+
+    monkeypatch.setattr(qmat, "_eigh", failing)
+    monkeypatch.setattr(coherence, "_chunk_stacks", stacks)
+    monkeypatch.setattr(coherence, "_chunk_scores", scores)
+    threads = threading.active_count()
+    with pytest.raises(np.linalg.LinAlgError, match="^chunk 2's 8x8 eigh$"):
+        coherence.coherence_reports(rhos)
+    # chunk 3's inputs were built during chunk 2's eigh; chunk 2 was never scored
+    assert (prepared, scored) == ([0, 1, 2, 3], [0, 1])
+    assert threading.active_count() == threads
+    # an earlier failure on the helper, chunk 1's cross-check, wins and keeps no link to the eigh's
+    rhos[coherence.REPORT_CHUNK + 5] = state_failing_cross_check
+    calls.clear()
+    with pytest.raises(coherence.CrossCheckError) as exc:
+        coherence.coherence_reports(rhos)
+    assert exc.value.index == coherence.REPORT_CHUNK + 5
+    assert exc.value.__context__ is None
+    assert threading.active_count() == threads
+
+
 def test_pipelined_reports_score_the_small_pairs_before_the_large_eigh(two_cpus):
     # at 1e110 the 4x4 stack is finite and fails its cross-check, while pi(rho) overflows and the 8x8
     # eigh fails to converge: serially the 4x4 pairs are scored first
