@@ -29,11 +29,20 @@ model and field and shared, read-only, by every later schedule and step
 search, together with its validated, normalized cumulative sum, so that a
 schedule costs one interpolation; at most ``DENSITY_CACHE_SIZE`` tables are
 kept, and a density that fails validation (omega_x = 0) raises and is not
-kept. Summing over all excited levels matters: level crossings with
-symmetry-forbidden coupling carry no diabatic risk and must not attract
-steps. Near an avoided crossing dominated by a single level this density
+kept. Near an avoided crossing dominated by a single level this density
 reduces to the familiar inverse squared gap rule, and a constant density
 reproduces the linear schedule.
+
+The zzz model is H = omega_x S^x + (J/2) P, with S^x the total x spin and P
+the product of the three Pauli z. P anticommutes with S^x and flips each
+x-basis state, so H is four 2x2 blocks [[m omega_x, J/2], [J/2, -m omega_x]]
+with S^x = m = 3/2 once and 1/2 three times. The ground state, at energy -E
+with E = sqrt(a^2 + J^2/4) and a = 3|omega_x|/2, is cos(t/2) G -
+sign(omega_x) sin(t/2) e_+, e_+ = (|000> + sqrt(3)|W110>)/2, tan t = 2a/J,
+and its density is a/(8 E^3). The sector's other two excited levels lie in
+other blocks, so their terms vanish by symmetry; in floats they are rounding
+noise that does attract steps: at omega_x = 1e-3 most points move by over 1%.
+
 ``min_steps_search`` finds, by doubling and then bisection, a step count m
 of such a schedule that reaches a fidelity target where m - 1 does not,
 searching up to ten times the model's canonical step count. The fidelity
@@ -160,11 +169,13 @@ def linear_schedule(model_tag, m_steps, tau):
     return Schedule(values=np.linspace(lo, hi, m_steps + 1), tau=tau, model_tag=model_tag)
 
 
-# the permutation-symmetric sector, built once and shared read-only
+# the permutation-symmetric sector, built once and shared read-only. The sector code needs, of any
+# real orthonormal basis put here: a span that holds the J = 0 ground state and is kept by hx, dH/dJ
+# and dH/domega_z, B^T hx B tridiagonal with a zero diagonal, and each column joining states of one
+# hz, so that the sector's diagonal is hz at each column's first nonzero entry
 _SECTOR_BASIS = np.column_stack([make_state(label) for label in ("000", "W001", "W110", "111")])
-_SECTOR_BASIS.flags.writeable = False
-# hz is constant on each excitation number, so the sector's diagonal is hz at |000>, |001>, |011>, |111>
-_SECTOR_LEVELS = [0, 1, 3, 7]
+_SECTOR_LEVELS = (_SECTOR_BASIS != 0).argmax(axis=0)
+_SECTOR_BASIS.flags.writeable = _SECTOR_LEVELS.flags.writeable = False
 
 
 def _cumulative(grid, density):
@@ -410,10 +421,10 @@ def _sector_ground_pairs(hx_s, hz_s, start):
     leading minors theta_k(lam) = det(T - lam)[:k, :k] and trailing minors
     phi_k(lam) = det(T - lam)[k:, k:] follow from three-term recurrences.
     The products theta_r phi_{r+1} are the diagonal of adj(T - lam), whose
-    trace is -d det(T - lam) / d lam, so Newton on det(T - lam) = theta_4
-    needs nothing else. It runs from ``start``, a lower bound on each ground
-    energy up to rounding, until no row moves by more than 4 eps of the
-    scale; from below it converges to the lowest root. The ground vector is
+    trace is -d det(T - lam) / d lam, so Newton on det(T - lam), the last
+    theta, needs nothing else. It runs from ``start``, a lower bound on each
+    ground energy up to rounding, until no row moves by more than 4 eps of
+    the scale; from below it converges to the lowest root. The ground vector is
     column r of the adjugate at the last iterate, for the twist index r of
     the largest |theta_r phi_{r+1}|: entry i is
     prod(-e[min(i, r):max(i, r)]) theta_min(i, r) phi_max(i, r)+1.
@@ -427,39 +438,39 @@ def _sector_ground_pairs(hx_s, hz_s, start):
     from one stacked ``eigh`` of those rows alone.
     """
     off = np.diagonal(hx_s, 1)
-    # a power-of-two scale keeps every minor below 3**4 and moves no bit of the vectors
+    # a power-of-two scale keeps every minor below 3**size and moves no bit of the vectors
     scale = math.ldexp(1.0, math.frexp(float(np.abs(hz_s).max() + 2.0 * np.abs(off).max()))[1])
     d = hz_s.T / scale
     e = off / scale
     e2 = (e * e).tolist()
     lam = start / scale
-    n = len(lam)
-    theta = np.empty((5, n))
-    phi = np.empty((5, n))
-    theta[0] = phi[4] = 1.0
+    n, size = hz_s.shape
+    theta = np.empty((size + 1, n))
+    phi = np.empty((size + 1, n))
+    theta[0] = phi[size] = 1.0
     for _ in range(_NEWTON_MAX):
         a = d - lam
-        theta[1], phi[3] = a[0], a[3]
-        for k in (2, 3):
+        theta[1], phi[size - 1] = a[0], a[size - 1]
+        for k in range(2, size + 1):
             theta[k] = a[k - 1] * theta[k - 1] - e2[k - 2] * theta[k - 2]
-            phi[4 - k] = a[4 - k] * phi[5 - k] - e2[4 - k] * phi[6 - k]
-        theta[4] = a[3] * theta[3] - e2[2] * theta[2]
-        pivots = theta[:4] * phi[1:]
-        step = theta[4] / pivots.sum(axis=0)
+        for k in range(size - 2, 0, -1):
+            phi[k] = a[k] * phi[k + 1] - e2[k] * phi[k + 2]
+        pivots = theta[:size] * phi[1:]
+        step = theta[size] / pivots.sum(axis=0)
         lam = lam + step
         if not (np.abs(step) > 4.0 * _EPS).any():
             break
     twist = np.abs(pivots).argmax(axis=0)
     # span[i][j] = prod(-e[min(i, j):max(i, j)])
     b = (-e).tolist()
-    span = [[1.0] * 4 for _ in range(4)]
-    for i in range(3):
-        for j in range(i + 1, 4):
+    span = [[1.0] * size for _ in range(size)]
+    for i in range(size - 1):
+        for j in range(i + 1, size):
             span[i][j] = span[j][i] = span[i][j - 1] * b[j - 1]
-    rows = np.arange(4)[:, None]
+    rows = np.arange(size)[:, None]
     cols = np.arange(n)
     minors = theta.take(np.minimum(rows, twist) * n + cols) * phi.take(np.maximum(rows, twist) * n + (cols + n))
-    x = np.take(span, rows * 4 + twist) * minors
+    x = np.take(span, rows * size + twist) * minors
     norm2 = (x * x).sum(axis=0)
     res = a * x
     res[1:] += e[:, None] * x[:-1]
@@ -470,7 +481,7 @@ def _sector_ground_pairs(hx_s, hz_s, start):
     vectors = (x / np.sqrt(norm2)).T
     failed = np.flatnonzero(~passed)
     if failed.size:
-        w, v = qmat._eigh(hx_s + hz_s[failed, :, None] * np.eye(4))
+        w, v = qmat._eigh(hx_s + hz_s[failed, :, None] * np.eye(size))
         energies[failed], vectors[failed] = w[:, 0], v[:, :, 0]
     return energies, vectors
 
@@ -505,31 +516,31 @@ def _sector_min_fidelity(schedule, transverse, params=None):
     hx_s, half = transverse
     hz_s = models.parts(schedule.model_tag, schedule.values, params)[1][:, _SECTOR_LEVELS]
     kicks = np.exp(-1j * schedule.tau * hz_s)
-    n = len(hz_s)
+    n, size = hz_s.shape
     if n <= SECTOR_EIGH_FLOOR:
-        grounds = qmat._eigh(hx_s + hz_s[:, :, None] * np.eye(4))[1][:, :, 0]
+        grounds = qmat._eigh(hx_s + hz_s[:, :, None] * np.eye(size))[1][:, :, 0]
     else:
         p = params or models._DEFAULT_PARAMS
         grid, _, _, ground = _density_table(schedule.model_tag, p.omega_z, p.omega_x)
         # E0(J) is concave (H is affine in J), so its chord on the grid is a lower bound
         grounds = _sector_ground_pairs(hx_s, hz_s, np.interp(schedule.values, grid, ground))[1]
-    # one (4n, 4) x (4, 4) product for all n step matrices
-    steps = ((half * kicks[:, None, :]).reshape(-1, 4) @ half).reshape(n, 4, 4)
+    # one (n size, size) x (size, size) product for all n step matrices
+    steps = ((half * kicks[:, None, :]).reshape(-1, size) @ half).reshape(n, size, size)
     # steps 1..M in blocks of k, the last padded with identities
     k = math.isqrt(n)
     n_blocks = -(-(n - 1) // k)
-    pad = np.broadcast_to(np.eye(4), (n_blocks * k - (n - 1), 4, 4))
-    blocks = np.concatenate([steps[1:], pad]).reshape(n_blocks, k, 4, 4)
+    pad = np.broadcast_to(np.eye(size), (n_blocks * k - (n - 1), size, size))
+    blocks = np.concatenate([steps[1:], pad]).reshape(n_blocks, k, size, size)
     # prods[b, j] = blocks[b, j] @ ... @ blocks[b, 0], each j one stacked product over all blocks
     prods = np.empty_like(blocks)
     prods[:, 0] = blocks[:, 0]
     for j in range(1, k):
         prods[:, j] = blocks[:, j] @ prods[:, j - 1]
-    starts = np.empty((n_blocks + 1, 4), dtype=complex)
+    starts = np.empty((n_blocks + 1, size), dtype=complex)
     starts[0] = grounds[0]
     for b in range(n_blocks):
         starts[b + 1] = prods[b, -1] @ starts[b]
-    psis = np.concatenate([starts[:1], (prods @ starts[:-1, None, :, None]).reshape(-1, 4)[:n - 1]])
+    psis = np.concatenate([starts[:1], (prods @ starts[:-1, None, :, None]).reshape(-1, size)[:n - 1]])
     return float(np.abs((grounds * psis).sum(axis=1)).min())
 
 

@@ -102,10 +102,10 @@ def zz_first_order_ground(omega_x, omega_z, j2):
 
 
 def zz_fidelity_formula(omega_x, omega_z, j2):
-    """Closed-form fidelity of the two-body ground state to |W001>.
+    """Closed-form squared overlap |<W001|g>|^2 of the two-body ground state g, up to O(omega_x^4).
 
-    1 / (1 + (omega_x/omega_z)^2 + (3/4)(omega_x/(2 j2 + omega_z))^2), with
-    the arguments checked as in ``zz_first_order_ground``.
+    1 / (1 + (omega_x/omega_z)^2 + (3/4)(omega_x/(2 j2 + omega_z))^2), not
+    the amplitude the sweeps report; arguments checked as in ``zz_first_order_ground``.
     """
     a, b = _zz_ratios(omega_x, omega_z, j2)
     return 1.0 / (1.0 + a ** 2 + 0.75 * b ** 2)
@@ -123,10 +123,10 @@ def zzz_first_order_ground(omega_x, j3):
 
 
 def zzz_fidelity_formula(omega_x, j3):
-    """Closed-form fidelity of the three-body ground state to |G>.
+    """Closed-form squared overlap |<G|g>|^2 of the three-body ground state g, up to O(omega_x^4).
 
-    1 / (1 + (3 omega_x / (2 j3))^2); monotone increasing in ``j3``. The
-    arguments are checked by ``_check_j3``.
+    1 / (1 + (3 omega_x / (2 j3))^2), not the amplitude the sweeps report;
+    monotone increasing in ``j3``. The arguments are checked by ``_check_j3``.
     """
     _check_j3(omega_x, j3)
     return 1.0 / (1.0 + (1.5 * omega_x / j3) ** 2)

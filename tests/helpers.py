@@ -21,3 +21,11 @@ def random_mixed(rng, n_qubits):
     psi = psi / np.linalg.norm(psi)
     rho = psi.reshape(dim, dim)
     return rho @ rho.conj().T
+
+
+def zzz_pair_block():
+    """The 2-dim block of the zzz ground state: e_+ = (|000> + sqrt(3)|W110>)/2 and G."""
+    from tricoh import states
+
+    e_plus = (states.make_state("000") + np.sqrt(3) * states.make_state("W110")) / 2
+    return np.column_stack([e_plus, states.make_state("G")])

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 import math
@@ -7,8 +8,35 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import same_bits
+from helpers import same_bits, zzz_pair_block
 from tricoh import adiabatic, coherence, models, qmat, states
+
+EPS = np.finfo(float).eps
+# (model tag, basis, hz levels) of the bases the sector code is run on: the shipped sector for
+# each model (basis None), and the 2-dim block (e_+, G) of the zzz ground state
+BLOCKS = {"zz": ("zz", None, [0, 1, 3, 7]), "zzz": ("zzz", None, [0, 1, 3, 7]),
+          "zzz-pair": ("zzz", zzz_pair_block(), [0, 1])}
+
+
+@contextlib.contextmanager
+def sector_swapped(name):
+    """Run with the sector basis and levels of the test block ``name``; yields its model tag.
+
+    ``_density_table`` is cached by model and fields, not by basis, so a swap empties the cache on
+    entry and on exit: inside, every table comes from the swapped basis, and none outlives it.
+    """
+    tag, block, levels = BLOCKS[name]
+    if block is None:
+        yield tag
+        return
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(adiabatic, "_SECTOR_BASIS", block)
+        patch.setattr(adiabatic, "_SECTOR_LEVELS", levels)
+        adiabatic._density_table.cache_clear()
+        try:
+            yield tag
+        finally:
+            adiabatic._density_table.cache_clear()
 
 
 def sweep_reports(sweep):
@@ -349,14 +377,18 @@ def sector_probe(schedule, params=None):
 
 
 @pytest.mark.parametrize("params", [None, models.ModelParams(omega_z=-1.7, omega_x=0.2),
-                                    models.ModelParams(omega_x=-0.1)])
-@pytest.mark.parametrize("tag", models.MODEL_TAGS)
+                                    models.ModelParams(omega_x=-0.1), models.ModelParams(omega_x=1e-3)])
+@pytest.mark.parametrize("tag", BLOCKS)
 def test_sector_probe_matches_evolve(tag, params):
-    m = models.model(tag)
+    model_tag = BLOCKS[tag][0]
+    m = models.model(model_tag)
     for m_steps in (1, 2, 60, 412, 10 * m.steps):
-        sch = adiabatic.gap_adaptive_schedule(tag, m_steps, m.tau, params)
+        # the schedule comes from the shipped sector's density table
+        sch = adiabatic.gap_adaptive_schedule(model_tag, m_steps, m.tau, params)
         want = adiabatic.evolve(sch, params=params).min_fidelity
-        assert abs(sector_probe(sch, params) - want) < 1e-10
+        with sector_swapped(tag):
+            got = sector_probe(sch, params)
+        assert abs(got - want) < 1e-10
 
 
 def test_min_steps_search_runs_no_8_dim_propagation(monkeypatch):
@@ -402,14 +434,49 @@ def test_blocked_sector_probe_matches_step_by_step_loop(tag, params):
     assert sector_probe(single) == sequential_sector_min_fidelity(single)
 
 
-def sector_problem(tag, params, n_values):
-    """``(hx_s, hz_s, start, H_s)`` of the probe's ground-pair kernel on ``n_values`` evenly spaced couplings."""
+@pytest.mark.parametrize("name", BLOCKS)
+def test_sector_basis_is_real_orthonormal_invariant_and_holds_the_ground_state(name):
+    tag, block, levels = BLOCKS[name]
+    m = models.model(tag)
+    if block is None:
+        block = adiabatic._SECTOR_BASIS
+        assert not block.flags.writeable and not adiabatic._SECTOR_LEVELS.flags.writeable
+        assert adiabatic._SECTOR_LEVELS.tolist() == levels
+    k = len(levels)
+    assert block.shape == (8, k) and np.all(block.imag == 0.0)
+    b = block.real
+    assert np.abs(b.T @ b - np.eye(k)).max() <= 4 * EPS
+    outside = np.eye(8) - b @ b.T
+    hx = models.parts(tag, 0.0)[0].real
+    for x in (hx, np.diag(m.dh_dj), np.diag(m.dh_domega_z)):
+        assert np.abs(outside @ x @ b).max() <= 4 * EPS * max(1.0, np.abs(x).max())
+    # the Newton kernel reads only the diagonal hz and the first off-diagonal of hx_s
+    hx_s = b.T @ hx @ b
+    i, j = np.indices(hx_s.shape)
+    assert np.all(hx_s[np.abs(i - j) != 1] == 0.0)
+    # each column joins computational states of one value of each diagonal, read at its level
+    for column, level in zip(b.T, levels):
+        support = column != 0.0
+        assert support.argmax() == level
+        for diagonal in (m.dh_dj, m.dh_domega_z):
+            assert np.all(diagonal[support] == diagonal[level])
+    _, ground, _ = qmat.ground_states(models.hamiltonian(tag, 0.0))
+    assert np.linalg.norm(outside @ ground) <= 4 * EPS
+
+
+def sector_problem(name, params, n_values):
+    """``(hx_s, hz_s, start, H_s)`` of the probe's ground-pair kernel on ``n_values`` evenly spaced couplings.
+
+    ``name`` is a key of ``BLOCKS``, whose basis gives ``hx_s`` and the density table of ``start``.
+    """
     p = params or models.ModelParams()
-    hx_s = adiabatic._sector_transverse(tag, models.model(tag).tau, params)[0]
+    with sector_swapped(name) as tag:
+        grid, _, _, ground = adiabatic._density_table(tag, p.omega_z, p.omega_x)
+        hx_s = adiabatic._sector_transverse(tag, models.model(tag).tau, params)[0]
+    levels = BLOCKS[name][2]
     values = np.linspace(*models.model(tag).j_range, n_values)
-    hz_s = models.parts(tag, values, params)[1][:, [0, 1, 3, 7]]
-    grid, _, _, ground = adiabatic._density_table(tag, p.omega_z, p.omega_x)
-    return hx_s, hz_s, np.interp(values, grid, ground), hx_s + hz_s[:, :, None] * np.eye(4)
+    hz_s = models.parts(tag, values, params)[1][:, levels]
+    return hx_s, hz_s, np.interp(values, grid, ground), hx_s + hz_s[:, :, None] * np.eye(len(levels))
 
 
 def spy_on_eigh(patch):
@@ -427,7 +494,7 @@ def spy_on_eigh(patch):
 @pytest.mark.parametrize("params", [None, models.ModelParams(omega_z=-1.7, omega_x=0.2), models.ModelParams(omega_x=-0.1),
                                     models.ModelParams(omega_x=1e-2), models.ModelParams(omega_x=1e-3)],
                          ids=["default", "fields", "negative", "1e-2", "1e-3"])
-@pytest.mark.parametrize("tag", models.MODEL_TAGS)
+@pytest.mark.parametrize("tag", BLOCKS)
 def test_sector_ground_pairs_match_eigh(monkeypatch, tag, params):
     hx_s, hz_s, start, h = sector_problem(tag, params, 4001)
     want_w = np.linalg.eigvalsh(h)[:, 0]
@@ -439,7 +506,7 @@ def test_sector_ground_pairs_match_eigh(monkeypatch, tag, params):
     assert fallback == []
     assert np.all(np.abs(energies - want_w) <= 1e-13 * (1.0 + np.abs(want_w)))
     assert np.all(np.abs((vectors * want_v).sum(axis=1)) >= 1.0 - 1e-13)
-    residuals = np.linalg.norm((h - energies[:, None, None] * np.eye(4)) @ vectors[:, :, None], axis=(1, 2))
+    residuals = np.linalg.norm((h - energies[:, None, None] * np.eye(len(h[0]))) @ vectors[:, :, None], axis=(1, 2))
     assert residuals.max() <= 1e-13
 
 
@@ -472,6 +539,26 @@ def test_density_table_keeps_the_sector_ground_energy_read_only(tag):
     np.testing.assert_allclose(ground, np.linalg.eigvalsh(hx_s + hz_s[:, :, None] * np.eye(4))[:, 0], rtol=0, atol=1e-13)
     with pytest.raises(ValueError, match="read-only"):
         ground[0] = 1.0
+
+
+def test_zzz_ground_sweep_target_fidelity_has_its_closed_form(zzz_sweep):
+    # |<G|g>| = cos(t/2) with tan t = 3 |omega_x| / J, for the ground state g of the zzz block (e_+, G)
+    j = zzz_sweep.j_values
+    want = np.sqrt((1.0 + j / np.sqrt(9 * 0.1 ** 2 + j ** 2)) / 2)
+    got = np.abs(zzz_sweep.ground_states @ states.make_state("G").conj())
+    assert np.abs(got - want).max() <= 4 * EPS
+    assert abs(zzz_sweep.ground_target_fidelity - 0.999551110615605) <= 2 * EPS
+
+
+@pytest.mark.parametrize("omega_x", [0.1, -0.3])
+def test_zzz_density_table_has_the_closed_form_ground_energy_and_density(omega_x):
+    grid, density, _, ground = adiabatic._density_table("zzz", -2.0, omega_x)
+    a = 1.5 * abs(omega_x)
+    energy = np.sqrt(a ** 2 + grid ** 2 / 4)
+    assert np.abs(ground + energy).max() <= 8 * EPS * energy.max()
+    # the exact density is the top sector level's term alone; the two symmetry-zero
+    # terms add rounding noise, at most 1.5e-8 of it at omega_x = 0.1
+    np.testing.assert_allclose(density, a / (8 * energy ** 3), rtol=1e-7, atol=0.0)
 
 
 def test_sector_ground_pairs_are_scale_free():

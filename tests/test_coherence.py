@@ -195,6 +195,18 @@ def test_reports_pinned_rounding_noise(zz_reports, zzz_reports):
     assert f"{zz_reports[0].slack_eq7:.9g}" == "-1.38777878e-17"
 
 
+def test_zzz_sweep_absolute_coherence_has_its_exact_value(zzz_sweep, zzz_reports):
+    # every zzz ground state has single-qubit marginals of diagonal (1/2, 1/2), so its dephased
+    # pi(rho) is I/8 and the mixture (rho + I/8)/2 has eigenvalues 9/16 once and 1/16 seven times
+    want = math.sqrt(2.5 - 9 / 8 * math.log2(3))
+    assert abs(want - 0.8467096236) < 1e-10
+    assert np.abs(np.array([rep.c_absolute for rep in zzz_reports]) - want).max() <= 16 * np.finfo(float).eps
+    base_e = coherence.coherence_reports(states.density(zzz_sweep.ground_states), base=math.e)
+    want = math.sqrt(math.log(2)) * want
+    assert abs(want - 0.704932001) < 1e-9
+    assert np.abs(np.array([rep.c_absolute for rep in base_e]) - want).max() <= 16 * np.finfo(float).eps
+
+
 def test_reports_properties_random_ranks():
     rhos = np.array(seeded_states(np.random.default_rng(64), 24))
     # swap qubits 2 and 3: basis index bits (b1 b2 b3) -> (b1 b3 b2)

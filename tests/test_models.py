@@ -1,10 +1,13 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 
 from tricoh import models, qmat, states
+
+EPS = np.finfo(float).eps
 
 
 def bit_spins(idx):
@@ -99,6 +102,16 @@ def test_h_zzz_end_ground_close_to_g():
     _, g, _ = qmat.ground_states(h)
     f = qmat.root_fidelity(states.density(g), states.density(states.make_state("G")))
     assert abs(f - 0.9996) < 5e-4
+
+
+@pytest.mark.parametrize("omega_x", [0.1, -0.3])
+@pytest.mark.parametrize("j", [0.0, 1.3, 5.0])
+def test_h_zzz_spectrum_is_four_two_level_systems(j, omega_x):
+    # H = omega_x S^x + (J/2) P: one block at S^x = +-3/2 and three at +-1/2
+    outer, inner = math.sqrt(9 * omega_x ** 2 + j ** 2) / 2, math.sqrt(omega_x ** 2 + j ** 2) / 2
+    want = np.sort([-outer, outer] + [-inner, inner] * 3)
+    got = np.linalg.eigvalsh(models.hamiltonian("zzz", j, models.ModelParams(omega_x=omega_x)))
+    assert np.abs(got - want).max() <= 8 * EPS * outer
 
 
 def test_three_body_term_eigenvalues():
@@ -277,3 +290,4 @@ def test_nmr_config_too_deep_names_the_file(tmp_path):
     with pytest.raises(ValueError) as exc:
         models.load_nmr_params(path)
     assert str(exc.value) == f"{path}: coupling J11 must be a real number, got [0.0]"
+

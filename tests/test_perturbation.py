@@ -5,6 +5,8 @@ import pytest
 
 from tricoh import models, perturbation, qmat, states
 
+EPS = np.finfo(float).eps
+
 
 def exact_ground_fidelity(tag, params, target):
     h = models.hamiltonian(tag, getattr(params, models.model(tag).coupling), params)
@@ -139,6 +141,44 @@ def test_secular_recovers_g_state():
     assert abs(abs(np.vdot(states.make_state("G"), psi)) - 1.0) < 1e-9
     assert abs(result.energy_shift - (-2.25 * 0.1 ** 2 / 5.0)) < 1e-12
     assert not result.degenerate
+
+
+def test_secular_solution_is_g_exactly():
+    # the coefficients on (W001, 111) are those of G = (sqrt(3)|W001> + |111>)/2, the J -> infinity
+    # limit of the zzz ground state cos(t/2) G - sin(t/2) e_+ with tan t = 3 omega_x / J
+    split = perturbation.zzz_split(models.ModelParams(j3=5.0))
+    coefficients = perturbation.secular_solve(split).coefficients
+    assert np.abs(coefficients - [math.sqrt(3) / 2, 0.5]).max() <= 2 * EPS
+    assert np.abs(np.column_stack(split.degenerate_subspace) @ coefficients - states.make_state("G")).max() <= 2 * EPS
+
+
+def fourth_order_coefficients(tag, j, target, formula):
+    """(exact - formula) / omega_x^4 as omega_x halves from 0.1, exact being the squared overlap |<target|g>|^2."""
+    out = []
+    for omega_x in (0.1, 0.05, 0.025, 0.0125):
+        params = models.ModelParams(omega_x=omega_x, **{models.model(tag).coupling: j})
+        _, g, _ = qmat.ground_states(models.hamiltonian(tag, j, params))
+        out.append((abs(np.vdot(states.make_state(target), g)) ** 2 - formula(omega_x)) / omega_x ** 4)
+    return np.array(out)
+
+
+@pytest.mark.parametrize(("tag", "j", "limit"), [
+    # the omega_x^4 term of the zzz block's closed form is (81/8) (omega_x / J)^4
+    ("zzz", 5.0, 81 / 8 / 5.0 ** 4),
+    # from 60-digit mpmath at omega_x = 1e-7: 1691/784 and 365/1024 to 11 digits
+    ("zz", 1.5, 1691 / 784),
+    ("zz", 2.0, 365 / 1024),
+], ids=["zzz-5", "zz-1.5", "zz-2"])
+def test_fidelity_formulas_are_squared_overlaps_to_fourth_order(tag, j, limit):
+    # an amplitude would already be off at order omega_x^2, and these ratios would diverge
+    if tag == "zz":
+        got = fourth_order_coefficients(tag, j, "W001", lambda omega_x: perturbation.zz_fidelity_formula(omega_x, -2.0, j))
+    else:
+        got = fourth_order_coefficients(tag, j, "G", lambda omega_x: perturbation.zzz_fidelity_formula(omega_x, j))
+    gaps = np.abs(got - limit)
+    # the next term is of relative order omega_x^2, so each halving cuts the gap about fourfold
+    assert np.all(gaps[1:] <= gaps[:-1] / 3)
+    assert gaps[-1] <= 1e-3 * limit
 
 
 def test_secular_zero_perturbation():
