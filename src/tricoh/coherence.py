@@ -36,19 +36,21 @@ and rho_3 from rho_13, with the ``np.trace`` calls ``partial_trace`` makes.
 Each group's matrices are written into one buffer, and each is bitwise
 equal to the one the checked public helpers build.
 
-Each chunk of ``REPORT_CHUNK`` states has an input side (its stacks, the
-mixtures and ``_sym``), two stacked ``eigh`` calls and a scoring side (the
-closed forms, the relative entropies, the entropies, the cross-check and
-the row sums). When a ``coherence_reports`` stack spans more than one chunk
-and the process may run on at least two CPUs, one helper thread, started
-and joined within the call, runs the input and scoring sides, while the
-calling thread runs every ``eigh`` in serial order. numpy's ``eigh``
-releases the GIL, so chunk i + 1's inputs and chunk i - 1's scores are
-built while chunk i is diagonalized. Every matrix goes through the same
-numpy operations either way, each task runs in a copy of the caller's
-context (so ``np.errstate`` applies), and on any failure the helper's steps
-so far are read in serial order, their first failure winning: values and
-the exception raised do not depend on whether the helper runs.
+Each chunk of ``REPORT_CHUNK`` states runs in one serial order: its input
+side (its stacks, the mixtures and ``_sym``), the stacked 4x4 ``eigh``, the
+stacked 8x8 ``eigh``, then one scoring side (the closed forms, the relative
+entropies, the entropies, the cross-check of the 4x4 pairs, then of the 8x8
+pairs, and the row sums). When a ``coherence_reports`` stack spans more
+than one chunk and the process may run on at least two CPUs, one helper
+thread, started and joined within the call, runs each chunk's input side
+and its one scoring task, while the calling thread runs every ``eigh`` in
+serial order. numpy's ``eigh`` releases the GIL, so chunk i + 1's inputs
+and chunk i - 1's scores are built while chunk i is diagonalized. No helper
+task waits on another. Every matrix goes through the same numpy operations
+either way, each task runs in a copy of the caller's context (so
+``np.errstate`` applies), and on any failure the helper's scoring tasks so
+far are read in serial order, their first failure winning: values and the
+exception raised do not depend on whether the helper runs.
 
 ``embed_tetrahedron`` places the four states rho, pi(rho), dephased pi(rho)
 and rho_1 x rho_23 in Euclidean 3-space so that pairwise point distances
@@ -312,34 +314,25 @@ def _chunk_stacks(rho):
     return _qjsd_stack(small, _PAIRS_4), _qjsd_stack(big, _PAIRS_8), marg, big[1:4:2]
 
 
-def _small_scores(w4, v4, marg, scale):
-    """The 4x4 half of a chunk's scoring side, from the eigenpairs (w4, v4) of its 4x4 stack.
+def _chunk_scores(w4, v4, w8, v8, marg, dephased, scale):
+    """The scoring side of a chunk: the (n, 14) report rows in ``REPORT_COLUMNS`` order.
 
-    Returns the (3, n) divergences of the ``_PAIRS_4`` pairs and the
-    (2, n, 8) spectra of pi(rho) and rho_1 x rho_23, which the 8x8 half
-    reads. The closed forms use the spectra of the marginals' Hermitian
-    parts and of rho_23, unclipped, as the spectrum of a product is the
-    product of its factors' spectra before the defining route clips it;
-    ``_entropies`` drops the sub-floor products either way.
+    (w4, v4) and (w8, v8) are the eigenpairs of the chunk's 4x4 and 8x8
+    stacks, and ``marg`` and ``dephased`` come from ``_chunk_stacks``. The
+    4x4 pairs are scored first, so their ``CrossCheckError`` wins. The
+    closed forms use the spectra of the marginals' Hermitian parts and of
+    rho_23, unclipped, as the spectrum of a product is the product of its
+    factors' spectra before the defining route clips it; ``_entropies``
+    drops the sub-floor products either way. The nine distances come first;
+    the monogamy difference and the four slacks are sums of them.
     """
     q = _qubit_spectra(marg)
     # spectra of rho_2 x rho_3, rho_1 x rho_2 and rho_1 x rho_3
     q4 = _product_spectrum(q[[1, 0, 0]], q[[2, 1, 2]])
     s4 = _entropies(q4, scale)
     j4 = _qjsd_pairs(w4, v4, _PAIRS_4, {1: s4[0], 3: s4[1], 5: s4[2]}, scale)
-    # rho_23 is the first matrix of the 4x4 stack
-    return j4, np.stack([_product_spectrum(q4[1], q[2]), _product_spectrum(q[0], w4[0])])
-
-
-def _chunk_scores(w8, v8, small, dephased, scale):
-    """The 8x8 half of a chunk's scoring side: the (n, 14) report rows in ``REPORT_COLUMNS`` order.
-
-    (w8, v8) are the eigenpairs of the 8x8 stack and ``small`` is the
-    chunk's ``_small_scores``. The nine distances come first; the monogamy
-    difference and the four slacks are sums of them.
-    """
-    j4, spectra = small
-    s8 = _entropies(spectra, scale)
+    # pi(rho) = rho_1 x rho_2 x rho_3 and rho_1 x rho_23; rho_23 is the first matrix of the 4x4 stack
+    s8 = _entropies(np.stack([_product_spectrum(q4[1], q[2]), _product_spectrum(q[0], w4[0])]), scale)
     d = _diagonal_entropies(dephased, scale)
     j8 = _qjsd_pairs(w8, v8, _PAIRS_8, {1: d[0], 2: s8[0], 3: d[1], 4: s8[1]}, scale)
     d8, d4 = np.sqrt(j8), np.sqrt(j4)
@@ -355,20 +348,19 @@ def _chunk_scores(w8, v8, small, dephased, scale):
     return np.concatenate([dists, sums]).T
 
 
-def _chunk_rows(rho, scale):
-    """The report rows of a (n, 8, 8) stack, in serial order: inputs, 4x4 ``eigh``, 4x4 scores, 8x8 ``eigh``, rows."""
-    stack4, stack8, marg, dephased = _chunk_stacks(rho)
-    small = _small_scores(*qmat._eigh(stack4), marg, scale)
-    return _chunk_scores(*qmat._eigh(stack8), small, dephased, scale)
-
-
-def _shifted(start, fn, *args):
-    """``fn(*args)`` for the chunk at ``start``: a ``CrossCheckError`` it raises names the state's index in the whole stack."""
+def _shifted(start, *args):
+    """``_chunk_scores(*args)`` for the chunk at ``start``: its ``CrossCheckError`` names the state's index in the whole stack."""
     try:
-        return fn(*args)
+        return _chunk_scores(*args)
     except CrossCheckError as exc:
         exc.index += start
         raise
+
+
+def _chunk_rows(start, rho, scale):
+    """The report rows of the (n, 8, 8) chunk at ``start``, in serial order: inputs, 4x4 ``eigh``, 8x8 ``eigh``, scores."""
+    stack4, stack8, marg, dephased = _chunk_stacks(rho)
+    return _shifted(start, *qmat._eigh(stack4), *qmat._eigh(stack8), marg, dephased, scale)
 
 
 def _cpu_count():
@@ -380,45 +372,40 @@ def _cpu_count():
 
 
 def _pipelined_rows(chunks, starts, scale):
-    """The rows of each chunk, with its input and scoring sides on one helper thread.
+    """The rows of each chunk, with its input side and its one scoring task on one helper thread.
 
     The calling thread runs every ``eigh``, in serial order, so chunk i + 1's
     inputs and chunk i - 1's scores are built while chunk i is in ``eigh``,
-    which releases the GIL. Each matrix goes through the numpy operations of
-    ``_chunk_rows``, so the rows are bitwise the same. On any failure, the
-    helper's steps so far are read in serial order and the first failure
-    among them is raised, else the failure itself: the one ``_chunk_rows``
-    raises first. A later chunk's input side may already have run by then.
+    which releases the GIL. No helper task reads a future. Each matrix goes
+    through the numpy operations of ``_chunk_rows``, so the rows are bitwise
+    the same. On any failure, the helper's scoring tasks so far are read in
+    serial order and the first failure among them is raised, else the
+    failure itself: the one ``_chunk_rows`` raises first. A later chunk's
+    input side may already have run by then.
     """
     # imported here, not at module level: it pulls in logging and queue, about 10 ms that every
     # process importing tricoh would pay, though only a multi-chunk call on two CPUs needs it
     from concurrent.futures import Future, ThreadPoolExecutor
 
     pool = ThreadPoolExecutor(1)
-    # the helper's scoring futures in serial order, two per chunk: its 4x4 scores and its rows
+    # the helper's scoring futures in serial order, one per chunk
     steps = []
 
     def run(fn, *args):
         # each task runs in a copy of the caller's context, so the caller's np.errstate holds there
         return pool.submit(contextvars.copy_context().run, fn, *args)
 
-    def rows(start, w8, v8, small, dephased):
-        # small.result() is read first: its CrossCheckError already names the state's index in the stack
-        return _shifted(start, _chunk_scores, w8, v8, small.result(), dephased, scale)
-
     try:
-        inputs = run(_shifted, starts[0], _chunk_stacks, chunks[0])
+        inputs = run(_chunk_stacks, chunks[0])
         for i, start in enumerate(starts):
             stack4, stack8, marg, dephased = inputs.result()
             # the helper ran chunk i - 2's scores before chunk i's inputs
-            for step in steps[-4:-2]:
+            for step in steps[-2:-1]:
                 step.result()
             if i + 1 < len(chunks):
-                inputs = run(_shifted, starts[i + 1], _chunk_stacks, chunks[i + 1])
-            small = run(_shifted, start, _small_scores, *qmat._eigh(stack4), marg, scale)
-            steps.append(small)
-            steps.append(run(rows, start, *qmat._eigh(stack8), small, dephased))
-        return [step.result() for step in steps[1::2]]
+                inputs = run(_chunk_stacks, chunks[i + 1])
+            steps.append(run(_shifted, start, *qmat._eigh(stack4), *qmat._eigh(stack8), marg, dephased, scale))
+        return [step.result() for step in steps]
     except Exception as exc:
         # read before shutdown would cancel steps not yet run; raised outside the handler, so unchained
         failure = next((e for e in map(Future.exception, steps) if e is not None), exc)
@@ -432,18 +419,21 @@ def coherence_reports(rhos, base=2.0):
 
     Returns N ``CoherenceReport`` values, each equal bit for bit to the
     report of its state alone. States are processed ``REPORT_CHUNK`` at a
-    time. A failed cross-check raises ``CrossCheckError`` whose ``index`` is
-    the failing state's position in ``rhos``. The entry check admits any
-    finite stack: from about 1e103 up, entries overflow the products of the
-    marginals' spectra, with numpy warnings, and end in ``CrossCheckError``
-    or numpy's ``LinAlgError``. ``qmat.validate_density`` rejects or repairs
-    such matrices first, as ``tomo`` does.
+    time, each in the serial order of the module docstring. A failed
+    cross-check raises ``CrossCheckError`` whose ``index`` is the failing
+    state's position in ``rhos``. The entry check admits any finite stack,
+    so a state far from a density matrix fails its cross-check. From about
+    1e103 up, entries overflow the products of the marginals' spectra, with
+    numpy warnings, and the chunk's 8x8 ``eigh`` raises numpy's
+    ``LinAlgError`` ("Eigenvalues did not converge") before its scores run.
+    ``qmat.validate_density`` rejects or repairs such matrices first, as
+    ``tomo`` does.
 
     When the stack spans more than one chunk and the process may run on at
     least two CPUs, one helper thread, started and joined within the call,
-    builds each chunk's input stacks and scores while the calling thread
-    runs every ``eigh``; otherwise the chunks run inline. Either way every
-    value, and every exception raised, is the same.
+    builds each chunk's input stacks and runs its one scoring task while the
+    calling thread runs every ``eigh``; otherwise the chunks run inline.
+    Either way every value, and every exception raised, is the same.
     """
     rhos = _as_stack(rhos, "rhos")
     if rhos.ndim != 3 or rhos.shape[1:] != (8, 8):
@@ -455,7 +445,7 @@ def coherence_reports(rhos, base=2.0):
     if len(chunks) > 1 and _cpu_count() > 1:
         rows = _pipelined_rows(chunks, starts, scale)
     else:
-        rows = [_shifted(start, _chunk_rows, chunk, scale) for start, chunk in zip(starts, chunks)]
+        rows = [_chunk_rows(start, chunk, scale) for start, chunk in zip(starts, chunks)]
     return [CoherenceReport._make(row) for block in rows for row in block.tolist()]
 
 

@@ -396,14 +396,20 @@ def chunk_by_chunk(rhos, base):
             for rep in coherence.coherence_reports(rhos[k:k + coherence.REPORT_CHUNK], base)]
 
 
-@pytest.mark.parametrize("base", [2.0, math.e])
-def test_pipelined_reports_match_chunk_by_chunk_bitwise(base, two_cpus, thread_starts, zz_sweep, zzz_sweep):
+@pytest.fixture
+def multi_chunk_stacks(zz_sweep, zzz_sweep):
+    # the linear and adaptive default sweeps of both models, then 200 seeded mixed states
     stacks = [states.density(sweep.ground_states) for sweep in (zz_sweep, zzz_sweep)]
     for name in ("zz", "zzz"):
         schedule = adiabatic.gap_adaptive_schedule(name, models.model(name).steps, models.model(name).tau)
         stacks.append(states.density(adiabatic.ground_sweep(schedule).ground_states))
     stacks.append(np.array(seeded_states(np.random.default_rng(72), 200)))
-    for rhos in stacks:
+    return stacks
+
+
+@pytest.mark.parametrize("base", [2.0, math.e])
+def test_pipelined_reports_match_chunk_by_chunk_bitwise(base, two_cpus, thread_starts, multi_chunk_stacks):
+    for rhos in multi_chunk_stacks:
         got = coherence.coherence_reports(rhos, base)
         assert len(thread_starts) == 1
         thread_starts.clear()
@@ -412,13 +418,24 @@ def test_pipelined_reports_match_chunk_by_chunk_bitwise(base, two_cpus, thread_s
         assert same_bits(np.array(got), np.array(want))
 
 
+def test_pipelined_reports_raise_no_numpy_warning_or_error(two_cpus, thread_starts, multi_chunk_stacks):
+    # every floating-point event in the input and scoring tasks would raise, on the helper thread as here
+    for rhos in multi_chunk_stacks:
+        want = coherence.coherence_reports(rhos)
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = coherence.coherence_reports(rhos)
+        assert same_bits(np.array(got), np.array(want))
+    assert len(thread_starts) == 2 * len(multi_chunk_stacks)
+
+
 @pytest.mark.parametrize("half", ["small", "large"])
 def test_pipelined_reports_raise_the_first_failure_in_serial_order(
     monkeypatch, two_cpus, state_failing_cross_check, half
 ):
-    # chunk 1 fails its cross-check, in the 4x4 or in the 8x8 half of its scores, and chunk 2's input side raises
+    # chunk 1 fails its cross-check, in a patched score or in its 8x8 pairs, and chunk 2's input side raises
     rhos = np.array(seeded_states(np.random.default_rng(73), 6 * coherence.REPORT_CHUNK))
-    chunk_stacks, small_scores = coherence._chunk_stacks, coherence._small_scores
+    chunk_stacks, chunk_scores = coherence._chunk_stacks, coherence._chunk_scores
     fail = {"inputs": True, "scores": True}
     prepared, scored = [], []
 
@@ -431,13 +448,13 @@ def test_pipelined_reports_raise_the_first_failure_in_serial_order(
     def scores(*args):
         scored.append(len(scored))
         if fail["scores"] and half == "small" and len(scored) == 2:
-            raise coherence.CrossCheckError("chunk 1's 4x4 pairs", 5)
-        return small_scores(*args)
+            raise coherence.CrossCheckError("chunk 1's scores", 5)
+        return chunk_scores(*args)
 
     if half == "large":
         rhos[coherence.REPORT_CHUNK + 5] = state_failing_cross_check
     monkeypatch.setattr(coherence, "_chunk_stacks", stacks)
-    monkeypatch.setattr(coherence, "_small_scores", scores)
+    monkeypatch.setattr(coherence, "_chunk_scores", scores)
     with pytest.raises(coherence.CrossCheckError) as exc:
         coherence.coherence_reports(rhos)
     assert exc.value.index == coherence.REPORT_CHUNK + 5
@@ -501,20 +518,20 @@ def test_pipelined_reports_raise_a_failed_eigh_after_the_helper_steps_before_it(
     assert threading.active_count() == threads
 
 
-def test_pipelined_reports_score_the_small_pairs_before_the_large_eigh(two_cpus):
-    # at 1e110 the 4x4 stack is finite and fails its cross-check, while pi(rho) overflows and the 8x8
-    # eigh fails to converge: serially the 4x4 pairs are scored first
+def test_pipelined_reports_raise_the_huge_state_failure_of_the_state_alone(two_cpus):
+    # at 1e110 the 4x4 stack is finite and would fail its cross-check, but pi(rho) overflows and the
+    # 8x8 eigh fails to converge first: a chunk runs both eigh calls before its scores, on either path
     huge = np.full((8, 8), 1e110)
     rhos = np.array(seeded_states(np.random.default_rng(74), coherence.REPORT_CHUNK + 3))
     rhos[coherence.REPORT_CHUNK + 1] = huge
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises(coherence.CrossCheckError) as alone:
+        with pytest.raises(np.linalg.LinAlgError) as alone:
             coherence.coherence_reports(huge[None])
-        with pytest.raises(coherence.CrossCheckError) as among:
+        with pytest.raises(np.linalg.LinAlgError) as among:
             coherence.coherence_reports(rhos)
-    assert among.value.index == coherence.REPORT_CHUNK + 1
-    assert str(among.value) == str(alone.value)
+    assert type(among.value) is type(alone.value)
+    assert str(among.value) == str(alone.value) == "Eigenvalues did not converge"
 
 
 def test_pipelined_reports_keep_the_callers_numpy_and_warning_settings(two_cpus, thread_starts):
