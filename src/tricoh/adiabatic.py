@@ -47,13 +47,17 @@ noise that does attract steps: at omega_x = 1e-3 most points move by over 1%.
 of such a schedule that reaches a fidelity target where m - 1 does not,
 searching up to ten times the model's canonical step count. The fidelity
 does not always rise with the step count, so m is the smallest passing
-count only where it does below m. Each probe propagates in the symmetric
-sector, whose 4x4 Hamiltonian is tridiagonal with fixed off-diagonals. A
-probe of more than ``SECTOR_EIGH_FLOOR`` coupling values takes its ground
-vectors in closed form: Newton on the leading-minor recurrence of
-det(H_s - lam), started from the table's ground energy interpolated in J,
-then one column of the adjugate; a row that fails the kernel's sign or
-residual test, and a shorter probe, take theirs from a stacked ``eigh``.
+count only where it does below m. A search prepares the symmetric sector
+once: the transverse half step, the sector diagonals and the cached density
+table. Each probe then takes a plain array of coupling values, the same
+values ``gap_adaptive_schedule`` gives bit for bit, builds no ``Schedule``
+and propagates in the sector, whose 4x4 Hamiltonian is tridiagonal with
+fixed off-diagonals. A probe of more than ``SECTOR_EIGH_FLOOR`` coupling
+values takes its ground vectors in closed form: Newton on the leading-minor
+recurrence of det(H_s - lam), started from the table's ground energy
+interpolated in J, then one column of the adjugate; a row that fails the
+kernel's sign or residual test, and a shorter probe, take theirs from a
+stacked ``eigh``.
 
 ``refocus_params`` translates a schedule into the per-step table of
 spectrometer delays and radio-frequency offsets for an NMR implementation
@@ -201,10 +205,15 @@ def _cumulative(grid, density):
     return cum
 
 
-def _schedule_from_cumulative(model_tag, m_steps, tau, grid, cum):
+def _schedule_values(grid, cum, m_steps):
+    """The m_steps + 1 coupling values that invert the normalized cumulative ``cum`` on ``grid``, ends pinned."""
     values = np.interp(np.linspace(0.0, 1.0, m_steps + 1), cum, grid)
     values[0], values[-1] = grid[0], grid[-1]
-    return Schedule(values=values, tau=tau, model_tag=model_tag)
+    return values
+
+
+def _schedule_from_cumulative(model_tag, m_steps, tau, grid, cum):
+    return Schedule(values=_schedule_values(grid, cum, m_steps), tau=tau, model_tag=model_tag)
 
 
 @functools.lru_cache(maxsize=DENSITY_CACHE_SIZE)
@@ -413,6 +422,38 @@ def _sector_transverse(model_tag, tau, params=None):
     return hx_s, _split_step(hx_s, hz[:, _SECTOR_LEVELS], tau)[0]
 
 
+@dataclass(frozen=True)
+class _Sector:
+    """What every probe of one step search shares: the symmetric sector of one model, tau and field.
+
+    ``(hx_s, half)`` is ``_sector_transverse``'s pair. The sector diagonal at
+    coupling J is ``hz0_s + J * dh_dj_s``, entry by entry the sector columns
+    of ``models.parts``' diagonal. ``grid``, ``cum`` and ``ground`` are the
+    density table's arrays.
+    """
+
+    hx_s: np.ndarray
+    half: np.ndarray
+    hz0_s: np.ndarray
+    dh_dj_s: np.ndarray
+    grid: np.ndarray
+    cum: np.ndarray
+    ground: np.ndarray
+
+
+def _prepare_sector(model_tag, tau, params=None):
+    """The ``_Sector`` of a search, with ``_sector_transverse``'s tau checks run before the density table is read.
+
+    The sector basis and levels are read here, at call time, not at import.
+    """
+    hx_s, half = _sector_transverse(model_tag, tau, params)
+    m = models.model(model_tag)
+    p = params or models._DEFAULT_PARAMS
+    grid, _, cum, ground = _density_table(model_tag, p.omega_z, p.omega_x)
+    return _Sector(hx_s=hx_s, half=half, hz0_s=p.omega_z * m.dh_domega_z[_SECTOR_LEVELS],
+                   dh_dj_s=m.dh_dj[_SECTOR_LEVELS], grid=grid, cum=cum, ground=ground)
+
+
 def _sector_ground_pairs(hx_s, hz_s, start):
     """Ground energies and vectors of the sector matrices hx_s + diag(hz_s[m]), as ``(energies, vectors)``.
 
@@ -486,26 +527,28 @@ def _sector_ground_pairs(hx_s, hz_s, start):
     return energies, vectors
 
 
-def _sector_min_fidelity(schedule, transverse, params=None):
-    """``evolve(schedule, params).min_fidelity``, computed in the symmetric sector.
+def _sector_min_fidelity(values, tau, sector):
+    """``evolve(Schedule(values, tau, tag), params).min_fidelity``, computed in the symmetric sector.
 
+    ``sector`` is ``_prepare_sector(tag, tau, params)``, built once per step
+    search, so a probe takes only the schedule's coupling values: it builds
+    no ``Schedule`` and reads neither ``models.parts`` nor the density table.
     For omega_x != 0 the ground state of every H(J) is unique and permutation
     symmetric (H conjugated by Z (x) Z (x) Z is stoquastic and irreducible, so
     Perron-Frobenius applies), and the Trotter step keeps that sector. So the
     state propagates as a 4-vector in the basis |000>, |W001>, |W110>, |111>
-    of ``_SECTOR_BASIS``. A schedule of at most ``SECTOR_EIGH_FLOOR`` values
+    of ``_SECTOR_BASIS``. A probe of at most ``SECTOR_EIGH_FLOOR`` values
     takes its ground vectors from one stacked real 4x4 ``eigh``, a longer one
     from ``_sector_ground_pairs``, started from the density table's sector
     ground energy interpolated linearly in J (a lower bound, since E0(J) is
     concave for H affine in J); one (4n, 4) x (4, 4) product gives the n
-    step matrices. ``transverse`` is
-    ``_sector_transverse(schedule.model_tag, schedule.tau, params)``, which
-    checks tau on the 4x4 sector parts it exponentiates; their overflow bound
-    is never below that of the 8x8 parts, so the probe raises wherever
-    ``evolve`` does. Where ``evolve`` flags a step degenerate (a ground gap
-    below ``qmat.DEGENERACY_TOL``, as for zzz at omega_x = 1e-5), its
-    reference vector is a canonical pick in the near-degenerate cluster, not
-    the symmetric ground state used here, and the two values differ.
+    step matrices. ``_prepare_sector`` checks tau on the 4x4 sector parts it
+    exponentiates; their overflow bound is never below that of the 8x8
+    parts, so the search raises wherever ``evolve`` does. Where ``evolve``
+    flags a step degenerate (a ground gap below ``qmat.DEGENERACY_TOL``, as
+    for zzz at omega_x = 1e-5), its reference vector is a canonical pick in
+    the near-degenerate cluster, not the symmetric ground state used here,
+    and the two values differ.
 
     The M steps propagate in blocks of k = isqrt(M + 1): k stacked products
     build every in-block prefix product, then one matvec per block carries
@@ -513,17 +556,15 @@ def _sector_min_fidelity(schedule, transverse, params=None):
     The values differ from a step-by-step loop by rounding only (below
     3e-15 on the step counts the ``perfbench`` searches probe).
     """
-    hx_s, half = transverse
-    hz_s = models.parts(schedule.model_tag, schedule.values, params)[1][:, _SECTOR_LEVELS]
-    kicks = np.exp(-1j * schedule.tau * hz_s)
+    hx_s, half = sector.hx_s, sector.half
+    hz_s = sector.hz0_s + np.multiply.outer(values, sector.dh_dj_s)
+    kicks = np.exp(-1j * tau * hz_s)
     n, size = hz_s.shape
     if n <= SECTOR_EIGH_FLOOR:
         grounds = qmat._eigh(hx_s + hz_s[:, :, None] * np.eye(size))[1][:, :, 0]
     else:
-        p = params or models._DEFAULT_PARAMS
-        grid, _, _, ground = _density_table(schedule.model_tag, p.omega_z, p.omega_x)
         # E0(J) is concave (H is affine in J), so its chord on the grid is a lower bound
-        grounds = _sector_ground_pairs(hx_s, hz_s, np.interp(schedule.values, grid, ground))[1]
+        grounds = _sector_ground_pairs(hx_s, hz_s, np.interp(values, sector.grid, sector.ground))[1]
     # one (n size, size) x (size, size) product for all n step matrices
     steps = ((half * kicks[:, None, :]).reshape(-1, size) @ half).reshape(n, size, size)
     # steps 1..M in blocks of k, the last padded with identities
@@ -552,19 +593,20 @@ def min_steps_search(model_tag, target_min_fidelity, tau, params=None):
     unless hi = 1, f(hi - 1) < target. Doubling 1, 2, 4, ... stops at the
     first passing count; bisection then narrows the bracket from the last
     failing one. f does not always rise with m, so hi is the smallest
-    passing count only where f rises with m below hi. Each probe is scored
-    in the 4-dim symmetric sector, which gives ``evolve``'s value up to
-    rounding wherever ``evolve`` flags no step degenerate. A tau the Trotter
-    step rejects raises before the first probe. Raises if the target is not
+    passing count only where f rises with m below hi. The search prepares
+    the 4-dim symmetric sector once, and each probe scores the schedule's
+    coupling values there, which gives ``evolve``'s value up to rounding
+    wherever ``evolve`` flags no step degenerate. A tau the Trotter step
+    rejects raises before the density table is read. Raises if the target is not
     reached within ten times the model's canonical step count, reporting the
     best value achieved.
     """
     _check_real("target", target_min_fidelity, "[0, 1)")
     cap = 10 * models.model(model_tag).steps
-    transverse = _sector_transverse(model_tag, tau, params)
+    sector = _prepare_sector(model_tag, tau, params)
 
     def achieved(m_steps):
-        return _sector_min_fidelity(gap_adaptive_schedule(model_tag, m_steps, tau, params), transverse, params)
+        return _sector_min_fidelity(_schedule_values(sector.grid, sector.cum, m_steps), tau, sector)
 
     best = -1.0
     last_fail = 0

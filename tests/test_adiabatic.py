@@ -334,19 +334,27 @@ def evolve_min_fidelity(tag, m_steps, tau, params=None):
 
 
 def probed_search(monkeypatch, tag, target, tau, probe=None):
-    """``min_steps_search``'s result and probed step counts, with ``probe`` in place of the sector probe."""
-    probed = []
-    schedule = adiabatic.gap_adaptive_schedule
+    """``min_steps_search``'s result and probed step counts, with ``probe(schedule, params)`` in place of the sector probe.
 
-    def spy(model_tag, m_steps, *args):
+    The counts are those the search passes to ``_schedule_values``; a search that probes fewer than two fails here.
+    """
+    probed = []
+    schedule_values = adiabatic._schedule_values
+
+    def spy(grid, cum, m_steps):
         probed.append(m_steps)
-        return schedule(model_tag, m_steps, *args)
+        return schedule_values(grid, cum, m_steps)
+
+    def scored(values, tau, sector):
+        return probe(adiabatic.Schedule(values=values, tau=tau, model_tag=tag), None)
 
     with monkeypatch.context() as patch:
-        patch.setattr(adiabatic, "gap_adaptive_schedule", spy)
+        patch.setattr(adiabatic, "_schedule_values", spy)
         if probe is not None:
-            patch.setattr(adiabatic, "_sector_min_fidelity", lambda sch, transverse, params: probe(sch, params))
-        return adiabatic.min_steps_search(tag, target, tau), probed
+            patch.setattr(adiabatic, "_sector_min_fidelity", scored)
+        got = adiabatic.min_steps_search(tag, target, tau)
+    assert len(probed) > 1
+    return got, probed
 
 
 @pytest.mark.parametrize(("tag", "target", "want"), [
@@ -372,8 +380,8 @@ def test_min_steps_search_is_not_the_smallest_passing_count():
 
 
 def sector_probe(schedule, params=None):
-    transverse = adiabatic._sector_transverse(schedule.model_tag, schedule.tau, params)
-    return adiabatic._sector_min_fidelity(schedule, transverse, params)
+    sector = adiabatic._prepare_sector(schedule.model_tag, schedule.tau, params)
+    return adiabatic._sector_min_fidelity(schedule.values, schedule.tau, sector)
 
 
 @pytest.mark.parametrize("params", [None, models.ModelParams(omega_z=-1.7, omega_x=0.2),
@@ -597,6 +605,43 @@ def test_step_search_at_a_near_degenerate_sector(monkeypatch, omega_x, best):
     assert messages[0] == messages[1]
     # the sixth digit at 1e-5 depends on the OpenBLAS kernel set: 0.709025 under Sandybridge and Nehalem
     assert abs(float(messages[0].rsplit(" ", 1)[1]) - best) < 1.5e-6
+
+
+# min_steps_search on a grid of omega_x at the default omega_z, by model, at the targets 0.5, 0.9 and 0.99: the
+# step count found, or the "best achieved" text of a search that raises "target ... unreachable within ... steps"
+FIELD_GRID_SEARCHES = {
+    (1e-2, "zz"): (96, 342, 1178), (1e-2, "zzz"): (1, 172, 587),
+    (1e-3, "zz"): (984, 2901, "0.909449"), (1e-3, "zzz"): (1, 1596, "0.927978"),
+    (1e-4, "zz"): ("0.145294",) * 3, (1e-4, "zzz"): (1, "0.732818", "0.732818"),
+    (1e-5, "zz"): ("0.014611",) * 3, (1e-5, "zzz"): (1, "0.709026", "0.709026"),
+    (1e-6, "zz"): ("0.001461",) * 3, (1e-6, "zzz"): (1, "0.707109", "0.707109"),
+    (-0.1, "zz"): (11, 36, 126), (-0.1, "zzz"): (1, 19, 60),
+    (0.2, "zz"): (6, 18, 67), (0.2, "zzz"): (1, 10, 32),
+}
+# fields whose sixth "best achieved" digit depends on the OpenBLAS kernel set: zzz at 1e-5 reads 0.709025 under the
+# Sandybridge and Nehalem kernels; every other entry above reads the same under SkylakeX, Haswell, Sandybridge and Nehalem
+KERNEL_DEPENDENT_BEST = {(1e-5, "zzz")}
+
+
+@pytest.mark.parametrize("target_index", range(3), ids=["0.5", "0.9", "0.99"])
+@pytest.mark.parametrize(("omega_x", "tag"), FIELD_GRID_SEARCHES)
+def test_step_search_field_grid(omega_x, tag, target_index):
+    target = (0.5, 0.9, 0.99)[target_index]
+    want = FIELD_GRID_SEARCHES[(omega_x, tag)][target_index]
+    params = models.ModelParams(omega_x=omega_x)
+    tau = models.model(tag).tau
+    if isinstance(want, int):
+        assert adiabatic.min_steps_search(tag, target, tau, params) == want
+        return
+    prefix = f"target {target} unreachable within {10 * models.model(tag).steps} steps; best achieved "
+    with pytest.raises(ValueError) as exc:
+        adiabatic.min_steps_search(tag, target, tau, params)
+    message = str(exc.value)
+    if (omega_x, tag) in KERNEL_DEPENDENT_BEST:
+        assert re.fullmatch(re.escape(prefix) + r"0\.\d{6}", message)
+        assert abs(float(message[len(prefix):]) - float(want)) < 1.5e-6
+    else:
+        assert message == prefix + want
 
 
 PERFBENCH_SEARCHES = [("zz", 0.9, 36), ("zz", 0.99, 126), ("zz", 0.999, 412),
@@ -1120,17 +1165,44 @@ def test_step_search_builds_the_transverse_half_step_once(monkeypatch, tag, targ
     assert halves == [models.model(tag).tau / 2]
 
 
+@pytest.mark.parametrize(("tag", "target", "want"), PERFBENCH_SEARCHES)
+def test_step_search_prepares_its_sector_once(monkeypatch, tag, target, want):
+    # every probe takes a plain array of couplings: no probe builds a Schedule record, rebuilds the
+    # 8-dim diagonals, looks the density table up or exponentiates the half step again
+    def forbidden(self):
+        raise AssertionError("a step search must build no Schedule")
+
+    # with the table cached, since building it reads models.parts through models.hamiltonian
+    tau = models.model(tag).tau
+    adiabatic.gap_adaptive_schedule(tag, 1, tau)
+    calls = []
+    monkeypatch.setattr(adiabatic.Schedule, "__post_init__", forbidden)
+    for namespace, name in ((models, "parts"), (adiabatic, "_density_table"), (adiabatic, "expm_hermitian")):
+        def spy(*args, _name=name, _kernel=getattr(namespace, name), **kwargs):
+            calls.append(_name)
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(namespace, name, spy)
+    got, probed = probed_search(monkeypatch, tag, target, tau)
+    assert got == want and len(probed) > 1
+    assert sorted(calls) == ["_density_table", "expm_hermitian", "parts"]
+
+
 @pytest.mark.parametrize("params", [None, models.ModelParams(omega_z=-1.7, omega_x=0.2)])
 @pytest.mark.parametrize("tag", models.MODEL_TAGS)
 def test_sector_probe_with_a_shared_transverse_part_is_bitwise_equal(tag, params):
-    # the shared pair, built at the ends of the coupling range, against one built from each schedule's own parts
+    # the search's prepared sector, its pair built at the ends of the coupling range, against each schedule's own parts
     tau = models.model(tag).tau
-    transverse = adiabatic._sector_transverse(tag, tau, params)
+    sector = adiabatic._prepare_sector(tag, tau, params)
     for m_steps in (1, 2, 3, 17, 60, 412):
         sch = adiabatic.gap_adaptive_schedule(tag, m_steps, tau, params)
         hx, hz = models.parts(tag, sch.values, params)
         hx_s = SECTOR_BASIS.real.T @ hx.real @ SECTOR_BASIS.real
         own = hx_s, adiabatic._split_step(hx_s, hz[:, [0, 1, 3, 7]], tau)[0]
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(transverse, own))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip((sector.hx_s, sector.half), own))
+        # the probe's coupling values and sector diagonals are the schedule's and models.parts' bit for bit
+        assert adiabatic._schedule_values(sector.grid, sector.cum, m_steps).tobytes() == sch.values.tobytes()
+        assert (sector.hz0_s + np.multiply.outer(sch.values, sector.dh_dj_s)).tobytes() == hz[:, [0, 1, 3, 7]].tobytes()
         probe = adiabatic._sector_min_fidelity
-        assert probe(sch, transverse, params) == probe(sch, own, params)
+        own_sector = dataclasses.replace(sector, hx_s=own[0], half=own[1])
+        assert probe(sch.values, tau, sector) == probe(sch.values, tau, own_sector)
