@@ -48,12 +48,13 @@ of such a schedule that reaches a fidelity target where m - 1 does not,
 searching up to ten times the model's canonical step count. The fidelity
 does not always rise with the step count, so m is the smallest passing
 count only where it does below m. A search prepares the symmetric sector
-once: the transverse half step, the sector diagonals and the cached density
-table. Each probe then takes a plain array of coupling values, the same
-values ``gap_adaptive_schedule`` gives bit for bit, builds no ``Schedule``
-and propagates in the sector, whose 4x4 Hamiltonian is tridiagonal with
-fixed off-diagonals. A probe of more than ``SECTOR_EIGH_FLOOR`` coupling
-values takes its ground vectors in closed form: Newton on the leading-minor
+once, as one record of its tau, the transverse half step built for that tau,
+the sector diagonals and the cached density table. Each probe then takes a
+plain array of coupling values, the same values ``gap_adaptive_schedule``
+gives bit for bit, builds no ``Schedule``, kicks with the record's tau and
+propagates in the sector, whose 4x4 Hamiltonian is tridiagonal with fixed
+off-diagonals. A probe of more than ``SECTOR_EIGH_FLOOR`` coupling values
+takes its ground vectors in closed form: Newton on the leading-minor
 recurrence of det(H_s - lam), started from the table's ground energy
 interpolated in J, then one column of the adjugate; a row that fails the
 kernel's sign or residual test, and a shorter probe, take theirs from a
@@ -212,10 +213,6 @@ def _schedule_values(grid, cum, m_steps):
     return values
 
 
-def _schedule_from_cumulative(model_tag, m_steps, tau, grid, cum):
-    return Schedule(values=_schedule_values(grid, cum, m_steps), tau=tau, model_tag=model_tag)
-
-
 @functools.lru_cache(maxsize=DENSITY_CACHE_SIZE)
 def _density_table(model_tag, omega_z, omega_x):
     """Diabatic-rate density on a fine coupling grid, as read-only ``(grid, density, cumulative, ground)``.
@@ -257,7 +254,7 @@ def schedule_from_density(model_tag, m_steps, tau, grid, density_values):
     _check_integer("m_steps", m_steps, STEP_COUNTS)
     grid = np.asarray(grid, dtype=float)
     cum = _cumulative(grid, np.asarray(density_values, dtype=float))
-    return _schedule_from_cumulative(model_tag, m_steps, tau, grid, cum)
+    return Schedule(values=_schedule_values(grid, cum, m_steps), tau=tau, model_tag=model_tag)
 
 
 def gap_adaptive_schedule(model_tag, m_steps, tau, params=None):
@@ -275,7 +272,7 @@ def gap_adaptive_schedule(model_tag, m_steps, tau, params=None):
     _check_integer("m_steps", m_steps, STEP_COUNTS)
     p = params or models._DEFAULT_PARAMS
     grid, _, cum, _ = _density_table(model_tag, p.omega_z, p.omega_x)
-    return _schedule_from_cumulative(model_tag, m_steps, tau, grid, cum)
+    return Schedule(values=_schedule_values(grid, cum, m_steps), tau=tau, model_tag=model_tag)
 
 
 def load_schedule(path, model_tag, tau):
@@ -326,7 +323,7 @@ def _split_step(hx, hz, tau):
     tau (max row sum |hx| + max |hz|) is a Python float, so no numpy warning comes first.
     """
     _check_real("tau", tau, "(0, inf)")
-    if not math.isfinite(tau * float(np.abs(hx).sum(axis=-1).max() + np.abs(hz).max())):
+    if not math.isfinite(tau * float(np.abs(hx).sum(axis=-1).max() + np.abs(hz).max(initial=0.0))):
         raise ValueError(f"tau {tau} is too large: the Trotter step phases overflow")
     return expm_hermitian(hx, tau / 2), np.exp(-1j * tau * hz)
 
@@ -407,31 +404,18 @@ def trotter_error_scaling(model_tag, j, tau, params=None):
     return float(ratio) if ratio.ndim == 0 else ratio
 
 
-def _sector_transverse(model_tag, tau, params=None):
-    """Sector transverse part hx_s = B^T hx B and its half step exp(-i hx_s tau/2), as ``(hx_s, half)``.
-
-    Neither depends on the coupling. ``_split_step``'s tau checks run here on
-    the sector parts at the ends of the model's coupling range. hz is affine
-    in J, so its largest modulus on any schedule of the model is reached at
-    an endpoint (rounding is monotone too): every schedule of the model with
-    this tau and these fields shares the pair and the checks' verdict.
-    """
-    hx, hz = models.parts(model_tag, models.model(model_tag).j_range, params)
-    basis = _SECTOR_BASIS.real
-    hx_s = basis.T @ hx.real @ basis
-    return hx_s, _split_step(hx_s, hz[:, _SECTOR_LEVELS], tau)[0]
-
-
 @dataclass(frozen=True)
 class _Sector:
-    """What every probe of one step search shares: the symmetric sector of one model, tau and field.
+    """What every probe of one step search shares: the symmetric sector of one model and field, at one tau.
 
-    ``(hx_s, half)`` is ``_sector_transverse``'s pair. The sector diagonal at
-    coupling J is ``hz0_s + J * dh_dj_s``, entry by entry the sector columns
-    of ``models.parts``' diagonal. ``grid``, ``cum`` and ``ground`` are the
-    density table's arrays.
+    ``half`` is the half step exp(-i hx_s tau/2) of the sector transverse part
+    hx_s = B^T hx B, and the probe's kicks exp(-i tau hz_s) take the same
+    ``tau``. The sector diagonal at coupling J is ``hz0_s + J * dh_dj_s``,
+    entry by entry the sector columns of ``models.parts``' diagonal.
+    ``grid``, ``cum`` and ``ground`` are the density table's arrays.
     """
 
+    tau: float
     hx_s: np.ndarray
     half: np.ndarray
     hz0_s: np.ndarray
@@ -442,15 +426,24 @@ class _Sector:
 
 
 def _prepare_sector(model_tag, tau, params=None):
-    """The ``_Sector`` of a search, with ``_sector_transverse``'s tau checks run before the density table is read.
+    """The ``_Sector`` of a step search, built once per search.
 
-    The sector basis and levels are read here, at call time, not at import.
+    Neither hx_s nor its half step depends on the coupling. ``_split_step``'s
+    tau checks run on the sector parts at the ends of the model's coupling
+    range, before the density table is read. hz is affine in J, so its
+    largest modulus on any schedule of the model is reached at an endpoint
+    (rounding is monotone too): every schedule of the model with this tau and
+    these fields shares the half step and the checks' verdict. The sector
+    basis and levels are read here, at call time, not at import.
     """
-    hx_s, half = _sector_transverse(model_tag, tau, params)
     m = models.model(model_tag)
+    hx, hz = models.parts(model_tag, m.j_range, params)
+    basis = _SECTOR_BASIS.real
+    hx_s = basis.T @ hx.real @ basis
+    half = _split_step(hx_s, hz[:, _SECTOR_LEVELS], tau)[0]
     p = params or models._DEFAULT_PARAMS
     grid, _, cum, ground = _density_table(model_tag, p.omega_z, p.omega_x)
-    return _Sector(hx_s=hx_s, half=half, hz0_s=p.omega_z * m.dh_domega_z[_SECTOR_LEVELS],
+    return _Sector(tau=tau, hx_s=hx_s, half=half, hz0_s=p.omega_z * m.dh_domega_z[_SECTOR_LEVELS],
                    dh_dj_s=m.dh_dj[_SECTOR_LEVELS], grid=grid, cum=cum, ground=ground)
 
 
@@ -527,12 +520,13 @@ def _sector_ground_pairs(hx_s, hz_s, start):
     return energies, vectors
 
 
-def _sector_min_fidelity(values, tau, sector):
-    """``evolve(Schedule(values, tau, tag), params).min_fidelity``, computed in the symmetric sector.
+def _sector_min_fidelity(values, sector):
+    """``evolve(Schedule(values, sector.tau, tag), params).min_fidelity``, computed in the symmetric sector.
 
     ``sector`` is ``_prepare_sector(tag, tau, params)``, built once per step
     search, so a probe takes only the schedule's coupling values: it builds
-    no ``Schedule`` and reads neither ``models.parts`` nor the density table.
+    no ``Schedule`` and reads neither ``models.parts`` nor the density table,
+    and its kicks use the tau its half step was built for.
     For omega_x != 0 the ground state of every H(J) is unique and permutation
     symmetric (H conjugated by Z (x) Z (x) Z is stoquastic and irreducible, so
     Perron-Frobenius applies), and the Trotter step keeps that sector. So the
@@ -558,7 +552,7 @@ def _sector_min_fidelity(values, tau, sector):
     """
     hx_s, half = sector.hx_s, sector.half
     hz_s = sector.hz0_s + np.multiply.outer(values, sector.dh_dj_s)
-    kicks = np.exp(-1j * tau * hz_s)
+    kicks = np.exp(-1j * sector.tau * hz_s)
     n, size = hz_s.shape
     if n <= SECTOR_EIGH_FLOOR:
         grounds = qmat._eigh(hx_s + hz_s[:, :, None] * np.eye(size))[1][:, :, 0]
@@ -606,7 +600,7 @@ def min_steps_search(model_tag, target_min_fidelity, tau, params=None):
     sector = _prepare_sector(model_tag, tau, params)
 
     def achieved(m_steps):
-        return _sector_min_fidelity(_schedule_values(sector.grid, sector.cum, m_steps), tau, sector)
+        return _sector_min_fidelity(_schedule_values(sector.grid, sector.cum, m_steps), sector)
 
     best = -1.0
     last_fail = 0

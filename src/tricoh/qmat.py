@@ -12,7 +12,8 @@ Conventions used throughout the package:
   leading axes, through one code path, and each item of a stack comes out
   bitwise equal to the call on that item alone. So do ``ground_states``
   and the checks and fidelities used on tomography input
-  (``validate_density``, ``root_fidelity`` and ``state_fidelity``).
+  (``validate_density``, ``root_fidelity`` and ``state_fidelity``). An
+  empty stack, with a leading axis of length 0, gives an empty result.
 - ``_eigh`` is the one place the package's Hermitian eigensolver is chosen.
 
 Two fidelity conventions are provided. ``state_fidelity`` is the squared
@@ -95,7 +96,7 @@ def _as_square(m, name):
 
 
 def _check_hermitian(m, name):
-    dev = np.abs(m - m.conj().swapaxes(-1, -2)).max()
+    dev = np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0)
     if dev > HERMITICITY_TOL:
         raise ValueError(f"{name} is not Hermitian: max deviation {dev:.3e} exceeds {HERMITICITY_TOL:.1e}")
 
@@ -387,7 +388,7 @@ def unitary_fidelity(u1, u2):
     d = u1.shape[-1]
     eye = np.eye(d)
     for name, u in (("u1", u1), ("u2", u2)):
-        dev = np.abs(u.conj().swapaxes(-1, -2) @ u - eye).max()
+        dev = np.abs(u.conj().swapaxes(-1, -2) @ u - eye).max(initial=0.0)
         if dev > 1e-8:
             raise ValueError(f"{name} is not unitary: max deviation {dev:.3e} exceeds 1e-08")
     tr = np.trace(u1 @ u2.conj().swapaxes(-1, -2), axis1=-2, axis2=-1)

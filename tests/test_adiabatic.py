@@ -345,8 +345,8 @@ def probed_search(monkeypatch, tag, target, tau, probe=None):
         probed.append(m_steps)
         return schedule_values(grid, cum, m_steps)
 
-    def scored(values, tau, sector):
-        return probe(adiabatic.Schedule(values=values, tau=tau, model_tag=tag), None)
+    def scored(values, sector):
+        return probe(adiabatic.Schedule(values=values, tau=sector.tau, model_tag=tag), None)
 
     with monkeypatch.context() as patch:
         patch.setattr(adiabatic, "_schedule_values", spy)
@@ -381,7 +381,7 @@ def test_min_steps_search_is_not_the_smallest_passing_count():
 
 def sector_probe(schedule, params=None):
     sector = adiabatic._prepare_sector(schedule.model_tag, schedule.tau, params)
-    return adiabatic._sector_min_fidelity(schedule.values, schedule.tau, sector)
+    return adiabatic._sector_min_fidelity(schedule.values, sector)
 
 
 @pytest.mark.parametrize("params", [None, models.ModelParams(omega_z=-1.7, omega_x=0.2),
@@ -477,14 +477,12 @@ def sector_problem(name, params, n_values):
 
     ``name`` is a key of ``BLOCKS``, whose basis gives ``hx_s`` and the density table of ``start``.
     """
-    p = params or models.ModelParams()
     with sector_swapped(name) as tag:
-        grid, _, _, ground = adiabatic._density_table(tag, p.omega_z, p.omega_x)
-        hx_s = adiabatic._sector_transverse(tag, models.model(tag).tau, params)[0]
-    levels = BLOCKS[name][2]
+        sector = adiabatic._prepare_sector(tag, models.model(tag).tau, params)
+    hx_s, levels = sector.hx_s, BLOCKS[name][2]
     values = np.linspace(*models.model(tag).j_range, n_values)
     hz_s = models.parts(tag, values, params)[1][:, levels]
-    return hx_s, hz_s, np.interp(values, grid, ground), hx_s + hz_s[:, :, None] * np.eye(len(levels))
+    return hx_s, hz_s, np.interp(values, sector.grid, sector.ground), hx_s + hz_s[:, :, None] * np.eye(len(levels))
 
 
 def spy_on_eigh(patch):
@@ -542,7 +540,7 @@ def test_sector_ground_pairs_recompute_a_failed_row_with_eigh(monkeypatch, tag):
 def test_density_table_keeps_the_sector_ground_energy_read_only(tag):
     p = models.ModelParams()
     grid, _, _, ground = adiabatic._density_table(tag, p.omega_z, p.omega_x)
-    hx_s = adiabatic._sector_transverse(tag, models.model(tag).tau)[0]
+    hx_s = adiabatic._prepare_sector(tag, models.model(tag).tau).hx_s
     hz_s = models.parts(tag, grid)[1][:, [0, 1, 3, 7]]
     np.testing.assert_allclose(ground, np.linalg.eigvalsh(hx_s + hz_s[:, :, None] * np.eye(4))[:, 0], rtol=0, atol=1e-13)
     with pytest.raises(ValueError, match="read-only"):
@@ -1136,7 +1134,10 @@ def test_trotter_phase_overflow_raises():
     with pytest.raises(ValueError, match=r"tau 1e\+308 is too large"):
         adiabatic.evolve(sch)
     with pytest.raises(ValueError, match=r"tau 1e\+308 is too large"):
-        adiabatic._sector_transverse("zz", 1e308)
+        adiabatic._prepare_sector("zz", 1e308)
+    # the tau check runs before the density table is read, which rejects omega_x = 0 by itself
+    with pytest.raises(ValueError, match=r"tau 1e\+308 is too large"):
+        adiabatic._prepare_sector("zz", 1e308, models.ModelParams(omega_x=0.0))
     with pytest.raises(ValueError, match=r"tau 1e\+308 is too large"):
         adiabatic.min_steps_search("zz", 0.9, 1e308)
     with pytest.raises(ValueError, match=r"tau 1e\+308 is too large"):
@@ -1194,6 +1195,7 @@ def test_sector_probe_with_a_shared_transverse_part_is_bitwise_equal(tag, params
     # the search's prepared sector, its pair built at the ends of the coupling range, against each schedule's own parts
     tau = models.model(tag).tau
     sector = adiabatic._prepare_sector(tag, tau, params)
+    assert sector.tau == tau
     for m_steps in (1, 2, 3, 17, 60, 412):
         sch = adiabatic.gap_adaptive_schedule(tag, m_steps, tau, params)
         hx, hz = models.parts(tag, sch.values, params)
@@ -1205,4 +1207,4 @@ def test_sector_probe_with_a_shared_transverse_part_is_bitwise_equal(tag, params
         assert (sector.hz0_s + np.multiply.outer(sch.values, sector.dh_dj_s)).tobytes() == hz[:, [0, 1, 3, 7]].tobytes()
         probe = adiabatic._sector_min_fidelity
         own_sector = dataclasses.replace(sector, hx_s=own[0], half=own[1])
-        assert probe(sch.values, tau, sector) == probe(sch.values, tau, own_sector)
+        assert probe(sch.values, sector) == probe(sch.values, own_sector)
