@@ -80,6 +80,16 @@ from .states import make_state
 
 # fine-grid resolution used to tabulate the adaptive step density
 DENSITY_GRID = 2000
+# grid points whose (k, 8, 8) stack of H(J) is built and projected at once,
+# so the table's 2001 points take two slices. Smaller slices cut the peak
+# further but cost time: glibc raises its mmap and trim thresholds to the
+# largest block freed, so after small slices later passes page-fault. On a
+# 2-CPU x86-64 VM (numpy 2.4, glibc malloc), 128-point slices raised the
+# adiabatic_design benchmark's wall_s by 7.5%, and 128- or 301-point slices
+# added 1000 to 1600 minor faults per pass of adiabatic_design and
+# sweep_reports; 1001-point slices kept the one-shot build's fault counts
+# to within 200 per run
+DENSITY_SLICE = 1001
 # floor applied to the density as a fraction of its maximum, so that flat
 # zero-coupling stretches still receive a nonzero measure
 DENSITY_FLOOR_FRACTION = 1e-6
@@ -218,9 +228,13 @@ def _density_table(model_tag, omega_z, omega_x):
     """Diabatic-rate density on a fine coupling grid, as read-only ``(grid, density, cumulative, ground)``.
 
     ``cumulative`` is ``_cumulative(grid, density)`` and ``ground`` the
-    sector ground energy at each grid point. A density that ``_cumulative``
-    rejects (omega_x = 0) raises its ``ValueError`` here and leaves no cache
-    entry.
+    sector ground energy at each grid point. The (n, 8, 8) stack of H(J) is
+    built and projected onto the sector one slice of at most
+    ``DENSITY_SLICE`` grid points at a time, with the same per-matrix
+    products as one whole-grid projection, so at most one slice of it is
+    held; the 4x4 ``eigh`` stays one stacked call over the whole grid. A
+    density that ``_cumulative`` rejects (omega_x = 0) raises its
+    ``ValueError`` here and leaves no cache entry.
     """
     # keyed on the fields the table reads, so params differing only in the
     # coupling fields share one entry; every caller gets the same arrays
@@ -229,7 +243,11 @@ def _density_table(model_tag, omega_z, omega_x):
     grid = np.linspace(*m.j_range, DENSITY_GRID + 1)
     basis = _SECTOR_BASIS
     d_small = basis.conj().T @ np.diag(m.dh_dj) @ basis
-    h_small = basis.conj().T @ models.hamiltonian(model_tag, grid, params) @ basis
+    h_small = np.empty((len(grid),) + d_small.shape, dtype=complex)
+    for i in range(0, len(grid), DENSITY_SLICE):
+        # unnamed, so the slice's 8x8 stack is freed before the next one is built
+        part = slice(i, i + DENSITY_SLICE)
+        h_small[part] = basis.conj().T @ models.hamiltonian(model_tag, grid[part], params) @ basis
     w, v = qmat._eigh(h_small)
     # <n| dH/dJ |g> for every level n of every grid point, as one matmul
     overlaps = np.abs(v.conj().swapaxes(-1, -2) @ (d_small @ v[:, :, :1]))[:, 1:, 0]

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1046,6 +1047,74 @@ def test_cached_density_table_matches_uncached_and_per_point(tag, params):
     for table in (got_grid, dens, adiabatic._SECTOR_BASIS):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 1.0
+
+
+def one_shot_density_table(tag, omega_z, omega_x):
+    """The density table built from one whole-grid projection of the (n, 8, 8) stack of H(J)."""
+    m = models.model(tag)
+    params = models.ModelParams(omega_z=omega_z, omega_x=omega_x)
+    grid = np.linspace(*m.j_range, adiabatic.DENSITY_GRID + 1)
+    basis = SECTOR_BASIS
+    d_small = basis.conj().T @ np.diag(m.dh_dj) @ basis
+    w, v = qmat._eigh(basis.conj().T @ models.hamiltonian(tag, grid, params) @ basis)
+    overlaps = np.abs(v.conj().swapaxes(-1, -2) @ (d_small @ v[:, :, :1]))[:, 1:, 0]
+    density = (overlaps / (w[:, 1:] - w[:, :1]) ** 2).sum(axis=1)
+    return grid, density, adiabatic._cumulative(grid, density), w[:, 0]
+
+
+# (DENSITY_GRID, DENSITY_SLICE): the shipped layout, whose second and last slice is one point
+# short, a shorter grid whose last slice is half full, and four full slices and a partial fifth
+SLICE_LAYOUTS = [(adiabatic.DENSITY_GRID, adiabatic.DENSITY_SLICE), (1500, adiabatic.DENSITY_SLICE), (2000, 480)]
+
+
+@pytest.mark.parametrize("layout", SLICE_LAYOUTS, ids=["shipped", "short_grid", "five_slices"])
+@pytest.mark.parametrize("omega_z, omega_x", [(-2.0, 0.1), (-1.1, 0.3), (-2.0, -0.1), (-2.0, 1e-3), (-2.0, 1e-6)])
+@pytest.mark.parametrize("tag", models.MODEL_TAGS)
+def test_sliced_density_table_is_bitwise_the_one_shot_build(monkeypatch, tag, omega_z, omega_x, layout):
+    grid_size, slice_size = layout
+    assert (grid_size + 1) % slice_size != 0
+    monkeypatch.setattr(adiabatic, "DENSITY_GRID", grid_size)
+    monkeypatch.setattr(adiabatic, "DENSITY_SLICE", slice_size)
+    got = adiabatic._density_table.__wrapped__(tag, omega_z, omega_x)
+    want = one_shot_density_table(tag, omega_z, omega_x)
+    assert len(got[0]) == grid_size + 1
+    for table, expected in zip(got, want, strict=True):
+        assert same_bits(table, expected)
+
+
+def traced_peak(build, *args):
+    """Bytes of the traced peak above the current allocation while ``build(*args)`` runs, after one warm-up call."""
+    build(*args)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        build(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_density_table_holds_one_slice_of_the_hamiltonian_stack(monkeypatch):
+    p = models.ModelParams()
+    # the one-shot build peaks while the whole (n, 8, 8) stack of H(J) and its
+    # (n, 4, 8) half projection are held; two slices cut that peak by about 30%
+    sliced = traced_peak(adiabatic._density_table.__wrapped__, "zz", p.omega_z, p.omega_x)
+    one_shot = traced_peak(one_shot_density_table, "zz", p.omega_z, p.omega_x)
+    assert sliced < 0.75 * one_shot
+    sizes = []
+    hamiltonian = models.hamiltonian
+
+    def spy(tag, j, params=None):
+        sizes.append(np.size(j))
+        return hamiltonian(tag, j, params)
+
+    monkeypatch.setattr(models, "hamiltonian", spy)
+    adiabatic._density_table.__wrapped__("zz", p.omega_z, p.omega_x)
+    assert max(sizes) <= adiabatic.DENSITY_SLICE
+    assert sum(sizes) == adiabatic.DENSITY_GRID + 1
 
 
 @pytest.mark.parametrize("steps", [1, 40])
