@@ -58,7 +58,13 @@ takes its ground vectors in closed form: Newton on the leading-minor
 recurrence of det(H_s - lam), started from the table's ground energy
 interpolated in J, then one column of the adjugate; a row that fails the
 kernel's sign or residual test, and a shorter probe, take theirs from a
-stacked ``eigh``.
+stacked ``eigh``. The doubling probes 2, 4, ..., ``NESTED_STEPS`` (64)
+share one schedule: for a power of two m the m-step coupling values are
+every (64 / m)-th value of the 64-step schedule bit for bit, since the
+uniform grid i / m is exact in binary and the interpolation maps each point
+on its own. So once the first probe fails, one stacked ``eigh`` and one step
+product on the 64-step schedule serve them all, and each propagates a
+strided slice.
 
 ``refocus_params`` translates a schedule into the per-step table of
 spectrometer delays and radio-frequency offsets for an NMR implementation
@@ -108,6 +114,9 @@ STEP_COUNTS = "[1, 100000]"
 # interleaved rounds) eigh scored the zz and zzz probes of 81 values 3-6%
 # faster, and the kernel those of 97 values 3-16% faster
 SECTOR_EIGH_FLOOR = 96
+# the doubling probes of a step search up to this many steps share the sector pairs of one schedule of this
+# many steps (see min_steps_search); a power of two, so that every doubling count up to it divides it
+NESTED_STEPS = 64
 _EPS = np.finfo(float).eps
 # residual bound ||(T - lam) g|| / ||g|| of a kernel ground pair, in units of
 # the kernel's power-of-two scale; a pair above it is recomputed by eigh
@@ -538,35 +547,24 @@ def _sector_ground_pairs(hx_s, hz_s, start):
     return energies, vectors
 
 
-def _sector_min_fidelity(values, sector):
-    """``evolve(Schedule(values, sector.tau, tag), params).min_fidelity``, computed in the symmetric sector.
+def _sector_pairs(values, sector):
+    """Ground vectors and step matrices of a probe on coupling ``values``, as ``(grounds, steps)``.
 
     ``sector`` is ``_prepare_sector(tag, tau, params)``, built once per step
     search, so a probe takes only the schedule's coupling values: it builds
     no ``Schedule`` and reads neither ``models.parts`` nor the density table,
-    and its kicks use the tau its half step was built for.
-    For omega_x != 0 the ground state of every H(J) is unique and permutation
-    symmetric (H conjugated by Z (x) Z (x) Z is stoquastic and irreducible, so
-    Perron-Frobenius applies), and the Trotter step keeps that sector. So the
-    state propagates as a 4-vector in the basis |000>, |W001>, |W110>, |111>
-    of ``_SECTOR_BASIS``. A probe of at most ``SECTOR_EIGH_FLOOR`` values
-    takes its ground vectors from one stacked real 4x4 ``eigh``, a longer one
-    from ``_sector_ground_pairs``, started from the density table's sector
-    ground energy interpolated linearly in J (a lower bound, since E0(J) is
-    concave for H affine in J); one (4n, 4) x (4, 4) product gives the n
-    step matrices. ``_prepare_sector`` checks tau on the 4x4 sector parts it
-    exponentiates; their overflow bound is never below that of the 8x8
-    parts, so the search raises wherever ``evolve`` does. Where ``evolve``
-    flags a step degenerate (a ground gap below ``qmat.DEGENERACY_TOL``, as
-    for zzz at omega_x = 1e-5), its reference vector is a canonical pick in
-    the near-degenerate cluster, not the symmetric ground state used here,
-    and the two values differ.
-
-    The M steps propagate in blocks of k = isqrt(M + 1): k stacked products
-    build every in-block prefix product, then one matvec per block carries
-    the state to the next block, about 2 sqrt(M) Python iterations in all.
-    The values differ from a step-by-step loop by rounding only (below
-    3e-15 on the step counts the ``perfbench`` searches probe).
+    and its kicks use the tau its half step was built for. Row m of
+    ``grounds`` is the sector ground vector at values[m]; ``steps[m]`` is the
+    symmetric Trotter step half @ diag(exp(-i tau hz_s[m])) @ half into it.
+    A probe of at most ``SECTOR_EIGH_FLOOR`` values takes its ground vectors
+    from one stacked real 4x4 ``eigh``, a longer one from
+    ``_sector_ground_pairs``, started from the density table's sector ground
+    energy interpolated linearly in J (a lower bound, since E0(J) is concave
+    for H affine in J); one (4n, 4) x (4, 4) product gives the n step
+    matrices. Each ground vector and kick depends on its own coupling value
+    alone, so rows of two probes at one value are equal bit for bit where
+    both take ``eigh``; a step matrix can move in its last bits with the
+    length of the product under some BLAS kernels.
     """
     hx_s, half = sector.hx_s, sector.half
     hz_s = sector.hz0_s + np.multiply.outer(values, sector.dh_dj_s)
@@ -579,22 +577,77 @@ def _sector_min_fidelity(values, sector):
         grounds = _sector_ground_pairs(hx_s, hz_s, np.interp(values, sector.grid, sector.ground))[1]
     # one (n size, size) x (size, size) product for all n step matrices
     steps = ((half * kicks[:, None, :]).reshape(-1, size) @ half).reshape(n, size, size)
-    # steps 1..M in blocks of k, the last padded with identities
+    return grounds, steps
+
+
+def _sector_propagate(grounds, steps):
+    """min_m |<grounds[m]| steps[m] @ ... @ steps[1] |grounds[0]>|, the minimum instantaneous fidelity.
+
+    The M = n - 1 steps propagate in blocks of k = isqrt(n): k stacked
+    products build every in-block prefix product, then one matvec per block
+    carries the state to the next block, about 2 sqrt(M) Python iterations
+    in all, and one stacked product gives every state, one (4k, 4) matvec
+    per block. Every product writes into an array allocated once. The values
+    differ from a step-by-step loop by rounding only (below 3e-15 on the
+    step counts the ``perfbench`` searches probe). ``grounds`` and ``steps``
+    may be strided views, as the nested probes of ``_search_probe`` pass.
+    """
+    n, size = grounds.shape
     k = math.isqrt(n)
     n_blocks = -(-(n - 1) // k)
-    pad = np.broadcast_to(np.eye(size), (n_blocks * k - (n - 1), size, size))
-    blocks = np.concatenate([steps[1:], pad]).reshape(n_blocks, k, size, size)
-    # prods[b, j] = blocks[b, j] @ ... @ blocks[b, 0], each j one stacked product over all blocks
-    prods = np.empty_like(blocks)
-    prods[:, 0] = blocks[:, 0]
+    # prods[b, j] = steps[1 + b k + j] @ ... @ steps[1 + b k], each j one stacked product over the blocks that
+    # reach it; the last block's rows past its own steps repeat its last product, so that they hold finite values
+    # for the two reads that are never used: the start after the last block, and the states past step M
+    prods = np.empty((n_blocks, k, size, size), dtype=complex)
+    prods[:, 0] = steps[1::k]
     for j in range(1, k):
-        prods[:, j] = blocks[:, j] @ prods[:, j - 1]
+        more = steps[1 + j::k]
+        np.matmul(more, prods[:len(more), j - 1], out=prods[:len(more), j])
+    last = n - 1 - (n_blocks - 1) * k
+    prods[-1:, last:] = prods[-1:, last - 1:last]
     starts = np.empty((n_blocks + 1, size), dtype=complex)
     starts[0] = grounds[0]
     for b in range(n_blocks):
-        starts[b + 1] = prods[b, -1] @ starts[b]
-    psis = np.concatenate([starts[:1], (prods @ starts[:-1, None, :, None]).reshape(-1, size)[:n - 1]])
-    return float(np.abs((grounds * psis).sum(axis=1)).min())
+        np.matmul(prods[b, -1], starts[b], out=starts[b + 1])
+    # each block's k states as one (k size, size) matvec of its stacked prefix products
+    psis = np.empty((1 + n_blocks * k, size), dtype=complex)
+    psis[0] = grounds[0]
+    np.matmul(prods.reshape(n_blocks, k * size, size), starts[:-1, :, None], out=psis[1:].reshape(-1, k * size, 1))
+    return float(np.abs((grounds * psis[:n]).sum(axis=1)).min())
+
+
+def _sector_min_fidelity(values, sector):
+    """``evolve(Schedule(values, sector.tau, tag), params).min_fidelity``, computed in the symmetric sector.
+
+    ``_sector_propagate`` of ``_sector_pairs(values, sector)``.
+    For omega_x != 0 the ground state of every H(J) is unique and permutation
+    symmetric (H conjugated by Z (x) Z (x) Z is stoquastic and irreducible, so
+    Perron-Frobenius applies), and the Trotter step keeps that sector. So the
+    state propagates as a 4-vector in the basis |000>, |W001>, |W110>, |111>
+    of ``_SECTOR_BASIS``. ``_prepare_sector`` checks tau on the 4x4 sector
+    parts it exponentiates; their overflow bound is never below that of the
+    8x8 parts, so the search raises wherever ``evolve`` does. Where ``evolve``
+    flags a step degenerate (a ground gap below ``qmat.DEGENERACY_TOL``, as
+    for zzz at omega_x = 1e-5), its reference vector is a canonical pick in
+    the near-degenerate cluster, not the symmetric ground state used here,
+    and the two values differ.
+    """
+    return _sector_propagate(*_sector_pairs(values, sector))
+
+
+def _search_probe(m_steps, sector, nest):
+    """A step search's score of its m_steps-step schedule: ``_sector_min_fidelity`` of its coupling values.
+
+    Every probe of ``min_steps_search`` passes through here. ``nest`` is
+    None or the ``_sector_pairs`` of the ``NESTED_STEPS``-step schedule; a
+    count that divides ``NESTED_STEPS`` then propagates a strided slice of
+    them, which holds its own coupling values (see ``min_steps_search``).
+    Any other count builds its own pairs.
+    """
+    if nest is not None and NESTED_STEPS % m_steps == 0:
+        stride = NESTED_STEPS // m_steps
+        return _sector_propagate(nest[0][::stride], nest[1][::stride])
+    return _sector_min_fidelity(_schedule_values(sector.grid, sector.cum, m_steps), sector)
 
 
 def min_steps_search(model_tag, target_min_fidelity, tau, params=None):
@@ -612,19 +665,29 @@ def min_steps_search(model_tag, target_min_fidelity, tau, params=None):
     rejects raises before the density table is read. Raises if the target is not
     reached within ten times the model's canonical step count, reporting the
     best value achieved.
+
+    Every probe is scored by ``_search_probe``. Once the first probe (m = 1)
+    fails, the search builds the sector ground vectors and step matrices of
+    the ``NESTED_STEPS``-step (64-step) schedule once, and every doubling
+    probe up to 64 steps propagates a strided slice of them. That is exact:
+    for a power of two m the grid ``np.linspace(0, 1, m + 1)`` is
+    i (1 / m) = i (64 / m) (1 / 64) with every product exact in binary, so it
+    is every (64 / m)-th point of the 64-step grid, and ``np.interp`` maps
+    each point on its own, so the m-step coupling values are every
+    (64 / m)-th 64-step value bit for bit, and so are the ground vectors and
+    kicks built from them. Only the step matrices come from a longer
+    product, which may move their last bits under some BLAS kernels. A
+    search that passes at m = 1 builds nothing more.
     """
     _check_real("target", target_min_fidelity, "[0, 1)")
     cap = 10 * models.model(model_tag).steps
     sector = _prepare_sector(model_tag, tau, params)
-
-    def achieved(m_steps):
-        return _sector_min_fidelity(_schedule_values(sector.grid, sector.cum, m_steps), sector)
-
+    nest = None
     best = -1.0
     last_fail = 0
     m = 1
     while True:
-        value = achieved(m)
+        value = _search_probe(m, sector, nest)
         best = max(best, value)
         if value >= target_min_fidelity:
             break
@@ -632,12 +695,14 @@ def min_steps_search(model_tag, target_min_fidelity, tau, params=None):
             raise ValueError(
                 f"target {target_min_fidelity} unreachable within {cap} steps; best achieved {best:.6f}"
             )
+        if nest is None:
+            nest = _sector_pairs(_schedule_values(sector.grid, sector.cum, NESTED_STEPS), sector)
         last_fail = m
         m = min(2 * m, cap)
     lo, hi = last_fail, m
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if achieved(mid) >= target_min_fidelity:
+        if _search_probe(mid, sector, nest) >= target_min_fidelity:
             hi = mid
         else:
             lo = mid

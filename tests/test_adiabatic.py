@@ -334,27 +334,55 @@ def evolve_min_fidelity(tag, m_steps, tau, params=None):
     return adiabatic.evolve(adiabatic.gap_adaptive_schedule(tag, m_steps, tau, params), params=params).min_fidelity
 
 
-def probed_search(monkeypatch, tag, target, tau, probe=None):
-    """``min_steps_search``'s result and probed step counts, with ``probe(schedule, params)`` in place of the sector probe.
+def search_trace(scores, target, cap):
+    """The counts the documented search probes, and its result, with ``scores[m]`` the value of probe m.
 
-    The counts are those the search passes to ``_schedule_values``; a search that probes fewer than two fails here.
+    Doubling 1, 2, 4, ... up to ``cap`` stops at the first passing count; bisection then narrows the bracket from
+    the last failing one. A count missing from ``scores`` reads NaN, which fails every target.
     """
-    probed = []
-    schedule_values = adiabatic._schedule_values
+    probed, lo, m = [], 0, 1
+    while True:
+        probed.append(m)
+        if scores.get(m, math.nan) >= target or m >= cap:
+            break
+        lo, m = m, min(2 * m, cap)
+    hi = m
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        probed.append(mid)
+        if scores.get(mid, math.nan) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return probed, hi
 
-    def spy(grid, cum, m_steps):
-        probed.append(m_steps)
-        return schedule_values(grid, cum, m_steps)
 
-    def scored(values, sector):
-        return probe(adiabatic.Schedule(values=values, tau=sector.tau, model_tag=tag), None)
+def probed_search(monkeypatch, tag, target, tau, probe=None):
+    """``min_steps_search``'s result and probed step counts, with ``probe(schedule, params)`` in place of the sector score.
+
+    Every probe, the nested doubling probes included, passes through ``adiabatic._search_probe``, and the counts are
+    those it receives. They must be the documented doubling then bisection on the values the probes returned, and
+    the result must be that trace's: a search that scores a probe outside the seam, or probes fewer than two
+    counts, fails here.
+    """
+    trace = []
+    search_probe = adiabatic._search_probe
+
+    def seam(m_steps, sector, nest):
+        if probe is None:
+            value = search_probe(m_steps, sector, nest)
+        else:
+            values = adiabatic._schedule_values(sector.grid, sector.cum, m_steps)
+            value = probe(adiabatic.Schedule(values=values, tau=sector.tau, model_tag=tag), None)
+        trace.append((m_steps, value))
+        return value
 
     with monkeypatch.context() as patch:
-        patch.setattr(adiabatic, "_schedule_values", spy)
-        if probe is not None:
-            patch.setattr(adiabatic, "_sector_min_fidelity", scored)
+        patch.setattr(adiabatic, "_search_probe", seam)
         got = adiabatic.min_steps_search(tag, target, tau)
+    probed = [m_steps for m_steps, _ in trace]
     assert len(probed) > 1
+    assert (probed, got) == search_trace(dict(trace), target, 10 * models.model(tag).steps)
     return got, probed
 
 
@@ -371,6 +399,15 @@ def test_min_steps_search_matches_evolve_reference(monkeypatch, tag, target, wan
     assert got == ref == want
     assert probed == ref_probed
     assert evolve_min_fidelity(tag, got, tau) >= target > evolve_min_fidelity(tag, got - 1, tau)
+
+
+def test_search_trace_replays_the_documented_search():
+    # scores that pass from 40 on: doubling to 64, then bisection from 32
+    scores = {m: float(m >= 40) for m in range(1, 65)}
+    assert search_trace(scores, 0.5, 2000) == ([1, 2, 4, 8, 16, 32, 64, 48, 40, 36, 38, 39], 40)
+    assert search_trace({1: 1.0}, 0.5, 2000) == ([1], 1)
+    # a count with no score fails, so the doubling runs on to the cap
+    assert search_trace({}, 0.5, 5) == ([1, 2, 4, 5], 5)
 
 
 def test_min_steps_search_is_not_the_smallest_passing_count():
@@ -595,13 +632,28 @@ def test_step_search_at_a_near_degenerate_sector(monkeypatch, omega_x, best):
     params = models.ModelParams(omega_x=omega_x)
     assert adiabatic.min_steps_search("zzz", 0.5, 0.4, params) == 1
     messages = []
+    search_probe = adiabatic._search_probe
     # the kernel's search, then one that scores every probe with eigh
     for floor in (adiabatic.SECTOR_EIGH_FLOOR, math.inf):
-        monkeypatch.setattr(adiabatic, "SECTOR_EIGH_FLOOR", floor)
-        with pytest.raises(ValueError, match=r"^target 0\.9 unreachable within 2000 steps; best achieved 0\.\d{6}$") as exc:
-            adiabatic.min_steps_search("zzz", 0.9, 0.4, params)
+        probed = []
+
+        def seam(m_steps, sector, nest):
+            probed.append(m_steps)
+            return search_probe(m_steps, sector, nest)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(adiabatic, "SECTOR_EIGH_FLOOR", floor)
+            patch.setattr(adiabatic, "_search_probe", seam)
+            sizes = spy_on_eigh(patch)
+            with pytest.raises(ValueError, match=r"^target 0\.9 unreachable within 2000 steps; best achieved 0\.\d{6}$") as exc:
+                adiabatic.min_steps_search("zzz", 0.9, 0.4, params)
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
+    # without a floor every stack goes through eigh: the half step's one matrix, then the pairs of each probe
+    # that builds its own and of the nested schedule, whose strided slices score the doubling probes 2 .. 64
+    nested = adiabatic.NESTED_STEPS
+    assert probed[:8] == [1, 2, 4, 8, 16, 32, 64, 128]
+    assert sizes == [1, 2, nested + 1] + [m_steps + 1 for m_steps in probed if m_steps > nested]
     # the sixth digit at 1e-5 depends on the OpenBLAS kernel set: 0.709025 under Sandybridge and Nehalem
     assert abs(float(messages[0].rsplit(" ", 1)[1]) - best) < 1.5e-6
 
@@ -1277,3 +1329,28 @@ def test_sector_probe_with_a_shared_transverse_part_is_bitwise_equal(tag, params
         probe = adiabatic._sector_min_fidelity
         own_sector = dataclasses.replace(sector, hx_s=own[0], half=own[1])
         assert probe(sch.values, sector) == probe(sch.values, own_sector)
+
+
+@pytest.mark.parametrize("params", [None, models.ModelParams(omega_z=-1.7, omega_x=0.2), models.ModelParams(omega_x=-0.1),
+                                    models.ModelParams(omega_x=1e-3)], ids=["default", "fields", "negative", "1e-3"])
+@pytest.mark.parametrize("tag", models.MODEL_TAGS)
+def test_nested_doubling_probes_are_strided_slices_of_one_schedule(tag, params):
+    sector = adiabatic._prepare_sector(tag, models.model(tag).tau, params)
+    top = adiabatic.NESTED_STEPS
+    values = adiabatic._schedule_values(sector.grid, sector.cum, top)
+    nest = adiabatic._sector_pairs(values, sector)
+    # the counts that divide the nested one are the doubling probes 1, 2, 4, ..., 64
+    counts = [m_steps for m_steps in range(1, top + 1) if top % m_steps == 0]
+    assert counts == [2 ** i for i in range(7)]
+    for m_steps in counts:
+        own = adiabatic._schedule_values(sector.grid, sector.cum, m_steps)
+        assert own.tobytes() == values[::top // m_steps].tobytes()
+        assert adiabatic._sector_pairs(own, sector)[0].tobytes() == nest[0][::top // m_steps].tobytes()
+        want = adiabatic._sector_min_fidelity(own, sector)
+        assert abs(adiabatic._search_probe(m_steps, sector, nest) - want) < 1e-13
+    # any other count, and any count before the nest is built, scores its own schedule
+    for m_steps in (1, 3, 48, 63, 65, 128):
+        want = adiabatic._sector_min_fidelity(adiabatic._schedule_values(sector.grid, sector.cum, m_steps), sector)
+        assert adiabatic._search_probe(m_steps, sector, None) == want
+        if top % m_steps:
+            assert adiabatic._search_probe(m_steps, sector, nest) == want

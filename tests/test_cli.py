@@ -78,6 +78,20 @@ def test_ratios_empty_cells_at_zero_denominator(tmp_path):
     assert rows[0]["C23_over_C123"] == ""
 
 
+def test_number_columns_take_the_one_call_format(monkeypatch):
+    # the per-cell fallback of a column with a str or None cell writes the same text, so only a _fmt that
+    # raises shows that an all-number column never reaches it
+    def per_cell(x):
+        raise AssertionError("an all-number column must be formatted in one call")
+
+    mixed = cli._cells([0.5, None, "x"])
+    monkeypatch.setattr(cli, "_fmt", per_cell)
+    assert cli._cells(np.array([0.1, 2.0, -3e-12, 1 / 3])) == ["0.1", "2", "-3e-12", "0.333333333"]
+    assert cli._cells(range(3)) == ["0", "1", "2"]
+    assert cli._cells(np.array([], dtype=float)) == []
+    assert mixed == ["0.5", "", "x"]
+
+
 def test_geometry_records(tmp_path):
     assert run_cli(["geometry", "--model", "zzz", "--out", str(tmp_path)]) == 0
     records = json.loads((tmp_path / "geometry_zzz.json").read_text())

@@ -222,6 +222,24 @@ def test_secular_rejects_bad_subspace():
         perturbation.PerturbationSplit(h0=h0, v=v)
 
 
+def test_secular_accepts_a_perturbation_that_couples_states_inside_the_subspace():
+    # h0 has the two-fold level 0 and the levels 1 and 2.5, in a seeded random eigenbasis u; V couples the two
+    # subspace states to each other as well as to the states outside the shell, which the secular matrix ignores
+    rng = np.random.default_rng(11)
+    u = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+    h0 = u @ np.diag([0.0, 0.0, 1.0, 2.5]) @ u.conj().T
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    v = 0.1 * (a + a.conj().T)
+    sub, out = u[:, :2], u[:, 2:]
+    assert abs(sub[:, 0].conj() @ v @ sub[:, 1]) > 0.01
+    result = perturbation.secular_solve(perturbation.PerturbationSplit(h0=h0, v=v, degenerate_subspace=list(sub.T)))
+    b = out.conj().T @ v @ sub
+    want_w, want_c = np.linalg.eigh(b.conj().T @ np.diag(1.0 / (0.0 - np.array([1.0, 2.5]))) @ b)
+    assert abs(result.energy_shift - want_w[0]) <= 1e-12
+    assert abs(abs(np.vdot(want_c[:, 0], result.coefficients)) - 1.0) <= 1e-12
+    assert not result.degenerate
+
+
 def loop_secular(split):
     """Lowest eigenpair of A_mn = sum_k <m|V|k><k|V|n> / (E_g - E_k), summed state by state."""
     w, v = qmat.eig_hermitian(split.h0)
