@@ -1,20 +1,11 @@
 """Discrete adiabatic sweeps for the two spin models.
 
 A sweep is a monotone sequence of coupling values J(t_0) .. J(t_M) with a
-fixed step interval tau. ``ground_sweep`` diagonalizes the schedule's
-(M+1, 8, 8) stack of H(J) at once to track the exact instantaneous spectrum
-and ground states; ``evolve`` propagates a state with the symmetric
-Trotter step of each coupling value, whose diagonal longitudinal part is a
-phase vector, and audits the instantaneous fidelity to the exact ground
-state, from one stacked overlap of all steps once the propagation is done.
-Ground vectors and overlaps equal, bit for bit, the column ``v[:, 0]`` of
-per-step ``qmat.eig_hermitian`` ``(w, v)`` and per-step ``np.vdot``. At a
-step listed in ``degenerate_steps`` the ground vector is a canonical pick
-in the near-degenerate cluster, not the unique symmetric ground state, so
-check that list before reading fidelities.
-All reported fidelities use the amplitude (root-fidelity) convention of
-``qmat.root_fidelity``. ``trotter_pair`` and ``trotter_error_scaling``
-take one coupling or a J array.
+fixed step interval tau. ``ground_sweep`` tracks the exact instantaneous
+spectrum and ground states; ``evolve`` propagates a state with the symmetric
+Trotter step of each coupling value and audits its instantaneous fidelity to
+the exact ground state. All reported fidelities use the amplitude
+(root-fidelity) convention of ``qmat.root_fidelity``.
 
 The gap-adaptive schedule allocates steps according to the local diabatic
 transition rate out of the ground state,
@@ -22,16 +13,10 @@ transition rate out of the ground state,
     density(J) = sum_n |<n| dH/dJ |g>| / (E_n - E_g)^2,
 
 evaluated in the permutation-symmetric four-state subspace that contains the
-entire dynamics (spanned by |000>, |W001>, |W110>, |111>), on the whole
-fine grid with one stacked 4x4 eigendecomposition. The table depends only
-on the model and the fields (omega_z, omega_x), so it is computed once per
-model and field and shared, read-only, by every later schedule and step
-search, together with its validated, normalized cumulative sum, so that a
-schedule costs one interpolation; at most ``DENSITY_CACHE_SIZE`` tables are
-kept, and a density that fails validation (omega_x = 0) raises and is not
-kept. Near an avoided crossing dominated by a single level this density
-reduces to the familiar inverse squared gap rule, and a constant density
-reproduces the linear schedule.
+entire dynamics (spanned by |000>, |W001>, |W110>, |111>). Near an avoided
+crossing dominated by a single level this density reduces to the familiar
+inverse squared gap rule, and a constant density reproduces the linear
+schedule. ``_density_table`` tabulates and caches it.
 
 The zzz model is H = omega_x S^x + (J/2) P, with S^x the total x spin and P
 the product of the three Pauli z. P anticommutes with S^x and flips each
@@ -43,35 +28,12 @@ and its density is a/(8 E^3). The sector's other two excited levels lie in
 other blocks, so their terms vanish by symmetry; in floats they are rounding
 noise that does attract steps: at omega_x = 1e-3 most points move by over 1%.
 
-``min_steps_search`` finds, by doubling and then bisection, a step count m
-of such a schedule that reaches a fidelity target where m - 1 does not,
-searching up to ten times the model's canonical step count. The fidelity
-does not always rise with the step count, so m is the smallest passing
-count only where it does below m. A search prepares the symmetric sector
-once, as one record of its tau, the transverse half step built for that tau,
-the sector diagonals and the cached density table. Each probe then takes a
-plain array of coupling values, the same values ``gap_adaptive_schedule``
-gives bit for bit, builds no ``Schedule``, kicks with the record's tau and
-propagates in the sector, whose 4x4 Hamiltonian is tridiagonal with fixed
-off-diagonals. A probe of more than ``SECTOR_EIGH_FLOOR`` coupling values
-takes its ground vectors in closed form: Newton on the leading-minor
-recurrence of det(H_s - lam), started from the table's ground energy
-interpolated in J, then one column of the adjugate; a row that fails the
-kernel's sign or residual test, and a shorter probe, take theirs from a
-stacked ``eigh``. The doubling probes 2, 4, ..., ``NESTED_STEPS`` (64)
-share one schedule: for a power of two m the m-step coupling values are
-every (64 / m)-th value of the 64-step schedule bit for bit, since the
-uniform grid i / m is exact in binary and the interpolation maps each point
-on its own. So once the first probe fails, one stacked ``eigh`` and one step
-product on the 64-step schedule serve them all, and each propagates a
-strided slice.
-
-``refocus_params`` translates a schedule into the per-step table of
+``min_steps_search`` finds, by doubling and then bisection, the step count
+of such a schedule that reaches a fidelity target; ``_search_probe`` scores
+each probe in the symmetric sector, and its docstring says why that is
+exact. ``refocus_params`` translates a schedule into the per-step table of
 spectrometer delays and radio-frequency offsets for an NMR implementation
-with given scalar couplings; the model record names the table's columns and
-the spin pairs each one sums, and every cell of a returned table is finite.
-A schedule file is read through ``qmat``'s one JSON loader, so any error in
-it names the file.
+with given scalar couplings.
 """
 
 from dataclasses import dataclass, replace
@@ -237,13 +199,20 @@ def _density_table(model_tag, omega_z, omega_x):
     """Diabatic-rate density on a fine coupling grid, as read-only ``(grid, density, cumulative, ground)``.
 
     ``cumulative`` is ``_cumulative(grid, density)`` and ``ground`` the
-    sector ground energy at each grid point. The (n, 8, 8) stack of H(J) is
-    built and projected onto the sector one slice of at most
-    ``DENSITY_SLICE`` grid points at a time, with the same per-matrix
-    products as one whole-grid projection, so at most one slice of it is
-    held; the 4x4 ``eigh`` stays one stacked call over the whole grid. A
-    density that ``_cumulative`` rejects (omega_x = 0) raises its
-    ``ValueError`` here and leaves no cache entry.
+    sector ground energy at each grid point. The table depends only on the
+    model and the fields, so it is computed once per model and
+    (omega_z, omega_x) and shared, read-only, by every later schedule and
+    step search; at most ``DENSITY_CACHE_SIZE`` tables are kept. A density
+    that ``_cumulative`` rejects (omega_x = 0) raises its ``ValueError``
+    here and leaves no cache entry.
+
+    The (n, 8, 8) stack of H(J) is built and projected onto the sector one
+    slice of at most ``DENSITY_SLICE`` grid points at a time, with the same
+    per-matrix products as one whole-grid projection, so every table bit is
+    the same and at most one slice of the stack is held; the 4x4 ``eigh``
+    stays one stacked call over the whole grid. A cold zz build's
+    ``tracemalloc`` peak is about 2.4 MB, against 3.5 MB for one whole-grid
+    projection.
     """
     # keyed on the fields the table reads, so params differing only in the
     # coupling fields share one entry; every caller gets the same arrays
@@ -291,10 +260,9 @@ def gap_adaptive_schedule(model_tag, m_steps, tau, params=None):
     where the ground state changes fastest (the avoided crossing of the
     two-body model, the early crossover of the three-body model) and relaxes
     where excitations are symmetry-forbidden or energetically suppressed.
-    The validated, normalized cumulative density is cached with the table,
-    once per model and (omega_z, omega_x), so a schedule costs one
-    interpolation; it equals ``schedule_from_density`` on the cached
-    ``(grid, density)`` bit for bit.
+    The density and its validated, normalized cumulative come from
+    ``_density_table``, so a schedule costs one interpolation, and it equals
+    ``schedule_from_density`` on that table's ``(grid, density)`` bit for bit.
     """
     _check_integer("m_steps", m_steps, STEP_COUNTS)
     p = params or models._DEFAULT_PARAMS
@@ -319,7 +287,7 @@ def load_schedule(path, model_tag, tau):
 
 
 def ground_sweep(schedule, params=None):
-    """Exact instantaneous spectrum and ground states along a schedule.
+    """Exact instantaneous spectrum and ground states along a schedule, from one stacked diagonalization.
 
     Ground state m is ``qmat.eig_hermitian(H(J_m))[1][:, 0]`` bit
     for bit, in the phase convention of ``qmat.normalize_phase``. Steps
@@ -616,38 +584,42 @@ def _sector_propagate(grounds, steps):
     return float(np.abs((grounds * psis[:n]).sum(axis=1)).min())
 
 
-def _sector_min_fidelity(values, sector):
-    """``evolve(Schedule(values, sector.tau, tag), params).min_fidelity``, computed in the symmetric sector.
-
-    ``_sector_propagate`` of ``_sector_pairs(values, sector)``.
-    For omega_x != 0 the ground state of every H(J) is unique and permutation
-    symmetric (H conjugated by Z (x) Z (x) Z is stoquastic and irreducible, so
-    Perron-Frobenius applies), and the Trotter step keeps that sector. So the
-    state propagates as a 4-vector in the basis |000>, |W001>, |W110>, |111>
-    of ``_SECTOR_BASIS``. ``_prepare_sector`` checks tau on the 4x4 sector
-    parts it exponentiates; their overflow bound is never below that of the
-    8x8 parts, so the search raises wherever ``evolve`` does. Where ``evolve``
-    flags a step degenerate (a ground gap below ``qmat.DEGENERACY_TOL``, as
-    for zzz at omega_x = 1e-5), its reference vector is a canonical pick in
-    the near-degenerate cluster, not the symmetric ground state used here,
-    and the two values differ.
-    """
-    return _sector_propagate(*_sector_pairs(values, sector))
-
-
 def _search_probe(m_steps, sector, nest):
-    """A step search's score of its m_steps-step schedule: ``_sector_min_fidelity`` of its coupling values.
+    """``evolve(gap_adaptive_schedule(tag, m_steps, tau), params).min_fidelity``, computed in the symmetric sector.
 
-    Every probe of ``min_steps_search`` passes through here. ``nest`` is
-    None or the ``_sector_pairs`` of the ``NESTED_STEPS``-step schedule; a
-    count that divides ``NESTED_STEPS`` then propagates a strided slice of
-    them, which holds its own coupling values (see ``min_steps_search``).
-    Any other count builds its own pairs.
+    Every probe of ``min_steps_search`` passes through here. ``sector`` is
+    the search's ``_prepare_sector(tag, tau, params)``, and the probe's
+    coupling values are ``gap_adaptive_schedule``'s bit for bit. For
+    omega_x != 0 the ground state of every H(J) is unique and permutation
+    symmetric (H conjugated by Z (x) Z (x) Z is stoquastic and irreducible,
+    so Perron-Frobenius applies), and the Trotter step keeps that sector. So
+    the state propagates as a 4-vector in the basis |000>, |W001>, |W110>,
+    |111> of ``_SECTOR_BASIS``, and the score is ``evolve``'s up to rounding.
+    ``_prepare_sector`` checks tau on the 4x4 sector parts it exponentiates;
+    their overflow bound is never below that of the 8x8 parts, so the search
+    raises wherever ``evolve`` does. Where ``evolve`` flags a step degenerate
+    (a ground gap below ``qmat.DEGENERACY_TOL``, as for zzz at
+    omega_x = 1e-5), its reference vector is a canonical pick in the
+    near-degenerate cluster, not the symmetric ground state used here, and
+    the two values differ.
+
+    ``nest`` is None or the ``_sector_pairs`` of the ``NESTED_STEPS``-step
+    (64-step) schedule. A count m that divides 64 then propagates every
+    (64 / m)-th row of them, and that is exact: for a power of two m the
+    grid ``np.linspace(0, 1, m + 1)`` is i (1 / m) = i (64 / m) (1 / 64) with
+    every product exact in binary, so it is every (64 / m)-th point of the
+    64-step grid, and ``np.interp`` maps each point on its own, so the m-step
+    coupling values are every (64 / m)-th 64-step value bit for bit, and so
+    are the ground vectors and kicks built from them. Only the step matrices
+    come from a longer product, which may move their last bits under some
+    BLAS kernels. Any other count, and any count while ``nest`` is None,
+    builds its own pairs.
     """
     if nest is not None and NESTED_STEPS % m_steps == 0:
         stride = NESTED_STEPS // m_steps
         return _sector_propagate(nest[0][::stride], nest[1][::stride])
-    return _sector_min_fidelity(_schedule_values(sector.grid, sector.cum, m_steps), sector)
+    values = _schedule_values(sector.grid, sector.cum, m_steps)
+    return _sector_propagate(*_sector_pairs(values, sector))
 
 
 def min_steps_search(model_tag, target_min_fidelity, tau, params=None):
@@ -658,26 +630,17 @@ def min_steps_search(model_tag, target_min_fidelity, tau, params=None):
     unless hi = 1, f(hi - 1) < target. Doubling 1, 2, 4, ... stops at the
     first passing count; bisection then narrows the bracket from the last
     failing one. f does not always rise with m, so hi is the smallest
-    passing count only where f rises with m below hi. The search prepares
-    the 4-dim symmetric sector once, and each probe scores the schedule's
-    coupling values there, which gives ``evolve``'s value up to rounding
-    wherever ``evolve`` flags no step degenerate. A tau the Trotter step
-    rejects raises before the density table is read. Raises if the target is not
-    reached within ten times the model's canonical step count, reporting the
-    best value achieved.
+    passing count only where f rises with m below hi. A tau the Trotter
+    step rejects raises before the density table is read. Raises if the
+    target is not reached within ten times the model's canonical step count,
+    reporting the best value achieved.
 
-    Every probe is scored by ``_search_probe``. Once the first probe (m = 1)
-    fails, the search builds the sector ground vectors and step matrices of
-    the ``NESTED_STEPS``-step (64-step) schedule once, and every doubling
-    probe up to 64 steps propagates a strided slice of them. That is exact:
-    for a power of two m the grid ``np.linspace(0, 1, m + 1)`` is
-    i (1 / m) = i (64 / m) (1 / 64) with every product exact in binary, so it
-    is every (64 / m)-th point of the 64-step grid, and ``np.interp`` maps
-    each point on its own, so the m-step coupling values are every
-    (64 / m)-th 64-step value bit for bit, and so are the ground vectors and
-    kicks built from them. Only the step matrices come from a longer
-    product, which may move their last bits under some BLAS kernels. A
-    search that passes at m = 1 builds nothing more.
+    The search prepares the 4-dim symmetric sector once, and
+    ``_search_probe`` scores every probe there, which gives f up to rounding
+    wherever ``evolve`` flags no step degenerate. Once the first probe
+    (m = 1) fails, the search builds the sector pairs of the
+    ``NESTED_STEPS``-step schedule once, which the doubling probes up to 64
+    steps share; a search that passes at m = 1 builds nothing more.
     """
     _check_real("target", target_min_fidelity, "[0, 1)")
     cap = 10 * models.model(model_tag).steps

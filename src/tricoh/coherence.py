@@ -6,10 +6,7 @@ J by 1 and its square root (the distance D) by 1 for any pair of states.
 Both the defining form and the entropic form S(m) - S(rho)/2 - S(sigma)/2
 are always evaluated, and any disagreement beyond ``CROSS_CHECK_TOL`` raises
 ``CrossCheckError``, an ``ArithmeticError`` that names the failing state's
-index in its stack. Each matrix is diagonalized once: the defining form
-reads the clipped ``eigh`` eigenpairs, and the entropic form reads either
-the same ``eigh`` spectrum or a closed form its caller supplies for a
-structured matrix.
+index in its stack. ``_qjsd_pairs`` says which spectrum each form reads.
 
 ``coherence_reports`` evaluates the full decomposition for a stack of
 three-qubit states: total, global, local and absolute coherence, the 1:23
@@ -17,40 +14,11 @@ and 2:3 partition terms, the pairwise terms entering the monogamy
 difference, and the four trade-off slacks (each slack is the inequality's
 right-hand sum minus its left-hand term, so validity means slack >= 0 up to
 rounding). A ``CoherenceReport`` is a named tuple whose fields are its
-output row, in ``REPORT_COLUMNS`` order; one table names both. The
-entropic form takes the entropies of rho, the two-qubit marginals and the
-mixtures from their ``eigh`` spectra. The structured matrices get closed
-forms: a dephased matrix the Shannon entropy of its diagonal, and a
-product of marginals the entropy of the outer product of its factors'
-spectra. So no structured matrix's entropy comes from a diagonalization of
-that matrix. Stacked kernels see the same input bytes as per-matrix calls,
-so every report is bitwise equal to the report of its state alone.
-``coherence_report``, ``qjsd``, ``relative_entropy`` and
-``von_neumann_entropy`` are single-state calls into the same stacked
-helpers.
-
-``coherence_reports`` checks its stack on entry; the kernel behind it does
-not re-check its own intermediates. It takes rho_12, rho_13 and rho_23 from
-one (n, 2, 2, 2, 2, 2, 2) view of the stack, rho_1 and rho_2 from rho_12
-and rho_3 from rho_13, with the ``np.trace`` calls ``partial_trace`` makes.
-Each group's matrices are written into one buffer, and each is bitwise
-equal to the one the checked public helpers build.
-
-Each chunk of ``REPORT_CHUNK`` states runs in one serial order: its input
-side (its stacks, the mixtures and ``_sym``), the stacked 4x4 ``eigh``, the
-stacked 8x8 ``eigh``, then one scoring side (the closed forms, the relative
-entropies, the entropies, the cross-check of the 4x4 pairs, then of the 8x8
-pairs, and the row sums). When a ``coherence_reports`` stack spans more
-than one chunk and the process may run on at least two CPUs, one helper
-thread, started and joined within the call, runs each chunk's input side
-and its one scoring task, while the calling thread runs every ``eigh`` in
-serial order. numpy's ``eigh`` releases the GIL, so chunk i + 1's inputs
-and chunk i - 1's scores are built while chunk i is diagonalized. No helper
-task waits on another. Every matrix goes through the same numpy operations
-either way, each task runs in a copy of the caller's context (so
-``np.errstate`` applies), and on any failure the helper's scoring tasks so
-far are read in serial order, their first failure winning: values and the
-exception raised do not depend on whether the helper runs.
+output row, in ``REPORT_COLUMNS`` order; one table names both.
+``coherence_reports`` says how a stack is chunked, scored and threaded, and
+``_chunk_scores`` which entropies come in closed form. ``coherence_report``,
+``qjsd``, ``relative_entropy`` and ``von_neumann_entropy`` are single-state
+calls into the same stacked helpers.
 
 ``embed_tetrahedron`` places the four states rho, pi(rho), dephased pi(rho)
 and rho_1 x rho_23 in Euclidean 3-space so that pairwise point distances
@@ -159,8 +127,9 @@ def _qjsd_stack(mats, pairs):
 def _qjsd_pairs(w, v, pairs, closed, scale):
     """The scoring half: QJSD of the P index pairs ``pairs`` from the ``eigh`` eigenpairs of a ``_qjsd_stack``.
 
-    Returns the (P, n) divergences. The S + P eigenpairs (w, v) serve the
-    defining form; both sides of a pair are scored against the mixture's
+    Returns the (P, n) divergences. Each matrix is diagonalized once: the
+    S + P eigenpairs (w, v), eigenvalues clipped at 0, serve the defining
+    form; both sides of a pair are scored against the mixture's
     eigenpairs by broadcasting. The entropic form takes the entropy of input
     ``k`` from ``closed[k]``, an (n,) closed form, where the caller gives
     one, and from the ``eigh`` spectrum otherwise; mixtures always read the
@@ -319,12 +288,23 @@ def _chunk_scores(w4, v4, w8, v8, marg, dephased, scale):
 
     (w4, v4) and (w8, v8) are the eigenpairs of the chunk's 4x4 and 8x8
     stacks, and ``marg`` and ``dephased`` come from ``_chunk_stacks``. The
-    4x4 pairs are scored first, so their ``CrossCheckError`` wins. The
-    closed forms use the spectra of the marginals' Hermitian parts and of
-    rho_23, unclipped, as the spectrum of a product is the product of its
+    4x4 pairs are scored first, so their ``CrossCheckError`` wins. The nine
+    distances come first; the monogamy difference and the four slacks are
+    sums of them.
+
+    The entropic form reads the ``eigh`` spectra of rho, the two-qubit
+    marginals and the mixtures. The structured matrices get closed forms,
+    so no structured matrix's entropy comes from a diagonalization of that
+    matrix: dephased rho and dephased pi(rho) the Shannon entropy of their
+    diagonal, and pi(rho), rho_1 x rho_23 and the two-qubit marginal
+    products the entropy of the outer product of their factors' spectra.
+    The qubit spectra come from the 2x2 formula of ``_qubit_spectra`` and
+    rho_23's from its 4x4 ``eigh``, both of the Hermitian part that ``eigh``
+    sees and unclipped, as the spectrum of a product is the product of its
     factors' spectra before the defining route clips it; ``_entropies``
-    drops the sub-floor products either way. The nine distances come first;
-    the monogamy difference and the four slacks are sums of them.
+    drops the sub-floor products either way. So a state that ``tomo``
+    accepts without ``--repair`` (Hermitian and positive only within
+    ``--tol``) gets the same closed forms as its ``eigh`` route.
     """
     q = _qubit_spectra(marg)
     # spectra of rho_2 x rho_3, rho_1 x rho_2 and rho_1 x rho_3
@@ -358,7 +338,7 @@ def _shifted(start, *args):
 
 
 def _chunk_rows(start, rho, scale):
-    """The report rows of the (n, 8, 8) chunk at ``start``, in serial order: inputs, 4x4 ``eigh``, 8x8 ``eigh``, scores."""
+    """The report rows of the (n, 8, 8) chunk at ``start``, all on the calling thread (see ``coherence_reports``)."""
     stack4, stack8, marg, dephased = _chunk_stacks(rho)
     return _shifted(start, *qmat._eigh(stack4), *qmat._eigh(stack8), marg, dephased, scale)
 
@@ -372,16 +352,12 @@ def _cpu_count():
 
 
 def _pipelined_rows(chunks, starts, scale):
-    """The rows of each chunk, with its input side and its one scoring task on one helper thread.
+    """The rows of each chunk on the helper-thread path of ``coherence_reports``, which describes it.
 
-    The calling thread runs every ``eigh``, in serial order, so chunk i + 1's
-    inputs and chunk i - 1's scores are built while chunk i is in ``eigh``,
-    which releases the GIL. No helper task reads a future. Each matrix goes
-    through the numpy operations of ``_chunk_rows``, so the rows are bitwise
-    the same. On any failure, the helper's scoring tasks so far are read in
-    serial order and the first failure among them is raised, else the
-    failure itself: the one ``_chunk_rows`` raises first. A later chunk's
-    input side may already have run by then.
+    No helper task reads a future. On any failure, the helper's scoring
+    tasks so far are read in serial order and the first failure among them
+    is raised, else the failure itself: the one ``_chunk_rows`` raises
+    first. A later chunk's input side may already have run by then.
     """
     # imported here, not at module level: it pulls in logging and queue, about 10 ms that every
     # process importing tricoh would pay, though only a multi-chunk call on two CPUs needs it
@@ -418,22 +394,30 @@ def coherence_reports(rhos, base=2.0):
     """Full coherence decompositions of a (N, 8, 8) stack of density matrices.
 
     Returns N ``CoherenceReport`` values, each equal bit for bit to the
-    report of its state alone. States are processed ``REPORT_CHUNK`` at a
-    time, each in the serial order of the module docstring. A failed
-    cross-check raises ``CrossCheckError`` whose ``index`` is the failing
-    state's position in ``rhos``. The entry check admits any finite stack,
-    so a state far from a density matrix fails its cross-check. From about
-    1e103 up, entries overflow the products of the marginals' spectra, with
-    numpy warnings, and the chunk's 8x8 ``eigh`` raises numpy's
-    ``LinAlgError`` ("Eigenvalues did not converge") before its scores run.
-    ``qmat.validate_density`` rejects or repairs such matrices first, as
-    ``tomo`` does.
+    report of its state alone. A failed cross-check raises
+    ``CrossCheckError`` whose ``index`` is the failing state's position in
+    ``rhos``. The stack is checked once, on entry, and the check admits any
+    finite stack, so a state far from a density matrix fails its
+    cross-check. From about 1e103 up, entries overflow the products of the
+    marginals' spectra, with numpy warnings, and the chunk's 8x8 ``eigh``
+    raises numpy's ``LinAlgError`` ("Eigenvalues did not converge") before
+    its scores run. ``qmat.validate_density`` rejects or repairs such
+    matrices first, as ``tomo`` does.
 
-    When the stack spans more than one chunk and the process may run on at
-    least two CPUs, one helper thread, started and joined within the call,
-    builds each chunk's input stacks and runs its one scoring task while the
-    calling thread runs every ``eigh``; otherwise the chunks run inline.
-    Either way every value, and every exception raised, is the same.
+    States are processed ``REPORT_CHUNK`` at a time, and each chunk runs in
+    one serial order: its input side (``_chunk_stacks``: its stacks, the
+    mixtures and ``_sym``), the stacked 4x4 ``eigh``, the stacked 8x8
+    ``eigh``, then one scoring task (``_chunk_scores``). When the stack
+    spans more than one chunk and the process may run on at least two CPUs,
+    one helper thread, started and joined within the call
+    (``_pipelined_rows``), runs each chunk's input side and its scoring
+    task, while the calling thread runs every ``eigh`` in serial order;
+    otherwise the chunks run inline. numpy's ``eigh`` releases the GIL, so
+    chunk i + 1's inputs and chunk i - 1's scores are built while chunk i is
+    diagonalized, and no helper task waits on another. Every matrix goes
+    through the same numpy operations either way, and each task runs in a
+    copy of the caller's context (so ``np.errstate`` applies): every value,
+    and every exception raised, is the same whether the helper runs or not.
     """
     rhos = _as_stack(rhos, "rhos")
     if rhos.ndim != 3 or rhos.shape[1:] != (8, 8):

@@ -170,7 +170,9 @@ class NmrParams:
     """Chemical shifts (Hz) and symmetric scalar couplings (Hz) of three spins.
 
     Sequences are stored as tuples: ``deltas`` of three shifts, ``j_couplings``
-    a 3x3 table of rows.
+    a 3x3 table of rows. ``deltas`` is required and checked, but no output
+    reads it yet: ``adiabatic.refocus_params`` reads only the couplings and
+    the model's omega_z and omega_x.
     """
 
     deltas: tuple

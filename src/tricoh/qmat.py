@@ -14,7 +14,6 @@ Conventions used throughout the package:
   and the checks and fidelities used on tomography input
   (``validate_density``, ``root_fidelity`` and ``state_fidelity``). An
   empty stack, with a leading axis of length 0, gives an empty result.
-- ``_eigh`` is the one place the package's Hermitian eigensolver is chosen.
 
 Two fidelity conventions are provided. ``state_fidelity`` is the squared
 Uhlmann fidelity (Tr sqrt(sqrt(a) b sqrt(a)))^2, which reduces to <psi|b|psi>
@@ -232,7 +231,14 @@ def normalize_phase(vec):
 
 def _eigh(a, vectors=True):
     """``numpy.linalg.eigh(a)``, or ``numpy.linalg.eigvalsh(a)`` without ``vectors``, of a stack its callers have checked.
-    numpy's function is looked up at each call, so a wrapper set on ``numpy.linalg`` sees every call."""
+
+    The one place the package calls numpy's Hermitian eigensolvers: every
+    eigenpair and spectrum the package computes comes from here, so the
+    solver is chosen, counted or swapped here alone, and one ``monkeypatch``
+    of ``qmat._eigh`` swaps it everywhere. It returns numpy's bits and
+    checks nothing. numpy's function is looked up at each call, so a wrapper
+    set on ``numpy.linalg`` sees every call too.
+    """
     return np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a)
 
 

@@ -417,9 +417,14 @@ def test_min_steps_search_is_not_the_smallest_passing_count():
     assert adiabatic.min_steps_search("zzz", 0.999, 0.4) == 266
 
 
+def sector_min_fidelity(values, sector):
+    # the route of a step-search probe that builds its own pairs
+    return adiabatic._sector_propagate(*adiabatic._sector_pairs(values, sector))
+
+
 def sector_probe(schedule, params=None):
     sector = adiabatic._prepare_sector(schedule.model_tag, schedule.tau, params)
-    return adiabatic._sector_min_fidelity(schedule.values, sector)
+    return sector_min_fidelity(schedule.values, sector)
 
 
 @pytest.mark.parametrize("params", [None, models.ModelParams(omega_z=-1.7, omega_x=0.2),
@@ -1326,9 +1331,8 @@ def test_sector_probe_with_a_shared_transverse_part_is_bitwise_equal(tag, params
         # the probe's coupling values and sector diagonals are the schedule's and models.parts' bit for bit
         assert adiabatic._schedule_values(sector.grid, sector.cum, m_steps).tobytes() == sch.values.tobytes()
         assert (sector.hz0_s + np.multiply.outer(sch.values, sector.dh_dj_s)).tobytes() == hz[:, [0, 1, 3, 7]].tobytes()
-        probe = adiabatic._sector_min_fidelity
         own_sector = dataclasses.replace(sector, hx_s=own[0], half=own[1])
-        assert probe(sch.values, sector) == probe(sch.values, own_sector)
+        assert sector_min_fidelity(sch.values, sector) == sector_min_fidelity(sch.values, own_sector)
 
 
 @pytest.mark.parametrize("params", [None, models.ModelParams(omega_z=-1.7, omega_x=0.2), models.ModelParams(omega_x=-0.1),
@@ -1346,11 +1350,31 @@ def test_nested_doubling_probes_are_strided_slices_of_one_schedule(tag, params):
         own = adiabatic._schedule_values(sector.grid, sector.cum, m_steps)
         assert own.tobytes() == values[::top // m_steps].tobytes()
         assert adiabatic._sector_pairs(own, sector)[0].tobytes() == nest[0][::top // m_steps].tobytes()
-        want = adiabatic._sector_min_fidelity(own, sector)
+        want = sector_min_fidelity(own, sector)
         assert abs(adiabatic._search_probe(m_steps, sector, nest) - want) < 1e-13
     # any other count, and any count before the nest is built, scores its own schedule
     for m_steps in (1, 3, 48, 63, 65, 128):
-        want = adiabatic._sector_min_fidelity(adiabatic._schedule_values(sector.grid, sector.cum, m_steps), sector)
+        want = sector_min_fidelity(adiabatic._schedule_values(sector.grid, sector.cum, m_steps), sector)
         assert adiabatic._search_probe(m_steps, sector, None) == want
         if top % m_steps:
             assert adiabatic._search_probe(m_steps, sector, nest) == want
+
+
+def test_min_steps_search_builds_the_nest_once_and_only_after_the_first_probe_fails(monkeypatch):
+    sizes = []
+    sector_pairs = adiabatic._sector_pairs
+
+    def spy(values, sector):
+        sizes.append(len(values))
+        return sector_pairs(values, sector)
+
+    monkeypatch.setattr(adiabatic, "_sector_pairs", spy)
+    # a search that passes at m = 1 builds its own 2-value pairs and nothing more
+    assert adiabatic.min_steps_search("zzz", 0.5, 0.4) == 1
+    assert sizes == [2]
+    sizes.clear()
+    # after the first probe fails, the 65-value nest is built once, and no doubling probe builds its own pairs
+    top = adiabatic.NESTED_STEPS
+    assert adiabatic.min_steps_search("zz", 0.9, 0.7) == 36
+    assert sizes[:2] == [2, top + 1] and sizes.count(top + 1) == 1
+    assert all(top % (size - 1) for size in sizes[2:])

@@ -1,13 +1,16 @@
-"""The README's library tour and command-line examples run as documented."""
+"""The README's library tour and command-line examples run as documented, and the names it points to exist."""
 
+import importlib
 import json
 from pathlib import Path
+import pkgutil
 import re
 import shlex
 import shutil
 
 import numpy as np
 
+import tricoh
 from tricoh import cli, qmat, states
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -34,6 +37,14 @@ def documented_outputs():
     bullets = re.split(r"\n- ", section("### Output files"))[1:]
     spans = [re.findall(r"`([^`]+)`", bullet) for bullet in bullets]
     return {s[0]: s[1:] for s in spans}
+
+
+def documented_names():
+    """Each ``(module, name)`` that a code span outside the fenced blocks names as tricoh.<module>.<name> or <module>.<name>."""
+    prose = re.sub(r"```.*?```", "", README, flags=re.S)
+    modules = "|".join(m.name for m in pkgutil.iter_modules(tricoh.__path__))
+    dotted = re.compile(rf"(?:tricoh\.)?({modules})\.([A-Za-z_]\w*)")
+    return sorted({hit.groups() for span in re.findall(r"`([^`\n]+)`", prose) for hit in [dotted.match(span)] if hit})
 
 
 def nested_keys(obj):
@@ -93,3 +104,14 @@ def test_cli_examples_write_documented_files(tmp_path, monkeypatch):
                     assert set(spans) <= nested_keys(record), (path.name, record)
         assert seen == headers, pattern
     assert documented == set(written)
+
+
+def test_readme_names_resolve_to_documented_objects():
+    # a pointer to a renamed or deleted name fails here, and so does a named function or class without a docstring
+    names = documented_names()
+    assert {("qmat", "_eigh"), ("adiabatic", "_search_probe"), ("coherence", "coherence_reports")} <= set(names)
+    for module, name in names:
+        obj = getattr(importlib.import_module(f"tricoh.{module}"), name, None)
+        assert obj is not None, f"README names {module}.{name}, which does not exist"
+        if callable(obj):
+            assert obj.__doc__ and obj.__doc__.strip(), f"README names {module}.{name}, which has no docstring"
