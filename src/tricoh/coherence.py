@@ -15,10 +15,11 @@ difference, and the four trade-off slacks (each slack is the inequality's
 right-hand sum minus its left-hand term, so validity means slack >= 0 up to
 rounding). A ``CoherenceReport`` is a named tuple whose fields are its
 output row, in ``REPORT_COLUMNS`` order; one table names both.
-``coherence_reports`` says how a stack is chunked, scored and threaded, and
-``_chunk_scores`` which entropies come in closed form. ``coherence_report``,
-``qjsd``, ``relative_entropy`` and ``von_neumann_entropy`` are single-state
-calls into the same stacked helpers.
+``coherence_reports`` says in which order a stack's chunks are built,
+diagonalized and scored, and ``_chunk_scores`` which entropies come in
+closed form. ``coherence_report``, ``qjsd``, ``relative_entropy`` and
+``von_neumann_entropy`` are single-state calls into the same stacked
+helpers.
 
 ``embed_tetrahedron`` places the four states rho, pi(rho), dephased pi(rho)
 and rho_1 x rho_23 in Euclidean 3-space so that pairwise point distances
@@ -30,9 +31,7 @@ clamped and the worst mismatch is reported as the residual. A
 and rho_1 x rho_23, then the residual.
 """
 
-import contextvars
 import math
-import os
 from typing import NamedTuple
 
 import numpy as np
@@ -136,8 +135,6 @@ def _qjsd_pairs(w, v, pairs, closed, scale):
     spectrum. The inputs are not re-checked: callers pass finite complex
     stacks. The two forms must agree within ``CROSS_CHECK_TOL`` for every
     pair, else ``CrossCheckError`` with the index of the first failing state.
-    Only numpy runs here, never ``eigh``, so ``coherence_reports`` may call
-    it on its helper thread; every result is the same on either thread.
     """
     sides = np.array(pairs).T
     left, right = sides
@@ -328,66 +325,20 @@ def _chunk_scores(w4, v4, w8, v8, marg, dephased, scale):
     return np.concatenate([dists, sums]).T
 
 
-def _shifted(start, *args):
-    """``_chunk_scores(*args)`` for the chunk at ``start``: its ``CrossCheckError`` names the state's index in the whole stack."""
+def _chunk_rows(start, rho, scale):
+    """The (n, 14) report rows of the (n, 8, 8) chunk at ``start``, in the order ``coherence_reports`` states.
+
+    A function of its own, so that one chunk's stacks and eigenpairs are
+    freed before the next chunk's are built. A ``CrossCheckError`` of its
+    scores names the state's index in the whole stack.
+    """
+    stack4, stack8, marg, dephased = _chunk_stacks(rho)
+    eig4, eig8 = qmat._eigh(stack4), qmat._eigh(stack8)
     try:
-        return _chunk_scores(*args)
+        return _chunk_scores(*eig4, *eig8, marg, dephased, scale)
     except CrossCheckError as exc:
         exc.index += start
         raise
-
-
-def _chunk_rows(start, rho, scale):
-    """The report rows of the (n, 8, 8) chunk at ``start``, all on the calling thread (see ``coherence_reports``)."""
-    stack4, stack8, marg, dephased = _chunk_stacks(rho)
-    return _shifted(start, *qmat._eigh(stack4), *qmat._eigh(stack8), marg, dephased, scale)
-
-
-def _cpu_count():
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _pipelined_rows(chunks, starts, scale):
-    """The rows of each chunk on the helper-thread path of ``coherence_reports``, which describes it.
-
-    No helper task reads a future. On any failure, the helper's scoring
-    tasks so far are read in serial order and the first failure among them
-    is raised, else the failure itself: the one ``_chunk_rows`` raises
-    first. A later chunk's input side may already have run by then.
-    """
-    # imported here, not at module level: it pulls in logging and queue, about 10 ms that every
-    # process importing tricoh would pay, though only a multi-chunk call on two CPUs needs it
-    from concurrent.futures import Future, ThreadPoolExecutor
-
-    pool = ThreadPoolExecutor(1)
-    # the helper's scoring futures in serial order, one per chunk
-    steps = []
-
-    def run(fn, *args):
-        # each task runs in a copy of the caller's context, so the caller's np.errstate holds there
-        return pool.submit(contextvars.copy_context().run, fn, *args)
-
-    try:
-        inputs = run(_chunk_stacks, chunks[0])
-        for i, start in enumerate(starts):
-            stack4, stack8, marg, dephased = inputs.result()
-            # the helper ran chunk i - 2's scores before chunk i's inputs
-            for step in steps[-2:-1]:
-                step.result()
-            if i + 1 < len(chunks):
-                inputs = run(_chunk_stacks, chunks[i + 1])
-            steps.append(run(_shifted, start, *qmat._eigh(stack4), *qmat._eigh(stack8), marg, dephased, scale))
-        return [step.result() for step in steps]
-    except Exception as exc:
-        # read before shutdown would cancel steps not yet run; raised outside the handler, so unchained
-        failure = next((e for e in map(Future.exception, steps) if e is not None), exc)
-    finally:
-        pool.shutdown(cancel_futures=True)
-    raise failure
 
 
 def coherence_reports(rhos, base=2.0):
@@ -404,32 +355,19 @@ def coherence_reports(rhos, base=2.0):
     its scores run. ``qmat.validate_density`` rejects or repairs such
     matrices first, as ``tomo`` does.
 
-    States are processed ``REPORT_CHUNK`` at a time, and each chunk runs in
-    one serial order: its input side (``_chunk_stacks``: its stacks, the
-    mixtures and ``_sym``), the stacked 4x4 ``eigh``, the stacked 8x8
-    ``eigh``, then one scoring task (``_chunk_scores``). When the stack
-    spans more than one chunk and the process may run on at least two CPUs,
-    one helper thread, started and joined within the call
-    (``_pipelined_rows``), runs each chunk's input side and its scoring
-    task, while the calling thread runs every ``eigh`` in serial order;
-    otherwise the chunks run inline. numpy's ``eigh`` releases the GIL, so
-    chunk i + 1's inputs and chunk i - 1's scores are built while chunk i is
-    diagonalized, and no helper task waits on another. Every matrix goes
-    through the same numpy operations either way, and each task runs in a
-    copy of the caller's context (so ``np.errstate`` applies): every value,
-    and every exception raised, is the same whether the helper runs or not.
+    States are processed ``REPORT_CHUNK`` at a time on the calling thread,
+    chunk after chunk, and each chunk runs in one serial order: its input
+    side (``_chunk_stacks``: its stacks, the mixtures and ``_sym``), the
+    stacked 4x4 ``eigh``, the stacked 8x8 ``eigh``, then its scores
+    (``_chunk_scores``). So the first failure in that order is the one
+    raised, and no later chunk's inputs are built before it.
     """
     rhos = _as_stack(rhos, "rhos")
     if rhos.ndim != 3 or rhos.shape[1:] != (8, 8):
         raise ValueError(f"expected an (N, 8, 8) stack of three-qubit density matrices, got {rhos.shape}")
     scale = _log_scale(base)
     starts = range(0, len(rhos), REPORT_CHUNK)
-    chunks = [rhos[start:start + REPORT_CHUNK] for start in starts]
-    # one chunk has nothing to overlap, and pinned to one CPU the helper path ran 5-17% slower (see ROADMAP)
-    if len(chunks) > 1 and _cpu_count() > 1:
-        rows = _pipelined_rows(chunks, starts, scale)
-    else:
-        rows = [_chunk_rows(start, chunk, scale) for start, chunk in zip(starts, chunks)]
+    rows = [_chunk_rows(start, rhos[start:start + REPORT_CHUNK], scale) for start in starts]
     return [CoherenceReport._make(row) for block in rows for row in block.tolist()]
 
 

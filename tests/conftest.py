@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -78,3 +79,13 @@ def state_failing_cross_check():
     w[0] = -5e-7
     w[1:] *= (1 - w[0]) / w[1:].sum()
     return (v * w) @ v.conj().T
+
+
+@pytest.fixture
+def no_thread(monkeypatch):
+    """Fail any code under test that starts a thread."""
+
+    def refused(self):
+        raise AssertionError(f"thread {self.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refused)

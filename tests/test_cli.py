@@ -4,6 +4,9 @@ import filecmp
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -200,25 +203,31 @@ def test_tomo_reports_a_failed_cross_check_under_its_file(tmp_path, capsys, stat
     assert run_cli([*argv, "--repair"]) == 0
 
 
-def test_tomo_over_two_report_chunks_blames_the_file_and_matches_one_cpu(
-    tmp_path, capsys, monkeypatch, state_failing_cross_check
-):
-    # 20 files span two report chunks, so on two CPUs coherence_reports overlaps them on its helper thread
-    rng = np.random.default_rng(91)
+def seeded_density_files(directory, seed, count, failing=None, failing_index=None):
+    # ``count`` seeded full-rank mixed states as density files, one of them replaced by ``failing``
+    rng = np.random.default_rng(seed)
     paths = []
-    for k in range(20):
+    for k in range(count):
         a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         rho = a @ a.conj().T
-        paths.append(tmp_path / f"f{k}.json")
-        qmat.save_density(paths[-1], state_failing_cross_check if k == 17 else rho / np.trace(rho).real)
-    pipelined = []
+        paths.append(directory / f"f{k}.json")
+        qmat.save_density(paths[-1], failing if k == failing_index else rho / np.trace(rho).real)
+    return paths
 
-    def spy(chunks, *args, _fn=coherence._pipelined_rows):
-        pipelined.append(len(chunks))
-        return _fn(chunks, *args)
 
-    monkeypatch.setattr(coherence, "_pipelined_rows", spy)
-    monkeypatch.setattr(coherence.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+def test_tomo_over_two_report_chunks_blames_the_file_and_matches_one_cpu(
+    tmp_path, capsys, monkeypatch, no_thread, state_failing_cross_check
+):
+    # 20 files span two report chunks; the CPU count the process sees moves no byte
+    paths = seeded_density_files(tmp_path, 91, 20, state_failing_cross_check, 17)
+    chunks = []
+
+    def spy(rho, _fn=coherence._chunk_stacks):
+        chunks.append(len(rho))
+        return _fn(rho)
+
+    monkeypatch.setattr(coherence, "_chunk_stacks", spy)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     files = [str(path) for path in paths]
     assert run_cli(["tomo", *files, "--out", str(tmp_path / "two")]) == 2
     out, err = capsys.readouterr()
@@ -226,11 +235,27 @@ def test_tomo_over_two_report_chunks_blames_the_file_and_matches_one_cpu(
     assert err.startswith(f"error: {paths[17]}: qjsd cross-check failed")
     assert not (tmp_path / "two" / "tomo_report.csv").exists()
     assert run_cli(["tomo", *files, "--repair", "--out", str(tmp_path / "two")]) == 0
-    assert pipelined == [2, 2]
-    monkeypatch.setattr(coherence.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert chunks == [16, 4, 16, 4]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert run_cli(["tomo", *files, "--repair", "--out", str(tmp_path / "one")]) == 0
-    assert pipelined == [2, 2]
+    assert chunks == [16, 4] * 3
     assert filecmp.cmp(*(tmp_path / cpus / "tomo_report.csv" for cpus in ("two", "one")), shallow=False)
+
+
+def test_no_verb_starts_a_thread_or_loads_the_thread_pool(tmp_path, no_thread):
+    files = [str(path) for path in seeded_density_files(tmp_path, 93, 20)]
+    out = ["--out", str(tmp_path)]
+    assert run_cli(["sweep", "--model", "zz", *out]) == 0
+    assert run_cli(["ratios", "--model", "zzz", *out]) == 0
+    assert run_cli(["tomo", "--repair", *files, *out]) == 0
+    # a fresh process, as a shell user runs it, never imports the thread pool
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = ("import sys\nfrom tricoh import cli\nassert cli.main(['sweep', '--model', 'zz', '--out', sys.argv[1]]) == 0\n"
+              "assert 'concurrent.futures' not in sys.modules\n")
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "fresh")], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert filecmp.cmp(tmp_path / "sweep_zz.csv", tmp_path / "fresh" / "sweep_zz.csv", shallow=False)
 
 
 def test_tomo_names_the_trace_and_spectrum_a_loose_tolerance_let_through(tmp_path, capsys):

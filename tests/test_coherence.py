@@ -1,5 +1,6 @@
 import inspect
 import math
+import os
 import pickle
 import re
 import threading
@@ -372,25 +373,6 @@ def test_closed_form_entropies_match_eigvalsh(monkeypatch, zz_sweep, states_with
         assert gap < 1e-12, key
 
 
-@pytest.fixture
-def two_cpus(monkeypatch):
-    # the pipelined path runs only when the process may use two CPUs, whatever the machine has
-    monkeypatch.setattr(coherence.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-
-
-@pytest.fixture
-def thread_starts(monkeypatch):
-    started = []
-    start = threading.Thread.start
-
-    def counted(self):
-        started.append(self.name)
-        start(self)
-
-    monkeypatch.setattr(threading.Thread, "start", counted)
-    return started
-
-
 def chunk_by_chunk(rhos, base):
     return [rep for k in range(0, len(rhos), coherence.REPORT_CHUNK)
             for rep in coherence.coherence_reports(rhos[k:k + coherence.REPORT_CHUNK], base)]
@@ -407,33 +389,31 @@ def multi_chunk_stacks(zz_sweep, zzz_sweep):
     return stacks
 
 
+# the test_pipelined_reports_* tests score stacks of more than one chunk, each chunk through its
+# four stages (input side, 4x4 eigh, 8x8 eigh, scores) in the order coherence_reports states
+
+
 @pytest.mark.parametrize("base", [2.0, math.e])
-def test_pipelined_reports_match_chunk_by_chunk_bitwise(base, two_cpus, thread_starts, multi_chunk_stacks):
+def test_pipelined_reports_match_chunk_by_chunk_bitwise(base, no_thread, multi_chunk_stacks):
     for rhos in multi_chunk_stacks:
         got = coherence.coherence_reports(rhos, base)
-        assert len(thread_starts) == 1
-        thread_starts.clear()
         want = chunk_by_chunk(rhos, base)
-        assert not thread_starts
         assert same_bits(np.array(got), np.array(want))
 
 
-def test_pipelined_reports_raise_no_numpy_warning_or_error(two_cpus, thread_starts, multi_chunk_stacks):
-    # every floating-point event in the input and scoring tasks would raise, on the helper thread as here
+def test_pipelined_reports_raise_no_numpy_warning_or_error(no_thread, multi_chunk_stacks):
+    # every floating-point event in the input sides and the scores would raise
     for rhos in multi_chunk_stacks:
         want = coherence.coherence_reports(rhos)
         with np.errstate(all="raise"), warnings.catch_warnings():
             warnings.simplefilter("error")
             got = coherence.coherence_reports(rhos)
         assert same_bits(np.array(got), np.array(want))
-    assert len(thread_starts) == 2 * len(multi_chunk_stacks)
 
 
 @pytest.mark.parametrize("half", ["small", "large"])
-def test_pipelined_reports_raise_the_first_failure_in_serial_order(
-    monkeypatch, two_cpus, state_failing_cross_check, half
-):
-    # chunk 1 fails its cross-check, in a patched score or in its 8x8 pairs, and chunk 2's input side raises
+def test_pipelined_reports_raise_the_first_failure_in_serial_order(monkeypatch, state_failing_cross_check, half):
+    # chunk 1 fails its cross-check, in a patched score or in its 8x8 pairs, and chunk 2's input side would raise
     rhos = np.array(seeded_states(np.random.default_rng(73), 6 * coherence.REPORT_CHUNK))
     chunk_stacks, chunk_scores = coherence._chunk_stacks, coherence._chunk_scores
     fail = {"inputs": True, "scores": True}
@@ -457,30 +437,28 @@ def test_pipelined_reports_raise_the_first_failure_in_serial_order(
     monkeypatch.setattr(coherence, "_chunk_scores", scores)
     with pytest.raises(coherence.CrossCheckError) as exc:
         coherence.coherence_reports(rhos)
+    # the index is shifted once, and no input side after the failing chunk's was built
     assert exc.value.index == coherence.REPORT_CHUNK + 5
-    # chunk 2's inputs were built, and failed, before chunk 1's scores were read
-    assert prepared == [0, 1, 2]
-    # without it, chunk 1's rows are built before the failure is read, and the index is still shifted once
+    assert (prepared, scored) == ([0, 1], [0, 1])
     fail["inputs"] = False
     prepared.clear()
     scored.clear()
     with pytest.raises(coherence.CrossCheckError) as exc:
         coherence.coherence_reports(rhos)
     assert exc.value.index == coherence.REPORT_CHUNK + 5
-    # and the call stops once chunk 3's inputs are read, by when the helper has scored chunk 1
-    assert prepared == [0, 1, 2, 3]
+    assert (prepared, scored) == ([0, 1], [0, 1])
+    # with chunk 1 sound, chunk 2's input side fails before its eigh or scores
     fail.update(inputs=True, scores=False)
     rhos[coherence.REPORT_CHUNK + 5] = rhos[4]
     prepared.clear()
+    scored.clear()
     with pytest.raises(ValueError, match="^chunk 2's input side$"):
         coherence.coherence_reports(rhos)
-    assert prepared == [0, 1, 2]
+    assert (prepared, scored) == ([0, 1, 2], [0, 1])
 
 
-def test_pipelined_reports_raise_a_failed_eigh_after_the_helper_steps_before_it(
-    monkeypatch, two_cpus, state_failing_cross_check
-):
-    # the 6th eigh, chunk 2's 8x8 stack on the calling thread, fails
+def test_pipelined_reports_raise_a_failed_eigh_after_the_steps_before_it(monkeypatch, state_failing_cross_check):
+    # the 6th eigh, chunk 2's 8x8 stack, fails
     rhos = np.array(seeded_states(np.random.default_rng(78), 5 * coherence.REPORT_CHUNK))
     eigh, chunk_stacks, chunk_scores = qmat._eigh, coherence._chunk_stacks, coherence._chunk_scores
     calls, prepared, scored = [], [], []
@@ -502,25 +480,23 @@ def test_pipelined_reports_raise_a_failed_eigh_after_the_helper_steps_before_it(
     monkeypatch.setattr(qmat, "_eigh", failing)
     monkeypatch.setattr(coherence, "_chunk_stacks", stacks)
     monkeypatch.setattr(coherence, "_chunk_scores", scores)
-    threads = threading.active_count()
     with pytest.raises(np.linalg.LinAlgError, match="^chunk 2's 8x8 eigh$"):
         coherence.coherence_reports(rhos)
-    # chunk 3's inputs were built during chunk 2's eigh; chunk 2 was never scored
-    assert (prepared, scored) == ([0, 1, 2, 3], [0, 1])
-    assert threading.active_count() == threads
-    # an earlier failure on the helper, chunk 1's cross-check, wins and keeps no link to the eigh's
+    # chunks 0 and 1 were scored before it; chunk 2 was never scored, and chunk 3's inputs never built
+    assert (prepared, scored) == ([0, 1, 2], [0, 1])
+    # an earlier failure, chunk 1's cross-check, wins: chunk 2's eigh never runs, and no exception is chained
     rhos[coherence.REPORT_CHUNK + 5] = state_failing_cross_check
     calls.clear()
     with pytest.raises(coherence.CrossCheckError) as exc:
         coherence.coherence_reports(rhos)
     assert exc.value.index == coherence.REPORT_CHUNK + 5
     assert exc.value.__context__ is None
-    assert threading.active_count() == threads
+    assert calls == [0, 1, 2, 3]
 
 
-def test_pipelined_reports_raise_the_huge_state_failure_of_the_state_alone(two_cpus):
+def test_pipelined_reports_raise_the_huge_state_failure_of_the_state_alone():
     # at 1e110 the 4x4 stack is finite and would fail its cross-check, but pi(rho) overflows and the
-    # 8x8 eigh fails to converge first: a chunk runs both eigh calls before its scores, on either path
+    # 8x8 eigh fails to converge first: a chunk runs both eigh calls before its scores
     huge = np.full((8, 8), 1e110)
     rhos = np.array(seeded_states(np.random.default_rng(74), coherence.REPORT_CHUNK + 3))
     rhos[coherence.REPORT_CHUNK + 1] = huge
@@ -534,7 +510,7 @@ def test_pipelined_reports_raise_the_huge_state_failure_of_the_state_alone(two_c
     assert str(among.value) == str(alone.value) == "Eigenvalues did not converge"
 
 
-def test_pipelined_reports_keep_the_callers_numpy_and_warning_settings(two_cpus, thread_starts):
+def test_pipelined_reports_keep_the_callers_numpy_and_warning_settings(no_thread):
     huge = np.full((8, 8), 1e160)
     rhos = np.array(seeded_states(np.random.default_rng(75), coherence.REPORT_CHUNK + 3))
     rhos[coherence.REPORT_CHUNK + 1] = huge
@@ -551,11 +527,10 @@ def test_pipelined_reports_keep_the_callers_numpy_and_warning_settings(two_cpus,
         with pytest.raises(RuntimeWarning) as among:
             coherence.coherence_reports(rhos)
     assert str(among.value) == str(alone.value) == "overflow encountered in multiply"
-    assert len(thread_starts) == 2
 
 
 def test_pipelined_reports_leave_no_thread_and_run_every_eigh_on_the_calling_thread(
-    monkeypatch, two_cpus, thread_starts, state_failing_cross_check
+    monkeypatch, no_thread, state_failing_cross_check
 ):
     rhos = np.array(seeded_states(np.random.default_rng(76), 2 * coherence.REPORT_CHUNK + 5))
     threads = threading.active_count()
@@ -576,20 +551,22 @@ def test_pipelined_reports_leave_no_thread_and_run_every_eigh_on_the_calling_thr
     with pytest.raises(coherence.CrossCheckError):
         coherence.coherence_reports(rhos)
     assert threading.active_count() == threads
-    assert len(thread_starts) == 3
 
 
 @pytest.mark.parametrize("affinity", [True, False])
-def test_reports_on_one_cpu_start_no_thread(monkeypatch, thread_starts, affinity):
+def test_reports_on_one_cpu_start_no_thread(monkeypatch, no_thread, affinity):
+    # the CPU count the process sees, through either os call, changes neither the path nor a bit
     rhos = np.array(seeded_states(np.random.default_rng(77), 2 * coherence.REPORT_CHUNK + 5))
-    if affinity:
-        monkeypatch.setattr(coherence.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    else:
-        monkeypatch.delattr(coherence.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(coherence.os, "cpu_count", lambda: 1)
-    reports = coherence.coherence_reports(rhos)
-    assert not thread_starts
-    assert same_bits(np.array(reports), np.array(chunk_by_chunk(rhos, 2.0)))
+    runs = []
+    for cpus in (1, 2):
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda n=cpus: n)
+        runs.append(np.array(coherence.coherence_reports(rhos)))
+    for reports in runs:
+        assert same_bits(reports, np.array(chunk_by_chunk(rhos, 2.0)))
 
 
 def test_reports_reject_bad_stacks():

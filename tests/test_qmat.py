@@ -838,8 +838,6 @@ def test_numpy_eigensolvers_are_called_only_by_the_seam(monkeypatch, tmp_path, f
             return _kernel(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, owned)
-    # the reports of more than one chunk run their eigh calls through the helper-thread pipeline
-    monkeypatch.setattr(coherence.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     out = ["--out", str(tmp_path)]
     runs = {
         "sweep": lambda: cli.main(["sweep", "--model", "zz", "--steps", str(2 * coherence.REPORT_CHUNK)] + out),
