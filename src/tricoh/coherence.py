@@ -16,7 +16,7 @@ right-hand sum minus its left-hand term, so validity means slack >= 0 up to
 rounding). A ``CoherenceReport`` is a named tuple whose fields are its
 output row, in ``REPORT_COLUMNS`` order; one table names both.
 ``coherence_reports`` says in which order a stack's chunks are built,
-diagonalized and scored, and ``_chunk_scores`` which entropies come in
+diagonalized and scored, and ``_chunk_rows`` which entropies come in
 closed form. ``coherence_report``, ``qjsd``, ``relative_entropy`` and
 ``von_neumann_entropy`` are single-state calls into the same stacked
 helpers.
@@ -113,7 +113,7 @@ def _diagonal_entropies(mats, scale):
 
 
 def _qjsd_stack(mats, pairs):
-    """The input half of ``_qjsd_pairs``: the (S + P, n, d, d) stack its ``eigh`` diagonalizes.
+    """The (S + P, n, d, d) stack whose ``eigh`` eigenpairs ``_qjsd_pairs`` scores.
 
     The S inputs of the (S, n, d, d) stack ``mats`` come first, then the
     mixtures of the index pairs ``pairs`` in pair order, and every matrix is
@@ -124,7 +124,7 @@ def _qjsd_stack(mats, pairs):
 
 
 def _qjsd_pairs(w, v, pairs, closed, scale):
-    """The scoring half: QJSD of the P index pairs ``pairs`` from the ``eigh`` eigenpairs of a ``_qjsd_stack``.
+    """QJSD of the P index pairs ``pairs`` from the ``eigh`` eigenpairs of a ``_qjsd_stack``.
 
     Returns the (P, n) divergences. Each matrix is diagonalized once: the
     S + P eigenpairs (w, v), eigenvalues clipped at 0, serve the defining
@@ -269,25 +269,15 @@ def _report_stacks(rho):
     return small, big, marg
 
 
-def _chunk_stacks(rho):
-    """The input side of a chunk's reports: the two stacks its ``eigh`` calls diagonalize, and what its scores read.
+def _chunk_rows(start, rho, scale):
+    """The (n, 14) report rows of the (n, 8, 8) chunk at ``start``, in ``REPORT_COLUMNS`` order.
 
-    Returns the ``_qjsd_stack`` of the ``_PAIRS_4`` pairs and of the
-    ``_PAIRS_8`` pairs of ``_report_stacks(rho)``, the (3, n, 2, 2)
-    marginals and the (2, n, 8, 8) dephased rho and dephased pi(rho).
-    """
-    small, big, marg = _report_stacks(rho)
-    return _qjsd_stack(small, _PAIRS_4), _qjsd_stack(big, _PAIRS_8), marg, big[1:4:2]
-
-
-def _chunk_scores(w4, v4, w8, v8, marg, dephased, scale):
-    """The scoring side of a chunk: the (n, 14) report rows in ``REPORT_COLUMNS`` order.
-
-    (w4, v4) and (w8, v8) are the eigenpairs of the chunk's 4x4 and 8x8
-    stacks, and ``marg`` and ``dephased`` come from ``_chunk_stacks``. The
-    4x4 pairs are scored first, so their ``CrossCheckError`` wins. The nine
-    distances come first; the monogamy difference and the four slacks are
-    sums of them.
+    A function of its own, so that one chunk's stacks and eigenpairs are
+    freed before the next chunk's are built. It runs the order that
+    ``coherence_reports`` states, and its scores take the 4x4 pairs first,
+    so their ``CrossCheckError`` wins; it names the state's index in the
+    whole stack. The nine distances come first; the monogamy difference and
+    the four slacks are sums of them.
 
     The entropic form reads the ``eigh`` spectra of rho, the two-qubit
     marginals and the mixtures. The structured matrices get closed forms,
@@ -303,15 +293,22 @@ def _chunk_scores(w4, v4, w8, v8, marg, dephased, scale):
     accepts without ``--repair`` (Hermitian and positive only within
     ``--tol``) gets the same closed forms as its ``eigh`` route.
     """
+    small, big, marg = _report_stacks(rho)
+    stack4, stack8 = _qjsd_stack(small, _PAIRS_4), _qjsd_stack(big, _PAIRS_8)
+    (w4, v4), (w8, v8) = qmat._eigh(stack4), qmat._eigh(stack8)
     q = _qubit_spectra(marg)
     # spectra of rho_2 x rho_3, rho_1 x rho_2 and rho_1 x rho_3
     q4 = _product_spectrum(q[[1, 0, 0]], q[[2, 1, 2]])
     s4 = _entropies(q4, scale)
-    j4 = _qjsd_pairs(w4, v4, _PAIRS_4, {1: s4[0], 3: s4[1], 5: s4[2]}, scale)
-    # pi(rho) = rho_1 x rho_2 x rho_3 and rho_1 x rho_23; rho_23 is the first matrix of the 4x4 stack
-    s8 = _entropies(np.stack([_product_spectrum(q4[1], q[2]), _product_spectrum(q[0], w4[0])]), scale)
-    d = _diagonal_entropies(dephased, scale)
-    j8 = _qjsd_pairs(w8, v8, _PAIRS_8, {1: d[0], 2: s8[0], 3: d[1], 4: s8[1]}, scale)
+    try:
+        j4 = _qjsd_pairs(w4, v4, _PAIRS_4, {1: s4[0], 3: s4[1], 5: s4[2]}, scale)
+        # pi(rho) = rho_1 x rho_2 x rho_3 and rho_1 x rho_23; rho_23 is the first matrix of the 4x4 stack
+        s8 = _entropies(np.stack([_product_spectrum(q4[1], q[2]), _product_spectrum(q[0], w4[0])]), scale)
+        d = _diagonal_entropies(big[1:4:2], scale)
+        j8 = _qjsd_pairs(w8, v8, _PAIRS_8, {1: d[0], 2: s8[0], 3: d[1], 4: s8[1]}, scale)
+    except CrossCheckError as exc:
+        exc.index += start
+        raise
     d8, d4 = np.sqrt(j8), np.sqrt(j4)
     dists = np.concatenate([d8[:5], d4[:1], d8[5:], d4[1:]])
     _, c_g, c_l, c_a, c_1_23, c_2_3, c_a_1_23, c_1_2, c_1_3 = dists
@@ -323,22 +320,6 @@ def _chunk_scores(w4, v4, w8, v8, marg, dephased, scale):
         c_1_23 + c_2_3 - c_g,
     ]
     return np.concatenate([dists, sums]).T
-
-
-def _chunk_rows(start, rho, scale):
-    """The (n, 14) report rows of the (n, 8, 8) chunk at ``start``, in the order ``coherence_reports`` states.
-
-    A function of its own, so that one chunk's stacks and eigenpairs are
-    freed before the next chunk's are built. A ``CrossCheckError`` of its
-    scores names the state's index in the whole stack.
-    """
-    stack4, stack8, marg, dephased = _chunk_stacks(rho)
-    eig4, eig8 = qmat._eigh(stack4), qmat._eigh(stack8)
-    try:
-        return _chunk_scores(*eig4, *eig8, marg, dephased, scale)
-    except CrossCheckError as exc:
-        exc.index += start
-        raise
 
 
 def coherence_reports(rhos, base=2.0):
@@ -356,11 +337,11 @@ def coherence_reports(rhos, base=2.0):
     matrices first, as ``tomo`` does.
 
     States are processed ``REPORT_CHUNK`` at a time on the calling thread,
-    chunk after chunk, and each chunk runs in one serial order: its input
-    side (``_chunk_stacks``: its stacks, the mixtures and ``_sym``), the
-    stacked 4x4 ``eigh``, the stacked 8x8 ``eigh``, then its scores
-    (``_chunk_scores``). So the first failure in that order is the one
-    raised, and no later chunk's inputs are built before it.
+    chunk after chunk, by ``_chunk_rows``, and each chunk runs in one serial
+    order: its stacks (``_report_stacks``, then the mixtures and ``_sym`` of
+    ``_qjsd_stack``), the stacked 4x4 ``eigh``, the stacked 8x8 ``eigh``,
+    then its scores. So the first failure in that order is the one raised,
+    and no later chunk's stacks are built before it.
     """
     rhos = _as_stack(rhos, "rhos")
     if rhos.ndim != 3 or rhos.shape[1:] != (8, 8):

@@ -215,31 +215,29 @@ def seeded_density_files(directory, seed, count, failing=None, failing_index=Non
     return paths
 
 
-def test_tomo_over_two_report_chunks_blames_the_file_and_matches_one_cpu(
+def test_tomo_over_two_report_chunks_blames_the_file_and_repeats_its_bytes(
     tmp_path, capsys, monkeypatch, no_thread, state_failing_cross_check
 ):
-    # 20 files span two report chunks; the CPU count the process sees moves no byte
+    # 20 files span two report chunks; a second run writes the same bytes
     paths = seeded_density_files(tmp_path, 91, 20, state_failing_cross_check, 17)
     chunks = []
 
-    def spy(rho, _fn=coherence._chunk_stacks):
+    def spy(rho, _fn=coherence._report_stacks):
         chunks.append(len(rho))
         return _fn(rho)
 
-    monkeypatch.setattr(coherence, "_chunk_stacks", spy)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(coherence, "_report_stacks", spy)
     files = [str(path) for path in paths]
-    assert run_cli(["tomo", *files, "--out", str(tmp_path / "two")]) == 2
+    assert run_cli(["tomo", *files, "--out", str(tmp_path / "first")]) == 2
     out, err = capsys.readouterr()
     assert [line.split(": fidelity ")[0] for line in out.splitlines()] == [f"f{k}.json" for k in range(20)]
     assert err.startswith(f"error: {paths[17]}: qjsd cross-check failed")
-    assert not (tmp_path / "two" / "tomo_report.csv").exists()
-    assert run_cli(["tomo", *files, "--repair", "--out", str(tmp_path / "two")]) == 0
+    assert not (tmp_path / "first" / "tomo_report.csv").exists()
+    assert run_cli(["tomo", *files, "--repair", "--out", str(tmp_path / "first")]) == 0
     assert chunks == [16, 4, 16, 4]
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert run_cli(["tomo", *files, "--repair", "--out", str(tmp_path / "one")]) == 0
+    assert run_cli(["tomo", *files, "--repair", "--out", str(tmp_path / "second")]) == 0
     assert chunks == [16, 4] * 3
-    assert filecmp.cmp(*(tmp_path / cpus / "tomo_report.csv" for cpus in ("two", "one")), shallow=False)
+    assert filecmp.cmp(*(tmp_path / run / "tomo_report.csv" for run in ("first", "second")), shallow=False)
 
 
 def test_no_verb_starts_a_thread_or_loads_the_thread_pool(tmp_path, no_thread):

@@ -1,6 +1,5 @@
 import inspect
 import math
-import os
 import pickle
 import re
 import threading
@@ -379,7 +378,7 @@ def chunk_by_chunk(rhos, base):
 
 
 @pytest.fixture
-def multi_chunk_stacks(zz_sweep, zzz_sweep):
+def stacks_over_many_chunks(zz_sweep, zzz_sweep):
     # the linear and adaptive default sweeps of both models, then 200 seeded mixed states
     stacks = [states.density(sweep.ground_states) for sweep in (zz_sweep, zzz_sweep)]
     for name in ("zz", "zzz"):
@@ -389,21 +388,21 @@ def multi_chunk_stacks(zz_sweep, zzz_sweep):
     return stacks
 
 
-# the test_pipelined_reports_* tests score stacks of more than one chunk, each chunk through its
-# four stages (input side, 4x4 eigh, 8x8 eigh, scores) in the order coherence_reports states
+# the test_chunked_reports_* tests score stacks of more than one chunk, each chunk through its
+# four stages (stacks, 4x4 eigh, 8x8 eigh, scores) in the order coherence_reports states
 
 
 @pytest.mark.parametrize("base", [2.0, math.e])
-def test_pipelined_reports_match_chunk_by_chunk_bitwise(base, no_thread, multi_chunk_stacks):
-    for rhos in multi_chunk_stacks:
+def test_chunked_reports_match_chunk_by_chunk_bitwise(base, no_thread, stacks_over_many_chunks):
+    for rhos in stacks_over_many_chunks:
         got = coherence.coherence_reports(rhos, base)
         want = chunk_by_chunk(rhos, base)
         assert same_bits(np.array(got), np.array(want))
 
 
-def test_pipelined_reports_raise_no_numpy_warning_or_error(no_thread, multi_chunk_stacks):
-    # every floating-point event in the input sides and the scores would raise
-    for rhos in multi_chunk_stacks:
+def test_chunked_reports_raise_no_numpy_warning_or_error(no_thread, stacks_over_many_chunks):
+    # every floating-point event in the stacks and the scores would raise
+    for rhos in stacks_over_many_chunks:
         want = coherence.coherence_reports(rhos)
         with np.errstate(all="raise"), warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -412,55 +411,58 @@ def test_pipelined_reports_raise_no_numpy_warning_or_error(no_thread, multi_chun
 
 
 @pytest.mark.parametrize("half", ["small", "large"])
-def test_pipelined_reports_raise_the_first_failure_in_serial_order(monkeypatch, state_failing_cross_check, half):
-    # chunk 1 fails its cross-check, in a patched score or in its 8x8 pairs, and chunk 2's input side would raise
+def test_chunked_reports_raise_the_first_failure_in_serial_order(monkeypatch, state_failing_cross_check, half):
+    # chunk 1 fails its cross-check, in its patched 4x4 pairs or in its 8x8 pairs, and chunk 2's stacks would raise
     rhos = np.array(seeded_states(np.random.default_rng(73), 6 * coherence.REPORT_CHUNK))
-    chunk_stacks, chunk_scores = coherence._chunk_stacks, coherence._chunk_scores
-    fail = {"inputs": True, "scores": True}
+    report_stacks, qjsd_pairs = coherence._report_stacks, coherence._qjsd_pairs
+    fail = {"stacks": True, "scores": True}
+    # _report_stacks runs once per chunk; scored holds (chunk, matrix size) of each _qjsd_pairs call
     prepared, scored = [], []
 
     def stacks(rho):
         prepared.append(len(prepared))
-        if fail["inputs"] and len(prepared) == 3:
-            raise ValueError("chunk 2's input side")
-        return chunk_stacks(rho)
+        if fail["stacks"] and len(prepared) == 3:
+            raise ValueError("chunk 2's stacks")
+        return report_stacks(rho)
 
-    def scores(*args):
-        scored.append(len(scored))
-        if fail["scores"] and half == "small" and len(scored) == 2:
-            raise coherence.CrossCheckError("chunk 1's scores", 5)
-        return chunk_scores(*args)
+    def pairs(w, *args):
+        scored.append((prepared[-1], w.shape[-1]))
+        if fail["scores"] and half == "small" and scored[-1] == (1, 4):
+            raise coherence.CrossCheckError("chunk 1's 4x4 pairs", 5)
+        return qjsd_pairs(w, *args)
 
     if half == "large":
         rhos[coherence.REPORT_CHUNK + 5] = state_failing_cross_check
-    monkeypatch.setattr(coherence, "_chunk_stacks", stacks)
-    monkeypatch.setattr(coherence, "_chunk_scores", scores)
+    monkeypatch.setattr(coherence, "_report_stacks", stacks)
+    monkeypatch.setattr(coherence, "_qjsd_pairs", pairs)
+    until_failure = [(0, 4), (0, 8), (1, 4)] + ([(1, 8)] if half == "large" else [])
     with pytest.raises(coherence.CrossCheckError) as exc:
         coherence.coherence_reports(rhos)
-    # the index is shifted once, and no input side after the failing chunk's was built
+    # the index is shifted once, and no stacks after the failing chunk's were built
     assert exc.value.index == coherence.REPORT_CHUNK + 5
-    assert (prepared, scored) == ([0, 1], [0, 1])
-    fail["inputs"] = False
+    assert (prepared, scored) == ([0, 1], until_failure)
+    fail["stacks"] = False
     prepared.clear()
     scored.clear()
     with pytest.raises(coherence.CrossCheckError) as exc:
         coherence.coherence_reports(rhos)
     assert exc.value.index == coherence.REPORT_CHUNK + 5
-    assert (prepared, scored) == ([0, 1], [0, 1])
-    # with chunk 1 sound, chunk 2's input side fails before its eigh or scores
-    fail.update(inputs=True, scores=False)
+    assert (prepared, scored) == ([0, 1], until_failure)
+    # with chunk 1 sound, chunk 2's stacks fail before its eigh or scores
+    fail.update(stacks=True, scores=False)
     rhos[coherence.REPORT_CHUNK + 5] = rhos[4]
     prepared.clear()
     scored.clear()
-    with pytest.raises(ValueError, match="^chunk 2's input side$"):
+    with pytest.raises(ValueError, match="^chunk 2's stacks$"):
         coherence.coherence_reports(rhos)
-    assert (prepared, scored) == ([0, 1, 2], [0, 1])
+    assert (prepared, scored) == ([0, 1, 2], [(0, 4), (0, 8), (1, 4), (1, 8)])
 
 
-def test_pipelined_reports_raise_a_failed_eigh_after_the_steps_before_it(monkeypatch, state_failing_cross_check):
+def test_chunked_reports_raise_a_failed_eigh_after_the_steps_before_it(monkeypatch, state_failing_cross_check):
     # the 6th eigh, chunk 2's 8x8 stack, fails
     rhos = np.array(seeded_states(np.random.default_rng(78), 5 * coherence.REPORT_CHUNK))
-    eigh, chunk_stacks, chunk_scores = qmat._eigh, coherence._chunk_stacks, coherence._chunk_scores
+    eigh, report_stacks, qjsd_pairs = qmat._eigh, coherence._report_stacks, coherence._qjsd_pairs
+    # _report_stacks runs once per chunk; scored holds (chunk, matrix size) of each _qjsd_pairs call
     calls, prepared, scored = [], [], []
 
     def failing(a, vectors=True):
@@ -471,19 +473,19 @@ def test_pipelined_reports_raise_a_failed_eigh_after_the_steps_before_it(monkeyp
 
     def stacks(rho):
         prepared.append(len(prepared))
-        return chunk_stacks(rho)
+        return report_stacks(rho)
 
-    def scores(*args):
-        scored.append(len(scored))
-        return chunk_scores(*args)
+    def pairs(w, *args):
+        scored.append((prepared[-1], w.shape[-1]))
+        return qjsd_pairs(w, *args)
 
     monkeypatch.setattr(qmat, "_eigh", failing)
-    monkeypatch.setattr(coherence, "_chunk_stacks", stacks)
-    monkeypatch.setattr(coherence, "_chunk_scores", scores)
+    monkeypatch.setattr(coherence, "_report_stacks", stacks)
+    monkeypatch.setattr(coherence, "_qjsd_pairs", pairs)
     with pytest.raises(np.linalg.LinAlgError, match="^chunk 2's 8x8 eigh$"):
         coherence.coherence_reports(rhos)
-    # chunks 0 and 1 were scored before it; chunk 2 was never scored, and chunk 3's inputs never built
-    assert (prepared, scored) == ([0, 1, 2], [0, 1])
+    # chunks 0 and 1 were scored before it; chunk 2 was never scored, and chunk 3's stacks never built
+    assert (prepared, scored) == ([0, 1, 2], [(0, 4), (0, 8), (1, 4), (1, 8)])
     # an earlier failure, chunk 1's cross-check, wins: chunk 2's eigh never runs, and no exception is chained
     rhos[coherence.REPORT_CHUNK + 5] = state_failing_cross_check
     calls.clear()
@@ -494,7 +496,7 @@ def test_pipelined_reports_raise_a_failed_eigh_after_the_steps_before_it(monkeyp
     assert calls == [0, 1, 2, 3]
 
 
-def test_pipelined_reports_raise_the_huge_state_failure_of_the_state_alone():
+def test_chunked_reports_raise_the_huge_state_failure_of_the_state_alone():
     # at 1e110 the 4x4 stack is finite and would fail its cross-check, but pi(rho) overflows and the
     # 8x8 eigh fails to converge first: a chunk runs both eigh calls before its scores
     huge = np.full((8, 8), 1e110)
@@ -510,7 +512,7 @@ def test_pipelined_reports_raise_the_huge_state_failure_of_the_state_alone():
     assert str(among.value) == str(alone.value) == "Eigenvalues did not converge"
 
 
-def test_pipelined_reports_keep_the_callers_numpy_and_warning_settings(no_thread):
+def test_chunked_reports_keep_the_callers_numpy_and_warning_settings(no_thread):
     huge = np.full((8, 8), 1e160)
     rhos = np.array(seeded_states(np.random.default_rng(75), coherence.REPORT_CHUNK + 3))
     rhos[coherence.REPORT_CHUNK + 1] = huge
@@ -529,44 +531,28 @@ def test_pipelined_reports_keep_the_callers_numpy_and_warning_settings(no_thread
     assert str(among.value) == str(alone.value) == "overflow encountered in multiply"
 
 
-def test_pipelined_reports_leave_no_thread_and_run_every_eigh_on_the_calling_thread(
+def test_chunked_reports_leave_no_thread_and_run_every_eigh_on_the_calling_thread(
     monkeypatch, no_thread, state_failing_cross_check
 ):
     rhos = np.array(seeded_states(np.random.default_rng(76), 2 * coherence.REPORT_CHUNK + 5))
     threads = threading.active_count()
     reports = coherence.coherence_reports(rhos)
     assert threading.active_count() == threads
-    calls = []
+    idents = []
     eigh = np.linalg.eigh
 
-    def counted(a, *args, **kwargs):
-        calls.append((a.shape, threading.get_ident()))
+    def recorded(a, *args, **kwargs):
+        idents.append(threading.get_ident())
         return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(coherence.np.linalg, "eigh", counted)
+    monkeypatch.setattr(coherence.np.linalg, "eigh", recorded)
     assert coherence.coherence_reports(rhos) == reports
-    here = threading.get_ident()
-    assert calls == [((9, n, 4, 4) if k % 2 == 0 else (11, n, 8, 8), here) for n in (16, 16, 5) for k in range(2)]
+    # the eigh calls per chunk are counted in test_report_kernel_builds_no_intermediate_through_the_checked_api
+    assert set(idents) == {threading.get_ident()}
     rhos[coherence.REPORT_CHUNK + 2] = state_failing_cross_check
     with pytest.raises(coherence.CrossCheckError):
         coherence.coherence_reports(rhos)
     assert threading.active_count() == threads
-
-
-@pytest.mark.parametrize("affinity", [True, False])
-def test_reports_on_one_cpu_start_no_thread(monkeypatch, no_thread, affinity):
-    # the CPU count the process sees, through either os call, changes neither the path nor a bit
-    rhos = np.array(seeded_states(np.random.default_rng(77), 2 * coherence.REPORT_CHUNK + 5))
-    runs = []
-    for cpus in (1, 2):
-        if affinity:
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
-        else:
-            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-            monkeypatch.setattr(os, "cpu_count", lambda n=cpus: n)
-        runs.append(np.array(coherence.coherence_reports(rhos)))
-    for reports in runs:
-        assert same_bits(reports, np.array(chunk_by_chunk(rhos, 2.0)))
 
 
 def test_reports_reject_bad_stacks():
