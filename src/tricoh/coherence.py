@@ -16,10 +16,10 @@ right-hand sum minus its left-hand term, so validity means slack >= 0 up to
 rounding). A ``CoherenceReport`` is a named tuple whose fields are its
 output row, in ``REPORT_COLUMNS`` order; one table names both.
 ``coherence_reports`` says in which order a stack's chunks are built,
-diagonalized and scored, and ``_chunk_rows`` which entropies come in
-closed form. ``coherence_report``, ``qjsd``, ``relative_entropy`` and
-``von_neumann_entropy`` are single-state calls into the same stacked
-helpers.
+diagonalized and scored, and ``_chunk_rows`` what each stage writes and
+frees and which entropies come in closed form. ``coherence_report``,
+``qjsd``, ``relative_entropy`` and ``von_neumann_entropy`` are
+single-state calls into the same stacked helpers.
 
 ``embed_tetrahedron`` places the four states rho, pi(rho), dephased pi(rho)
 and rho_1 x rho_23 in Euclidean 3-space so that pairwise point distances
@@ -65,30 +65,39 @@ def _log_scale(base):
     return math.log(base)
 
 
+def _log_terms(w):
+    """Floor test w > ``EIG_FLOOR``, logarithms and row sums of w log w of spectra; sub-floor terms are exact zeros."""
+    floor = w > EIG_FLOOR
+    w = np.where(floor, w, 1.0)
+    log = np.log(w)
+    return floor, log, (w * log).sum(-1)
+
+
 def _entropies(w, scale):
     """Von Neumann entropies of the ascending spectra along the last axis."""
-    w = np.where(w > EIG_FLOOR, w, 1.0)
-    return -(w * np.log(w)).sum(-1) / scale
+    return -_log_terms(w)[2] / scale
 
 
-def _relative_entropies(p, u, q, v, scale):
-    """S_r(rho||sigma) per row from the clipped eigenpairs (p, u) of rho and (q, v) of sigma.
+def _relative_entropies(w, v, sides, mixed, scale):
+    """S_r(rho||sigma) per row, rho the matrices ``sides`` and sigma the matrices ``mixed`` of ``eigh`` pairs (w, v).
 
-    The leading axes of (q, v) broadcast against those of (p, u), so one
-    sigma can be scored against several rho without copying its eigenpairs.
-    Rows where rho puts more than ``SUPPORT_WEIGHT_TOL`` weight outside the
-    support of sigma read +inf.
+    ``sides`` is an index array, so rho's eigenvectors are a copy, conjugated
+    in place; sigma's broadcast against them. Floor tests and logarithms are
+    taken once, by ``_log_terms``; its row sums, p log p of the eigenvalues p
+    clipped at 0, are returned too. Rows where rho puts more than
+    ``SUPPORT_WEIGHT_TOL`` weight outside the support of sigma read +inf.
     """
+    floor, log, wlogw = _log_terms(w)
+    u = v[sides]
     # weight_j = sum_i p_i |<u_i|v_j>|^2, the weight of rho on sigma's j-th eigenvector
-    overlap = np.abs(u.conj().swapaxes(-1, -2) @ v) ** 2
-    weight = (p[..., None, :] @ overlap)[..., 0, :]
-    support = q > EIG_FLOOR
-    mismatch = np.any(~support & (weight > SUPPORT_WEIGHT_TOL), axis=-1)
-    # below-floor eigenvalues enter the logarithms as 1.0, so their terms are exact zeros
-    plogp = (p * np.log(np.where(p > EIG_FLOOR, p, 1.0))).sum(-1)
-    wlogq = (weight * np.log(np.where(support, q, 1.0))).sum(-1)
-    s = (plogp - wlogq) / scale
-    return np.where(mismatch, math.inf, np.where(s < 0.0, 0.0, s))
+    overlap = np.conjugate(u, out=u).swapaxes(-1, -2) @ v[mixed]
+    del u
+    overlap = np.abs(overlap)
+    overlap **= 2
+    weight = (np.maximum(w[sides], 0.0)[..., None, :] @ overlap)[..., 0, :]
+    mismatch = (~floor[mixed] & (weight > SUPPORT_WEIGHT_TOL)).any(-1)
+    s = (wlogw[sides] - (weight * log[mixed]).sum(-1)) / scale
+    return np.where(mismatch, math.inf, np.where(s < 0.0, 0.0, s)), wlogw
 
 
 def _qubit_spectra(m):
@@ -107,29 +116,32 @@ def _product_spectrum(p, q):
     return (p[..., :, None] * q[..., None, :]).reshape(*p.shape[:-1], -1)
 
 
-def _diagonal_entropies(mats, scale):
-    """Entropies of the dephased matrices: the Shannon entropy of each real diagonal."""
-    return _entropies(np.diagonal(mats, axis1=-2, axis2=-1).real, scale)
+def _diagonal_entropies(diagonals, scale):
+    """Entropies of dephased matrices from their real ``diagonals``: the Shannon entropy of each."""
+    return _entropies(diagonals, scale)
 
 
 def _qjsd_stack(mats, pairs):
-    """The (S + P, n, d, d) stack whose ``eigh`` eigenpairs ``_qjsd_pairs`` scores.
+    """The symmetrized (S + P, n, d, d) stack whose ``eigh`` eigenpairs ``_qjsd_pairs`` scores.
 
-    The S inputs of the (S, n, d, d) stack ``mats`` come first, then the
-    mixtures of the index pairs ``pairs`` in pair order, and every matrix is
-    symmetrized once.
+    ``mats`` holds the S inputs, then room for the mixtures of the P index
+    pairs ``pairs``, which are written there in pair order with the bits of
+    (a + b) / 2: one ``np.add`` of two views, then a halving in place.
     """
-    left, right = np.array(pairs).T
-    return _sym(np.concatenate([mats, (mats[left] + mats[right]) / 2]))
+    n_in = len(mats) - len(pairs)
+    for k, (a, b) in enumerate(pairs, n_in):
+        np.add(mats[a], mats[b], out=mats[k])
+    mats[n_in:] /= 2
+    return _sym(mats)
 
 
 def _qjsd_pairs(w, v, pairs, closed, scale):
     """QJSD of the P index pairs ``pairs`` from the ``eigh`` eigenpairs of a ``_qjsd_stack``.
 
     Returns the (P, n) divergences. Each matrix is diagonalized once: the
-    S + P eigenpairs (w, v), eigenvalues clipped at 0, serve the defining
-    form; both sides of a pair are scored against the mixture's
-    eigenpairs by broadcasting. The entropic form takes the entropy of input
+    S + P eigenpairs (w, v) serve the defining form, both sides of a pair
+    scored against the mixture by ``_relative_entropies``, whose row sums of
+    w log w serve the entropic form. It takes the entropy of input
     ``k`` from ``closed[k]``, an (n,) closed form, where the caller gives
     one, and from the ``eigh`` spectrum otherwise; mixtures always read the
     spectrum. The inputs are not re-checked: callers pass finite complex
@@ -139,10 +151,9 @@ def _qjsd_pairs(w, v, pairs, closed, scale):
     sides = np.array(pairs).T
     left, right = sides
     n_in = len(w) - len(pairs)
-    p = np.clip(w, 0.0, None)
-    rel = _relative_entropies(p[sides], v[sides], p[n_in:], v[n_in:], scale)
+    rel, wlogw = _relative_entropies(w, v, sides, slice(n_in, None), scale)
     j_def = 0.5 * (rel[0] + rel[1])
-    ent = _entropies(w, scale)
+    ent = -wlogw / scale
     for k, s in closed.items():
         ent[k] = s
     j_ent = ent[n_in:] - 0.5 * ent[left] - 0.5 * ent[right]
@@ -158,11 +169,12 @@ def _qjsd_pairs(w, v, pairs, closed, scale):
 
 
 def _pair_stack(rho, sigma):
+    """A (3, d, d) stack of the checked rho and sigma, with room for their mixture."""
     rho = _as_square(rho, "rho")
     sigma = _as_square(sigma, "sigma")
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    return np.stack([rho, sigma])
+    return np.stack([rho, sigma, sigma])
 
 
 def von_neumann_entropy(rho, base=2.0):
@@ -178,9 +190,8 @@ def relative_entropy(rho, sigma, base=2.0):
     if rho places more than ``SUPPORT_WEIGHT_TOL`` weight on eigenvectors of
     sigma whose eigenvalues fall below the floor, ``math.inf`` is returned.
     """
-    w, v = qmat._eigh(_sym(_pair_stack(rho, sigma)))
-    w = np.clip(w, 0.0, None)
-    return float(_relative_entropies(w[0], v[0], w[1], v[1], _log_scale(base)))
+    w, v = qmat._eigh(_sym(_pair_stack(rho, sigma)[:2]))
+    return float(_relative_entropies(w, v, [0], 1, _log_scale(base))[0][0])
 
 
 def qjsd(rho, sigma, base=2.0):
@@ -236,21 +247,21 @@ _PAIRS_4 = ((0, 1), (2, 3), (4, 5))
 def _report_stacks(rho):
     """The QJSD stacks of a (n, 8, 8) stack ``rho`` and its single-qubit marginals.
 
-    Returns the (6, n, 4, 4) and (5, n, 8, 8) stacks whose matrices
-    ``_PAIRS_4`` and ``_PAIRS_8`` index, and the (3, n, 2, 2) marginals
-    rho_1, rho_2 and rho_3. Every matrix
-    is bitwise equal to the one ``partial_trace``, ``marginals``, ``dephase``
-    and ``kron`` build. The products and the dephased matrices come from
-    ``_kron_into`` and ``_dephased``, the bodies of ``kron`` and
-    ``dephase``. The two-qubit marginals come from one
-    (n, 2, 2, 2, 2, 2, 2) view of ``rho``, rho_1 and rho_2 from rho_12 and
-    rho_3 from rho_13, through the ``np.trace`` calls ``partial_trace`` makes
-    when it traces qubits out last first. Nothing is re-checked: ``rho`` is
-    a finite complex stack.
+    Returns the (6 + 3, n, 4, 4) and (5 + 6, n, 8, 8) stacks, whose first 6
+    and 5 matrices are the inputs that ``_PAIRS_4`` and ``_PAIRS_8`` index
+    and whose rest is room for the mixtures, and the (3, n, 2, 2) marginals
+    rho_1, rho_2 and rho_3. Every input is bitwise equal to the one
+    ``partial_trace``, ``marginals``, ``dephase`` and ``kron`` build. The
+    products and the dephased matrices come from ``_kron_into`` and
+    ``_dephased``, the bodies of ``kron`` and ``dephase``. The two-qubit
+    marginals come from one (n, 2, 2, 2, 2, 2, 2) view of ``rho``, rho_1 and
+    rho_2 from rho_12 and rho_3 from rho_13, through the ``np.trace`` calls
+    ``partial_trace`` makes when it traces qubits out last first. Nothing is
+    re-checked: ``rho`` is a finite complex stack.
     """
     n = len(rho)
     tensor = rho.reshape(n, 2, 2, 2, 2, 2, 2)
-    small = np.empty((6, n, 4, 4), dtype=complex)
+    small = np.empty((6 + len(_PAIRS_4), n, 4, 4), dtype=complex)
     # qubit k's row and column axes are k and k + 3: rho_23, rho_12 and rho_13 trace out qubits 1, 3 and 2
     for slot, qubit in ((0, 1), (2, 3), (4, 2)):
         np.trace(tensor, axis1=qubit, axis2=qubit + 3, out=small[slot].reshape(n, 2, 2, 2, 2))
@@ -261,7 +272,7 @@ def _report_stacks(rho):
     np.trace(two_qubit, axis1=2, axis2=4, out=marg[1:])
     # rho_2 x rho_3, rho_1 x rho_2, rho_1 x rho_3
     _kron_into(small[1:6:2], marg[[1, 0, 0]], marg[[2, 1, 2]])
-    big = np.empty((5, n, 8, 8), dtype=complex)
+    big = np.empty((5 + len(_PAIRS_8), n, 8, 8), dtype=complex)
     big[0] = rho
     _kron_into(big[2], small[3], marg[2])
     _kron_into(big[4], marg[0], small[0])
@@ -272,12 +283,15 @@ def _report_stacks(rho):
 def _chunk_rows(start, rho, scale):
     """The (n, 14) report rows of the (n, 8, 8) chunk at ``start``, in ``REPORT_COLUMNS`` order.
 
-    A function of its own, so that one chunk's stacks and eigenpairs are
-    freed before the next chunk's are built. It runs the order that
-    ``coherence_reports`` states, and its scores take the 4x4 pairs first,
-    so their ``CrossCheckError`` wins; it names the state's index in the
-    whole stack. The nine distances come first; the monogamy difference and
-    the four slacks are sums of them.
+    A function of its own, so that one chunk's arrays are freed before the
+    next chunk's are built. In the order that ``coherence_reports`` states,
+    ``_report_stacks`` writes the raw stacks and ``_qjsd_stack`` their
+    mixtures and the symmetrized copies, which no name holds: they are freed
+    as both ``eigh`` calls return, and the raw stacks right after, but for
+    the (2, n, 8) real diagonals of dephased rho and dephased pi(rho). The
+    scores take the 4x4 pairs first, so their ``CrossCheckError`` wins; it
+    names the state's index in the whole stack. The nine distances come
+    first; the monogamy difference and the four slacks are sums of them.
 
     The entropic form reads the ``eigh`` spectra of rho, the two-qubit
     marginals and the mixtures. The structured matrices get closed forms,
@@ -294,8 +308,9 @@ def _chunk_rows(start, rho, scale):
     ``--tol``) gets the same closed forms as its ``eigh`` route.
     """
     small, big, marg = _report_stacks(rho)
-    stack4, stack8 = _qjsd_stack(small, _PAIRS_4), _qjsd_stack(big, _PAIRS_8)
-    (w4, v4), (w8, v8) = qmat._eigh(stack4), qmat._eigh(stack8)
+    (w4, v4), (w8, v8) = map(qmat._eigh, (_qjsd_stack(small, _PAIRS_4), _qjsd_stack(big, _PAIRS_8)))
+    dephased = np.diagonal(big[1:4:2], axis1=-2, axis2=-1).real.copy()
+    del small, big
     q = _qubit_spectra(marg)
     # spectra of rho_2 x rho_3, rho_1 x rho_2 and rho_1 x rho_3
     q4 = _product_spectrum(q[[1, 0, 0]], q[[2, 1, 2]])
@@ -304,7 +319,7 @@ def _chunk_rows(start, rho, scale):
         j4 = _qjsd_pairs(w4, v4, _PAIRS_4, {1: s4[0], 3: s4[1], 5: s4[2]}, scale)
         # pi(rho) = rho_1 x rho_2 x rho_3 and rho_1 x rho_23; rho_23 is the first matrix of the 4x4 stack
         s8 = _entropies(np.stack([_product_spectrum(q4[1], q[2]), _product_spectrum(q[0], w4[0])]), scale)
-        d = _diagonal_entropies(big[1:4:2], scale)
+        d = _diagonal_entropies(dephased, scale)
         j8 = _qjsd_pairs(w8, v8, _PAIRS_8, {1: d[0], 2: s8[0], 3: d[1], 4: s8[1]}, scale)
     except CrossCheckError as exc:
         exc.index += start
@@ -340,8 +355,8 @@ def coherence_reports(rhos, base=2.0):
     chunk after chunk, by ``_chunk_rows``, and each chunk runs in one serial
     order: its stacks (``_report_stacks``, then the mixtures and ``_sym`` of
     ``_qjsd_stack``), the stacked 4x4 ``eigh``, the stacked 8x8 ``eigh``,
-    then its scores. So the first failure in that order is the one raised,
-    and no later chunk's stacks are built before it.
+    then, with the stacks freed, its scores. So the first failure in that
+    order is the one raised, and no later chunk's stacks are built before it.
     """
     rhos = _as_stack(rhos, "rhos")
     if rhos.ndim != 3 or rhos.shape[1:] != (8, 8):

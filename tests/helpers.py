@@ -1,11 +1,28 @@
 """Helpers shared by several test modules."""
 
+import tracemalloc
+
 import numpy as np
 
 
 def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def traced_peak(build, *args):
+    """Bytes of the traced peak above the current allocation while ``build(*args)`` runs, after one warm-up call."""
+    build(*args)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        build(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def random_unitary(rng, dim):

@@ -3,13 +3,12 @@ import dataclasses
 import json
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import same_bits, zzz_pair_block
+from helpers import same_bits, traced_peak, zzz_pair_block
 from tricoh import adiabatic, coherence, models, qmat, states
 
 EPS = np.finfo(float).eps
@@ -1137,21 +1136,6 @@ def test_sliced_density_table_is_bitwise_the_one_shot_build(monkeypatch, tag, om
     assert len(got[0]) == grid_size + 1
     for table, expected in zip(got, want, strict=True):
         assert same_bits(table, expected)
-
-
-def traced_peak(build, *args):
-    """Bytes of the traced peak above the current allocation while ``build(*args)`` runs, after one warm-up call."""
-    build(*args)
-    tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        build(*args)
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
 
 
 def test_density_table_holds_one_slice_of_the_hamiltonian_stack(monkeypatch):

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import random_mixed, random_unitary, same_bits
+from helpers import random_mixed, random_unitary, same_bits, traced_peak
 from tricoh import adiabatic, coherence, models, qmat, states
 
 
@@ -311,8 +311,10 @@ def test_report_stacks_match_the_public_builders_bitwise(source, zz_sweep, zzz_s
     ]
     big = [rhos, qmat.dephase(rhos), pi, qmat.dephase(pi), qmat.kron(m1, rho_23)]
     got_small, got_big, got_marginals = coherence._report_stacks(rhos)
-    assert same_bits(got_small, np.stack(small))
-    assert same_bits(got_big, np.stack(big))
+    # the inputs fill the first slots; the rest is room for the mixtures that _qjsd_stack writes
+    assert got_small.shape == (9, len(rhos), 4, 4) and got_big.shape == (11, len(rhos), 8, 8)
+    assert same_bits(got_small[:6], np.stack(small))
+    assert same_bits(got_big[:5], np.stack(big))
     assert same_bits(got_marginals, np.stack([m1, m2, m3]))
 
 
@@ -386,6 +388,101 @@ def stacks_over_many_chunks(zz_sweep, zzz_sweep):
         stacks.append(states.density(adiabatic.ground_sweep(schedule).ground_states))
     stacks.append(np.array(seeded_states(np.random.default_rng(72), 200)))
     return stacks
+
+
+def concatenated_route_eigh_input(inputs, pairs):
+    # the mixtures as one expression on fancy-index copies, appended by concatenation
+    left, right = np.array(pairs).T
+    return qmat._sym(np.concatenate([inputs, (inputs[left] + inputs[right]) / 2]))
+
+
+def concatenated_route_entropies(w, scale):
+    w = np.where(w > coherence.EIG_FLOOR, w, 1.0)
+    return -(w * np.log(w)).sum(-1) / scale
+
+
+def concatenated_route_relative_entropies(w, v, pairs, scale):
+    # each side's p log p and the mixtures' log q with floor tests and logarithms of their own
+    sides = np.array(pairs).T
+    n_in = len(w) - len(pairs)
+    w = np.clip(w, 0.0, None)
+    p, u, q, v = w[sides], v[sides], w[n_in:], v[n_in:]
+    overlap = np.abs(u.conj().swapaxes(-1, -2) @ v) ** 2
+    weight = (p[..., None, :] @ overlap)[..., 0, :]
+    support = q > coherence.EIG_FLOOR
+    mismatch = np.any(~support & (weight > coherence.SUPPORT_WEIGHT_TOL), axis=-1)
+    plogp = (p * np.log(np.where(p > coherence.EIG_FLOOR, p, 1.0))).sum(-1)
+    wlogq = (weight * np.log(np.where(support, q, 1.0))).sum(-1)
+    s = (plogp - wlogq) / scale
+    return np.where(mismatch, math.inf, np.where(s < 0.0, 0.0, s))
+
+
+@pytest.mark.parametrize("base", [2.0, math.e])
+def test_report_kernel_matches_the_concatenated_route_bitwise(
+    monkeypatch, base, stacks_over_many_chunks, states_within_tomo_tolerance
+):
+    # each chunk's eigh inputs and scores against the route that concatenated a mixture stack onto
+    # the inputs and took each side's and each mixture's logarithms apart from the entropic form's
+    report_stacks, qjsd_pairs, relative_entropies = (
+        coherence._report_stacks, coherence._qjsd_pairs, coherence._relative_entropies
+    )
+    eigh, entropies = qmat._eigh, coherence._entropies
+    expected, compared = {}, {"eigh": 0, "closed": 0, "relative": 0, "pairs": 0}
+
+    def stacks(rho):
+        small, big, marg = report_stacks(rho)
+        for mats, inputs, pairs in ((small, 6, coherence._PAIRS_4), (big, 5, coherence._PAIRS_8)):
+            expected[mats.shape[-1]] = concatenated_route_eigh_input(mats[:inputs].copy(), pairs)
+        return small, big, marg
+
+    def checked_eigh(a, vectors=True):
+        assert same_bits(a, expected.pop(a.shape[-1]))
+        compared["eigh"] += 1
+        return eigh(a, vectors)
+
+    def closed(w, scale):
+        # the closed forms: three product spectra and the two dephased diagonals per chunk
+        got = entropies(w, scale)
+        assert same_bits(got, concatenated_route_entropies(w, scale))
+        compared["closed"] += 1
+        return got
+
+    def relative(w, v, sides, mixed, scale):
+        pairs = [tuple(pair) for pair in sides.T.tolist()]
+        rel, wlogw = relative_entropies(w, v, sides, mixed, scale)
+        assert same_bits(rel, concatenated_route_relative_entropies(w, v, pairs, scale))
+        assert same_bits(-wlogw / scale, concatenated_route_entropies(w, scale))
+        compared["relative"] += 1
+        return rel, wlogw
+
+    def pairs_checked(w, v, pairs, closed, scale):
+        got = qjsd_pairs(w, v, pairs, closed, scale)
+        rel = concatenated_route_relative_entropies(w, v, pairs, scale)
+        assert same_bits(got, 0.5 * (rel[0] + rel[1]))
+        compared["pairs"] += 1
+        return got
+
+    monkeypatch.setattr(coherence, "_report_stacks", stacks)
+    monkeypatch.setattr(qmat, "_eigh", checked_eigh)
+    monkeypatch.setattr(coherence, "_entropies", closed)
+    monkeypatch.setattr(coherence, "_relative_entropies", relative)
+    monkeypatch.setattr(coherence, "_qjsd_pairs", pairs_checked)
+    chunks = 0
+    for rhos in stacks_over_many_chunks + [np.array(states_within_tomo_tolerance)]:
+        coherence.coherence_reports(rhos, base)
+        chunks += math.ceil(len(rhos) / coherence.REPORT_CHUNK)
+    assert compared == {"eigh": 2 * chunks, "closed": 3 * chunks, "relative": 2 * chunks, "pairs": 2 * chunks}
+    assert not expected
+
+
+def test_report_kernel_chunk_peaks_below_950_kb_under_tracemalloc(zz_sweep):
+    # one 16-state chunk of the default zz sweep peaked at 1154 KB while each chunk copied its inputs
+    # into a concatenated stack, held both raw stacks through its scores and built three (2, 6, 16, 8, 8)
+    # overlap copies; writing each stack in place and freeing the raw stacks before the scores reads
+    # 657 KB, so the bound leaves about 290 KB of margin above it and fails the old layout by 200 KB
+    rho = states.density(zz_sweep.ground_states[:coherence.REPORT_CHUNK])
+    assert len(rho) == 16
+    assert traced_peak(coherence._chunk_rows, 0, rho, 1.0) <= 950 * 1024
 
 
 # the test_chunked_reports_* tests score stacks of more than one chunk, each chunk through its
