@@ -43,7 +43,7 @@ import math
 import numpy as np
 
 from . import models, qmat
-from .qmat import _check_integer, _check_real, _json_numbers, _load_json, _squares, expm_hermitian, ground_states
+from .qmat import _check_integer, _check_real, _json_numbers, _load_json, expm_hermitian, ground_states
 from .states import make_state
 
 # fine-grid resolution used to tabulate the adaptive step density
@@ -367,7 +367,7 @@ def evolve(schedule, params=None, mu=1.0):
     overlaps = np.append(_row_vdot(exact.ground_states, psis), np.vdot(target, psi))
     # pseudopure mixtures keep their maximally mixed component under
     # unitary evolution, so the fidelity maps through exactly
-    fids = np.sqrt((1.0 - mu) / len(psi) + mu * _squares(np.hypot(overlaps.real, overlaps.imag)))
+    fids = np.sqrt((1.0 - mu) / len(psi) + mu * np.square(np.hypot(overlaps.real, overlaps.imag)))
     return replace(exact, fid_instant=fids[:-1], min_fidelity=float(fids[:-1].min()),
                    final_state=psi, final_fidelity=float(fids[-1]))
 

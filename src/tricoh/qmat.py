@@ -337,17 +337,6 @@ def expm_hermitian(h, t):
     return _spectral(np.exp(-1j * w * t), v)
 
 
-def _squares(x):
-    """Square of each entry of a float array, as an array of its shape.
-
-    Each square goes through scalar C ``pow``, as the square of a single
-    value does, so a stacked fidelity equals the single-pair value bit for
-    bit: an array square is one multiply, which differs in the last bit.
-    """
-    x = np.asarray(x, dtype=float)
-    return np.array([v**2 for v in x.ravel().tolist()]).reshape(x.shape)
-
-
 def root_fidelity(a, b):
     """Uhlmann root fidelity Tr sqrt(sqrt(a) b sqrt(a)), in [0, 1].
 
@@ -376,8 +365,8 @@ def state_fidelity(a, b):
     Reduces to <psi|b|psi> when ``a`` is pure; symmetric; equals 1 iff a = b.
     Takes stacks as ``root_fidelity`` does.
     """
-    sq = _squares(root_fidelity(a, b))
-    return float(sq) if sq.ndim == 0 else sq
+    f = root_fidelity(a, b)
+    return f * f
 
 
 def unitary_fidelity(u1, u2):
@@ -398,7 +387,7 @@ def unitary_fidelity(u1, u2):
         if dev > 1e-8:
             raise ValueError(f"{name} is not unitary: max deviation {dev:.3e} exceeds 1e-08")
     tr = np.trace(u1 @ u2.conj().swapaxes(-1, -2), axis1=-2, axis2=-1)
-    f = np.clip(_squares(np.hypot(tr.real, tr.imag)) / d**2, 0.0, 1.0)
+    f = np.clip(np.square(np.hypot(tr.real, tr.imag)) / d**2, 0.0, 1.0)
     return float(f) if f.ndim == 0 else f
 
 
@@ -448,9 +437,8 @@ def validate_density(m, tol=HERMITICITY_TOL, repair=False):
     # huge finite entries overflow here; such a matrix is unusable and fails below
     with np.errstate(over="ignore", invalid="ignore"):
         herm_dev = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-        # a contiguous diagonal sums in the order np.trace uses on one matrix, and
         # np.hypot matches the scalar abs where np.abs of a complex array does not
-        trace = np.diagonal(stack, axis1=-2, axis2=-1).copy().sum(axis=-1) - 1.0
+        trace = np.trace(stack, axis1=-2, axis2=-1) - 1.0
         trace_dev = np.hypot(trace.real, trace.imag)
         sym = _sym(stack)
     # a non-finite entry makes the Hermitian part non-finite too

@@ -119,6 +119,21 @@ def test_constant_density_reduces_to_linear():
     np.testing.assert_allclose(sch.values, lin.values, atol=1e-9)
 
 
+def test_schedule_from_density_inverts_the_trapezoid_cumulative_on_a_nonuniform_grid():
+    # each trapezoid is weighted by its own width; a uniform grid's width cancels in the normalization
+    grid, density = [0.0, 0.1, 0.4, 1.0, 2.0], [1.0, 4.0, 2.0, 0.5, 1.0]
+    cum = [0.0]
+    for g0, g1, d0, d1 in zip(grid, grid[1:], density, density[1:]):
+        cum.append(cum[-1] + (d0 + d1) / 2 * (g1 - g0))
+    cum = [c / cum[-1] for c in cum]
+    want = []
+    for t in np.linspace(0.0, 1.0, 11):
+        k = max(i for i in range(len(grid) - 1) if cum[i] <= t)
+        want.append(grid[k] + (t - cum[k]) / (cum[k + 1] - cum[k]) * (grid[k + 1] - grid[k]))
+    sch = adiabatic.schedule_from_density("zz", 10, 0.7, grid, density)
+    np.testing.assert_allclose(sch.values, want, rtol=0, atol=1e-12)
+
+
 def test_adaptive_schedule_densifies_near_gap_minimum():
     sch = adiabatic.gap_adaptive_schedule("zz", 300, 0.7)
     values = np.asarray(sch.values)
@@ -978,7 +993,7 @@ def per_step_vdot_evolve(sch, mu):
     psi = grounds[0].copy()
 
     def reported(pure_amp):
-        return math.sqrt((1.0 - mu) / 8 + mu * pure_amp**2)
+        return math.sqrt((1.0 - mu) / 8 + mu * (pure_amp * pure_amp))
 
     fids = np.empty(len(sch.values))
     fids[0] = reported(abs(np.vdot(grounds[0], psi)))
@@ -1259,6 +1274,17 @@ def test_trotter_phase_overflow_raises():
     assert np.isfinite(u_ide).all() and np.isfinite(u_exp).all()
     assert np.isfinite(adiabatic.evolve(adiabatic.linear_schedule("zz", 3, 1e300)).fid_instant).all()
     assert math.isfinite(sector_probe(adiabatic.linear_schedule("zz", 3, 1e300)))
+    # at this tau the phases of each part stay finite, but the bound on those of H, (max |hx| row sum + max |hz|) tau,
+    # overflows; just below that bound the pair is built
+    hx, hz = models.parts("zz", 2.0)
+    a, b = float(np.abs(hx).sum(axis=-1).max()), float(np.abs(hz).max())
+    big = float(np.finfo(float).max)
+    tau = big / (b + a / 2)
+    assert math.isfinite(max(a, b) * tau) and not math.isfinite((a + b) * tau)
+    with pytest.raises(ValueError, match=r"is too large: the Trotter step phases overflow$"):
+        adiabatic.trotter_pair("zz", 2.0, tau)
+    u_ide, u_exp = adiabatic.trotter_pair("zz", 2.0, 0.99 * big / (a + b))
+    assert np.isfinite(u_ide).all() and np.isfinite(u_exp).all()
 
 
 @pytest.mark.parametrize(("tag", "target", "want"), PERFBENCH_SEARCHES)

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -319,12 +320,17 @@ def test_tomo_huge_entries_fail_by_name_or_repair(tmp_path, capsys, name, repair
         assert not out.exists()
 
 
-def test_trotter_audit_defaults_pass(tmp_path):
-    assert run_cli(["trotter-audit", "--model", "zz", "--out", str(tmp_path)]) == 0
+def test_trotter_audit_defaults_pass(tmp_path, capsys):
+    for tag in models.MODEL_TAGS:
+        assert run_cli(["trotter-audit", "--model", tag, "--out", str(tmp_path)]) == 0
+        # the ratio table has one row for each of five couplings spanning the model's range
+        table = re.findall(r"^  J=(.*): ratio=(.*)$", capsys.readouterr().out, flags=re.M)
+        couplings = np.linspace(*models.model(tag).j_range, 5)
+        ratios = adiabatic.trotter_error_scaling(tag, couplings, cli.RATIO_TABLE_TAU)
+        assert table == [(cli._fmt(j), cli._fmt(r)) for j, r in zip(couplings, ratios)]
     rows = read_csv(tmp_path / "trotter_audit_zz.csv")
     assert len(rows) == 301
     assert column(rows, "unitary_fidelity").min() > 0.999
-    assert run_cli(["trotter-audit", "--model", "zzz", "--out", str(tmp_path)]) == 0
 
 
 def test_trotter_audit_large_tau_fails(tmp_path, capsys):

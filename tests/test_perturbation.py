@@ -287,6 +287,23 @@ def test_secular_takes_an_array_subspace():
         perturbation.secular_solve(empty)
 
 
+def test_secular_checks_the_eigenstate_residual_of_each_subspace_state():
+    # both states leak sin(theta) into |2>, so each one's residual is about theta, while their two residuals
+    # together reach sqrt(2) theta in that one component: the tolerance bounds each state's residual
+    h0 = np.diag([0.0, 0.0, 1.0]).astype(complex)
+    v = 0.1 * np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]], dtype=complex)
+
+    def leaky(theta):
+        c, s = math.cos(theta), math.sin(theta)
+        sub = [np.array([c, 0.0, s], dtype=complex), np.array([0.0, c, s], dtype=complex)]
+        return perturbation.PerturbationSplit(h0=h0, v=v, degenerate_subspace=sub)
+
+    result = perturbation.secular_solve(leaky(0.8 * perturbation.SECULAR_ENERGY_TOL))
+    assert abs(result.energy_shift - (-0.02)) < 1e-12
+    with pytest.raises(ValueError, match=r"not an h0 eigenstate at energy .* \(residual 1.200e-08\)$"):
+        perturbation.secular_solve(leaky(1.2 * perturbation.SECULAR_ENERGY_TOL))
+
+
 @pytest.mark.parametrize("name", NOT_ORTHONORMAL)
 def test_secular_rejects_non_orthonormal_basis(name):
     # without the Gram check these gave shifts -0.00843, -0.00758 and -0.0070 where the true one is -0.0045

@@ -706,7 +706,8 @@ def test_root_and_state_fidelity_stack_match_single_bitwise(seed):
             bi = b if b.ndim == 2 else b[i]
             single = qmat.root_fidelity(a, bi)
             assert type(single) is float and single == root[i] == root_fidelity_one_pair_form(a, bi)
-            assert qmat.state_fidelity(a, bi) == sq[i] == root_fidelity_one_pair_form(a, bi) ** 2
+            f = root_fidelity_one_pair_form(a, bi)
+            assert qmat.state_fidelity(a, bi) == sq[i] == f * f
             assert qmat.root_fidelity(a[None], bi)[0] == single
     with pytest.raises(ValueError, match=r"dimension mismatch: \(9, 8, 8\) vs \(3, 8, 8\)"):
         qmat.root_fidelity(rhos, others[:3])
@@ -768,12 +769,12 @@ def test_validate_density_stack_blames_its_first_failing_matrix():
 
 
 def test_state_fidelity_squares_each_item_as_for_one_pair(monkeypatch):
-    # an array square is one multiply, which differs in the last bit from
-    # the scalar pow of one pair for about 1 in 1000 values
+    # a stack and a single pair both square with one multiply; a scalar pow
+    # differs from that multiply in the last bit for about 1 in 1000 values
     roots = np.random.default_rng(72).uniform(0.0, 1.0, 5000)
     monkeypatch.setattr(qmat, "root_fidelity", lambda a, b: roots if a.ndim == 3 else float(roots[a[0, 0]]))
     stacked = qmat.state_fidelity(np.zeros((5000, 1, 1)), None)
-    assert not same_bits(stacked, roots**2)
+    assert same_bits(stacked, np.square(roots))
     assert all(stacked[i] == qmat.state_fidelity(np.full((1, 1), i), None) for i in range(len(roots)))
 
 
