@@ -239,38 +239,29 @@ def cmd_tomo(args):
 
     def score(raws):
         rhos, checks = qmat.validate_density(raws, tol=args.tol, repair=args.repair)
-        return rhos, checks, qmat.root_fidelity(rhos, ground_density)
+        repaired = np.abs(rhos - raws).max(axis=(-2, -1)) > args.tol
+        return rhos, checks, qmat.root_fidelity(rhos, ground_density), repaired
 
-    # The files are scored as one stack, yet the first failing file is blamed, after the lines of
-    # the files before it, as if each were loaded, validated and scored in turn. So loading stops
-    # at the first file that fails to load or has another shape, and its error waits for the rest.
-    raws, failure = [], None
-    for path in args.files:
-        try:
-            raw = qmat.load_density(path)
-        except Exception as exc:  # raised below, unless an earlier file fails first
-            failure = exc
-            break
-        if raw.shape != ground_density.shape:
-            try:
-                score(raw)  # raises: the file's own check error, else the dimension mismatch
-            except ValueError as exc:
-                failure = ValueError(f"{path}: {exc}")
-            break
-        raws.append(raw)
-    stack = np.array(raws).reshape((len(raws),) + ground_density.shape)
-    try:
-        rhos, checks, fids = score(stack)
-    except qmat.DensityError as exc:
-        failure = ValueError(f"{args.files[exc.index]}: {exc}")
-        stack = stack[:exc.index]
-        rhos, checks, fids = score(stack)
-    names = [os.path.basename(path) for path in args.files[:len(stack)]]
-    repaired = np.abs(rhos - stack).max(axis=(-2, -1)) > args.tol
-    for name, fid, rep in zip(names, fids, repaired):
+    def line(name, fid, rep):
         print(f"{name}: fidelity {_fmt(fid)} (J={_fmt(j)}, repaired={rep})")
-    if failure is not None:
-        raise failure
+
+    # The files are scored as one stack. If that fails, they are checked again one at a time, and
+    # the first failing file is blamed after the lines of the files before it; each stack item has
+    # the bits of its one-matrix call, so these lines are the ones the stack would have printed.
+    names = [os.path.basename(path) for path in args.files]
+    try:
+        rhos, checks, fids, repaired = score(np.array([qmat.load_density(path) for path in args.files]))
+    except (ValueError, OSError):
+        for path, name in zip(args.files, names):
+            raw = qmat.load_density(path)  # its errors name the file already
+            try:
+                _, _, fid, rep = score(raw)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+            line(name, fid, rep)
+        raise
+    for name, fid, rep in zip(names, fids, repaired):
+        line(name, fid, rep)
     try:
         reports = coherence.coherence_reports(rhos, base=_base(args))
     except coherence.CrossCheckError as exc:

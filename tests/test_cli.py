@@ -773,8 +773,11 @@ def test_tomo_non_ascii_file_name(tmp_path, capsys):
 
 @pytest.fixture
 def tomo_files(tmp_path):
-    """ok: a valid state; invalid: not Hermitian; missing: no such file; small_skew: a non-Hermitian 4x4."""
-    paths = {name: tmp_path / f"{name}.json" for name in ("ok", "invalid", "missing", "small_skew")}
+    """ok: a valid state; invalid: not Hermitian; missing: no such file; small_skew: a non-Hermitian 4x4; small_ok
+    and small_ok2: the valid 4x4 state I/4; negative: -I/8, which --repair cannot mend; dir: a directory; f0 to f19:
+    seeded full-rank states, with f13 replaced by invalid."""
+    names = ("ok", "invalid", "missing", "small_skew", "small_ok", "small_ok2", "negative", "dir")
+    paths = {name: tmp_path / f"{name}.json" for name in names}
     qmat.save_density(paths["ok"], np.eye(8) / 8)
     rho = np.eye(8) / 8
     rho[0, 1] = 0.3
@@ -782,24 +785,54 @@ def tomo_files(tmp_path):
     small = np.eye(4) / 4
     small[0, 1] = 0.2
     qmat.save_density(paths["small_skew"], small)
+    for name in ("small_ok", "small_ok2"):
+        qmat.save_density(paths[name], np.eye(4) / 4)
+    qmat.save_density(paths["negative"], -np.eye(8) / 8)
+    paths["dir"].mkdir()
+    (tmp_path / "seeded").mkdir()
+    paths.update((path.stem, path) for path in seeded_density_files(tmp_path / "seeded", 94, 20, rho, 13))
     return paths
 
 
-@pytest.mark.parametrize("order, blamed", [
+# each order is the argv of tomo, with files named as in tomo_files; the expected lines are those of the files
+# before the blamed one, each as that file prints it alone
+TOMO_BLAME_ORDERS = [
     (("ok", "invalid", "missing"), "invalid"),
     (("ok", "missing", "invalid"), "missing"),
     (("ok", "small_skew", "invalid"), "small_skew"),
-])
+    (("ok", "small_ok", "missing"), "small_ok"),
+    (("small_ok", "small_ok2"), "small_ok"),
+    (("ok", "dir", "invalid"), "dir"),
+    (("--repair", "ok", "negative", "invalid"), "negative"),
+    (("ok", "invalid", "small_ok"), "invalid"),
+    (tuple(f"f{k}" for k in range(20)), "f13"),
+]
+
+
+@pytest.mark.parametrize("order, blamed", TOMO_BLAME_ORDERS)
 def test_tomo_blames_the_first_failing_file_after_the_lines_before_it(tmp_path, capsys, tomo_files, order, blamed):
+    files = [name for name in order if name in tomo_files]
+    options = [name for name in order if name not in tomo_files]
+    alone = []
+    for name in files[:files.index(blamed)]:
+        assert run_cli(["tomo", "--model", "zz", str(tomo_files[name]), *options, "--out", str(tmp_path / name)]) == 0
+        alone.append(capsys.readouterr().out.splitlines()[0] + "\n")
     out = tmp_path / "out"
-    assert run_cli(["tomo", "--model", "zz", *(str(tomo_files[n]) for n in order), "--out", str(out)]) == 2
+    assert run_cli(["tomo", "--model", "zz", *(str(tomo_files[n]) for n in files), *options, "--out", str(out)]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "ok.json: fidelity 0.353553393 (J=2, repaired=False)\n"
+    assert captured.out == "".join(alone)
+    if (order, blamed) in TOMO_BLAME_ORDERS[:3]:  # these also pin the printed digits of the ok line
+        assert alone == ["ok.json: fidelity 0.353553393 (J=2, repaired=False)\n"]
     path = tomo_files[blamed]
+    not_hermitian = f"error: {path}: not Hermitian: max deviation 3.000e-01 exceeds tolerance 1.0e-06\n"
     assert captured.err == {
-        "invalid": f"error: {path}: not Hermitian: max deviation 3.000e-01 exceeds tolerance 1.0e-06\n",
+        "invalid": not_hermitian,
+        "f13": not_hermitian,
         "missing": f"error: [Errno 2] No such file or directory: '{path}'\n",
         "small_skew": f"error: {path}: not Hermitian: max deviation 2.000e-01 exceeds tolerance 1.0e-06\n",
+        "small_ok": f"error: {path}: dimension mismatch: (4, 4) vs (8, 8)\n",
+        "dir": f"error: [Errno 21] Is a directory: '{path}'\n",
+        "negative": f"error: {path}: density matrix repair failed: all eigenvalues nonpositive\n",
     }[blamed]
     assert not out.exists()
 
