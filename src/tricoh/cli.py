@@ -191,8 +191,15 @@ def cmd_sweep(args):
 
 
 def cmd_ratios(args):
+    """Write the ratio columns and M, scoring and cross-checking only the distances they read.
+
+    So a state that fails only the C_T or C_A cross-check, two values this
+    table never prints, gets its row.
+    """
     sweep = adiabatic.ground_sweep(_schedule(args))
-    reports = coherence.coherence_reports(states.density(sweep.ground_states), base=_base(args))
+    # the terms of the ratio columns and of M = C_1_2 + C_1_3 - C_1_23
+    fields = {field for _, num, den in RATIO_COLUMNS for field in (num, den)} | {"c_1_2", "c_1_3", "c_1_23"}
+    reports = coherence._reports(states.density(sweep.ground_states), _base(args), fields)
 
     def ratio(num, den):
         return num / den if den >= 1e-9 else None

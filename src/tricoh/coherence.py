@@ -17,9 +17,11 @@ rounding). A ``CoherenceReport`` is a named tuple whose fields are its
 output row, in ``REPORT_COLUMNS`` order; one table names both.
 ``coherence_reports`` says in which order a stack's chunks are built,
 diagonalized and scored, and ``_chunk_rows`` what each stage writes and
-frees and which entropies come in closed form. ``coherence_report``,
-``qjsd``, ``relative_entropy`` and ``von_neumann_entropy`` are
-single-state calls into the same stacked helpers.
+frees and which entropies come in closed form. ``_reports`` scores and
+cross-checks only the distances a caller names, as ``tricoh ratios`` does.
+``coherence_report``, ``qjsd``, ``relative_entropy`` and
+``von_neumann_entropy`` are single-state calls into the same stacked
+helpers.
 
 ``embed_tetrahedron`` places the four states rho, pi(rho), dephased pi(rho)
 and rho_1 x rho_23 in Euclidean 3-space so that pairwise point distances
@@ -31,6 +33,7 @@ clamped and the worst mismatch is reported as the residual. A
 and rho_1 x rho_23, then the residual.
 """
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -48,7 +51,7 @@ CROSS_CHECK_TOL = 1e-9
 # denominators below this collapse a tetrahedron vertex instead of dividing
 EMBED_EPS = 1e-9
 # states per batch in ``coherence_reports``; bounds the working set, since
-# each state adds 20 derived matrices and their eigenvectors
+# each state adds up to 20 derived matrices and their eigenvectors
 REPORT_CHUNK = 16
 
 
@@ -236,21 +239,25 @@ Fields are in ``REPORT_COLUMNS`` order, so a report is its output row.
 """
 
 
-# distances of a report, by index into the stacks built in ``_report_stacks``:
-# 8x8 stack (rho, dephased rho, pi(rho), dephased pi(rho), rho_1 x rho_23)
-_PAIRS_8 = ((0, 1), (0, 2), (2, 3), (0, 3), (0, 4), (4, 3))
+# the distances of a report, its first nine fields, each the QJSD pair of stack inputs that it scores:
+# 8x8 stack (rho, dephased rho, pi(rho), dephased pi(rho), rho_1 x rho_23), of which 1 and 3 are dephased
+_PAIRS_8 = {"c_total": (0, 1), "c_global": (0, 2), "c_local": (2, 3), "c_absolute": (0, 3), "c_1_23": (0, 4),
+            "c_abs_1_23": (4, 3)}
+_DEPHASED_8 = (1, 3)
 # 4x4 stack (rho_23, rho_2 x rho_3, rho_12, rho_1 x rho_2, rho_13, rho_1 x rho_3); the QJSD
 # drops a common tensor factor, so C_2_3 = D(rho_1 x rho_23, pi(rho)) is scored on the first pair
-_PAIRS_4 = ((0, 1), (2, 3), (4, 5))
+_PAIRS_4 = {"c_2_3": (0, 1), "c_1_2": (2, 3), "c_1_3": (4, 5)}
+_DISTANCES = CoherenceReport._fields[:9]
 
 
-def _report_stacks(rho):
+def _report_stacks(rho, inputs, room):
     """The QJSD stacks of a (n, 8, 8) stack ``rho`` and its single-qubit marginals.
 
-    Returns the (6 + 3, n, 4, 4) and (5 + 6, n, 8, 8) stacks, whose first 6
-    and 5 matrices are the inputs that ``_PAIRS_4`` and ``_PAIRS_8`` index
-    and whose rest is room for the mixtures, and the (3, n, 2, 2) marginals
-    rho_1, rho_2 and rho_3. Every input is bitwise equal to the one
+    ``inputs`` lists the 8x8 inputs to build, ascending, by ``_PAIRS_8``
+    index. Returns the (6 + 3, n, 4, 4) and (len(inputs) + room, n, 8, 8)
+    stacks, whose first 6 and len(inputs) matrices are the inputs and whose
+    rest is room for the mixtures, and the (3, n, 2, 2) marginals rho_1,
+    rho_2 and rho_3. Every input is bitwise equal to the one
     ``partial_trace``, ``marginals``, ``dephase`` and ``kron`` build. The
     products and the dephased matrices come from ``_kron_into`` and
     ``_dephased``, the bodies of ``kron`` and ``dephase``. The two-qubit
@@ -272,26 +279,57 @@ def _report_stacks(rho):
     np.trace(two_qubit, axis1=2, axis2=4, out=marg[1:])
     # rho_2 x rho_3, rho_1 x rho_2, rho_1 x rho_3
     _kron_into(small[1:6:2], marg[[1, 0, 0]], marg[[2, 1, 2]])
-    big = np.empty((5 + len(_PAIRS_8), n, 8, 8), dtype=complex)
-    big[0] = rho
-    _kron_into(big[2], small[3], marg[2])
-    _kron_into(big[4], marg[0], small[0])
-    big[1:4:2] = _dephased(big[0:3:2])
+    big = np.empty((len(inputs) + room, n, 8, 8), dtype=complex)
+    # input 0 is rho, 2 pi(rho) = rho_12 x rho_3 and 4 rho_1 x rho_23; inputs 1 and 3 dephase inputs 0 and 2,
+    # read from the slot before theirs when those are inputs too and else built in their own
+    for k, i in enumerate(inputs):
+        if i in _DEPHASED_8 and i - 1 in inputs:
+            big[k] = _dephased(big[k - 1])
+            continue
+        if i < 2:
+            big[k] = rho
+        elif i < 4:
+            _kron_into(big[k], small[3], marg[2])
+        else:
+            _kron_into(big[k], marg[0], small[0])
+        if i in _DEPHASED_8:
+            big[k] = _dephased(big[k])
     return small, big, marg
 
 
-def _chunk_rows(start, rho, scale):
+@functools.cache
+def _plan_8(fields):
+    """What ``_chunk_rows`` builds for the distances ``fields``, once per set of them.
+
+    Returns the 8x8 inputs that the ``_PAIRS_8`` pairs of ``fields`` read, by
+    index and ascending; those pairs as indices into these inputs; and the
+    report rows of their distances, then of the 4x4 ones.
+    """
+    scored = [field for field in _PAIRS_8 if field in fields]
+    inputs = tuple(sorted({i for field in scored for i in _PAIRS_8[field]}))
+    pairs = tuple(tuple(map(inputs.index, _PAIRS_8[field])) for field in scored)
+    return inputs, pairs, np.array([_DISTANCES.index(field) for field in (*scored, *_PAIRS_4)])
+
+
+def _chunk_rows(start, rho, scale, fields):
     """The (n, 14) report rows of the (n, 8, 8) chunk at ``start``, in ``REPORT_COLUMNS`` order.
+
+    ``fields``, a frozenset, names the distances to score. The three 4x4
+    pairs are always scored, as their stack also gives the marginals and
+    rho_23's spectrum; of the 8x8 stack, only the inputs and mixtures of the
+    named pairs are built and diagonalized. A distance left out, and each
+    sum of one, reads nan. Each matrix is diagonalized on its own, so every
+    value scored has the bits it has when all nine are.
 
     A function of its own, so that one chunk's arrays are freed before the
     next chunk's are built. In the order that ``coherence_reports`` states,
     ``_report_stacks`` writes the raw stacks and ``_qjsd_stack`` their
     mixtures and the symmetrized copies, which no name holds: they are freed
     as both ``eigh`` calls return, and the raw stacks right after, but for
-    the (2, n, 8) real diagonals of dephased rho and dephased pi(rho). The
-    scores take the 4x4 pairs first, so their ``CrossCheckError`` wins; it
-    names the state's index in the whole stack. The nine distances come
-    first; the monogamy difference and the four slacks are sums of them.
+    the (k, n, 8) real diagonals of the dephased inputs. The scores take the
+    4x4 pairs first, so their ``CrossCheckError`` wins; it names the state's
+    index in the whole stack. The distances come first; the monogamy
+    difference and the four slacks are sums of them.
 
     The entropic form reads the ``eigh`` spectra of rho, the two-qubit
     marginals and the mixtures. The structured matrices get closed forms,
@@ -307,25 +345,29 @@ def _chunk_rows(start, rho, scale):
     accepts without ``--repair`` (Hermitian and positive only within
     ``--tol``) gets the same closed forms as its ``eigh`` route.
     """
-    small, big, marg = _report_stacks(rho)
-    (w4, v4), (w8, v8) = map(qmat._eigh, (_qjsd_stack(small, _PAIRS_4), _qjsd_stack(big, _PAIRS_8)))
-    dephased = np.diagonal(big[1:4:2], axis1=-2, axis2=-1).real.copy()
+    inputs, pairs, rows = _plan_8(fields)
+    pairs4 = [*_PAIRS_4.values()]
+    small, big, marg = _report_stacks(rho, inputs, len(pairs))
+    (w4, v4), (w8, v8) = map(qmat._eigh, (_qjsd_stack(small, pairs4), _qjsd_stack(big, pairs)))
+    dephased = [i for i in inputs if i in _DEPHASED_8]
+    diagonals = np.diagonal(big, axis1=-2, axis2=-1)[[inputs.index(i) for i in dephased]].real.copy()
     del small, big
     q = _qubit_spectra(marg)
     # spectra of rho_2 x rho_3, rho_1 x rho_2 and rho_1 x rho_3
     q4 = _product_spectrum(q[[1, 0, 0]], q[[2, 1, 2]])
     s4 = _entropies(q4, scale)
     try:
-        j4 = _qjsd_pairs(w4, v4, _PAIRS_4, {1: s4[0], 3: s4[1], 5: s4[2]}, scale)
+        j4 = _qjsd_pairs(w4, v4, pairs4, {1: s4[0], 3: s4[1], 5: s4[2]}, scale)
         # pi(rho) = rho_1 x rho_2 x rho_3 and rho_1 x rho_23; rho_23 is the first matrix of the 4x4 stack
         s8 = _entropies(np.stack([_product_spectrum(q4[1], q[2]), _product_spectrum(q[0], w4[0])]), scale)
-        d = _diagonal_entropies(dephased, scale)
-        j8 = _qjsd_pairs(w8, v8, _PAIRS_8, {1: d[0], 2: s8[0], 3: d[1], 4: s8[1]}, scale)
+        # closed forms by 8x8 input index, passed on by slot
+        closed = {2: s8[0], 4: s8[1], **dict(zip(dephased, _diagonal_entropies(diagonals, scale)))}
+        j8 = _qjsd_pairs(w8, v8, pairs, {k: closed[i] for k, i in enumerate(inputs) if i in closed}, scale)
     except CrossCheckError as exc:
         exc.index += start
         raise
-    d8, d4 = np.sqrt(j8), np.sqrt(j4)
-    dists = np.concatenate([d8[:5], d4[:1], d8[5:], d4[1:]])
+    dists = np.full((len(_DISTANCES), len(rho)), np.nan)
+    dists[rows] = np.sqrt(np.concatenate([j8, j4]))
     _, c_g, c_l, c_a, c_1_23, c_2_3, c_a_1_23, c_1_2, c_1_3 = dists
     sums = [
         c_1_2 + c_1_3 - c_1_23,
@@ -335,6 +377,23 @@ def _chunk_rows(start, rho, scale):
         c_1_23 + c_2_3 - c_g,
     ]
     return np.concatenate([dists, sums]).T
+
+
+def _reports(rhos, base, fields):
+    """``coherence_reports``, scoring only the distances ``fields`` names and the three 4x4 ones (see ``_chunk_rows``).
+
+    Only the pairs scored are cross-checked, so a state that fails only the
+    cross-check of a distance left out gets its report, with that distance
+    nan.
+    """
+    rhos = _as_stack(rhos, "rhos")
+    if rhos.ndim != 3 or rhos.shape[1:] != (8, 8):
+        raise ValueError(f"expected an (N, 8, 8) stack of three-qubit density matrices, got {rhos.shape}")
+    scale = _log_scale(base)
+    starts = range(0, len(rhos), REPORT_CHUNK)
+    fields = frozenset(fields)
+    rows = [_chunk_rows(start, rhos[start:start + REPORT_CHUNK], scale, fields) for start in starts]
+    return [CoherenceReport._make(row) for block in rows for row in block.tolist()]
 
 
 def coherence_reports(rhos, base=2.0):
@@ -358,13 +417,7 @@ def coherence_reports(rhos, base=2.0):
     then, with the stacks freed, its scores. So the first failure in that
     order is the one raised, and no later chunk's stacks are built before it.
     """
-    rhos = _as_stack(rhos, "rhos")
-    if rhos.ndim != 3 or rhos.shape[1:] != (8, 8):
-        raise ValueError(f"expected an (N, 8, 8) stack of three-qubit density matrices, got {rhos.shape}")
-    scale = _log_scale(base)
-    starts = range(0, len(rhos), REPORT_CHUNK)
-    rows = [_chunk_rows(start, rhos[start:start + REPORT_CHUNK], scale) for start in starts]
-    return [CoherenceReport._make(row) for block in rows for row in block.tolist()]
+    return _reports(rhos, base, _DISTANCES)
 
 
 def coherence_report(rho, base=2.0):

@@ -223,9 +223,9 @@ def test_tomo_over_two_report_chunks_blames_the_file_and_repeats_its_bytes(
     paths = seeded_density_files(tmp_path, 91, 20, state_failing_cross_check, 17)
     chunks = []
 
-    def spy(rho, _fn=coherence._report_stacks):
+    def spy(rho, *args, _fn=coherence._report_stacks):
         chunks.append(len(rho))
-        return _fn(rho)
+        return _fn(rho, *args)
 
     monkeypatch.setattr(coherence, "_report_stacks", spy)
     files = [str(path) for path in paths]

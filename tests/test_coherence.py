@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import random_mixed, random_unitary, same_bits, traced_peak
-from tricoh import adiabatic, coherence, models, qmat, states
+from tricoh import adiabatic, cli, coherence, models, qmat, states
 
 
 def test_entropy_pure_state():
@@ -310,12 +310,14 @@ def test_report_stacks_match_the_public_builders_bitwise(source, zz_sweep, zzz_s
         qmat.partial_trace(rhos, 3, {1, 3}), qmat.kron(m1, m3),
     ]
     big = [rhos, qmat.dephase(rhos), pi, qmat.dephase(pi), qmat.kron(m1, rho_23)]
-    got_small, got_big, got_marginals = coherence._report_stacks(rhos)
-    # the inputs fill the first slots; the rest is room for the mixtures that _qjsd_stack writes
-    assert got_small.shape == (9, len(rhos), 4, 4) and got_big.shape == (11, len(rhos), 8, 8)
-    assert same_bits(got_small[:6], np.stack(small))
-    assert same_bits(got_big[:5], np.stack(big))
-    assert same_bits(got_marginals, np.stack([m1, m2, m3]))
+    # all five 8x8 inputs, as coherence_reports builds them, and the four that ratios reads
+    for inputs, room in (([0, 1, 2, 3, 4], 6), ([0, 2, 3, 4], 4)):
+        got_small, got_big, got_marginals = coherence._report_stacks(rhos, inputs, room)
+        # the inputs fill the first slots; the rest is room for the mixtures that _qjsd_stack writes
+        assert got_small.shape == (9, len(rhos), 4, 4) and got_big.shape == (len(inputs) + room, len(rhos), 8, 8)
+        assert same_bits(got_small[:6], np.stack(small))
+        assert same_bits(got_big[:len(inputs)], np.stack([big[i] for i in inputs]))
+        assert same_bits(got_marginals, np.stack([m1, m2, m3]))
 
 
 def test_reports_of_states_within_tomo_tolerance_match_qjsd(states_within_tomo_tolerance):
@@ -429,10 +431,12 @@ def test_report_kernel_matches_the_concatenated_route_bitwise(
     eigh, entropies = qmat._eigh, coherence._entropies
     expected, compared = {}, {"eigh": 0, "closed": 0, "relative": 0, "pairs": 0}
 
-    def stacks(rho):
-        small, big, marg = report_stacks(rho)
+    def stacks(rho, built, room):
+        # coherence_reports builds all five 8x8 inputs, so its 8x8 pairs are those of _PAIRS_8
+        assert built == (0, 1, 2, 3, 4)
+        small, big, marg = report_stacks(rho, built, room)
         for mats, inputs, pairs in ((small, 6, coherence._PAIRS_4), (big, 5, coherence._PAIRS_8)):
-            expected[mats.shape[-1]] = concatenated_route_eigh_input(mats[:inputs].copy(), pairs)
+            expected[mats.shape[-1]] = concatenated_route_eigh_input(mats[:inputs].copy(), [*pairs.values()])
         return small, big, marg
 
     def checked_eigh(a, vectors=True):
@@ -482,7 +486,91 @@ def test_report_kernel_chunk_peaks_below_950_kb_under_tracemalloc(zz_sweep):
     # 657 KB, so the bound leaves about 290 KB of margin above it and fails the old layout by 200 KB
     rho = states.density(zz_sweep.ground_states[:coherence.REPORT_CHUNK])
     assert len(rho) == 16
-    assert traced_peak(coherence._chunk_rows, 0, rho, 1.0) <= 950 * 1024
+    assert traced_peak(coherence._chunk_rows, 0, rho, 1.0, frozenset(coherence._DISTANCES)) <= 950 * 1024
+
+
+# the distances ``tricoh ratios`` scores: those of its ratio columns and the three terms of M
+RATIO_FIELDS = {"c_global", "c_local", "c_2_3", "c_1_23", "c_abs_1_23", "c_1_2", "c_1_3"}
+RATIO_ROW = [coherence.CoherenceReport._fields.index(field) for field in (*sorted(RATIO_FIELDS), "monogamy_m")]
+
+
+@pytest.mark.parametrize("base", [2.0, math.e])
+def test_subset_kernel_matches_the_full_reports_bitwise(base, stacks_over_many_chunks):
+    # the seven distances and M, and the two slacks that read only them, have the bits of the full
+    # report; C_T, C_A and the two slacks that read C_A are nan
+    left_out = [coherence.REPORT_COLUMNS.index(name) for name in ("C_T", "C_A", "slack7", "slack10a")]
+    for rhos in stacks_over_many_chunks:
+        full = np.array(coherence.coherence_reports(rhos, base))
+        got = np.array(coherence._reports(rhos, base, RATIO_FIELDS))
+        assert same_bits(np.delete(got, left_out, axis=1), np.delete(full, left_out, axis=1))
+        assert np.isnan(got[:, left_out]).all() and not np.isnan(full).any()
+
+
+def test_subset_kernel_scores_each_8x8_distance_alone_bitwise(zzz_sweep, states_within_tomo_tolerance):
+    # one 8x8 pair alone builds only its two inputs: C_A builds dephased pi(rho) without pi(rho) in the stack
+    rhos = np.concatenate([states.density(zzz_sweep.ground_states[:20]), seeded_states(np.random.default_rng(81), 20),
+                           states_within_tomo_tolerance])
+    full = np.array(coherence.coherence_reports(rhos, math.e))
+    for field in coherence._PAIRS_8:
+        got = np.array(coherence._reports(rhos, math.e, {field}))
+        kept = [coherence.CoherenceReport._fields.index(name) for name in (field, *coherence._PAIRS_4)]
+        assert same_bits(got[:, kept], full[:, kept]), field
+        assert np.isnan(got[:, [k for k in range(9) if k not in kept]]).all(), field
+
+
+def test_subset_kernel_diagonalizes_eight_8x8_matrices_per_ratios_state(monkeypatch, tmp_path):
+    # rho, pi(rho), dephased pi(rho), rho_1 x rho_23 and their four mixtures for ratios; sweep adds
+    # dephased rho and the mixtures of C_T and C_A; 41 states are report chunks of 16, 16 and 9
+    eigh, reports = qmat._eigh, coherence._reports
+    stacks, requests = [], []
+
+    def spy(a, vectors=True):
+        if a.ndim == 4 and a.shape[-1] == 8:
+            stacks.append(a.shape)
+        return eigh(a, vectors)
+
+    def requested(rhos, base, fields):
+        requests.append(set(fields))
+        return reports(rhos, base, fields)
+
+    monkeypatch.setattr(qmat, "_eigh", spy)
+    monkeypatch.setattr(coherence, "_reports", requested)
+    out = ["--model", "zz", "--steps", "40", "--out", str(tmp_path)]
+    assert cli.main(["ratios", *out]) == 0
+    assert (stacks, requests) == ([(8, n, 8, 8) for n in (16, 16, 9)], [RATIO_FIELDS])
+    stacks.clear()
+    assert cli.main(["sweep", *out]) == 0
+    assert (stacks, requests[1:]) == ([(11, n, 8, 8) for n in (16, 16, 9)], [set(coherence._DISTANCES)])
+
+
+def test_subset_kernel_keeps_the_whole_stack_index_of_a_failed_cross_check(state_failing_cross_check):
+    # in the third chunk, the state fails the scored pair (rho, pi(rho)), and (rho, dephased rho) before it in
+    # the full report
+    rhos = np.array(seeded_states(np.random.default_rng(79), 3 * coherence.REPORT_CHUNK))
+    rhos[2 * coherence.REPORT_CHUNK + 3] = state_failing_cross_check
+    for fields in (RATIO_FIELDS, coherence._DISTANCES):
+        with pytest.raises(coherence.CrossCheckError) as exc:
+            coherence._reports(rhos, 2.0, fields)
+        assert exc.value.index == 2 * coherence.REPORT_CHUNK + 3
+
+
+def test_subset_kernel_skips_the_cross_check_of_a_distance_left_out(monkeypatch):
+    # a dephased rho with a -5e-7 eigenvalue fails only C_T's cross-check, which ratios neither scores nor checks
+    rhos = np.array(seeded_states(np.random.default_rng(80), coherence.REPORT_CHUNK + 5))
+    want = np.array(coherence.coherence_reports(rhos))[:, RATIO_ROW]
+    dephased = coherence._dephased
+    planted = rhos[coherence.REPORT_CHUNK + 2]
+
+    def plant(m):
+        got = dephased(m)
+        got.reshape(-1, 8, 8)[(m.reshape(-1, 8, 8) == planted).all(axis=(1, 2)), 0, 0] = -5e-7
+        return got
+
+    monkeypatch.setattr(coherence, "_dephased", plant)
+    with pytest.raises(coherence.CrossCheckError, match="qjsd cross-check failed") as exc:
+        coherence.coherence_reports(rhos)
+    assert exc.value.index == coherence.REPORT_CHUNK + 2
+    assert same_bits(np.array(coherence._reports(rhos, 2.0, RATIO_FIELDS))[:, RATIO_ROW], want)
 
 
 # the test_chunked_reports_* tests score stacks of more than one chunk, each chunk through its
@@ -516,11 +604,11 @@ def test_chunked_reports_raise_the_first_failure_in_serial_order(monkeypatch, st
     # _report_stacks runs once per chunk; scored holds (chunk, matrix size) of each _qjsd_pairs call
     prepared, scored = [], []
 
-    def stacks(rho):
+    def stacks(rho, *args):
         prepared.append(len(prepared))
         if fail["stacks"] and len(prepared) == 3:
             raise ValueError("chunk 2's stacks")
-        return report_stacks(rho)
+        return report_stacks(rho, *args)
 
     def pairs(w, *args):
         scored.append((prepared[-1], w.shape[-1]))
@@ -568,9 +656,9 @@ def test_chunked_reports_raise_a_failed_eigh_after_the_steps_before_it(monkeypat
             raise np.linalg.LinAlgError("chunk 2's 8x8 eigh")
         return eigh(a, vectors)
 
-    def stacks(rho):
+    def stacks(rho, *args):
         prepared.append(len(prepared))
-        return report_stacks(rho)
+        return report_stacks(rho, *args)
 
     def pairs(w, *args):
         scored.append((prepared[-1], w.shape[-1]))
@@ -738,6 +826,19 @@ def test_embed_zero_absolute_coherence_places_pi_on_x_axis():
     assert np.array_equal(tet.pi_product, [0.5, 0.0, 0.0])
     assert np.array_equal(tet.split_1_23, [0.2, 0.0, 0.0])
     assert tet.residual <= 1e-15
+
+
+def test_embed_places_pi_at_a_global_coherence_just_above_the_embedding_floor():
+    # c_global = 1.5e-9 clears EMBED_EPS, so pi(rho) lies at that distance from rho, at a right angle to the
+    # rho-pid axis (C_A = C_L = 1), rather than collapsing onto rho at the origin
+    rep = coherence.CoherenceReport(
+        c_total=1.0, c_global=1.5e-9, c_local=1.0, c_absolute=1.0,
+        c_1_23=0.0, c_2_3=0.0, c_abs_1_23=1.0, c_1_2=0.0, c_1_3=0.0,
+        monogamy_m=0.0, slack_eq7=0.0, slack_eq10a=0.0, slack_eq10b=0.0, slack_eq11=0.0,
+    )
+    tet = coherence.embed_tetrahedron(rep)
+    assert tet.pi_product.tolist() == [0.0, 1.5e-9, 0.0]
+    assert np.linalg.norm(tet.pi_product - tet.rho) == 1.5e-9
 
 
 EMBED_DISTANCES = [

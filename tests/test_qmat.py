@@ -169,6 +169,13 @@ def eig_clusters(h):
     return [v[:, start:stop] for start, stop in qmat._clusters(w) if stop - start > 1]
 
 
+def test_clusters_split_a_gap_of_exactly_the_degeneracy_tolerance():
+    # a gap below DEGENERACY_TOL joins a cluster; a gap equal to it does not
+    w = np.array([0.0, qmat.DEGENERACY_TOL, 1.0])
+    assert list(qmat._clusters(w)) == [(0, 1), (1, 2), (2, 3)]
+    assert list(qmat._clusters(np.array([0.0, qmat.DEGENERACY_TOL / 2, 1.0]))) == [(0, 2), (2, 3)]
+
+
 def cluster_blocks():
     rng = np.random.default_rng(29)
     for dim in (2, 4, 8):
@@ -409,6 +416,17 @@ def test_normalize_phase_convention():
     # largest-magnitude amplitude becomes real and nonnegative
     assert out[1].imag == pytest.approx(0.0, abs=1e-15)
     assert out[1].real > 0
+
+
+def test_normalize_phase_takes_a_pivot_only_within_1e_12_of_the_largest_modulus():
+    # normalized, the first modulus is 1.06e-12 below the second, just past the tie margin, so the
+    # second amplitude is the pivot; a margin of 2e-12 would take the first
+    vec = np.zeros(8, dtype=complex)
+    vec[:2] = (1 - 1.5e-12) * np.exp(0.3j), np.exp(1.1j)
+    got = qmat.normalize_phase(vec)
+    np.testing.assert_allclose(got[:2], [math.sqrt(0.5) * np.exp(-0.8j), math.sqrt(0.5)], rtol=0.0, atol=1e-11)
+    assert np.round(got[:2], 4).tolist() == [0.4926 - 0.5072j, 0.7071]
+    assert not got[2:].any()
 
 
 def normalize_phase_norm_and_scalar_abs(vec):
