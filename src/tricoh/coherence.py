@@ -281,19 +281,16 @@ def _report_stacks(rho, inputs, room):
     _kron_into(small[1:6:2], marg[[1, 0, 0]], marg[[2, 1, 2]])
     big = np.empty((len(inputs) + room, n, 8, 8), dtype=complex)
     # input 0 is rho, 2 pi(rho) = rho_12 x rho_3 and 4 rho_1 x rho_23; inputs 1 and 3 dephase inputs 0 and 2,
-    # read from the slot before theirs when those are inputs too and else built in their own
+    # which ``_plan_8`` puts in the slot before theirs
     for k, i in enumerate(inputs):
-        if i in _DEPHASED_8 and i - 1 in inputs:
+        if i in _DEPHASED_8:
             big[k] = _dephased(big[k - 1])
-            continue
-        if i < 2:
+        elif i == 0:
             big[k] = rho
-        elif i < 4:
+        elif i == 2:
             _kron_into(big[k], small[3], marg[2])
         else:
             _kron_into(big[k], marg[0], small[0])
-        if i in _DEPHASED_8:
-            big[k] = _dephased(big[k])
     return small, big, marg
 
 
@@ -301,12 +298,14 @@ def _report_stacks(rho, inputs, room):
 def _plan_8(fields):
     """What ``_chunk_rows`` builds for the distances ``fields``, once per set of them.
 
-    Returns the 8x8 inputs that the ``_PAIRS_8`` pairs of ``fields`` read, by
-    index and ascending; those pairs as indices into these inputs; and the
-    report rows of their distances, then of the 4x4 ones.
+    Returns the 8x8 inputs that the ``_PAIRS_8`` pairs of ``fields`` read,
+    with the input that each dephased one dephases, by index and ascending;
+    those pairs as indices into these inputs; and the report rows of their
+    distances, then of the 4x4 ones.
     """
     scored = [field for field in _PAIRS_8 if field in fields]
-    inputs = tuple(sorted({i for field in scored for i in _PAIRS_8[field]}))
+    read = {i for field in scored for i in _PAIRS_8[field]}
+    inputs = tuple(sorted(read | {i - 1 for i in read if i in _DEPHASED_8}))
     pairs = tuple(tuple(map(inputs.index, _PAIRS_8[field])) for field in scored)
     return inputs, pairs, np.array([_DISTANCES.index(field) for field in (*scored, *_PAIRS_4)])
 

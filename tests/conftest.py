@@ -82,6 +82,15 @@ def state_failing_cross_check():
 
 
 @pytest.fixture
+def fresh_density_tables():
+    # the cached tables are built through the eigensolver, so a test that watches or swaps it, or checks how
+    # a table is built, builds its own, and leaves none built by a swapped solver behind
+    adiabatic._density_table.cache_clear()
+    yield
+    adiabatic._density_table.cache_clear()
+
+
+@pytest.fixture
 def no_thread(monkeypatch):
     """Fail any code under test that starts a thread."""
 

@@ -719,12 +719,14 @@ PERFBENCH_SEARCHES = [("zz", 0.9, 36), ("zz", 0.99, 126), ("zz", 0.999, 412),
 
 
 @pytest.mark.parametrize(("tag", "target", "want"), PERFBENCH_SEARCHES)
-def test_step_search_probes_build_no_states_and_read_the_cached_table(monkeypatch, tag, target, want):
+def test_step_search_probes_build_no_states_and_read_the_cached_table(monkeypatch, fresh_density_tables, tag,
+                                                                       target, want):
+    # each search builds its density table and raises no floating-point error or warning on the way
     def forbidden(*args, **kwargs):
         raise AssertionError("a probe must not rebuild the sector basis")
 
     tau = models.model(tag).tau
-    with monkeypatch.context() as patch:
+    with monkeypatch.context() as patch, np.errstate(all="raise"):
         for namespace in (adiabatic, states):
             patch.setattr(namespace, "make_state", forbidden)
         got, probed = probed_search(monkeypatch, tag, target, tau)
@@ -1073,6 +1075,7 @@ def per_point_density(tag, grid, params=None):
     return dens
 
 
+@pytest.mark.kernel_rounding
 @pytest.mark.parametrize("tag", models.MODEL_TAGS)
 def test_gap_adaptive_schedule_matches_per_point_density_bitwise(tag):
     m = models.model(tag)
@@ -1086,6 +1089,7 @@ def test_gap_adaptive_schedule_matches_per_point_density_bitwise(tag):
 DENSITY_PARAMS = [None, models.ModelParams(omega_z=-1.1, omega_x=0.3), models.ModelParams(omega_x=0.0)]
 
 
+@pytest.mark.kernel_rounding
 @pytest.mark.parametrize("params", DENSITY_PARAMS, ids=["default", "fields", "no_transverse"])
 @pytest.mark.parametrize("tag", models.MODEL_TAGS)
 def test_cached_density_table_matches_uncached_and_per_point(tag, params):

@@ -185,6 +185,7 @@ def test_reports_match_single_reports_bitwise():
         np.testing.assert_array_equal(report_bits(rep), report_bits(coherence.coherence_report(rho)))
 
 
+@pytest.mark.kernel_rounding
 def test_reports_pinned_rounding_noise(zz_reports, zzz_reports):
     # J = 0 rows: the distances are square roots of ~1e-16 rounding noise, so
     # they change with any change to the float operations on each matrix
@@ -507,7 +508,8 @@ def test_subset_kernel_matches_the_full_reports_bitwise(base, stacks_over_many_c
 
 
 def test_subset_kernel_scores_each_8x8_distance_alone_bitwise(zzz_sweep, states_within_tomo_tolerance):
-    # one 8x8 pair alone builds only its two inputs: C_A builds dephased pi(rho) without pi(rho) in the stack
+    # one 8x8 pair alone builds only its two inputs and the input that a dephased one dephases: C_A builds
+    # dephased pi(rho) from pi(rho), which the stack holds too
     rhos = np.concatenate([states.density(zzz_sweep.ground_states[:20]), seeded_states(np.random.default_rng(81), 20),
                            states_within_tomo_tolerance])
     full = np.array(coherence.coherence_reports(rhos, math.e))

@@ -828,15 +828,6 @@ def test_scalar_arguments_reject_text_none_bools_and_arrays_by_name(call, messag
         call()
 
 
-@pytest.fixture
-def fresh_density_tables():
-    # the cached tables are built through the eigensolver, so a test that watches or swaps it builds its own,
-    # and leaves none built by a swapped solver behind
-    adiabatic._density_table.cache_clear()
-    yield
-    adiabatic._density_table.cache_clear()
-
-
 def test_numpy_eigensolvers_are_called_only_by_the_seam(monkeypatch, tmp_path, fresh_density_tables):
     # a sector problem whose Newton start is the first excited level, so every row takes the eigh fallback.
     # hx_s is built by hand: adiabatic._prepare_sector would build the zz density table here, before the spy,

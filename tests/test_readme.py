@@ -1,5 +1,6 @@
 """The README's library tour and command-line examples run as documented, and the names it points to exist."""
 
+import ast
 import importlib
 import json
 from pathlib import Path
@@ -45,6 +46,30 @@ def documented_names():
     modules = "|".join(m.name for m in pkgutil.iter_modules(tricoh.__path__))
     dotted = re.compile(rf"(?:tricoh\.)?({modules})\.([A-Za-z_]\w*)")
     return sorted({hit.groups() for span in re.findall(r"`([^`\n]+)`", prose) for hit in [dotted.match(span)] if hit})
+
+
+def public_name_readers():
+    """Each ``__all__`` name -> the top-level definitions (or ``<module>``) outside its own that load it.
+
+    A load is a name or an attribute read, so an import, or a field store of the same name, is none. The
+    files searched are the library modules but ``__init__.py``, the benchmark's and the tools'.
+    """
+    files = [p for p in sorted((ROOT / "src" / "tricoh").glob("*.py")) if p.name != "__init__.py"]
+    files += sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "tools").glob("*.py"))
+    readers = {name: set() for name in tricoh.__all__}
+    for path in files:
+        for top in ast.parse(path.read_text()).body:
+            where = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    name = node.attr
+                else:
+                    continue
+                if name in readers and name != where:
+                    readers[name].add(f"{path.stem}.{where}")
+    return readers
 
 
 def nested_keys(obj):
@@ -115,3 +140,13 @@ def test_readme_names_resolve_to_documented_objects():
         assert obj is not None, f"README names {module}.{name}, which does not exist"
         if callable(obj):
             assert obj.__doc__ and obj.__doc__.strip(), f"README names {module}.{name}, which has no docstring"
+
+
+def test_readme_lists_the_public_names_that_nothing_outside_the_tests_reads():
+    readers = public_name_readers()
+    listed = re.search(r"no caller outside the test suite, .*?: (.*?)\. Of the others, only `dist` reads "
+                       r"`coherence\.qjsd` and only `pi_product` reads `states\.marginals`\.", " ".join(README.split()))
+    assert listed, "README's list of unread public names moved"
+    assert sorted(span.split(".")[1] for span in re.findall(r"`([^`]+)`", listed[1])) == sorted(
+        name for name, where in readers.items() if not where)
+    assert (readers["qjsd"], readers["marginals"]) == ({"coherence.dist"}, {"states.pi_product"})
