@@ -50,9 +50,12 @@ SUPPORT_WEIGHT_TOL = 1e-10
 CROSS_CHECK_TOL = 1e-9
 # denominators below this collapse a tetrahedron vertex instead of dividing
 EMBED_EPS = 1e-9
-# states per batch in ``coherence_reports``; bounds the working set, since
-# each state adds up to 20 derived matrices and their eigenvectors
-REPORT_CHUNK = 16
+# states per batch in ``coherence_reports``: each chunk pays a fixed cost of
+# about 0.3 ms, and each state adds up to 20 derived matrices and their
+# eigenvectors, of which the ``eigh`` inputs and outputs alone take about
+# 22 KB; 32 is the largest count whose chunk's traced peak stays under the
+# 950 KB that tier-1 allows it
+REPORT_CHUNK = 32
 
 
 class CrossCheckError(ArithmeticError):
@@ -84,20 +87,31 @@ def _entropies(w, scale):
 def _relative_entropies(w, v, sides, mixed, scale):
     """S_r(rho||sigma) per row, rho the matrices ``sides`` and sigma the matrices ``mixed`` of ``eigh`` pairs (w, v).
 
-    ``sides`` is an index array, so rho's eigenvectors are a copy, conjugated
-    in place; sigma's broadcast against them. Floor tests and logarithms are
-    taken once, by ``_log_terms``; its row sums, p log p of the eigenvalues p
-    clipped at 0, are returned too. Rows where rho puts more than
-    ``SUPPORT_WEIGHT_TOL`` weight outside the support of sigma read +inf.
+    ``sides`` holds one index array per side, and the overlaps are taken one
+    side at a time, left then right: each pass copies that side's
+    eigenvectors by fancy index, conjugates the copy in place, multiplies it
+    against sigma's and squares the moduli into its weights, so only one
+    side's copy and overlap are alive at once. Each matrix's product is one
+    ``zgemm`` or ``gemv`` call of its own either way, so a pass per side has
+    the bits of one pass over both. The two sides' weights are then stacked,
+    and tested and scored together. Floor tests and logarithms are taken once, by ``_log_terms``;
+    its row sums, p log p of the eigenvalues p clipped at 0, are returned
+    too. Rows where rho puts more than ``SUPPORT_WEIGHT_TOL`` weight outside
+    the support of sigma read +inf.
     """
     floor, log, wlogw = _log_terms(w)
-    u = v[sides]
-    # weight_j = sum_i p_i |<u_i|v_j>|^2, the weight of rho on sigma's j-th eigenvector
-    overlap = np.conjugate(u, out=u).swapaxes(-1, -2) @ v[mixed]
-    del u
-    overlap = np.abs(overlap)
-    overlap **= 2
-    weight = (np.maximum(w[sides], 0.0)[..., None, :] @ overlap)[..., 0, :]
+    v_mixed = v[mixed]
+    weights = []
+    for side in sides:
+        u = v[side]
+        # weight_j = sum_i p_i |<u_i|v_j>|^2, the weight of rho on sigma's j-th eigenvector
+        overlap = np.conjugate(u, out=u).swapaxes(-1, -2) @ v_mixed
+        del u
+        overlap = np.abs(overlap)
+        overlap **= 2
+        weights.append((np.maximum(w[side], 0.0)[..., None, :] @ overlap)[..., 0, :])
+        del overlap
+    weight = np.stack(weights)
     mismatch = (~floor[mixed] & (weight > SUPPORT_WEIGHT_TOL)).any(-1)
     s = (wlogw[sides] - (weight * log[mixed]).sum(-1)) / scale
     return np.where(mismatch, math.inf, np.where(s < 0.0, 0.0, s)), wlogw
@@ -127,9 +141,10 @@ def _diagonal_entropies(diagonals, scale):
 def _qjsd_stack(mats, pairs):
     """The symmetrized (S + P, n, d, d) stack whose ``eigh`` eigenpairs ``_qjsd_pairs`` scores.
 
-    ``mats`` holds the S inputs, then room for the mixtures of the P index
-    pairs ``pairs``, which are written there in pair order with the bits of
-    (a + b) / 2: one ``np.add`` of two views, then a halving in place.
+    ``mats`` holds the S inputs, then room for the mixtures of the rows (a,
+    b) of the (P, 2) index array ``pairs``, which are written there in pair
+    order with the bits of (a + b) / 2: one ``np.add`` of two views, then a
+    halving in place.
     """
     n_in = len(mats) - len(pairs)
     for k, (a, b) in enumerate(pairs, n_in):
@@ -139,7 +154,7 @@ def _qjsd_stack(mats, pairs):
 
 
 def _qjsd_pairs(w, v, pairs, closed, scale):
-    """QJSD of the P index pairs ``pairs`` from the ``eigh`` eigenpairs of a ``_qjsd_stack``.
+    """QJSD of the rows of the (P, 2) index array ``pairs`` from the ``eigh`` eigenpairs of a ``_qjsd_stack``.
 
     Returns the (P, n) divergences. Each matrix is diagonalized once: the
     S + P eigenpairs (w, v) serve the defining form, both sides of a pair
@@ -151,8 +166,7 @@ def _qjsd_pairs(w, v, pairs, closed, scale):
     stacks. The two forms must agree within ``CROSS_CHECK_TOL`` for every
     pair, else ``CrossCheckError`` with the index of the first failing state.
     """
-    sides = np.array(pairs).T
-    left, right = sides
+    left, right = sides = pairs.T
     n_in = len(w) - len(pairs)
     rel, wlogw = _relative_entropies(w, v, sides, slice(n_in, None), scale)
     j_def = 0.5 * (rel[0] + rel[1])
@@ -194,7 +208,7 @@ def relative_entropy(rho, sigma, base=2.0):
     sigma whose eigenvalues fall below the floor, ``math.inf`` is returned.
     """
     w, v = qmat._eigh(_sym(_pair_stack(rho, sigma)[:2]))
-    return float(_relative_entropies(w, v, [0], 1, _log_scale(base))[0][0])
+    return float(_relative_entropies(w, v, [[0]], 1, _log_scale(base))[0][0, 0])
 
 
 def qjsd(rho, sigma, base=2.0):
@@ -204,7 +218,7 @@ def qjsd(rho, sigma, base=2.0):
     verifying it against S(m) - S(rho)/2 - S(sigma)/2 within
     ``CROSS_CHECK_TOL``. Always finite and bounded by log_base(2).
     """
-    pairs = [(0, 1)]
+    pairs = np.array([(0, 1)])
     w, v = qmat._eigh(_qjsd_stack(_pair_stack(rho, sigma)[:, None], pairs))
     return float(_qjsd_pairs(w, v, pairs, {}, _log_scale(base))[0, 0])
 
@@ -247,6 +261,9 @@ _DEPHASED_8 = (1, 3)
 # 4x4 stack (rho_23, rho_2 x rho_3, rho_12, rho_1 x rho_2, rho_13, rho_1 x rho_3); the QJSD
 # drops a common tensor factor, so C_2_3 = D(rho_1 x rho_23, pi(rho)) is scored on the first pair
 _PAIRS_4 = {"c_2_3": (0, 1), "c_1_2": (2, 3), "c_1_3": (4, 5)}
+# the 4x4 pairs as the (3, 2) index array that ``_qjsd_stack`` and ``_qjsd_pairs`` read
+_PAIRS_4_INDEX = np.array([*_PAIRS_4.values()])
+_PAIRS_4_INDEX.flags.writeable = False
 _DISTANCES = CoherenceReport._fields[:9]
 
 
@@ -300,14 +317,20 @@ def _plan_8(fields):
 
     Returns the 8x8 inputs that the ``_PAIRS_8`` pairs of ``fields`` read,
     with the input that each dephased one dephases, by index and ascending;
-    those pairs as indices into these inputs; and the report rows of their
-    distances, then of the 4x4 ones.
+    those pairs as a read-only (P, 2) array of indices into these inputs; the
+    slots of the dephased inputs; the (slot, row) of pi(rho) and of rho_1 x
+    rho_23 among them, each row that of its product spectrum in
+    ``_chunk_rows``; and the report rows of the distances, then of the 4x4
+    ones.
     """
     scored = [field for field in _PAIRS_8 if field in fields]
     read = {i for field in scored for i in _PAIRS_8[field]}
     inputs = tuple(sorted(read | {i - 1 for i in read if i in _DEPHASED_8}))
-    pairs = tuple(tuple(map(inputs.index, _PAIRS_8[field])) for field in scored)
-    return inputs, pairs, np.array([_DISTANCES.index(field) for field in (*scored, *_PAIRS_4)])
+    pairs = np.array([[inputs.index(i) for i in _PAIRS_8[field]] for field in scored])
+    pairs.flags.writeable = False
+    dephased = tuple(k for k, i in enumerate(inputs) if i in _DEPHASED_8)
+    products = tuple((inputs.index(i), row) for row, i in enumerate((2, 4)) if i in inputs)
+    return inputs, pairs, dephased, products, np.array([_DISTANCES.index(field) for field in (*scored, *_PAIRS_4)])
 
 
 def _chunk_rows(start, rho, scale, fields):
@@ -321,14 +344,16 @@ def _chunk_rows(start, rho, scale, fields):
     value scored has the bits it has when all nine are.
 
     A function of its own, so that one chunk's arrays are freed before the
-    next chunk's are built. In the order that ``coherence_reports`` states,
+    next chunk's are built; within the chunk, each array is held only while
+    it is needed. In the order that ``coherence_reports`` states,
     ``_report_stacks`` writes the raw stacks and ``_qjsd_stack`` their
-    mixtures and the symmetrized copies, which no name holds: they are freed
-    as both ``eigh`` calls return, and the raw stacks right after, but for
-    the (k, n, 8) real diagonals of the dephased inputs. The scores take the
-    4x4 pairs first, so their ``CrossCheckError`` wins; it names the state's
-    index in the whole stack. The distances come first; the monogamy
-    difference and the four slacks are sums of them.
+    mixtures and the symmetrized copies. The raw 4x4 stack is freed once its
+    copy is made, and the raw 8x8 stack once its copy is made and the (k, n,
+    8) real diagonals of its dephased inputs are taken. Each symmetrized
+    stack is freed as its ``eigh`` returns, the 4x4 one first. The scores
+    take the 4x4 pairs first, so their ``CrossCheckError`` wins; it names
+    the state's index in the whole stack. The distances come first; the
+    monogamy difference and the four slacks are sums of them.
 
     The entropic form reads the ``eigh`` spectra of rho, the two-qubit
     marginals and the mixtures. The structured matrices get closed forms,
@@ -344,24 +369,29 @@ def _chunk_rows(start, rho, scale, fields):
     accepts without ``--repair`` (Hermitian and positive only within
     ``--tol``) gets the same closed forms as its ``eigh`` route.
     """
-    inputs, pairs, rows = _plan_8(fields)
-    pairs4 = [*_PAIRS_4.values()]
+    inputs, pairs, dephased, products, rows = _plan_8(fields)
     small, big, marg = _report_stacks(rho, inputs, len(pairs))
-    (w4, v4), (w8, v8) = map(qmat._eigh, (_qjsd_stack(small, pairs4), _qjsd_stack(big, pairs)))
-    dephased = [i for i in inputs if i in _DEPHASED_8]
-    diagonals = np.diagonal(big, axis1=-2, axis2=-1)[[inputs.index(i) for i in dephased]].real.copy()
-    del small, big
+    sym4 = _qjsd_stack(small, _PAIRS_4_INDEX)
+    del small
+    sym8 = _qjsd_stack(big, pairs)
+    diagonals = np.take(np.diagonal(big, axis1=-2, axis2=-1), dephased, axis=0).real.copy()
+    del big
+    w4, v4 = qmat._eigh(sym4)
+    del sym4
+    w8, v8 = qmat._eigh(sym8)
+    del sym8
     q = _qubit_spectra(marg)
     # spectra of rho_2 x rho_3, rho_1 x rho_2 and rho_1 x rho_3
     q4 = _product_spectrum(q[[1, 0, 0]], q[[2, 1, 2]])
     s4 = _entropies(q4, scale)
     try:
-        j4 = _qjsd_pairs(w4, v4, pairs4, {1: s4[0], 3: s4[1], 5: s4[2]}, scale)
+        j4 = _qjsd_pairs(w4, v4, _PAIRS_4_INDEX, {1: s4[0], 3: s4[1], 5: s4[2]}, scale)
         # pi(rho) = rho_1 x rho_2 x rho_3 and rho_1 x rho_23; rho_23 is the first matrix of the 4x4 stack
         s8 = _entropies(np.stack([_product_spectrum(q4[1], q[2]), _product_spectrum(q[0], w4[0])]), scale)
-        # closed forms by 8x8 input index, passed on by slot
-        closed = {2: s8[0], 4: s8[1], **dict(zip(dephased, _diagonal_entropies(diagonals, scale)))}
-        j8 = _qjsd_pairs(w8, v8, pairs, {k: closed[i] for k, i in enumerate(inputs) if i in closed}, scale)
+        # closed forms by slot
+        closed = {k: s8[row] for k, row in products}
+        closed.update(zip(dephased, _diagonal_entropies(diagonals, scale)))
+        j8 = _qjsd_pairs(w8, v8, pairs, closed, scale)
     except CrossCheckError as exc:
         exc.index += start
         raise
@@ -412,9 +442,10 @@ def coherence_reports(rhos, base=2.0):
     States are processed ``REPORT_CHUNK`` at a time on the calling thread,
     chunk after chunk, by ``_chunk_rows``, and each chunk runs in one serial
     order: its stacks (``_report_stacks``, then the mixtures and ``_sym`` of
-    ``_qjsd_stack``), the stacked 4x4 ``eigh``, the stacked 8x8 ``eigh``,
-    then, with the stacks freed, its scores. So the first failure in that
-    order is the one raised, and no later chunk's stacks are built before it.
+    ``_qjsd_stack``, 4x4 then 8x8), the stacked 4x4 ``eigh``, the stacked
+    8x8 ``eigh``, then, with the stacks freed, its scores. So the first
+    failure in that order is the one raised, and no later chunk's stacks are
+    built before it.
     """
     return _reports(rhos, base, _DISTANCES)
 

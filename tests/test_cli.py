@@ -219,8 +219,10 @@ def seeded_density_files(directory, seed, count, failing=None, failing_index=Non
 def test_tomo_over_two_report_chunks_blames_the_file_and_repeats_its_bytes(
     tmp_path, capsys, monkeypatch, no_thread, state_failing_cross_check
 ):
-    # 20 files span two report chunks; a second run writes the same bytes
-    paths = seeded_density_files(tmp_path, 91, 20, state_failing_cross_check, 17)
+    # REPORT_CHUNK + 4 files span two report chunks, and the failing one is in the second; a second run
+    # writes the same bytes
+    count, failing = coherence.REPORT_CHUNK + 4, coherence.REPORT_CHUNK + 1
+    paths = seeded_density_files(tmp_path, 91, count, state_failing_cross_check, failing)
     chunks = []
 
     def spy(rho, *args, _fn=coherence._report_stacks):
@@ -231,18 +233,19 @@ def test_tomo_over_two_report_chunks_blames_the_file_and_repeats_its_bytes(
     files = [str(path) for path in paths]
     assert run_cli(["tomo", *files, "--out", str(tmp_path / "first")]) == 2
     out, err = capsys.readouterr()
-    assert [line.split(": fidelity ")[0] for line in out.splitlines()] == [f"f{k}.json" for k in range(20)]
-    assert err.startswith(f"error: {paths[17]}: qjsd cross-check failed")
+    assert [line.split(": fidelity ")[0] for line in out.splitlines()] == [f"f{k}.json" for k in range(count)]
+    assert err.startswith(f"error: {paths[failing]}: qjsd cross-check failed")
     assert not (tmp_path / "first" / "tomo_report.csv").exists()
     assert run_cli(["tomo", *files, "--repair", "--out", str(tmp_path / "first")]) == 0
-    assert chunks == [16, 4, 16, 4]
+    assert chunks == [coherence.REPORT_CHUNK, 4] * 2
     assert run_cli(["tomo", *files, "--repair", "--out", str(tmp_path / "second")]) == 0
-    assert chunks == [16, 4] * 3
+    assert chunks == [coherence.REPORT_CHUNK, 4] * 3
     assert filecmp.cmp(*(tmp_path / run / "tomo_report.csv" for run in ("first", "second")), shallow=False)
 
 
 def test_no_verb_starts_a_thread_or_loads_the_thread_pool(tmp_path, no_thread):
-    files = [str(path) for path in seeded_density_files(tmp_path, 93, 20)]
+    # enough files for tomo to span two report chunks
+    files = [str(path) for path in seeded_density_files(tmp_path, 93, coherence.REPORT_CHUNK + 4)]
     out = ["--out", str(tmp_path)]
     assert run_cli(["sweep", "--model", "zz", *out]) == 0
     assert run_cli(["ratios", "--model", "zzz", *out]) == 0

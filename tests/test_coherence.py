@@ -177,8 +177,7 @@ def report_bits(report):
 
 
 def test_reports_match_single_reports_bitwise():
-    rhos = seeded_states(np.random.default_rng(63), 37)
-    assert len(rhos) > 2 * coherence.REPORT_CHUNK
+    rhos = seeded_states(np.random.default_rng(63), 2 * coherence.REPORT_CHUNK + 5)
     batch = coherence.coherence_reports(np.array(rhos))
     assert len(batch) == len(rhos)
     for rho, rep in zip(rhos, batch):
@@ -291,8 +290,9 @@ def test_report_kernel_builds_no_intermediate_through_the_checked_api(monkeypatc
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
     assert coherence.coherence_reports(rhos) == reports
-    # one 4x4 and one 8x8 eigh per chunk of 16, 16 and 5 states
-    assert calls == [(9, n, 4, 4) if k % 2 == 0 else (11, n, 8, 8) for n in (16, 16, 5) for k in range(2)]
+    # one 4x4 and one 8x8 eigh per chunk, of REPORT_CHUNK, REPORT_CHUNK and 5 states
+    chunks = (coherence.REPORT_CHUNK, coherence.REPORT_CHUNK, 5)
+    assert calls == [(9, n, 4, 4) if k % 2 == 0 else (11, n, 8, 8) for n in chunks for k in range(2)]
 
 
 @pytest.mark.parametrize("source", ["zz", "zzz", "mixed"])
@@ -481,12 +481,13 @@ def test_report_kernel_matches_the_concatenated_route_bitwise(
 
 
 def test_report_kernel_chunk_peaks_below_950_kb_under_tracemalloc(zz_sweep):
-    # one 16-state chunk of the default zz sweep peaked at 1154 KB while each chunk copied its inputs
-    # into a concatenated stack, held both raw stacks through its scores and built three (2, 6, 16, 8, 8)
-    # overlap copies; writing each stack in place and freeing the raw stacks before the scores reads
-    # 657 KB, so the bound leaves about 290 KB of margin above it and fails the old layout by 200 KB
+    # one 32-state chunk of the default zz sweep peaked at 1311 KB while it held both raw stacks, both
+    # symmetrized stacks and both eigenpair sets through the 8x8 eigh and took both sides' overlaps at
+    # once; freeing each stack as soon as it is used and taking the overlaps one side at a time reads
+    # 912 KB. The eigh inputs and outputs alone take about 22 KB per state, so 32 states is the largest
+    # chunk under the bound, which fails the old layout by 360 KB
     rho = states.density(zz_sweep.ground_states[:coherence.REPORT_CHUNK])
-    assert len(rho) == 16
+    assert len(rho) == 32
     assert traced_peak(coherence._chunk_rows, 0, rho, 1.0, frozenset(coherence._DISTANCES)) <= 950 * 1024
 
 
@@ -522,7 +523,8 @@ def test_subset_kernel_scores_each_8x8_distance_alone_bitwise(zzz_sweep, states_
 
 def test_subset_kernel_diagonalizes_eight_8x8_matrices_per_ratios_state(monkeypatch, tmp_path):
     # rho, pi(rho), dephased pi(rho), rho_1 x rho_23 and their four mixtures for ratios; sweep adds
-    # dephased rho and the mixtures of C_T and C_A; 41 states are report chunks of 16, 16 and 9
+    # dephased rho and the mixtures of C_T and C_A; 2 * REPORT_CHUNK + 8 steps give 2 * REPORT_CHUNK + 9
+    # states, report chunks of REPORT_CHUNK, REPORT_CHUNK and 9
     eigh, reports = qmat._eigh, coherence._reports
     stacks, requests = [], []
 
@@ -537,12 +539,13 @@ def test_subset_kernel_diagonalizes_eight_8x8_matrices_per_ratios_state(monkeypa
 
     monkeypatch.setattr(qmat, "_eigh", spy)
     monkeypatch.setattr(coherence, "_reports", requested)
-    out = ["--model", "zz", "--steps", "40", "--out", str(tmp_path)]
+    chunks = (coherence.REPORT_CHUNK, coherence.REPORT_CHUNK, 9)
+    out = ["--model", "zz", "--steps", str(2 * coherence.REPORT_CHUNK + 8), "--out", str(tmp_path)]
     assert cli.main(["ratios", *out]) == 0
-    assert (stacks, requests) == ([(8, n, 8, 8) for n in (16, 16, 9)], [RATIO_FIELDS])
+    assert (stacks, requests) == ([(8, n, 8, 8) for n in chunks], [RATIO_FIELDS])
     stacks.clear()
     assert cli.main(["sweep", *out]) == 0
-    assert (stacks, requests[1:]) == ([(11, n, 8, 8) for n in (16, 16, 9)], [set(coherence._DISTANCES)])
+    assert (stacks, requests[1:]) == ([(11, n, 8, 8) for n in chunks], [set(coherence._DISTANCES)])
 
 
 def test_subset_kernel_keeps_the_whole_stack_index_of_a_failed_cross_check(state_failing_cross_check):
@@ -554,6 +557,29 @@ def test_subset_kernel_keeps_the_whole_stack_index_of_a_failed_cross_check(state
         with pytest.raises(coherence.CrossCheckError) as exc:
             coherence._reports(rhos, 2.0, fields)
         assert exc.value.index == 2 * coherence.REPORT_CHUNK + 3
+
+
+@pytest.mark.parametrize("chunk", [1, 16, 32])
+def test_report_chunk_size_moves_no_bit(monkeypatch, chunk, zz_sweep, zzz_sweep, state_failing_cross_check):
+    # REPORT_CHUNK is a performance choice: every report value, and the index of a failed cross-check, is
+    # the same at any chunk size
+    mixed = np.array(seeded_states(np.random.default_rng(82), 70))
+    stacks = [states.density(zz_sweep.ground_states), states.density(zzz_sweep.ground_states), mixed]
+    kernels = (coherence.coherence_reports, lambda rhos, base: coherence._reports(rhos, base, RATIO_FIELDS))
+
+    def all_reports():
+        return [np.array(kernel(rhos, base)) for rhos in stacks for base in (2.0, math.e) for kernel in kernels]
+
+    want = all_reports()
+    monkeypatch.setattr(coherence, "REPORT_CHUNK", chunk)
+    got = all_reports()
+    assert len(got) == 12 and all(same_bits(a, b) for a, b in zip(got, want))
+    # in the third 32-state chunk; the state fails the pair (rho, pi(rho)), which both kernels score
+    mixed[67] = state_failing_cross_check
+    for kernel in kernels:
+        with pytest.raises(coherence.CrossCheckError) as exc:
+            kernel(mixed, 2.0)
+        assert exc.value.index == 67
 
 
 def test_subset_kernel_skips_the_cross_check_of_a_distance_left_out(monkeypatch):
