@@ -92,8 +92,9 @@ def _relative_entropies(w, v, sides, mixed, scale):
     eigenvectors by fancy index, conjugates the copy in place, multiplies it
     against sigma's and squares the moduli into its weights, so only one
     side's copy and overlap are alive at once. Each matrix's product is one
-    ``zgemm`` or ``gemv`` call of its own either way, so a pass per side has
-    the bits of one pass over both. The two sides' weights are then stacked,
+    BLAS ``gemm`` or ``gemv`` call of its own either way, so a pass per side
+    has the bits of one pass over both. ``v`` is complex, or real where
+    ``_chunk_rows`` says. The two sides' weights are then stacked,
     and tested and scored together. Floor tests and logarithms are taken once, by ``_log_terms``;
     its row sums, p log p of the eigenvalues p clipped at 0, are returned
     too. Rows where rho puts more than ``SUPPORT_WEIGHT_TOL`` weight outside
@@ -133,18 +134,13 @@ def _product_spectrum(p, q):
     return (p[..., :, None] * q[..., None, :]).reshape(*p.shape[:-1], -1)
 
 
-def _diagonal_entropies(diagonals, scale):
-    """Entropies of dephased matrices from their real ``diagonals``: the Shannon entropy of each."""
-    return _entropies(diagonals, scale)
-
-
 def _qjsd_stack(mats, pairs):
     """The symmetrized (S + P, n, d, d) stack whose ``eigh`` eigenpairs ``_qjsd_pairs`` scores.
 
     ``mats`` holds the S inputs, then room for the mixtures of the rows (a,
     b) of the (P, 2) index array ``pairs``, which are written there in pair
     order with the bits of (a + b) / 2: one ``np.add`` of two views, then a
-    halving in place.
+    halving in place, in the dtype of ``mats``.
     """
     n_in = len(mats) - len(pairs)
     for k, (a, b) in enumerate(pairs, n_in):
@@ -162,9 +158,9 @@ def _qjsd_pairs(w, v, pairs, closed, scale):
     w log w serve the entropic form. It takes the entropy of input
     ``k`` from ``closed[k]``, an (n,) closed form, where the caller gives
     one, and from the ``eigh`` spectrum otherwise; mixtures always read the
-    spectrum. The inputs are not re-checked: callers pass finite complex
-    stacks. The two forms must agree within ``CROSS_CHECK_TOL`` for every
-    pair, else ``CrossCheckError`` with the index of the first failing state.
+    spectrum. The inputs are not re-checked: callers pass finite stacks.
+    The two forms must agree within ``CROSS_CHECK_TOL`` for every pair, else
+    ``CrossCheckError`` with the index of the first failing state.
     """
     left, right = sides = pairs.T
     n_in = len(w) - len(pairs)
@@ -281,22 +277,23 @@ def _report_stacks(rho, inputs, room):
     marginals come from one (n, 2, 2, 2, 2, 2, 2) view of ``rho``, rho_1 and
     rho_2 from rho_12 and rho_3 from rho_13, through the ``np.trace`` calls
     ``partial_trace`` makes when it traces qubits out last first. Nothing is
-    re-checked: ``rho`` is a finite complex stack.
+    re-checked: ``rho`` is a finite complex or real stack, and every stack
+    returned has its dtype.
     """
     n = len(rho)
     tensor = rho.reshape(n, 2, 2, 2, 2, 2, 2)
-    small = np.empty((6 + len(_PAIRS_4), n, 4, 4), dtype=complex)
+    small = np.empty((6 + len(_PAIRS_4), n, 4, 4), dtype=rho.dtype)
     # qubit k's row and column axes are k and k + 3: rho_23, rho_12 and rho_13 trace out qubits 1, 3 and 2
     for slot, qubit in ((0, 1), (2, 3), (4, 2)):
         np.trace(tensor, axis1=qubit, axis2=qubit + 3, out=small[slot].reshape(n, 2, 2, 2, 2))
-    marg = np.empty((3, n, 2, 2), dtype=complex)
+    marg = np.empty((3, n, 2, 2), dtype=rho.dtype)
     # rho_1 traces qubit 2 out of rho_12; rho_2 and rho_3 trace qubit 1 out of rho_12 and rho_13
     two_qubit = small[2:5:2].reshape(2, n, 2, 2, 2, 2)
     np.trace(two_qubit[0], axis1=2, axis2=4, out=marg[0])
     np.trace(two_qubit, axis1=2, axis2=4, out=marg[1:])
     # rho_2 x rho_3, rho_1 x rho_2, rho_1 x rho_3
     _kron_into(small[1:6:2], marg[[1, 0, 0]], marg[[2, 1, 2]])
-    big = np.empty((len(inputs) + room, n, 8, 8), dtype=complex)
+    big = np.empty((len(inputs) + room, n, 8, 8), dtype=rho.dtype)
     # input 0 is rho, 2 pi(rho) = rho_12 x rho_3 and 4 rho_1 x rho_23; inputs 1 and 3 dephase inputs 0 and 2,
     # which ``_plan_8`` puts in the slot before theirs
     for k, i in enumerate(inputs):
@@ -368,7 +365,25 @@ def _chunk_rows(start, rho, scale, fields):
     drops the sub-floor products either way. So a state that ``tomo``
     accepts without ``--repair`` (Hermitian and positive only within
     ``--tol``) gets the same closed forms as its ``eigh`` route.
+
+    The dtype follows the input. A chunk whose imaginary parts are all zero
+    (either sign) runs on its real part: its raw, mixture and symmetrized
+    stacks are float64, and each symmetrized stack is cast to complex only as
+    the input of ``qmat._eigh``, so the eigensolver sees complex stacks
+    alone. When both eigenvector stacks of that chunk come back with zero
+    imaginary parts, the overlaps, moduli and squares of
+    ``_relative_entropies`` run on real copies of them. Every score keeps the
+    bits of the complex route: on zero imaginary parts a complex add,
+    multiply, trace sum or halving computes its real part by the same real
+    operation, |x + 0i| by ``hypot`` is |x|, and the real overlap products
+    had the complex ones' bits on every chunk of the default sweeps under the
+    SkylakeX, Haswell, Sandybridge and Nehalem OpenBLAS kernels. The ``eigh``
+    inputs can differ only in signed zeros: the complex halving, (re + im 0)
+    / 2, makes +0.0 of a -0.0 real part, which the real halving keeps. A
+    chunk with any nonzero imaginary part runs complex throughout.
     """
+    if not rho.imag.any():
+        rho = rho.real
     inputs, pairs, dephased, products, rows = _plan_8(fields)
     small, big, marg = _report_stacks(rho, inputs, len(pairs))
     sym4 = _qjsd_stack(small, _PAIRS_4_INDEX)
@@ -376,10 +391,14 @@ def _chunk_rows(start, rho, scale, fields):
     sym8 = _qjsd_stack(big, pairs)
     diagonals = np.take(np.diagonal(big, axis1=-2, axis2=-1), dephased, axis=0).real.copy()
     del big
+    sym4 = sym4.astype(complex, copy=False)
     w4, v4 = qmat._eigh(sym4)
     del sym4
+    sym8 = sym8.astype(complex, copy=False)
     w8, v8 = qmat._eigh(sym8)
     del sym8
+    if rho.dtype == float and not (v4.imag.any() or v8.imag.any()):
+        v4, v8 = v4.real.copy(), v8.real.copy()
     q = _qubit_spectra(marg)
     # spectra of rho_2 x rho_3, rho_1 x rho_2 and rho_1 x rho_3
     q4 = _product_spectrum(q[[1, 0, 0]], q[[2, 1, 2]])
@@ -390,7 +409,7 @@ def _chunk_rows(start, rho, scale, fields):
         s8 = _entropies(np.stack([_product_spectrum(q4[1], q[2]), _product_spectrum(q[0], w4[0])]), scale)
         # closed forms by slot
         closed = {k: s8[row] for k, row in products}
-        closed.update(zip(dephased, _diagonal_entropies(diagonals, scale)))
+        closed.update(zip(dephased, _entropies(diagonals, scale)))
         j8 = _qjsd_pairs(w8, v8, pairs, closed, scale)
     except CrossCheckError as exc:
         exc.index += start
@@ -421,6 +440,8 @@ def _reports(rhos, base, fields):
     scale = _log_scale(base)
     starts = range(0, len(rhos), REPORT_CHUNK)
     fields = frozenset(fields)
+    if fields.isdisjoint(_PAIRS_8):
+        raise ValueError(f"fields must name at least one 8x8 distance of {', '.join(_PAIRS_8)}; got {sorted(fields)}")
     rows = [_chunk_rows(start, rhos[start:start + REPORT_CHUNK], scale, fields) for start in starts]
     return [CoherenceReport._make(row) for block in rows for row in block.tolist()]
 

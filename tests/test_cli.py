@@ -124,6 +124,12 @@ def test_geometry_records(tmp_path):
     assert records[-1]["coherences"]["C_L"] < 0.05 < records[0]["coherences"]["C_L"]
 
 
+def test_geometry_writes_the_default_zz_couplings_in_order(tmp_path):
+    assert run_cli(["geometry", "--model", "zz", "--out", str(tmp_path)]) == 0
+    records = json.loads((tmp_path / "geometry_zz.json").read_text())
+    assert [r["j"] for r in records] == [0.0, 0.5, 1.0, 1.5, 2.0]
+
+
 def test_geometry_custom_j_values(tmp_path):
     assert run_cli(["geometry", "--model", "zz", "--j-values", "0.5,1.5", "--out", str(tmp_path)]) == 0
     records = json.loads((tmp_path / "geometry_zz.json").read_text())

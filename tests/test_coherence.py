@@ -247,12 +247,21 @@ def test_cross_check_error_names_the_state_index(state_failing_cross_check):
     assert exc.value.index == coherence.REPORT_CHUNK + 1
 
 
-@pytest.mark.parametrize("helper", ["_qubit_spectra", "_diagonal_entropies"])
-def test_cross_check_catches_a_wrong_closed_form(monkeypatch, helper):
+@pytest.mark.parametrize("closed_form", ["_qubit_spectra", "dephased_entropies"])
+def test_cross_check_catches_a_wrong_closed_form(monkeypatch, closed_form):
     rho = seeded_states(np.random.default_rng(65), 1)[0]
     coherence.coherence_reports([rho])
-    exact = getattr(coherence, helper)
-    monkeypatch.setattr(coherence, helper, lambda *args: exact(*args) + 1e-6)
+    if closed_form == "_qubit_spectra":
+        exact = coherence._qubit_spectra
+        monkeypatch.setattr(coherence, "_qubit_spectra", lambda m: exact(m) + 1e-6)
+    else:
+        exact = coherence._entropies
+
+        def wrong(w, scale):
+            # only the Shannon entropies of the dephased diagonals, of rho and pi(rho), are off
+            return exact(w, scale) + (1e-6 if same_bits(w[0, 0], rho.diagonal().real) else 0.0)
+
+        monkeypatch.setattr(coherence, "_entropies", wrong)
     with pytest.raises(ArithmeticError):
         coherence.coherence_reports([rho])
 
@@ -319,6 +328,13 @@ def test_report_stacks_match_the_public_builders_bitwise(source, zz_sweep, zzz_s
         assert same_bits(got_small[:6], np.stack(small))
         assert same_bits(got_big[:len(inputs)], np.stack([big[i] for i in inputs]))
         assert same_bits(got_marginals, np.stack([m1, m2, m3]))
+        if source != "mixed":
+            # a real chunk's stacks are float64 with the public builders' real parts, whose imaginary parts are
+            # zeros of either sign (kron gives -0.0 where two negative real parts each meet a +0.0)
+            real = coherence._report_stacks(rhos.real, inputs, room)
+            for got, want, built in zip(real, (got_small, got_big, got_marginals), (6, len(inputs), 3)):
+                assert got.dtype == float and same_bits(got[:built], want[:built].real.copy())
+                assert not want[:built].imag.any()
 
 
 def test_reports_of_states_within_tomo_tolerance_match_qjsd(states_within_tomo_tolerance):
@@ -436,8 +452,9 @@ def test_report_kernel_matches_the_concatenated_route_bitwise(
         # coherence_reports builds all five 8x8 inputs, so its 8x8 pairs are those of _PAIRS_8
         assert built == (0, 1, 2, 3, 4)
         small, big, marg = report_stacks(rho, built, room)
+        # the raw stacks of a real chunk are float64; the concatenated route was complex throughout
         for mats, inputs, pairs in ((small, 6, coherence._PAIRS_4), (big, 5, coherence._PAIRS_8)):
-            expected[mats.shape[-1]] = concatenated_route_eigh_input(mats[:inputs].copy(), [*pairs.values()])
+            expected[mats.shape[-1]] = concatenated_route_eigh_input(mats[:inputs].astype(complex), [*pairs.values()])
         return small, big, marg
 
     def checked_eigh(a, vectors=True):
@@ -481,14 +498,17 @@ def test_report_kernel_matches_the_concatenated_route_bitwise(
 
 
 def test_report_kernel_chunk_peaks_below_950_kb_under_tracemalloc(zz_sweep):
-    # one 32-state chunk of the default zz sweep peaked at 1311 KB while it held both raw stacks, both
-    # symmetrized stacks and both eigenpair sets through the 8x8 eigh and took both sides' overlaps at
-    # once; freeing each stack as soon as it is used and taking the overlaps one side at a time reads
-    # 912 KB. The eigh inputs and outputs alone take about 22 KB per state, so 32 states is the largest
-    # chunk under the bound, which fails the old layout by 360 KB
-    rho = states.density(zz_sweep.ground_states[:coherence.REPORT_CHUNK])
-    assert len(rho) == 32
-    assert traced_peak(coherence._chunk_rows, 0, rho, 1.0, frozenset(coherence._DISTANCES)) <= 950 * 1024
+    # one complex 32-state chunk peaked at 1311 KB while it held both raw stacks, both symmetrized stacks
+    # and both eigenpair sets through the 8x8 eigh and took both sides' overlaps at once; freeing each
+    # stack as soon as it is used and taking the overlaps one side at a time reads 912 KB. The eigh inputs
+    # and outputs alone take about 22 KB per state, so 32 states is the largest chunk under the bound,
+    # which fails the old layout by 360 KB. A real chunk, such as the default zz sweep's, builds its
+    # stacks in float64 and reads 816 KB; seeded mixed states keep tomo's complex route covered
+    real = states.density(zz_sweep.ground_states[:coherence.REPORT_CHUNK])
+    mixed = np.array(seeded_states(np.random.default_rng(75), coherence.REPORT_CHUNK))
+    for rho in (real, mixed):
+        assert len(rho) == 32
+        assert traced_peak(coherence._chunk_rows, 0, rho, 1.0, frozenset(coherence._DISTANCES)) <= 950 * 1024
 
 
 # the distances ``tricoh ratios`` scores: those of its ratio columns and the three terms of M
@@ -599,6 +619,58 @@ def test_subset_kernel_skips_the_cross_check_of_a_distance_left_out(monkeypatch)
         coherence.coherence_reports(rhos)
     assert exc.value.index == coherence.REPORT_CHUNK + 2
     assert same_bits(np.array(coherence._reports(rhos, 2.0, RATIO_FIELDS))[:, RATIO_ROW], want)
+
+
+def real_states():
+    # label states with exact zeros, then sparse real pure and mixed states with about 60% zero factor entries
+    labels = ["000", "101", "W001", "W110", "GHZ-", "G", "+++", "+-+", "---"]
+    rhos = [states.density(states.make_state(label)) for label in labels]
+    rng = np.random.default_rng(73)
+    for k in range(62):
+        rank = (1, 1, 2, 8)[k % 4]
+        a = rng.standard_normal((8, rank)) * (rng.random((8, rank)) >= 0.6)
+        a[k % 8, 0] = 1.0
+        rhos.append(a @ a.T / np.trace(a @ a.T))
+    return np.array(rhos, dtype=complex)
+
+
+@pytest.mark.parametrize("base", [2.0, math.e])
+def test_real_chunks_have_the_bits_of_the_complex_route(monkeypatch, base, stacks_over_many_chunks):
+    # each report is its state's alone, so up to 31 real states score the same as in a chunk that one
+    # complex state appended sends down the complex route
+    report_stacks, dtypes = coherence._report_stacks, []
+
+    def stacks(rho, inputs, room):
+        dtypes.append(rho.dtype)
+        return report_stacks(rho, inputs, room)
+
+    monkeypatch.setattr(coherence, "_report_stacks", stacks)
+    labels_and_sparse = real_states()
+    signed = labels_and_sparse.copy()
+    signed.imag = -0.0
+    # the default linear and adaptive sweeps of both models, the label and sparse states, and these again
+    # with -0.0 imaginary parts
+    real_sets = [*stacks_over_many_chunks[:4], labels_and_sparse, signed]
+    tail = np.array(seeded_states(np.random.default_rng(74), 1))
+    kernels = (coherence.coherence_reports, lambda rhos, base: coherence._reports(rhos, base, RATIO_FIELDS))
+    size = coherence.REPORT_CHUNK - 1
+    for rhos in real_sets:
+        assert not rhos.imag.any()
+        for k in range(0, len(rhos), size):
+            chunk = rhos[k:k + size]
+            for kernel in kernels:
+                real = np.array(kernel(chunk, base))
+                mixed = np.array(kernel(np.concatenate([chunk, tail]), base))
+                assert dtypes[-2:] == [float, complex]
+                assert same_bits(real, mixed[:-1]), (k, kernel)
+
+
+@pytest.mark.parametrize("fields", [set(), {"c_2_3"}, {"c_1_2", "c_1_3", "c_2_3"}], ids=["none", "c_2_3", "all_4x4"])
+def test_subset_kernel_rejects_fields_without_an_8x8_distance(fields):
+    rhos = np.array(seeded_states(np.random.default_rng(76), 2))
+    with pytest.raises(ValueError, match="^fields must name at least one 8x8 distance of c_total, c_global, "
+                                         "c_local, c_absolute, c_1_23, c_abs_1_23; got "):
+        coherence._reports(rhos, 2.0, fields)
 
 
 # the test_chunked_reports_* tests score stacks of more than one chunk, each chunk through its
@@ -839,6 +911,15 @@ def test_embed_collinear_boundary():
     assert abs(tet.pi_product[0] - (-0.2)) < 1e-9
     assert abs(tet.pi_product[1]) < 1e-9
     assert tet.residual <= 1e-9
+
+
+def test_embed_clamps_a_cosine_below_minus_one():
+    # C_A = C_G = 1 with C_L = 3 breaks a triangle inequality: the cosine (1 + 1 - 9) / 2 = -3.5 clamps to -1
+    rep = coherence.CoherenceReport(*[0.0] * 14)._replace(c_absolute=1.0, c_global=1.0, c_local=3.0)
+    tet = coherence.embed_tetrahedron(rep)
+    assert tet.pi_product.tolist() == [-1.0, 0.0, 0.0]
+    # pi(rho) lies 2 from dephased pi(rho), against C_L = 3; the split point stays at rho, 1 from both
+    assert tet.residual == 1.0
 
 
 def test_embed_zero_absolute_coherence_places_pi_on_x_axis():

@@ -371,6 +371,33 @@ def test_validate_density_rejects_bad_trace_and_hermiticity():
         qmat.validate_density(bad, tol=1e-6)
 
 
+def test_validate_density_trace_tolerance_floor_is_1e_10():
+    # with tol 0 the trace check reads TRACE_TOL alone: a deviation of 1.5e-10 fails it, 0.5e-10 passes
+    with pytest.raises(ValueError, match="^trace differs from 1 by 1.500e-10, exceeds tolerance 1.0e-10$"):
+        qmat.validate_density(np.diag([0.5 + 1.5e-10, 0.5]), tol=0.0)
+    _, checks = qmat.validate_density(np.diag([0.5 + 0.5e-10, 0.5]), tol=0.0)
+    assert 0.0 < checks["trace_dev"] < 1e-10
+
+
+def test_validate_density_accepts_an_eigenvalue_of_exactly_minus_the_psd_tolerance():
+    # a diagonal matrix's eigenvalues are its diagonal, so min_eig is exactly -PSD_TOL, which passes
+    _, checks = qmat.validate_density(np.diag([1.0 + qmat.PSD_TOL, -qmat.PSD_TOL]))
+    assert checks["min_eig"] == -qmat.PSD_TOL
+    with pytest.raises(ValueError, match="^negative eigenvalue -2.000e-09 below tolerance -1.0e-09$"):
+        qmat.validate_density(np.diag([1.0 + 2 * qmat.PSD_TOL, -2 * qmat.PSD_TOL]))
+
+
+def test_validate_density_names_the_trace_when_the_hermiticity_deviation_equals_the_tolerance():
+    # a Hermiticity deviation of exactly tol = 2^-20 passes
+    tol = 2.0**-20
+    passing = np.array([[1.0, tol], [0.0, 0.0]])
+    _, checks = qmat.validate_density(passing, tol=tol)
+    assert checks["herm_dev"] == tol
+    # so with the trace at 1.5 the message names the trace
+    with pytest.raises(ValueError, match="^trace differs from 1 by 5.000e-01, exceeds tolerance 9.5e-07$"):
+        qmat.validate_density(passing + np.diag([0.0, 0.5]), tol=tol)
+
+
 def test_validate_density_repair_matches_clipping_oracle():
     rng = np.random.default_rng(24)
     rho = random_density(rng, 8)
