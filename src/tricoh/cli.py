@@ -38,12 +38,12 @@ TROTTER_FIDELITY_THRESHOLD = 0.999
 # that both models sit in the asymptotic third-order regime
 RATIO_TABLE_TAU = 0.1
 
-# ratio columns of ``ratios``: (column, numerator field, denominator field)
+# ratio columns of ``ratios``: (column, numerator report column, denominator report column)
 RATIO_COLUMNS = (
-    ("CG_over_CL", "c_global", "c_local"),
-    ("C23_over_CL", "c_2_3", "c_local"),
-    ("C123_over_CA123", "c_1_23", "c_abs_1_23"),
-    ("C23_over_C123", "c_2_3", "c_1_23"),
+    ("CG_over_CL", "C_G", "C_L"),
+    ("C23_over_CL", "C_2_3", "C_L"),
+    ("C123_over_CA123", "C_1_23", "C_A_1_23"),
+    ("C23_over_C123", "C_2_3", "C_1_23"),
 )
 
 
@@ -193,21 +193,20 @@ def cmd_sweep(args):
 def cmd_ratios(args):
     """Write the ratio columns and M, scoring and cross-checking only the distances they read.
 
-    So a state that fails only the C_T or C_A cross-check, two values this
-    table never prints, gets its row.
+    It asks ``coherence._reports`` for the report fields of the ratio terms
+    and for ``monogamy_m``, which brings in M's three terms. So a state that
+    fails only the C_T or C_A cross-check, two values this table never
+    prints, gets its row.
     """
     sweep = adiabatic.ground_sweep(_schedule(args))
-    # the terms of the ratio columns and of M = C_1_2 + C_1_3 - C_1_23
-    fields = {field for _, num, den in RATIO_COLUMNS for field in (num, den)} | {"c_1_2", "c_1_3", "c_1_23"}
-    reports = coherence._reports(states.density(sweep.ground_states), _base(args), fields)
-
-    def ratio(num, den):
-        return num / den if den >= 1e-9 else None
-
+    field_of = dict(zip(coherence.REPORT_COLUMNS, coherence.CoherenceReport._fields))
+    read = {"monogamy_m", *(field_of[column] for _, num, den in RATIO_COLUMNS for column in (num, den))}
+    reports = coherence._reports(states.density(sweep.ground_states), _base(args), read)
+    columns = dict(zip(coherence.REPORT_COLUMNS, zip(*reports)))
     table = {"J": sweep.j_values}
     for col, num, den in RATIO_COLUMNS:
-        table[col] = [ratio(getattr(rep, num), getattr(rep, den)) for rep in reports]
-    table["M"] = [rep.monogamy_m for rep in reports]
+        table[col] = [n / d if d >= 1e-9 else None for n, d in zip(columns[num], columns[den])]
+    table["M"] = columns["M"]
     _write(args, f"ratios_{args.model}.csv", _csv(table))
     return 0
 

@@ -18,7 +18,8 @@ output row, in ``REPORT_COLUMNS`` order; one table names both.
 ``coherence_reports`` says in which order a stack's chunks are built,
 diagonalized and scored, and ``_chunk_rows`` what each stage writes and
 frees and which entropies come in closed form. ``_reports`` scores and
-cross-checks only the distances a caller names, as ``tricoh ratios`` does.
+cross-checks only the distances that the fields a caller names read, as
+``tricoh ratios`` does; ``_SUMS`` is the one list of each sum's terms.
 ``coherence_report``, ``qjsd``, ``relative_entropy`` and
 ``von_neumann_entropy`` are single-state calls into the same stacked
 helpers.
@@ -261,6 +262,14 @@ _PAIRS_4 = {"c_2_3": (0, 1), "c_1_2": (2, 3), "c_1_3": (4, 5)}
 _PAIRS_4_INDEX = np.array([*_PAIRS_4.values()])
 _PAIRS_4_INDEX.flags.writeable = False
 _DISTANCES = CoherenceReport._fields[:9]
+# the report's five sums, its last fields, in row order: each field's terms (a, b, c) give a + b - c. These are the
+# monogamy difference M and the slacks of Eqs. 7, 10a, 10b and 11, each of a triangle inequality of the QJSD metric
+_SUMS = {"monogamy_m": ("c_1_2", "c_1_3", "c_1_23"), "slack_eq7": ("c_local", "c_global", "c_absolute"),
+         "slack_eq10a": ("c_1_23", "c_abs_1_23", "c_absolute"), "slack_eq10b": ("c_2_3", "c_local", "c_abs_1_23"),
+         "slack_eq11": ("c_1_23", "c_2_3", "c_global")}
+# the sums' terms as the (3, 5) array of the rows of a, b and c among the distances
+_SUM_TERMS = np.array([[_DISTANCES.index(term) for term in terms] for terms in _SUMS.values()]).T
+_SUM_TERMS.flags.writeable = False
 
 
 def _report_stacks(rho, inputs, room):
@@ -337,8 +346,8 @@ def _chunk_rows(start, rho, scale, fields):
     pairs are always scored, as their stack also gives the marginals and
     rho_23's spectrum; of the 8x8 stack, only the inputs and mixtures of the
     named pairs are built and diagonalized. A distance left out, and each
-    sum of one, reads nan. Each matrix is diagonalized on its own, so every
-    value scored has the bits it has when all nine are.
+    sum with it as a term, reads nan. Each matrix is diagonalized on its
+    own, so every value scored has the bits it has when all nine are.
 
     A function of its own, so that one chunk's arrays are freed before the
     next chunk's are built; within the chunk, each array is held only while
@@ -349,8 +358,10 @@ def _chunk_rows(start, rho, scale, fields):
     8) real diagonals of its dephased inputs are taken. Each symmetrized
     stack is freed as its ``eigh`` returns, the 4x4 one first. The scores
     take the 4x4 pairs first, so their ``CrossCheckError`` wins; it names
-    the state's index in the whole stack. The distances come first; the
-    monogamy difference and the four slacks are sums of them.
+    the state's index in the whole stack. The distances come first, then
+    the five sums of ``_SUMS``, all taken by one a + b - c over the rows of
+    their terms: per cell the same two operations, in the same order, as a
+    sum written out by hand.
 
     The entropic form reads the ``eigh`` spectra of rho, the two-qubit
     marginals and the mixtures. The structured matrices get closed forms,
@@ -416,33 +427,30 @@ def _chunk_rows(start, rho, scale, fields):
         raise
     dists = np.full((len(_DISTANCES), len(rho)), np.nan)
     dists[rows] = np.sqrt(np.concatenate([j8, j4]))
-    _, c_g, c_l, c_a, c_1_23, c_2_3, c_a_1_23, c_1_2, c_1_3 = dists
-    sums = [
-        c_1_2 + c_1_3 - c_1_23,
-        c_l + c_g - c_a,
-        c_1_23 + c_a_1_23 - c_a,
-        c_2_3 + c_l - c_a_1_23,
-        c_1_23 + c_2_3 - c_g,
-    ]
-    return np.concatenate([dists, sums]).T
+    a, b, c = dists[_SUM_TERMS]
+    return np.concatenate([dists, a + b - c]).T
 
 
 def _reports(rhos, base, fields):
-    """``coherence_reports``, scoring only the distances ``fields`` names and the three 4x4 ones (see ``_chunk_rows``).
+    """``coherence_reports``, scoring only the distances that the ``CoherenceReport`` fields ``fields`` read.
 
-    Only the pairs scored are cross-checked, so a state that fails only the
-    cross-check of a distance left out gets its report, with that distance
-    nan.
+    A distance reads itself and a sum its three terms in ``_SUMS``; the
+    three 4x4 distances are always scored (see ``_chunk_rows``). A name that
+    is not a field raises a ``ValueError`` naming it, and a set that reaches
+    no 8x8 distance one naming the 8x8 distances. Only the pairs scored are
+    cross-checked, so a state that fails only the cross-check of a distance
+    left out gets its report, with that distance and each sum of it nan.
     """
     rhos = _as_stack(rhos, "rhos")
     if rhos.ndim != 3 or rhos.shape[1:] != (8, 8):
         raise ValueError(f"expected an (N, 8, 8) stack of three-qubit density matrices, got {rhos.shape}")
     scale = _log_scale(base)
-    starts = range(0, len(rhos), REPORT_CHUNK)
-    fields = frozenset(fields)
-    if fields.isdisjoint(_PAIRS_8):
+    distances = frozenset(term for field in fields for term in _SUMS.get(field, (field,)))
+    if not distances.issubset(_DISTANCES):
+        raise ValueError(f"not CoherenceReport fields: {sorted(distances.difference(_DISTANCES))}")
+    if distances.isdisjoint(_PAIRS_8):
         raise ValueError(f"fields must name at least one 8x8 distance of {', '.join(_PAIRS_8)}; got {sorted(fields)}")
-    rows = [_chunk_rows(start, rhos[start:start + REPORT_CHUNK], scale, fields) for start in starts]
+    rows = [_chunk_rows(k, rhos[k:k + REPORT_CHUNK], scale, distances) for k in range(0, len(rhos), REPORT_CHUNK)]
     return [CoherenceReport._make(row) for block in rows for row in block.tolist()]
 
 

@@ -309,8 +309,8 @@ def ground_states(h):
     (..., d) eigenvalues, (..., d) ground vectors and (...) flags; one
     matrix gives the same without the leading axis, and a bool flag. A flag
     is set when the two lowest eigenvalues are closer than
-    ``DEGENERACY_TOL``; the ground vector is then one arbitrary (but
-    deterministic) member of the ground space.
+    ``DEGENERACY_TOL``, so never for d = 1; the ground vector is then one
+    arbitrary (but deterministic) member of the ground space.
 
     Each ground vector equals ``eig_hermitian(h[i])[1][:, 0]``:
     only matrices flagged degenerate take the cluster rebuild, of their
@@ -320,7 +320,7 @@ def ground_states(h):
     h = _as_stack(h, "h")
     _check_hermitian(h, name="h")
     w, v = _eigh(h.reshape((-1,) + h.shape[-2:]))
-    degenerate = w[:, 1] - w[:, 0] < DEGENERACY_TOL
+    degenerate = (w[:, 1:2] - w[:, :1] < DEGENERACY_TOL).any(-1)
     grounds = v[:, :, 0].copy()
     for i in np.flatnonzero(degenerate):
         _, stop = next(_clusters(w[i]))

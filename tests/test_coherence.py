@@ -514,6 +514,26 @@ def test_report_kernel_chunk_peaks_below_950_kb_under_tracemalloc(zz_sweep):
 # the distances ``tricoh ratios`` scores: those of its ratio columns and the three terms of M
 RATIO_FIELDS = {"c_global", "c_local", "c_2_3", "c_1_23", "c_abs_1_23", "c_1_2", "c_1_3"}
 RATIO_ROW = [coherence.CoherenceReport._fields.index(field) for field in (*sorted(RATIO_FIELDS), "monogamy_m")]
+# what ``tricoh ratios`` asks for: the terms of its ratio columns, and M by name, which brings in its three terms
+RATIOS_REQUEST = {"c_global", "c_local", "c_2_3", "c_1_23", "c_abs_1_23", "monogamy_m"}
+
+
+@pytest.mark.parametrize("base", [2.0, math.e])
+def test_report_sums_are_the_papers_equations_bitwise(base, stacks_over_many_chunks):
+    # M = C_1_2 + C_1_3 - C_1_23, and each slack is its inequality's right-hand sum minus its left-hand term:
+    # Eq. 7 C_A <= C_G + C_L, Eq. 10a C_A <= C_1_23 + C_A_1_23, Eq. 10b C_A_1_23 <= C_2_3 + C_L and
+    # Eq. 11 C_G <= C_1_23 + C_2_3, on the default linear and adaptive sweeps of both models and 100 mixed states
+    assert tuple(coherence._SUMS) == coherence.CoherenceReport._fields[9:]
+    for rhos in (*stacks_over_many_chunks[:4], np.array(seeded_states(np.random.default_rng(83), 100))):
+        r = dict(zip(coherence.REPORT_COLUMNS, np.array(coherence.coherence_reports(rhos, base)).T))
+        want = [
+            r["C_1_2"] + r["C_1_3"] - r["C_1_23"],
+            r["C_G"] + r["C_L"] - r["C_A"],
+            r["C_1_23"] + r["C_A_1_23"] - r["C_A"],
+            r["C_2_3"] + r["C_L"] - r["C_A_1_23"],
+            r["C_1_23"] + r["C_2_3"] - r["C_G"],
+        ]
+        assert same_bits(np.array([r[name] for name in ("M", "slack7", "slack10a", "slack10b", "slack11")]), want)
 
 
 @pytest.mark.parametrize("base", [2.0, math.e])
@@ -541,8 +561,32 @@ def test_subset_kernel_scores_each_8x8_distance_alone_bitwise(zzz_sweep, states_
         assert np.isnan(got[:, [k for k in range(9) if k not in kept]]).all(), field
 
 
+def test_subset_kernel_scores_each_sum_alone_with_its_terms_bitwise(zz_sweep, states_within_tomo_tolerance):
+    # a sum asked for by name brings in its three terms, and is scored with them as in the full report; the
+    # 8x8 distances it does not read, and the other sums that read one of them, are nan
+    rhos = np.concatenate([states.density(zz_sweep.ground_states[:20]), seeded_states(np.random.default_rng(84), 20),
+                           states_within_tomo_tolerance])
+    full = np.array(coherence.coherence_reports(rhos, math.e))
+    fields = coherence.CoherenceReport._fields
+    for field, terms in coherence._SUMS.items():
+        got = np.array(coherence._reports(rhos, math.e, {field}))
+        read = {*terms, *coherence._PAIRS_4}
+        sums = [name for name, its_terms in coherence._SUMS.items() if read.issuperset(its_terms)]
+        kept = [fields.index(name) for name in (*read, *sums)]
+        assert fields.index(field) in kept and same_bits(got[:, kept], full[:, kept]), field
+        assert np.isnan(np.delete(got, kept, axis=1)).all(), field
+
+
+@pytest.mark.parametrize("fields, name", [({"c_global", "c_globl"}, "c_globl"), ({"monogamy_m", "M"}, "M")])
+def test_subset_kernel_rejects_a_name_that_is_not_a_report_field(fields, name):
+    # a report column name, such as M, is not a field name either
+    with pytest.raises(ValueError, match=rf"^not CoherenceReport fields: \['{name}'\]$"):
+        coherence._reports(np.eye(8)[None] / 8, 2.0, fields)
+
+
 def test_subset_kernel_diagonalizes_eight_8x8_matrices_per_ratios_state(monkeypatch, tmp_path):
-    # rho, pi(rho), dephased pi(rho), rho_1 x rho_23 and their four mixtures for ratios; sweep adds
+    # ratios asks for its ratio terms and M, and so scores the seven distances of RATIO_FIELDS, through
+    # rho, pi(rho), dephased pi(rho), rho_1 x rho_23 and their four mixtures; sweep adds
     # dephased rho and the mixtures of C_T and C_A; 2 * REPORT_CHUNK + 8 steps give 2 * REPORT_CHUNK + 9
     # states, report chunks of REPORT_CHUNK, REPORT_CHUNK and 9
     eigh, reports = qmat._eigh, coherence._reports
@@ -562,7 +606,7 @@ def test_subset_kernel_diagonalizes_eight_8x8_matrices_per_ratios_state(monkeypa
     chunks = (coherence.REPORT_CHUNK, coherence.REPORT_CHUNK, 9)
     out = ["--model", "zz", "--steps", str(2 * coherence.REPORT_CHUNK + 8), "--out", str(tmp_path)]
     assert cli.main(["ratios", *out]) == 0
-    assert (stacks, requests) == ([(8, n, 8, 8) for n in chunks], [RATIO_FIELDS])
+    assert (stacks, requests) == ([(8, n, 8, 8) for n in chunks], [RATIOS_REQUEST])
     stacks.clear()
     assert cli.main(["sweep", *out]) == 0
     assert (stacks, requests[1:]) == ([(11, n, 8, 8) for n in chunks], [set(coherence._DISTANCES)])

@@ -230,11 +230,14 @@ def test_ground_state_single_qubit():
 
 def test_ground_state_degenerate_flag():
     assert qmat.ground_states(np.eye(2, dtype=complex))[2] is True
+    # a single level has no second one to be close to, in one matrix or in a stack
+    assert qmat.ground_states(np.eye(1))[2] is False
+    assert qmat.ground_states(np.array([[[2.5]], [[-1.0]], [[0.0]]]))[2].tolist() == [False] * 3
 
 
 def test_ground_states_of_one_matrix_is_row_0_of_its_stack():
     rng = np.random.default_rng(23)
-    for h in (random_hermitian(rng, 8), models.hamiltonian("zzz", 1.3), np.eye(4, dtype=complex)):
+    for h in (random_hermitian(rng, 8), models.hamiltonian("zzz", 1.3), np.eye(4, dtype=complex), np.eye(1)):
         w, g, degenerate = qmat.ground_states(h)
         ws, gs, flags = qmat.ground_states(h[None])
         assert (w.shape, g.shape, flags.shape) == ((len(h),), (len(h),), (1,))
